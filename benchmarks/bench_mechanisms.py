@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -70,6 +71,7 @@ def bench(duration: float, seed: int) -> dict:
         "workload": WORKLOAD,
         "duration": duration,
         "seed": seed,
+        "cpus": len(os.sched_getaffinity(0)),
         "bound_us": results["silo"]["bound_us"],
         "mechanisms": results,
     }

@@ -1,3 +1,10 @@
+# Differential-test oracle: the ``VMShaper`` of ``src/repro/phynet/shaper.py``
+# as it stood before the incremental-scheduling rewrite, copied verbatim
+# below this header (``git show c2af1cf:src/repro/phynet/shaper.py``).
+# It rescans every backlogged destination with three token-bucket probes
+# on every submit, re-arm and fire; ``tests/phynet/test_shaper_oracle.py``
+# drives it beside the live shaper and requires bit-equal output.  Do not
+# optimise or "fix" this file: it is the reference, not product code.
 """Event-driven hierarchical shaper: the pacer as it runs in the hypervisor.
 
 :class:`~repro.pacer.hierarchy.VMPacer` stamps packets in FIFO order, which
@@ -17,13 +24,12 @@ hose rate ``B_d``, and consecutive releases are spaced at ``Bmax``.
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Hashable, Optional
 
-from repro.core import EventEngine
 from repro.pacer.hierarchy import PacerConfig
 from repro.pacer.token_bucket import TokenBucket
+from repro.phynet.engine import Simulator
 
 #: Slack when testing head-packet eligibility against the current clock:
 #: absorbs float error from the schedule()/now round trip.  Simulation
@@ -35,7 +41,7 @@ _TIME_EPS = 1e-12
 class VMShaper:
     """Hierarchical token-bucket scheduler for one VM's egress."""
 
-    def __init__(self, sim: EventEngine, config: PacerConfig,
+    def __init__(self, sim: Simulator, config: PacerConfig,
                  release: Callable[[Any], None]):
         self.sim = sim
         self.config = config
@@ -79,70 +85,48 @@ class VMShaper:
         return self._dest_backlog.get(destination, 0.0)
 
     def submit(self, packet: Any) -> None:
-        """Queue a packet for its destination; re-arm only if a head changed."""
-        destination = packet.dst
-        queue = self._queues.get(destination)
+        """Queue a packet for its destination and re-evaluate the schedule."""
+        queue = self._queues.get(packet.dst)
         if queue is None:
-            queue = self._queues[destination] = deque()
-            self.destination_bucket(destination)  # scans index it directly
+            queue = deque()
+            self._queues[packet.dst] = queue
         queue.append(packet)
         self.backlog += packet.size
-        self._dest_backlog[destination] = (
-            self._dest_backlog.get(destination, 0.0) + packet.size)
+        self._dest_backlog[packet.dst] = (
+            self._dest_backlog.get(packet.dst, 0.0) + packet.size)
         if self.backlog_series is not None:
             self.backlog_series.record(self.sim.now, self.backlog)
-        # Wake-up invariant: an armed wake-up moves earlier only when a
-        # head packet, a destination rate or a bucket balance changed.
-        # A packet queued *behind* a head changes none of them, and every
-        # head's eligibility is non-decreasing in ``now``, so a rescan
-        # could only confirm the armed time (or, through float rounding
-        # of a partly filled bucket, undercut it by an ulp or so and arm
-        # a spurious second wake-up).
-        if self._armed_at is None or len(queue) == 1:
-            self._reschedule()
+        self._reschedule()
 
-    def _earliest_head(self) -> Tuple[Optional[Hashable], float]:
-        """``(destination, eligible)`` of the head packet that may leave first.
+    def _head_eligible_at(self, destination: Hashable, size: float) -> float:
+        """Earliest time all three buckets allow a head packet out.
 
-        A head is eligible at the ``max`` over its three buckets (token
-        balances only grow until a debit, so the per-bucket earliest
-        times combine with ``max``).  Ties go to the first-registered
-        destination: the comparison is a strict ``<`` in queue-creation
-        order.  The tenant and peak answers depend only on the head's
-        size, so they are probed once per distinct size (``shared``); and
-        since ``eligible >= max(now, shared)``, a destination whose
-        ``shared`` cannot beat the best so far is skipped unprobed and a
-        head eligible right ``now`` ends the scan -- no later destination
-        can be strictly earlier.
+        Token balances only grow until a debit, so the per-bucket earliest
+        times can be combined with ``max``.
         """
         now = self.sim.now
-        tenant, peak, buckets = self._tenant, self._peak, self._dest_buckets
-        shared_for: Dict[float, float] = {}
+        t = self.destination_bucket(destination).would_stamp(size, now)
+        t = max(t, self._tenant.would_stamp(size, now))
+        return max(t, self._peak.would_stamp(size, now))
+
+    def _best_candidate(self) -> Optional[Hashable]:
         best_dest = None
-        best_time = math.inf
+        best_time = None
         for destination, queue in self._queues.items():
             if not queue:
                 continue
-            size = queue[0].size
-            shared = shared_for.get(size)
-            if shared is None:
-                shared = shared_for[size] = max(
-                    tenant.would_stamp(size, now), peak.would_stamp(size, now))
-            if shared >= best_time:
-                continue
-            eligible = max(buckets[destination].would_stamp(size, now), shared)
-            if eligible < best_time:
-                best_dest, best_time = destination, eligible
-                if eligible <= now:
-                    break
-        return best_dest, best_time
+            eligible = self._head_eligible_at(destination, queue[0].size)
+            if best_time is None or eligible < best_time:
+                best_time = eligible
+                best_dest = destination
+        return best_dest
 
     def _reschedule(self) -> None:
-        destination, eligible = self._earliest_head()
-        if destination is not None:
-            self._arm(eligible)
-
-    def _arm(self, eligible: float) -> None:
+        destination = self._best_candidate()
+        if destination is None:
+            return
+        queue = self._queues[destination]
+        eligible = self._head_eligible_at(destination, queue[0].size)
         if self._armed_at is not None and self._armed_at <= eligible:
             return  # an earlier-or-equal wakeup is already pending
         self._generation += 1
@@ -154,17 +138,19 @@ class VMShaper:
         if generation != self._generation:
             return
         self._armed_at = None
-        destination, eligible = self._earliest_head()
+        destination = self._best_candidate()
         if destination is None:
             return
+        queue = self._queues[destination]
+        packet = queue[0]
         now = self.sim.now
-        if eligible > now + _TIME_EPS:
-            self._arm(eligible)
+        if self._head_eligible_at(destination, packet.size) > now + _TIME_EPS:
+            self._reschedule()
             return
-        packet = self._queues[destination].popleft()
+        queue.popleft()
         self.backlog -= packet.size
         self._dest_backlog[destination] -= packet.size
-        self._dest_buckets[destination].stamp(packet.size, now)
+        self.destination_bucket(destination).stamp(packet.size, now)
         self._tenant.stamp(packet.size, now)
         self._peak.stamp(packet.size, now)
         if self.backlog_series is not None:

@@ -3,8 +3,8 @@
 import pytest
 
 from repro import units
+from repro.core import EventEngine
 from repro.pacer.hierarchy import PacerConfig
-from repro.phynet.engine import Simulator
 from repro.phynet.shaper import VMShaper
 
 
@@ -18,7 +18,7 @@ class FakePacket:
 
 def build(bandwidth=units.gbps(2), burst=1.5 * units.KB,
           peak=None):
-    sim = Simulator()
+    sim = EventEngine()
     released = []
     config = PacerConfig(bandwidth=bandwidth, burst=burst,
                          peak_rate=peak or bandwidth)
@@ -122,3 +122,49 @@ class TestMultipleDestinations:
         min_gap = units.MTU / units.gbps(5)
         for a, b in zip(times, times[1:]):
             assert b - a >= min_gap - 1e-12
+
+
+class TestWakeUpInvariant:
+    """An armed wake-up moves earlier only when a head packet, a
+    destination rate or a bucket balance changed."""
+
+    @pytest.mark.parametrize("later_us", range(1, 12))
+    def test_submit_behind_head_schedules_nothing(self, later_us):
+        """The second packet waits 12 us on a bucket the first one emptied.
+
+        Submitting a third behind it while the bucket is partly refilled
+        changes no head, rate or balance, so the engine must see zero new
+        events.  A rescan at ``later_us = 10`` answers 1.1999999999999999e-05
+        against the armed 1.2e-05 -- one ulp of float rounding -- which
+        made the shaper arm a spurious second wake-up before it kept this
+        invariant.
+        """
+        sim, shaper, released = build(bandwidth=units.gbps(1))
+        shaper.submit(FakePacket("d"))
+        shaper.submit(FakePacket("d"))
+        sim.run(until=later_us * 1e-6)
+        assert len(released) == 1
+        pending = sim.pending_events
+        shaper.submit(FakePacket("d"))
+        assert sim.pending_events == pending
+        sim.run(until=1.0)
+        assert [t for t, _ in released] == pytest.approx(
+            [0.0, 12e-6, 24e-6], abs=1e-12)
+
+    def test_new_head_and_rate_change_do_re_arm(self):
+        """The changes the invariant names still pull the wake-up in."""
+        sim, shaper, released = build(bandwidth=units.gbps(1))
+        shaper.set_destination_rate("slow", units.mbps(10))
+        shaper.submit(FakePacket("slow"))
+        shaper.submit(FakePacket("slow"))
+        sim.run(until=1e-6)  # second "slow" packet now waits 1.2 ms
+        pending = sim.pending_events
+        shaper.submit(FakePacket("idle"))  # a new head, eligible at 12 us
+        assert sim.pending_events == pending + 1
+        sim.run(until=20e-6)
+        assert [p.dst for _, p in released] == ["slow", "idle"]
+        pending = sim.pending_events
+        shaper.set_destination_rate("slow", units.gbps(1))
+        assert sim.pending_events == pending + 1
+        sim.run(until=40e-6)
+        assert [p.dst for _, p in released] == ["slow", "idle", "slow"]
