@@ -58,7 +58,7 @@ TOLERANCE = 1e-6
 #: Paper-scale flowsim tiers, run fast-path only (the reference rescan
 #: loop is intractable here): name -> (pods, racks/pod, arrival rate,
 #: horizon).  10 servers/rack, 4 slots each, "maxmin" sharing so the
-#: incremental solver and the vectorized flow table carry the load.
+#: incremental solver carries the load.
 SCALE_TIERS = {
     "8k": ("8k-servers", 16, 50, 300.0, 6.0),
     "32k": ("32k-servers", 32, 100, 1200.0, 4.0),

@@ -236,8 +236,7 @@ def fig16_scale_cell(policy: str, servers: int, boost: float,
     the arrival rate scaled to the larger slot pool by
     ``TenantWorkload.for_occupancy``.  Tractable at 32K servers because
     the fluid simulator's incremental max-min solver re-waterfills only
-    the touched component per event and flow state advances as numpy
-    array ops (see ``repro.flowsim.sim``).
+    the touched component per event (see ``repro.flowsim.sim``).
     """
     from repro.flowsim import ClusterSim, TenantWorkload
     from repro.topology import TreeTopology
@@ -256,15 +255,13 @@ def fig16_scale_cell(policy: str, servers: int, boost: float,
     stats = sim.run(workload, until=horizon)
     durations = stats.job_durations
     return {
-        "utilization": float(stats.network_utilization),
-        "occupancy": float(stats.mean_occupancy),
-        "admitted": float(manager.admitted_fraction()),
-        "admitted_class_a":
-            float(manager.admitted_fraction(TenantClass.CLASS_A)),
-        "admitted_class_b":
-            float(manager.admitted_fraction(TenantClass.CLASS_B)),
+        "utilization": stats.network_utilization,
+        "occupancy": stats.mean_occupancy,
+        "admitted": manager.admitted_fraction(),
+        "admitted_class_a": manager.admitted_fraction(TenantClass.CLASS_A),
+        "admitted_class_b": manager.admitted_fraction(TenantClass.CLASS_B),
         "finished_jobs": stats.finished_jobs,
-        "mean_job_duration": (float(sum(durations) / len(durations))
+        "mean_job_duration": (sum(durations) / len(durations)
                               if durations else 0.0),
         "peak_concurrent_flows": stats.peak_concurrent_flows,
     }

@@ -2,11 +2,11 @@
 
 Both simulators used to own their event machinery: the packet engine
 (:mod:`repro.phynet.engine`) kept a callback heap, and the fluid
-simulator (:mod:`repro.flowsim.sim`) kept its own clock, sequence
-counter, and fault-clock cursor inside its run loop.  This module
-factors the common core -- calendar queue, deterministic tie-breaking,
-fault clock, and trace-sink wiring -- so fidelity becomes a property of
-the *consumer*, not of the event machinery:
+simulator (:mod:`repro.flowsim.sim`) kept its own clock and sequence
+counter inside its run loop.  This module factors the common core --
+calendar queue, deterministic tie-breaking, and trace-sink wiring -- so
+fidelity becomes a property of the *consumer*, not of the event
+machinery:
 
 * **Callback consumers** (the packet network) use the full loop:
   :meth:`EventEngine.schedule` / :meth:`EventEngine.schedule_at` /
@@ -16,9 +16,7 @@ the *consumer*, not of the event machinery:
 * **Loop consumers** (the fluid simulator) keep their own specialized
   heaps for epoch-invalidated finish predictions but draw the clock
   (:attr:`EventEngine.now`), tie-breaking sequence numbers
-  (:meth:`EventEngine.next_seq`), the attached fault clock
-  (:meth:`EventEngine.next_fault_time` /
-  :meth:`EventEngine.pop_due_faults`), and trace emission
+  (:meth:`EventEngine.next_seq`), and trace emission
   (:meth:`EventEngine.emit`) from the engine.
 
 Determinism contract: a single monotone sequence number totally orders
@@ -28,36 +26,34 @@ never serialized -- only their relative order matters -- so consumers
 may mix engine-queued and self-queued events freely without perturbing
 byte-identical campaign outputs.
 
-Fault wiring comes in the same two styles: :meth:`preschedule_faults`
-registers a handler callback per fault event on the engine queue (the
-packet-side pattern, used by
-:class:`repro.faults.inject.NetworkFaultInjector`), while
-:meth:`attach_fault_clock` exposes a cursor for loop consumers that
-fold fault times into their own next-event search.
+The engine knows nothing about faults: a fault schedule is delivered
+either as ordinary :meth:`EventEngine.schedule_at` callbacks
+(:class:`repro.faults.inject.NetworkFaultInjector`) or through a
+:class:`repro.faults.schedule.FaultClock` the consumer holds itself
+(:class:`repro.flowsim.sim.ClusterSim`).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, List, Optional
 
 __all__ = ["EventEngine"]
 
 
 class EventEngine:
-    """Event loop with O(log n) scheduling, cancellation, and fault hooks.
+    """Event loop with O(log n) scheduling and O(1) cancellation.
 
     Drop-in compatible with the retained ``phynet/engine.Simulator``
     reference (same ``now`` / ``tracer`` / ``schedule`` /
     ``schedule_at`` / ``run`` / ``stop`` / ``pending_events`` surface
     and semantics), plus the extensions that let both fidelities share
-    it: cancellation handles, an exported sequence counter, guarded
-    trace emission, and fault-schedule wiring.
+    it: cancellation handles, an exported sequence counter, and guarded
+    trace emission.
     """
 
-    __slots__ = ("now", "tracer", "_queue", "_sequence", "_running",
-                 "_fault_clock")
+    __slots__ = ("now", "tracer", "_queue", "_sequence", "_running")
 
     def __init__(self, tracer=None) -> None:
         """``tracer`` is an optional :class:`repro.obs.TraceSink` shared
@@ -73,7 +69,6 @@ class EventEngine:
         self._queue: List[list] = []
         self._sequence = itertools.count()
         self._running = False
-        self._fault_clock = None
 
     # -- scheduling ----------------------------------------------------------
 
@@ -166,51 +161,3 @@ class EventEngine:
         """
         if self.tracer is not None:
             self.tracer.emit(event)
-
-    # -- fault wiring ----------------------------------------------------------
-
-    def preschedule_faults(self, schedule: Iterable,
-                           handler: Callable[[Any], None]) -> None:
-        """Register ``handler(event)`` on the queue for every fault event.
-
-        The callback-consumer style: each event of a
-        :class:`repro.faults.schedule.FaultSchedule` is pre-scheduled at
-        its own time, exactly as
-        :class:`repro.faults.inject.NetworkFaultInjector` used to do by
-        hand against the packet engine.
-        """
-        for event in schedule:
-            self.schedule_at(event.time, handler, event)
-
-    def attach_fault_clock(self, schedule) -> None:
-        """Attach a fault schedule as a cursor for loop consumers.
-
-        Empty (or ``None``) schedules attach nothing, so the per-event
-        cost of an un-faulted run stays one ``is None`` test in
-        :meth:`next_fault_time`.
-        """
-        if schedule is None or schedule.is_empty:
-            self._fault_clock = None
-        else:
-            self._fault_clock = schedule.clock()
-
-    @property
-    def fault_clock(self):
-        """The attached :class:`repro.faults.schedule.FaultClock`, if any."""
-        return self._fault_clock
-
-    def next_fault_time(self) -> float:
-        """Time of the next undelivered fault; ``inf`` when exhausted or
-        when no schedule is attached."""
-        clock = self._fault_clock
-        if clock is None:
-            return float("inf")
-        return clock.next_time()
-
-    def pop_due_faults(self, now: float) -> list:
-        """Pop every fault event due at or before ``now`` (with the
-        caller's slop already folded in), in schedule order."""
-        clock = self._fault_clock
-        if clock is None:
-            return []
-        return clock.pop_due(now)

@@ -1,22 +1,18 @@
 """Fault injection into the packet-level simulator.
 
 The packet engine is event driven, so a schedule is injected by
-pre-registering one callback per fault event on the network's
-:class:`~repro.core.engine.EventEngine` (via
-:meth:`~repro.core.engine.EventEngine.preschedule_faults`, the shared
-core's callback-style fault wiring).  When a callback fires it folds
+pre-registering one ``schedule_at`` callback per fault event on the
+network's event loop.  When a callback fires it folds
 the event into a :class:`~repro.faults.model.HealthState`, pushes every
 changed per-port capacity factor into the matching
 :class:`~repro.phynet.port.OutputPort` via
 :meth:`~repro.phynet.port.OutputPort.set_fault_factor`, and emits a
 ``fault.inject`` trace event.
 
-The fluid simulator does *not* use this class -- it attaches the
-schedule to its engine as a fault *clock*
-(:meth:`~repro.core.engine.EventEngine.attach_fault_clock`) and folds
-the cursor into its own next-event search (see
-:class:`repro.flowsim.sim.ClusterSim`).  Both styles live on the shared
-event core; this module only supplies the packet network's handler.
+The fluid simulator does *not* use this class -- it holds the
+schedule's :class:`~repro.faults.schedule.FaultClock` cursor and folds
+it into its own next-event search (see
+:class:`repro.flowsim.sim.ClusterSim`).
 """
 
 from __future__ import annotations
@@ -47,7 +43,8 @@ class NetworkFaultInjector:
         self.health = HealthState(network.topology)
         #: Number of events applied so far (for tests / reporting).
         self.applied = 0
-        network.sim.preschedule_faults(schedule, self._fire)
+        for event in schedule:
+            network.sim.schedule_at(event.time, self._fire, event)
 
     def _fire(self, event: FaultEvent) -> None:
         changed = self.health.apply(event)

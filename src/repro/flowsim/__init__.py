@@ -7,14 +7,13 @@ the tenant's hose guarantee (Silo, Oktopus) or *max-min fair* over link
 capacities (ideal TCP under locality placement).
 """
 
-from repro.flowsim.job import FlowState, FlowTable, TenantJob
+from repro.flowsim.job import FlowState, TenantJob
 from repro.flowsim.reference import ReferenceClusterSim
 from repro.flowsim.sim import ClusterSim, ClusterStats
 from repro.flowsim.workload import TenantWorkload, WorkloadConfig
 
 __all__ = [
     "FlowState",
-    "FlowTable",
     "TenantJob",
     "ClusterSim",
     "ClusterStats",

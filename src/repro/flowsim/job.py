@@ -5,81 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.tenant import Placement, TenantRequest
 
 #: Flows count as drained below this many bytes: sub-microbyte residue
 #: from rate * dt accounting, far below one packet, never real payload.
-#: Must match ``repro.flowsim.sim._DONE_EPS``.
 _DONE_EPS = 1e-6
-
-
-class FlowTable:
-    """Columnar storage for the mutable per-flow fluid state.
-
-    ``remaining`` / ``rate`` / ``updated`` live in parallel numpy arrays
-    indexed by a slot id, so the simulator can advance or re-rate whole
-    batches of flows as array operations instead of per-object attribute
-    writes.  :class:`FlowState` objects adopted into a table become
-    views: their scalar fields proxy the arrays.  Released slots go on a
-    free list and are recycled.
-
-    numpy float64 element-wise arithmetic is IEEE double arithmetic, so
-    values stored here are bit-identical to the scalar attributes they
-    replace; callers must not cache the column arrays across an
-    :meth:`adopt` (growth reallocates them).
-    """
-
-    __slots__ = ("remaining", "rate", "updated", "_free", "_high")
-
-    def __init__(self, capacity: int = 256) -> None:
-        capacity = max(int(capacity), 1)
-        self.remaining = np.zeros(capacity, dtype=np.float64)
-        self.rate = np.zeros(capacity, dtype=np.float64)
-        self.updated = np.zeros(capacity, dtype=np.float64)
-        self._free: List[int] = []
-        self._high = 0  # next never-used slot
-
-    def __len__(self) -> int:
-        return self._high - len(self._free)
-
-    def _alloc(self) -> int:
-        if self._free:
-            return self._free.pop()
-        if self._high == len(self.remaining):
-            new_cap = 2 * self._high
-            for name in ("remaining", "rate", "updated"):
-                column = getattr(self, name)
-                grown = np.zeros(new_cap, dtype=np.float64)
-                grown[:self._high] = column
-                setattr(self, name, grown)
-        slot = self._high
-        self._high += 1
-        return slot
-
-    def adopt(self, flow: "FlowState") -> None:
-        """Move ``flow``'s scalar state into the table."""
-        if flow._table is not None:
-            raise ValueError("flow already attached to a table")
-        slot = self._alloc()
-        self.remaining[slot] = flow._remaining
-        self.rate[slot] = flow._rate
-        self.updated[slot] = flow._updated
-        flow._table = self
-        flow._slot = slot
-
-    def release(self, flow: "FlowState") -> None:
-        """Detach ``flow``, copying its state back to scalars."""
-        if flow._table is not self:
-            raise ValueError("flow not attached to this table")
-        slot = flow._slot
-        flow._remaining = float(self.remaining[slot])
-        flow._rate = float(self.rate[slot])
-        flow._updated = float(self.updated[slot])
-        flow._table = None
-        flow._slot = -1
-        self._free.append(slot)
 
 
 class FlowState:
@@ -88,16 +18,10 @@ class FlowState:
     ``links`` are the port ids the flow crosses (used both for max-min
     sharing and utilization accounting); ``rate`` is the current fluid
     rate, re-assigned by the simulator's sharing policy.
-
-    Standalone flows (the reference simulator, unit tests) keep
-    ``remaining``/``rate``/``updated`` as plain attributes; flows adopted
-    into a :class:`FlowTable` read and write the table's columns through
-    the same properties.
     """
 
     __slots__ = ("tenant_id", "src_vm", "dst_vm", "links", "nominal_rate",
-                 "epoch", "key", "_table", "_slot",
-                 "_remaining", "_rate", "_updated")
+                 "epoch", "key", "remaining", "rate", "updated")
 
     def __init__(self, tenant_id: int, src_vm: int, dst_vm: int,
                  links: Tuple[int, ...], remaining: float,
@@ -107,75 +31,24 @@ class FlowState:
         self.src_vm = src_vm
         self.dst_vm = dst_vm
         self.links = links
+        #: Bytes still to deliver.
+        self.remaining = remaining
+        #: Current fluid rate.
+        self.rate = rate
         #: The reserved (hose-split) rate assigned at admission, before
         #: any fault capping; 0 for flows whose rate is dynamically
         #: shared.
         self.nominal_rate = nominal_rate
+        #: Simulator bookkeeping: virtual time ``remaining`` was last
+        #: brought up to date (flows advance lazily between rate
+        #: changes).
+        self.updated = updated
         #: Simulator bookkeeping: bumped on every rate change to
         #: invalidate finish events scheduled under the old rate.
         self.epoch = epoch
         #: Sharing-solver key assigned by the owning simulator (None for
         #: standalone flows).
         self.key = None
-        self._table: Optional[FlowTable] = None
-        self._slot = -1
-        self._remaining = remaining
-        self._rate = rate
-        #: Simulator bookkeeping: virtual time ``remaining`` was last
-        #: brought up to date (flows advance lazily between rate
-        #: changes).
-        self._updated = updated
-
-    @property
-    def remaining(self) -> float:
-        """Bytes still to deliver (table column when adopted)."""
-        table = self._table
-        if table is None:
-            return self._remaining
-        return table.remaining[self._slot]
-
-    @remaining.setter
-    def remaining(self, value: float) -> None:
-        """Set the bytes still to deliver."""
-        table = self._table
-        if table is None:
-            self._remaining = value
-        else:
-            table.remaining[self._slot] = value
-
-    @property
-    def rate(self) -> float:
-        """Current fluid rate (table column when adopted)."""
-        table = self._table
-        if table is None:
-            return self._rate
-        return table.rate[self._slot]
-
-    @rate.setter
-    def rate(self, value: float) -> None:
-        """Set the current fluid rate."""
-        table = self._table
-        if table is None:
-            self._rate = value
-        else:
-            table.rate[self._slot] = value
-
-    @property
-    def updated(self) -> float:
-        """Virtual time ``remaining`` was last advanced to."""
-        table = self._table
-        if table is None:
-            return self._updated
-        return table.updated[self._slot]
-
-    @updated.setter
-    def updated(self, value: float) -> None:
-        """Set the last-advanced timestamp."""
-        table = self._table
-        if table is None:
-            self._updated = value
-        else:
-            table.updated[self._slot] = value
 
     @property
     def done(self) -> bool:

@@ -32,15 +32,13 @@ from repro.placement.base import PlacementManager
 class ReferenceClusterSim:
     """Fluid simulation of tenant churn: the seed implementation."""
 
-    def __init__(self, manager: PlacementManager, sharing: str = "reserved",
-                 utilization_links: str = "all"):
-        """``utilization_links`` may be "all" or "used" (denominator)."""
+    def __init__(self, manager: PlacementManager,
+                 sharing: str = "reserved"):
         if sharing not in _SHARING:
             raise ValueError(f"sharing must be one of {_SHARING}")
         self.manager = manager
         self.topology = manager.topology
         self.sharing = sharing
-        self.utilization_links = utilization_links
         self.jobs: Dict[int, TenantJob] = {}
         self.stats = ClusterStats()
         self._link_capacity: Dict[int, float] = {

@@ -10,9 +10,9 @@ Two sharing policies:
   share over the tree's link capacities, recomputed at every event.
 
 The simulator is event-driven, on the shared event core: clock,
-tie-breaking sequence numbers, fault clock, and trace sink all come
-from an owned :class:`repro.core.engine.EventEngine` (the same core
-that drives the packet network).  Each flow's ``remaining`` is advanced
+tie-breaking sequence numbers, and trace sink all come from an owned
+:class:`repro.core.engine.EventEngine` (the same core that drives the
+packet network).  Each flow's ``remaining`` is advanced
 *lazily*: between rate changes it evolves linearly, so its finish time
 is known the moment its rate is set and is kept in a min-heap alongside
 job compute-end timers.  Rate changes invalidate a flow's scheduled
@@ -24,39 +24,26 @@ which is preserved verbatim as
 :class:`repro.flowsim.reference.ReferenceClusterSim` and asserted
 equivalent by the property tests and ``benchmarks/bench_hotpaths.py``.
 
-Two further mechanisms carry the simulator to the paper's 32K-server
-scale:
-
-* shared rates come from a persistent
-  :class:`repro.maxmin.IncrementalMaxMin` -- an arrival or drain
-  re-waterfills only the connected component of the flow-link graph it
-  touched, and only the flows whose rate actually changed are re-set;
-* mutable flow state (``remaining``/``rate``/``updated``) lives in a
-  columnar :class:`repro.flowsim.job.FlowTable`, so batch rate
-  assignment and ``_materialize``-style advancement are numpy array
-  operations, with finish events heapified per recompute instead of
-  pushed per flow.
-
-Both are bit-compatible with the scalar path (numpy element-wise float64
-arithmetic is IEEE double arithmetic, and every accumulator keeps its
-sequential update order), so existing campaign artifacts stay
-byte-identical.
+What carries the simulator to the paper's 32K-server scale is that
+shared rates come from a persistent
+:class:`repro.maxmin.IncrementalMaxMin`: an arrival or drain
+re-waterfills only the connected component of the flow-link graph it
+touched, and only the flows whose rate actually changed are re-set, one
+``_set_rate`` call each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.engine import EventEngine
 from repro.core.tenant import TenantClass, TenantRequest
 from repro.faults.model import FaultEvent
 from repro.faults.schedule import FaultClock, FaultSchedule
-from repro.flowsim.job import FlowState, FlowTable, TenantJob
+from repro.flowsim.job import _DONE_EPS, FlowState, TenantJob
 from repro.flowsim.workload import TenantArrival, TenantWorkload
 from repro.maxmin import IncrementalMaxMin
 from repro.obs.events import FaultInjected, FlowFinish, FlowStart
@@ -66,14 +53,8 @@ from repro.placement.controller import OUTCOME_EVICTED, ClusterController
 
 _SHARING = ("reserved", "maxmin")
 
-#: Flows count as drained below this many bytes (matches
-#: :attr:`FlowState.done`).
-_DONE_EPS = 1e-6
 #: Event-time slop, matching the reference loop's arrival/completion slop.
 _TIME_EPS = 1e-12
-#: Rate batches below this size take the scalar ``_set_rate`` path; the
-#: numpy fan-out only pays for itself on bulk recomputes.
-_BATCH_MIN = 16
 
 
 @dataclass
@@ -114,12 +95,9 @@ class ClusterSim:
     """Fluid simulation of tenant churn over a placement manager."""
 
     def __init__(self, manager: PlacementManager, sharing: str = "reserved",
-                 utilization_links: str = "all", tracer=None,
-                 faults: Optional[FaultSchedule] = None,
+                 tracer=None, faults: Optional[FaultSchedule] = None,
                  controller: Optional[ClusterController] = None):
-        """``utilization_links`` may be "all" or "used" (denominator).
-
-        ``faults`` attaches a :class:`repro.faults.FaultSchedule`: its
+        """``faults`` attaches a :class:`repro.faults.FaultSchedule`: its
         events are folded into the run loop's next-event search, effective
         link capacities are scaled by the composed health state, and a
         :class:`~repro.placement.controller.ClusterController` (an
@@ -134,26 +112,23 @@ class ClusterSim:
             raise ValueError(f"sharing must be one of {_SHARING}")
         self.manager = manager
         #: The shared event core (:class:`repro.core.engine.EventEngine`):
-        #: owns the clock, the tie-breaking sequence numbers, the attached
-        #: fault clock, and the trace sink.  The simulator keeps its
-        #: specialized epoch-invalidated heaps (stale finish predictions
-        #: are discarded on pop, which the generic queue has no reason to
-        #: know about) but draws all four shared facilities from here.
+        #: owns the clock, the tie-breaking sequence numbers, and the
+        #: trace sink.  The simulator keeps its specialized
+        #: epoch-invalidated heaps (stale finish predictions are discarded
+        #: on pop, which the generic queue has no reason to know about)
+        #: but draws all three shared facilities from here.
         self.engine = EventEngine(tracer=tracer)
         #: Optional :class:`repro.obs.TimeSeries` of aggregate link
         #: utilization; attach via :meth:`monitor_utilization`.
         self.utilization_series = None
         self.topology = manager.topology
         self.sharing = sharing
-        self.utilization_links = utilization_links
         self.jobs: Dict[int, TenantJob] = {}
         self.stats = ClusterStats()
         self._link_capacity: Dict[int, float] = {
             port.port_id: port.capacity for port in self.topology.ports}
         self._rates_dirty = True
         # -- incremental sharing ----------------------------------------------
-        #: Columnar storage for every live flow's mutable fluid state.
-        self._flow_table = FlowTable()
         #: Persistent max-min solver over the full link capacities
         #: ("maxmin" sharing only).
         self._mm_solver: Optional[IncrementalMaxMin] = None
@@ -197,11 +172,10 @@ class ClusterSim:
         #: one ``is None`` test per actual rate change.
         self._port_usage = None
         # -- fault injection --------------------------------------------------
-        # The schedule attaches to the engine as a cursor (the
-        # loop-consumer style); the local reference only saves an
-        # attribute hop in the run loop.
-        self.engine.attach_fault_clock(faults)
-        self._fault_clock: Optional[FaultClock] = self.engine.fault_clock
+        # A cursor over the schedule, folded into the run loop's
+        # next-event search; empty schedules attach nothing.
+        self._fault_clock: Optional[FaultClock] = (
+            None if faults is None or faults.is_empty else faults.clock())
         self.controller: Optional[ClusterController] = None
         self._base_capacity: Dict[int, float] = {}
         self._down_ports: frozenset = frozenset()
@@ -331,9 +305,6 @@ class ClusterSim:
                 tenant_id=arrival.request.tenant_id, src_vm=src_idx,
                 dst_vm=dst_idx, links=links,
                 remaining=max(arrival.flow_bytes, 1.0)))
-        table = self._flow_table
-        for flow in flows:
-            table.adopt(flow)
         return flows
 
     def _assign_reserved_rates(self, job: TenantJob, now: float) -> None:
@@ -440,90 +411,16 @@ class ClusterSim:
 
     def _apply_rates(self, changed: Dict[Tuple[int, int], float],
                      now: float) -> None:
-        """Apply a solver's changed rates, batched through the flow table.
-
-        Bit-compatible with calling ``_set_rate`` per flow in ``changed``
-        order: the element-wise advancement runs as float64 array ops
-        (IEEE-identical to the scalar expressions), while the
-        carried-rate/carried-bytes accumulators and event sequence
-        numbers update in the same sequential order.
-        """
+        """Apply a solver's changed rates, in ``changed`` order."""
         flows_map = self._solver_flows
-        items = [(flows_map[key], rate if rate > 0.0 else 0.0)
-                 for key, rate in changed.items()]
-        if len(items) < _BATCH_MIN:
-            for flow, rate in items:
-                self._set_rate(flow, rate, now)
-        else:
-            self._apply_rates_batch(items, now)
-        for flow, _ in items:
+        for key, rate in changed.items():
+            flow = flows_map[key]
+            self._set_rate(flow, rate if rate > 0.0 else 0.0, now)
             if flow.remaining <= _DONE_EPS:
                 # Drained inside the rate change (aggregate overshoot):
                 # the next from-scratch solve would skip it, so the
                 # persistent solver must drop it too.
                 self._solver_discard(flow)
-
-    def _apply_rates_batch(self, items: List[Tuple[FlowState, float]],
-                           now: float) -> None:
-        table = self._flow_table
-        n = len(items)
-        slots = np.empty(n, dtype=np.intp)
-        new = np.empty(n, dtype=np.float64)
-        for j, (flow, rate) in enumerate(items):
-            slots[j] = flow._slot
-            new[j] = rate
-        cur = table.rate[slots]
-        keep = new != cur
-        if not keep.all():
-            picked = np.nonzero(keep)[0]
-            items = [items[j] for j in picked]
-            slots = slots[picked]
-            new = new[picked]
-            cur = cur[picked]
-            if not items:
-                return
-        rem = table.remaining[slots]
-        dt = now - table.updated[slots]
-        moving = (dt > 0.0) & (cur > 0.0) & (rem > 0.0)
-        moved = np.where(moving, cur * dt, 0.0)
-        over = moved > rem
-        if over.any():
-            stats = self.stats
-            for j in np.nonzero(over)[0]:
-                # Aggregate integral overshoot refunds, in batch order
-                # (same accumulation order as the scalar path).
-                stats.carried_bytes -= ((moved[j] - rem[j])
-                                        * len(items[j][0].links))
-            np.minimum(moved, rem, out=moved)
-        rem_new = rem - moved
-        table.remaining[slots] = rem_new
-        table.updated[slots] = now
-        table.rate[slots] = new
-        carried = self._carried_rate
-        next_seq = self.engine.next_seq
-        recorder = self._port_usage
-        events = []
-        for j, (flow, rate) in enumerate(items):
-            carried += (rate - cur[j]) * len(flow.links)
-            if recorder is not None:
-                recorder.record(flow.links, float(cur[j]), rate, now)
-            flow.epoch += 1
-            if rate > 0.0 and rem_new[j] > _DONE_EPS:
-                finish = now + max(rem_new[j] / rate, 1e-9)
-                events.append((float(finish), next_seq(), flow.epoch, flow))
-        self._carried_rate = carried
-        self.rate_update_count += len(items)
-        flow_events = self._flow_events
-        if events:
-            # Pop order only depends on the (finish, seq) total order, so
-            # rebuilding the heap in one pass is equivalent to pushing
-            # entry by entry -- and cheaper for bulk inserts.
-            if 4 * len(events) >= len(flow_events):
-                flow_events.extend(events)
-                heapify(flow_events)
-            else:
-                for event in events:
-                    heappush(flow_events, event)
 
     # -- event engine ----------------------------------------------------------
 
@@ -623,13 +520,10 @@ class ClusterSim:
             # The reference loop collects same-instant finishers in
             # admission order (its jobs-dict scan); match it.
             self._ready.sort(key=self._admit_order.__getitem__)
-        table = self._flow_table
         for tenant_id in self._ready:
             job = self.jobs.pop(tenant_id, None)
             if job is None:
                 continue
-            for flow in job.flows:
-                table.release(flow)
             job.finish = now
             self.stats.finished_jobs += 1
             self.stats.job_durations.append(job.duration)
@@ -687,14 +581,12 @@ class ClusterSim:
         is pure simulator bookkeeping.
         """
         tenant_id = job.tenant_id
-        table = self._flow_table
         for flow in job.flows:
             if not flow.done:
                 self._set_rate(flow, 0.0, now)
                 flow.remaining = 0.0
                 self._live_flows -= 1
             self._solver_discard(flow)
-            table.release(flow)
         if self._pending_linkless:
             self._pending_linkless = [
                 f for f in self._pending_linkless
@@ -774,7 +666,7 @@ class ClusterSim:
         total_capacity = sum(self._link_capacity.values())
         flow_events = self._flow_events
         job_events = self._job_events
-        fault_clock = engine.fault_clock
+        fault_clock = self._fault_clock
         stats = self.stats
 
         while now < until:
@@ -867,37 +759,9 @@ class ClusterSim:
                     # stall, frozen until repair (or the end of the run).
         # Bring every live flow up to the final clock so post-run
         # inspection (and the carried-bytes refunds) see current state.
-        self._materialize_batch(
-            [flow for job in self.jobs.values() for flow in job.flows
-             if flow.rate > 0.0 and flow.remaining > _DONE_EPS], now)
+        for job in self.jobs.values():
+            for flow in job.flows:
+                if flow.rate > 0.0 and flow.remaining > _DONE_EPS:
+                    self._materialize(flow, now)
         stats.elapsed = now
         return stats
-
-    def _materialize_batch(self, flows: List[FlowState],
-                           now: float) -> None:
-        """Vectorized :meth:`_materialize` over table-attached flows.
-
-        Bit-compatible with the scalar loop: element-wise float64 array
-        ops, with overshoot refunds applied in list order.
-        """
-        if len(flows) < _BATCH_MIN:
-            for flow in flows:
-                self._materialize(flow, now)
-            return
-        table = self._flow_table
-        slots = np.fromiter((flow._slot for flow in flows), dtype=np.intp,
-                            count=len(flows))
-        rem = table.remaining[slots]
-        cur = table.rate[slots]
-        dt = now - table.updated[slots]
-        moving = (dt > 0.0) & (cur > 0.0) & (rem > 0.0)
-        moved = np.where(moving, cur * dt, 0.0)
-        over = moved > rem
-        if over.any():
-            stats = self.stats
-            for j in np.nonzero(over)[0]:
-                stats.carried_bytes -= ((moved[j] - rem[j])
-                                        * len(flows[j].links))
-            np.minimum(moved, rem, out=moved)
-        table.remaining[slots] = rem - moved
-        table.updated[slots] = now

@@ -24,7 +24,6 @@ from repro.pacer.eyeq import allocate_hose_rates
 from repro.pacer.hierarchy import PacerConfig
 from repro.core.engine import EventEngine
 from repro.phynet.shaper import VMShaper
-from repro.phynet.engine import Simulator
 from repro.phynet.packet import PRIORITY_BEST_EFFORT, PRIORITY_GUARANTEED, Packet
 from repro.phynet.port import DEFAULT_PROP_DELAY, OutputPort
 from repro.phynet.transport.base import Transport
@@ -93,7 +92,7 @@ class PacketNetwork:
     """Glue between topology, ports, VMs and transports."""
 
     def __init__(self, topology: TreeTopology,
-                 sim: Optional[Simulator] = None,
+                 sim: Optional[EventEngine] = None,
                  scheme: str = "tcp",
                  prop_delay: float = DEFAULT_PROP_DELAY,
                  dctcp_threshold: float = DEFAULT_DCTCP_K,
@@ -385,7 +384,7 @@ class PacketNetwork:
         """Attach a queue-depth :class:`~repro.obs.TimeSeries` to every
         switch port; returns ``{port name: series}``.
 
-        Call before :meth:`Simulator.run`; afterwards each series holds
+        Call before :meth:`EventEngine.run`; afterwards each series holds
         the port's depth trajectory bucketed at ``interval`` seconds
         (the per-bucket ``max`` is the figure-ready worst-case occupancy).
         """

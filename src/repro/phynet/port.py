@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, List, Optional
 
 from repro import units
+from repro.core.engine import EventEngine
 from repro.obs.events import PacketDrop, PacketEnqueue, PacketMark, PacketTx
-from repro.phynet.engine import Simulator
 from repro.phynet.packet import Packet
 
 #: Per-hop propagation plus switching latency (short datacenter cables).
@@ -88,7 +88,7 @@ class OutputPort:
                  "_phantom_bytes", "_phantom_updated", "on_delivery",
                  "tracer", "depth_series", "_down", "_effective_capacity")
 
-    def __init__(self, sim: Simulator, name: str, capacity: float,
+    def __init__(self, sim: EventEngine, name: str, capacity: float,
                  buffer_bytes: float,
                  prop_delay: float = DEFAULT_PROP_DELAY,
                  ecn_threshold: Optional[float] = None,

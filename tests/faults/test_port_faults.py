@@ -131,3 +131,26 @@ class TestNetworkFaultInjector:
         stats = net.port_stats()
         assert stats["fault_drops"] > 0
         assert not net.ports[target.index].is_down
+
+    def test_injector_runs_on_an_injected_reference_simulator(self):
+        """``PacketNetwork(sim=...)`` promises any loop speaking the
+        ``schedule_at`` surface is honoured; the injector must not need
+        more than that."""
+        from repro.phynet.network import PacketNetwork
+        from repro.topology import TreeTopology
+
+        topo = TreeTopology(n_pods=1, racks_per_pod=2, servers_per_rack=2,
+                            slots_per_server=4, link_rate=units.gbps(10))
+        net = PacketNetwork(topo, sim=Simulator())
+        target = FaultTarget("link", topo.nic_up(0).port_id)
+        schedule = FaultSchedule.from_events([
+            FaultEvent.down(0.5e-3, target),
+            FaultEvent.degrade(1.0e-3, target, 0.5),
+            FaultEvent.up(1.5e-3, target),
+        ])
+        injector = NetworkFaultInjector(net, schedule)
+        net.sim.run(until=1.2e-3)
+        assert net.ports[target.index].fault_factor == 0.5
+        net.sim.run(until=5e-3)
+        assert injector.applied == len(schedule) == 3
+        assert net.ports[target.index].fault_factor == 1.0

@@ -119,6 +119,32 @@ class TestMaxminSharing:
         assert stats.finished_jobs == 1
 
 
+class TestNoOpRateSkip:
+    def test_disjoint_component_drain_skips_untouched_flows(self):
+        """Draining one rack-local tenant must not re-rate the other.
+
+        Two 16-VM tenants fill the two racks of a 32-slot tree; each
+        runs one rack-local flow, so the max-min components are
+        disjoint.  When the short flow drains, the recompute must leave
+        the long flow's rate (and epoch) untouched: exactly two rate
+        updates happen over the whole run, one per flow at admission.
+        """
+        manager = LocalityPlacementManager(topo(oversubscription=1.0))
+        sim = ClusterSim(manager, sharing="maxmin")
+        short = arrival(n_vms=16, bandwidth=units.gbps(2), pairs=[(0, 15)],
+                        flow_bytes=1 * units.MB)
+        long = arrival(n_vms=16, bandwidth=units.gbps(2), pairs=[(0, 15)],
+                       flow_bytes=200 * units.MB)
+        stats = sim.run(StaticWorkload([short, long]), until=30.0)
+        assert stats.finished_jobs == 2
+        assert sim.rate_update_count == 2
+        # The departed flow was alone in its component, so the
+        # drain-time recompute found an empty dirty closure and cost
+        # nothing: one counted solve (admission) over two flows, ever.
+        assert sim._mm_solver.recompute_count == 1
+        assert sim._mm_solver.affected_flow_count == 2
+
+
 class TestAccounting:
     def test_utilization_counts_hops(self):
         manager = OktopusPlacementManager(topo())
@@ -139,6 +165,28 @@ class TestAccounting:
         stats = sim.run(StaticWorkload([item]), until=2.0)
         # 16 of 32 slots for ~1 s of 2 s.
         assert stats.mean_occupancy == pytest.approx(0.25, rel=0.1)
+
+    def test_maxmin_run_keeps_plain_floats(self):
+        """Clock, accumulators and recorder breakpoints are exactly
+        ``float``, so nothing downstream needs a ``float(...)`` cast."""
+        topology = topo(n_pods=2, oversubscription=2.0)
+        sim = ClusterSim(LocalityPlacementManager(topology),
+                         sharing="maxmin")
+        recorder = sim.monitor_port_usage(
+            port.port_id for port in topology.ports)
+        workload = TenantWorkload(
+            WorkloadConfig(b_flow_bytes=20 * units.MB,
+                           mean_compute_time=0.5),
+            arrival_rate=6.0, seed=9)
+        stats = sim.run(workload, until=8.0)
+        assert stats.finished_jobs > 0
+        assert type(sim.now) is float
+        assert type(stats.carried_bytes) is float
+        assert type(stats.occupancy_integral) is float
+        breakpoints = [value for series in recorder.series.values()
+                       for pair in series for value in pair]
+        assert breakpoints
+        assert {type(value) for value in breakpoints} == {float}
 
     def test_rejected_tenants_leave_no_trace(self):
         manager = SiloPlacementManager(topo())

@@ -54,9 +54,21 @@ def test_reserved_sharing_matches_reference(seed):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_maxmin_sharing_matches_reference(seed):
-    _assert_equal(_run(ClusterSim, "maxmin", seed),
-                  _run(ReferenceClusterSim, "maxmin", seed))
+def test_maxmin_sharing_matches_reference(seed, monkeypatch):
+    # Count the rate changes each recompute applies, so the comparison
+    # provably covers bulk re-rates and not only few-flow ones.
+    applied = []
+    apply_rates = ClusterSim._apply_rates
+
+    def counting(self, changed, now):
+        before = self.rate_update_count
+        apply_rates(self, changed, now)
+        applied.append(self.rate_update_count - before)
+
+    monkeypatch.setattr(ClusterSim, "_apply_rates", counting)
+    new = _run(ClusterSim, "maxmin", seed)
+    assert max(applied) >= 16
+    _assert_equal(new, _run(ReferenceClusterSim, "maxmin", seed))
 
 
 def test_reference_finishes_work():
