@@ -34,12 +34,12 @@ from repro.core.tenant import Placement, TenantClass, TenantRequest
 __all__ = [
     "POLICY_MANAGERS", "fig15_cell", "fig16_cell", "fig16_scale_cell",
     "table1_cell",
-    "failure_recovery_cell", "fig12_scheme_cell", "churn_cell",
+    "failure_recovery_cell", "churn_cell",
     "trace_cell", "faults_cell", "service_soak_cell",
     "whatif_error_cell", "hybrid_cell",
     "run_campaign_scheme", "SchemeResult",
     "mechanism_compare_cell", "MECHANISM_WORKLOADS", "COMPARE_MECHANISMS",
-    "write_csv", "write_recovery_csv",
+    "write_csv", "write_recovery_csv", "write_latency_csv",
 ]
 
 
@@ -62,13 +62,24 @@ def _policy_manager(policy: str):
 POLICY_MANAGERS = ("locality", "oktopus", "silo")
 
 
+def _cli_topology(pods: int, racks_per_pod: int, servers_per_rack: int,
+                  slots: int, link_gbps: float = 10.0,
+                  oversubscription: float = 5.0, buffer_kb: float = 312.0):
+    """The tree topology the CLI's topology flags describe; the
+    defaults are the fabric every built-in sweep runs on (10 GbE,
+    1:5 oversubscribed, 312 KB port buffers)."""
+    from repro.topology import TreeTopology
+    return TreeTopology(
+        n_pods=pods, racks_per_pod=racks_per_pod,
+        servers_per_rack=servers_per_rack, slots_per_server=slots,
+        link_rate=units.gbps(link_gbps),
+        oversubscription=oversubscription,
+        buffer_bytes=buffer_kb * units.KB)
+
+
 def _two_pod_topology(slots_per_server: int = 4):
     """The 320-slot two-pod tree every section 6.3 sweep runs on."""
-    from repro.topology import TreeTopology
-    return TreeTopology(n_pods=2, racks_per_pod=4, servers_per_rack=10,
-                        slots_per_server=slots_per_server,
-                        link_rate=units.gbps(10), oversubscription=5.0,
-                        buffer_bytes=312 * units.KB)
+    return _cli_topology(2, 4, 10, slots_per_server)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +111,22 @@ def write_recovery_csv(path: str, report) -> None:
                for row in report.rows))
 
 
+def _recovery_counts(report) -> Dict[str, int]:
+    """A :class:`RecoveryReport`'s tenant fates as plain counters."""
+    return {"affected": report.affected,
+            **{outcome: report.count(outcome)
+               for outcome in ("recovered", "degraded", "evicted")}}
+
+
+def write_latency_csv(path: str, metrics) -> None:
+    """Dump a ``MetricsCollector``'s per-message rows as the standard
+    ``latency.csv`` (what :mod:`repro.obs.traces` reads back)."""
+    from repro.obs.traces import LATENCY_COLUMNS
+    write_csv(path, LATENCY_COLUMNS,
+              ([row[column] for column in LATENCY_COLUMNS]
+               for row in metrics.latency_rows()))
+
+
 # ---------------------------------------------------------------------------
 # Fig. 15 -- admitted requests by policy and load
 # ---------------------------------------------------------------------------
@@ -109,35 +136,38 @@ def write_recovery_csv(path: str, report) -> None:
 FIG15_LOAD_BOOSTS = {"moderate": 2.2, "high": 4.0}
 
 
-def _section63_workload_config(permutation_x: float):
-    """The workload shape shared by the Fig. 15/16 sweeps.
+def _section63_run(policy: str, topo, permutation_x: float, boost: float,
+                   horizon: float, seed: int):
+    """Run the Fig. 15/16 tenant stream under ``policy`` on ``topo``.
 
-    Class-A delay is scaled so it binds placement to a rack of *this*
-    topology, as the paper's 1 ms bound confined tenants to a sub-tree
-    of its fabric.
+    The stream targets 50% occupancy times ``boost``.  Class-A delay is
+    scaled so it binds placement to a rack of *this* topology, as the
+    paper's 1 ms bound confined tenants to a sub-tree of its fabric.
+    Returns ``(manager, stats)``.
     """
-    from repro.flowsim import WorkloadConfig
-    return WorkloadConfig(b_flow_bytes=250 * units.MB,
-                          a_flow_bytes=5 * units.MB,
-                          mean_compute_time=8.0,
-                          a_delay=600 * units.MICROS,
-                          permutation_x=permutation_x,
-                          mean_vms=10, max_vms=16)
+    from repro.flowsim import ClusterSim, TenantWorkload, WorkloadConfig
+    manager_cls, sharing = _policy_manager(policy)
+    manager = manager_cls(topo)
+    config = WorkloadConfig(b_flow_bytes=250 * units.MB,
+                            a_flow_bytes=5 * units.MB,
+                            mean_compute_time=8.0,
+                            a_delay=600 * units.MICROS,
+                            permutation_x=permutation_x,
+                            mean_vms=10, max_vms=16)
+    workload = TenantWorkload.for_occupancy(config, 0.5, topo.n_slots,
+                                            seed=seed)
+    workload.arrival_rate *= boost
+    stats = ClusterSim(manager, sharing=sharing).run(workload,
+                                                     until=horizon)
+    return manager, stats
 
 
 @scenario("fig15_policy")
 def fig15_cell(policy: str, load: str, horizon: float,
                seed: int) -> Dict[str, float]:
     """One Fig. 15 cell: a policy's admission under one offered load."""
-    from repro.flowsim import ClusterSim, TenantWorkload
-    manager_cls, sharing = _policy_manager(policy)
-    topo = _two_pod_topology()
-    manager = manager_cls(topo)
-    workload = TenantWorkload.for_occupancy(
-        _section63_workload_config(3), 0.5, topo.n_slots, seed=seed)
-    workload.arrival_rate *= FIG15_LOAD_BOOSTS[load]
-    sim = ClusterSim(manager, sharing=sharing)
-    stats = sim.run(workload, until=horizon)
+    manager, stats = _section63_run(policy, _two_pod_topology(), 3,
+                                    FIG15_LOAD_BOOSTS[load], horizon, seed)
     return {
         "total": manager.admitted_fraction(),
         "class_a": manager.admitted_fraction(TenantClass.CLASS_A),
@@ -174,16 +204,8 @@ def fig15_micro_sweep() -> SweepSpec:
 def fig16_cell(policy: str, boost: float, permutation_x: float,
                horizon: float, seed: int) -> Dict[str, float]:
     """One Fig. 16 cell: utilization at one load x density point."""
-    from repro.flowsim import ClusterSim, TenantWorkload
-    manager_cls, sharing = _policy_manager(policy)
-    topo = _two_pod_topology()
-    manager = manager_cls(topo)
-    workload = TenantWorkload.for_occupancy(
-        _section63_workload_config(permutation_x), 0.5, topo.n_slots,
-        seed=seed)
-    workload.arrival_rate *= boost
-    sim = ClusterSim(manager, sharing=sharing)
-    stats = sim.run(workload, until=horizon)
+    _manager, stats = _section63_run(policy, _two_pod_topology(),
+                                     permutation_x, boost, horizon, seed)
     return {"utilization": stats.network_utilization,
             "occupancy": stats.mean_occupancy}
 
@@ -238,21 +260,10 @@ def fig16_scale_cell(policy: str, servers: int, boost: float,
     the fluid simulator's incremental max-min solver re-waterfills only
     the touched component per event (see ``repro.flowsim.sim``).
     """
-    from repro.flowsim import ClusterSim, TenantWorkload
-    from repro.topology import TreeTopology
-    manager_cls, sharing = _policy_manager(policy)
     pods, racks = FIG16_SCALE_SHAPES[servers]
-    topo = TreeTopology(n_pods=pods, racks_per_pod=racks,
-                        servers_per_rack=10, slots_per_server=4,
-                        link_rate=units.gbps(10), oversubscription=5.0,
-                        buffer_bytes=312 * units.KB)
-    manager = manager_cls(topo)
-    workload = TenantWorkload.for_occupancy(
-        _section63_workload_config(permutation_x), 0.5, topo.n_slots,
-        seed=seed)
-    workload.arrival_rate *= boost
-    sim = ClusterSim(manager, sharing=sharing)
-    stats = sim.run(workload, until=horizon)
+    manager, stats = _section63_run(
+        policy, _cli_topology(pods, racks, 10, 4), permutation_x, boost,
+        horizon, seed)
     durations = stats.job_durations
     return {
         "utilization": stats.network_utilization,
@@ -408,13 +419,7 @@ def failure_recovery_cell(policy: str, mtbf_ms: float, occupancy: float,
     controller.finalize(horizon_s)
     report = controller.report()
     return {
-        "affected": len(report.rows),
-        "recovered": sum(1 for row in report.rows
-                         if row.outcome == "recovered"),
-        "degraded": sum(1 for row in report.rows
-                        if row.outcome == "degraded"),
-        "evicted": sum(1 for row in report.rows
-                       if row.outcome == "evicted"),
+        **_recovery_counts(report),
         "guarantee_seconds_lost": report.guarantee_seconds_lost,
         "recover_times": [row.time_to_recover for row in report.rows
                           if row.time_to_recover is not None],
@@ -542,6 +547,43 @@ def _place_campaign_tenants(scheme: str, topo):
     return placements
 
 
+def _wire_campaign_tenants(net, placements, add_vm, metrics, rng,
+                           jitter: float, chunk: float, bulk: bool = True,
+                           **transport):
+    """Attach the section 6.2 tenants' VMs and applications to ``net``.
+
+    VMs are numbered in placement order through the caller's
+    ``add_vm(vm_id, request, server)``; class-A tenants start an
+    all-to-one epoch-burst app (each draws its phases from ``rng`` as
+    it starts, in placement order), class-B tenants an all-to-all bulk
+    app unless ``bulk`` is off.  ``transport`` is passed to every app.
+    Returns the class-A and class-B tenant ids.
+    """
+    from repro.phynet.apps import BulkApp, EpochBurstApp
+    from repro.workloads import Fixed
+    from repro.workloads.patterns import all_to_all_pairs
+    vm_counter = 0
+    class_a, class_b = [], []
+    for kind, request, placement in placements:
+        vm_ids = []
+        for server in placement.vm_servers:
+            add_vm(vm_counter, request, server)
+            vm_ids.append(vm_counter)
+            vm_counter += 1
+        if kind == "a":
+            class_a.append(request.tenant_id)
+            EpochBurstApp(net, metrics, request.tenant_id, vm_ids,
+                          Fixed(CLASS_A_MESSAGE), epoch=CLASS_A_EPOCH,
+                          rng=rng, jitter=jitter, **transport).start()
+        else:
+            class_b.append(request.tenant_id)
+            if bulk:
+                BulkApp(net, metrics, request.tenant_id,
+                        all_to_all_pairs(vm_ids), chunk_size=chunk,
+                        **transport).start()
+    return class_a, class_b
+
+
 @scenario("fig12_scheme")
 def run_campaign_scheme(scheme: str, seed: int = 1234) -> SchemeResult:
     """One scheme's run of the section 6.2 workload.
@@ -551,25 +593,13 @@ def run_campaign_scheme(scheme: str, seed: int = 1234) -> SchemeResult:
     neither JSON-serializable nor meant to be checkpointed.
     """
     from repro.phynet import MetricsCollector, PacketNetwork
-    from repro.phynet.apps import BulkApp, EpochBurstApp
-    from repro.topology import TreeTopology
-    from repro.workloads import Fixed
-    from repro.workloads.patterns import all_to_all_pairs
-    topo = TreeTopology(n_pods=1, racks_per_pod=2, servers_per_rack=5,
-                        slots_per_server=4, link_rate=units.gbps(10),
-                        oversubscription=5.0,
-                        buffer_bytes=312 * units.KB)
+    topo = _cli_topology(1, 2, 5, 4)
     placements = _place_campaign_tenants(scheme, topo)
     net = PacketNetwork(topo, scheme=scheme)
     metrics = MetricsCollector()
-    rng = random.Random(seed)
-
     paced = scheme in ("silo", "okto", "okto+")
-    vm_counter = 0
-    apps = []
-    class_a, class_b = [], []
-    class_b_estimates = {}
-    for kind, request, placement in placements:
+
+    def add_vm(vm_id, request, server):
         guarantee = request.guarantee
         if scheme == "okto":
             # Oktopus: bandwidth reservation only, no burst allowance.
@@ -577,30 +607,15 @@ def run_campaign_scheme(scheme: str, seed: int = 1234) -> SchemeResult:
                 bandwidth=guarantee.bandwidth, burst=units.MTU,
                 delay=guarantee.delay,
                 peak_rate=guarantee.bandwidth)
-        vm_ids = []
-        for server in placement.vm_servers:
-            net.add_vm(vm_counter, request.tenant_id, server,
-                       guarantee=guarantee if paced else None,
-                       paced=paced)
-            vm_ids.append(vm_counter)
-            vm_counter += 1
-        if kind == "a":
-            class_a.append(request.tenant_id)
-            app = EpochBurstApp(net, metrics, request.tenant_id, vm_ids,
-                                Fixed(CLASS_A_MESSAGE),
-                                epoch=CLASS_A_EPOCH, rng=rng,
-                                jitter=20 * units.MICROS)
-            app.start()
-        else:
-            class_b.append(request.tenant_id)
-            app = BulkApp(net, metrics, request.tenant_id,
-                          all_to_all_pairs(vm_ids),
-                          chunk_size=256 * units.KB)
-            app.start()
-            class_b_estimates[request.tenant_id] = (
-                256 * units.KB
-                / (CLASS_B_GUARANTEE.bandwidth / (VMS_PER_TENANT_B - 1)))
-        apps.append(app)
+        net.add_vm(vm_id, request.tenant_id, server,
+                   guarantee=guarantee if paced else None, paced=paced)
+
+    class_a, class_b = _wire_campaign_tenants(
+        net, placements, add_vm, metrics, random.Random(seed),
+        jitter=20 * units.MICROS, chunk=256 * units.KB)
+    class_b_estimates = dict.fromkeys(
+        class_b, 256 * units.KB
+        / (CLASS_B_GUARANTEE.bandwidth / (VMS_PER_TENANT_B - 1)))
 
     net.sim.run(until=CAMPAIGN_DURATION)
 
@@ -691,52 +706,22 @@ def mechanism_compare_cell(mechanism: str, workload: str,
     from repro.analysis.stats import percentile
     from repro.mechanisms import get_mechanism
     from repro.phynet import MetricsCollector
-    from repro.phynet.apps import BulkApp, EpochBurstApp
-    from repro.topology import TreeTopology
-    from repro.workloads import Fixed
-    from repro.workloads.patterns import all_to_all_pairs
     shape = MECHANISM_WORKLOADS[workload]
     mech = get_mechanism(mechanism)
-    topo = TreeTopology(n_pods=1, racks_per_pod=2, servers_per_rack=5,
-                        slots_per_server=4, link_rate=units.gbps(10),
-                        oversubscription=5.0,
-                        buffer_bytes=312 * units.KB)
+    topo = _cli_topology(1, 2, 5, 4)
     placements = _place_campaign_tenants(
         "silo" if mech.uses_admission else "tcp", topo)
     net = mech.build_network(topo)
     metrics = MetricsCollector()
-    rng = random.Random(seed)
-
-    vm_counter = 0
-    apps = []
-    class_a, class_b = [], []
-    for kind, request, placement in placements:
-        vm_ids = []
-        for server in placement.vm_servers:
-            mech.add_vm(net, vm_counter, request.tenant_id, server,
-                        guarantee=request.guarantee)
-            vm_ids.append(vm_counter)
-            vm_counter += 1
-        if kind == "a":
-            class_a.append(request.tenant_id)
-            app = EpochBurstApp(
-                net, metrics, request.tenant_id, vm_ids,
-                Fixed(CLASS_A_MESSAGE), epoch=CLASS_A_EPOCH, rng=rng,
-                jitter=shape["jitter"],
-                transport_class=mech.transport_class(),
-                transport_kwargs=mech.transport_kwargs())
-            app.start()
-        else:
-            class_b.append(request.tenant_id)
-            if not shape["bulk"]:
-                continue
-            app = BulkApp(net, metrics, request.tenant_id,
-                          all_to_all_pairs(vm_ids),
-                          chunk_size=shape["chunk"],
-                          transport_class=mech.transport_class(),
-                          transport_kwargs=mech.transport_kwargs())
-            app.start()
-        apps.append(app)
+    class_a, class_b = _wire_campaign_tenants(
+        net, placements,
+        lambda vm_id, request, server: mech.add_vm(
+            net, vm_id, request.tenant_id, server,
+            guarantee=request.guarantee),
+        metrics, random.Random(seed), jitter=shape["jitter"],
+        chunk=shape["chunk"], bulk=shape["bulk"],
+        transport_class=mech.transport_class(),
+        transport_kwargs=mech.transport_kwargs())
 
     mech.start(net)
     net.sim.run(until=duration)
@@ -799,35 +784,56 @@ def mechanism_compare_micro_sweep() -> SweepSpec:
 # CLI scenarios: churn / trace / faults as campaign cells
 # ---------------------------------------------------------------------------
 
-def _cli_topology(pods: int, racks_per_pod: int, servers_per_rack: int,
-                  slots: int, link_gbps: float, oversubscription: float,
-                  buffer_kb: float):
-    """Build the CLI's tree topology from its flag values."""
-    from repro.topology import TreeTopology
-    return TreeTopology(
-        n_pods=pods, racks_per_pod=racks_per_pod,
-        servers_per_rack=servers_per_rack, slots_per_server=slots,
-        link_rate=units.gbps(link_gbps),
-        oversubscription=oversubscription,
-        buffer_bytes=buffer_kb * units.KB)
-
-
-def _artifact_path(artifact_dir: Optional[str],
-                   artifact_prefix: Optional[str],
-                   legacy_tag: Optional[str], name: str) -> Optional[str]:
-    """Resolve one artifact file's path, or None when tracing is off.
-
-    Campaign cells get a per-cell ``artifact_dir`` and write plain
-    names; the legacy prefix mode reproduces the historical
-    ``<prefix>[.<tag>].<name>`` naming byte-for-byte.
-    """
+def _audited_manager(policy: str, topo, artifact_dir: Optional[str]):
+    """``policy``'s manager on ``topo`` with an admission audit attached
+    and, given an ``artifact_dir``, its events traced to
+    ``events.jsonl``.  Returns ``(manager, sharing, sink)``; ``sink`` is
+    None when untraced."""
+    from repro.placement.audit import AdmissionAudit
+    manager_cls, sharing = _policy_manager(policy)
+    manager = manager_cls(topo)
+    manager.audit = AdmissionAudit()
+    sink = None
     if artifact_dir is not None:
-        return os.path.join(artifact_dir, name)
-    if artifact_prefix is not None:
-        if legacy_tag is not None:
-            return f"{artifact_prefix}.{legacy_tag}.{name}"
-        return f"{artifact_prefix}.{name}"
-    return None
+        from repro.obs import JsonlSink
+        sink = JsonlSink(os.path.join(artifact_dir, "events.jsonl"))
+        manager.tracer = sink
+    return manager, sharing, sink
+
+
+def _fault_schedule(faults: Optional[str], topo, horizon: float,
+                    seed: int):
+    """The ``--faults`` spec's schedule over ``horizon``, or None."""
+    if not faults:
+        return None
+    from repro.faults import FaultSchedule
+    return FaultSchedule.from_spec(faults, topo, horizon=horizon, seed=seed)
+
+
+def _cli_guarantee(bandwidth_mbps: float, burst_kb: float,
+                   delay_us: Optional[float],
+                   bmax_gbps: Optional[float]) -> NetworkGuarantee:
+    """The guarantee the CLI's guarantee flags describe."""
+    return NetworkGuarantee(
+        bandwidth=units.mbps(bandwidth_mbps), burst=burst_kb * units.KB,
+        delay=delay_us * units.MICROS if delay_us is not None else None,
+        peak_rate=units.gbps(bmax_gbps) if bmax_gbps is not None else None)
+
+
+def _class_a_placements(topo, guarantee: NetworkGuarantee, class_a: int,
+                        vms: int) -> List[Placement]:
+    """Replay a traced run's class-A admissions on a fresh controller
+    and return the admitted placements, in admission order."""
+    from repro.core.silo import SiloController
+    silo = SiloController(topo)
+    placements = []
+    for _ in range(class_a):
+        admitted = silo.admit(TenantRequest(
+            n_vms=vms, guarantee=guarantee,
+            tenant_class=TenantClass.CLASS_A))
+        if admitted is not None:
+            placements.append(admitted.placement)
+    return placements
 
 
 @scenario("churn_policy")
@@ -835,40 +841,25 @@ def churn_cell(policy: str, occupancy: float, horizon: float, seed: int,
                pods: int, racks_per_pod: int, servers_per_rack: int,
                slots: int, link_gbps: float, oversubscription: float,
                buffer_kb: float, faults: Optional[str] = None,
-               artifact_dir: Optional[str] = None,
-               artifact_prefix: Optional[str] = None) -> Dict[str, object]:
+               artifact_dir: Optional[str] = None) -> Dict[str, object]:
     """One ``repro churn`` cell: a policy's run over the tenant stream.
 
-    With an artifact destination the cell writes the policy's event
+    With an ``artifact_dir`` the cell writes the policy's event
     JSONL, link-utilization CSV, admission-audit CSV and (under
     faults) recovery CSV; the utilization series additionally rides
     along in the result as bucket rows so the campaign merge can
     aggregate it across seeds.
     """
     from repro.flowsim import ClusterSim, TenantWorkload, WorkloadConfig
-    from repro.placement.audit import AdmissionAudit
-    manager_cls, sharing = _policy_manager(policy)
     topo = _cli_topology(pods, racks_per_pod, servers_per_rack, slots,
                          link_gbps, oversubscription, buffer_kb)
-    manager = manager_cls(topo)
-    audit = AdmissionAudit()
-    manager.audit = audit
-    traced = artifact_dir is not None or artifact_prefix is not None
-    sink = None
-    if traced:
-        from repro.obs import JsonlSink
-        sink = JsonlSink(_artifact_path(artifact_dir, artifact_prefix,
-                                        policy, "events.jsonl"))
-        manager.tracer = sink
+    manager, sharing, sink = _audited_manager(policy, topo, artifact_dir)
+    audit = manager.audit
+    traced = sink is not None
     workload = TenantWorkload.for_occupancy(
         WorkloadConfig(), occupancy, topo.n_slots, seed=seed)
-    schedule = None
-    if faults:
-        from repro.faults import FaultSchedule
-        schedule = FaultSchedule.from_spec(faults, topo, horizon=horizon,
-                                           seed=seed)
     sim = ClusterSim(manager, sharing=sharing, tracer=sink,
-                     faults=schedule)
+                     faults=_fault_schedule(faults, topo, horizon, seed))
     if traced:
         sim.monitor_utilization(interval=horizon / 200.0)
     stats = sim.run(workload, until=horizon)
@@ -884,24 +875,18 @@ def churn_cell(policy: str, occupancy: float, horizon: float, seed: int,
         sim.controller.finalize(horizon)
         report = sim.controller.report()
         result["faults"] = {
-            "affected": report.affected,
-            "recovered": report.count("recovered"),
-            "degraded": report.count("degraded"),
-            "evicted": report.count("evicted"),
+            **_recovery_counts(report),
             "killed_jobs": stats.evicted_jobs,
             "rerouted": stats.rerouted_jobs,
         }
         if traced:
-            write_recovery_csv(
-                _artifact_path(artifact_dir, artifact_prefix, policy,
-                               "recovery.csv"), report)
+            write_recovery_csv(os.path.join(artifact_dir, "recovery.csv"),
+                               report)
     if traced:
         from repro.campaign.merge import bucket_rows
         sim.utilization_series.write_csv(
-            _artifact_path(artifact_dir, artifact_prefix, policy,
-                           "util.csv"))
-        audit.write_csv(_artifact_path(artifact_dir, artifact_prefix,
-                                       policy, "admission.csv"))
+            os.path.join(artifact_dir, "util.csv"))
+        audit.write_csv(os.path.join(artifact_dir, "admission.csv"))
         sink.close()
         result["util_series"] = bucket_rows(sim.utilization_series)
     return result
@@ -917,8 +902,7 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
                slots: int, link_gbps: float, oversubscription: float,
                buffer_kb: float, faults: Optional[str] = None,
                mechanism: str = "silo",
-               artifact_dir: Optional[str] = None,
-               artifact_prefix: Optional[str] = None) -> Dict[str, object]:
+               artifact_dir: Optional[str] = None) -> Dict[str, object]:
     """One ``repro trace`` cell: a fully traced packet-level run.
 
     Class-A tenants run synchronized all-to-one epoch bursts, class-B
@@ -928,13 +912,15 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
     loops -- is built through the named
     :class:`~repro.mechanisms.base.Mechanism`, so the same traced
     workload can run under ``silo``, ``swp``, ``eyeq`` or ``none``.
-    With an artifact destination the cell dumps the complete event
-    stream (JSONL) plus per-message latency, per-port queue depth and
-    per-request admission CSVs.
+    With an ``artifact_dir`` the cell dumps the complete event stream
+    (JSONL) plus per-message latency, per-port queue depth and
+    per-request admission CSVs; without one the events go to a ring
+    buffer and only their count is reported.
     """
     from repro.core.silo import SiloController
     from repro.mechanisms import get_mechanism
     from repro.obs import JsonlSink, RingBufferSink
+    from repro.obs.traces import QUEUE_COLUMNS
     from repro.phynet.apps import BulkApp, EpochBurstApp
     from repro.phynet.metrics import MetricsCollector
     from repro.placement.audit import AdmissionAudit
@@ -942,10 +928,9 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
 
     topo = _cli_topology(pods, racks_per_pod, servers_per_rack, slots,
                          link_gbps, oversubscription, buffer_kb)
-    traced = artifact_dir is not None or artifact_prefix is not None
+    traced = artifact_dir is not None
     if traced:
-        sink = JsonlSink(_artifact_path(artifact_dir, artifact_prefix,
-                                        None, "events.jsonl"))
+        sink = JsonlSink(os.path.join(artifact_dir, "events.jsonl"))
     else:
         sink = RingBufferSink()
     mech = get_mechanism(mechanism)
@@ -961,65 +946,55 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
 
     next_vm = 0
 
-    def admit_and_place(request):
+    def admit_and_place(guarantee, tenant_class):
+        """Admit one tenant and attach its VMs; ``(tenant id, VM ids)``,
+        or None when admission rejects it."""
         nonlocal next_vm
+        request = TenantRequest(n_vms=vms, guarantee=guarantee,
+                                tenant_class=tenant_class)
         admitted = silo.admit(request)
         if admitted is None:
-            return None, []
+            return None
         vm_ids = []
         for server in admitted.placement.vm_servers:
             mech.add_vm(net, next_vm, admitted.tenant_id, server,
-                        guarantee=request.guarantee,
+                        guarantee=guarantee,
                         pacer_config=(admitted.pacer_config
                                       if mech.uses_admission else None))
             vm_ids.append(next_vm)
             next_vm += 1
-        return admitted, vm_ids
+        return admitted.tenant_id, vm_ids
 
-    guarantee = NetworkGuarantee(
-        bandwidth=units.mbps(bandwidth_mbps), burst=burst_kb * units.KB,
-        delay=delay_us * units.MICROS,
-        peak_rate=(units.gbps(bmax_gbps) if bmax_gbps is not None
-                   else None))
+    transport = dict(transport_class=mech.transport_class(),
+                     transport_kwargs=mech.transport_kwargs())
+    guarantee = _cli_guarantee(bandwidth_mbps, burst_kb, delay_us,
+                               bmax_gbps)
     message_bytes = message_kb * units.KB
     bounds = {}
     for _ in range(class_a):
-        request = TenantRequest(n_vms=vms, guarantee=guarantee,
-                                tenant_class=TenantClass.CLASS_A)
-        admitted, vm_ids = admit_and_place(request)
-        if admitted is None:
+        placed = admit_and_place(guarantee, TenantClass.CLASS_A)
+        if placed is None:
             continue
-        bounds[admitted.tenant_id] = request.guarantee \
-            .message_latency_bound(message_bytes)
-        app = EpochBurstApp(net, metrics, admitted.tenant_id, vm_ids,
-                            Fixed(message_bytes),
-                            epoch=epoch_us * units.MICROS, rng=rng,
-                            transport_class=mech.transport_class(),
-                            transport_kwargs=mech.transport_kwargs())
-        app.start()
-    bulk_guarantee = NetworkGuarantee(
-        bandwidth=units.mbps(bandwidth_mbps),
-        burst=burst_kb * units.KB, delay=None,
-        peak_rate=(units.gbps(bmax_gbps) if bmax_gbps is not None
-                   else None))
+        tenant_id, vm_ids = placed
+        bounds[tenant_id] = guarantee.message_latency_bound(message_bytes)
+        EpochBurstApp(net, metrics, tenant_id, vm_ids, Fixed(message_bytes),
+                      epoch=epoch_us * units.MICROS, rng=rng,
+                      **transport).start()
+    bulk_guarantee = _cli_guarantee(bandwidth_mbps, burst_kb, None,
+                                    bmax_gbps)
     for _ in range(class_b):
-        request = TenantRequest(n_vms=vms, guarantee=bulk_guarantee,
-                                tenant_class=TenantClass.CLASS_B)
-        admitted, vm_ids = admit_and_place(request)
-        if admitted is None:
+        placed = admit_and_place(bulk_guarantee, TenantClass.CLASS_B)
+        if placed is None:
             continue
-        pairs = list(zip(vm_ids[0::2], vm_ids[1::2]))
-        app = BulkApp(net, metrics, admitted.tenant_id, pairs,
-                      transport_class=mech.transport_class(),
-                      transport_kwargs=mech.transport_kwargs())
-        app.start()
+        tenant_id, vm_ids = placed
+        BulkApp(net, metrics, tenant_id,
+                list(zip(vm_ids[0::2], vm_ids[1::2])), **transport).start()
 
     duration = duration_ms * 1e-3
     injector = None
-    if faults:
-        from repro.faults import FaultSchedule, NetworkFaultInjector
-        schedule = FaultSchedule.from_spec(faults, topo, horizon=duration,
-                                           seed=seed)
+    schedule = _fault_schedule(faults, topo, duration, seed)
+    if schedule is not None:
+        from repro.faults import NetworkFaultInjector
         injector = NetworkFaultInjector(net, schedule)
     mech.start(net)
     net.sim.run(until=duration)
@@ -1051,29 +1026,19 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
         result["faults"] = {"applied": injector.applied,
                             "fault_drops": stats["fault_drops"]}
         if traced:
-            write_csv(_artifact_path(artifact_dir, artifact_prefix, None,
-                                     "faults.csv"),
+            write_csv(os.path.join(artifact_dir, "faults.csv"),
                       ("time", "target", "action", "factor"),
                       ((e.time, e.target.spec, e.action, e.factor)
                        for e in injector.schedule))
 
     if traced:
-        columns = ("tenant_id", "src_vm", "dst_vm", "size", "start",
-                   "finish", "latency", "rto_events")
-        write_csv(_artifact_path(artifact_dir, artifact_prefix, None,
-                                 "latency.csv"), columns,
-                  ([row[c] for c in columns]
-                   for row in metrics.latency_rows()))
-        with open(_artifact_path(artifact_dir, artifact_prefix, None,
-                                 "queues.csv"), "w",
-                  encoding="utf-8") as handle:
-            handle.write("port,time,count,mean,min,max,last\n")
-            for name, series in queue_series.items():
-                for b in series.buckets():
-                    handle.write(f"{name},{b.start},{b.count},{b.mean},"
-                                 f"{b.vmin},{b.vmax},{b.last}\n")
-        audit.write_csv(_artifact_path(artifact_dir, artifact_prefix,
-                                       None, "admission.csv"))
+        write_latency_csv(os.path.join(artifact_dir, "latency.csv"),
+                          metrics)
+        write_csv(os.path.join(artifact_dir, "queues.csv"), QUEUE_COLUMNS,
+                  ((name, b.start, b.count, b.mean, b.vmin, b.vmax, b.last)
+                   for name, series in queue_series.items()
+                   for b in series.buckets()))
+        audit.write_csv(os.path.join(artifact_dir, "admission.csv"))
         sink.close()
     else:
         result["traced_events"] = sink.emitted
@@ -1090,8 +1055,7 @@ def whatif_error_cell(message_kb: float, class_a: int, seed: int,
                       servers_per_rack: int, slots: int,
                       link_gbps: float, oversubscription: float,
                       buffer_kb: float,
-                      artifact_dir: Optional[str] = None,
-                      artifact_prefix: Optional[str] = None
+                      artifact_dir: Optional[str] = None
                       ) -> Dict[str, object]:
     """One estimator-vs-packet-sim what-if validation cell.
 
@@ -1113,7 +1077,6 @@ def whatif_error_cell(message_kb: float, class_a: int, seed: int,
                                           fit_whatif_model,
                                           quantile_label)
     from repro.campaign.spec import derive_seed
-    from repro.core.silo import SiloController
     from repro.core.tenant import reset_tenant_ids
     from repro.obs.traces import find_trace_artifacts
 
@@ -1144,24 +1107,13 @@ def whatif_error_cell(message_kb: float, class_a: int, seed: int,
         reset_tenant_ids()
         trace_cell(seed=seed, artifact_dir=target_dir, **params)
 
-        guarantee = NetworkGuarantee(
-            bandwidth=units.mbps(bandwidth_mbps),
-            burst=burst_kb * units.KB, delay=delay_us * units.MICROS,
-            peak_rate=(units.gbps(bmax_gbps) if bmax_gbps is not None
-                       else None))
+        guarantee = _cli_guarantee(bandwidth_mbps, burst_kb, delay_us,
+                                   bmax_gbps)
         topo = _cli_topology(pods, racks_per_pod, servers_per_rack,
                              slots, link_gbps, oversubscription,
                              buffer_kb)
         reset_tenant_ids()
-        silo = SiloController(topo)
-        placements = []
-        for _ in range(class_a):
-            request = TenantRequest(n_vms=vms, guarantee=guarantee,
-                                    tenant_class=TenantClass.CLASS_A)
-            admitted = silo.admit(request)
-            if admitted is not None:
-                placements.append(admitted.placement)
-
+        placements = _class_a_placements(topo, guarantee, class_a, vms)
         model = fit_whatif_model(topo, placements, guarantee,
                                  message_bytes,
                                  find_trace_artifacts(cal_dir))
@@ -1218,34 +1170,23 @@ def faults_cell(policy: str, occupancy: float, faults: str,
                 pods: int, racks_per_pod: int, servers_per_rack: int,
                 slots: int, link_gbps: float, oversubscription: float,
                 buffer_kb: float,
-                artifact_dir: Optional[str] = None,
-                artifact_prefix: Optional[str] = None
-                ) -> Dict[str, object]:
+                artifact_dir: Optional[str] = None) -> Dict[str, object]:
     """One ``repro faults`` cell: fill, break, self-heal, report.
 
     Fills the cluster to ``occupancy`` with the standard tenant mix,
     replays a seeded fault schedule through the recovery controller,
     and reports each tenant's fate plus SLO-violation totals.  With an
-    artifact destination the fault timeline and per-tenant report land
+    ``artifact_dir`` the fault timeline and per-tenant report land
     in ``faults.csv`` / ``recovery.csv`` (same-seed byte-identical).
     """
     from repro.faults import FaultSchedule
     from repro.placement import ClusterController
-    from repro.placement.audit import AdmissionAudit
 
-    manager_cls, _sharing = _policy_manager(policy)
     topo = _cli_topology(pods, racks_per_pod, servers_per_rack, slots,
                          link_gbps, oversubscription, buffer_kb)
-    manager = manager_cls(topo)
-    audit = AdmissionAudit()
-    manager.audit = audit
-    traced = artifact_dir is not None or artifact_prefix is not None
-    sink = None
-    if traced:
-        from repro.obs import JsonlSink
-        sink = JsonlSink(_artifact_path(artifact_dir, artifact_prefix,
-                                        None, "events.jsonl"))
-        manager.tracer = sink
+    manager, _sharing, sink = _audited_manager(policy, topo, artifact_dir)
+    audit = manager.audit
+    traced = sink is not None
 
     placed, placed_slots = fill_to_occupancy(manager, occupancy, seed)
     # Snapshot before the replay: recovery re-placements run through the
@@ -1271,12 +1212,11 @@ def faults_cell(policy: str, occupancy: float, faults: str,
     report = controller.report()
 
     if traced:
-        write_csv(_artifact_path(artifact_dir, artifact_prefix, None,
-                                 "faults.csv"),
+        write_csv(os.path.join(artifact_dir, "faults.csv"),
                   ("time", "target", "action", "factor", "affected",
                    "recovered", "degraded", "evicted"), fault_rows)
-        write_recovery_csv(_artifact_path(artifact_dir, artifact_prefix,
-                                          None, "recovery.csv"), report)
+        write_recovery_csv(os.path.join(artifact_dir, "recovery.csv"),
+                           report)
         sink.close()
     mttr = report.mean_time_to_recover
     return {
@@ -1286,10 +1226,7 @@ def faults_cell(policy: str, occupancy: float, faults: str,
         "total_slots": topo.n_slots,
         "fill_audit": fill_audit,
         "n_events": len(schedule),
-        "affected": report.affected,
-        "recovered": report.count("recovered"),
-        "degraded": report.count("degraded"),
-        "evicted": report.count("evicted"),
+        **_recovery_counts(report),
         "guarantee_seconds_lost": report.guarantee_seconds_lost,
         "mean_ttr_s": mttr,
     }
@@ -1441,11 +1378,8 @@ def hybrid_cell(policy: str, fg_app: str, fg_vms: int,
     topo = _cli_topology(pods, racks_per_pod, servers_per_rack, slots,
                          link_gbps, oversubscription, buffer_kb)
     manager = manager_cls(topo)
-    guarantee = NetworkGuarantee(
-        bandwidth=units.mbps(fg_bandwidth_mbps),
-        burst=fg_burst_kb * units.KB,
-        delay=fg_delay_us * units.MICROS,
-        peak_rate=units.gbps(1.0))
+    guarantee = _cli_guarantee(fg_bandwidth_mbps, fg_burst_kb, fg_delay_us,
+                               1.0)
     foreground = ForegroundTenant(
         request=TenantRequest(n_vms=fg_vms, guarantee=guarantee,
                               tenant_class=TenantClass.CLASS_A),
@@ -1455,13 +1389,8 @@ def hybrid_cell(policy: str, fg_app: str, fg_vms: int,
                             mean_compute_time=bg_compute_s)
     workload = TenantWorkload.for_occupancy(config, occupancy,
                                             topo.n_slots, seed=seed)
-    schedule = None
-    if faults:
-        from repro.faults import FaultSchedule
-        schedule = FaultSchedule.from_spec(faults, topo, horizon=horizon,
-                                           seed=seed)
-    sim = HybridSim(manager, [foreground], sharing=sharing,
-                    scheme="silo", faults=schedule)
+    sim = HybridSim(manager, [foreground], sharing=sharing, scheme="silo",
+                    faults=_fault_schedule(faults, topo, horizon, seed))
     outcome = sim.run(workload, until=horizon, fg_offset=fg_offset,
                       fg_horizon=fg_horizon_ms * 1e-3, seed=seed)
     result = outcome.to_dict()
@@ -1474,11 +1403,8 @@ def hybrid_cell(policy: str, fg_app: str, fg_vms: int,
                                                  tenant["tenant_id"])
             tenant["late"] = None if math.isnan(late) else late
     if artifact_dir is not None:
-        columns = ("tenant_id", "src_vm", "dst_vm", "size", "start",
-                   "finish", "latency", "rto_events")
-        write_csv(os.path.join(artifact_dir, "latency.csv"), columns,
-                  ([row[c] for c in columns]
-                   for row in outcome.metrics.latency_rows()))
+        write_latency_csv(os.path.join(artifact_dir, "latency.csv"),
+                          outcome.metrics)
     return result
 
 

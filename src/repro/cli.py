@@ -9,6 +9,8 @@ the system without writing code:
 * ``pace``       -- show the void-packet wire schedule for a rate limit;
 * ``churn``      -- run the flow-level cluster simulation and print
                     admission/utilization for the three policies;
+* ``hybrid``     -- run one packet-level foreground tenant inside a
+                    fluid background cluster (see ``docs/HYBRID.md``);
 * ``trace``      -- run a packet-level experiment (class-A epoch bursts
                     sharing the fabric with class-B bulk tenants) with
                     full event tracing, and dump figure-ready JSONL/CSV;
@@ -37,19 +39,19 @@ bad field on stderr -- never a traceback.  A campaign cell that outruns
 ``--cell-timeout`` fails that cell (and the campaign exits 1 listing
 it) instead of hanging the run.
 
-``pace`` and ``churn`` accept ``--trace-out`` to capture their event
-streams through the same :mod:`repro.obs` sinks.  ``churn`` and
-``trace`` accept ``--faults <spec>`` to inject failures mid-run (see
-:meth:`repro.faults.FaultSchedule.from_spec` for the spec grammar); all
-randomness-drawing commands take ``--seed`` and same-seed runs produce
-byte-identical CSV output.
-
-``churn``, ``trace`` and ``faults`` run through the campaign runner
-when given ``--out <dir>``: each (policy x) seed cell checkpoints under
-``<dir>/cells/``, artifacts land under ``<dir>/artifacts/<cell>/``,
-``<dir>/manifest.json`` maps cells to artifacts, and ``--workers N`` /
-``--resume`` parallelize and recover interrupted runs without changing
-a byte of the merged output.
+``churn``, ``hybrid``, ``trace`` and ``faults`` are *sweep-backed*:
+each is a (policy x) seed grid that always runs through the campaign
+runner (:func:`_run_sweep`), in memory by default.  ``--seeds A B``
+widens the grid, ``--workers N`` / ``--cell-timeout`` apply with or
+without ``--out <dir>``, and ``--out`` adds the on-disk layout:
+checkpoints under ``<dir>/cells/`` (``--resume``), each cell's event
+JSONL and CSVs under ``<dir>/artifacts/<cell>/``, and
+``<dir>/manifest.json`` mapping cells to artifacts -- without changing
+a byte of stdout before the ``wrote ...`` trailer.  They accept
+``--faults <spec>`` to inject failures mid-run (see
+:meth:`repro.faults.FaultSchedule.from_spec` for the grammar); same-seed
+runs produce byte-identical CSV output.  ``pace`` and ``serve`` take
+``--trace-out PATH`` for a single JSONL event stream.
 """
 
 from __future__ import annotations
@@ -65,35 +67,58 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import units
+from repro.campaign import (SweepSpec, get_sweep, list_sweeps,
+                            merge_bucket_rows, run_campaign, sum_counters)
+from repro.campaign.scenarios import (POLICY_MANAGERS, _class_a_placements,
+                                      _cli_guarantee, _cli_topology,
+                                      write_csv)
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.silo import SiloController
 from repro.core.tenant import TenantClass, TenantRequest
-from repro.topology import TreeTopology
+
+#: The topology flags and their defaults, keyed by ``dest`` name = the
+#: scenarios' topology parameter name = :func:`_cli_topology`'s argument.
+_TOPOLOGY_FLAGS = {"pods": 2, "racks_per_pod": 4, "servers_per_rack": 10,
+                   "slots": 8, "link_gbps": 10.0, "oversubscription": 5.0,
+                   "buffer_kb": 312.0}
 
 
 def _add_topology_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pods", type=int, default=2)
-    parser.add_argument("--racks-per-pod", type=int, default=4)
-    parser.add_argument("--servers-per-rack", type=int, default=10)
-    parser.add_argument("--slots", type=int, default=8)
-    parser.add_argument("--link-gbps", type=float, default=10.0)
-    parser.add_argument("--oversubscription", type=float, default=5.0)
-    parser.add_argument("--buffer-kb", type=float, default=312.0)
+    for name, default in _TOPOLOGY_FLAGS.items():
+        parser.add_argument("--" + name.replace("_", "-"),
+                            type=type(default), default=default)
+
+
+def _add_guarantee_args(parser: argparse.ArgumentParser,
+                        bandwidth_mbps: float) -> None:
+    """The hose-guarantee flags :func:`_guarantee` reads."""
+    parser.add_argument("--bandwidth-mbps", type=float,
+                        default=bandwidth_mbps)
+    parser.add_argument("--burst-kb", type=float, default=15.0)
+    parser.add_argument("--delay-us", type=float, default=1000.0)
+    parser.add_argument("--bmax-gbps", type=float, default=1.0)
+
+
+def _add_faults_arg(parser: argparse.ArgumentParser,
+                    default: Optional[str] = None) -> None:
+    """The one ``--faults SPEC`` declaration every command shares."""
+    parser.add_argument("--faults", metavar="SPEC", default=default,
+                        help="inject failures mid-run: 'poisson:mtbf_ms=..,"
+                             "mttr_ms=..[,targets=link+server]"
+                             "[,degrade=..]' or a JSON scenario file "
+                             "('none' disables; default: %(default)s)")
 
 
 def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
-    """Flags switching a subcommand onto the campaign runner."""
+    """The campaign-runner flags of ``campaign`` and of every
+    sweep-backed command."""
     parser.add_argument("--out", metavar="DIR", default=None,
-                        help="run as a campaign: checkpoints under "
+                        help="campaign directory: checkpoints under "
                              "DIR/cells/, per-cell artifacts under "
-                             "DIR/artifacts/, plus DIR/manifest.json")
-    parser.add_argument("--seeds", type=int, nargs="+", metavar="SEED",
-                        default=None,
-                        help="sweep several seeds (campaign mode; "
-                             "overrides --seed)")
+                             "DIR/artifacts/, plus DIR/manifest.json "
+                             "(and merged.json for 'campaign')")
     parser.add_argument("--workers", type=int, default=0,
-                        help="worker processes for --out runs "
-                             "(0 = serial in-process)")
+                        help="worker processes (0 = serial in-process)")
     parser.add_argument("--resume", action="store_true",
                         help="with --out: skip cells already "
                              "checkpointed")
@@ -104,37 +129,29 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
                              "the campaign")
 
 
-def _topology(args: argparse.Namespace) -> TreeTopology:
-    return TreeTopology(
-        n_pods=args.pods, racks_per_pod=args.racks_per_pod,
-        servers_per_rack=args.servers_per_rack,
-        slots_per_server=args.slots,
-        link_rate=units.gbps(args.link_gbps),
-        oversubscription=args.oversubscription,
-        buffer_bytes=args.buffer_kb * units.KB)
+def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
+    """The seed axis plus the campaign-runner flags of a sweep-backed
+    command (``churn``/``hybrid``/``trace``/``faults``)."""
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seeds", type=int, nargs="+", metavar="SEED",
+                        default=None,
+                        help="sweep several seeds (overrides --seed)")
+    _add_campaign_args(parser)
+
+
+def _topology_params(params: dict) -> dict:
+    """The topology entries of ``vars(args)`` (or of a manifest cell's
+    parameters) as scenario keyword arguments."""
+    return {name: params[name] for name in _TOPOLOGY_FLAGS}
+
+
+def _topology(args: argparse.Namespace):
+    return _cli_topology(**_topology_params(vars(args)))
 
 
 def _guarantee(args: argparse.Namespace) -> NetworkGuarantee:
-    return NetworkGuarantee(
-        bandwidth=units.mbps(args.bandwidth_mbps),
-        burst=args.burst_kb * units.KB,
-        delay=(args.delay_us * units.MICROS
-               if args.delay_us is not None else None),
-        peak_rate=(units.gbps(args.bmax_gbps)
-                   if args.bmax_gbps is not None else None))
-
-
-def _write_csv(path: str, columns, rows) -> None:
-    """Dump rows of cells as CSV; ``None`` cells render empty.
-
-    Cells are written with ``str()`` (``repr`` round-trip for floats), so
-    same-seed runs produce byte-identical files.
-    """
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(columns) + "\n")
-        for row in rows:
-            handle.write(",".join("" if cell is None else str(cell)
-                                  for cell in row) + "\n")
+    return _cli_guarantee(args.bandwidth_mbps, args.burst_kb,
+                          args.delay_us, args.bmax_gbps)
 
 
 def _fmt_ratio(value: Optional[float]) -> str:
@@ -151,33 +168,9 @@ def _fmt_usec(value: Optional[float]) -> str:
     return f"{value:.1f}us"
 
 
-def _topology_params(args: argparse.Namespace) -> dict:
-    """The topology flags as scenario keyword arguments."""
-    return {"pods": args.pods, "racks_per_pod": args.racks_per_pod,
-            "servers_per_rack": args.servers_per_rack,
-            "slots": args.slots, "link_gbps": args.link_gbps,
-            "oversubscription": args.oversubscription,
-            "buffer_kb": args.buffer_kb}
-
-
-def _seeds(args: argparse.Namespace) -> tuple:
-    """The seed axis: ``--seeds`` when given, else the single ``--seed``."""
-    if getattr(args, "seeds", None):
-        return tuple(args.seeds)
-    return (args.seed,)
-
-
 def _progress(message: str) -> None:
     """Campaign progress lines go to stderr, keeping stdout scriptable."""
     print(message, file=sys.stderr)
-
-
-def _run_cli_campaign(spec, args):
-    """Run a CLI subcommand's spec through the campaign runner."""
-    from repro.campaign import run_campaign
-    return run_campaign(spec, out=args.out, workers=args.workers,
-                        resume=args.resume, progress=_progress,
-                        cell_timeout=getattr(args, "cell_timeout", None))
 
 
 def _spec_error(flag: str, spec, exc: Exception) -> int:
@@ -208,15 +201,54 @@ def _check_faults_spec(args) -> Optional[int]:
     return None
 
 
-def _report_failures(result) -> int:
-    """stderr lines + nonzero exit for a campaign with failed cells."""
+def _run_spec(args: argparse.Namespace, spec: SweepSpec,
+              max_cells: Optional[int] = None):
+    """Run ``spec`` under the campaign flags (in memory without
+    ``--out``); failed cells are listed on stderr and leave
+    ``result.failed`` non-empty for the caller's exit 1."""
+    result = run_campaign(spec, out=args.out, workers=args.workers,
+                          resume=args.resume, max_cells=max_cells,
+                          progress=_progress,
+                          cell_timeout=args.cell_timeout)
     for record in result.failed:
         print(f"cell FAILED: {record.cell.describe()}: {record.error}",
               file=sys.stderr)
-    print(f"error: {len(result.failed)} cell(s) failed; no merged "
-          f"outputs written (rerun with --resume to retry them)",
-          file=sys.stderr)
-    return 1
+    if result.failed:
+        print(f"error: {len(result.failed)} cell(s) failed; no merged "
+              f"outputs written (rerun with --resume to retry them)",
+              file=sys.stderr)
+    return result
+
+
+def _run_sweep(args: argparse.Namespace, name: str, scenario: str,
+               grid: dict, params: dict, print_cell, wrote: str,
+               finish=None) -> int:
+    """The one way ``churn``, ``hybrid``, ``trace`` and ``faults`` run.
+
+    The (``grid`` x seeds) cells of ``scenario``, with ``params`` and
+    the topology flags fixed, go through the campaign runner -- in
+    memory without ``--out``.  Each result is printed in commit order
+    by ``print_cell(result, seed)`` (``seed`` is None on a single-seed
+    run), ``finish(result)`` does the command's cross-cell reductions,
+    and with ``--out`` the trailer says what was ``wrote``.
+    """
+    bad_spec = _check_faults_spec(args)
+    if bad_spec is not None:
+        return bad_spec
+    seeds = tuple(args.seeds) if args.seeds else (args.seed,)
+    result = _run_spec(args, SweepSpec(
+        name=name, scenario=scenario, grid=grid, seeds=seeds,
+        fixed={**params, **_topology_params(vars(args))}))
+    if result.failed:
+        return 1
+    for record in result.records:
+        print_cell(record.result,
+                   record.cell.seed if len(seeds) > 1 else None)
+    if finish is not None:
+        finish(result)
+    if args.out:
+        print(f"wrote {args.out}/manifest.json ({wrote})")
+    return 0
 
 
 def cmd_admit(args: argparse.Namespace) -> int:
@@ -286,11 +318,9 @@ def cmd_pace(args: argparse.Namespace) -> int:
     return 0
 
 
-_CHURN_POLICIES = ("locality", "oktopus", "silo")
-
-
-def _print_churn_result(result: dict, seed: Optional[int] = None) -> None:
-    """One policy's churn summary (optionally tagged with its seed)."""
+def _print_churn_result(result: dict, seed: Optional[int]) -> None:
+    """One policy's churn summary (tagged with its seed on a multi-seed
+    run)."""
     name = result["policy"]
     tag = f"{name:10s} " if seed is None else f"{name:10s} seed={seed} "
     print(f"{tag}admitted={result['admitted']:6.1%} "
@@ -307,68 +337,49 @@ def _print_churn_result(result: dict, seed: Optional[int] = None) -> None:
               f"rerouted={faults['rerouted']}")
 
 
-def cmd_churn(args: argparse.Namespace) -> int:
-    """Flow-level churn for the three policies (optionally a campaign).
-
-    Without ``--out`` this is the classic serial run at one seed, with
-    ``--trace-out PREFIX`` writing the legacy ``<prefix>.<policy>.*``
-    artifact files.  With ``--out DIR`` the (policy x seed) grid runs
-    through the campaign runner (``--workers``, ``--resume``); with
-    several ``--seeds`` the per-seed utilization time series are merged
-    count-weighted into ``<dir>/merged.util.<policy>.csv`` and the job
-    counters pooled per policy.
-    """
-    from repro.campaign.scenarios import churn_cell
-    bad_spec = _check_faults_spec(args)
-    if bad_spec is not None:
-        return bad_spec
-    common = dict(occupancy=args.occupancy, horizon=args.horizon,
-                  faults=args.faults, **_topology_params(args))
-    if not args.out:
-        for name in _CHURN_POLICIES:
-            result = churn_cell(policy=name, seed=args.seed,
-                                artifact_prefix=args.trace_out, **common)
-            _print_churn_result(result)
-        if args.trace_out:
-            print(f"wrote {args.trace_out}.<policy>.events.jsonl "
-                  f"/ .util.csv / .admission.csv"
-                  + (" / .recovery.csv" if args.faults else ""))
-        return 0
-
-    from repro.campaign import SweepSpec, merge_bucket_rows, sum_counters
-    seeds = _seeds(args)
-    spec = SweepSpec(name="churn", scenario="churn_policy",
-                     grid={"policy": list(_CHURN_POLICIES)}, seeds=seeds,
-                     fixed=common)
-    result = _run_cli_campaign(spec, args)
-    if result.failed:
-        return _report_failures(result)
-    for record in result.records:
-        _print_churn_result(record.result,
-                            seed=record.cell.seed if len(seeds) > 1
-                            else None)
-    out = Path(args.out)
-    for name in _CHURN_POLICIES:
+def _merge_churn_cells(result) -> None:
+    """Churn's cross-seed reductions, per policy: the traced (``--out``)
+    cells' utilization series merged count-weighted into
+    ``merged.util.<policy>.csv``, and on a multi-seed run the pooled job
+    counters on stdout."""
+    n_seeds = len(result.spec.seeds)
+    for name in POLICY_MANAGERS:
         cells = [r.result for r in result.records
                  if dict(r.cell.params)["policy"] == name]
         series_parts = [c["util_series"] for c in cells
                         if c.get("util_series")]
         if series_parts:
             merged = merge_bucket_rows(series_parts)
-            _write_csv(out / f"merged.util.{name}.csv",
-                       ("time", "count", "mean", "min", "max", "last"),
-                       ((b["start"], b["count"], b["mean"], b["min"],
-                         b["max"], b["last"]) for b in merged))
-        if len(seeds) > 1:
+            write_csv(result.out / f"merged.util.{name}.csv",
+                      ("time", "count", "mean", "min", "max", "last"),
+                      ((b["start"], b["count"], b["mean"], b["min"],
+                        b["max"], b["last"]) for b in merged))
+        if n_seeds > 1:
             pooled = sum_counters([{"jobs": c["jobs"],
                                     "admitted": c["admitted"]}
                                    for c in cells])
-            print(f"{name:10s} pooled over {len(seeds)} seeds: "
+            print(f"{name:10s} pooled over {n_seeds} seeds: "
                   f"jobs={pooled['jobs']} "
                   f"mean_admitted={pooled['admitted'] / len(cells):6.1%}")
-    print(f"wrote {out}/manifest.json "
-          f"(+ merged.util.<policy>.csv, cells/, artifacts/)")
-    return 0
+
+
+def cmd_churn(args: argparse.Namespace) -> int:
+    """Flow-level churn for the three policies.
+
+    The (policy x seed) grid runs as a campaign; with ``--out DIR``
+    each cell's event JSONL, utilization, admission-audit and (under
+    ``--faults``) recovery CSVs land under ``<dir>/artifacts/<cell>/``
+    and the per-seed utilization series are merged count-weighted into
+    ``<dir>/merged.util.<policy>.csv``.  With several ``--seeds`` the
+    job counters are pooled per policy.
+    """
+    return _run_sweep(
+        args, "churn", "churn_policy", {"policy": list(POLICY_MANAGERS)},
+        dict(occupancy=args.occupancy, horizon=args.horizon,
+             faults=args.faults),
+        _print_churn_result,
+        "+ merged.util.<policy>.csv, cells/, artifacts/",
+        finish=_merge_churn_cells)
 
 
 def _fg_offset(value: str):
@@ -382,7 +393,7 @@ def _fg_offset(value: str):
             f"expected a number of seconds or 'peak', got {value!r}")
 
 
-def _print_hybrid_result(result: dict, seed: Optional[int] = None) -> None:
+def _print_hybrid_result(result: dict, seed: Optional[int]) -> None:
     """One hybrid cell's summary on stdout."""
     tag = f"[seed {seed}] " if seed is not None else ""
     bg = result["background"]
@@ -416,42 +427,26 @@ def cmd_hybrid(args: argparse.Namespace) -> int:
     Places one foreground tenant through the policy's admission path,
     churns a fluid background cluster around its reservation, then
     replays the background's residual port capacity into a packet-level
-    window running the foreground application.  With ``--out DIR`` the
-    (seed) grid runs through the campaign runner.
+    window running the foreground application.  The seed grid runs
+    as a campaign; with ``--out DIR`` each cell keeps its foreground
+    ``latency.csv``.
     """
-    from repro.campaign.scenarios import hybrid_cell
-    bad_spec = _check_faults_spec(args)
-    if bad_spec is not None:
-        return bad_spec
-    params = dict(policy=args.policy, fg_app=args.app, fg_vms=args.fg_vms,
-                  fg_bandwidth_mbps=args.bandwidth_mbps,
-                  occupancy=args.occupancy, horizon=args.horizon,
-                  fg_horizon_ms=args.fg_horizon_ms,
-                  fg_offset=args.fg_offset, bg_flow_mb=args.bg_flow_mb,
-                  bg_compute_s=args.bg_compute_s, faults=args.faults,
-                  **_topology_params(args))
-    if not args.out:
-        result = hybrid_cell(seed=args.seed, **params)
-        _print_hybrid_result(result)
-        return 0
-
-    from repro.campaign import SweepSpec
-    seeds = _seeds(args)
-    spec = SweepSpec(name="hybrid", scenario="hybrid_cell",
-                     grid={}, seeds=seeds, fixed=params)
-    result = _run_cli_campaign(spec, args)
-    if result.failed:
-        return _report_failures(result)
-    for record in result.records:
-        _print_hybrid_result(record.result,
-                             seed=record.cell.seed if len(seeds) > 1
-                             else None)
-    print(f"wrote {args.out}/manifest.json (+ cells/, artifacts/)")
-    return 0
+    return _run_sweep(
+        args, "hybrid", "hybrid_cell", {},
+        dict(policy=args.policy, fg_app=args.app, fg_vms=args.fg_vms,
+             fg_bandwidth_mbps=args.bandwidth_mbps,
+             occupancy=args.occupancy, horizon=args.horizon,
+             fg_horizon_ms=args.fg_horizon_ms, fg_offset=args.fg_offset,
+             bg_flow_mb=args.bg_flow_mb, bg_compute_s=args.bg_compute_s,
+             faults=args.faults),
+        _print_hybrid_result, "+ cells/, artifacts/")
 
 
-def _print_trace_result(result: dict) -> None:
-    """One trace cell's summary in the classic format."""
+def _print_trace_result(result: dict, seed: Optional[int]) -> None:
+    """One trace cell's summary (under a seed header on a multi-seed
+    run)."""
+    if seed is not None:
+        print(f"--- seed {seed} ---")
     print(f"admission: {result['admission']}")
     for tenant in result["tenants"]:
         print(f"tenant {tenant['tenant_id']}: "
@@ -469,6 +464,9 @@ def _print_trace_result(result: dict) -> None:
     if faults is not None:
         print(f"faults: applied={faults['applied']} "
               f"fault_drops={faults['fault_drops']}")
+    if "traced_events" in result:
+        print(f"traced {result['traced_events']} events "
+              f"(ring buffer; use --out to keep them)")
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -476,47 +474,27 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     Class-A tenants run synchronized all-to-one epoch bursts, class-B
     tenants run bulk transfers, all behind Silo admission control and
-    hypervisor pacers.  With ``--out DIR`` the run goes through the
-    campaign runner: each seed's complete event stream (JSONL) plus
+    hypervisor pacers.  The seed grid runs as a campaign; with
+    ``--out DIR`` each seed's complete event stream (JSONL) plus
     per-message latency, per-port queue depth and per-request admission
     CSVs land under ``<dir>/artifacts/<cell>/`` with a
     ``manifest.json`` mapping cells to files -- enough to plot
     per-tenant latency distributions and queue-depth time series
-    offline.
+    offline.  Without it the events go to a ring buffer and only
+    their count is printed.
     """
-    from repro.campaign.scenarios import trace_cell
-    bad_spec = _check_faults_spec(args)
-    if bad_spec is not None:
-        return bad_spec
-    params = dict(vms=args.vms, bandwidth_mbps=args.bandwidth_mbps,
-                  burst_kb=args.burst_kb, delay_us=args.delay_us,
-                  bmax_gbps=args.bmax_gbps, class_a=args.class_a,
-                  class_b=args.class_b, message_kb=args.message_kb,
-                  epoch_us=args.epoch_us, duration_ms=args.duration_ms,
-                  queue_interval_us=args.queue_interval_us,
-                  faults=args.faults, mechanism=args.mechanism,
-                  **_topology_params(args))
-    if not args.out:
-        result = trace_cell(seed=args.seed, **params)
-        _print_trace_result(result)
-        print(f"traced {result['traced_events']} events "
-              f"(ring buffer; use --out to keep them)")
-        return 0
-
-    from repro.campaign import SweepSpec
-    seeds = _seeds(args)
-    spec = SweepSpec(name="trace", scenario="trace_run", grid={},
-                     seeds=seeds, fixed=params)
-    result = _run_cli_campaign(spec, args)
-    if result.failed:
-        return _report_failures(result)
-    for record in result.records:
-        if len(seeds) > 1:
-            print(f"--- seed {record.cell.seed} ---")
-        _print_trace_result(record.result)
-    print(f"wrote {args.out}/manifest.json (events.jsonl / latency.csv "
-          f"/ queues.csv / admission.csv per cell under artifacts/)")
-    return 0
+    return _run_sweep(
+        args, "trace", "trace_run", {},
+        dict(vms=args.vms, bandwidth_mbps=args.bandwidth_mbps,
+             burst_kb=args.burst_kb, delay_us=args.delay_us,
+             bmax_gbps=args.bmax_gbps, class_a=args.class_a,
+             class_b=args.class_b, message_kb=args.message_kb,
+             epoch_us=args.epoch_us, duration_ms=args.duration_ms,
+             queue_interval_us=args.queue_interval_us,
+             faults=args.faults, mechanism=args.mechanism),
+        _print_trace_result,
+        "events.jsonl / latency.csv / queues.csv / admission.csv per cell "
+        "under artifacts/")
 
 
 def _calibrate_whatif(args: argparse.Namespace):
@@ -539,42 +517,18 @@ def _calibrate_whatif(args: argparse.Namespace):
         if cells:
             params = cells[0].get("params")
     if params is None:
-        params = dict(vms=args.vms, bandwidth_mbps=args.bandwidth_mbps,
-                      burst_kb=args.burst_kb, delay_us=args.delay_us,
-                      bmax_gbps=args.bmax_gbps, class_a=args.class_a,
-                      message_kb=args.message_kb,
-                      **_topology_params(args))
-    topology = TreeTopology(
-        n_pods=int(params["pods"]),
-        racks_per_pod=int(params["racks_per_pod"]),
-        servers_per_rack=int(params["servers_per_rack"]),
-        slots_per_server=int(params["slots"]),
-        link_rate=units.gbps(params["link_gbps"]),
-        oversubscription=params["oversubscription"],
-        buffer_bytes=params["buffer_kb"] * units.KB)
-    guarantee = NetworkGuarantee(
-        bandwidth=units.mbps(params["bandwidth_mbps"]),
-        burst=params["burst_kb"] * units.KB,
-        delay=(params["delay_us"] * units.MICROS
-               if params["delay_us"] is not None else None),
-        peak_rate=(units.gbps(params["bmax_gbps"])
-                   if params["bmax_gbps"] is not None else None))
-    message_bytes = params["message_kb"] * units.KB
-    silo = SiloController(topology)
-    placements = []
-    for _ in range(int(params["class_a"])):
-        request = TenantRequest(n_vms=int(params["vms"]),
-                                guarantee=guarantee,
-                                tenant_class=TenantClass.CLASS_A)
-        admitted = silo.admit(request)
-        if admitted is not None:
-            placements.append(admitted.placement)
+        params = vars(args)
+    topology = _cli_topology(**_topology_params(params))
+    guarantee = _cli_guarantee(params["bandwidth_mbps"], params["burst_kb"],
+                               params["delay_us"], params["bmax_gbps"])
+    placements = _class_a_placements(topology, guarantee,
+                                     params["class_a"], params["vms"])
     meta = {"source": str(args.calibrate), "traces": len(artifacts),
-            "class_a": int(params["class_a"]),
-            "vms": int(params["vms"]),
+            "class_a": params["class_a"], "vms": params["vms"],
             "message_kb": params["message_kb"]}
     return fit_whatif_model(topology, placements, guarantee,
-                            message_bytes, artifacts, meta=meta)
+                            params["message_kb"] * units.KB, artifacts,
+                            meta=meta)
 
 
 def cmd_whatif(args: argparse.Namespace) -> int:
@@ -649,8 +603,12 @@ def cmd_whatif(args: argparse.Namespace) -> int:
     return 0 if scored else 1
 
 
-def _print_faults_result(result: dict, duration_ms: float) -> None:
-    """One faults cell's summary in the classic format."""
+def _print_faults_result(result: dict, seed: Optional[int],
+                         duration_ms: float) -> None:
+    """One faults cell's summary (under a seed header on a multi-seed
+    run)."""
+    if seed is not None:
+        print(f"--- seed {seed} ---")
     print(f"filled: {result['filled_tenants']} tenants on "
           f"{result['filled_slots']}/{result['total_slots']} "
           f"slots [{result['fill_audit']}]")
@@ -676,38 +634,20 @@ def cmd_faults(args: argparse.Namespace) -> int:
     :class:`~repro.placement.ClusterController`, and reports each
     tenant's fate (recovered / degraded / evicted) plus the
     SLO-violation totals (guarantee-seconds lost, time-to-recover).
-    With ``--out DIR`` the run goes through the campaign runner: each
-    seed's fault timeline, per-tenant report and placement event stream
+    The seed grid runs as a campaign; with ``--out DIR`` each seed's
+    fault timeline, per-tenant report and placement event stream
     land under ``<dir>/artifacts/<cell>/`` as ``faults.csv`` /
     ``recovery.csv`` / ``events.jsonl``; same-seed runs are
     byte-identical.
     """
-    from repro.campaign.scenarios import faults_cell
-    bad_spec = _check_faults_spec(args)
-    if bad_spec is not None:
-        return bad_spec
-    params = dict(policy=args.policy, occupancy=args.occupancy,
-                  faults=args.faults, duration_ms=args.duration_ms,
-                  **_topology_params(args))
-    if not args.out:
-        result = faults_cell(seed=args.seed, **params)
-        _print_faults_result(result, args.duration_ms)
-        return 0
-
-    from repro.campaign import SweepSpec
-    seeds = _seeds(args)
-    spec = SweepSpec(name="faults", scenario="faults_campaign", grid={},
-                     seeds=seeds, fixed=params)
-    result = _run_cli_campaign(spec, args)
-    if result.failed:
-        return _report_failures(result)
-    for record in result.records:
-        if len(seeds) > 1:
-            print(f"--- seed {record.cell.seed} ---")
-        _print_faults_result(record.result, args.duration_ms)
-    print(f"wrote {args.out}/manifest.json (faults.csv / recovery.csv "
-          f"/ events.jsonl per cell under artifacts/)")
-    return 0
+    return _run_sweep(
+        args, "faults", "faults_campaign", {},
+        dict(policy=args.policy, occupancy=args.occupancy,
+             faults=args.faults, duration_ms=args.duration_ms),
+        lambda result, seed: _print_faults_result(result, seed,
+                                                  args.duration_ms),
+        "faults.csv / recovery.csv / events.jsonl per cell under "
+        "artifacts/")
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
@@ -720,8 +660,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     ``--resume`` re-runs only the missing cells of an interrupted run;
     the merged output is byte-identical for any worker count.
     """
-    from repro.campaign import SweepSpec, get_sweep, list_sweeps, \
-        run_campaign
     if args.list:
         for name in list_sweeps():
             spec = get_sweep(name)
@@ -742,12 +680,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     except (KeyError, OSError, ValueError) as exc:
         return _spec_error("--name" if args.name else "--spec",
                            args.name or args.spec, exc)
-    result = run_campaign(spec, out=args.out, workers=args.workers,
-                          resume=args.resume, max_cells=args.max_cells,
-                          progress=_progress,
-                          cell_timeout=args.cell_timeout)
+    result = _run_spec(args, spec, args.max_cells)
     if result.failed:
-        return _report_failures(result)
+        return 1
     done = len(result.records)
     if args.max_cells is not None and done < len(spec):
         print(f"stopped after {done}/{len(spec)} cells (--max-cells); "
@@ -865,17 +800,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("admit", help="admission-control one tenant")
     _add_topology_args(p)
     p.add_argument("--vms", type=int, default=8)
-    p.add_argument("--bandwidth-mbps", type=float, default=250.0)
-    p.add_argument("--burst-kb", type=float, default=15.0)
-    p.add_argument("--delay-us", type=float, default=1000.0)
-    p.add_argument("--bmax-gbps", type=float, default=1.0)
+    _add_guarantee_args(p, 250.0)
     p.set_defaults(func=cmd_admit)
 
     p = sub.add_parser("bounds", help="message latency bound table")
-    p.add_argument("--bandwidth-mbps", type=float, default=250.0)
-    p.add_argument("--burst-kb", type=float, default=15.0)
-    p.add_argument("--delay-us", type=float, default=1000.0)
-    p.add_argument("--bmax-gbps", type=float, default=1.0)
+    _add_guarantee_args(p, 250.0)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("pace", help="void-packet wire schedule")
@@ -890,15 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_topology_args(p)
     p.add_argument("--occupancy", type=float, default=0.75)
     p.add_argument("--horizon", type=float, default=60.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace-out", metavar="PREFIX", default=None,
-                   help="write per-policy event JSONL, a link-utilization "
-                        "CSV and an admission-audit CSV")
-    p.add_argument("--faults", metavar="SPEC", default=None,
-                   help="inject failures mid-run: 'poisson:mtbf_ms=..,"
-                        "mttr_ms=..[,targets=link+server][,degrade=..]' "
-                        "or a JSON scenario file ('none' disables)")
-    _add_campaign_args(p)
+    _add_faults_arg(p)
+    _add_sweep_args(p)
     p.set_defaults(func=cmd_churn)
 
     p = sub.add_parser("hybrid",
@@ -930,11 +852,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "scales with it)")
     p.add_argument("--bg-compute-s", type=float, default=4.0,
                    help="background mean compute time (seconds)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--faults", metavar="SPEC", default=None,
-                   help="inject failures into the background cluster "
-                        "(same SPEC syntax as churn)")
-    _add_campaign_args(p)
+    _add_faults_arg(p)
+    _add_sweep_args(p)
     p.set_defaults(func=cmd_hybrid)
 
     p = sub.add_parser("trace",
@@ -944,10 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
     # traced traffic actually crosses switch ports (an 8-VM tenant fits
     # on one server and would only exercise its vswitch).
     p.add_argument("--vms", type=int, default=12)
-    p.add_argument("--bandwidth-mbps", type=float, default=1000.0)
-    p.add_argument("--burst-kb", type=float, default=15.0)
-    p.add_argument("--delay-us", type=float, default=1000.0)
-    p.add_argument("--bmax-gbps", type=float, default=1.0)
+    _add_guarantee_args(p, 1000.0)
     p.add_argument("--class-a", type=int, default=2,
                    help="epoch-burst (OLDI) tenants")
     p.add_argument("--class-b", type=int, default=1,
@@ -957,16 +873,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration-ms", type=float, default=20.0)
     p.add_argument("--queue-interval-us", type=float, default=50.0,
                    help="queue-depth time-series bucket width")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--faults", metavar="SPEC", default=None,
-                   help="inject port failures mid-run (same spec grammar "
-                        "as 'churn --faults')")
+    _add_faults_arg(p)
     from repro.mechanisms import mechanism_names
     p.add_argument("--mechanism", choices=mechanism_names(),
                    default="silo",
                    help="SLO mechanism running the data path "
                         "(placement still goes through Silo admission)")
-    _add_campaign_args(p)
+    _add_sweep_args(p)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("whatif",
@@ -983,10 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-model", metavar="JSON", default=None,
                    help="persist the fitted model (with --calibrate)")
     p.add_argument("--vms", type=int, default=12)
-    p.add_argument("--bandwidth-mbps", type=float, default=1000.0)
-    p.add_argument("--burst-kb", type=float, default=15.0)
-    p.add_argument("--delay-us", type=float, default=1000.0)
-    p.add_argument("--bmax-gbps", type=float, default=1.0)
+    _add_guarantee_args(p, 1000.0)
     p.add_argument("--class-a", type=int, default=1,
                    help="class-A tenants to place and score")
     p.add_argument("--message-kb", type=float, default=15.0)
@@ -999,13 +909,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=("silo", "oktopus", "locality"),
                    default="silo")
     p.add_argument("--occupancy", type=float, default=0.75)
-    p.add_argument("--faults", metavar="SPEC",
-                   default="poisson:mtbf_ms=5,mttr_ms=2",
-                   help="fault schedule spec (default: "
-                        "'poisson:mtbf_ms=5,mttr_ms=2')")
+    _add_faults_arg(p, "poisson:mtbf_ms=5,mttr_ms=2")
     p.add_argument("--duration-ms", type=float, default=50.0)
-    p.add_argument("--seed", type=int, default=0)
-    _add_campaign_args(p)
+    _add_sweep_args(p)
     p.set_defaults(func=cmd_faults)
 
     p = sub.add_parser("campaign",
@@ -1017,20 +923,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a registered sweep (see --list)")
     p.add_argument("--spec", metavar="JSON", default=None,
                    help="a SweepSpec JSON file (see docs/CAMPAIGNS.md)")
-    p.add_argument("--out", metavar="DIR", default=None,
-                   help="campaign directory (checkpoints, artifacts, "
-                        "manifest.json, merged.json)")
-    p.add_argument("--workers", type=int, default=0,
-                   help="worker processes (0 = serial in-process)")
-    p.add_argument("--resume", action="store_true",
-                   help="skip cells already checkpointed under --out")
+    _add_campaign_args(p)
     p.add_argument("--max-cells", type=int, default=None,
                    help="stop after N newly executed cells (simulates "
                         "a crash; finish later with --resume)")
-    p.add_argument("--cell-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="fail any cell that outruns this wall-clock "
-                        "budget instead of hanging the campaign")
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("serve",
@@ -1061,9 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot-every", type=int, default=200,
                    help="snapshot the books after this many completed "
                         "items (0 = WAL only)")
-    p.add_argument("--faults", metavar="SPEC", default=None,
-                   help="inject failures mid-run (same spec grammar "
-                        "as 'churn --faults')")
+    _add_faults_arg(p)
     p.add_argument("--kill-after", type=int, metavar="TICK",
                    default=None,
                    help="record the state digest after this tick and "

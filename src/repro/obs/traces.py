@@ -31,7 +31,7 @@ from typing import Dict, List, Tuple, Union
 __all__ = [
     "LatencyRecord", "QueueBucket", "TraceArtifacts",
     "read_latency_csv", "read_queues_csv", "port_kind_of",
-    "find_trace_artifacts",
+    "find_trace_artifacts", "LATENCY_COLUMNS", "QUEUE_COLUMNS",
 ]
 
 
@@ -78,9 +78,11 @@ class TraceArtifacts:
         return read_queues_csv(self.queues_path)
 
 
-_LATENCY_COLUMNS = ("tenant_id", "src_vm", "dst_vm", "size", "start",
+#: The artifact schemas, shared with the writers in
+#: :mod:`repro.campaign.scenarios`.
+LATENCY_COLUMNS = ("tenant_id", "src_vm", "dst_vm", "size", "start",
                     "finish", "latency", "rto_events")
-_QUEUE_COLUMNS = ("port", "time", "count", "mean", "min", "max", "last")
+QUEUE_COLUMNS = ("port", "time", "count", "mean", "min", "max", "last")
 
 
 def _check_header(path: Path, header, expected: Tuple[str, ...]) -> None:
@@ -100,7 +102,7 @@ def read_latency_csv(path: Union[str, Path]) -> List[LatencyRecord]:
     records: List[LatencyRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        _check_header(path, next(reader, None), _LATENCY_COLUMNS)
+        _check_header(path, next(reader, None), LATENCY_COLUMNS)
         for row in reader:
             records.append(LatencyRecord(
                 tenant_id=int(row[0]), src_vm=int(row[1]),
@@ -117,7 +119,7 @@ def read_queues_csv(path: Union[str, Path]
     series: Dict[str, List[QueueBucket]] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        _check_header(path, next(reader, None), _QUEUE_COLUMNS)
+        _check_header(path, next(reader, None), QUEUE_COLUMNS)
         for row in reader:
             bucket = QueueBucket(
                 port=row[0], time=float(row[1]), count=int(row[2]),

@@ -119,7 +119,8 @@ class PacketNetwork:
         known = {"tcp", "dctcp", "hull", "silo", "okto", "okto+",
                  "swp", "eyeq"}
         if scheme not in known:
-            raise ValueError(f"unknown scheme {scheme!r}; pick from {known}")
+            raise ValueError(f"unknown scheme {scheme!r}; pick from "
+                             f"{sorted(known)}")
         self.topology = topology
         # The shared event core by default; an injected ``sim`` (e.g. the
         # retained ``phynet.engine.Simulator`` reference, or an engine

@@ -21,7 +21,11 @@ def small_topo():
 
 class TestNetworkConstruction:
     def test_scheme_validation(self):
-        with pytest.raises(ValueError):
+        # The choices render sorted: the text must not vary with
+        # PYTHONHASHSEED.
+        with pytest.raises(ValueError, match=r"pick from \['dctcp', "
+                           r"'eyeq', 'hull', 'okto', 'okto\+', 'silo', "
+                           r"'swp', 'tcp'\]"):
             PacketNetwork(small_topo(), scheme="carrier-pigeon")
 
     def test_vm_validation(self):

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gc
 import json
 import os
 import shlex
@@ -22,6 +23,13 @@ def campaign_artifacts(out_dir, cell=0):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     return {path.rsplit("/", 1)[-1]: out_dir / path
             for path in manifest["cells"][cell]["artifacts"]}
+
+
+def churn_artifacts(out_dir):
+    """policy -> {artifact name -> path} for a single-seed churn dir."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    return {cell["params"]["policy"]: campaign_artifacts(out_dir, index)
+            for index, cell in enumerate(manifest["cells"])}
 
 
 class TestAdmit:
@@ -111,20 +119,22 @@ class TestTrace:
         assert code == 0
         assert "traced" in out and "events" in out
 
-    def test_churn_trace_out_writes_per_policy_files(self, capsys,
-                                                     tmp_path):
-        prefix = str(tmp_path / "churn")
+    def test_churn_out_writes_per_policy_files(self, capsys, tmp_path):
+        out_dir = tmp_path / "churn"
         code = main(["churn", "--pods", "1", "--racks-per-pod", "2",
                      "--servers-per-rack", "4", "--slots", "4",
                      "--horizon", "5", "--occupancy", "0.5",
-                     "--trace-out", prefix])
+                     "--out", str(out_dir)])
         out = capsys.readouterr().out
         assert code == 0
         assert "admitted=" in out  # the audit summary line
-        for policy in ("locality", "oktopus", "silo"):
-            assert (tmp_path / f"churn.{policy}.events.jsonl").exists()
-            assert (tmp_path / f"churn.{policy}.admission.csv").exists()
-            assert (tmp_path / f"churn.{policy}.util.csv").exists()
+        by_policy = churn_artifacts(out_dir)
+        assert sorted(by_policy) == ["locality", "oktopus", "silo"]
+        for artifacts in by_policy.values():
+            for name in ("events.jsonl", "admission.csv", "util.csv"):
+                assert artifacts[name].exists()
+        with pytest.raises(SystemExit):  # the legacy prefix mode is gone
+            build_parser().parse_args(["churn", "--trace-out", "x"])
 
     def test_pace_trace_out_writes_stamp_events(self, capsys, tmp_path):
         path = str(tmp_path / "pace.jsonl")
@@ -196,16 +206,17 @@ class TestFaults:
 
     def test_churn_with_faults_writes_recovery_csvs(self, capsys,
                                                     tmp_path):
-        prefix = str(tmp_path / "churn")
+        out_dir = tmp_path / "churn"
         code = main(["churn", *SMALL_TOPO, "--horizon", "5",
                      "--occupancy", "0.5", "--seed", "2",
                      "--faults", "poisson:mtbf_ms=500,mttr_ms=200",
-                     "--trace-out", prefix])
+                     "--out", str(out_dir)])
         out = capsys.readouterr().out
         assert code == 0
         assert "faults: affected=" in out
+        by_policy = churn_artifacts(out_dir)
         for policy in ("locality", "oktopus", "silo"):
-            path = tmp_path / f"churn.{policy}.recovery.csv"
+            path = by_policy[policy]["recovery.csv"]
             assert path.exists(), path
 
     def test_trace_with_faults_reports_and_dumps_schedule(self, capsys,
@@ -302,20 +313,86 @@ class TestChurnCampaign:
         # Tenant ids come from a process-global counter, so cross-run
         # identity is checked in fresh interpreters.
         def run(sub):
-            prefix = str(tmp_path / sub / "c")
-            (tmp_path / sub).mkdir()
+            out_dir = tmp_path / sub
             subprocess.run(
                 [sys.executable, "-m", "repro", "churn", *SMALL_TOPO,
                  "--horizon", "5", "--occupancy", "0.5", "--seed", "4",
                  "--faults", "poisson:mtbf_ms=500,mttr_ms=200",
-                 "--trace-out", prefix],
+                 "--out", str(out_dir)],
                 check=True, capture_output=True)
+            by_policy = churn_artifacts(out_dir)
             return b"".join(
-                open(f"{prefix}.{p}.{kind}", "rb").read()
+                by_policy[p][kind].read_bytes()
                 for p in ("locality", "oktopus", "silo")
                 for kind in ("admission.csv", "recovery.csv", "util.csv"))
 
-        assert run("a") == run("b")
+        first = run("a")
+        assert first and first == run("b")
+
+
+#: Exact stdout of the four sweep-backed commands without ``--out``,
+#: captured at the commit before they moved onto one run path (each in
+#: a fresh interpreter: tenant ids come from a process-global counter).
+GOLDEN_STDOUT = json.loads(
+    (REPO / "tests" / "golden_cli_stdout.json").read_text(encoding="utf-8"))
+
+
+def run_repro(argv):
+    """``python -m repro <argv>`` in a fresh interpreter; its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("command", GOLDEN_STDOUT,
+                         ids=lambda c: c.split()[0])
+class TestSweepBackedCommands:
+    """churn/trace/faults/hybrid have one run path -- the campaign
+    runner, in memory without ``--out`` -- so stdout is pinned once and
+    the campaign flags mean the same with and without ``--out``."""
+
+    def test_stdout_without_out_is_byte_identical(self, command):
+        assert run_repro(shlex.split(command)) == GOLDEN_STDOUT[command]
+
+    def test_same_lines_precede_the_out_trailer(self, command, tmp_path):
+        out = run_repro([*shlex.split(command), "--out",
+                         str(tmp_path / "c")])
+        *body, trailer = out.splitlines(keepends=True)
+        assert trailer.startswith(f"wrote {tmp_path / 'c'}/manifest.json")
+        # The ring-buffer note is the one line that is about not having
+        # --out; everything else must match.
+        expected = [line
+                    for line in GOLDEN_STDOUT[command].splitlines(True)
+                    if "use --out to keep them" not in line]
+        assert body == expected
+
+    def test_seeds_workers_and_timeout_work_without_out(self, command,
+                                                        capsys):
+        argv = shlex.split(command)
+        at = argv.index("--seed")
+        argv[at:at + 2] = ["--seeds", "1", "2"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        # Both seeds ran and printed: each is tagged, and seed 2's
+        # numbers are what a plain --seed 2 run prints (the multi-seed
+        # run only adds a seed tag before "admitted" or a header line).
+        assert "seed=1" in serial or "seed 1" in serial
+        assert "seed=2" in serial or "seed 2" in serial
+        assert main([*argv[:at], "--seed", "2", *argv[at + 3:]]) == 0
+        for line in capsys.readouterr().out.splitlines():
+            at_tag = line.find("admitted")
+            assert line[max(at_tag, 0):] in serial
+        assert main([*argv, "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        # Collect first: an alarm that lands inside a finalizer of some
+        # earlier test's garbage is swallowed as "unraisable".
+        gc.collect()
+        assert main([*argv, "--cell-timeout", "0.001"]) == 1
+        assert "cell FAILED" in capsys.readouterr().err
 
 
 def readme_cli_commands():
