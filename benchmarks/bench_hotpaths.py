@@ -1,19 +1,20 @@
 """Hot-path performance harness: admission, fluid simulation, max-min.
 
-Times the three optimized hot paths against their reference (seed)
-implementations at several scales, asserts the optimized and reference
+Times the three shipped hot paths against the seed implementations kept
+as test oracles under ``tests/oracles/`` at several scales, asserts the
 results agree (admission decisions bit-identical; simulator stats and
 max-min allocations to 1e-6 relative), and writes the measurements to
 ``BENCH_hotpaths.json``:
 
 * **placement** -- a churning admission campaign over
-  :class:`SiloPlacementManager` with ``fast_paths=True`` (closed-form
-  dual-rate bounds, binary-search fill, O(1) domain skipping) vs
-  ``fast_paths=False`` (Curve-per-probe, linear scans, as seeded);
+  :class:`SiloPlacementManager` (closed-form dual-rate bounds,
+  binary-search fill, O(1) domain skipping) vs
+  ``seed_admission.SeedSiloPlacementManager`` (Curve-per-probe, linear
+  scans, as seeded);
 * **flowsim** -- :class:`ClusterSim` (heap-driven events, lazy fluids)
-  vs :class:`ReferenceClusterSim` (rescan every flow every event);
+  vs ``seed_flowsim.ReferenceClusterSim`` (rescan every flow every event);
 * **maxmin** -- :func:`max_min_fair` (water-level with link->flow
-  incidence) vs :func:`max_min_fair_reference` (textbook rounds).
+  incidence) vs ``seed_maxmin.max_min_fair_reference`` (textbook rounds).
 
 Run::
 
@@ -39,18 +40,21 @@ import time
 from pathlib import Path
 
 _REPO = Path(__file__).resolve().parents[1]
-if str(_REPO / "src") not in sys.path:
-    sys.path.insert(0, str(_REPO / "src"))
+for _dir in (_REPO / "src", _REPO / "tests" / "oracles"):
+    if str(_dir) not in sys.path:
+        sys.path.insert(0, str(_dir))
 
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import TenantClass, TenantRequest
-from repro.flowsim import (ClusterSim, ReferenceClusterSim, TenantWorkload,
-                           WorkloadConfig)
-from repro.maxmin import (IncrementalMaxMin, max_min_fair,
-                          max_min_fair_reference)
+from repro.flowsim import ClusterSim, TenantWorkload, WorkloadConfig
+from repro.maxmin import IncrementalMaxMin, max_min_fair
 from repro.placement import SiloPlacementManager
 from repro.topology import TreeTopology
+
+from seed_admission import SeedSiloPlacementManager
+from seed_flowsim import ReferenceClusterSim
+from seed_maxmin import max_min_fair_reference
 
 #: Relative agreement demanded between optimized and reference results.
 TOLERANCE = 1e-6
@@ -133,8 +137,7 @@ def bench_placement(quick: bool) -> dict:
         t0 = time.perf_counter()
         fast_decisions, fast_layouts = _run_campaign(fast, n_requests, seed)
         fast_s = time.perf_counter() - t0
-        ref = SiloPlacementManager(_campaign_topology(pods, racks),
-                                   fast_paths=False)
+        ref = SeedSiloPlacementManager(_campaign_topology(pods, racks))
         t0 = time.perf_counter()
         ref_decisions, ref_layouts = _run_campaign(ref, n_requests, seed)
         ref_s = time.perf_counter() - t0

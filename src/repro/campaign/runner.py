@@ -49,6 +49,10 @@ __all__ = ["CellRecord", "CampaignResult", "CellTimeout", "run_campaign"]
 #: is a property of the data alone.
 _JSON_KW = dict(sort_keys=True, indent=1)
 
+#: Seconds between repeats of an expired cell alarm (see :func:`_alarm`):
+#: short against any budget worth setting, long against a signal handler.
+_ALARM_REPEAT_S = 0.05
+
 
 class CellTimeout(RuntimeError):
     """A cell exceeded the campaign's per-cell wall-clock budget."""
@@ -155,19 +159,33 @@ def _alarm(timeout: Optional[float]):
     Works in the serial path and inside pool workers alike: both run
     cells on their process's main thread, the only place Python
     delivers SIGALRM.
+
+    The timer repeats every :data:`_ALARM_REPEAT_S` after the first
+    expiry: an exception raised while the interpreter is inside a
+    ``__del__``, weakref or gc callback is printed as "Exception
+    ignored in ..." and dropped, and a one-shot timer would then leave
+    the cell running with no budget at all.
     """
     if timeout is None:
         yield
         return
 
+    armed = True
+
     def _on_alarm(signum, frame):
-        raise CellTimeout(f"cell exceeded {timeout:g}s wall-clock budget")
+        if armed:
+            raise CellTimeout(
+                f"cell exceeded {timeout:g}s wall-clock budget")
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
+    signal.setitimer(signal.ITIMER_REAL, timeout, _ALARM_REPEAT_S)
     try:
         yield
     finally:
+        # Cleared first: ``signal.signal`` runs pending handlers before
+        # it swaps them, and a repeat that raised out of this teardown
+        # would leave the timer armed for the rest of the process.
+        armed = False
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
 

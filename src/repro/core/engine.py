@@ -1,18 +1,20 @@
 """Shared discrete-event core for every simulator fidelity.
 
 Both simulators used to own their event machinery: the packet engine
-(:mod:`repro.phynet.engine`) kept a callback heap, and the fluid
-simulator (:mod:`repro.flowsim.sim`) kept its own clock and sequence
-counter inside its run loop.  This module factors the common core --
+kept a callback heap (that seed loop is now the test oracle
+``tests/oracles/seed_engine.py``), and the fluid simulator
+(:mod:`repro.flowsim.sim`) kept its own clock and sequence counter
+inside its run loop.  This module factors the common core --
 calendar queue, deterministic tie-breaking, and trace-sink wiring -- so
 fidelity becomes a property of the *consumer*, not of the event
 machinery:
 
 * **Callback consumers** (the packet network) use the full loop:
   :meth:`EventEngine.schedule` / :meth:`EventEngine.schedule_at` /
-  :meth:`EventEngine.run`, with the exact semantics of the retained
-  reference ``phynet/engine.Simulator`` (events stamped exactly at
-  ``until`` still fire; simultaneous events fire in scheduling order).
+  :meth:`EventEngine.run`, with the exact semantics of the seed loop
+  (events stamped exactly at ``until`` still fire; simultaneous events
+  fire in scheduling order;
+  ``tests/core/test_engine_equivalence.py`` compares the two).
 * **Loop consumers** (the fluid simulator) keep their own specialized
   heaps for epoch-invalidated finish predictions but draw the clock
   (:attr:`EventEngine.now`), tie-breaking sequence numbers
@@ -45,12 +47,11 @@ __all__ = ["EventEngine"]
 class EventEngine:
     """Event loop with O(log n) scheduling and O(1) cancellation.
 
-    Drop-in compatible with the retained ``phynet/engine.Simulator``
-    reference (same ``now`` / ``tracer`` / ``schedule`` /
-    ``schedule_at`` / ``run`` / ``stop`` / ``pending_events`` surface
-    and semantics), plus the extensions that let both fidelities share
-    it: cancellation handles, an exported sequence counter, and guarded
-    trace emission.
+    Same ``now`` / ``tracer`` / ``schedule`` / ``schedule_at`` / ``run``
+    / ``stop`` / ``pending_events`` surface and semantics as the seed
+    packet loop it replaced, plus the extensions that let both
+    fidelities share it: cancellation handles, an exported sequence
+    counter, and guarded trace emission.
     """
 
     __slots__ = ("now", "tracer", "_queue", "_sequence", "_running")
@@ -119,8 +120,8 @@ class EventEngine:
         """Drain events until the queue empties or ``until`` is reached.
 
         Returns the virtual time at which the run stopped.  Events
-        stamped exactly at ``until`` still fire, matching the reference
-        engine's contract.
+        stamped exactly at ``until`` still fire, matching the seed
+        loop's contract.
         """
         self._running = True
         queue = self._queue

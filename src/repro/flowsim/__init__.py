@@ -8,7 +8,6 @@ capacities (ideal TCP under locality placement).
 """
 
 from repro.flowsim.job import FlowState, TenantJob
-from repro.flowsim.reference import ReferenceClusterSim
 from repro.flowsim.sim import ClusterSim, ClusterStats
 from repro.flowsim.workload import TenantWorkload, WorkloadConfig
 
@@ -17,7 +16,6 @@ __all__ = [
     "TenantJob",
     "ClusterSim",
     "ClusterStats",
-    "ReferenceClusterSim",
     "TenantWorkload",
     "WorkloadConfig",
 ]

@@ -19,10 +19,10 @@ job compute-end timers.  Rate changes invalidate a flow's scheduled
 finish by bumping its epoch; stale heap entries are discarded on pop.
 Carried bytes are integrated from an aggregate carried-rate sum rather
 than per flow.  An event therefore costs O(affected flows · log n)
-instead of the O(total flows) rescan of the original implementation,
-which is preserved verbatim as
-:class:`repro.flowsim.reference.ReferenceClusterSim` and asserted
-equivalent by the property tests and ``benchmarks/bench_hotpaths.py``.
+instead of the O(total flows) rescan of the original implementation.
+That seed loop is the test oracle ``tests/oracles/seed_flowsim.py``;
+``tests/flowsim/test_sim_equivalence.py`` and
+``benchmarks/bench_hotpaths.py`` assert the two produce the same stats.
 
 What carries the simulator to the paper's 32K-server scale is that
 shared rates come from a persistent
@@ -53,7 +53,7 @@ from repro.placement.controller import OUTCOME_EVICTED, ClusterController
 
 _SHARING = ("reserved", "maxmin")
 
-#: Event-time slop, matching the reference loop's arrival/completion slop.
+#: Event-time slop, matching the seed loop's arrival/completion slop.
 _TIME_EPS = 1e-12
 
 
@@ -72,8 +72,7 @@ class ClusterStats:
     evicted_jobs: int = 0
     #: Jobs whose flows were moved onto a new placement after a fault.
     rerouted_jobs: int = 0
-    #: Highest number of simultaneously undrained flows (``ClusterSim``
-    #: only; the reference simulator leaves it 0).
+    #: Highest number of simultaneously undrained flows.
     peak_concurrent_flows: int = 0
 
     @property
@@ -456,7 +455,7 @@ class ClusterSim:
         flow.epoch += 1
         self.rate_update_count += 1
         if rate > 0.0 and flow.remaining > _DONE_EPS:
-            # Same nanosecond clamp as the reference loop, so time always
+            # Same nanosecond clamp as the seed loop, so time always
             # advances even when remaining/rate underflows next to `now`.
             finish = now + max(flow.remaining / rate, 1e-9)
             heappush(self._flow_events,
@@ -517,7 +516,7 @@ class ClusterSim:
         if not self._ready:
             return False
         if len(self._ready) > 1:
-            # The reference loop collects same-instant finishers in
+            # The seed loop collects same-instant finishers in
             # admission order (its jobs-dict scan); match it.
             self._ready.sort(key=self._admit_order.__getitem__)
         for tenant_id in self._ready:
@@ -735,7 +734,7 @@ class ClusterSim:
             # Completions.
             finished = self._finish_ready(now)
             if not progressed and not finished and pending is None:
-                # No progress possible: mirror the reference loop's
+                # No progress possible: mirror the seed loop's
                 # defensive stuck check (rare; O(jobs) is fine here).
                 remaining_ends = [job.arrival + job.compute_time
                                   for job in self.jobs.values()

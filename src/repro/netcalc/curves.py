@@ -26,6 +26,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
+#: Prune tolerance of :func:`_prune` (equal-rate dedup, dominated pieces,
+#: empty active intervals).  ``netcalc.fastbounds`` and
+#: ``placement.state`` import it so their closed forms prune exactly as
+#: the Curve does.
 _EPS = 1e-12
 
 
@@ -63,7 +67,7 @@ def _prune(pieces: Iterable[AffinePiece]) -> List[AffinePiece]:
     deduped: List[AffinePiece] = []
     for piece in by_rate:
         if deduped and math.isclose(deduped[-1].rate, piece.rate,
-                                    rel_tol=1e-12, abs_tol=_EPS):
+                                    rel_tol=_EPS, abs_tol=_EPS):
             # Effectively equal rates: only the lowest burst survives.
             if piece.burst < deduped[-1].burst:
                 deduped[-1] = piece

@@ -12,10 +12,12 @@ arithmetic deliberately mirrors, operation for operation, what
 ``Curve([...])`` + :func:`~repro.netcalc.bounds.backlog_bound` /
 :func:`~repro.netcalc.bounds.delay_bound` would do -- including the prune
 epsilons, the breakpoint evaluation order and the stability test -- so the
-fast path is **bit-identical** to the reference path, not merely close.
-The Curve-based path stays available as a cross-check oracle
-(``PortState.backlog_reference`` etc.) and the property tests in
-``tests/placement/test_fast_admission.py`` assert exact agreement.
+closed form is **bit-identical** to the Curve-built bounds, not merely
+close.  The Curve-built bounds are the test oracle
+``tests/oracles/seed_admission.py``; the property tests in
+``tests/placement/test_fast_admission.py`` assert exact agreement.  The
+prune tolerance and the stability slack are imported, not restated, so
+the two cannot drift apart.
 """
 
 from __future__ import annotations
@@ -23,12 +25,8 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-#: Must match ``repro.netcalc.curves._EPS`` (the prune tolerance).
-_EPS = 1e-12
-
-#: Must match ``repro.netcalc.bounds._REL_TOL`` (the relative stability
-#: slack) -- the fast and reference paths are asserted bit-identical.
-_REL_TOL = 1e-9
+from repro.netcalc.bounds import _REL_TOL
+from repro.netcalc.curves import _EPS
 
 _INF = math.inf
 
@@ -45,7 +43,7 @@ def _effective_pieces(bandwidth: float, burst: float, peak: float,
     if peak <= bandwidth or burst <= slack:
         return ((bandwidth, burst),)
     # _prune sorts by rate descending: [(peak, slack), (bandwidth, burst)].
-    if math.isclose(peak, bandwidth, rel_tol=1e-12, abs_tol=_EPS):
+    if math.isclose(peak, bandwidth, rel_tol=_EPS, abs_tol=_EPS):
         # Equal-rate dedup keeps the lower burst (the slack piece).
         return ((peak, slack),)
     if burst <= slack + _EPS:

@@ -13,7 +13,6 @@ void-packet wire realisation is modelled and validated separately in
 serialization times).
 """
 
-from repro.phynet.engine import Simulator
 from repro.phynet.packet import Packet, PRIORITY_GUARANTEED, PRIORITY_BEST_EFFORT
 from repro.phynet.port import OutputPort, PortStats
 from repro.phynet.network import PacketNetwork, VirtualMachine
@@ -26,7 +25,6 @@ from repro.phynet.transport.hull import HullTcp
 from repro.phynet.transport.swp import SwpTransport
 
 __all__ = [
-    "Simulator",
     "Packet",
     "PRIORITY_GUARANTEED",
     "PRIORITY_BEST_EFFORT",

@@ -122,10 +122,10 @@ class PacketNetwork:
             raise ValueError(f"unknown scheme {scheme!r}; pick from "
                              f"{sorted(known)}")
         self.topology = topology
-        # The shared event core by default; an injected ``sim`` (e.g. the
-        # retained ``phynet.engine.Simulator`` reference, or an engine
-        # shared with another fidelity) is honoured as long as it speaks
-        # the same surface.
+        # The shared event core by default; an injected ``sim`` (an engine
+        # shared with another fidelity, or the seed loop the tests keep in
+        # ``tests/oracles/seed_engine.py``) is honoured as long as it
+        # speaks the same surface.
         self.sim = sim if sim is not None else EventEngine()
         self.scheme = scheme
         self.coordination_interval = coordination_interval

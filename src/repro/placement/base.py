@@ -56,7 +56,6 @@ class PlacementManager(abc.ABC):
     def __init__(self, topology: TreeTopology,
                  min_fault_domains: int = 1,
                  hose_tightening: bool = True,
-                 fast_paths: bool = True,
                  audit: Optional[AdmissionAudit] = None,
                  tracer=None) -> None:
         """Args:
@@ -68,12 +67,6 @@ class PlacementManager(abc.ABC):
                 ``min(m, N-m) * B`` when summing tenant curves; disabling
                 it falls back to the naive ``m * B`` (the ablation knob
                 for how much admission capacity the tightening buys).
-            fast_paths: use the optimized admission hot paths (closed-form
-                port bounds, cached per-domain free-slot totals, binary
-                search over per-server VM counts).  ``False`` falls back
-                to the reference implementations -- kept as the
-                cross-check oracle for ``benchmarks/bench_hotpaths.py``;
-                both modes make identical admission decisions.
             audit: optional :class:`~repro.placement.audit.AdmissionAudit`
                 recording every decision with its binding constraint.
             tracer: optional :class:`repro.obs.TraceSink`; each decision
@@ -86,7 +79,6 @@ class PlacementManager(abc.ABC):
         self.topology = topology
         self.min_fault_domains = min_fault_domains
         self.hose_tightening = hose_tightening
-        self.fast_paths = fast_paths
         self.states: Dict[int, PortState] = {
             port.port_id: PortState(port) for port in topology.ports
         }
@@ -452,7 +444,7 @@ class PlacementManager(abc.ABC):
         allowed = self._allowed_scope(request)
         if allowed is None:
             return None
-        if self.fast_paths and self._total_free < request.n_vms:
+        if self._total_free < request.n_vms:
             return None  # not enough slots anywhere: every scope fails
         for scope in SCOPES[:SCOPES.index(allowed) + 1]:
             assignment = self._search_scope(request, scope)
@@ -501,15 +493,11 @@ class PlacementManager(abc.ABC):
     def _single_server_candidates(self, n_vms: int) -> Iterable[int]:
         """Servers worth probing for a whole-tenant single-server fit.
 
-        The fast path walks racks and skips every rack whose cached free
-        total is below ``n_vms`` -- no single server inside can fit the
-        tenant either -- which prunes most of a large datacenter in O(1)
-        per rack.  The slow path scans all servers (the seed behaviour).
+        Walks racks and skips every rack whose cached free total is below
+        ``n_vms`` -- no single server inside can fit the tenant either --
+        which prunes most of a large datacenter in O(1) per rack.
         """
         topo = self.topology
-        if not self.fast_paths:
-            yield from range(topo.n_servers)
-            return
         per_rack = topo.servers_per_rack
         for rack in range(topo.n_racks):
             if self._rack_free[rack] < n_vms:
@@ -526,30 +514,20 @@ class PlacementManager(abc.ABC):
         return list(range(topo.n_servers))
 
     def _domain_free(self, scope: str, domain: int) -> int:
-        """Free slots in one search domain, O(1) on the fast path."""
-        if self.fast_paths:
-            if scope == "rack":
-                return self._rack_free[domain]
-            if scope == "pod":
-                return self._pod_free[domain]
-            return self._total_free
-        return sum(self.free_slots[s]
-                   for s in self._domain_servers(scope, domain))
+        """Free slots in one search domain, O(1) from the cached totals."""
+        if scope == "rack":
+            return self._rack_free[domain]
+        if scope == "pod":
+            return self._pod_free[domain]
+        return self._total_free
 
     def _domain_pristine_id(self, scope: str, domain: int) -> bool:
         """True when no server in the domain hosts anything yet."""
-        if self.fast_paths:
-            if scope == "rack":
-                return self._rack_touched[domain] == 0
-            if scope == "pod":
-                return self._pod_touched[domain] == 0
-            return self._total_free == self.topology.n_slots
-        return self._domain_pristine(self._domain_servers(scope, domain))
-
-    def _domain_pristine(self, servers: Sequence[int]) -> bool:
-        """True when no server in the domain hosts anything yet."""
-        full = self.topology.slots_per_server
-        return all(self.free_slots[s] == full for s in servers)
+        if scope == "rack":
+            return self._rack_touched[domain] == 0
+        if scope == "pod":
+            return self._pod_touched[domain] == 0
+        return self._total_free == self.topology.n_slots
 
     def _fill(self, request: TenantRequest, available: Sequence[int],
               strategy: str, scope: str) -> Optional[Dict[int, int]]:
@@ -606,14 +584,15 @@ class PlacementManager(abc.ABC):
             return want  # uncongested common case: one probe
         if want <= 1:
             return 0
-        if self.fast_paths and 2 * want <= request.n_vms:
+        if 2 * want <= request.n_vms:
             # Monotone regime: every probed m sits on the rising half of
             # the tightened hose min(m, N-m), so the uplink contribution
             # grows componentwise with m and ok(m) is non-increasing, and
             # the largest passing m binary-searches in O(log want).  (The
             # downlink check mixes a growing bandwidth term with shrinking
             # burst/slack terms; bench_hotpaths and the placement property
-            # tests assert fast/reference decisions stay identical.)
+            # tests assert the decisions equal the seed's linear scan,
+            # tests/oracles/seed_admission.py.)
             lo, hi = 0, want - 1  # lo: known-good floor (0 = none)
             while lo < hi:
                 mid = (lo + hi + 1) // 2
@@ -763,19 +742,13 @@ class PlacementManager(abc.ABC):
         ``(m_senders, k_servers, kind, scope)``, so it is memoised per
         request (the memo is cleared on entry to :meth:`place`).
         """
-        if self.fast_paths:
-            # Keyed by kind.value: hashing an Enum member goes through a
-            # Python-level __hash__, hashing its interned string does not.
-            key = (m_senders, k_servers, kind.value, scope)
-            cached = self._contribution_memo.get(key)
-            if cached is not None:
-                return cached
-            upstream = self._upstream_qcap[(kind.value, scope)]
-        else:
-            # Reference mode recomputes from the topology every time, as
-            # the seed implementation did (kept as the timing baseline).
-            key = None
-            upstream = self.topology.upstream_queue_capacity(kind, scope)
+        # Keyed by kind.value: hashing an Enum member goes through a
+        # Python-level __hash__, hashing its interned string does not.
+        key = (m_senders, k_servers, kind.value, scope)
+        cached = self._contribution_memo.get(key)
+        if cached is not None:
+            return cached
+        upstream = self._upstream_qcap[(kind.value, scope)]
         guarantee = request.guarantee
         n = request.n_vms
         if guarantee is None or m_senders <= 0 or m_senders >= n:
@@ -795,8 +768,7 @@ class PlacementManager(abc.ABC):
             peak = max(bandwidth, capped)
             contribution = Contribution(bandwidth=bandwidth, burst=burst,
                                         peak_rate=peak, packet_slack=slack)
-        if key is not None:
-            self._contribution_memo[key] = contribution
+        self._contribution_memo[key] = contribution
         return contribution
 
     # -- bookkeeping ---------------------------------------------------------------

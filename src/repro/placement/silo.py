@@ -34,6 +34,4 @@ class SiloPlacementManager(PlacementManager):
 
     def _port_ok(self, state: PortState,
                  contribution: Contribution) -> bool:
-        if self.fast_paths:
-            return state.admits(contribution)
-        return state.admits_reference(contribution)
+        return state.admits(contribution)

@@ -13,16 +13,15 @@ is also admitted by the exact analysis.  This keeps admission O(1) per port
 regardless of tenant count, which is what lets the placement manager handle
 the paper's 100K-host scalability target (section 5).
 
-Two equivalent evaluation paths exist for the rebuilt curve's bounds:
-
-* the **fast path** (default) evaluates the dual-rate backlog/delay in
-  closed form (:mod:`repro.netcalc.fastbounds`) without allocating a
-  :class:`~repro.netcalc.curves.Curve` -- this is what admission probes
-  use, since millions of them run per placement campaign;
-* the **reference path** (``*_reference`` methods) rebuilds the Curve and
-  runs the generic network-calculus bounds; it is kept as a cross-check
-  oracle and the two are asserted bit-identical by the property tests and
-  ``benchmarks/bench_hotpaths.py``.
+The rebuilt curve's bounds are evaluated in closed form
+(:mod:`repro.netcalc.fastbounds`) without allocating a
+:class:`~repro.netcalc.curves.Curve`, since millions of admission probes
+run per placement campaign.  Building the Curve from
+:meth:`PortState.aggregate_curve` and running the generic network-calculus
+bounds on it gives the same numbers; that is the test oracle
+``tests/oracles/seed_admission.py``, asserted identical by
+``tests/placement/test_fast_admission.py`` and
+``benchmarks/bench_hotpaths.py``.
 """
 
 from __future__ import annotations
@@ -32,11 +31,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro import units
-from repro.netcalc.bounds import backlog_bound, delay_bound
 from repro.netcalc.curves import Curve
 from repro.netcalc.fastbounds import (_EPS, _REL_TOL, dual_rate_backlog,
                                       dual_rate_delay)
-from repro.netcalc.service import RateLatencyService
 from repro.topology.switch import Port
 
 _MTU = units.MTU
@@ -71,7 +68,7 @@ class PortState:
     """Running reservation totals for one port."""
 
     __slots__ = ("port", "bandwidth", "burst", "peak_rate", "packet_slack",
-                 "_service", "_capacity", "_buffer_limit")
+                 "_capacity", "_buffer_limit")
 
     def __init__(self, port: Port):
         self.port = port
@@ -79,8 +76,7 @@ class PortState:
         self.burst = 0.0
         self.peak_rate = 0.0
         self.packet_slack = 0.0
-        self._service = RateLatencyService(rate=port.capacity)
-        # Hoisted constants for the admission fast path.  The buffer limit
+        # Hoisted constants for the admission probe.  The buffer limit
         # carries *relative* slack: at buffer magnitudes (hundreds of KB)
         # an absolute epsilon is either below one ulp (no effect) or an
         # arbitrary absolute tolerance; a relative one tracks float drift
@@ -138,7 +134,8 @@ class PortState:
 
     def _totals(self, extra: Optional[Contribution]):
         """The conditioned dual-rate totals the aggregate curve is built
-        from (shared by the fast and reference paths)."""
+        from (shared by the closed-form bounds and
+        :meth:`aggregate_curve`)."""
         bandwidth = self.bandwidth
         burst = self.burst
         peak = self.peak_rate
@@ -179,16 +176,6 @@ class PortState:
         return dual_rate_backlog(bandwidth, burst, peak, slack,
                                  self._capacity)
 
-    def queue_bound_reference(self,
-                              extra: Optional[Contribution] = None) -> float:
-        """Curve-based oracle for :meth:`queue_bound` (cross-check only)."""
-        return delay_bound(self.aggregate_curve(extra), self._service)
-
-    def backlog_reference(self,
-                          extra: Optional[Contribution] = None) -> float:
-        """Curve-based oracle for :meth:`backlog` (cross-check only)."""
-        return backlog_bound(self.aggregate_curve(extra), self._service)
-
     def admits(self, extra: Contribution) -> bool:
         """Silo's first constraint: queue bound within queue capacity.
 
@@ -200,7 +187,8 @@ class PortState:
         ``_server_ok`` probe lands here twice), so the ``_totals`` +
         :func:`dual_rate_backlog` pipeline is inlined with ``latency=0``
         folded through.  The arithmetic is operation-for-operation the
-        same; ``admits_reference`` and the property tests keep it honest.
+        same; the Curve-built oracle in ``tests/oracles/seed_admission.py``
+        and the property tests keep it honest.
         """
         capacity = self._capacity
         bandwidth = self.bandwidth + extra.bandwidth
@@ -236,12 +224,6 @@ class PortState:
         if slack > backlog:
             backlog = slack
         return backlog <= limit
-
-    def admits_reference(self, extra: Contribution) -> bool:
-        """Curve-based oracle for :meth:`admits` (cross-check only)."""
-        if self.bandwidth + extra.bandwidth > self._capacity:
-            return False
-        return self.backlog_reference(extra) <= self._buffer_limit
 
     def admits_bandwidth(self, extra: Contribution) -> bool:
         """Oktopus' bandwidth-only admission check."""

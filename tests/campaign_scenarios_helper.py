@@ -38,3 +38,29 @@ def toy_sleeper(duration, seed):
     import time
     time.sleep(duration)
     return {"duration": duration}
+
+
+class _SlowFinalizer:
+    """Object whose ``__del__`` busy-waits ``seconds`` of wall time."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __del__(self):
+        import time
+        deadline = time.perf_counter() + self.seconds
+        while time.perf_counter() < deadline:
+            pass
+
+
+@scenario("toy_finalizer_then_spin")
+def toy_finalizer_then_spin(finalizer_s, spin_s, seed):
+    """Cell that sits in a finalizer for up to ``finalizer_s``, then spins
+    for ``spin_s`` (an alarm expiring inside ``__del__`` is swallowed as
+    unraisable; the timeout tests check it fires again)."""
+    import time
+    _SlowFinalizer(finalizer_s)  # dropped at once: __del__ runs here
+    deadline = time.perf_counter() + spin_s
+    while time.perf_counter() < deadline:
+        pass
+    return {"spun": spin_s}

@@ -1,9 +1,9 @@
-"""The shared event core is a drop-in for the retained phynet loop.
+"""The shared event core is a drop-in for the seed phynet loop.
 
 Two guarantees, checked two ways.  A hypothesis property drives
 interleaved schedule / schedule-at / cancel / partial-run sequences
-through :class:`repro.core.engine.EventEngine` and the retained
-reference ``phynet/engine.Simulator`` and asserts the observable
+through :class:`repro.core.engine.EventEngine` and the seed loop
+``tests/oracles/seed_engine.py`` ``Simulator`` and asserts the observable
 execution order, clock, and queue depth are identical (the reference
 has no cancellation, so cancelled callbacks are emulated there as
 logged no-ops).  And a golden-digest pin re-runs the ``fig16-micro``
@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 from repro.campaign import get_sweep, run_campaign
 from repro.core.engine import EventEngine
-from repro.phynet.engine import Simulator
+
+from seed_engine import Simulator
 
 # A small set of exactly-representable delays so simultaneous events
 # (the tie-breaking contract) are common, not a fluke.

@@ -3,9 +3,9 @@
 import pytest
 
 from repro import units
+from repro.core import EventEngine
 from repro.faults import FaultSchedule, FaultTarget, FaultEvent
 from repro.faults.inject import NetworkFaultInjector
-from repro.phynet.engine import Simulator
 from repro.phynet.packet import PRIORITY_GUARANTEED, Packet
 from repro.phynet.port import OutputPort
 
@@ -24,7 +24,7 @@ def packet(size=1250.0):
 
 class TestPortFaults:
     def test_down_port_drops_arrivals_as_fault_not_congestion(self):
-        sim = Simulator()
+        sim = EventEngine()
         port = make_port(sim)
         port.set_fault_factor(0.0)
         port.enqueue(packet())
@@ -34,7 +34,7 @@ class TestPortFaults:
         assert port.queued_bytes == 0.0
 
     def test_down_port_freezes_queue_until_repair(self):
-        sim = Simulator()
+        sim = EventEngine()
         delivered = []
         port = make_port(sim, delivered=delivered)
         port.enqueue(packet())
@@ -53,7 +53,7 @@ class TestPortFaults:
 
     def test_degraded_port_serializes_slower(self):
         def drain_time(factor):
-            sim = Simulator()
+            sim = EventEngine()
             delivered = []
             port = make_port(sim, capacity=1250.0, delivered=delivered)
             port.set_fault_factor(factor)
@@ -66,14 +66,14 @@ class TestPortFaults:
         assert drain_time(0.25) == pytest.approx(4.0)
 
     def test_factor_out_of_range_rejected(self):
-        port = make_port(Simulator())
+        port = make_port(EventEngine())
         with pytest.raises(ValueError):
             port.set_fault_factor(-0.1)
         with pytest.raises(ValueError):
             port.set_fault_factor(1.5)
 
     def test_fault_factor_property_tracks_state(self):
-        port = make_port(Simulator())
+        port = make_port(EventEngine())
         assert port.fault_factor == 1.0 and not port.is_down
         port.set_fault_factor(0.5)
         assert port.fault_factor == 0.5 and not port.is_down
@@ -138,6 +138,7 @@ class TestNetworkFaultInjector:
         more than that."""
         from repro.phynet.network import PacketNetwork
         from repro.topology import TreeTopology
+        from seed_engine import Simulator
 
         topo = TreeTopology(n_pods=1, racks_per_pod=2, servers_per_rack=2,
                             slots_per_server=4, link_rate=units.gbps(10))

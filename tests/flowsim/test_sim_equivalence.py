@@ -2,8 +2,8 @@
 
 :class:`~repro.flowsim.sim.ClusterSim` replaces the seed's rescan-every-
 flow-every-event loop with an indexed min-heap of predicted finish times
-and lazily-advanced fluids.  :class:`~repro.flowsim.reference.
-ReferenceClusterSim` preserves the seed loop verbatim; running both over
+and lazily-advanced fluids.  ``tests/oracles/seed_flowsim.py``
+(``ReferenceClusterSim``) preserves the seed loop verbatim; running both over
 identical workloads must yield the same :class:`ClusterStats` --
 ``finished_jobs`` exactly, ``carried_bytes``/``job_durations``/
 ``occupancy_integral`` to 1e-6 relative.
@@ -14,10 +14,11 @@ import math
 import pytest
 
 from repro import units
-from repro.flowsim import (ClusterSim, ReferenceClusterSim, TenantWorkload,
-                           WorkloadConfig)
+from repro.flowsim import ClusterSim, TenantWorkload, WorkloadConfig
 from repro.placement import SiloPlacementManager
 from repro.topology import TreeTopology
+
+from seed_flowsim import ReferenceClusterSim
 
 
 def _run(sim_cls, sharing, seed, arrival_rate=25.0, until=6.0):

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import units
+from repro.core import EventEngine
 from repro.netcalc.arrival import dual_rate, token_bucket
 from repro.netcalc.trace import check_conformance, conforms
 from repro.pacer.hierarchy import PacerConfig, VMPacer
 from repro.pacer.token_bucket import TokenBucket
-from repro.phynet.engine import Simulator
 from repro.phynet.shaper import VMShaper
 
 
@@ -91,7 +91,7 @@ class TestShaperConformance:
                 self.dst = dst
                 self.size = units.MTU
 
-        sim = Simulator()
+        sim = EventEngine()
         released = []
         config = PacerConfig(bandwidth=units.gbps(1), burst=15 * units.KB,
                              peak_rate=units.gbps(10))

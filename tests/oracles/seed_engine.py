@@ -1,3 +1,11 @@
+# Differential-test oracle: the packet simulator's original event loop,
+# ``src/repro/phynet/engine.py`` as it stood before it left the package,
+# copied verbatim below this header
+# (``git show 1587c51:src/repro/phynet/engine.py``).  ``repro.core.EventEngine``
+# replaced it; ``tests/core/test_engine_equivalence.py`` drives both with the
+# same interleaved schedule/run script and requires the same firing order and
+# clock, and ``tests/faults/test_port_faults.py`` runs a fault injector on it.
+# Do not optimise or "fix" this file: it is the reference, not product code.
 """Discrete-event simulation core.
 
 A single binary heap of ``(time, sequence, callback, args)`` tuples.  The

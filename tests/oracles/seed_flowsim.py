@@ -1,3 +1,11 @@
+# Differential-test oracle: the seed fluid simulator,
+# ``src/repro/flowsim/reference.py`` as it stood before it left the package,
+# copied verbatim below this header
+# (``git show 1587c51:src/repro/flowsim/reference.py``); the only edit is
+# the ``max_min_fair_reference`` import, which now comes from the sibling
+# oracle ``seed_maxmin``.  ``tests/flowsim/test_sim_equivalence.py`` and
+# ``benchmarks/bench_hotpaths.py`` run it beside ``ClusterSim``.  Do not
+# optimise or "fix" this file: it is the reference, not product code.
 """The reference (seed) fluid simulator, kept verbatim as an oracle.
 
 :class:`~repro.flowsim.sim.ClusterSim` is event-driven: it keeps a
@@ -24,9 +32,10 @@ from typing import Dict, List
 from repro.flowsim.job import FlowState, TenantJob
 from repro.flowsim.sim import _SHARING, _TIME_EPS, ClusterStats
 from repro.flowsim.workload import TenantArrival, TenantWorkload
-from repro.maxmin import max_min_fair_reference as max_min_fair
 from repro.pacer.eyeq import allocate_hose_rates
 from repro.placement.base import PlacementManager
+
+from seed_maxmin import max_min_fair_reference as max_min_fair
 
 
 class ReferenceClusterSim:

@@ -1,6 +1,7 @@
 # Differential-test oracle: the ``VMShaper`` of ``src/repro/phynet/shaper.py``
 # as it stood before the incremental-scheduling rewrite, copied verbatim
-# below this header (``git show c2af1cf:src/repro/phynet/shaper.py``).
+# below this header (``git show c2af1cf:src/repro/phynet/shaper.py``; the
+# ``Simulator`` annotation now names the sibling oracle ``seed_engine``).
 # It rescans every backlogged destination with three token-bucket probes
 # on every submit, re-arm and fire; ``tests/phynet/test_shaper_oracle.py``
 # drives it beside the live shaper and requires bit-equal output.  Do not
@@ -29,7 +30,8 @@ from typing import Any, Callable, Deque, Dict, Hashable, Optional
 
 from repro.pacer.hierarchy import PacerConfig
 from repro.pacer.token_bucket import TokenBucket
-from repro.phynet.engine import Simulator
+
+from seed_engine import Simulator
 
 #: Slack when testing head-packet eligibility against the current clock:
 #: absorbs float error from the schedule()/now round trip.  Simulation

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import units
-from repro.phynet.engine import Simulator
+from repro.core import EventEngine
 from repro.phynet.packet import (
     PRIORITY_BEST_EFFORT,
     PRIORITY_GUARANTEED,
@@ -14,7 +14,7 @@ from repro.phynet.port import OutputPort
 
 class TestSimulator:
     def test_events_fire_in_time_order(self):
-        sim = Simulator()
+        sim = EventEngine()
         log = []
         sim.schedule(2.0, log.append, "b")
         sim.schedule(1.0, log.append, "a")
@@ -23,7 +23,7 @@ class TestSimulator:
         assert log == ["a", "b", "c"]
 
     def test_ties_fire_in_scheduling_order(self):
-        sim = Simulator()
+        sim = EventEngine()
         log = []
         for name in "abc":
             sim.schedule(1.0, log.append, name)
@@ -31,7 +31,7 @@ class TestSimulator:
         assert log == ["a", "b", "c"]
 
     def test_run_until_stops_and_advances_clock(self):
-        sim = Simulator()
+        sim = EventEngine()
         log = []
         sim.schedule(5.0, log.append, "late")
         sim.run(until=2.0)
@@ -41,7 +41,7 @@ class TestSimulator:
         assert log == ["late"]
 
     def test_cannot_schedule_in_the_past(self):
-        sim = Simulator()
+        sim = EventEngine()
         with pytest.raises(ValueError):
             sim.schedule(-1.0, lambda: None)
         sim.schedule(1.0, lambda: None)
@@ -50,7 +50,7 @@ class TestSimulator:
             sim.schedule_at(0.5, lambda: None)
 
     def test_stop_aborts_run(self):
-        sim = Simulator()
+        sim = EventEngine()
         log = []
         sim.schedule(1.0, lambda: (log.append(1), sim.stop()))
         sim.schedule(2.0, log.append, 2)
@@ -74,7 +74,7 @@ def packet(size=1500.0, route=None, priority=PRIORITY_GUARANTEED):
 
 class TestOutputPort:
     def test_serialization_delay(self):
-        sim = Simulator()
+        sim = EventEngine()
         delivered = []
         port = make_port(sim, delivered=delivered, prop_delay=0.0)
         port.enqueue(packet(size=1250.0))
@@ -83,7 +83,7 @@ class TestOutputPort:
         assert sim.now == pytest.approx(1250.0 / units.gbps(10))
 
     def test_fifo_within_priority(self):
-        sim = Simulator()
+        sim = EventEngine()
         delivered = []
         port = make_port(sim, delivered=delivered)
         first, second = packet(), packet()
@@ -93,7 +93,7 @@ class TestOutputPort:
         assert delivered == [first, second]
 
     def test_strict_priority(self):
-        sim = Simulator()
+        sim = EventEngine()
         delivered = []
         port = make_port(sim, delivered=delivered, buffer_bytes=1e6)
         blocker = packet()           # grabs the wire
@@ -106,7 +106,7 @@ class TestOutputPort:
         assert delivered == [blocker, high, low]
 
     def test_drop_tail(self):
-        sim = Simulator()
+        sim = EventEngine()
         port = make_port(sim, buffer_bytes=3000.0)
         for _ in range(5):
             port.enqueue(packet(size=1500.0))
@@ -122,7 +122,7 @@ class TestOutputPort:
             def on_drop(self, pkt):
                 self.dropped.append(pkt)
 
-        sim = Simulator()
+        sim = EventEngine()
         port = make_port(sim, buffer_bytes=1600.0)
         spy = FlowSpy()
         for _ in range(3):
@@ -132,7 +132,7 @@ class TestOutputPort:
         assert len(spy.dropped) >= 1
 
     def test_ecn_marking_threshold(self):
-        sim = Simulator()
+        sim = EventEngine()
         port = make_port(sim, buffer_bytes=1e6, ecn_threshold=2000.0)
         packets = [packet() for _ in range(4)]
         for p in packets:
@@ -144,7 +144,7 @@ class TestOutputPort:
     def test_phantom_queue_marks_below_line_rate(self):
         """HULL: sustained arrivals above the phantom drain rate get
         marked even though the real queue stays empty."""
-        sim = Simulator()
+        sim = EventEngine()
         capacity = units.gbps(10)
         port = make_port(sim, capacity=capacity, buffer_bytes=1e6,
                          phantom_drain=0.5 * capacity,
@@ -159,7 +159,7 @@ class TestOutputPort:
         assert port.stats.drops == 0
 
     def test_utilization(self):
-        sim = Simulator()
+        sim = EventEngine()
         port = make_port(sim, prop_delay=0.0)
         port.enqueue(packet(size=1250.0))
         sim.run()
@@ -167,7 +167,7 @@ class TestOutputPort:
         assert port.utilization(elapsed) == pytest.approx(1.0)
 
     def test_forwards_along_route(self):
-        sim = Simulator()
+        sim = EventEngine()
         delivered = []
         last = make_port(sim, delivered=delivered)
         first = OutputPort(sim, "first", units.gbps(10), 1e6)

@@ -10,7 +10,7 @@
 """
 
 from repro import units
-from repro.phynet.engine import Simulator
+from repro.core import EventEngine
 from repro.phynet.packet import Packet
 from repro.phynet.port import OutputPort
 
@@ -22,7 +22,7 @@ def packet(size=1500.0):
 class TestMarkingCountsArrivingPacket:
     def test_first_packet_over_threshold_is_marked(self):
         """A single arrival that alone exceeds K must be marked."""
-        sim = Simulator()
+        sim = EventEngine()
         port = OutputPort(sim, "t", units.gbps(10), 1e6,
                           ecn_threshold=1000.0)
         p = packet(size=1500.0)
@@ -32,7 +32,7 @@ class TestMarkingCountsArrivingPacket:
     def test_exactly_the_crossing_packet_is_marked(self):
         """DCTCP marks on instantaneous occupancy at arrival: the packet
         that crosses K is the first one marked, not its successor."""
-        sim = Simulator()
+        sim = EventEngine()
         port = OutputPort(sim, "t", units.gbps(10), 1e6,
                           ecn_threshold=2000.0)
         blocker = packet()  # takes the wire; leaves the queue empty
@@ -46,7 +46,7 @@ class TestMarkingCountsArrivingPacket:
         assert port.stats.ecn_marks == 1
 
     def test_phantom_counts_arriving_packet(self):
-        sim = Simulator()
+        sim = EventEngine()
         capacity = units.gbps(10)
         port = OutputPort(sim, "t", capacity, 1e6,
                           phantom_drain=0.5 * capacity,
@@ -58,7 +58,7 @@ class TestMarkingCountsArrivingPacket:
 
 class TestPhantomClockStartsAtCreation:
     def test_port_created_mid_run(self):
-        sim = Simulator()
+        sim = EventEngine()
         sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.now == 1.0
@@ -74,7 +74,7 @@ class TestPhantomClockStartsAtCreation:
         """Back-to-back line-rate arrivals right after a mid-run creation
         must grow the phantom queue exactly as they would at t=0."""
         def run(start_delay):
-            sim = Simulator()
+            sim = EventEngine()
             if start_delay:
                 sim.schedule(start_delay, lambda: None)
                 sim.run()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import units
-from repro.phynet.engine import Simulator
+from repro.core import EventEngine
 from repro.phynet.packet import (
     PRIORITY_BEST_EFFORT,
     PRIORITY_GUARANTEED,
@@ -25,7 +25,7 @@ def packet(priority, size=1500.0):
 
 class TestClassSplit:
     def test_tail_drops_attributed_to_their_class(self):
-        sim = Simulator()
+        sim = EventEngine()
         p, delivered = port(sim)
         # One transmits immediately, three fill the buffer, the rest of
         # each class tail-drops against same-class occupancy.
@@ -41,7 +41,7 @@ class TestClassSplit:
         assert p.stats.class_dropped_bytes[PRIORITY_GUARANTEED] == 3000.0
 
     def test_pushouts_attributed_to_the_victim_class(self):
-        sim = Simulator()
+        sim = EventEngine()
         p, _ = port(sim)
         p.enqueue(packet(PRIORITY_GUARANTEED))  # occupies the wire
         for _ in range(3):
@@ -58,7 +58,7 @@ class TestClassSplit:
         assert p.stats.pushouts == 3
 
     def test_aggregates_equal_class_sums(self):
-        sim = Simulator()
+        sim = EventEngine()
         p, _ = port(sim)
         p.enqueue(packet(PRIORITY_GUARANTEED))
         for _ in range(3):
@@ -73,7 +73,7 @@ class TestClassSplit:
         assert stats.pushed_out_bytes == sum(stats.class_pushed_out_bytes)
 
     def test_per_class_queue_peaks(self):
-        sim = Simulator()
+        sim = EventEngine()
         p, _ = port(sim)
         p.enqueue(packet(PRIORITY_GUARANTEED))  # on the wire
         p.enqueue(packet(PRIORITY_BEST_EFFORT, size=500.0))
@@ -90,7 +90,7 @@ class TestClassSplit:
             <= p.stats.max_queue_bytes
 
     def test_class_lists_sized_by_n_classes(self):
-        sim = Simulator()
+        sim = EventEngine()
         p, _ = port(sim)
         assert len(p.stats.class_drops) == N_CLASSES
         assert len(p.stats.class_pushouts) == N_CLASSES

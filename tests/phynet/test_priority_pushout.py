@@ -3,7 +3,7 @@
 import pytest
 
 from repro import units
-from repro.phynet.engine import Simulator
+from repro.core import EventEngine
 from repro.phynet.packet import (
     PRIORITY_BEST_EFFORT,
     PRIORITY_GUARANTEED,
@@ -25,7 +25,7 @@ def packet(priority):
 
 class TestPushOut:
     def test_guaranteed_evicts_best_effort(self):
-        sim = Simulator()
+        sim = EventEngine()
         p, delivered = port(sim)
         # One packet transmits immediately; fill the 3-packet buffer with
         # best effort, then offer guaranteed traffic.
@@ -49,7 +49,7 @@ class TestPushOut:
         assert p.stats.dropped_bytes == 0.0
 
     def test_guaranteed_still_drops_against_guaranteed(self):
-        sim = Simulator()
+        sim = EventEngine()
         p, delivered = port(sim)
         packets = [packet(PRIORITY_GUARANTEED) for _ in range(8)]
         for pk in packets:
@@ -60,7 +60,7 @@ class TestPushOut:
         assert len(delivered) + p.stats.drops == 8
 
     def test_best_effort_never_evicts_anything(self):
-        sim = Simulator()
+        sim = EventEngine()
         p, delivered = port(sim)
         blocker = packet(PRIORITY_GUARANTEED)
         p.enqueue(blocker)
@@ -82,7 +82,7 @@ class TestPushOut:
             def on_drop(self, pk):
                 self.drops.append(pk)
 
-        sim = Simulator()
+        sim = EventEngine()
         p, _ = port(sim)
         spy = Spy()
         p.enqueue(packet(PRIORITY_GUARANTEED))  # occupies the wire

@@ -15,9 +15,6 @@ seed doing it, checks the undercut is rounding-sized, and ends the script
 at that step: everything released up to then must still be bit-equal.
 """
 
-import sys
-from pathlib import Path
-
 from hypothesis import given, settings, strategies as st
 
 from repro import units
@@ -25,9 +22,7 @@ from repro.core import EventEngine
 from repro.pacer.hierarchy import PacerConfig
 from repro.phynet.shaper import _TIME_EPS, VMShaper
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "oracles"))
-
-from seed_shaper import VMShaper as SeedShaper  # noqa: E402
+from seed_shaper import VMShaper as SeedShaper
 
 #: Head sizes: full segments (twice as likely) and short last segments.
 SIZES = (units.MTU, units.MTU, 700.0, 64.0)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import units
+from repro.core import EventEngine
 from repro.core.guarantees import NetworkGuarantee
-from repro.phynet.engine import Simulator
 from repro.phynet.metrics import MessageRecord, MetricsCollector
 from repro.phynet.packet import (
     HEADER_BYTES,
@@ -22,7 +22,7 @@ class StubNetwork:
     """Just enough network for a transport: captures transmitted packets."""
 
     def __init__(self):
-        self.sim = Simulator()
+        self.sim = EventEngine()
         self.sent = []
         self.tracer = None
 

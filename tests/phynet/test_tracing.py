@@ -8,11 +8,11 @@ attached behaviour is identical (the hooks are pure observers).
 import random
 
 from repro import units
+from repro.core import EventEngine
 from repro.core.guarantees import NetworkGuarantee
 from repro.obs import RingBufferSink, TimeSeries
 from repro.phynet import MetricsCollector, PacketNetwork
 from repro.phynet.apps import EpochBurstApp
-from repro.phynet.engine import Simulator
 from repro.phynet.packet import (
     PRIORITY_BEST_EFFORT,
     PRIORITY_GUARANTEED,
@@ -34,7 +34,7 @@ def small_topo():
 
 class TestPortEvents:
     def test_enqueue_and_tx_events(self):
-        sim = Simulator()
+        sim = EventEngine()
         sink = RingBufferSink()
         port = OutputPort(sim, "t", units.gbps(10), 1e6, tracer=sink)
         port.enqueue(packet())
@@ -49,7 +49,7 @@ class TestPortEvents:
         assert tx[-1].queued_bytes == 0.0
 
     def test_tail_drop_event(self):
-        sim = Simulator()
+        sim = EventEngine()
         sink = RingBufferSink()
         port = OutputPort(sim, "t", units.gbps(10), 3000.0, tracer=sink)
         for _ in range(5):
@@ -60,7 +60,7 @@ class TestPortEvents:
         assert len(drops) == port.stats.drops
 
     def test_pushout_drop_event(self):
-        sim = Simulator()
+        sim = EventEngine()
         sink = RingBufferSink()
         port = OutputPort(sim, "t", units.gbps(10), 3000.0, tracer=sink)
         port.enqueue(packet())  # takes the wire
@@ -73,7 +73,7 @@ class TestPortEvents:
         assert pushed[0].priority == PRIORITY_BEST_EFFORT
 
     def test_mark_event(self):
-        sim = Simulator()
+        sim = EventEngine()
         sink = RingBufferSink()
         port = OutputPort(sim, "t", units.gbps(10), 1e6,
                           ecn_threshold=1000.0, tracer=sink)
@@ -84,7 +84,7 @@ class TestPortEvents:
         assert marks[0].queued_bytes == 1500.0
 
     def test_depth_series_tracks_queue(self):
-        sim = Simulator()
+        sim = EventEngine()
         port = OutputPort(sim, "t", units.gbps(10), 1e6)
         port.depth_series = TimeSeries(name="t", interval=1e-6)
         for _ in range(4):
@@ -97,7 +97,7 @@ class TestPortEvents:
 
     def test_tracing_does_not_change_behaviour(self):
         def run(tracer):
-            sim = Simulator()
+            sim = EventEngine()
             port = OutputPort(sim, "t", units.gbps(10), 4500.0,
                               ecn_threshold=2000.0, tracer=tracer)
             for _ in range(6):

@@ -2,11 +2,12 @@
 
 ``PortState.admits``/``backlog``/``queue_bound`` use the closed-form
 dual-rate expressions from :mod:`repro.netcalc.fastbounds`; the
-``*_reference`` methods rebuild the conservative aggregate
-:class:`~repro.netcalc.curves.Curve` per probe, exactly as the seed did.
-These property tests drive both over randomized port states and probes --
-at unit scale and at Gbps/byte scale, where epsilon bugs hide -- and
-demand identical accept/reject decisions and matching bounds.
+``*_reference`` functions of ``tests/oracles/seed_admission.py`` rebuild
+the conservative aggregate :class:`~repro.netcalc.curves.Curve` per probe,
+exactly as the seed did.  These property tests drive both over randomized
+port states and probes -- at unit scale and at Gbps/byte scale, where
+epsilon bugs hide -- and demand identical accept/reject decisions and
+matching bounds.
 """
 
 import math
@@ -18,6 +19,9 @@ from hypothesis import strategies as st
 from repro import units
 from repro.placement.state import Contribution, PortState
 from repro.topology.switch import Port, PortKind
+
+from seed_admission import (SeedSiloPlacementManager, admits_reference,
+                            backlog_reference, queue_bound_reference)
 
 #: (capacity, buffer) regimes: toy unit scale, tight Gbps, roomy Gbps.
 _PORTS = [
@@ -61,11 +65,11 @@ def test_closed_form_matches_curve_oracle(port_idx, base, probe):
         state.add(_contribution(capacity, *params))
     extra = _contribution(capacity, *probe)
 
-    assert state.admits(extra) == state.admits_reference(extra)
+    assert state.admits(extra) == admits_reference(state, extra)
     assert state.backlog(extra) == pytest.approx(
-        state.backlog_reference(extra), rel=1e-9, abs=1e-9)
+        backlog_reference(state, extra), rel=1e-9, abs=1e-9)
     assert state.queue_bound(extra) == pytest.approx(
-        state.queue_bound_reference(extra), rel=1e-9, abs=1e-12)
+        queue_bound_reference(state, extra), rel=1e-9, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -79,9 +83,9 @@ def test_standing_bounds_match_oracle(port_idx, base):
         state.add(_contribution(capacity, *params))
 
     assert state.backlog() == pytest.approx(
-        state.backlog_reference(), rel=1e-9, abs=1e-9)
+        backlog_reference(state), rel=1e-9, abs=1e-9)
     qb = state.queue_bound()
-    qb_ref = state.queue_bound_reference()
+    qb_ref = queue_bound_reference(state)
     if math.isinf(qb_ref):
         assert math.isinf(qb)
     else:
@@ -90,7 +94,7 @@ def test_standing_bounds_match_oracle(port_idx, base):
 
 def test_fast_and_reference_managers_agree_on_campaign():
     """End-to-end: identical admission decisions and VM layouts for a
-    churning campaign with fast paths on vs off (the seed path)."""
+    churning campaign, shipped manager vs the seed oracle."""
     import sys
     from pathlib import Path
     sys.path.insert(0, str(Path(__file__).resolve().parents[2]
@@ -100,8 +104,7 @@ def test_fast_and_reference_managers_agree_on_campaign():
 
     topology = bench_hotpaths._campaign_topology(1, 4)
     fast = SiloPlacementManager(topology)
-    ref = SiloPlacementManager(bench_hotpaths._campaign_topology(1, 4),
-                               fast_paths=False)
+    ref = SeedSiloPlacementManager(bench_hotpaths._campaign_topology(1, 4))
     fast_dec, fast_lay = bench_hotpaths._run_campaign(fast, 120, seed=3)
     ref_dec, ref_lay = bench_hotpaths._run_campaign(ref, 120, seed=3)
     assert fast_dec == ref_dec

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.maxmin import max_min_fair, max_min_fair_reference
+from repro.maxmin import max_min_fair
+
+from seed_maxmin import max_min_fair_reference
 
 
 class TestBasics:

@@ -5,7 +5,7 @@ component of the flow-link bipartite graph touched by an arrival,
 departure, or capacity change.  These tests drive it through randomized
 add/remove/capacity sequences (hypothesis) and the Gbps-scale saturation
 regression shapes, asserting after every event that the persistent
-allocation matches ``max_min_fair`` (tight) and
+allocation matches ``max_min_fair`` (tight) and the seed oracle's
 ``max_min_fair_reference`` (the existing 1e-6 relative tolerance) over
 the full current flow set.
 """
@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.maxmin import (IncrementalMaxMin, max_min_fair,
-                          max_min_fair_reference)
+from repro.maxmin import IncrementalMaxMin, max_min_fair
+
+from seed_maxmin import max_min_fair_reference
 
 
 def _assert_matches(inc, flows, capacities):

@@ -1,8 +1,8 @@
 """Tier-1 smoke checks for the optimized hot paths (marker: perf_smoke).
 
 Reuses the quick scales of ``benchmarks/bench_hotpaths.py`` but asserts
-only correctness -- every optimized path must reproduce its reference
-implementation -- never wall-clock time, so tier-1 catches perf-path
+only correctness -- every shipped path must reproduce its seed oracle
+under ``tests/oracles/`` -- never wall-clock time, so tier-1 catches perf-path
 breakage without timing flakiness.  The timed variant is::
 
     PYTHONPATH=src python benchmarks/bench_hotpaths.py --quick
