@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import abc
 import math
+from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import units
@@ -38,6 +39,7 @@ from repro.placement.audit import (
     AdmissionAudit,
     AdmissionRecord,
 )
+from repro.placement.slotindex import MaxTree
 from repro.placement.state import Contribution, PortState
 from repro.topology.switch import PortKind
 from repro.topology.tree import SCOPES, TreeTopology
@@ -103,17 +105,6 @@ class PlacementManager(abc.ABC):
                                       Contribution] = {}
         self.free_slots: List[int] = (
             [topology.slots_per_server] * topology.n_servers)
-        # Cached free-slot totals per rack/pod/cluster plus per-domain
-        # counts of *touched* (not fully free) servers; maintained by
-        # _commit/remove so _search_scope can skip domains in O(1).
-        full = topology.slots_per_server
-        self._rack_free: List[int] = (
-            [full * topology.servers_per_rack] * topology.n_racks)
-        pod_servers = topology.racks_per_pod * topology.servers_per_rack
-        self._pod_free: List[int] = [full * pod_servers] * topology.n_pods
-        self._total_free: int = topology.n_slots
-        self._rack_touched: List[int] = [0] * topology.n_racks
-        self._pod_touched: List[int] = [0] * topology.n_pods
         self.placements: Dict[int, Placement] = {}
         self._commits: Dict[int, List[Tuple[int, Contribution]]] = {}
         # Per-port ordered registry of every live contribution, keyed by
@@ -140,6 +131,51 @@ class PlacementManager(abc.ABC):
         self.audit = audit
         self.tracer = tracer
         self._decision_seq = 0
+        self.rebuild_derived_state()
+
+    def rebuild_derived_state(self) -> None:
+        """Recompute every cache and index from the books.
+
+        The books are ``free_slots``, the port states and ``placements``;
+        everything set here is derived from them and maintained
+        incrementally by :meth:`_change_slots`, :meth:`_commit`,
+        :meth:`remove` and the reservation calls.  Construction and
+        snapshot restore both end here, so no other module needs to know
+        which derived structures exist.
+        """
+        topo = self.topology
+        free = self.free_slots
+        full = topo.slots_per_server
+        per_rack = topo.servers_per_rack
+        per_pod = per_rack * topo.racks_per_pod
+        rack_starts = range(0, topo.n_servers, per_rack)
+        pod_starts = range(0, topo.n_servers, per_pod)
+        # Free-slot indexes: first-fit asks for the lowest server / rack
+        # with >= n free slots (pods are few enough to scan).
+        self._server_free = MaxTree(free)
+        self._rack_free = MaxTree([sum(free[s:s + per_rack])
+                                   for s in rack_starts])
+        self._pod_free: List[int] = [sum(free[s:s + per_pod])
+                                     for s in pod_starts]
+        self._total_free: int = sum(free)
+        # Per-domain counts of *touched* (not fully free) servers, so
+        # _search_scope knows an untouched domain in O(1).
+        touched = [slots < full for slots in free]
+        self._rack_touched: List[int] = [sum(touched[s:s + per_rack])
+                                         for s in rack_starts]
+        self._pod_touched: List[int] = [sum(touched[s:s + per_pod])
+                                        for s in pod_starts]
+        # pristine[server]: all slots free and nothing reserved at either
+        # of its ports (tenants or fault poisons), i.e. interchangeable
+        # with any other pristine server during a fill.
+        self._pristine: List[bool] = [False] * topo.n_servers
+        for server in range(topo.n_servers):
+            self._refresh_pristine(server)
+        self._server_tenants: List[List[int]] = [
+            [] for _ in range(topo.n_servers)]
+        for tenant_id, placement in self.placements.items():
+            for server in placement.vms_per_server():
+                self._server_tenants[server].append(tenant_id)
 
     # -- hooks for subclasses -------------------------------------------------
 
@@ -289,19 +325,13 @@ class PlacementManager(abc.ABC):
         return CONSTRAINT_QUEUE_BOUND
 
     def _scope_has_room(self, scope: str, n_vms: int) -> bool:
-        """Whether any single domain of ``scope`` has ``n_vms`` free slots.
-
-        Only consulted off the hot path (rejection classification), so
-        the O(domains) scan is fine.
-        """
+        """Whether any single domain of ``scope`` has ``n_vms`` free slots."""
         if scope == "cluster":
             return True  # the caller already checked _total_free
-        if scope == "server":
-            return any(free >= n_vms for free in self.free_slots)
-        domains = (range(self.topology.n_racks) if scope == "rack"
-                   else range(self.topology.n_pods))
-        return any(self._domain_free(scope, d) >= n_vms
-                   for d in domains)
+        if scope == "pod":
+            return max(self._pod_free) >= n_vms
+        index = self._server_free if scope == "server" else self._rack_free
+        return next(index.at_least(n_vms), None) is not None
 
     def remove(self, tenant_id: int) -> None:
         """Release a tenant's slots and reservations (exactly).
@@ -315,16 +345,19 @@ class PlacementManager(abc.ABC):
         placement = self.placements.pop(tenant_id, None)
         if placement is None:
             raise KeyError(f"tenant {tenant_id} is not placed")
-        for server, count in placement.vms_per_server().items():
-            self._change_slots(server, count)
-            if server in self._cordoned:
-                self._change_slots(server, -count)
-                self._cordoned[server] += count
+        # Ports before slots: a server whose last slot returns is pristine
+        # only if its two ports have emptied, and _change_slots looks.
         key = ("tenant", tenant_id)
         for port_id, _contribution in self._commits.pop(tenant_id):
             registry = self._port_registry[port_id]
             del registry[key]
             self.states[port_id].reset_totals(registry.values())
+        for server, count in placement.vms_per_server().items():
+            self._change_slots(server, count)
+            self._server_tenants[server].remove(tenant_id)
+            if server in self._cordoned:
+                self._change_slots(server, -count)
+                self._cordoned[server] += count
         self.reservation_version += 1
 
     def _change_slots(self, server: int, delta: int) -> None:
@@ -333,18 +366,34 @@ class PlacementManager(abc.ABC):
         before = self.free_slots[server]
         after = before + delta
         self.free_slots[server] = after
+        self._server_free.add(server, delta)
         rack = server // topo.servers_per_rack
         pod = rack // topo.racks_per_pod
-        self._rack_free[rack] += delta
+        self._rack_free.add(rack, delta)
         self._pod_free[pod] += delta
         self._total_free += delta
         full = topo.slots_per_server
         if before == full and after < full:
             self._rack_touched[rack] += 1
             self._pod_touched[pod] += 1
+            self._pristine[server] = False
         elif before < full and after == full:
             self._rack_touched[rack] -= 1
             self._pod_touched[pod] -= 1
+            self._refresh_pristine(server)
+
+    def _refresh_pristine(self, server: int) -> None:
+        self._pristine[server] = (
+            self.free_slots[server] == self.topology.slots_per_server
+            and self._nic_states[server].is_empty
+            and self._tor_down_states[server].is_empty)
+
+    def _reservation_changed(self, port_id: int) -> None:
+        """A non-tenant reservation came or went at ``port_id``."""
+        self.reservation_version += 1
+        port = self.states[port_id].port
+        if port.kind is PortKind.NIC_UP or port.kind is PortKind.TOR_DOWN:
+            self._refresh_pristine(port.index)
 
     # -- fault integration -------------------------------------------------------
 
@@ -395,7 +444,7 @@ class PlacementManager(abc.ABC):
                              f"at port {port_id}")
         registry[rkey] = contribution
         self.states[port_id].add(contribution)
-        self.reservation_version += 1
+        self._reservation_changed(port_id)
 
     def release_capacity(self, port_id: int, key: str) -> None:
         """Drop a :meth:`reserve_capacity` reservation, rebuilding exactly."""
@@ -405,7 +454,7 @@ class PlacementManager(abc.ABC):
             raise KeyError(f"no reservation {key!r} at port {port_id}")
         del registry[rkey]
         self.states[port_id].reset_totals(registry.values())
-        self.reservation_version += 1
+        self._reservation_changed(port_id)
 
     def tenants_crossing(self, port_id: int) -> List[int]:
         """Tenants with a committed contribution at ``port_id``."""
@@ -413,9 +462,8 @@ class PlacementManager(abc.ABC):
                 if key[0] == "tenant"]
 
     def tenants_on_server(self, server: int) -> List[int]:
-        """Tenants with at least one VM placed on ``server``."""
-        return [tid for tid, placement in self.placements.items()
-                if server in placement.vms_per_server()]
+        """Tenants with at least one VM placed on ``server``, ascending."""
+        return sorted(self._server_tenants[server])
 
     @property
     def used_slots(self) -> int:
@@ -454,33 +502,47 @@ class PlacementManager(abc.ABC):
 
     def _search_scope(self, request: TenantRequest, scope: str
                       ) -> Optional[Dict[int, int]]:
+        """First fit over the domains of ``scope``, in ascending order.
+
+        Domains come from the free-slot indexes, so only servers / racks /
+        pods that can hold the whole tenant are ever visited.
+        """
         topo = self.topology
+        n_vms = request.n_vms
         if scope == "server":
-            if self.min_fault_domains > 1 and request.n_vms > 1:
+            if self.min_fault_domains > 1 and n_vms > 1:
                 return None  # a lone server is a single fault domain
-            for server in self._single_server_candidates(request.n_vms):
-                if self.free_slots[server] >= request.n_vms:
-                    assignment = {server: request.n_vms}
-                    if self._validate(request, assignment):
-                        return assignment
+            for server in self._server_free.at_least(n_vms):
+                assignment = {server: n_vms}
+                if self._validate(request, assignment):
+                    return assignment
             return None
         if scope == "rack":
-            domain_ids: Sequence[int] = range(topo.n_racks)
+            domains: Iterable[int] = self._rack_free.at_least(n_vms)
+            touched: Sequence[int] = self._rack_touched
+            span = topo.servers_per_rack
         elif scope == "pod":
-            domain_ids = range(topo.n_pods)
+            domains = [pod for pod, free in enumerate(self._pod_free)
+                       if free >= n_vms]
+            touched = self._pod_touched
+            span = topo.racks_per_pod * topo.servers_per_rack
         else:
-            domain_ids = (0,)
+            # _find_assignment already saw _total_free >= n_vms; the one
+            # cluster domain is untouched iff no slot is in use.
+            domains, touched, span = (0,), (self.used_slots,), topo.n_servers
+        free_slots = self.free_slots
         pristine_failed = False
-        for domain in domain_ids:
-            if self._domain_free(scope, domain) < request.n_vms:
-                continue
-            pristine = self._domain_pristine_id(scope, domain)
+        for domain in domains:
+            pristine = touched[domain] == 0
             if pristine_failed and pristine:
                 # An identical untouched domain already failed; all empty
                 # domains of this scope are interchangeable.
                 continue
-            servers = self._domain_servers(scope, domain)
-            available = [s for s in servers if self.free_slots[s] > 0]
+            start = domain * span
+            # The domain's non-full servers (a free count is truthy).
+            available = list(compress(
+                range(start, start + span),
+                free_slots[start:start + span]))
             for strategy in _STRATEGIES:
                 assignment = self._fill(request, available, strategy,
                                         scope)
@@ -490,45 +552,6 @@ class PlacementManager(abc.ABC):
                 pristine_failed = True
         return None
 
-    def _single_server_candidates(self, n_vms: int) -> Iterable[int]:
-        """Servers worth probing for a whole-tenant single-server fit.
-
-        Walks racks and skips every rack whose cached free total is below
-        ``n_vms`` -- no single server inside can fit the tenant either --
-        which prunes most of a large datacenter in O(1) per rack.
-        """
-        topo = self.topology
-        per_rack = topo.servers_per_rack
-        for rack in range(topo.n_racks):
-            if self._rack_free[rack] < n_vms:
-                continue
-            start = rack * per_rack
-            yield from range(start, start + per_rack)
-
-    def _domain_servers(self, scope: str, domain: int) -> Sequence[int]:
-        topo = self.topology
-        if scope == "rack":
-            return list(topo.servers_in_rack(domain))
-        if scope == "pod":
-            return list(topo.servers_in_pod(domain))
-        return list(range(topo.n_servers))
-
-    def _domain_free(self, scope: str, domain: int) -> int:
-        """Free slots in one search domain, O(1) from the cached totals."""
-        if scope == "rack":
-            return self._rack_free[domain]
-        if scope == "pod":
-            return self._pod_free[domain]
-        return self._total_free
-
-    def _domain_pristine_id(self, scope: str, domain: int) -> bool:
-        """True when no server in the domain hosts anything yet."""
-        if scope == "rack":
-            return self._rack_touched[domain] == 0
-        if scope == "pod":
-            return self._pod_touched[domain] == 0
-        return self._total_free == self.topology.n_slots
-
     def _fill(self, request: TenantRequest, available: Sequence[int],
               strategy: str, scope: str) -> Optional[Dict[int, int]]:
         """Distribute all N VMs over the ``available`` (non-full) servers;
@@ -536,19 +559,13 @@ class PlacementManager(abc.ABC):
         remaining = request.n_vms
         assignment: Dict[int, int] = {}
         k_estimate = max(1, len(available) - 1)
-        full = self.topology.slots_per_server
+        pristine = self._pristine
         pristine_failed = False
         for position, server in enumerate(available):
             if remaining == 0:
                 break
-            # The pristine flag is only consulted on failure paths, so it
-            # is evaluated lazily: servers that accept VMs (the common
-            # case) never touch the port states.
-            pristine: Optional[bool] = None
-            if pristine_failed:
-                pristine = self._server_pristine(server, full)
-                if pristine:
-                    continue  # identical to an empty server that failed
+            if pristine_failed and pristine[server]:
+                continue  # identical to an empty server that failed
             want = min(remaining, self.free_slots[server])
             if self.min_fault_domains > 1:
                 want = min(want, math.ceil(request.n_vms
@@ -561,19 +578,11 @@ class PlacementManager(abc.ABC):
             if placed:
                 assignment[server] = placed
                 remaining -= placed
-            else:
-                if pristine is None:
-                    pristine = self._server_pristine(server, full)
-                if pristine:
-                    pristine_failed = True
+            elif pristine[server]:
+                pristine_failed = True
         if remaining:
             return None
         return assignment
-
-    def _server_pristine(self, server: int, full: int) -> bool:
-        return (self.free_slots[server] == full
-                and self._nic_states[server].is_empty
-                and self._tor_down_states[server].is_empty)
 
     def _max_vms_on_server(self, request: TenantRequest, server: int,
                            want: int, k_estimate: int, scope: str) -> int:
@@ -645,6 +654,7 @@ class PlacementManager(abc.ABC):
             if count > self.free_slots[server]:
                 raise RuntimeError("assignment exceeds free slots")
             self._change_slots(server, -count)
+            self._server_tenants[server].append(request.tenant_id)
             vm_servers.extend([server] * count)
         commits = list(self._port_contributions(request, assignment))
         key = ("tenant", request.tenant_id)

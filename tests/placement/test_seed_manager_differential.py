@@ -3,15 +3,22 @@
 ``tests/oracles/seed_admission.py`` ``SeedSiloPlacementManager`` scans
 every server and every domain, rebuilds a Curve per probe and never
 memoises; the shipped :class:`SiloPlacementManager` answers the same
-questions from cached per-rack/per-pod totals, a binary search and
-closed-form bounds.  Both are driven in lockstep through interleaved
-``place`` / ``remove`` / ``cordon_server`` / ``uncordon_server`` /
-``reserve_capacity`` / ``release_capacity`` on a 2-pod topology and must
-make the same decision with the same VM layout at every step, and the
-shipped manager's cached totals must equal a recount from ``free_slots``
-(cordons withhold slots without a tenant holding them, which is where a
-cache and a scan could part ways).
+questions from free-slot indexes, maintained pristine flags, a binary
+search and closed-form bounds.  Both are driven in lockstep through
+interleaved ``place`` / ``remove`` / ``cordon_server`` /
+``uncordon_server`` / ``reserve_capacity`` / ``release_capacity`` /
+``adopt`` / snapshot-restore steps and must make the same decision with
+the same VM layout at every step, and every structure the shipped manager
+maintains beside the books must equal a recount from the books (cordons
+withhold slots without a tenant holding them and poisons fill ports
+without a tenant crossing them, which is where an index and a scan could
+part ways).  Two shapes: 2 pods x 2 racks x 3 servers x 4 slots, and a
+wider 3 x 4 x 2 x 2 one whose tenants (1..14 VMs) fall on both sides of
+``slots_per_server``, of a rack and of a pod, so queries cross the
+indexes' internal node boundaries.
 """
+
+import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,21 +27,25 @@ from repro import units
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import TenantClass, TenantRequest
 from repro.placement import Contribution, SiloPlacementManager
+from repro.service.snapshot import dump_manager, restore_manager
 from repro.topology import TreeTopology
 
 from seed_admission import SeedSiloPlacementManager
 
+#: Examples per shape: 60 in tier-1; CI's drift hunt asks for more (and
+#: passes ``--hypothesis-seed=random``).
+EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "60"))
 
-def build_topology():
-    return TreeTopology(n_pods=2, racks_per_pod=2, servers_per_rack=3,
-                        slots_per_server=4, link_rate=units.gbps(10),
+
+def build_topology(shape):
+    """``shape`` is (pods, racks per pod, servers per rack, slots)."""
+    pods, racks_per_pod, servers_per_rack, slots = shape
+    return TreeTopology(n_pods=pods, racks_per_pod=racks_per_pod,
+                        servers_per_rack=servers_per_rack,
+                        slots_per_server=slots, link_rate=units.gbps(10),
                         oversubscription=5.0,
                         buffer_bytes=312 * units.KB)
 
-
-_SHAPE = build_topology()
-N_SERVERS = _SHAPE.n_servers
-N_PORTS = len(_SHAPE.ports)
 
 place_step = st.tuples(
     st.just("place"),
@@ -43,16 +54,19 @@ place_step = st.tuples(
     st.sampled_from([1.5, 15.0, 60.0]),                     # burst KB
     st.sampled_from([None, 500e-6, 1e-3, 5e-3]),            # delay
 )
-# Index steps pick the i-th live tenant / reservation modulo the live set.
+# Index steps pick the i-th live tenant / reservation / server / port
+# modulo what the shape under test has.
 steps = st.lists(
     st.one_of(
         place_step,
         st.tuples(st.just("remove"), st.integers(0, 30)),
-        st.tuples(st.just("cordon"), st.integers(0, N_SERVERS - 1)),
-        st.tuples(st.just("uncordon"), st.integers(0, N_SERVERS - 1)),
-        st.tuples(st.just("reserve"), st.integers(0, N_PORTS - 1),
+        st.tuples(st.just("cordon"), st.integers(0, 30)),
+        st.tuples(st.just("uncordon"), st.integers(0, 30)),
+        st.tuples(st.just("reserve"), st.integers(0, 100),
                   st.sampled_from([0.25, 0.5, 1.0])),
         st.tuples(st.just("release"), st.integers(0, 30)),
+        st.tuples(st.just("readopt"), st.integers(0, 30)),
+        st.tuples(st.just("restore")),
     ),
     min_size=1, max_size=40)
 
@@ -75,14 +89,30 @@ def assert_cached_totals_match_recount(manager):
     free = manager.free_slots
     racks = [list(topo.servers_in_rack(r)) for r in range(topo.n_racks)]
     pods = [list(topo.servers_in_pod(p)) for p in range(topo.n_pods)]
-    assert manager._rack_free == [sum(free[s] for s in rack)
-                                  for rack in racks]
+    rack_free = [sum(free[s] for s in rack) for rack in racks]
+    assert manager._server_free.values() == free
+    assert manager._rack_free.values() == rack_free
+    # The ordered queries walk the trees' inner maxima, not the leaves.
+    for index, counts in ((manager._server_free, free),
+                          (manager._rack_free, rack_free)):
+        for need in range(1, max(counts) + 2):
+            assert list(index.at_least(need)) == [
+                i for i, count in enumerate(counts) if count >= need]
     assert manager._pod_free == [sum(free[s] for s in pod) for pod in pods]
     assert manager._total_free == sum(free)
     assert manager._rack_touched == [sum(free[s] < full for s in rack)
                                      for rack in racks]
     assert manager._pod_touched == [sum(free[s] < full for s in pod)
                                     for pod in pods]
+    assert manager._pristine == [
+        free[s] == full
+        and manager.states[topo.nic_up(s).port_id].is_empty
+        and manager.states[topo.tor_down(s).port_id].is_empty
+        for s in range(topo.n_servers)]
+    assert [sorted(tenants) for tenants in manager._server_tenants] == [
+        sorted(tid for tid, placement in manager.placements.items()
+               if s in placement.vms_per_server())
+        for s in range(topo.n_servers)]
 
 
 def assert_same_books(live, seed):
@@ -98,12 +128,24 @@ def assert_same_books(live, seed):
                     other.packet_slack))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=EXAMPLES, deadline=None)
 @given(step_list=steps)
 def test_shipped_manager_matches_seed_under_cordon_and_reserve(step_list):
-    live = SiloPlacementManager(build_topology())
-    seed = SeedSiloPlacementManager(build_topology())
-    managers = (live, seed)
+    run_in_lockstep((2, 2, 3, 4), step_list)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(step_list=steps)
+def test_shipped_manager_matches_seed_across_index_boundaries(step_list):
+    run_in_lockstep((3, 4, 2, 2), step_list)
+
+
+def run_in_lockstep(shape, step_list):
+    live = SiloPlacementManager(build_topology(shape))
+    seed = SeedSiloPlacementManager(build_topology(shape))
+    managers = [live, seed]
+    n_servers = live.topology.n_servers
+    n_ports = len(live.topology.ports)
     tenants = []
     reservations = []   # (port_id, key)
     for n, step in enumerate(step_list):
@@ -122,13 +164,15 @@ def test_shipped_manager_matches_seed_under_cordon_and_reserve(step_list):
                 for m in managers:
                     m.remove(tenant_id)
         elif op == "cordon":
-            withheld = [m.cordon_server(step[1]) for m in managers]
+            withheld = [m.cordon_server(step[1] % n_servers)
+                        for m in managers]
             assert withheld[0] == withheld[1]
         elif op == "uncordon":
-            freed = [m.uncordon_server(step[1]) for m in managers]
+            freed = [m.uncordon_server(step[1] % n_servers)
+                     for m in managers]
             assert freed[0] == freed[1]
         elif op == "reserve":
-            port_id = live.topology.ports[step[1]].port_id
+            port_id = live.topology.ports[step[1] % n_ports].port_id
             lost = step[2] * live.states[port_id].port.capacity
             poison = Contribution(bandwidth=lost, burst=0.0,
                                   peak_rate=lost, packet_slack=0.0)
@@ -136,10 +180,26 @@ def test_shipped_manager_matches_seed_under_cordon_and_reserve(step_list):
             for m in managers:
                 m.reserve_capacity(port_id, poison, key)
             reservations.append((port_id, key))
-        else:
+        elif op == "release":
             if reservations:
                 port_id, key = reservations.pop(step[1] % len(reservations))
                 for m in managers:
                     m.release_capacity(port_id, key)
+        elif op == "readopt":
+            # The crash-recovery redo path: re-commit a known assignment
+            # without a search (cordoned servers give no slots back, so
+            # only tenants clear of them can be re-adopted).
+            if tenants:
+                tenant_id = tenants[step[1] % len(tenants)]
+                placement = live.placements[tenant_id]
+                assignment = placement.vms_per_server()
+                if not set(assignment) & set(live.cordoned_servers):
+                    for m in managers:
+                        m.remove(tenant_id)
+                        m.adopt(placement.request, assignment)
+        else:
+            restored = SiloPlacementManager(build_topology(shape))
+            restore_manager(restored, dump_manager(live))
+            managers[0] = live = restored
         assert_same_books(live, seed)
         assert_cached_totals_match_recount(live)

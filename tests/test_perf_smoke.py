@@ -64,3 +64,56 @@ def test_shaper_probes_per_stamp_floor(monkeypatch):
                            duration=0.005)
     assert calls["stamp"] > 10_000
     assert calls["would_stamp"] <= 8 * calls["stamp"]
+
+
+def test_place_reads_free_slots_independent_of_cluster_size():
+    """A ``place`` that fails server scope must not walk the cluster.
+
+    8 000 servers at ~0.6 occupancy (slots-only placeholders, adopted
+    without a search), then one 5-VM tenant: no 4-slot server can hold
+    it, so the server scope fails and the first rack with room takes it.
+    The scanning search read ``free_slots`` once per server of every rack
+    with 5 free slots on the way (thousands); the indexed one reads only
+    inside the rack it fills.  A count, so it holds on any machine.
+    """
+    import random
+
+    from repro import units
+    from repro.core.guarantees import NetworkGuarantee
+    from repro.core.tenant import TenantClass, TenantRequest
+    from repro.placement import SiloPlacementManager
+    from repro.topology import TreeTopology
+
+    class CountingList(list):
+        reads = 0
+
+        def __getitem__(self, item):
+            self.reads += 1  # a slice is one C-level read of the range
+            return super().__getitem__(item)
+
+        def __iter__(self):
+            self.reads += len(self)
+            return super().__iter__()
+
+    topology = TreeTopology(n_pods=16, racks_per_pod=50, servers_per_rack=10,
+                            slots_per_server=4, link_rate=units.gbps(10),
+                            oversubscription=5.0,
+                            buffer_bytes=312 * units.KB)
+    manager = SiloPlacementManager(topology)
+    rng = random.Random(16)
+    for server in range(topology.n_servers):
+        used = rng.choice([0, 2, 3, 3, 4])  # mean 2.4 of 4 slots
+        if used:
+            manager.adopt(TenantRequest(n_vms=used, guarantee=None,
+                                        tenant_class=TenantClass.BEST_EFFORT),
+                          {server: used})
+    assert 0.55 < manager.occupancy < 0.65
+    manager.free_slots = CountingList(manager.free_slots)
+    request = TenantRequest(
+        n_vms=topology.slots_per_server + 1,
+        guarantee=NetworkGuarantee(bandwidth=units.mbps(50),
+                                   burst=1.5 * units.KB),
+        tenant_class=TenantClass.CLASS_B)
+    placement = manager.place(request)
+    assert placement is not None and len(set(placement.vm_servers)) > 1
+    assert manager.free_slots.reads <= 4 * topology.servers_per_rack
