@@ -711,7 +711,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     full session.
     """
     from repro.faults import FaultSchedule
-    from repro.service import AdmissionService, ClosedLoopLoadGen
+    from repro.service import (AdmissionService, ClosedLoopLoadGen,
+                               SnapshotError)
     bad_spec = _check_faults_spec(args)
     if bad_spec is not None:
         return bad_spec
@@ -727,10 +728,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         from repro.obs import JsonlSink
         sink = JsonlSink(args.trace_out)
     data_dir = Path(args.data_dir)
-    service = AdmissionService(
-        topology, data_dir, queue_capacity=args.queue_capacity,
-        batch_size=args.batch_size, admission_timeout=args.timeout,
-        snapshot_every=args.snapshot_every, tracer=sink)
+    try:
+        service = AdmissionService(
+            topology, data_dir, queue_capacity=args.queue_capacity,
+            batch_size=args.batch_size, admission_timeout=args.timeout,
+            snapshot_every=args.snapshot_every, tracer=sink)
+    except SnapshotError as exc:
+        return _spec_error("--data-dir", args.data_dir, exc)
     digest_path = data_dir / "digest.txt"
     if args.check_digest:
         if not digest_path.is_file():

@@ -555,18 +555,30 @@ class PlacementManager(abc.ABC):
     def _fill(self, request: TenantRequest, available: Sequence[int],
               strategy: str, scope: str) -> Optional[Dict[int, int]]:
         """Distribute all N VMs over the ``available`` (non-full) servers;
-        ``None`` if they don't fit."""
+        ``None`` if they don't fit.
+
+        ``slack`` is the free slots still ahead minus the VMs still to
+        place: once negative, VMs must be left over whatever the later
+        probes say, and probes only fill the contribution memo, so
+        returning there drops probes but changes no decision.
+        """
         remaining = request.n_vms
         assignment: Dict[int, int] = {}
         k_estimate = max(1, len(available) - 1)
         pristine = self._pristine
         pristine_failed = False
+        free_slots = self.free_slots
+        slack = sum(map(free_slots.__getitem__, available)) - remaining
         for position, server in enumerate(available):
             if remaining == 0:
                 break
+            if slack < 0:
+                return None
+            free = free_slots[server]
             if pristine_failed and pristine[server]:
+                slack -= free
                 continue  # identical to an empty server that failed
-            want = min(remaining, self.free_slots[server])
+            want = min(remaining, free)
             if self.min_fault_domains > 1:
                 want = min(want, math.ceil(request.n_vms
                                            / self.min_fault_domains))
@@ -580,6 +592,7 @@ class PlacementManager(abc.ABC):
                 remaining -= placed
             elif pristine[server]:
                 pristine_failed = True
+            slack -= free - placed
         if remaining:
             return None
         return assignment

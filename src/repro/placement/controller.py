@@ -32,9 +32,9 @@ tenant, the SLO-violation currency of the failure-sweep experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.tenant import TenantRequest
+from repro.core.tenant import Placement, TenantRequest
 from repro.faults.model import ACTION_UP, FaultEvent, HealthState
 from repro.obs.events import TenantRecovery
 from repro.placement.base import PlacementManager
@@ -154,6 +154,8 @@ class ClusterController:
         #: port id -> factor currently fenced by a poison reservation.
         self._poisoned: Dict[int, float] = {}
         self._finalized = False
+        #: tenant id -> (placement, its port set); see _tenants_touching.
+        self._port_memo: Dict[int, Tuple[Placement, Set[int]]] = {}
 
     # -- event handling ------------------------------------------------------
 
@@ -328,14 +330,24 @@ class ClusterController:
         Computed from placement geometry rather than the reservation
         registry so it also works for managers without port checks
         (locality) and for best-effort tenants with no contributions.
+        A port set is derived once per placement: the memo is rebuilt
+        from the live placements on every call and an entry is reused
+        only for the identical ``Placement`` object (a re-place, adopt
+        or snapshot restore makes a new one), so nothing goes stale.
         """
         if not port_ids:
             return set()
         wanted = set(port_ids)
         hit: Set[int] = set()
+        old, memo = self._port_memo, {}
         for tenant_id, placement in self.manager.placements.items():
-            if self._placement_ports(placement) & wanted:
+            entry = old.get(tenant_id)
+            if entry is None or entry[0] is not placement:
+                entry = (placement, self._placement_ports(placement))
+            memo[tenant_id] = entry
+            if not wanted.isdisjoint(entry[1]):
                 hit.add(tenant_id)
+        self._port_memo = memo
         return hit
 
     def _placement_ports(self, placement) -> Set[int]:

@@ -20,7 +20,7 @@ walks through a kill -9 / restart / verify-identity session.
 """
 
 from repro.service.queue import BoundedIngressQueue, IngressItem, Priority
-from repro.service.wal import SnapshotStore, WriteAheadLog
+from repro.service.wal import SnapshotError, SnapshotStore, WriteAheadLog
 from repro.service.snapshot import state_digest
 from repro.service.cluster import AGG, ShardedCluster
 from repro.service.server import AdmissionService, ServiceMetrics
@@ -29,5 +29,6 @@ from repro.service.loadgen import ClosedLoopLoadGen
 __all__ = [
     "AGG", "AdmissionService", "BoundedIngressQueue",
     "ClosedLoopLoadGen", "IngressItem", "Priority", "ServiceMetrics",
-    "ShardedCluster", "SnapshotStore", "WriteAheadLog", "state_digest",
+    "ShardedCluster", "SnapshotError", "SnapshotStore", "WriteAheadLog",
+    "state_digest",
 ]

@@ -542,9 +542,12 @@ class ShardedCluster:
         self.cordoned_shards = set(int(pod)
                                    for pod in state["cordoned_shards"])
 
-    def state_digest(self) -> str:
-        """SHA-256 certificate over the whole cluster's books."""
-        return snapshot_mod.state_digest(self.dump_state())
+    def state_digest(self, state: Optional[Dict] = None) -> str:
+        """SHA-256 certificate over the whole cluster's books
+        (``state``: a :meth:`dump_state` the caller already holds)."""
+        if state is None:
+            state = self.dump_state()
+        return snapshot_mod.state_digest(state)
 
     def set_tracer(self, tracer) -> None:
         """Attach a trace sink to every manager and controller."""

@@ -38,7 +38,8 @@ from repro.obs.events import (FaultInjected, ServiceDecision,
 from repro.service.cluster import ShardedCluster
 from repro.service.queue import BoundedIngressQueue, IngressItem, Priority
 from repro.service.snapshot import dump_request, restore_request
-from repro.service.wal import SnapshotStore, WriteAheadLog, recovery_plan
+from repro.service.wal import (SnapshotError, SnapshotStore,
+                               WriteAheadLog, recovery_plan)
 from repro.topology.tree import TreeTopology
 
 __all__ = ["AdmissionService", "ServiceMetrics"]
@@ -149,16 +150,21 @@ class AdmissionService:
         #: completed decision -- the closed-loop load generator's
         #: feedback channel for retry/backoff.
         self.on_decision = None
+        # Loaded before the log is opened: a damaged snapshot must fail
+        # the start without the WAL's torn-tail truncation having run.
+        snapshot = self.snapshots.load()
         self.wal = WriteAheadLog(self.data_dir / "wal.jsonl")
-        self._recover()
+        self._recover(snapshot)
         self.tracer = tracer
 
     # -- recovery ------------------------------------------------------------
 
-    def _recover(self) -> None:
-        snapshot = self.snapshots.load()
+    def _recover(self, snapshot: Optional[Dict[str, Any]]) -> None:
         folded = 0
         if snapshot is not None:
+            if "cluster" not in snapshot:
+                raise SnapshotError(f"snapshot {self.snapshots.path} "
+                                    f"has no 'cluster' key")
             self.cluster.restore_state(snapshot["cluster"])
             folded = int(snapshot.get("done_count", 0))
         redo, reenqueue, total_done = recovery_plan(self.wal.path, folded)
@@ -379,12 +385,12 @@ class AdmissionService:
 
     def snapshot(self, now: float) -> str:
         """Checkpoint the books; returns their digest."""
-        state = {"time": now, "done_count": self._done_count,
-                 "cluster": self.cluster.dump_state()}
-        self.snapshots.save(state)
+        books = self.cluster.dump_state()
+        self.snapshots.save({"time": now, "done_count": self._done_count,
+                             "cluster": books})
         self._done_since_snapshot = 0
         self.metrics.snapshots += 1
-        digest = self.cluster.state_digest()
+        digest = self.cluster.state_digest(books)
         if self.tracer is not None:
             self.tracer.emit(ServiceSnapshot(time=now,
                                              last_seq=self._done_count,

@@ -13,15 +13,14 @@ functions of the restored state.
 JSON is the wire format; Python floats survive a JSON round trip
 exactly (repr-based encoding), so no precision is lost.
 
-``state_digest`` hashes a state dict with the admission counters
-stripped: counters count *attempts* (a replayed service never re-runs
-rejected admissions, so they legitimately differ across a restart)
-while the digest must pin the *books*.
+``state_digest`` hashes a cluster state dict with the admission
+counters left out: counters count *attempts* (a replayed service never
+re-runs rejected admissions, so they legitimately differ across a
+restart) while the digest must pin the *books*.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from typing import Any, Dict, List, Optional
@@ -214,23 +213,27 @@ def restore_controller(controller: ClusterController,
 
 # -- digests -----------------------------------------------------------------
 
-def _strip_counters(state: Any) -> Any:
-    if isinstance(state, dict):
-        return {k: _strip_counters(v) for k, v in state.items()
-                if k != "counters"}
-    if isinstance(state, list):
-        return [_strip_counters(v) for v in state]
-    return state
+def _without_counters(manager_dump: Dict[str, Any]) -> Dict[str, Any]:
+    return {key: value for key, value in manager_dump.items()
+            if key != "counters"}
 
 
 def state_digest(state: Dict[str, Any]) -> str:
-    """SHA-256 over a canonical JSON rendering of ``state``.
+    """SHA-256 over a canonical JSON rendering of a
+    :meth:`ShardedCluster.dump_state` dict (left unmodified).
 
     Admission counters are excluded: a restarted service replays only
     committed outcomes (it never re-runs rejected admission attempts),
     so attempt counters may differ across a crash while the books are
-    identical -- the digest certifies the books.
+    identical -- the digest certifies the books.  Counters live in
+    exactly two places, each shard's ``manager`` dump and ``calc``
+    (:func:`dump_manager`), so the strip rebuilds those dicts one level
+    deep and shares everything below them with ``state``.
     """
-    canonical = json.dumps(_strip_counters(copy.deepcopy(state)),
-                           sort_keys=True)
+    books = dict(state)
+    books["shards"] = [
+        dict(shard, manager=_without_counters(shard["manager"]))
+        for shard in state["shards"]]
+    books["calc"] = _without_counters(state["calc"])
+    canonical = json.dumps(books, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

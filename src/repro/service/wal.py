@@ -26,8 +26,8 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["WriteAheadLog", "SnapshotStore", "replay_records",
-           "recovery_plan"]
+__all__ = ["WriteAheadLog", "SnapshotStore", "SnapshotError",
+           "replay_records", "recovery_plan"]
 
 
 class WriteAheadLog:
@@ -122,6 +122,10 @@ def replay_records(path: Path) -> Iterator[Dict[str, Any]]:
         yield record
 
 
+class SnapshotError(ValueError):
+    """The snapshot file exists but is not a service snapshot."""
+
+
 class SnapshotStore:
     """Atomic full-state snapshots, one file, replaced in place.
 
@@ -138,11 +142,14 @@ class SnapshotStore:
 
     def save(self, state: Dict[str, Any]) -> None:
         """Write ``state`` atomically (temp file + ``os.replace``)."""
+        # dumps, not dump(fh): same bytes, but the one-shot encoder runs
+        # in C while the streaming one is a Python generator per value.
+        payload = json.dumps(state, sort_keys=True)
         fd, tmp = tempfile.mkstemp(dir=str(self.path.parent),
                                    prefix=self.path.name + ".")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(state, fh, sort_keys=True)
+                fh.write(payload)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, str(self.path))
@@ -154,11 +161,21 @@ class SnapshotStore:
             raise
 
     def load(self) -> Optional[Dict[str, Any]]:
-        """The current snapshot, or ``None`` if none was taken yet."""
+        """The current snapshot, or ``None`` if none was taken yet;
+        :class:`SnapshotError` if the file is not a JSON object."""
         if not self.path.exists():
             return None
-        with open(self.path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with open(self.path, "r", encoding="utf-8") as fh:
+                state = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise SnapshotError(
+                f"snapshot {self.path} is not JSON: {exc}") from exc
+        if not isinstance(state, dict):
+            raise SnapshotError(
+                f"snapshot {self.path} is not a JSON object "
+                f"(got {type(state).__name__})")
+        return state
 
 
 def recovery_plan(path: Path, folded_done: int,

@@ -8,7 +8,10 @@ search and closed-form bounds.  Both are driven in lockstep through
 interleaved ``place`` / ``remove`` / ``cordon_server`` /
 ``uncordon_server`` / ``reserve_capacity`` / ``release_capacity`` /
 ``adopt`` / snapshot-restore steps and must make the same decision with
-the same VM layout at every step, and every structure the shipped manager
+the same VM layout at every step, the shipped search's per-server probes
+``(server, want, k, scope)`` must be a subsequence of the oracle's (the
+indexes and the ``_fill`` slot budget may only *remove* probes, never add
+or reorder one), and every structure the shipped manager
 maintains beside the books must equal a recount from the books (cordons
 withhold slots without a tenant holding them and poisons fill ports
 without a tenant crossing them, which is where an index and a scan could
@@ -140,9 +143,62 @@ def test_shipped_manager_matches_seed_across_index_boundaries(step_list):
     run_in_lockstep((3, 4, 2, 2), step_list)
 
 
-def run_in_lockstep(shape, step_list):
-    live = SiloPlacementManager(build_topology(shape))
-    seed = SeedSiloPlacementManager(build_topology(shape))
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(step_list=steps)
+def test_shipped_manager_matches_seed_with_two_fault_domains(step_list):
+    """``min_fault_domains=2`` caps ``want`` at half the tenant, so a
+    fill leaves free slots behind on every server it visits: the cap and
+    the slot budget shrink ``slack`` together."""
+    run_in_lockstep((2, 2, 3, 4), step_list, min_fault_domains=2)
+
+
+def test_balanced_fill_succeeds_where_greedy_fails_in_the_same_rack():
+    """9 VMs with a 100 KB burst into a pristine 3 x 4-slot rack: greedy
+    packs 4 + 4 and leaves one VM for the last server, whose ToR
+    downlink would then face the burst of the other eight; 3 + 3 + 3
+    keeps every downlink at six senders and is admitted.  The second
+    strategy is what places this tenant, on both managers."""
+    step = ("place", 9, 50, 100.0, 1e-3)
+    live = SiloPlacementManager(build_topology((2, 2, 3, 4)))
+    request = make_request(step)
+    rack = [0, 1, 2]
+    assert live._fill(request, rack, "greedy", "rack") is None
+    assert live._fill(request, rack, "balanced", "rack") == {
+        0: 3, 1: 3, 2: 3}
+    assert live.place(request).vm_servers == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    run_in_lockstep((2, 2, 3, 4), [step, step, step])
+
+
+def record_server_probes(manager):
+    """Log every ``_max_vms_on_server`` call of ``manager`` as
+    ``(server, want, k_estimate, scope)``; returns the log.
+
+    Counted here rather than at ``_port_ok``: below this call the
+    shipped manager binary-searches where the oracle scans downwards, so
+    port-check counts differ for a reason the fill loop does not own.
+    """
+    log = []
+    inner = manager._max_vms_on_server
+
+    def logged(request, server, want, k_estimate, scope):
+        log.append((server, want, k_estimate, scope))
+        return inner(request, server, want, k_estimate, scope)
+
+    manager._max_vms_on_server = logged
+    return log
+
+
+def is_subsequence(short, long):
+    remaining = iter(long)
+    return all(item in remaining for item in short)
+
+
+def run_in_lockstep(shape, step_list, min_fault_domains=1):
+    live = SiloPlacementManager(build_topology(shape),
+                                min_fault_domains=min_fault_domains)
+    seed = SeedSiloPlacementManager(build_topology(shape),
+                                    min_fault_domains=min_fault_domains)
+    logs = [record_server_probes(live), record_server_probes(seed)]
     managers = [live, seed]
     n_servers = live.topology.n_servers
     n_ports = len(live.topology.ports)
@@ -153,7 +209,10 @@ def run_in_lockstep(shape, step_list):
         if op == "place":
             # One request object for both: tenant ids auto-increment.
             request = make_request(step)
+            for log in logs:
+                del log[:]
             placed = [m.place(request) for m in managers]
+            assert is_subsequence(*logs), logs
             assert (placed[0] is None) == (placed[1] is None)
             if placed[0] is not None:
                 assert placed[0].vm_servers == placed[1].vm_servers
@@ -198,8 +257,10 @@ def run_in_lockstep(shape, step_list):
                         m.remove(tenant_id)
                         m.adopt(placement.request, assignment)
         else:
-            restored = SiloPlacementManager(build_topology(shape))
+            restored = SiloPlacementManager(
+                build_topology(shape), min_fault_domains=min_fault_domains)
             restore_manager(restored, dump_manager(live))
             managers[0] = live = restored
+            logs[0] = record_server_probes(live)
         assert_same_books(live, seed)
         assert_cached_totals_match_recount(live)

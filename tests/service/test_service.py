@@ -1,8 +1,11 @@
 """The admission service loop: backpressure, deadlines, shedding,
 shard degradation, and crash-consistent recovery."""
 
+import pytest
+
 from repro import units
-from repro.service import AdmissionService, IngressItem, Priority
+from repro.service import (AdmissionService, IngressItem, Priority,
+                           SnapshotError)
 from repro.service.snapshot import dump_request
 from repro.topology import TreeTopology
 
@@ -208,6 +211,49 @@ class TestRecovery:
         b.close()
 
 
+class TestCorruptSnapshot:
+    """A damaged ``snapshot.json`` fails the start with a diagnosis
+    that names the file, never a bare decode/key error."""
+
+    SHAPES = [
+        ('{"cluster": {"shards": [', "not JSON"),       # truncated
+        ("\x00\x01 not json at all", "not JSON"),
+        ("[1, 2, 3]", "not a JSON object"),
+        ('{"time": 1.0, "done_count": 3}', "no 'cluster' key"),
+    ]
+
+    @pytest.mark.parametrize("text, what", SHAPES)
+    def test_malformed_snapshot_is_diagnosed(self, tmp_path, text, what):
+        path = tmp_path / "svc" / "snapshot.json"
+        path.parent.mkdir()
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SnapshotError) as raised:
+            build_service(tmp_path)
+        assert str(path) in str(raised.value)
+        assert what in str(raised.value)
+        assert isinstance(raised.value, ValueError)
+
+    def test_damaged_snapshot_leaves_the_wal_untouched(self, tmp_path):
+        service = build_service(tmp_path)
+        service.submit_admission(guaranteed(1), now=0.0)
+        service.tick(now=0.1)
+        service.close()
+        wal = tmp_path / "svc" / "wal.jsonl"
+        torn = wal.read_bytes() + b'{"t": "enq", "se'
+        wal.write_bytes(torn)
+        (tmp_path / "svc" / "snapshot.json").write_text("{")
+        with pytest.raises(SnapshotError):
+            build_service(tmp_path)
+        assert wal.read_bytes() == torn
+
+    def test_missing_snapshot_is_a_clean_first_start(self, tmp_path):
+        service = build_service(tmp_path)
+        assert service.snapshots.load() is None
+        assert service.metrics.replayed == 0
+        assert not service.cluster.placements
+        service.close()
+
+
 class TestServiceMetrics:
     """The SLO percentile series follows the repo-wide nearest-rank
     convention (regression: it used to floor-index with q in [0, 1],
@@ -232,7 +278,6 @@ class TestServiceMetrics:
         assert metrics.latency_percentile(0.5) == 1.0
 
     def test_out_of_range_q_raises(self):
-        import pytest
         metrics = self.make_metrics()
         with pytest.raises(ValueError):
             metrics.latency_percentile(101.0)

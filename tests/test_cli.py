@@ -517,6 +517,25 @@ class TestServe:
         summary = json.loads(reborn.stdout)
         assert summary["digest"]
 
+    @pytest.mark.parametrize("text, what", [
+        ('{"cluster": {"sha', "not JSON"),
+        ("[]", "not a JSON object"),
+        ('{"done_count": 1}', "no 'cluster' key"),
+    ])
+    def test_corrupt_snapshot_exits_2_with_one_line(self, capsys,
+                                                    tmp_path, text, what):
+        data_dir = tmp_path / "svc"
+        data_dir.mkdir()
+        (data_dir / "snapshot.json").write_text(text, encoding="utf-8")
+        code = main(self.serve_argv(data_dir))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: bad --data-dir ")
+        assert str(data_dir / "snapshot.json") in captured.err
+        assert what in captured.err
+
     def test_check_digest_without_kill_exits_2(self, capsys, tmp_path):
         code = main(self.serve_argv(tmp_path / "svc",
                                     "--check-digest"))
