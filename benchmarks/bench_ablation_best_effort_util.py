@@ -8,8 +8,6 @@ sweeping the fraction of extra best-effort tenants, and reports the
 utilization recovered -- with guaranteed tenants' job durations untouched.
 """
 
-import pytest
-
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import TenantClass, TenantRequest
@@ -18,7 +16,7 @@ from repro.flowsim.workload import TenantArrival, TenantWorkload, WorkloadConfig
 from repro.placement import SiloPlacementManager
 from repro.topology import TreeTopology
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 HORIZON = 120.0
 BE_EXTRA = [0.0, 0.25, 0.5]  # best-effort arrivals per guaranteed arrival
@@ -67,9 +65,8 @@ def compute():
     return {fraction: run_cell(fraction) for fraction in BE_EXTRA}
 
 
-@pytest.mark.benchmark(group="ablation-best-effort")
-def test_ablation_best_effort_utilization(benchmark):
-    results = run_once(benchmark, compute)
+def test_ablation_best_effort_utilization():
+    results = compute()
 
     rows = []
     for fraction, stats in results.items():

@@ -7,15 +7,13 @@ measures what the tightening buys: how many tenants the same datacenter
 admits with and without it, at two oversubscription levels.
 """
 
-import pytest
-
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import TenantClass, TenantRequest
 from repro.placement import SiloPlacementManager
 from repro.topology import TreeTopology
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 N_REQUESTS = 60
 
@@ -51,9 +49,8 @@ def compute():
     return rows, gains
 
 
-@pytest.mark.benchmark(group="ablation-hose")
-def test_ablation_hose_tightening(benchmark):
-    rows, gains = run_once(benchmark, compute)
+def test_ablation_hose_tightening():
+    rows, gains = compute()
     print_table(
         "Ablation: tenants admitted with naive vs tightened hose "
         "aggregation (60 offered)",

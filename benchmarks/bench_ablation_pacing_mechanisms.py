@@ -9,14 +9,12 @@ pacing error and the worst back-to-back run length the first-hop switch
 sees.
 """
 
-import pytest
-
 from repro import units
 from repro.pacer.hierarchy import PacerConfig, VMPacer
 from repro.pacer.timer_pacer import TimerPacer
 from repro.pacer.void_packets import VoidScheduler
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 LINK = units.gbps(10)
 RATE = units.gbps(2)
@@ -69,9 +67,8 @@ def compute():
     return rows, stats
 
 
-@pytest.mark.benchmark(group="ablation-pacing")
-def test_ablation_pacing_mechanisms(benchmark):
-    rows, stats = run_once(benchmark, compute)
+def test_ablation_pacing_mechanisms():
+    rows, stats = compute()
     print_table(
         "Ablation: pacing mechanism accuracy at a 2 Gbps limit on 10 GbE",
         ["mechanism", "worst error (ns)", "worst back-to-back run"], rows)

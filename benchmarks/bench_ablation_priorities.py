@@ -13,8 +13,6 @@ This bench measures exactly that three-way trade:
 
 import random
 
-import pytest
-
 from repro import units
 from repro.analysis import percentile
 from repro.core.guarantees import NetworkGuarantee
@@ -29,7 +27,7 @@ from repro.topology import TreeTopology
 from repro.workloads import Fixed
 from repro.workloads.patterns import all_to_all_pairs
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 DURATION = 0.04
 MESSAGE = 15 * units.KB
@@ -79,9 +77,8 @@ def compute():
             for mode in ("none", "low-priority", "equal-priority")}
 
 
-@pytest.mark.benchmark(group="ablation-priorities")
-def test_ablation_best_effort_priorities(benchmark):
-    results = run_once(benchmark, compute)
+def test_ablation_best_effort_priorities():
+    results = compute()
     bound = GUARANTEE.message_latency_bound(MESSAGE)
 
     rows = []

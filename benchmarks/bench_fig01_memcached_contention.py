@@ -13,8 +13,6 @@ more, while the median moves far less.
 
 import random
 
-import pytest
-
 from repro import units
 from repro.analysis import summarize
 from repro.phynet import MetricsCollector, PacketNetwork
@@ -23,7 +21,7 @@ from repro.topology import TreeTopology
 from repro.workloads import EtcWorkload, Fixed
 from repro.workloads.patterns import all_to_all_pairs
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 DURATION = 0.05
 N_SERVERS = 3
@@ -58,9 +56,8 @@ def compute():
     return run_scenario(False), run_scenario(True)
 
 
-@pytest.mark.benchmark(group="fig1")
-def test_fig01_memcached_contention(benchmark):
-    alone, contended = run_once(benchmark, compute)
+def test_fig01_memcached_contention():
+    alone, contended = compute()
 
     def fmt(s):
         return [f"{s.count}", f"{units.to_usec(s.median):.0f}",

@@ -20,7 +20,7 @@ from repro.core.tenant import TenantClass, TenantRequest
 from repro.placement import OktopusPlacementManager
 from repro.topology import TreeTopology
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 BUFFER = 300 * units.KB
 
@@ -66,9 +66,8 @@ def compute():
     return rows, verdicts
 
 
-@pytest.mark.benchmark(group="fig5")
-def test_fig05_placement_example(benchmark):
-    rows, verdicts = run_once(benchmark, compute)
+def test_fig05_placement_example():
+    rows, verdicts = compute()
     print_table(
         "Fig. 5: worst-case burst convergence (300 KB port buffers)",
         ["placement", "split", "burst", "arrives at", "queued",

@@ -14,12 +14,10 @@
     required 167-byte gap quantizes poorly).
 """
 
-import pytest
-
 from repro import units
 from repro.pacer.cpu_model import PacerCpuModel
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 LINK = units.gbps(10)
 RATE_LIMITS = [units.gbps(g) for g in range(1, 11)]
@@ -33,9 +31,8 @@ def compute():
     return samples, baseline
 
 
-@pytest.mark.benchmark(group="fig10")
-def test_fig10_pacer_microbenchmarks(benchmark):
-    samples, baseline = run_once(benchmark, compute)
+def test_fig10_pacer_microbenchmarks():
+    samples, baseline = compute()
 
     rows = []
     for sample in samples:

@@ -15,8 +15,6 @@ tenant A trim its 99.9th percentile further while tenant B still gets
 
 import random
 
-import pytest
-
 from repro import units
 from repro.analysis import summarize
 from repro.core.guarantees import NetworkGuarantee, message_latency_bound
@@ -26,7 +24,7 @@ from repro.topology import TreeTopology
 from repro.workloads import EtcWorkload, Fixed
 from repro.workloads.patterns import all_to_all_pairs
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 DURATION = 0.05
 N_SERVERS = 5
@@ -95,9 +93,8 @@ def compute():
     return results
 
 
-@pytest.mark.benchmark(group="fig11")
-def test_fig11_testbed_guarantees(benchmark):
-    results = run_once(benchmark, compute)
+def test_fig11_testbed_guarantees():
+    results = compute()
     # The message-latency guarantee of section 6.1 (~2 ms): one maximum
     # 1 KB value at Bmax after the 1 ms delay allowance, doubled for the
     # request leg.

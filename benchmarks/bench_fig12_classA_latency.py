@@ -12,12 +12,10 @@ fixes the median but keeps a bad tail (bursts its placement did not
 budget for).
 """
 
-import pytest
-
 from repro import units
 from repro.analysis import percentile
 
-from conftest import CAMPAIGN_SCHEMES, print_table, run_once
+from conftest import CAMPAIGN_SCHEMES, print_table
 
 
 def collect(campaign):
@@ -37,9 +35,8 @@ def collect(campaign):
     return table
 
 
-@pytest.mark.benchmark(group="fig12")
-def test_fig12_class_a_latency(benchmark, fig12_campaign):
-    table = run_once(benchmark, lambda: collect(fig12_campaign))
+def test_fig12_class_a_latency(fig12_campaign):
+    table = collect(fig12_campaign)
 
     rows = []
     for scheme in CAMPAIGN_SCHEMES:

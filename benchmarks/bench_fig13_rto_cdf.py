@@ -7,9 +7,7 @@ Silo none at all (admitted bursts fit every buffer, so nothing is ever
 dropped).
 """
 
-import pytest
-
-from conftest import CAMPAIGN_SCHEMES, print_table, run_once
+from conftest import CAMPAIGN_SCHEMES, print_table
 
 
 def collect(campaign):
@@ -22,9 +20,8 @@ def collect(campaign):
     return table
 
 
-@pytest.mark.benchmark(group="fig13")
-def test_fig13_rto_cdf(benchmark, fig12_campaign):
-    table = run_once(benchmark, lambda: collect(fig12_campaign))
+def test_fig13_rto_cdf(fig12_campaign):
+    table = collect(fig12_campaign)
 
     rows = []
     for scheme in CAMPAIGN_SCHEMES:

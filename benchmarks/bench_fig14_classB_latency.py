@@ -8,11 +8,9 @@ with TCP/HULL many tenants beat the estimate (work conservation) but a
 long tail does far worse -- predictability traded for peak throughput.
 """
 
-import pytest
-
 from repro.analysis import percentile
 
-from conftest import CAMPAIGN_SCHEMES, print_table, run_once
+from conftest import CAMPAIGN_SCHEMES, print_table
 
 
 def collect(campaign):
@@ -28,9 +26,8 @@ def collect(campaign):
     return table
 
 
-@pytest.mark.benchmark(group="fig14")
-def test_fig14_class_b_latency(benchmark, fig12_campaign):
-    table = run_once(benchmark, lambda: collect(fig12_campaign))
+def test_fig14_class_b_latency(fig12_campaign):
+    table = collect(fig12_campaign)
 
     rows = []
     for scheme in CAMPAIGN_SCHEMES:

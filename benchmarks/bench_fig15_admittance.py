@@ -25,12 +25,10 @@ rejection rate -- stays lower.  We report locality for comparison but do
 not assert the paper's direction.
 """
 
-import pytest
-
 from repro.campaign import get_sweep, run_campaign
 from repro.campaign.scenarios import POLICY_MANAGERS
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 #: The grid (loads, policies, horizon, seed) is the registered ``fig15``
 #: sweep -- one definition shared with ``python -m repro campaign``.
@@ -44,9 +42,8 @@ def compute():
             for load in LOADS for name in POLICIES}
 
 
-@pytest.mark.benchmark(group="fig15")
-def test_fig15_admittance(benchmark):
-    results = run_once(benchmark, compute)
+def test_fig15_admittance():
+    results = compute()
 
     rows = []
     for load_label in LOADS:

@@ -16,13 +16,11 @@ this 320-server scale, whereas the paper's 32K-server runs show Silo
 matching or beating it; the *trends* asserted below are the paper's.
 """
 
-import pytest
-
 from repro.campaign import get_sweep, run_campaign
 from repro.campaign.scenarios import (FIG16_BOOSTS, FIG16_PERMUTATIONS,
                                       POLICY_MANAGERS)
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 #: The grid (loads, densities, policies, horizon, seed) is the
 #: registered ``fig16`` sweep; (a) and (b) are slices of its product.
@@ -46,9 +44,8 @@ def compute():
     return sweep_a, sweep_b
 
 
-@pytest.mark.benchmark(group="fig16")
-def test_fig16_utilization(benchmark):
-    sweep_a, sweep_b = run_once(benchmark, compute)
+def test_fig16_utilization():
+    sweep_a, sweep_b = compute()
 
     rows = [[f"{boost:g}x"]
             + [f"{sweep_a[(boost, name)][0]:.2%}"

@@ -11,15 +11,13 @@ request even at full scale, i.e. it is usable as an online controller.
 import random
 import time
 
-import pytest
-
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import TenantClass, TenantRequest
 from repro.placement import SiloPlacementManager
 from repro.topology import TreeTopology
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 N_REQUESTS = 60
 MEAN_VMS = 49
@@ -58,9 +56,8 @@ def compute():
     return topo, times, admitted
 
 
-@pytest.mark.benchmark(group="placement-scale")
-def test_placement_scalability(benchmark):
-    topo, times, admitted = run_once(benchmark, compute)
+def test_placement_scalability():
+    topo, times, admitted = compute()
     rows = [[
         f"{topo.n_servers:,}",
         f"{N_REQUESTS}",

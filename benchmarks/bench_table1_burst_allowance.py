@@ -16,13 +16,11 @@ axes; ~0.1% late around burst 7M / bandwidth 1.8B (the paper's headline
 cell); ~0 in the bottom-right corner.
 """
 
-import pytest
-
 from repro.campaign import get_sweep, run_campaign
 from repro.campaign.scenarios import (TABLE1_BANDWIDTH_MULTIPLIERS,
                                       TABLE1_BURST_MULTIPLIERS)
 
-from conftest import print_table, run_once
+from conftest import print_table
 
 #: The paper's grid, defined once in the registered ``table1`` sweep.
 #: Per-cell seeds are spec-derived (``derive_cell_seeds=True``) -- the
@@ -45,9 +43,8 @@ def compute_table():
     return rows
 
 
-@pytest.mark.benchmark(group="table1")
-def test_table1_burst_allowance(benchmark):
-    rows = run_once(benchmark, compute_table)
+def test_table1_burst_allowance():
+    rows = compute_table()
     header = ["burst\\bw"] + [f"{m:g}B" for m in BANDWIDTH_MULTIPLIERS]
     print_table("Table 1: % messages later than their guarantee", header,
                 rows)

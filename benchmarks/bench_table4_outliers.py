@@ -7,9 +7,7 @@ outliers at all; DCTCP/HULL leave a sizeable share of tenants even 8x
 over.
 """
 
-import pytest
-
-from conftest import CAMPAIGN_SCHEMES, print_table, run_once
+from conftest import CAMPAIGN_SCHEMES, print_table
 
 
 def collect(campaign):
@@ -22,9 +20,8 @@ def collect(campaign):
     return table
 
 
-@pytest.mark.benchmark(group="table4")
-def test_table4_outlier_tenants(benchmark, fig12_campaign):
-    table = run_once(benchmark, lambda: collect(fig12_campaign))
+def test_table4_outlier_tenants(fig12_campaign):
+    table = collect(fig12_campaign)
 
     rows = []
     shares = {}

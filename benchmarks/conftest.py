@@ -1,11 +1,11 @@
-"""Shared benchmark infrastructure.
+"""Shared infrastructure of the paper-claims suite.
 
-Every benchmark regenerates one table or figure of the paper and prints
-it in the paper's terms; pytest-benchmark times the underlying experiment
-once (``rounds=1``) since these are simulations, not micro-kernels.  The
-heavyweight packet-level campaign behind Figs. 12-14 and Table 4 runs
-once per session and is shared by those benchmarks through the
-``fig12_campaign`` fixture.
+Every file here regenerates one table or figure of the paper (or one
+extension claim) and asserts its *shape*; they are ordinary, slow pytest
+tests (``pytest benchmarks``) with no timing harness -- wall-clock
+numbers are ``perf/``'s job.  The heavyweight packet-level campaign
+behind Figs. 12-14 and Table 4 runs once per session and is shared
+through the ``fig12_campaign`` fixture.
 
 The campaign itself -- workload constants, per-scheme cell function and
 the seed -- lives in :mod:`repro.campaign.scenarios` as the registered
@@ -17,38 +17,13 @@ objects, which are not JSON-checkpointable.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import pytest
 
 from repro.campaign import get_sweep, run_campaign
-# Re-exported for the benchmarks (bench_fig12-14, bench_table4) and for
-# backward compatibility with the pre-campaign layout of this module.
-from repro.campaign.scenarios import (  # noqa: F401
-    CAMPAIGN_DURATION,
-    CAMPAIGN_SCHEMES,
-    CLASS_A_EPOCH,
-    CLASS_A_GUARANTEE,
-    CLASS_A_MESSAGE,
-    CLASS_B_GUARANTEE,
-    N_CLASS_A,
-    N_CLASS_B,
-    VMS_PER_TENANT_A,
-    VMS_PER_TENANT_B,
-    SchemeResult,
-    run_campaign_scheme,
-)
-
-
-def run_once(benchmark, fn):
-    """Time one execution of ``fn`` and return its result."""
-    result_box = {}
-
-    def wrapper():
-        result_box["result"] = fn()
-
-    benchmark.pedantic(wrapper, rounds=1, iterations=1)
-    return result_box["result"]
+# Re-exported for the Fig. 12-14 and Table 4 files.
+from repro.campaign.scenarios import CAMPAIGN_SCHEMES  # noqa: F401
 
 
 def print_table(title: str, header: List[str],
@@ -64,19 +39,13 @@ def print_table(title: str, header: List[str],
         print("  ".join(str(c).rjust(w) for c, w in zip(row, widths)))
 
 
-_campaign_cache: Dict[str, SchemeResult] = {}
-
-
 @pytest.fixture(scope="session")
 def fig12_campaign():
-    """All six schemes' results, computed once per session.
+    """All six schemes' results by scheme name, computed once per session.
 
     The grid and seed come from the registered ``fig12`` sweep spec --
     there is no benchmark-private seeding.
     """
-    if not _campaign_cache:
-        result = run_campaign(get_sweep("fig12"))
-        for record in result.records:
-            _campaign_cache[dict(record.cell.params)["scheme"]] = \
-                record.result
-    return _campaign_cache
+    result = run_campaign(get_sweep("fig12"))
+    return {dict(record.cell.params)["scheme"]: record.result
+            for record in result.records}

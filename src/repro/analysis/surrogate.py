@@ -393,9 +393,13 @@ class WhatIfModel:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "WhatIfModel":
-        """Read a model written by :meth:`save`."""
-        return cls.from_dict(
-            json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a model written by :meth:`save`; anything but a JSON
+        object is a ``ValueError``."""
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError(f"a what-if model is a JSON object, not "
+                             f"{type(data).__name__}")
+        return cls.from_dict(data)
 
 
 def _vswitch_delay() -> float:

@@ -26,19 +26,6 @@ from repro.campaign.merge import pool_values, sum_counters
 
 __all__ = ["render_tables", "splice", "update_document"]
 
-#: Renderers keyed by marker id; each maps a campaign dir name to the
-#: markdown block generated from its merged.json.
-_RENDERERS: Dict[str, str] = {
-    "table1": "table1",
-    "fig15": "fig15",
-    "fig16": "fig16",
-    "fig16-32k": "fig16-32k",
-    "failure-recovery": "failure-recovery",
-    "whatif-error": "whatif-error",
-    "mechanism-compare": "mechanism-compare",
-    "hybrid-smoke": "hybrid-smoke",
-}
-
 _MARKER = re.compile(
     r"(<!-- begin:(?P<id>[\w.-]+) -->\n)(?P<body>.*?)(<!-- end:(?P=id) -->)",
     re.DOTALL)
@@ -282,28 +269,30 @@ def _render_hybrid_smoke(campaigns: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Renderers keyed by marker id, which is also the name of the campaign
+#: directory whose merged.json the block is generated from.
+_RENDERERS: Dict[str, Callable[[Path], str]] = {
+    "table1": _render_table1,
+    "fig15": _render_fig15,
+    "fig16": _render_fig16,
+    "fig16-32k": _render_fig16_32k,
+    "failure-recovery": _render_failure_recovery,
+    "whatif-error": _render_whatif_error,
+    "mechanism-compare": _render_mechanism_compare,
+    "hybrid-smoke": _render_hybrid_smoke,
+}
+
+
 def render_tables(campaigns: Path) -> Dict[str, str]:
     """All marker blocks renderable from ``campaigns`` (id -> markdown).
 
     Campaign directories without a committed ``merged.json`` are
     skipped, so a partially populated campaigns tree regenerates what
-    it can.
+    it can (:func:`update_document` refuses that under ``check``).
     """
-    renderers: Dict[str, Callable[[Path], str]] = {
-        "table1": _render_table1,
-        "fig15": _render_fig15,
-        "fig16": _render_fig16,
-        "fig16-32k": _render_fig16_32k,
-        "failure-recovery": _render_failure_recovery,
-        "whatif-error": _render_whatif_error,
-        "mechanism-compare": _render_mechanism_compare,
-        "hybrid-smoke": _render_hybrid_smoke,
-    }
-    tables = {}
-    for marker_id, render in renderers.items():
-        if (campaigns / marker_id / "merged.json").is_file():
-            tables[marker_id] = render(campaigns)
-    return tables
+    return {marker_id: render(campaigns)
+            for marker_id, render in _RENDERERS.items()
+            if (campaigns / marker_id / "merged.json").is_file()}
 
 
 def splice(document: str, tables: Mapping[str, str]) -> str:
@@ -336,10 +325,23 @@ def update_document(doc_path: Path, campaigns: Path,
     """Regenerate ``doc_path``'s campaign tables; True if it changed.
 
     With ``check=True`` the document is not written -- the return value
-    says whether it *would* change (the CI drift gate fails on True).
+    says whether it *would* change (the CI drift gate fails on True) --
+    and a marker block whose campaign has no ``merged.json`` is a
+    ``ValueError`` naming it: a deleted or mistyped campaign directory
+    must not pass as "nothing to compare".
     """
     document = doc_path.read_text(encoding="utf-8")
-    updated = splice(document, render_tables(campaigns))
+    tables = render_tables(campaigns)
+    if check:
+        marked = {match.group("id") for match in _MARKER.finditer(document)}
+        unchecked = sorted(marker_id for marker_id in marked
+                           if marker_id in _RENDERERS
+                           and marker_id not in tables)
+        if unchecked:
+            raise ValueError(
+                f"no {campaigns}/<id>/merged.json for marker block(s) "
+                f"{', '.join(unchecked)}")
+    updated = splice(document, tables)
     changed = updated != document
     if changed and not check:
         doc_path.write_text(updated, encoding="utf-8")

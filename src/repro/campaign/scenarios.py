@@ -1067,7 +1067,7 @@ def whatif_error_cell(message_kb: float, class_a: int, seed: int,
     placements, and compared against the second trace's observed
     class-A latency quantiles.  Wall-clock speedup is deliberately NOT
     part of the result (it would break byte-identical merges); the
-    committed floor lives in ``benchmarks/bench_whatif.py``.
+    speed-up floor lives in ``benchmarks/bench_whatif_estimator.py``.
     """
     import contextlib
     import tempfile

@@ -182,12 +182,22 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
-        """Rebuild a spec from :meth:`to_dict` output (or a spec file)."""
+        """Rebuild a spec from :meth:`to_dict` output (or a spec file).
+
+        Anything but a JSON object naming at least ``name`` and
+        ``scenario`` is a ``ValueError`` that says what is wrong.
+        """
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a sweep spec is a JSON object, not "
+                             f"{type(data).__name__}")
         known = {"name", "scenario", "grid", "seeds", "fixed",
                  "derive_cell_seeds", "modules", "module_paths"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
+        missing = sorted({"name", "scenario"} - set(data))
+        if missing:
+            raise ValueError(f"missing spec fields: {missing}")
         kwargs = {key: data[key] for key in known if key in data}
         kwargs["seeds"] = tuple(kwargs.get("seeds", (0,)))
         return cls(**kwargs)

@@ -67,8 +67,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import units
-from repro.campaign import (SweepSpec, get_sweep, list_sweeps,
+from repro.campaign import (SweepSpec, get_scenario, get_sweep, list_sweeps,
                             merge_bucket_rows, run_campaign, sum_counters)
+from repro.campaign.registry import import_scenario_modules
 from repro.campaign.scenarios import (POLICY_MANAGERS, _class_a_placements,
                                       _cli_guarantee, _cli_topology,
                                       write_csv)
@@ -677,7 +678,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     try:
         spec = (get_sweep(args.name) if args.name
                 else SweepSpec.from_file(args.spec))
-    except (KeyError, OSError, ValueError) as exc:
+        # Resolve the scenario here: inside the run an unregistered
+        # name is a traceback, not a bad spec.
+        import_scenario_modules(spec.modules, spec.module_paths)
+        get_scenario(spec.scenario)
+    except (ImportError, KeyError, OSError, ValueError) as exc:
         return _spec_error("--name" if args.name else "--spec",
                            args.name or args.spec, exc)
     result = _run_spec(args, spec, args.max_cells)
@@ -777,12 +782,22 @@ def cmd_report(args: argparse.Namespace) -> int:
     Re-renders every marker block (``<!-- begin:ID -->`` ..
     ``<!-- end:ID -->``) whose campaign has a committed
     ``merged.json`` and splices it into the document.  ``--check``
-    verifies without writing and exits 1 on drift (the CI gate).
+    verifies without writing and exits 1 on drift or on a block whose
+    campaign data is missing (the CI gate); a missing ``--doc`` is
+    exit 2.
     """
     from repro.campaign.report import update_document
     doc = Path(args.doc)
     campaigns = Path(args.campaigns)
-    changed = update_document(doc, campaigns, check=args.check)
+    if not doc.is_file():
+        print(f"error: bad --doc {args.doc!r}: no such file",
+              file=sys.stderr)
+        return 2
+    try:
+        changed = update_document(doc, campaigns, check=args.check)
+    except ValueError as exc:
+        print(f"error: {doc}: {exc}", file=sys.stderr)
+        return 1
     if args.check:
         if changed:
             print(f"{doc} is stale; run 'python -m repro report' and "

@@ -21,8 +21,8 @@ Carried bytes are integrated from an aggregate carried-rate sum rather
 than per flow.  An event therefore costs O(affected flows · log n)
 instead of the O(total flows) rescan of the original implementation.
 That seed loop is the test oracle ``tests/oracles/seed_flowsim.py``;
-``tests/flowsim/test_sim_equivalence.py`` and
-``benchmarks/bench_hotpaths.py`` assert the two produce the same stats.
+``tests/flowsim/test_sim_equivalence.py`` asserts the two produce the
+same stats under both sharing modes.
 
 What carries the simulator to the paper's 32K-server scale is that
 shared rates come from a persistent

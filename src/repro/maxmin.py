@@ -16,8 +16,7 @@ list lets a saturating link freeze exactly the flows that cross it.  Each
 flow is frozen once, so the total cost is O(sum of path lengths · log)
 instead of the O(#links · #flows) per *round* of the textbook loop.  That
 loop is the test oracle ``tests/oracles/seed_maxmin.py``;
-``tests/test_maxmin.py`` and ``benchmarks/bench_hotpaths.py`` assert the
-two agree to 1e-6 relative.
+``tests/test_maxmin.py`` asserts the two agree to 1e-6 relative.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ guarantee.
 
 ``none`` is the control group: plain TCP Reno, no pacing, no admission;
 it calibrates both the simulation overhead of the other mechanisms
-(``benchmarks/bench_mechanisms.py``) and the tail latency an unprotected
-tenant suffers.
+(the repo benchmark's ``packet-paced`` vs ``packet-unpaced`` workloads)
+and the tail latency an unprotected tenant suffers.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ simulator (:mod:`repro.phynet`), the fluid simulator
 admission control (:mod:`repro.placement`).  Components hold an optional
 :class:`TraceSink` / :class:`TimeSeries` reference that defaults to
 ``None`` and guard every emission with a single ``is not None`` test, so
-un-instrumented runs pay one pointer check per hook -- the
-``benchmarks/bench_hotpaths.py`` floors are asserted with tracing off.
+un-instrumented runs pay one pointer check per hook -- the repo
+benchmark (``perf/run.py``) takes its end-to-end metrics with tracing
+off and reports the traced pass's cost as ``trace_overhead_ratio``.
 
 See DESIGN.md ("Observability layer") for the event schema and the
 overhead contract, and ``python -m repro trace --help`` for the CLI.

@@ -612,9 +612,9 @@ class PlacementManager(abc.ABC):
             # grows componentwise with m and ok(m) is non-increasing, and
             # the largest passing m binary-searches in O(log want).  (The
             # downlink check mixes a growing bandwidth term with shrinking
-            # burst/slack terms; bench_hotpaths and the placement property
-            # tests assert the decisions equal the seed's linear scan,
-            # tests/oracles/seed_admission.py.)
+            # burst/slack terms; the differential and property tests under
+            # tests/placement/ assert the decisions equal the seed's
+            # linear scan, tests/oracles/seed_admission.py.)
             lo, hi = 0, want - 1  # lo: known-good floor (0 = none)
             while lo < hi:
                 mid = (lo + hi + 1) // 2

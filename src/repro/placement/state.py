@@ -20,8 +20,7 @@ run per placement campaign.  Building the Curve from
 :meth:`PortState.aggregate_curve` and running the generic network-calculus
 bounds on it gives the same numbers; that is the test oracle
 ``tests/oracles/seed_admission.py``, asserted identical by
-``tests/placement/test_fast_admission.py`` and
-``benchmarks/bench_hotpaths.py``.
+``tests/placement/test_fast_admission.py``.
 """
 
 from __future__ import annotations

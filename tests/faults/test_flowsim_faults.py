@@ -5,7 +5,7 @@ import pytest
 from repro import units
 from repro.faults import FaultEvent, FaultSchedule, FaultTarget
 from repro.flowsim import ClusterSim, TenantWorkload, WorkloadConfig
-from repro.placement import SiloPlacementManager
+from repro.placement import ClusterController, SiloPlacementManager
 from repro.topology import TreeTopology
 
 
@@ -24,25 +24,39 @@ def fast_config():
                           mean_vms=6.0, max_vms=8)
 
 
-def run_sim(faults, seed=11, horizon=10.0, sharing="reserved"):
+def run_sim(faults, seed=11, horizon=10.0, sharing="reserved",
+            idle_controller=False):
     topo = build_topology()
     manager = SiloPlacementManager(topo)
     workload = TenantWorkload.for_occupancy(
         fast_config(), 0.6, topo.n_slots, seed=seed)
-    sim = ClusterSim(manager, sharing=sharing, faults=faults)
+    controller = (ClusterController(manager, retry_evicted=False)
+                  if idle_controller else None)
+    sim = ClusterSim(manager, sharing=sharing, faults=faults,
+                     controller=controller)
     stats = sim.run(workload, until=horizon)
     return sim, stats
 
 
+def fingerprint(stats):
+    return (stats.finished_jobs, stats.carried_bytes,
+            stats.network_utilization, stats.mean_occupancy,
+            stats.evicted_jobs, stats.rerouted_jobs)
+
+
 class TestEmptySchedule:
     def test_empty_schedule_is_byte_identical_to_no_faults(self):
-        def fingerprint(faults):
-            sim, stats = run_sim(faults)
-            return (stats.finished_jobs, stats.carried_bytes,
-                    stats.network_utilization, stats.mean_occupancy,
-                    stats.evicted_jobs, stats.rerouted_jobs)
+        _sim, plain = run_sim(None)
+        _sim, empty = run_sim(FaultSchedule(()))
+        assert fingerprint(plain) == fingerprint(empty)
 
-        assert fingerprint(None) == fingerprint(FaultSchedule(()))
+    def test_idle_controller_changes_no_outcome(self):
+        """An attached controller that never sees a fault only hears
+        ``notify_departed``: the run is the one without it."""
+        _sim, plain = run_sim(None)
+        sim, armed = run_sim(None, idle_controller=True)
+        assert sim.controller is not None
+        assert fingerprint(armed) == fingerprint(plain)
 
     def test_no_controller_without_faults(self):
         sim, _stats = run_sim(None)

@@ -13,10 +13,9 @@
 # shipped manager maintains beside them (``_server_free``, ``_rack_free``,
 # ``_pod_free``, ``_*_touched``, ``_pristine``, ``_server_tenants``), so a
 # drifting index cannot hide from it.
-# ``tests/placement/test_fast_admission.py``,
-# ``tests/placement/test_seed_manager_differential.py`` and
-# ``benchmarks/bench_hotpaths.py`` compare the live path with it (decisions
-# and layouts identical, bounds to 1e-9).  Do not optimise or "fix" this
+# ``tests/placement/test_fast_admission.py`` and
+# ``tests/placement/test_seed_manager_differential.py`` compare the live
+# path with it (decisions and layouts identical, bounds to 1e-9).  Do not optimise or "fix" this
 # file: it is the reference, not product code.
 """Curve-per-probe port bounds and the linear-scan Silo placement manager.
 
@@ -53,7 +52,7 @@ _STRATEGIES = ("greedy", "balanced")
 @functools.lru_cache(maxsize=None)
 def _service(capacity: float) -> RateLatencyService:
     """The seed built one service object per port; one per distinct
-    capacity keeps ``bench_hotpaths``' reference timings what they were."""
+    capacity is the same object without the per-probe construction."""
     return RateLatencyService(rate=capacity)
 
 

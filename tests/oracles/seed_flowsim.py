@@ -1,10 +1,10 @@
 # Differential-test oracle: the seed fluid simulator,
 # ``src/repro/flowsim/reference.py`` as it stood before it left the package,
 # copied verbatim below this header
-# (``git show 1587c51:src/repro/flowsim/reference.py``); the only edit is
-# the ``max_min_fair_reference`` import, which now comes from the sibling
-# oracle ``seed_maxmin``.  ``tests/flowsim/test_sim_equivalence.py`` and
-# ``benchmarks/bench_hotpaths.py`` run it beside ``ClusterSim``.  Do not
+# (``git show 1587c51:src/repro/flowsim/reference.py``); the only edits
+# are the ``max_min_fair_reference`` import, which now comes from the
+# sibling oracle ``seed_maxmin``, and the docstring's list of who runs it:
+# ``tests/flowsim/test_sim_equivalence.py``, beside ``ClusterSim``.  Do not
 # optimise or "fix" this file: it is the reference, not product code.
 """The reference (seed) fluid simulator, kept verbatim as an oracle.
 
@@ -16,8 +16,7 @@ rescan every flow of every job to find ``t_next``, then advance every
 fluid -- exactly as it shipped in the seed.
 
 It exists as a cross-check: the property tests in
-``tests/flowsim/test_sim_equivalence.py`` and
-``benchmarks/bench_hotpaths.py`` run both simulators over identical
+``tests/flowsim/test_sim_equivalence.py`` run both simulators over identical
 workloads and assert the resulting :class:`ClusterStats` agree
 (``finished_jobs`` exactly; ``carried_bytes``/``job_durations`` to
 1e-6 relative).  Do not optimise this file; optimise ``sim.py`` and

@@ -3,9 +3,8 @@
 # verbatim below this header (``git show 1587c51:src/repro/maxmin.py``)
 # together with the two epsilons only it uses.  It is the textbook
 # round-by-round progressive filling the seed shipped; ``tests/test_maxmin.py``,
-# ``tests/test_maxmin_incremental.py``, ``tests/oracles/seed_flowsim.py`` and
-# ``benchmarks/bench_hotpaths.py`` compare the live water-level solver with
-# it to 1e-6 relative.  Do not optimise or "fix" this file: it is the
+# ``tests/test_maxmin_incremental.py`` and ``tests/oracles/seed_flowsim.py``
+# compare the live water-level solver with it to 1e-6 relative.  Do not optimise or "fix" this file: it is the
 # reference, not product code.
 """Textbook progressive-filling max-min allocation (the seed solver).
 

@@ -4,7 +4,7 @@ The worker-pool tests run a deliberately cheap toy scenario (loaded via
 ``module_paths``, the same route example scripts use) so that the
 byte-identity and crash/resume contracts are exercised end-to-end in a
 few seconds; the real-figure sweeps get the same treatment in CI's
-campaign smoke job and in ``benchmarks/bench_campaign.py``.
+campaign smoke job (serial vs 2 workers, ``cmp``).
 """
 
 import json

@@ -2,16 +2,19 @@
 
 import argparse
 import csv
+import filecmp
 import json
 import os
 import shlex
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from repro.campaign import SweepSpec
 from repro.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -262,6 +265,50 @@ class TestCampaignCommand:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert len(manifest["cells"]) == 6
 
+    def test_sigkilled_two_worker_run_resumes_to_the_serial_bytes(
+            self, tmp_path, monkeypatch):
+        """A real ``kill -9`` of the process group mid-campaign (the
+        other crash tests stop by ``--max-cells``): only whole
+        checkpoints and no manifest are left, and ``--resume`` merges
+        byte-identically to an uninterrupted serial run."""
+        spec = SweepSpec(name="sleepy", scenario="toy_sleeper",
+                         grid={"duration": [0.25]}, seeds=tuple(range(8)),
+                         modules=(), module_paths=(str(
+                             REPO / "tests" / "campaign_scenarios_helper.py"),))
+        spec_file = tmp_path / "sleepy.json"
+        spec_file.write_text(json.dumps(spec.to_dict()))
+        serial, killed = tmp_path / "serial", tmp_path / "killed"
+        with monkeypatch.context() as patch:  # same bytes, no waiting
+            patch.setattr(time, "sleep", lambda seconds: None)
+            assert main(["campaign", "--spec", str(spec_file),
+                         "--out", str(serial)]) == 0
+        argv = [sys.executable, "-m", "repro", "campaign", "--spec",
+                str(spec_file), "--workers", "2", "--out", str(killed)]
+        env = dict(os.environ, PYTHONPATH="src")
+        # Own process group, so the SIGKILL takes the pool workers too.
+        proc = subprocess.Popen(argv, cwd=REPO, env=env,
+                                start_new_session=True,
+                                stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        deadline = time.monotonic() + 120.0
+        while (proc.poll() is None and time.monotonic() < deadline
+               and not list((killed / "cells").glob("*.json"))):
+            time.sleep(0.01)
+        assert proc.poll() is None, "finished (or died) before the kill"
+        os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.wait() == -signal.SIGKILL
+        checkpoints = list((killed / "cells").glob("*.json"))
+        assert 1 <= len(checkpoints) < len(spec)
+        for checkpoint in checkpoints:
+            assert "result" in json.loads(checkpoint.read_text())
+        assert not (killed / "manifest.json").exists()
+        resumed = subprocess.run(argv + ["--resume"], cwd=REPO, env=env,
+                                 capture_output=True, text=True)
+        assert resumed.returncode == 0, resumed.stderr
+        assert f"resume: {len(checkpoints)}/8" in resumed.stderr
+        for name in ("manifest.json", "merged.json"):
+            assert filecmp.cmp(serial / name, killed / name, shallow=False)
+
 
 class TestReportCommand:
     @staticmethod
@@ -288,6 +335,38 @@ class TestReportCommand:
         assert main(args) == 0
         assert "| locality | 50.0% | 50.0% |" in doc.read_text()
         assert main([*args, "--check"]) == 0
+
+    def test_check_fails_on_a_block_without_campaign_data(self, capsys,
+                                                          tmp_path):
+        """A deleted or mistyped campaign directory must not turn the
+        drift gate green; a plain update still renders what it can."""
+        doc = tmp_path / "EXPERIMENTS.md"
+        doc.write_text("<!-- begin:fig15 -->\nold\n<!-- end:fig15 -->\n"
+                       "<!-- begin:fig16 -->\nkept\n<!-- end:fig16 -->\n"
+                       "<!-- begin:notes -->\nfree text\n<!-- end:notes -->\n")
+        campaigns = tmp_path / "campaigns"
+        self._write_fig15_campaign(campaigns)
+        args = ["report", "--doc", str(doc), "--campaigns",
+                str(campaigns)]
+        assert main(args) == 0
+        assert "kept" in doc.read_text()
+        capsys.readouterr()
+        assert main([*args, "--check"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "fig16" in captured.err
+        assert "fig15" not in captured.err and "notes" not in captured.err
+
+    def test_missing_doc_exits_2_with_one_line(self, capsys, tmp_path):
+        code = main(["report", "--check", "--doc", str(tmp_path / "nope.md"),
+                     "--campaigns", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: bad --doc ")
+        assert "nope.md" in captured.err
 
 
 class TestChurnCampaign:
@@ -466,6 +545,24 @@ class TestSpecErrorContract:
                     "--out", str(tmp_path / "c")],
                    "--spec", "grids")
 
+    @pytest.mark.parametrize("spec, needle", [
+        ([], "not list"),
+        ({}, "['name', 'scenario']"),
+        ({"name": "x"}, "['scenario']"),
+        ({"name": "x", "scenario": "no_such_scenario"},
+         "no_such_scenario"),
+        ({"name": "x", "scenario": "churn_policy",
+          "modules": ["no_such_module"]}, "no_such_module"),
+    ])
+    def test_unloadable_campaign_spec(self, capsys, tmp_path, spec, needle):
+        spec_file = tmp_path / "sweep.json"
+        spec_file.write_text(json.dumps(spec))
+        self.check(capsys,
+                   ["campaign", "--spec", str(spec_file),
+                    "--out", str(tmp_path / "c")],
+                   "--spec", needle)
+        assert not (tmp_path / "c").exists()
+
     def test_unknown_named_sweep(self, capsys, tmp_path):
         self.check(capsys,
                    ["campaign", "--name", "no-such-sweep",
@@ -605,6 +702,12 @@ class TestWhatIf:
         self.check_spec_error(capsys,
                               ["whatif", "--model", str(bad)],
                               "--model", "format")
+
+    def test_non_object_model_is_a_spec_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[]")
+        self.check_spec_error(capsys, ["whatif", "--model", str(bad)],
+                              "--model", "not list")
 
     def test_bad_calibration_dir_is_a_spec_error(self, capsys,
                                                  tmp_path):

@@ -7,16 +7,21 @@ a stale entry makes ``from module import *`` raise ``AttributeError``.
 
 The second half guards the package boundary: the seed implementations
 the differential tests compare against live in ``tests/oracles/``, and
-nothing under ``src/repro`` may import them, the test tree, the bench
-scripts or the perf harness (a shipped package that needs its tests to
-import is two implementations again).
+nothing under ``src/repro`` may import them, the test tree, the
+paper-claims suite or the perf harness (a shipped package that needs
+its tests to import is two implementations again).
+
+The last check keeps prose honest: a benchmark, test, doc or campaign
+path that the documentation, CI or a source comment names must exist.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
 ORACLES = Path(__file__).resolve().parent / "oracles"
 
 #: Top-level names the shipped package must never import.
@@ -80,3 +85,50 @@ def test_seed_oracles_do_not_ship():
     """The moved-out seed modules stay out of the package."""
     present = [name for name in MOVED_OUT if (SRC / name).exists()]
     assert not present, f"oracle modules back under src/repro: {present}"
+
+
+#: A path under the benchmarks, tests, docs or campaigns directory, a
+#: top-level BENCH_ result file, or a bare ``bench_`` module name.
+_PATH_MENTION = re.compile(
+    r"(?<![\w/.-])(?:(?:benchmarks|tests|docs|campaigns)/[\w./-]+"
+    r"|BENCH_\w+\.json|bench_\w+(?:\.py)?)")
+
+
+def iter_dangling_mentions():
+    """``file:line: path`` for every named repo path that does not exist.
+
+    Scans the living documentation (README, DESIGN, EXPERIMENTS,
+    ``docs/``, the verify skill), ``pytest.ini``, the CI workflow and the
+    Python under ``src/repro``, ``tests`` and ``benchmarks``; CHANGES,
+    ISSUE, ROADMAP and PAPER* are history and may name what is gone, and
+    ``perf/`` is the benchmark's own tree.  A mention that runs into ``*``
+    or ``{`` is a glob and needs one match.
+    """
+    sources = [REPO / name for name in (
+        "README.md", "DESIGN.md", "EXPERIMENTS.md", "pytest.ini",
+        ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml")]
+    sources += sorted((REPO / "docs").glob("*.md"))
+    for tree in ("src/repro", "tests", "benchmarks"):
+        sources += sorted((REPO / tree).rglob("*.py"))
+    for source in sources:
+        text = source.read_text(encoding="utf-8")
+        for match in _PATH_MENTION.finditer(text):
+            mention = match.group().rstrip(".")
+            is_glob = text.startswith(("*", "{"), match.end())
+            if mention.startswith("bench_"):
+                mention = f"benchmarks/{mention}"
+                if not is_glob and not mention.endswith(".py"):
+                    mention += ".py"
+            path = REPO / mention
+            found = (any(path.parent.glob(path.name + "*")) if is_glob
+                     else path.exists())
+            if not found:
+                line = text.count("\n", 0, match.start()) + 1
+                yield f"{source.relative_to(REPO)}:{line}: {match.group()}"
+
+
+def test_every_path_the_docs_name_exists():
+    """No README, doc, CI step, docstring or comment points at a file
+    that is gone."""
+    dangling = list(iter_dangling_mentions())
+    assert not dangling, "dangling references:\n" + "\n".join(dangling)

@@ -1,39 +1,20 @@
 """Tier-1 smoke checks for the optimized hot paths (marker: perf_smoke).
 
-Reuses the quick scales of ``benchmarks/bench_hotpaths.py`` but asserts
-only correctness -- every shipped path must reproduce its seed oracle
-under ``tests/oracles/`` -- never wall-clock time, so tier-1 catches perf-path
-breakage without timing flakiness.  The timed variant is::
-
-    PYTHONPATH=src python benchmarks/bench_hotpaths.py --quick
+Each test pins a hot-path gain as a *count* -- probes per stamp,
+``free_slots`` reads per ``place``, dumps per snapshot, servers probed
+by a failing ``_fill``, port derivations per fault -- never as
+wall-clock time, so it holds on any machine.  Wall-clock numbers are
+the repo benchmark's (``python3 perf/run.py``, ``perf/README.md``);
+agreement of each shipped path with its seed oracle under
+``tests/oracles/`` is the differential tests' job
+(``tests/placement/test_seed_manager_differential.py``,
+``tests/flowsim/test_sim_equivalence.py``, ``tests/test_maxmin.py``,
+``tests/test_maxmin_incremental.py``).
 """
-
-import sys
-from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-
-import bench_hotpaths  # noqa: E402  (needs the benchmarks/ dir on sys.path)
-
 pytestmark = pytest.mark.perf_smoke
-
-
-def test_placement_fast_path_matches_reference():
-    result = bench_hotpaths.bench_placement(quick=True)
-    assert all(row["decisions_identical"] for row in result["scales"])
-
-
-def test_flowsim_heap_matches_reference():
-    result = bench_hotpaths.bench_flowsim(quick=True)
-    assert all(row["stats_identical"] for row in result["scales"])
-
-
-def test_maxmin_water_level_matches_reference():
-    result = bench_hotpaths.bench_maxmin(quick=True)
-    assert all(row["worst_rel_diff"] <= bench_hotpaths.TOLERANCE
-               for row in result["scales"])
 
 
 def test_shaper_probes_per_stamp_floor(monkeypatch):
