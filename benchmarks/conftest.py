@@ -3,27 +3,22 @@
 Every file here regenerates one table or figure of the paper (or one
 extension claim) and asserts its *shape*; they are ordinary, slow pytest
 tests (``pytest benchmarks``) with no timing harness -- wall-clock
-numbers are ``perf/``'s job.  The heavyweight packet-level campaign
-behind Figs. 12-14 and Table 4 runs once per session and is shared
-through the ``fig12_campaign`` fixture.
-
-The campaign itself -- workload constants, per-scheme cell function and
-the seed -- lives in :mod:`repro.campaign.scenarios` as the registered
-``fig12`` sweep, so the fixture, ``python -m repro campaign`` and any
-future sweep all run the exact same definition.  The fixture runs it
-in-process (``workers=0``): cells return live ``MetricsCollector``
-objects, which are not JSON-checkpointable.
+numbers are ``perf/``'s job.  Figs. 12-14 and Table 4 are four views of
+one six-cell packet campaign, which they do not re-simulate: the
+``fig12_campaign`` fixture reads the committed
+``campaigns/fig12/merged.json`` (CI's ``mechanism-smoke`` job regenerates
+it ``cmp``-identical from the registered ``fig12`` sweep).
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import List
 
 import pytest
 
-from repro.campaign import get_sweep, run_campaign
-# Re-exported for the Fig. 12-14 and Table 4 files.
-from repro.campaign.scenarios import CAMPAIGN_SCHEMES  # noqa: F401
+FIG12 = Path(__file__).resolve().parents[1] / "campaigns" / "fig12"
 
 
 def print_table(title: str, header: List[str],
@@ -41,11 +36,7 @@ def print_table(title: str, header: List[str],
 
 @pytest.fixture(scope="session")
 def fig12_campaign():
-    """All six schemes' results by scheme name, computed once per session.
-
-    The grid and seed come from the registered ``fig12`` sweep spec --
-    there is no benchmark-private seeding.
-    """
-    result = run_campaign(get_sweep("fig12"))
-    return {dict(record.cell.params)["scheme"]: record.result
-            for record in result.records}
+    """The committed ``fig12`` cells' results by mechanism name, in the
+    paper's scheme order (``none`` is the TCP baseline)."""
+    cells = json.loads((FIG12 / "merged.json").read_text())["cells"]
+    return {cell["params"]["mechanism"]: cell["result"] for cell in cells}

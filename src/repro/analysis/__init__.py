@@ -6,7 +6,6 @@ from repro.analysis.stats import (
     mean,
     summarize,
 )
-from repro.analysis.capacity import CapacityReport, LevelUsage, capacity_report
 from repro.analysis.surrogate import (
     REPORT_QUANTILES,
     HopSamples,
@@ -21,9 +20,6 @@ __all__ = [
     "cdf_points",
     "mean",
     "summarize",
-    "CapacityReport",
-    "LevelUsage",
-    "capacity_report",
     "REPORT_QUANTILES",
     "HopSamples",
     "WhatIfEstimate",

@@ -1,16 +1,16 @@
 """Scenario and named-sweep registries.
 
 A *scenario* is a plain function ``fn(..., seed, artifact_dir=None)``
-that runs one cell of a sweep and returns its result (JSON-serializable
-when the campaign runs across processes; any object for in-process
-runs).  Scenarios register under a string name so a
+that runs one cell of a sweep and returns its result as JSON (dicts,
+lists, strings, booleans, ``None`` and finite numbers).  Scenarios
+register under a string name so a
 :class:`~repro.campaign.spec.SweepSpec` -- itself plain JSON -- can
 reference them, and so spawned worker processes can resolve them after
 importing the spec's declared modules.
 
 Named sweeps work the same way for whole specs: the benchmark grids
-(``fig15``, ``fig16``, ``table1``, ``failure-recovery``) register
-factory functions, and both ``python -m repro campaign --name`` and
+(``fig12``, ``fig15``, ``fig16``, ``table1``, ``failure-recovery``)
+register factory functions, and both ``python -m repro campaign --name`` and
 the benchmarks fetch the *same* spec object, so there is exactly one
 definition of each grid and its seeds.
 """

@@ -238,6 +238,57 @@ def _render_mechanism_compare(campaigns: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _render_fig12(campaigns: Path) -> str:
+    cells = _load_cells(campaigns, "fig12")
+    results = {c["params"]["mechanism"]: c["result"] for c in cells}
+    any_cell = cells[0]["result"]
+    lines = ["Fig. 12 / Table 3 — class-A message latency, all tenants"
+             " pooled (`none` is the TCP baseline):", "",
+             "| scheme | finished | median | p90 | p99 | p99.9 |"
+             " late | drops |",
+             "|--------|---------:|-------:|----:|----:|------:|"
+             "-----:|------:|"]
+    for scheme, result in results.items():
+        pct = result["latency_us"]
+        lines.append(
+            f"| {scheme} | {result['messages'] - result['incomplete']}"
+            f"/{result['messages']} "
+            f"| {pct['p50'] / 1e3:.3f} ms | {pct['p90'] / 1e3:.3f} ms "
+            f"| {pct['p99'] / 1e3:.3f} ms | {pct['p999'] / 1e3:.3f} ms "
+            f"| {result['late_fraction']:.1%} "
+            f"| {result['port']['drops']} |")
+    lines += ["", f"Fig. 13 / Table 4 — per class-A tenant: share of its"
+              f" messages that hit a retransmission timeout, and its p99"
+              f" over the {any_cell['bound_us'] / 1e3:.2f} ms estimate"
+              f" (\"unfinished\": that p99 is a message that never"
+              f" completed, counted as over every multiple):", "",
+              "| scheme | RTO message share | p99 ÷ estimate |"
+              " >1x | >2x | >8x |", "|---|---|---|---:|---:|---:|"]
+    for scheme, result in results.items():
+        tenants = result["class_a"]
+        ratios = [t["p99_over_estimate"] for t in tenants]
+        over = [sum(1 for r in ratios if r is None or r > k) / len(ratios)
+                for k in (1, 2, 8)]
+        lines.append(
+            f"| {scheme} | "
+            + " / ".join(f"{t['rto_fraction']:.1%}" for t in tenants)
+            + " | " + " / ".join("unfinished" if r is None else f"{r:.2f}"
+                                 for r in ratios)
+            + " | " + " | ".join(f"{share:.0%}" for share in over) + " |")
+    lines += ["", f"Fig. 14 — class-B message latency ÷ the hose estimate"
+              f" ({any_cell['class_b']['estimate_us'] / 1e3:.2f} ms per"
+              f" chunk):", "",
+              "| scheme | messages | median | p95 | p99 | max |",
+              "|---|---:|---:|---:|---:|---:|"]
+    for scheme, result in results.items():
+        ratio = result["class_b"]["latency_over_estimate"]
+        lines.append(
+            f"| {scheme} | {result['class_b']['messages']} "
+            f"| {ratio['p50']:.3f} | {ratio['p95']:.2f} "
+            f"| {ratio['p99']:.2f} | {ratio['max']:.2f} |")
+    return "\n".join(lines) + "\n"
+
+
 def _render_hybrid_smoke(campaigns: Path) -> str:
     cells = _cell_map(_load_cells(campaigns, "hybrid-smoke"),
                       "fg_app", "policy")
@@ -279,6 +330,7 @@ _RENDERERS: Dict[str, Callable[[Path], str]] = {
     "failure-recovery": _render_failure_recovery,
     "whatif-error": _render_whatif_error,
     "mechanism-compare": _render_mechanism_compare,
+    "fig12": _render_fig12,
     "hybrid-smoke": _render_hybrid_smoke,
 }
 

@@ -144,9 +144,10 @@ def _wants_artifact_dir(fn: Callable[..., Any]) -> bool:
 
 
 def _atomic_write_json(path: Path, payload: Any) -> None:
-    """Write JSON so a kill mid-write can never leave a torn file."""
+    """Write strict JSON (a ``NaN`` or infinity is a ``ValueError``) so
+    that a kill mid-write can never leave a torn file."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, **_JSON_KW) + "\n",
+    tmp.write_text(json.dumps(payload, allow_nan=False, **_JSON_KW) + "\n",
                    encoding="utf-8")
     os.replace(tmp, path)
 
@@ -225,8 +226,12 @@ def _execute_cell(cell: Cell, out: Optional[Path],
     if out is not None:
         cells_dir = out / "cells"
         cells_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write_json(cells_dir / f"{cell.cell_id}.json",
-                           record.to_dict())
+        try:
+            _atomic_write_json(cells_dir / f"{cell.cell_id}.json",
+                               record.to_dict())
+        except (TypeError, ValueError) as exc:
+            raise RuntimeError(f"campaign cell result is not JSON: "
+                               f"{cell.describe()}") from exc
     return record
 
 
@@ -304,11 +309,11 @@ def run_campaign(spec: SweepSpec,
                  ) -> CampaignResult:
     """Run every cell of ``spec`` and merge the results.
 
-    ``workers=0`` runs serially in-process (results may then be any
-    Python object -- the benchmark fixtures rely on this); ``workers
-    >= 1`` fans cells out over that many fresh ``spawn`` worker
-    processes, which requires results to be picklable and, for
-    checkpointing, JSON-serializable.  ``out`` enables the on-disk
+    ``workers=0`` runs serially in-process; ``workers >= 1`` fans cells
+    out over that many fresh ``spawn`` worker processes.  Either way a
+    cell's result is JSON: plain dicts, lists, strings, booleans and
+    *finite* numbers (a ``NaN`` or infinity fails the cell's checkpoint
+    write, naming the cell).  ``out`` enables the on-disk
     layout (checkpoints, artifacts, manifest, merged); without it the
     run is purely in-memory.  ``resume`` skips cells with a valid
     checkpoint.  ``max_cells`` stops after that many *newly executed*

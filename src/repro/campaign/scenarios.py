@@ -9,12 +9,10 @@ all fetch the same object).  Seeds are spec-level: scenario functions
 never invent their own -- that is what keeps a serial benchmark run,
 an 8-worker CLI campaign and a resumed crash recovery byte-identical.
 
-Scenario result contract: JSON-serializable dicts (the ``fig12``
-packet campaign is the exception -- it returns rich in-process objects
-and is only run with ``workers=0``).  Scenarios accepting
-``artifact_dir`` write their obs sinks and CSVs there when the runner
-provides one; each worker process owns its cell's sink, so parallel
-runs never interleave trace streams.
+Scenario result contract: JSON-serializable dicts, finite numbers
+only.  Scenarios accepting ``artifact_dir`` write their obs sinks and
+CSVs there when the runner provides one; each worker process owns its
+cell's sink, so parallel runs never interleave trace streams.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro import units
@@ -37,8 +34,8 @@ __all__ = [
     "failure_recovery_cell", "churn_cell",
     "trace_cell", "faults_cell", "service_soak_cell",
     "whatif_error_cell", "hybrid_cell",
-    "run_campaign_scheme", "SchemeResult",
-    "mechanism_compare_cell", "MECHANISM_WORKLOADS", "COMPARE_MECHANISMS",
+    "mechanism_compare_cell", "fig12_cell",
+    "MECHANISM_WORKLOADS", "COMPARE_MECHANISMS",
     "write_csv", "write_recovery_csv", "write_latency_csv",
 ]
 
@@ -451,10 +448,9 @@ def failure_recovery_sweep() -> SweepSpec:
 # The section 6.2 packet campaign (Figs. 12-14, Tables 3/4)
 # ---------------------------------------------------------------------------
 
-#: Scaled-down stand-in for the paper's 10 racks x 40 servers x 8 VMs:
-#: the same shape (oversubscribed tree, shallow buffers), sized so the
-#: whole six-scheme campaign runs in a few minutes of wall time.
-CAMPAIGN_SCHEMES = ("silo", "tcp", "dctcp", "hull", "okto", "okto+")
+# Scaled-down stand-in for the paper's 10 racks x 40 servers x 8 VMs:
+# the same shape (oversubscribed tree, shallow buffers), sized so the
+# whole six-scheme campaign runs in a few minutes of wall time.
 
 CLASS_A_GUARANTEE = NetworkGuarantee(
     bandwidth=units.gbps(0.25), burst=15 * units.KB,
@@ -477,39 +473,19 @@ VMS_PER_TENANT_A = 6
 VMS_PER_TENANT_B = 11
 
 
-@dataclass
-class SchemeResult:
-    """Everything the Fig. 12-14 / Table 4 benches need from one run."""
+def _place_campaign_tenants(policy: Optional[str], topo):
+    """Admit the campaign tenants under a mechanism's placement policy.
 
-    scheme: str
-    metrics: object
-    class_a_tenants: List[int]
-    class_b_tenants: List[int]
-    class_a_estimate: float
-    class_b_estimates: Dict[int, float]
-    drops: int
-    rto_fractions: Dict[int, float] = field(default_factory=dict)
-
-
-def _place_campaign_tenants(scheme: str, topo):
-    """Admit the campaign tenants with the scheme's own placement rule.
-
-    Silo and Oktopus(+) place through their managers.  The unmanaged
-    baselines (TCP/DCTCP/HULL) get *striped* placement -- tenants
-    interleaved across servers -- which recreates, at this scaled-down
-    size, the pervasive port sharing that a 90%-occupied 3200-VM fabric
-    exhibits under any placement (at 40 slots, strict locality packing
-    would accidentally give each tenant private servers, which no real
-    multi-tenant cloud provides).
+    ``"silo"`` and ``"oktopus"`` place through their managers.  ``None``
+    (the unmanaged TCP/DCTCP/HULL baselines and the host-level
+    mechanisms) gets *striped* placement -- tenants interleaved across
+    servers -- which recreates, at this scaled-down size, the pervasive
+    port sharing that a 90%-occupied 3200-VM fabric exhibits under any
+    placement (at 40 slots, strict locality packing would accidentally
+    give each tenant private servers, which no real multi-tenant cloud
+    provides).
     """
-    from repro.placement import (OktopusPlacementManager,
-                                 SiloPlacementManager)
-    if scheme == "silo":
-        manager = SiloPlacementManager(topo)
-    elif scheme in ("okto", "okto+"):
-        manager = OktopusPlacementManager(topo)
-    else:
-        manager = None
+    manager = _policy_manager(policy)[0](topo) if policy else None
 
     # Interleaved arrival order (a, b, a, b, a): tenants arrive mixed in
     # a real cloud, so greedy managers end up sharing servers across
@@ -531,7 +507,7 @@ def _place_campaign_tenants(scheme: str, topo):
             placement = manager.place(request)
             if placement is None:
                 raise RuntimeError(f"campaign tenant rejected "
-                                   f"under {scheme}")
+                                   f"under {policy}")
             placements.append((kind, request, placement))
         return placements
 
@@ -547,27 +523,28 @@ def _place_campaign_tenants(scheme: str, topo):
     return placements
 
 
-def _wire_campaign_tenants(net, placements, add_vm, metrics, rng,
-                           jitter: float, chunk: float, bulk: bool = True,
-                           **transport):
+def _wire_campaign_tenants(net, mech, placements, metrics, rng,
+                           jitter: float, chunk: float, bulk: bool):
     """Attach the section 6.2 tenants' VMs and applications to ``net``.
 
-    VMs are numbered in placement order through the caller's
-    ``add_vm(vm_id, request, server)``; class-A tenants start an
-    all-to-one epoch-burst app (each draws its phases from ``rng`` as
-    it starts, in placement order), class-B tenants an all-to-all bulk
-    app unless ``bulk`` is off.  ``transport`` is passed to every app.
-    Returns the class-A and class-B tenant ids.
+    VMs are numbered in placement order and added through ``mech``,
+    whose transport every app runs; class-A tenants start an all-to-one
+    epoch-burst app (each draws its phases from ``rng`` as it starts,
+    in placement order), class-B tenants an all-to-all bulk app unless
+    ``bulk`` is off.  Returns the class-A and class-B tenant ids.
     """
     from repro.phynet.apps import BulkApp, EpochBurstApp
     from repro.workloads import Fixed
     from repro.workloads.patterns import all_to_all_pairs
+    transport = dict(transport_class=mech.transport_class(),
+                     transport_kwargs=mech.transport_kwargs())
     vm_counter = 0
     class_a, class_b = [], []
     for kind, request, placement in placements:
         vm_ids = []
         for server in placement.vm_servers:
-            add_vm(vm_counter, request, server)
+            mech.add_vm(net, vm_counter, request.tenant_id, server,
+                        guarantee=request.guarantee)
             vm_ids.append(vm_counter)
             vm_counter += 1
         if kind == "a":
@@ -584,76 +561,13 @@ def _wire_campaign_tenants(net, placements, add_vm, metrics, rng,
     return class_a, class_b
 
 
-@scenario("fig12_scheme")
-def run_campaign_scheme(scheme: str, seed: int = 1234) -> SchemeResult:
-    """One scheme's run of the section 6.2 workload.
-
-    Returns rich in-process objects (a live ``MetricsCollector``), so
-    this scenario only runs with ``workers=0`` -- its results are
-    neither JSON-serializable nor meant to be checkpointed.
-    """
-    from repro.phynet import MetricsCollector, PacketNetwork
-    topo = _cli_topology(1, 2, 5, 4)
-    placements = _place_campaign_tenants(scheme, topo)
-    net = PacketNetwork(topo, scheme=scheme)
-    metrics = MetricsCollector()
-    paced = scheme in ("silo", "okto", "okto+")
-
-    def add_vm(vm_id, request, server):
-        guarantee = request.guarantee
-        if scheme == "okto":
-            # Oktopus: bandwidth reservation only, no burst allowance.
-            guarantee = NetworkGuarantee(
-                bandwidth=guarantee.bandwidth, burst=units.MTU,
-                delay=guarantee.delay,
-                peak_rate=guarantee.bandwidth)
-        net.add_vm(vm_id, request.tenant_id, server,
-                   guarantee=guarantee if paced else None, paced=paced)
-
-    class_a, class_b = _wire_campaign_tenants(
-        net, placements, add_vm, metrics, random.Random(seed),
-        jitter=20 * units.MICROS, chunk=256 * units.KB)
-    class_b_estimates = dict.fromkeys(
-        class_b, 256 * units.KB
-        / (CLASS_B_GUARANTEE.bandwidth / (VMS_PER_TENANT_B - 1)))
-
-    net.sim.run(until=CAMPAIGN_DURATION)
-
-    estimate = CLASS_A_GUARANTEE.message_latency_bound(CLASS_A_MESSAGE)
-    result = SchemeResult(
-        scheme=scheme, metrics=metrics,
-        class_a_tenants=class_a, class_b_tenants=class_b,
-        class_a_estimate=estimate,
-        class_b_estimates=class_b_estimates,
-        drops=net.port_stats()["drops"])
-    for tenant in class_a:
-        result.rto_fractions[tenant] = metrics.rto_message_fraction(tenant)
-    return result
-
-
-@sweep("fig12")
-def fig12_sweep() -> SweepSpec:
-    """The six-scheme section 6.2 packet campaign at the shared seed.
-
-    In-process only (``workers=0``): cells return live metrics objects.
-    """
-    return SweepSpec(
-        name="fig12", scenario="fig12_scheme",
-        grid={"scheme": list(CAMPAIGN_SCHEMES)}, seeds=(1234,))
-
-
-# ---------------------------------------------------------------------------
-# The three-way mechanism campaign (Silo vs SWP vs EyeQ)
-# ---------------------------------------------------------------------------
-
-#: The Fig. 12-14 message-latency pressure ladder, reused for the
-#: mechanism comparison.  Each workload keeps the section 6.2 tenant
-#: mix and topology and varies only the contention class-A messages
-#: face: ``fig11`` has no cross traffic at all (every mechanism's easy
-#: case), ``fig12`` is the standard mixed workload, ``fig13``
-#: synchronizes the class-A bursts exactly (worst-case incast, the
-#: paper's RTO pressure test), and ``fig14`` quadruples the bulk chunk
-#: size so best-effort queues stay saturated.
+#: The Fig. 12-14 message-latency pressure ladder.  Each workload keeps
+#: the section 6.2 tenant mix and topology and varies only the
+#: contention class-A messages face: ``fig11`` has no cross traffic at
+#: all (every mechanism's easy case), ``fig12`` is the standard mixed
+#: workload, ``fig13`` synchronizes the class-A bursts exactly
+#: (worst-case incast, the paper's RTO pressure test), and ``fig14``
+#: quadruples the bulk chunk size so best-effort queues stay saturated.
 MECHANISM_WORKLOADS = {
     "fig11": {"bulk": False, "jitter": 20 * units.MICROS,
               "chunk": 256 * units.KB},
@@ -687,21 +601,21 @@ def _latency_cdf_us(latencies: List[float]) -> List[List[float]]:
     return [[value * 1e6, fraction] for value, fraction in points]
 
 
-@scenario("mechanism_compare")
-def mechanism_compare_cell(mechanism: str, workload: str,
-                           duration: float = CAMPAIGN_DURATION,
-                           seed: int = 1234) -> Dict:
-    """One (mechanism, workload) cell of the three-way tail campaign.
+def _run_section62(mechanism: str, workload: str, duration: float,
+                   seed: int):
+    """The one section 6.2 run every packet campaign cell is made of.
 
     Builds the entire stack -- network, hypervisor pacing, transports,
     control loops -- through the named
     :class:`~repro.mechanisms.base.Mechanism`, runs the section 6.2
     tenant mix under the selected contention workload, and reports
     class-A message-latency tails against the tenants' contracted
-    bound.  Placement follows the mechanism: Silo places through its
-    delay-aware admission manager, host-level mechanisms (SWP, EyeQ)
-    get the striped placement an unmanaged cloud would.  Returns plain
-    JSON, so the sweep runs under any worker count.
+    bound.  Placement follows the mechanism's ``placement`` policy:
+    Silo places through its delay-aware admission manager, Oktopus(+)
+    through the bandwidth-only one, everything else gets the striped
+    placement an unmanaged cloud would.  Returns the result dict plus
+    the live ``(metrics, class-A ids, class-B ids)`` for callers that
+    summarize further.
     """
     from repro.analysis.stats import percentile
     from repro.mechanisms import get_mechanism
@@ -709,19 +623,11 @@ def mechanism_compare_cell(mechanism: str, workload: str,
     shape = MECHANISM_WORKLOADS[workload]
     mech = get_mechanism(mechanism)
     topo = _cli_topology(1, 2, 5, 4)
-    placements = _place_campaign_tenants(
-        "silo" if mech.uses_admission else "tcp", topo)
+    placements = _place_campaign_tenants(mech.placement, topo)
     net = mech.build_network(topo)
     metrics = MetricsCollector()
     class_a, class_b = _wire_campaign_tenants(
-        net, placements,
-        lambda vm_id, request, server: mech.add_vm(
-            net, vm_id, request.tenant_id, server,
-            guarantee=request.guarantee),
-        metrics, random.Random(seed), jitter=shape["jitter"],
-        chunk=shape["chunk"], bulk=shape["bulk"],
-        transport_class=mech.transport_class(),
-        transport_kwargs=mech.transport_kwargs())
+        net, mech, placements, metrics, random.Random(seed), **shape)
 
     mech.start(net)
     net.sim.run(until=duration)
@@ -740,7 +646,7 @@ def mechanism_compare_cell(mechanism: str, workload: str,
     b_bytes = sum(r.size for r in metrics.records
                   if r.tenant_id in class_b and r.completed)
     stats = net.port_stats()
-    return {
+    result = {
         "mechanism": mechanism, "workload": workload, "seed": seed,
         "duration": duration,
         "bound_us": CLASS_A_GUARANTEE.message_latency_bound(
@@ -759,6 +665,73 @@ def mechanism_compare_cell(mechanism: str, workload: str,
                  "class_pushouts": stats["class_pushouts"]},
         "counters": mech.counters(net),
     }
+    return result, metrics, class_a, class_b
+
+
+@scenario("mechanism_compare")
+def mechanism_compare_cell(mechanism: str, workload: str,
+                           duration: float = CAMPAIGN_DURATION,
+                           seed: int = 1234) -> Dict:
+    """One (mechanism, workload) cell of the three-way tail campaign:
+    :func:`_run_section62`'s result, as is."""
+    return _run_section62(mechanism, workload, duration, seed)[0]
+
+
+@scenario("fig12")
+def fig12_cell(mechanism: str, duration: float = CAMPAIGN_DURATION,
+               seed: int = 1234) -> Dict:
+    """One scheme's cell of the Fig. 12-14 / Table 4 campaign.
+
+    The ``fig12`` workload's :func:`mechanism_compare_cell` result plus
+    what the per-tenant figures read.  ``class_a`` lists the class-A
+    tenants in placement order with their RTO-message share (Fig. 13)
+    and Table 4's 99th percentile, which ranks an unfinished message as
+    slower than any finished one: when the 99th percentile *is* an
+    unfinished message, ``p99_us`` and ``p99_over_estimate`` are null
+    (count it as exceeding every multiple).  ``class_b`` pools the bulk
+    tenants' message latencies over the hose estimate (Fig. 14).
+    """
+    from repro.analysis.stats import percentile
+    result, metrics, class_a, class_b = _run_section62(
+        mechanism, "fig12", duration, seed)
+    estimate = CLASS_A_GUARANTEE.message_latency_bound(CLASS_A_MESSAGE)
+    result["class_a"] = []
+    for tenant in class_a:
+        records = [r for r in metrics.records if r.tenant_id == tenant]
+        # inf: the p99 never finished; NaN: the tenant sent nothing.
+        ratio = metrics.outlier_class(tenant, estimate)
+        finished = math.isfinite(ratio)
+        result["class_a"].append({
+            "messages": len(records),
+            "incomplete": sum(1 for r in records if not r.completed),
+            "rto_fraction": (metrics.rto_message_fraction(tenant)
+                             if records else None),
+            "p99_over_estimate": ratio if finished else None,
+            "p99_us": ratio * result["bound_us"] if finished else None})
+    b_estimate = (MECHANISM_WORKLOADS["fig12"]["chunk"]
+                  / (CLASS_B_GUARANTEE.bandwidth / (VMS_PER_TENANT_B - 1)))
+    ratios = [r.latency / b_estimate for r in metrics.records
+              if r.tenant_id in class_b and r.completed]
+    result["class_b"] = {
+        "estimate_us": b_estimate * 1e6,
+        "messages": len(ratios),
+        "latency_over_estimate": (
+            {label: percentile(ratios, q)
+             for label, q in (("p50", 50.0), ("p95", 95.0),
+                              ("p99", 99.0), ("max", 100.0))}
+            if ratios else {})}
+    return result
+
+
+@sweep("fig12")
+def fig12_sweep() -> SweepSpec:
+    """The paper's six section 6.2 schemes (``none`` is the TCP
+    baseline), in the order Fig. 12 and Table 4 report them."""
+    return SweepSpec(
+        name="fig12", scenario="fig12",
+        grid={"mechanism": ["silo", "none", "dctcp", "hull", "okto",
+                            "okto+"]},
+        seeds=(1234,), fixed={"duration": CAMPAIGN_DURATION})
 
 
 @sweep("mechanism-compare")
@@ -911,7 +884,7 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
     data path -- network scheme, hypervisor pacing, transports, control
     loops -- is built through the named
     :class:`~repro.mechanisms.base.Mechanism`, so the same traced
-    workload can run under ``silo``, ``swp``, ``eyeq`` or ``none``.
+    workload can run under any registered mechanism.
     With an ``artifact_dir`` the cell dumps the complete event stream
     (JSONL) plus per-message latency, per-port queue depth and
     per-request admission CSVs; without one the events go to a ring
@@ -960,7 +933,8 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
             mech.add_vm(net, next_vm, admitted.tenant_id, server,
                         guarantee=guarantee,
                         pacer_config=(admitted.pacer_config
-                                      if mech.uses_admission else None))
+                                      if mech.placement == "silo"
+                                      else None))
             vm_ids.append(next_vm)
             next_vm += 1
         return admitted.tenant_id, vm_ids
@@ -1389,7 +1363,7 @@ def hybrid_cell(policy: str, fg_app: str, fg_vms: int,
                             mean_compute_time=bg_compute_s)
     workload = TenantWorkload.for_occupancy(config, occupancy,
                                             topo.n_slots, seed=seed)
-    sim = HybridSim(manager, [foreground], sharing=sharing, scheme="silo",
+    sim = HybridSim(manager, [foreground], sharing=sharing,
                     faults=_fault_schedule(faults, topo, horizon, seed))
     outcome = sim.run(workload, until=horizon, fg_offset=fg_offset,
                       fg_horizon=fg_horizon_ms * 1e-3, seed=seed)

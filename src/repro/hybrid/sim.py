@@ -137,13 +137,12 @@ class HybridSim:
 
     def __init__(self, manager: PlacementManager,
                  foreground: List[ForegroundTenant],
-                 sharing: str = "reserved", scheme: str = "silo",
-                 faults=None, tracer=None):
+                 sharing: str = "reserved", faults=None, tracer=None):
         """``faults`` (a :class:`repro.faults.FaultSchedule`) applies to
         the *background* cluster; its capacity effects reach the
-        foreground through the recorded residual series.  ``scheme``
-        configures the packet network (foreground VMs are paced when it
-        is ``"silo"`` and they carry a guarantee)."""
+        foreground through the recorded residual series.  The packet
+        network runs Silo's scheme: foreground VMs that carry a
+        guarantee are paced."""
         if not foreground:
             raise ValueError("hybrid simulation needs >= 1 foreground "
                              "tenant")
@@ -151,7 +150,6 @@ class HybridSim:
         self.topology = manager.topology
         self.foreground = list(foreground)
         self.sharing = sharing
-        self.scheme = scheme
         self.faults = faults
         self.tracer = tracer
 
@@ -210,7 +208,7 @@ class HybridSim:
             fg_offset = _peak_offset(recorder, until, fg_horizon)
 
         # Phase 3: packet foreground inside the recorded residuals.
-        net = PacketNetwork(self.topology, scheme=self.scheme,
+        net = PacketNetwork(self.topology, scheme="silo",
                             tracer=self.tracer)
         metrics = MetricsCollector(tracer=self.tracer)
         rng = random.Random(seed)
@@ -219,10 +217,10 @@ class HybridSim:
         for tenant, placement in placements:
             vm_ids = []
             guarantee = tenant.request.guarantee
-            paced = self.scheme == "silo" and guarantee is not None
             for server in placement.vm_servers:
                 net.add_vm(next_vm, tenant.request.tenant_id, server,
-                           guarantee=guarantee, paced=paced)
+                           guarantee=guarantee,
+                           paced=guarantee is not None)
                 vm_ids.append(next_vm)
                 next_vm += 1
             if tenant.app == "memcached":

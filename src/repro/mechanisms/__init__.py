@@ -11,8 +11,10 @@ construction consumes, so ``repro trace --mechanism eyeq`` and the
 
 Registered mechanisms: ``silo`` (pacing + priorities + admission),
 ``swp`` (speculative duplicates), ``eyeq`` (distributed hose congestion
-control), ``none`` (plain TCP).  See docs/MECHANISMS.md for a tour and
-DESIGN.md ("Competing mechanisms") for the design rationale.
+control), ``none`` (plain TCP), and the paper's other section 6.2
+baselines ``dctcp``, ``hull``, ``okto`` and ``okto+``.  See
+docs/MECHANISMS.md for a tour and DESIGN.md ("Competing mechanisms")
+for the design rationale.
 """
 
 from repro.mechanisms.base import (
@@ -22,6 +24,7 @@ from repro.mechanisms.base import (
     mechanism_names,
     register_mechanism,
 )
+from repro.mechanisms import baselines  # noqa: F401  (registers four)
 from repro.mechanisms.eyeq import (
     DEFAULT_FEEDBACK_INTERVAL,
     EyeQController,

@@ -13,12 +13,16 @@ after.
 
 Registered implementations (see :mod:`repro.mechanisms`):
 
-========  ==========================================================
-``silo``  the paper's stack: network-calculus pacing + priorities
-``swp``   speculative duplicates racing paced originals
-``eyeq``  distributed RTT-scale hose congestion control
-``none``  plain TCP, no pacing -- the overhead/latency baseline
-========  ==========================================================
+=========  =========================================================
+``silo``   the paper's stack: network-calculus pacing + priorities
+``swp``    speculative duplicates racing paced originals
+``eyeq``   distributed RTT-scale hose congestion control
+``none``   plain TCP, no pacing -- the overhead/latency baseline
+``dctcp``  ECN-marking ports + DCTCP endpoints, no pacing
+``hull``   phantom-queue ports + HULL endpoints, no pacing
+``okto``   Oktopus: bandwidth-only placement, rate limit, no burst
+``okto+``  Oktopus placement with Silo's burst allowance
+=========  =========================================================
 """
 
 from __future__ import annotations
@@ -43,15 +47,16 @@ class Mechanism(ABC):
     objects; create a fresh one per simulation run.
     """
 
-    #: Registry key and display name ("silo", "swp", "eyeq", "none").
+    #: Registry key and display name ("silo", "swp", "eyeq", "none", ...).
     name: str = ""
     #: The :class:`PacketNetwork` scheme this mechanism runs on.
     scheme: str = "tcp"
-    #: Whether the mechanism relies on Silo's admission control and
-    #: delay-aware placement (scenarios fall back to striped placement
-    #: and skip admission when False -- host-level mechanisms like SWP
-    #: and EyeQ run under any placement).
-    uses_admission: bool = False
+    #: The placement policy the mechanism's tenants are admitted by
+    #: ("silo": delay-aware admission, "oktopus": bandwidth-only), or
+    #: ``None`` for mechanisms that run under any placement (the
+    #: host-level SWP and EyeQ, the unmanaged TCP family) -- scenarios
+    #: then stripe the tenants across servers and skip admission.
+    placement: Optional[str] = None
 
     def build_network(self, topology: TreeTopology,
                       tracer=None, **kwargs: Any) -> PacketNetwork:

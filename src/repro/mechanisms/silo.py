@@ -32,7 +32,7 @@ class SiloMechanism(Mechanism):
 
     name = "silo"
     scheme = "silo"
-    uses_admission = True
+    placement = "silo"
 
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,
                server: int, guarantee: Optional[NetworkGuarantee],

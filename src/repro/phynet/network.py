@@ -101,11 +101,13 @@ class PacketNetwork:
                  tracer=None):
         """Build the simulated network.
 
-        ``scheme`` selects the baseline: "tcp", "dctcp" or "hull" configure
-        the switch ports accordingly; "silo", "okto" and "okto+" use plain
-        ports (their rate control lives in the hypervisor pacers, attached
-        per VM via :meth:`add_vm`); "swp" and "eyeq" also use plain ports
-        (see :mod:`repro.mechanisms` for their end-host machinery).
+        ``scheme`` is what the eight registered
+        :mod:`repro.mechanisms` run on: "tcp" (mechanism ``none``),
+        "dctcp" and "hull" configure the switch ports accordingly;
+        "silo", "okto" and "okto+" use plain ports (their rate control
+        lives in the hypervisor pacers, attached per VM via
+        :meth:`add_vm`); "swp" and "eyeq" also use plain ports (their
+        machinery is end-host).
 
         ``coordination=False`` disables the built-in oracle hose
         coordination loop (:meth:`_coordinate`); the EyeQ mechanism turns

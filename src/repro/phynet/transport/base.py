@@ -314,12 +314,6 @@ class Transport:
 
     # -------------------------------------------------------------------- misc
 
-    @property
-    def outstanding_messages(self) -> int:
-        """Messages with bytes still queued or in flight."""
-        return len({s.record for s in self.in_flight.values()}
-                   | {s.record for s in self.send_queue})
-
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self.src_vm}->{self.dst_vm} "
                 f"cwnd={self.cwnd:.1f} inflight={len(self.in_flight)})")

@@ -456,11 +456,6 @@ class PlacementManager(abc.ABC):
         self.states[port_id].reset_totals(registry.values())
         self._reservation_changed(port_id)
 
-    def tenants_crossing(self, port_id: int) -> List[int]:
-        """Tenants with a committed contribution at ``port_id``."""
-        return [key[1] for key in self._port_registry[port_id]
-                if key[0] == "tenant"]
-
     def tenants_on_server(self, server: int) -> List[int]:
         """Tenants with at least one VM placed on ``server``, ascending."""
         return sorted(self._server_tenants[server])

@@ -548,10 +548,3 @@ class ShardedCluster:
         if state is None:
             state = self.dump_state()
         return snapshot_mod.state_digest(state)
-
-    def set_tracer(self, tracer) -> None:
-        """Attach a trace sink to every manager and controller."""
-        for manager in list(self.shards) + [self.calc]:
-            manager.tracer = tracer
-        for controller in list(self.controllers) + [self.agg_controller]:
-            controller.tracer = tracer

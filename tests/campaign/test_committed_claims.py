@@ -1,10 +1,11 @@
 """The extension claims EXPERIMENTS.md makes, checked on the committed data.
 
 ``campaigns/<name>/merged.json`` is the only committed result data and
-CI regenerates it ``cmp``-identical, so an ordering asserted here is an
-ordering of the code: pure JSON reads, no simulation.  Each claim is a
-function of the cell list so the last test can show it failing on a
-doctored copy.
+CI regenerates it ``cmp``-identical (``campaigns/fig12`` in full, in the
+``mechanism-smoke`` job; the larger campaigns as micro slices of the
+same cells), so an ordering asserted here is an ordering of the code:
+pure JSON reads, no simulation.  Each claim is a function of the cell
+list so the last test can show it failing on a doctored copy.
 """
 
 import json
@@ -76,7 +77,25 @@ def check_whatif_error(cells):
     assert median(errors) <= 0.15, sorted(errors)
 
 
+def check_fig12_is_the_section62_cell(cells):
+    """The six paper schemes ran the one section 6.2 cell: the ``silo``
+    cell equals the ``mechanism-compare`` (``fig12``, ``silo``) cell on
+    every key that one has, and Silo's tail beats the TCP family's."""
+    result = {cell["params"]["mechanism"]: cell["result"] for cell in cells}
+    assert list(result) == ["silo", "none", "dctcp", "hull", "okto", "okto+"]
+    shared = next(cell["result"] for cell in load_cells("mechanism-compare")
+                  if cell["params"] == {"workload": "fig12",
+                                        "mechanism": "silo",
+                                        "duration": 0.08})
+    assert {key: result["silo"][key] for key in shared} == shared
+    assert result["silo"]["guarantee_met"]
+    for baseline in ("none", "dctcp", "hull"):
+        assert (result[baseline]["latency_us"]["p99"]
+                >= 3 * result["silo"]["latency_us"]["p99"]), baseline
+
+
 CLAIMS = {
+    "fig12": check_fig12_is_the_section62_cell,
     "failure-recovery": check_failure_recovery,
     "mechanism-compare": check_mechanism_ordering,
     "whatif-error": check_whatif_error,
@@ -107,9 +126,19 @@ def worsen_the_good_cells(cells):
     ("failure-recovery", swap("policy", "silo", "oktopus")),
     ("mechanism-compare", swap("mechanism", "silo", "eyeq")),
     ("whatif-error", worsen_the_good_cells),
+    ("fig12", swap("mechanism", "silo", "hull")),
 ])
 def test_claim_fails_on_doctored_data(name, doctor):
     cells = load_cells(name)
     doctor(cells)
     with pytest.raises(AssertionError):
         CLAIMS[name](cells)
+
+
+def test_committed_campaigns_are_strict_json():
+    """No committed file carries the ``NaN`` / ``Infinity`` tokens that
+    only Python's parser accepts."""
+    def refuse(token):
+        raise ValueError(token)
+    for path in sorted(CAMPAIGNS.rglob("*.json")):
+        json.loads(path.read_text(), parse_constant=refuse)

@@ -32,6 +32,12 @@ def toy_boom(n, scale, seed):
     return {"n": n}
 
 
+@scenario("toy_nan")
+def toy_nan(n, scale, seed):
+    """Scenario whose ``n == 13`` cell leaks a non-finite number."""
+    return {"n": n, "mean": float("nan") if n == 13 else scale}
+
+
 @scenario("toy_sleeper")
 def toy_sleeper(duration, seed):
     """Cell that stalls for ``duration`` wall seconds (timeout tests)."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import units
+from repro.campaign import scenarios
 from repro.core.guarantees import NetworkGuarantee
 from repro.mechanisms import (
     Mechanism,
@@ -11,7 +12,9 @@ from repro.mechanisms import (
     register_mechanism,
 )
 from repro.phynet.packet import PRIORITY_GUARANTEED
+from repro.phynet.transport import Dctcp, HullTcp, TcpReno
 from repro.phynet.transport.swp import SwpTransport
+from repro.placement import OktopusPlacementManager, SiloPlacementManager
 from repro.topology import TreeTopology
 
 GUARANTEE = NetworkGuarantee(bandwidth=units.mbps(250),
@@ -26,7 +29,8 @@ def small_topology():
 
 class TestRegistry:
     def test_all_mechanisms_registered(self):
-        assert mechanism_names() == ("eyeq", "none", "silo", "swp")
+        assert mechanism_names() == ("dctcp", "eyeq", "hull", "none",
+                                     "okto", "okto+", "silo", "swp")
 
     def test_get_mechanism_returns_fresh_instances(self):
         assert get_mechanism("silo") is not get_mechanism("silo")
@@ -60,7 +64,7 @@ class TestStackConfiguration:
         vm = mech.add_vm(net, 0, tenant_id=1, server=0,
                          guarantee=GUARANTEE)
         assert net.scheme == "silo"
-        assert mech.uses_admission
+        assert mech.placement == "silo"
         assert vm.pacer is not None
         assert vm.guarantee is GUARANTEE
 
@@ -115,3 +119,64 @@ class TestStackConfiguration:
         assert mech.controller is not None
         counters = mech.counters(net)
         assert counters["feedback_messages"] == 0
+
+
+class TestPaperBaselines:
+    """Each section 6.2 baseline configures what its name says."""
+
+    def build(self, name):
+        mech = get_mechanism(name)
+        net = mech.build_network(small_topology())
+        vms = [mech.add_vm(net, vm_id, tenant_id=1, server=vm_id,
+                           guarantee=GUARANTEE) for vm_id in (0, 1)]
+        flow = net.transport(0, 1, transport_class=mech.transport_class(),
+                             **mech.transport_kwargs())
+        return mech, net, vms[0], flow
+
+    def test_dctcp_marks_ecn_and_runs_dctcp_endpoints(self):
+        mech, net, vm, flow = self.build("dctcp")
+        assert all(port.ecn_threshold is not None
+                   for port in net.ports.values())
+        assert type(flow) is Dctcp
+        assert vm.pacer is None
+
+    def test_hull_runs_phantom_queues_and_hull_endpoints(self):
+        mech, net, vm, flow = self.build("hull")
+        assert all(port.phantom_drain is not None
+                   for port in net.ports.values())
+        assert type(flow) is HullTcp
+        assert vm.pacer is None
+
+    def test_okto_is_a_rate_limit_without_burst(self):
+        mech, net, vm, flow = self.build("okto")
+        assert type(flow) is TcpReno
+        bucket = vm.pacer.destination_bucket(1)
+        assert bucket.capacity == units.MTU
+        assert bucket.rate == GUARANTEE.bandwidth
+        assert vm.pacer.config.peak_rate == GUARANTEE.bandwidth
+
+    def test_okto_plus_keeps_the_guarantees_burst(self):
+        mech, net, vm, flow = self.build("okto+")
+        assert type(flow) is TcpReno
+        assert vm.pacer.config.burst == GUARANTEE.burst
+        assert vm.pacer.config.peak_rate == GUARANTEE.peak_rate
+
+    @pytest.mark.parametrize("name, manager", [
+        ("silo", SiloPlacementManager),
+        ("okto", OktopusPlacementManager),
+        ("okto+", OktopusPlacementManager),
+        ("dctcp", None), ("hull", None), ("none", None),
+        ("swp", None), ("eyeq", None),
+    ])
+    def test_placement_policy(self, name, manager):
+        """The campaign places through the manager the mechanism names,
+        and stripes consecutive VMs over consecutive servers when it
+        names none."""
+        policy = get_mechanism(name).placement
+        assert (policy is None) == (manager is None)
+        if manager is not None:
+            assert scenarios._policy_manager(policy)[0] is manager
+        placements = scenarios._place_campaign_tenants(
+            policy, scenarios._cli_topology(1, 2, 5, 4))
+        first = placements[0][2].vm_servers
+        assert (first == list(range(len(first)))) == (manager is None)

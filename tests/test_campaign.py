@@ -280,6 +280,18 @@ class TestRunner:
         with pytest.raises(RuntimeError, match=r"toy_boom\(n=13"):
             run_campaign(spec)
 
+    def test_non_finite_result_fails_at_the_cell(self, tmp_path):
+        # ``NaN`` / ``Infinity`` are not JSON: the checkpoint write must
+        # refuse them and say which cell leaked one, not commit a file
+        # strict parsers reject.
+        spec = toy_spec(scenario="toy_nan",
+                        grid={"n": [1, 13], "scale": [1.0]}, seeds=(0,))
+        with pytest.raises(RuntimeError, match=r"toy_nan\(n=13"):
+            run_campaign(spec, out=tmp_path / "camp")
+        assert not (tmp_path / "camp" / "merged.json").exists()
+        assert "NaN" not in "".join(
+            path.read_text() for path in (tmp_path / "camp").rglob("*.json"))
+
     def test_max_cells_requires_out_dir(self):
         with pytest.raises(ValueError, match="max_cells"):
             run_campaign(toy_spec(), max_cells=1)

@@ -11,8 +11,11 @@ nothing under ``src/repro`` may import them, the test tree, the
 paper-claims suite or the perf harness (a shipped package that needs
 its tests to import is two implementations again).
 
-The last check keeps prose honest: a benchmark, test, doc or campaign
+The third check keeps prose honest: a benchmark, test, doc or campaign
 path that the documentation, CI or a source comment names must exist.
+
+The last one keeps the package honest: every module under ``src/repro``
+is reached, by imports, from something a user can run.
 """
 
 import ast
@@ -132,3 +135,129 @@ def test_every_path_the_docs_name_exists():
     that is gone."""
     dangling = list(iter_dangling_mentions())
     assert not dangling, "dangling references:\n" + "\n".join(dangling)
+
+
+# -- reachability: every shipped module serves something a user can run ----
+
+#: What a user can launch; the walk starts from the files these name.
+ENTRY_POINTS = ("src/repro/__main__.py", "src/repro/cli.py",
+                "src/repro/campaign/scenarios.py",
+                "benchmarks", "examples", "perf")
+
+#: Packages whose ``__init__`` imports its modules so that they
+#: *register* themselves: importing one of the lookup names from the
+#: package reaches every registrant, not just the module defining the
+#: lookup.
+REGISTRY_LOOKUPS = {"repro.mechanisms": {"get_mechanism",
+                                         "mechanism_names"}}
+
+#: Shipped modules nothing runnable reaches, each with the reason it
+#: stays for now.
+UNREACHED_ALLOWED = {
+    "repro.netcalc.aggregate":
+        "curve-form reference tests/placement/test_state.py compares "
+        "PortState against; due to move to tests/oracles/",
+}
+
+
+def _module_files():
+    """Dotted module name -> source file, for everything under ``SRC``."""
+    files = {}
+    for source in SRC.rglob("*.py"):
+        parts = source.relative_to(SRC.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        files[".".join(parts)] = source
+    return files
+
+
+def _imports(source, module, is_package):
+    """``(target module, imported names or None)`` for every ``repro``
+    import in ``source`` (function-local ones included); relative
+    imports are resolved against ``module``."""
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            target = node.module or ""
+            if node.level:
+                base = module.split(".")
+                base = base[:len(base) - node.level + (1 if is_package else 0)]
+                target = ".".join(base + ([target] if target else []))
+            if target.split(".")[0] == "repro":
+                yield target, [alias.name for alias in node.names]
+
+
+def unreached_modules():
+    """Modules under ``src/repro`` that no entry point reaches.
+
+    ``from repro.pkg import Name`` is followed through the package's
+    ``__init__`` to the module that defines ``Name``; the re-export in
+    the ``__init__`` is not itself a use, so a module that only its own
+    package (and its own test) imports counts as unreached.
+    """
+    files = _module_files()
+    packages = {name for name, path in files.items()
+                if path.name == "__init__.py"}
+    reached, followed = set(), set()
+
+    def reach(module):
+        """Mark ``module`` used and follow its imports.  Importing it
+        also executes the ``__init__`` of every package above it, which
+        is not a use of what those re-export: they are marked, not
+        followed."""
+        if module not in files:
+            return
+        parts = module.split(".")
+        reached.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+        if module not in followed:
+            followed.add(module)
+            follow(files[module], module)
+
+    def resolve(package, name, seen=()):
+        """The module that importing ``name`` from ``package`` uses."""
+        if f"{package}.{name}" in files:
+            return f"{package}.{name}"
+        if (package not in packages or (package, name) in seen
+                or name == "*"
+                or name in REGISTRY_LOOKUPS.get(package, ())):
+            return package
+        for target, names in _imports(files[package], package, True):
+            if names is not None and name in names:
+                return resolve(target, name, seen + ((package, name),))
+        return package    # defined in the __init__ itself
+
+    def follow(source, module):
+        for target, names in _imports(source, module, module in packages):
+            if names is None:
+                reach(target)
+            else:
+                for name in names:
+                    reach(resolve(target, name))
+
+    for entry in ENTRY_POINTS:
+        path = REPO / entry
+        for source in ([path] if path.is_file()
+                       else sorted(path.rglob("*.py"))):
+            module = next((name for name, file in files.items()
+                           if file == source), None)
+            if module is not None:
+                reach(module)
+            else:
+                follow(source, "")
+    return sorted(set(files) - reached)
+
+
+def test_every_module_is_reached_from_an_entry_point():
+    """Nothing ships that only its own test imports."""
+    unreached = unreached_modules()
+    unexpected = [m for m in unreached if m not in UNREACHED_ALLOWED]
+    assert not unexpected, (
+        "modules no command, scenario, benchmark, example or perf "
+        "workload reaches (wire them in or delete them with their "
+        "tests):\n" + "\n".join(unexpected))
+    stale = sorted(set(UNREACHED_ALLOWED) - set(unreached))
+    assert not stale, f"allow-listed but reached (or gone): {stale}"
