@@ -717,7 +717,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     from repro.faults import FaultSchedule
     from repro.service import (AdmissionService, ClosedLoopLoadGen,
-                               SnapshotError)
+                               SnapshotError, WalError)
     bad_spec = _check_faults_spec(args)
     if bad_spec is not None:
         return bad_spec
@@ -738,7 +738,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             topology, data_dir, queue_capacity=args.queue_capacity,
             batch_size=args.batch_size, admission_timeout=args.timeout,
             snapshot_every=args.snapshot_every, tracer=sink)
-    except SnapshotError as exc:
+    except (SnapshotError, WalError) as exc:
         return _spec_error("--data-dir", args.data_dir, exc)
     digest_path = data_dir / "digest.txt"
     if args.check_digest:

@@ -12,9 +12,11 @@ bytes served).  This package implements:
   Fig. 6a);
 * rate-latency service curves;
 * queue bounds: horizontal deviation (delay), vertical deviation (backlog)
-  and the ``p``-interval over which a queue must empty (Fig. 6b);
-* hose-model tenant aggregation ``A_{min(m, N-m)B, mS}`` and egress burst
-  propagation ``A_{B, B.c+S}`` (section 4.2.2).
+  and the ``p``-interval over which a queue must empty (Fig. 6b).
+
+Hose-model tenant aggregation ``A_{min(m, N-m)B, mS}`` and egress burst
+propagation ``A_{B, B.c+S}`` (section 4.2.2) are applied in closed form
+by :mod:`repro.placement.state`.
 """
 
 from repro.netcalc.curves import AffinePiece, Curve
@@ -30,12 +32,6 @@ from repro.netcalc.bounds import (
     empty_interval,
     queue_is_stable,
 )
-from repro.netcalc.aggregate import (
-    hose_aggregate,
-    egress_curve,
-    cap_at_link,
-    sum_curves,
-)
 
 __all__ = [
     "AffinePiece",
@@ -49,8 +45,4 @@ __all__ = [
     "delay_bound",
     "empty_interval",
     "queue_is_stable",
-    "hose_aggregate",
-    "egress_curve",
-    "cap_at_link",
-    "sum_curves",
 ]

@@ -32,7 +32,7 @@ tenant, the SLO-violation currency of the failure-sweep experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.tenant import Placement, TenantRequest
 from repro.faults.model import ACTION_UP, FaultEvent, HealthState
@@ -132,22 +132,14 @@ class ClusterController:
             campaigns want ``True``; a fluid simulation attaches with
             ``False`` because an evicted tenant's job was killed and
             cannot resurrect.
-        owns: optional ownership predicate over tenant ids.  When
-            several controllers share responsibility for one manager's
-            books (the sharded admission service mirrors tenants across
-            managers), each controller only releases/re-places tenants
-            it owns; fencing (cordons and port poisons) still applies
-            to every fault.  ``None`` owns everything.
     """
 
     def __init__(self, manager: PlacementManager, tracer=None,
-                 retry_evicted: bool = True,
-                 owns: Optional[Callable[[int], bool]] = None):
+                 retry_evicted: bool = True):
         self.manager = manager
         self.health = HealthState(manager.topology)
         self.tracer = tracer if tracer is not None else manager.tracer
         self.retry_evicted = retry_evicted
-        self.owns = owns
         self._tracks: Dict[int, _Track] = {}
         #: Rows of tenants that departed mid-campaign (interval closed).
         self._closed_rows: List[TenantOutcome] = []
@@ -178,8 +170,6 @@ class ClusterController:
         affected = self._tenants_touching(impaired)
         for server in event.target.servers(manager.topology):
             affected.update(manager.tenants_on_server(server))
-        if self.owns is not None:
-            affected = {tid for tid in affected if self.owns(tid)}
         # Release first: the re-place search must see the freed slots and
         # exact port books, and cordoning below withholds only truly free
         # slots.

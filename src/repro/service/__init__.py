@@ -9,8 +9,8 @@ fault-recovery machine in an always-on, crash-consistent service:
   store (the crash-consistency substrate);
 * :mod:`repro.service.snapshot` -- bit-exact (de)serialization of
   placement books and controller state;
-* :mod:`repro.service.cluster` -- per-pod sharded books with a
-  cluster-scope aggregator fallback and fault fan-out;
+* :mod:`repro.service.cluster` -- the one set of placement books
+  (one placement manager + one cluster controller) and the pod cordon;
 * :mod:`repro.service.server` -- the service loop
   (:class:`AdmissionService`);
 * :mod:`repro.service.loadgen` -- seeded closed-loop load generator.
@@ -20,15 +20,16 @@ walks through a kill -9 / restart / verify-identity session.
 """
 
 from repro.service.queue import BoundedIngressQueue, IngressItem, Priority
-from repro.service.wal import SnapshotError, SnapshotStore, WriteAheadLog
+from repro.service.wal import (SnapshotError, SnapshotStore, WalError,
+                               WriteAheadLog)
 from repro.service.snapshot import state_digest
-from repro.service.cluster import AGG, ShardedCluster
+from repro.service.cluster import ClusterBooks, ShardedCluster
 from repro.service.server import AdmissionService, ServiceMetrics
 from repro.service.loadgen import ClosedLoopLoadGen
 
 __all__ = [
-    "AGG", "AdmissionService", "BoundedIngressQueue",
-    "ClosedLoopLoadGen", "IngressItem", "Priority", "ServiceMetrics",
-    "ShardedCluster", "SnapshotError", "SnapshotStore", "WriteAheadLog",
-    "state_digest",
+    "AdmissionService", "BoundedIngressQueue", "ClosedLoopLoadGen",
+    "ClusterBooks", "IngressItem", "Priority", "ServiceMetrics",
+    "ShardedCluster", "SnapshotError", "SnapshotStore", "WalError",
+    "WriteAheadLog", "state_digest",
 ]

@@ -17,9 +17,10 @@ Robustness properties, in one place:
   victim is answered with a retry-after; control traffic is never shed;
 * **deadlines**: every admission carries one; items past it are expired
   unprocessed;
-* **graceful shard degradation**: a fault that cordons a whole shard
-  re-queues the in-flight admission batch so it re-runs against the
-  post-fault books;
+* **graceful pod degradation**: a pod that has lost half its servers
+  is cordoned out of placement (:mod:`repro.service.cluster`); a tick
+  folds every pending fault in before it admits, so an admission batch
+  always decides against post-fault books;
 * **crash consistency**: write-ahead intent log + periodic snapshot;
   a ``kill -9`` restarts to bit-identical placement books (see
   :mod:`repro.service.wal` for the replay contract).
@@ -35,9 +36,10 @@ from repro.core.tenant import TenantRequest
 from repro.faults.model import FaultEvent, FaultTarget
 from repro.obs.events import (FaultInjected, ServiceDecision,
                               ServiceIngress, ServiceSnapshot)
-from repro.service.cluster import ShardedCluster
+from repro.service.cluster import ClusterBooks
 from repro.service.queue import BoundedIngressQueue, IngressItem, Priority
-from repro.service.snapshot import dump_request, restore_request
+from repro.service.snapshot import (dump_request, require_keys,
+                                    restore_request)
 from repro.service.wal import (SnapshotError, SnapshotStore,
                                WriteAheadLog, recovery_plan)
 from repro.topology.tree import TreeTopology
@@ -120,7 +122,7 @@ class AdmissionService:
             granted to each admission.
         snapshot_every: checkpoint the books after this many completed
             items (0 disables periodic snapshots).
-        shard_down_threshold: see :class:`ShardedCluster`.
+        retry_evicted: see :class:`ClusterController`.
         tracer: optional obs sink; attached *after* replay, so recovery
             does not re-emit the previous life's events.
     """
@@ -129,20 +131,16 @@ class AdmissionService:
                  queue_capacity: int = 256, batch_size: int = 16,
                  admission_timeout: float = 5.0,
                  snapshot_every: int = 200,
-                 shard_down_threshold: float = 0.5,
                  retry_evicted: bool = True, tracer=None) -> None:
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.batch_size = batch_size
         self.admission_timeout = admission_timeout
         self.snapshot_every = snapshot_every
-        self.cluster = ShardedCluster(
-            topology, shard_down_threshold=shard_down_threshold,
-            retry_evicted=retry_evicted)
+        self.cluster = ClusterBooks(topology, retry_evicted=retry_evicted)
         self.queue = BoundedIngressQueue(queue_capacity)
         self.metrics = ServiceMetrics()
         self.snapshots = SnapshotStore(self.data_dir / "snapshot.json")
-        self._in_flight: List[IngressItem] = []
         self._done_count = 0
         self._done_since_snapshot = 0
         self.tracer = None
@@ -162,10 +160,12 @@ class AdmissionService:
     def _recover(self, snapshot: Optional[Dict[str, Any]]) -> None:
         folded = 0
         if snapshot is not None:
-            if "cluster" not in snapshot:
-                raise SnapshotError(f"snapshot {self.snapshots.path} "
-                                    f"has no 'cluster' key")
-            self.cluster.restore_state(snapshot["cluster"])
+            try:
+                require_keys(snapshot, ("cluster",), "top level")
+                self.cluster.restore_state(snapshot["cluster"])
+            except SnapshotError as exc:
+                raise SnapshotError(
+                    f"snapshot {self.snapshots.path}: {exc}") from None
             folded = int(snapshot.get("done_count", 0))
         redo, reenqueue, total_done = recovery_plan(self.wal.path, folded)
         for record in redo:
@@ -181,7 +181,7 @@ class AdmissionService:
         if kind == "admit":
             if outcome == "admitted":
                 request = restore_request(record["payload"]["request"])
-                self.cluster.adopt(request, int(done["owner"]),
+                self.cluster.adopt(request,
                                    [int(s) for s in done["vm_servers"]])
         elif kind == "depart":
             if outcome == "departed":
@@ -304,17 +304,11 @@ class AdmissionService:
                 self._emit_decision(now, item, "expired")
             else:
                 live.append(item)
-        self._in_flight = list(live)
         placements = self.cluster.place_batch(
             [item.payload for item in live], now=now)
-        still_in_flight = {id(item) for item in self._in_flight}
         for item, placement in zip(live, placements):
-            if id(item) not in still_in_flight:
-                continue  # re-queued by a mid-batch shard cordon
-            request = item.payload
             if placement is not None:
-                owner = self.cluster.owner[request.tenant_id]
-                self._log_done(item.seq, now, "admitted", owner=owner,
+                self._log_done(item.seq, now, "admitted",
                                vm_servers=list(placement.vm_servers))
                 self.metrics.admitted += 1
                 counts["admitted"] += 1
@@ -328,16 +322,12 @@ class AdmissionService:
             self.metrics.admission_latencies.append(
                 now - item.enqueued_at)
             self._emit_decision(now, item, outcome)
-        self._in_flight = []
         self._maybe_snapshot(now)
         return counts
 
     def _process_fault(self, item: IngressItem, now: float) -> None:
         event: FaultEvent = item.payload
-        before = set(self.cluster.cordoned_shards)
         self.cluster.apply_fault(event, now=now)
-        if self.cluster.cordoned_shards - before:
-            self._requeue_in_flight()
         self._log_done(item.seq, now, "fault", target=event.target.spec)
         self.metrics.faults += 1
         if self.tracer is not None:
@@ -357,18 +347,6 @@ class AdmissionService:
         self._log_done(item.seq, now, outcome)
         self.metrics.departed += 1
         self._emit_decision(now, item, outcome)
-
-    def _requeue_in_flight(self) -> None:
-        """Push the in-flight admission batch back into the queue.
-
-        Called when a fault cordons a whole shard: decisions taken for
-        the rest of the batch must see the post-fault books, so the
-        batch re-runs.  Intents stay open (no ``done`` yet), so the WAL
-        needs no compensation record.
-        """
-        items, self._in_flight = self._in_flight, []
-        for item in items:
-            self.queue.offer(item, force=True)
 
     # -- persistence ---------------------------------------------------------
 
@@ -399,7 +377,7 @@ class AdmissionService:
 
     def state_digest(self) -> str:
         """The books' identity certificate (see
-        :meth:`ShardedCluster.state_digest`)."""
+        :meth:`ClusterBooks.state_digest`)."""
         return self.cluster.state_digest()
 
     def close(self) -> None:

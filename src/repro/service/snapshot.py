@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Sequence
 
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import Placement, TenantClass, TenantRequest
@@ -32,10 +32,23 @@ from repro.placement.base import PlacementManager
 from repro.placement.controller import ClusterController, TenantOutcome
 from repro.placement.controller import _Track
 from repro.placement.state import Contribution
+from repro.service.wal import SnapshotError
 
 __all__ = ["dump_request", "restore_request", "dump_manager",
            "restore_manager", "dump_controller", "restore_controller",
-           "state_digest"]
+           "require_keys", "state_digest"]
+
+
+def require_keys(dump: Any, keys: Sequence[str], what: str) -> None:
+    """:class:`SnapshotError` unless ``dump`` is an object holding every
+    one of ``keys`` (``what`` names it in the diagnosis): a snapshot
+    comes from disk, so its shape is checked before it is read."""
+    if not isinstance(dump, dict):
+        raise SnapshotError(f"{what} is not a JSON object "
+                            f"(got {type(dump).__name__})")
+    for key in keys:
+        if key not in dump:
+            raise SnapshotError(f"{what} has no {key!r} key")
 
 
 # -- tenant requests ---------------------------------------------------------
@@ -104,6 +117,8 @@ def restore_manager(manager: PlacementManager,
     rebuilt by re-running the pure ``_port_contributions`` per placement;
     the manager then rebuilds its own caches and indexes from those books.
     """
+    require_keys(dump, ("free_slots", "cordoned", "placements", "registry"),
+                 "manager dump")
     manager.free_slots = [int(v) for v in dump["free_slots"]]
     manager._cordoned = {int(s): int(c) for s, c in dump["cordoned"]}
     manager.placements = {}
@@ -176,6 +191,10 @@ def restore_controller(controller: ClusterController,
     (``port_factor``) is recomputed from the per-target factors, which
     is exact: composition is a min over targets.
     """
+    require_keys(dump, ("tracks", "closed_rows", "poisoned", "health"),
+                 "controller dump")
+    require_keys(dump["health"], ("target_factor", "down_servers"),
+                 "controller health dump")
     controller._tracks = {}
     for tid, request_dump, status, lost_at, recovered_at, gsec in \
             dump["tracks"]:
@@ -213,27 +232,19 @@ def restore_controller(controller: ClusterController,
 
 # -- digests -----------------------------------------------------------------
 
-def _without_counters(manager_dump: Dict[str, Any]) -> Dict[str, Any]:
-    return {key: value for key, value in manager_dump.items()
-            if key != "counters"}
-
-
 def state_digest(state: Dict[str, Any]) -> str:
     """SHA-256 over a canonical JSON rendering of a
-    :meth:`ShardedCluster.dump_state` dict (left unmodified).
+    :meth:`ClusterBooks.dump_state` dict (left unmodified).
 
     Admission counters are excluded: a restarted service replays only
     committed outcomes (it never re-runs rejected admission attempts),
     so attempt counters may differ across a crash while the books are
     identical -- the digest certifies the books.  Counters live in
-    exactly two places, each shard's ``manager`` dump and ``calc``
-    (:func:`dump_manager`), so the strip rebuilds those dicts one level
-    deep and shares everything below them with ``state``.
+    exactly one place, the ``manager`` dump (:func:`dump_manager`), so
+    the strip rebuilds that dict one level deep and shares everything
+    below it with ``state``.
     """
-    books = dict(state)
-    books["shards"] = [
-        dict(shard, manager=_without_counters(shard["manager"]))
-        for shard in state["shards"]]
-    books["calc"] = _without_counters(state["calc"])
-    canonical = json.dumps(books, sort_keys=True)
+    manager = {key: value for key, value in state["manager"].items()
+               if key != "counters"}
+    canonical = json.dumps(dict(state, manager=manager), sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

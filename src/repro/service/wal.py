@@ -5,8 +5,10 @@ Durability model: every ingress item is logged as an ``enq`` intent
 outcome (and, for admissions, the committed assignment) *after* the
 state change.  Records are JSON lines, flushed after every write, so a
 ``kill -9`` can lose at most a partially written trailing line -- the
-reader stops at the first unparseable line and treats everything before
-it as the durable prefix.
+reader drops a damaged *last* line silently and treats everything
+before it as the durable prefix.  A damaged line with valid records
+after it is not a torn write: it raises :class:`WalError` instead of
+costing the records behind it.
 
 Recovery = load the latest snapshot, then redo the ``done`` records
 the snapshot has not folded in yet -- **in log order**, which is the
@@ -26,8 +28,12 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["WriteAheadLog", "SnapshotStore", "SnapshotError",
+__all__ = ["WriteAheadLog", "WalError", "SnapshotStore", "SnapshotError",
            "replay_records", "recovery_plan"]
+
+
+class WalError(ValueError):
+    """The write-ahead log is damaged somewhere other than its tail."""
 
 
 class WriteAheadLog:
@@ -52,8 +58,8 @@ class WriteAheadLog:
         if (self.path.exists()
                 and self.path.stat().st_size > durable_bytes):
             # Drop a torn trailing line (a kill -9 mid-write) before
-            # appending: readers stop at the first unparseable line, so
-            # anything written after the tear would be invisible.
+            # appending: a damaged line with records after it is an
+            # error to every reader, this one included.
             with open(self.path, "r+", encoding="utf-8") as fh:
                 fh.truncate(durable_bytes)
         self._fh = open(self.path, "a", encoding="utf-8")
@@ -92,32 +98,65 @@ class WriteAheadLog:
         self._fh.close()
 
 
+#: Keys recovery reads from every record of each type.
+_RECORD_KEYS = {"enq": ("seq", "time", "kind", "payload"),
+                "done": ("seq", "time", "outcome")}
+
+
+def _parse_line(raw: bytes) -> Dict[str, Any]:
+    """One complete WAL line as a record; :class:`ValueError` saying
+    what is wrong with it otherwise."""
+    if not raw.endswith(b"\n"):
+        raise ValueError("no trailing newline")
+    record = json.loads(raw.decode("utf-8"))
+    if not isinstance(record, dict):
+        raise ValueError(f"not a JSON object "
+                         f"(got {type(record).__name__})")
+    kind = record.get("t")
+    if kind not in _RECORD_KEYS:
+        raise ValueError(f"record type 't' is {kind!r}")
+    for key in _RECORD_KEYS[kind]:
+        if key not in record:
+            raise ValueError(f"{kind!r} record has no {key!r} key")
+    return record
+
+
 def _durable_lines(path: Path) -> Iterator[Tuple[bytes, Dict[str, Any]]]:
     """(raw line, parsed record) pairs of the durable prefix.
 
     Read in binary so the summed raw lengths are byte offsets -- the
     tear-truncation in :class:`WriteAheadLog` needs them for
-    ``truncate``.  Stops at the first line that is not a complete JSON
-    object (a torn tail or foreign garbage).
+    ``truncate``.  A crash can tear only the line being written, so a
+    damaged line ends the prefix silently only when no valid record
+    follows it; otherwise :class:`WalError` names the line.
     """
     path = Path(path)
     if not path.exists():
         return
     with open(path, "rb") as fh:
-        for raw in fh:
-            if not raw.endswith(b"\n"):
-                return  # torn tail: no newline made it to disk
+        lines = enumerate(fh, 1)
+        for number, raw in lines:
             try:
-                record = json.loads(raw.decode("utf-8"))
-            except ValueError:
-                return
-            if not isinstance(record, dict):
-                return
+                record = _parse_line(raw)
+            except ValueError as exc:
+                defect = exc
+                break
             yield raw, record
+        else:
+            return
+        for _number, later in lines:
+            try:
+                _parse_line(later)
+            except ValueError:
+                continue
+            raise WalError(
+                f"write-ahead log {path} line {number} is damaged "
+                f"({defect}) and valid records follow it; not "
+                f"truncating them away")
 
 
 def replay_records(path: Path) -> Iterator[Dict[str, Any]]:
-    """Yield the durable prefix of a WAL: stop at the first torn line."""
+    """Yield the durable prefix of a WAL (see :func:`_durable_lines`)."""
     for _raw, record in _durable_lines(path):
         yield record
 

@@ -2,7 +2,8 @@
 
 The seed implementations the differential tests compare against
 (``seed_engine``, ``seed_flowsim``, ``seed_maxmin``, ``seed_admission``,
-``seed_shaper``) live there as plain modules, outside the shipped package.
+``seed_shaper``) and the curve-form reference ``curve_aggregate`` live
+there as plain modules, outside the shipped package.
 """
 
 import sys

@@ -3,13 +3,14 @@
 import pytest
 
 from repro import units
-from repro.netcalc.aggregate import (
+from repro.netcalc.arrival import token_bucket
+
+from curve_aggregate import (
     cap_at_link,
     egress_curve,
     hose_aggregate,
     sum_curves,
 )
-from repro.netcalc.arrival import token_bucket
 
 
 class TestHoseAggregate:

@@ -1,3 +1,13 @@
+# Curve-form reference for paper section 4.2.2: hose aggregation, link
+# capping and egress propagation on explicit ``Curve`` objects.  The
+# shipped admission path does this arithmetic in closed form
+# (``repro.placement.state.PortState``, ``repro.netcalc.fastbounds``);
+# no command, scenario, benchmark or example reached this module, so it
+# left ``src/repro/netcalc/aggregate.py`` for here.
+# ``tests/netcalc/test_aggregate.py`` pins its numbers against the paper
+# and ``tests/placement/test_state.py`` checks ``PortState``'s rebuilt
+# aggregate dominates its exact sum.  It is the reference, not product
+# code.
 """Aggregating and propagating arrival curves (paper section 4.2.2).
 
 Three operations let Silo reason about a whole datacenter from per-VM

@@ -85,7 +85,7 @@ class TestPortState:
 
     def test_aggregate_curve_is_conservative(self):
         """The rebuilt curve must dominate the exact sum of the parts."""
-        from repro.netcalc.aggregate import sum_curves
+        from curve_aggregate import sum_curves
         from repro.netcalc.arrival import dual_rate
         state = PortState(make_port())
         parts = []

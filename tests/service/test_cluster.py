@@ -1,4 +1,4 @@
-"""Sharded cluster state: mirrors, xpod fallback, fault fan-out."""
+"""The service's one set of books: known tenants, adopt, pod cordon."""
 
 import pytest
 
@@ -6,18 +6,18 @@ from repro import units
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import TenantClass, TenantRequest
 from repro.faults.model import FaultEvent, FaultTarget
-from repro.service import AGG, ShardedCluster
+from repro.service import ClusterBooks
 from repro.topology import TreeTopology
 
 POD_SERVERS = 2 * 3  # racks_per_pod * servers_per_rack
 
 
-def build_cluster(**kwargs):
+def build_cluster():
     topo = TreeTopology(n_pods=2, racks_per_pod=2, servers_per_rack=3,
                         slots_per_server=4, link_rate=units.gbps(10),
                         oversubscription=5.0,
                         buffer_bytes=312 * units.KB)
-    return ShardedCluster(topo, **kwargs)
+    return ClusterBooks(topo)
 
 
 def guaranteed(tenant_id, n_vms=2, mbps=100.0):
@@ -46,141 +46,73 @@ def up(target_spec, time=2.0):
                          target=FaultTarget.parse(target_spec))
 
 
-def assert_mirrors_consistent(cluster):
-    """Every shard tenant is mirrored in calc on the same global
-    servers, and every calc cordon matches a shard-local one."""
-    for tenant_id, owner in cluster.owner.items():
-        assert tenant_id in cluster.calc.placements
-        if owner == AGG:
-            continue
-        shard = cluster.shards[owner]
-        local = sorted(shard.placements[tenant_id].vm_servers)
-        mirrored = sorted(cluster.calc.placements[tenant_id].vm_servers)
-        assert [cluster._to_global(owner, s) for s in local] == mirrored
-    calc_cordons = set(cluster.calc._cordoned)
-    shard_cordons = set()
-    for pod, shard in enumerate(cluster.shards):
-        for local_server in shard._cordoned:
-            shard_cordons.add(cluster._to_global(pod, local_server))
-    assert calc_cordons == shard_cordons
-
-
 class TestPlacement:
-    def test_shard_tenant_is_mirrored_into_calc(self):
-        cluster = build_cluster()
-        placement = cluster.place(guaranteed(1), now=0.0)
-        assert placement is not None
-        owner = cluster.owner[1]
-        assert owner in (0, 1)
-        assert 1 in cluster.shards[owner].placements
-        assert_mirrors_consistent(cluster)
-
-    def test_cluster_scope_tenant_falls_back_to_aggregator(self):
-        cluster = build_cluster()
-        # Bigger than one pod's 24 slots: only cluster scope can hold it.
-        placement = cluster.place(best_effort(1, n_vms=30), now=0.0)
-        assert placement is not None
-        assert cluster.owner[1] == AGG
-        # Slots-only placeholders land in every touched shard (a
-        # best-effort tenant reserves no port capacity, so the per-pod
-        # reservation lists are empty but the pods are recorded).
-        touched = {cluster._to_local(s)[0] for s in placement.vm_servers}
-        assert touched == {0, 1}
-        for pod in touched:
-            assert 1 in cluster.shards[pod].placements
-            assert pod in cluster._xpod[1]
-
-    def test_depart_releases_every_mirror(self):
-        cluster = build_cluster()
-        cluster.place(guaranteed(1), now=0.0)
-        cluster.place(best_effort(2, n_vms=30), now=0.0)
-        cluster.depart(1, now=1.0)
-        cluster.depart(2, now=1.0)
-        assert cluster.owner == {}
-        assert cluster._xpod == {}
-        assert cluster.calc.placements == {}
-        for shard in cluster.shards:
-            assert shard.placements == {}
-        assert cluster.total_free == build_cluster().total_free
-
     def test_duplicate_tenant_id_is_rejected(self):
         cluster = build_cluster()
         cluster.place(guaranteed(1), now=0.0)
         with pytest.raises(ValueError, match="already known"):
             cluster.place(guaranteed(1), now=0.0)
+        with pytest.raises(ValueError, match="already known"):
+            cluster.place_batch([guaranteed(2), guaranteed(1)], now=0.0)
+        assert 2 not in cluster.placements  # checked before any commit
 
     def test_depart_unknown_tenant_raises(self):
         cluster = build_cluster()
         with pytest.raises(KeyError):
             cluster.depart(99)
 
-    def test_adopt_rejects_servers_outside_owning_pod(self):
-        cluster = build_cluster()
-        with pytest.raises(ValueError, match="outside owning pod"):
-            cluster.adopt(guaranteed(1), owner=0,
-                          vm_servers=[POD_SERVERS])  # pod 1's server
-
     def test_adopt_reproduces_a_place_bit_identically(self):
         cluster = build_cluster()
-        placement = cluster.place(guaranteed(1), now=0.0)
-        owner = cluster.owner[1]
+        placement = cluster.place(guaranteed(1, n_vms=9), now=0.0)
+        assert len(set(placement.vm_servers)) > 1  # ports reserved
         replayed = build_cluster()
-        replayed.adopt(guaranteed(1), owner=owner,
+        replayed.adopt(guaranteed(1, n_vms=9),
                        vm_servers=list(placement.vm_servers))
         assert replayed.state_digest() == cluster.state_digest()
+        assert (list(replayed.placements[1].vm_servers)
+                == list(placement.vm_servers))
 
 
-class TestFaultFanOut:
-    def test_server_fault_reaches_the_owning_shard(self):
-        cluster = build_cluster()
-        cluster.place(guaranteed(1), now=0.0)
-        owner = cluster.owner[1]
-        victim = cluster._to_global(
-            owner, cluster.shards[owner].placements[1].vm_servers[0])
-        cluster.apply_fault(down(f"server:{victim}"))
-        pod, local = cluster._to_local(victim)
-        assert local in cluster.controllers[pod].health.down_servers
-        assert_mirrors_consistent(cluster)
-
-    def test_repair_replaces_and_keeps_mirrors_consistent(self):
-        cluster = build_cluster()
-        for tid in range(1, 7):
-            assert cluster.place(guaranteed(tid, n_vms=4),
-                                 now=0.0) is not None
-        cluster.apply_fault(down("server:0", time=1.0))
-        assert_mirrors_consistent(cluster)
-        outcomes = cluster.apply_fault(up("server:0", time=2.0))
-        assert_mirrors_consistent(cluster)
-        # The repair event reports on at least the affected tenants.
-        assert outcomes or cluster.recovery_report().rows
-
-    def test_shard_cordon_engages_at_the_down_threshold(self):
-        cluster = build_cluster(shard_down_threshold=0.5)
+class TestPodCordon:
+    def crash_half_of_pod_0(self, cluster):
         for server in range(3):  # 3 of pod 0's 6 servers
             cluster.apply_fault(down(f"server:{server}",
                                      time=float(server)))
-        assert cluster.cordoned_shards == {0}
-        # Placement routes around the cordoned shard.
+
+    def test_pod_cordon_engages_at_half_a_pod_down(self):
+        cluster = build_cluster()
+        cluster.apply_fault(down("server:0", time=0.0))
+        cluster.apply_fault(down("server:1", time=1.0))
+        assert cluster.cordoned_pods == set()
+        assert cluster.manager.cordoned_servers == [0, 1]
+        cluster.apply_fault(down("server:2", time=2.0))
+        assert cluster.cordoned_pods == {0}
+        assert cluster.manager.cordoned_servers == list(
+            range(POD_SERVERS))
+        # Placement routes around the cordoned pod.
         placement = cluster.place(guaranteed(1), now=5.0)
         assert placement is not None
-        assert cluster.owner[1] == 1
-        assert_mirrors_consistent(cluster)
+        assert min(placement.vm_servers) >= POD_SERVERS
 
-    def test_shard_cordon_lifts_when_enough_servers_return(self):
-        cluster = build_cluster(shard_down_threshold=0.5)
-        for server in range(3):
-            cluster.apply_fault(down(f"server:{server}",
-                                     time=float(server)))
-        cluster.apply_fault(up("server:0", time=5.0))
-        assert cluster.cordoned_shards == set()
-        # Still-down servers stay individually fenced.
-        assert 1 in cluster.controllers[0].health.down_servers
-        assert_mirrors_consistent(cluster)
-
-    def test_agg_only_targets_do_not_fan_out(self):
+    def test_pod_cordon_is_reasserted_after_a_repair(self):
+        """A repair uncordons the repaired server; with the pod still
+        at the threshold the cordon takes it straight back."""
         cluster = build_cluster()
-        events = cluster._split_event(down("switch:core:0"))
-        assert events == []
-        # The aggregator still processes the global event.
-        cluster.apply_fault(down("switch:core:0"))
-        assert cluster.cordoned_shards == set()
+        self.crash_half_of_pod_0(cluster)
+        cluster.apply_fault(down("server:3", time=3.0))
+        cluster.apply_fault(up("server:3", time=4.0))
+        assert cluster.cordoned_pods == {0}
+        assert cluster.manager.cordoned_servers == list(
+            range(POD_SERVERS))
+
+    def test_pod_cordon_lifts_when_enough_servers_return(self):
+        cluster = build_cluster()
+        self.crash_half_of_pod_0(cluster)
+        cluster.apply_fault(up("server:0", time=5.0))
+        assert cluster.cordoned_pods == set()
+        # Still-down servers stay individually fenced.
+        assert cluster.controller.health.down_servers == {1, 2}
+        assert cluster.manager.cordoned_servers == [1, 2]
+        fresh = build_cluster().manager
+        assert cluster.manager.free_slots[3:] == fresh.free_slots[3:]
+        assert cluster.manager.free_slots[0] == fresh.free_slots[0]

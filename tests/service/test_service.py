@@ -1,11 +1,13 @@
-"""The admission service loop: backpressure, deadlines, shedding,
-shard degradation, and crash-consistent recovery."""
+"""The admission service loop: backpressure, deadlines, shedding, and
+crash-consistent recovery."""
+
+import json
 
 import pytest
 
 from repro import units
 from repro.service import (AdmissionService, IngressItem, Priority,
-                           SnapshotError)
+                           SnapshotError, WalError)
 from repro.service.snapshot import dump_request
 from repro.topology import TreeTopology
 
@@ -48,8 +50,8 @@ class TestIngress:
         assert counts["expired"] == 1
         assert counts["admitted"] == 1
         assert service.metrics.expired == 1
-        assert 1 not in service.cluster.owner
-        assert 2 in service.cluster.owner
+        assert 1 not in service.cluster.placements
+        assert 2 in service.cluster.placements
         service.close()
 
     def test_admit_then_depart_round_trip(self, tmp_path):
@@ -105,35 +107,6 @@ class TestSheddingAndDegradation:
         # The survivors are the two latest deadlines; batch_size=1
         # admitted the earlier of them.
         assert counts["admitted"] == 1
-        assert service.queue.admit_depth == 1
-        service.close()
-
-    def test_shard_cordon_requeues_the_in_flight_batch(self, tmp_path):
-        service = build_service(tmp_path)
-        service.submit_admission(guaranteed(1), now=0.0)
-        service.submit_admission(guaranteed(2), now=0.0)
-        batch = service.queue.pop_admissions(limit=10)
-        service._in_flight = list(batch)
-        service._requeue_in_flight()
-        assert service._in_flight == []
-        assert service.queue.admit_depth == 2
-        # Their intents are still open, so a tick processes them.
-        counts = service.tick(now=0.5)
-        assert counts["admitted"] == 2
-        service.close()
-
-    def test_fault_that_cordons_a_shard_requeues(self, tmp_path):
-        service = build_service(tmp_path,
-                                shard_down_threshold=1 / 6)
-        service.submit_admission(guaranteed(1), now=0.0)
-        item = service.queue.pop_admissions(limit=1)[0]
-        service._in_flight = [item]
-        service.submit_fault(down("server:0", time=0.5), now=0.5)
-        fault_item = service.queue.pop()
-        assert fault_item.priority is Priority.FAULT
-        service._process_fault(fault_item, now=0.5)
-        assert 0 in service.cluster.cordoned_shards
-        assert service._in_flight == []
         assert service.queue.admit_depth == 1
         service.close()
 
@@ -220,6 +193,16 @@ class TestCorruptSnapshot:
         ("\x00\x01 not json at all", "not JSON"),
         ("[1, 2, 3]", "not a JSON object"),
         ('{"time": 1.0, "done_count": 3}', "no 'cluster' key"),
+        # Valid JSON of the wrong shape, one level further down each.
+        ('{"time": 0, "done_count": 0, "cluster": []}',
+         "cluster state is not a JSON object"),
+        ('{"time": 0, "done_count": 0, "cluster": {"manager": {}}}',
+         "cluster state has no 'controller' key"),
+        ('{"cluster": {"manager": {}, "controller": {},'
+         ' "cordoned_pods": []}}', "manager dump has no 'free_slots' key"),
+        # Written before the books became single: diagnosed, not read.
+        ('{"done_count": 0, "cluster": {"shards": [], "calc": {},'
+         ' "owner": []}}', "written by the sharded layout"),
     ]
 
     @pytest.mark.parametrize("text, what", SHAPES)
@@ -246,12 +229,72 @@ class TestCorruptSnapshot:
             build_service(tmp_path)
         assert wal.read_bytes() == torn
 
+    def test_controller_dump_shape_is_checked(self, tmp_path):
+        service = build_service(tmp_path)
+        service.submit_admission(guaranteed(1), now=0.0)
+        service.tick(now=0.1)
+        service.snapshot(now=0.2)
+        service.close()
+        path = tmp_path / "svc" / "snapshot.json"
+        state = json.loads(path.read_text(encoding="utf-8"))
+        del state["cluster"]["controller"]["health"]["down_servers"]
+        path.write_text(json.dumps(state), encoding="utf-8")
+        with pytest.raises(SnapshotError,
+                           match="health dump has no 'down_servers' key"):
+            build_service(tmp_path)
+
     def test_missing_snapshot_is_a_clean_first_start(self, tmp_path):
         service = build_service(tmp_path)
         assert service.snapshots.load() is None
         assert service.metrics.replayed == 0
         assert not service.cluster.placements
         service.close()
+
+
+class TestCorruptWal:
+    """Only a torn *tail* is trimmed; damage with valid records behind
+    it fails the start and leaves the file alone."""
+
+    def durable_log(self, tmp_path):
+        service = build_service(tmp_path)
+        for tid in range(1, 7):
+            service.submit_admission(guaranteed(tid), now=0.0)
+        service.tick(now=0.1)
+        service.tick(now=0.2)
+        digest = service.state_digest()
+        service.close()
+        return tmp_path / "svc" / "wal.jsonl", digest
+
+    @pytest.mark.parametrize("garbage", [
+        b"\x00\xff garbage\n", b"[1, 2]\n", b'{"t": "enq"}\n',
+        b'{"t": "enq", "seq": 3, "time": 0.0}\n',
+        b'{"t": "done", "seq": 3}\n', b'{"t": "eh", "seq": 3}\n'])
+    def test_mid_file_damage_is_diagnosed_not_truncated(self, tmp_path,
+                                                        garbage):
+        wal, _digest = self.durable_log(tmp_path)
+        lines = wal.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 12
+        lines[3] = garbage
+        damaged = b"".join(lines)
+        wal.write_bytes(damaged)
+        with pytest.raises(WalError) as raised:
+            build_service(tmp_path)
+        assert str(wal) in str(raised.value)
+        assert "line 4" in str(raised.value)
+        assert isinstance(raised.value, ValueError)
+        assert wal.read_bytes() == damaged
+
+    @pytest.mark.parametrize("tail", [
+        b'{"t": "enq", "se', b'{"t": "enq", "se\n', b"\x00\n\xff\n"])
+    def test_torn_tail_is_trimmed_and_the_service_starts(self, tmp_path,
+                                                         tail):
+        wal, digest = self.durable_log(tmp_path)
+        durable = wal.read_bytes()
+        wal.write_bytes(durable + tail)
+        reborn = build_service(tmp_path)
+        assert reborn.state_digest() == digest
+        assert wal.read_bytes() == durable
+        reborn.close()
 
 
 class TestServiceMetrics:

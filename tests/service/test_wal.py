@@ -2,7 +2,9 @@
 
 import json
 
-from repro.service import SnapshotStore, WriteAheadLog
+import pytest
+
+from repro.service import SnapshotStore, WalError, WriteAheadLog
 from repro.service.wal import recovery_plan, replay_records
 
 
@@ -11,7 +13,7 @@ class TestWriteAheadLog:
         wal = WriteAheadLog(tmp_path / "wal.jsonl")
         seq = wal.log_enq("admit", 1.0, {"request": [1]}, deadline=6.0,
                           source=0)
-        wal.log_done(seq, 2.0, "admitted", owner=0, vm_servers=[3])
+        wal.log_done(seq, 2.0, "admitted", vm_servers=[3])
         wal.close()
         records = list(replay_records(tmp_path / "wal.jsonl"))
         assert [r["t"] for r in records] == ["enq", "done"]
@@ -37,13 +39,32 @@ class TestWriteAheadLog:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"t": "enq", "seq": 1, "kin')  # torn by kill -9
         assert len(list(replay_records(path))) == 1
-        # Reopening truncates the torn tail so appended records stay
-        # visible to readers (which stop at the first unparseable line).
+        # Reopening truncates the torn tail, so the records appended
+        # next do not sit behind a damaged line.
         wal = WriteAheadLog(path)
         seq = wal.log_enq("admit", 2.0, {})
         wal.close()
         assert seq == 1
         assert [r["seq"] for r in replay_records(path)] == [0, 1]
+
+    def test_damage_before_a_valid_record_is_not_a_torn_tail(self,
+                                                             tmp_path):
+        """The reader used to stop at the first bad line and reopening
+        truncated there: every durable record behind it was gone."""
+        path = tmp_path / "wal.jsonl"
+        wal = WriteAheadLog(path)
+        for i in range(5):
+            wal.log_enq("admit", float(i), {})
+        wal.close()
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = b"#" * (len(lines[1]) - 1) + b"\n"
+        damaged = b"".join(lines)
+        path.write_bytes(damaged)
+        with pytest.raises(WalError, match="line 2"):
+            list(replay_records(path))
+        with pytest.raises(WalError, match=str(path)):
+            WriteAheadLog(path)
+        assert path.read_bytes() == damaged
 
     def test_missing_file_is_an_empty_log(self, tmp_path):
         assert list(replay_records(tmp_path / "nope.jsonl")) == []
@@ -55,7 +76,7 @@ class TestRecoveryPlan:
         wal = WriteAheadLog(path)
         for i in range(4):
             wal.log_enq("admit", float(i), {"i": i})
-        wal.log_done(1, 4.0, "admitted", owner=0)
+        wal.log_done(1, 4.0, "admitted", vm_servers=[0])
         wal.log_done(0, 5.0, "rejected")
         wal.close()
 

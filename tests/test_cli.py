@@ -633,6 +633,67 @@ class TestServe:
         assert str(data_dir / "snapshot.json") in captured.err
         assert what in captured.err
 
+    @pytest.mark.parametrize("text, what", [
+        ('{"time":0,"done_count":0,"cluster":{"manager":{}}}',
+         "cluster state has no 'controller' key"),
+        ('{"done_count":0,"cluster":{"shards":[],"calc":{},"owner":[]}}',
+         "written by the sharded layout"),
+    ])
+    def test_wrong_shape_snapshot_exits_2_with_one_line(self, capsys,
+                                                        tmp_path, text,
+                                                        what):
+        """Valid JSON that is not a snapshot of this layout (the first
+        used to be ``KeyError: 'shards'``, exit 1)."""
+        data_dir = tmp_path / "svc"
+        data_dir.mkdir()
+        (data_dir / "snapshot.json").write_text(text, encoding="utf-8")
+        code = main(self.serve_argv(data_dir))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: bad --data-dir ")
+        assert str(data_dir / "snapshot.json") in captured.err
+        assert what in captured.err
+
+    def test_wal_damaged_mid_file_exits_2_and_keeps_its_bytes(
+            self, capsys, tmp_path):
+        data_dir = tmp_path / "svc"
+        assert main(self.serve_argv(data_dir)) == 0
+        capsys.readouterr()
+        wal = data_dir / "wal.jsonl"
+        lines = wal.read_bytes().splitlines(keepends=True)
+        assert len(lines) > 20
+        lines[9] = b"\x00" * (len(lines[9]) - 1) + b"\n"
+        damaged = b"".join(lines)
+        wal.write_bytes(damaged)
+        code = main(self.serve_argv(data_dir))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: bad --data-dir ")
+        assert f"{wal} line 10" in captured.err
+        assert wal.read_bytes() == damaged
+
+    def test_torn_wal_tail_is_trimmed_and_serve_starts(self, capsys,
+                                                       tmp_path):
+        data_dir = tmp_path / "svc"
+        assert main(self.serve_argv(data_dir)) == 0
+        capsys.readouterr()
+        wal = data_dir / "wal.jsonl"
+        durable = wal.read_bytes()
+        wal.write_bytes(durable + b'{"t": "done", "seq": 3, "ti')
+        assert main(self.serve_argv(data_dir)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["metrics"]["replayed"] > 0
+        # The resumed run appended right behind the durable prefix.
+        after = wal.read_bytes()
+        assert after.startswith(durable) and len(after) > len(durable)
+        for line in after.splitlines():
+            json.loads(line)
+
     def test_check_digest_without_kill_exits_2(self, capsys, tmp_path):
         code = main(self.serve_argv(tmp_path / "svc",
                                     "--check-digest"))

@@ -153,11 +153,7 @@ REGISTRY_LOOKUPS = {"repro.mechanisms": {"get_mechanism",
 
 #: Shipped modules nothing runnable reaches, each with the reason it
 #: stays for now.
-UNREACHED_ALLOWED = {
-    "repro.netcalc.aggregate":
-        "curve-form reference tests/placement/test_state.py compares "
-        "PortState against; due to move to tests/oracles/",
-}
+UNREACHED_ALLOWED = {}
 
 
 def _module_files():
