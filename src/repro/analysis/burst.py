@@ -14,7 +14,7 @@ and packet slack).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import List, Mapping, Tuple
 
 from repro.core.guarantees import NetworkGuarantee
 from repro.topology.switch import Port
@@ -49,51 +49,16 @@ def burst_convergence(topology: TreeTopology,
     """Per-port worst-case burst for one tenant's placement.
 
     ``assignment`` maps server id -> number of the tenant's VMs there.
-    For every port that tenant traffic can cross, the worst case is all
-    VMs on the sending side bursting ``S`` each toward the other side,
-    arriving at ``min(m * Bmax, k_senders * link_rate)``.
+    For every port that tenant traffic can cross
+    (:meth:`TreeTopology.hose_cuts`), the worst case is all ``m`` VMs on
+    the sending side bursting ``S`` each toward the other side, arriving
+    at ``min(m * Bmax, k_senders * link_rate)``.
     """
-    n_total = sum(assignment.values())
     peak = guarantee.effective_peak_rate
-    results: List[PortBurst] = []
-
-    def record(port: Port, m_senders: int, k_servers: int) -> None:
-        if m_senders <= 0 or m_senders >= n_total:
-            return
-        burst = m_senders * guarantee.burst
-        rate = min(m_senders * peak,
-                   max(k_servers, 1) * topology.link_rate)
-        results.append(PortBurst(port=port, burst_bytes=burst,
-                                 arrival_rate=rate))
-
-    servers = sorted(assignment)
-    racks: Dict[int, int] = {}
-    rack_servers: Dict[int, int] = {}
-    pods: Dict[int, int] = {}
-    pod_servers: Dict[int, int] = {}
-    for server, count in assignment.items():
-        rack = topology.rack_of(server)
-        pod = topology.pod_of(server)
-        racks[rack] = racks.get(rack, 0) + count
-        rack_servers[rack] = rack_servers.get(rack, 0) + 1
-        pods[pod] = pods.get(pod, 0) + count
-        pod_servers[pod] = pod_servers.get(pod, 0) + 1
-
-    for server, count in assignment.items():
-        record(topology.nic_up(server), count, 1)
-        record(topology.tor_down(server), n_total - count,
-               len(servers) - 1)
-    if len(racks) > 1:
-        for rack, count in racks.items():
-            record(topology.tor_up(rack), count, rack_servers[rack])
-            record(topology.agg_down(rack), n_total - count,
-                   len(servers) - rack_servers[rack])
-    if len(pods) > 1:
-        for pod, count in pods.items():
-            record(topology.agg_up(pod), count, pod_servers[pod])
-            record(topology.core_down(pod), n_total - count,
-                   len(servers) - pod_servers[pod])
-    return results
+    return [PortBurst(port=port, burst_bytes=m_senders * guarantee.burst,
+                      arrival_rate=min(m_senders * peak,
+                                       k_servers * topology.link_rate))
+            for port, m_senders, k_servers in topology.hose_cuts(assignment)]
 
 
 def worst_port_backlog(topology: TreeTopology,

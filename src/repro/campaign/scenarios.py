@@ -536,8 +536,7 @@ def _wire_campaign_tenants(net, mech, placements, metrics, rng,
     from repro.phynet.apps import BulkApp, EpochBurstApp
     from repro.workloads import Fixed
     from repro.workloads.patterns import all_to_all_pairs
-    transport = dict(transport_class=mech.transport_class(),
-                     transport_kwargs=mech.transport_kwargs())
+    transport_class = mech.transport_class()
     vm_counter = 0
     class_a, class_b = [], []
     for kind, request, placement in placements:
@@ -551,13 +550,14 @@ def _wire_campaign_tenants(net, mech, placements, metrics, rng,
             class_a.append(request.tenant_id)
             EpochBurstApp(net, metrics, request.tenant_id, vm_ids,
                           Fixed(CLASS_A_MESSAGE), epoch=CLASS_A_EPOCH,
-                          rng=rng, jitter=jitter, **transport).start()
+                          rng=rng, jitter=jitter,
+                          transport_class=transport_class).start()
         else:
             class_b.append(request.tenant_id)
             if bulk:
                 BulkApp(net, metrics, request.tenant_id,
                         all_to_all_pairs(vm_ids), chunk_size=chunk,
-                        **transport).start()
+                        transport_class=transport_class).start()
     return class_a, class_b
 
 
@@ -931,16 +931,12 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
         vm_ids = []
         for server in admitted.placement.vm_servers:
             mech.add_vm(net, next_vm, admitted.tenant_id, server,
-                        guarantee=guarantee,
-                        pacer_config=(admitted.pacer_config
-                                      if mech.placement == "silo"
-                                      else None))
+                        guarantee=guarantee)
             vm_ids.append(next_vm)
             next_vm += 1
         return admitted.tenant_id, vm_ids
 
-    transport = dict(transport_class=mech.transport_class(),
-                     transport_kwargs=mech.transport_kwargs())
+    transport_class = mech.transport_class()
     guarantee = _cli_guarantee(bandwidth_mbps, burst_kb, delay_us,
                                bmax_gbps)
     message_bytes = message_kb * units.KB
@@ -953,7 +949,7 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
         bounds[tenant_id] = guarantee.message_latency_bound(message_bytes)
         EpochBurstApp(net, metrics, tenant_id, vm_ids, Fixed(message_bytes),
                       epoch=epoch_us * units.MICROS, rng=rng,
-                      **transport).start()
+                      transport_class=transport_class).start()
     bulk_guarantee = _cli_guarantee(bandwidth_mbps, burst_kb, None,
                                     bmax_gbps)
     for _ in range(class_b):
@@ -962,7 +958,8 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
             continue
         tenant_id, vm_ids = placed
         BulkApp(net, metrics, tenant_id,
-                list(zip(vm_ids[0::2], vm_ids[1::2])), **transport).start()
+                list(zip(vm_ids[0::2], vm_ids[1::2])),
+                transport_class=transport_class).start()
 
     duration = duration_ms * 1e-3
     injector = None

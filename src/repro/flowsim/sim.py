@@ -128,15 +128,13 @@ class ClusterSim:
             port.port_id: port.capacity for port in self.topology.ports}
         self._rates_dirty = True
         # -- incremental sharing ----------------------------------------------
-        #: Persistent max-min solver over the full link capacities
-        #: ("maxmin" sharing only).
-        self._mm_solver: Optional[IncrementalMaxMin] = None
-        if sharing == "maxmin":
-            self._mm_solver = IncrementalMaxMin(self._link_capacity)
-        #: Persistent max-min solver over *residual* capacities for the
-        #: best-effort class under "reserved" sharing; created at the
-        #: first best-effort admission.
-        self._be_solver: Optional[IncrementalMaxMin] = None
+        #: The persistent max-min solver of the shared class: every flow
+        #: over the full link capacities under "maxmin" sharing; the
+        #: best-effort flows over *residual* capacities under "reserved",
+        #: created at the first best-effort admission.
+        self._solver: Optional[IncrementalMaxMin] = (
+            IncrementalMaxMin(self._link_capacity)
+            if sharing == "maxmin" else None)
         #: ``manager.reservation_version`` at the last residual rebuild
         #: (None forces a rebuild, e.g. after a fault rescales links).
         self._residual_version: Optional[int] = None
@@ -265,12 +263,10 @@ class ClusterSim:
 
     def _register_shared_flows(self, job: TenantJob) -> None:
         """Enter a job's flows into the incremental sharing solver."""
-        solver = self._mm_solver
-        if solver is None:
-            if self._be_solver is None:
-                self._be_solver = IncrementalMaxMin()
-                self._refresh_residual(force=True)
-            solver = self._be_solver
+        if self._solver is None:
+            self._solver = IncrementalMaxMin()
+            self._refresh_residual(force=True)
+        solver = self._solver
         tenant_id = job.tenant_id
         for i, flow in enumerate(job.flows):
             key = (tenant_id, i)
@@ -286,8 +282,7 @@ class ClusterSim:
         key = flow.key
         if key is None:
             return
-        solver = (self._mm_solver if self._mm_solver is not None
-                  else self._be_solver)
+        solver = self._solver
         if solver is not None and key in solver:
             solver.remove_flow(key)
             del self._solver_flows[key]
@@ -342,7 +337,7 @@ class ClusterSim:
         version = self.manager.reservation_version
         if not force and version == self._residual_version:
             return
-        solver = self._be_solver
+        solver = self._solver
         states = self.manager.states
         for port_id, capacity in self._link_capacity.items():
             reserved = states[port_id].bandwidth
@@ -352,23 +347,6 @@ class ClusterSim:
             solver.set_capacity(port_id,
                                 max(capacity - reserved, 0.01 * capacity))
         self._residual_version = version
-
-    def _recompute_best_effort(self, now: float) -> None:
-        """Max-min share the residual capacity among best-effort flows."""
-        if not self._n_best_effort:
-            # No best-effort jobs anywhere: guaranteed rates are fixed at
-            # admission, nothing to recompute.
-            self._rates_dirty = False
-            return
-        if self._pending_linkless:
-            self._flush_pending_linkless(now)
-        solver = self._be_solver
-        if solver is not None and len(solver):
-            self._refresh_residual()
-            changed = solver.recompute()
-            if changed:
-                self._apply_rates(changed, now)
-        self._rates_dirty = False
 
     def _reserved_rate(self, flow: FlowState) -> float:
         """The flow's reserved rate, capped by its weakest effective link.
@@ -391,12 +369,25 @@ class ClusterSim:
 
     # -- max-min sharing -------------------------------------------------------------
 
-    def _recompute_maxmin(self, now: float) -> None:
+    def _recompute(self, now: float) -> None:
+        """Re-solve the shared class: every flow under "maxmin" sharing,
+        the best-effort flows over the residual capacity under
+        "reserved"."""
+        reserved = self.sharing == "reserved"
+        if reserved and not self._n_best_effort:
+            # No best-effort jobs anywhere: guaranteed rates are fixed at
+            # admission, nothing to recompute.
+            self._rates_dirty = False
+            return
         if self._pending_linkless:
             self._flush_pending_linkless(now)
-        changed = self._mm_solver.recompute()
-        if changed:
-            self._apply_rates(changed, now)
+        solver = self._solver
+        if not reserved or len(solver):
+            if reserved:
+                self._refresh_residual()
+            changed = solver.recompute()
+            if changed:
+                self._apply_rates(changed, now)
         self._rates_dirty = False
 
     def _flush_pending_linkless(self, now: float) -> None:
@@ -557,9 +548,9 @@ class ClusterSim:
         for port_id, base in self._base_capacity.items():
             self._link_capacity[port_id] = base * health.factor(port_id)
         self._down_ports = frozenset(health.down_ports)
-        if self._mm_solver is not None:
+        if self.sharing == "maxmin":
             for port_id, capacity in self._link_capacity.items():
-                self._mm_solver.set_capacity(port_id, capacity)
+                self._solver.set_capacity(port_id, capacity)
         # Effective capacities moved under the best-effort residuals.
         self._residual_version = None
         for tenant_id in sorted(outcomes):
@@ -627,10 +618,8 @@ class ClusterSim:
                         self._pending_linkless.remove(flow)
                 flow.links = links
                 if shared and not flow.done:
-                    solver = (self._mm_solver if self._mm_solver is not None
-                              else self._be_solver)
                     if links:
-                        solver.add_flow(flow.key, links, math.inf)
+                        self._solver.add_flow(flow.key, links, math.inf)
                         self._solver_flows[flow.key] = flow
                     else:
                         self._pending_linkless.append(flow)
@@ -670,10 +659,7 @@ class ClusterSim:
 
         while now < until:
             if self._rates_dirty:
-                if self.sharing == "maxmin":
-                    self._recompute_maxmin(now)
-                else:
-                    self._recompute_best_effort(now)
+                self._recompute(now)
             # Drop stale finish predictions so they can't drag t_next back.
             while flow_events:
                 head = flow_events[0]

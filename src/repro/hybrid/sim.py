@@ -153,18 +153,6 @@ class HybridSim:
         self.faults = faults
         self.tracer = tracer
 
-    def _foreground_ports(self, vm_servers: List[int]) -> Set[int]:
-        """Every directed port on any path between the tenant's servers."""
-        ports: Set[int] = set()
-        servers = sorted(set(vm_servers))
-        for src in servers:
-            for dst in servers:
-                if src == dst:
-                    continue
-                ports.update(p.port_id for p in
-                             self.topology.path_ports(src, dst))
-        return ports
-
     def run(self, background: TenantWorkload, until: float,
             fg_offset: Optional[object] = None,
             fg_horizon: float = 20e-3, seed: int = 0) -> HybridResult:
@@ -197,7 +185,8 @@ class HybridSim:
                 rejected += 1
                 continue
             placements.append((tenant, placement))
-            watch |= self._foreground_ports(placement.vm_servers)
+            watch.update(port.port_id for port, _, _ in
+                         self.topology.hose_cuts(placement.vms_per_server()))
 
         # Phase 2: fluid background with the usage recorder attached.
         cluster = ClusterSim(self.manager, sharing=self.sharing,

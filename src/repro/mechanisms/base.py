@@ -31,7 +31,6 @@ from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, Optional, Type
 
 from repro.core.guarantees import NetworkGuarantee
-from repro.pacer.hierarchy import PacerConfig
 from repro.phynet.network import PacketNetwork, VirtualMachine
 from repro.phynet.transport.base import Transport
 from repro.topology.tree import TreeTopology
@@ -66,18 +65,13 @@ class Mechanism(ABC):
 
     @abstractmethod
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,
-               server: int, guarantee: Optional[NetworkGuarantee],
-               pacer_config: Optional[PacerConfig] = None
+               server: int, guarantee: Optional[NetworkGuarantee]
                ) -> VirtualMachine:
         """Place one VM with this mechanism's hypervisor egress config."""
 
     def transport_class(self) -> Optional[Type[Transport]]:
         """Transport for application flows; ``None`` = scheme default."""
         return None
-
-    def transport_kwargs(self) -> Dict[str, Any]:
-        """Extra keyword arguments for every created transport."""
-        return {}
 
     def start(self, net: PacketNetwork) -> None:
         """Attach control machinery before ``sim.run`` (default: none)."""

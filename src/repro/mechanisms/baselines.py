@@ -17,7 +17,6 @@ from repro import units
 from repro.core.guarantees import NetworkGuarantee
 from repro.mechanisms.base import register_mechanism
 from repro.mechanisms.silo import NoneMechanism, SiloMechanism
-from repro.pacer.hierarchy import PacerConfig
 from repro.phynet.network import PacketNetwork, VirtualMachine
 
 __all__ = ["DctcpMechanism", "HullMechanism", "OktoMechanism",
@@ -57,13 +56,11 @@ class OktoMechanism(OktoPlusMechanism):
     scheme = "okto"
 
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,
-               server: int, guarantee: Optional[NetworkGuarantee],
-               pacer_config: Optional[PacerConfig] = None
+               server: int, guarantee: Optional[NetworkGuarantee]
                ) -> VirtualMachine:
         """Pace the VM at its bandwidth with the burst stripped."""
         if guarantee is not None:
             guarantee = NetworkGuarantee(
                 bandwidth=guarantee.bandwidth, burst=units.MTU,
                 delay=guarantee.delay, peak_rate=guarantee.bandwidth)
-        return super().add_vm(net, vm_id, tenant_id, server, guarantee,
-                              pacer_config)
+        return super().add_vm(net, vm_id, tenant_id, server, guarantee)

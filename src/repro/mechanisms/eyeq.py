@@ -312,8 +312,7 @@ class EyeQMechanism(Mechanism):
         return super().build_network(topology, tracer=tracer, **kwargs)
 
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,
-               server: int, guarantee: Optional[NetworkGuarantee],
-               pacer_config: Optional[PacerConfig] = None
+               server: int, guarantee: Optional[NetworkGuarantee]
                ) -> VirtualMachine:
         """Place the VM behind per-destination rate limiters.
 
@@ -324,12 +323,10 @@ class EyeQMechanism(Mechanism):
         if guarantee is None:
             return net.add_vm(vm_id, tenant_id, server, guarantee=None,
                               paced=False)
-        if pacer_config is None:
-            line = net.topology.link_rate
-            pacer_config = PacerConfig(
-                bandwidth=line,
-                burst=_LIMITER_BURST_PACKETS * units.MTU,
-                peak_rate=line, packet_size=units.MTU)
+        line = net.topology.link_rate
+        pacer_config = PacerConfig(
+            bandwidth=line, burst=_LIMITER_BURST_PACKETS * units.MTU,
+            peak_rate=line, packet_size=units.MTU)
         return net.add_vm(vm_id, tenant_id, server, guarantee=guarantee,
                           paced=True, pacer_config=pacer_config)
 

@@ -20,7 +20,6 @@ from typing import Optional
 
 from repro.core.guarantees import NetworkGuarantee
 from repro.mechanisms.base import Mechanism, register_mechanism
-from repro.pacer.hierarchy import PacerConfig
 from repro.phynet.network import PacketNetwork, VirtualMachine
 
 __all__ = ["SiloMechanism", "NoneMechanism"]
@@ -35,18 +34,11 @@ class SiloMechanism(Mechanism):
     placement = "silo"
 
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,
-               server: int, guarantee: Optional[NetworkGuarantee],
-               pacer_config: Optional[PacerConfig] = None
+               server: int, guarantee: Optional[NetworkGuarantee]
                ) -> VirtualMachine:
-        """Place the VM behind a Silo pacer derived from its guarantee.
-
-        ``pacer_config`` (from an admission decision) overrides the
-        guarantee-derived default, exactly as ``repro trace`` wires the
-        admitted pacer parameters.
-        """
+        """Place the VM behind a Silo pacer derived from its guarantee."""
         return net.add_vm(vm_id, tenant_id, server, guarantee=guarantee,
-                          paced=guarantee is not None,
-                          pacer_config=pacer_config)
+                          paced=guarantee is not None)
 
 
 @register_mechanism
@@ -57,8 +49,7 @@ class NoneMechanism(Mechanism):
     scheme = "tcp"
 
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,
-               server: int, guarantee: Optional[NetworkGuarantee],
-               pacer_config: Optional[PacerConfig] = None
+               server: int, guarantee: Optional[NetworkGuarantee]
                ) -> VirtualMachine:
         """Place the VM unpaced; the guarantee is recorded but unenforced."""
         return net.add_vm(vm_id, tenant_id, server, guarantee=None,

@@ -46,8 +46,7 @@ class SwpMechanism(Mechanism):
     scheme = "swp"
 
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,
-               server: int, guarantee: Optional[NetworkGuarantee],
-               pacer_config: Optional[PacerConfig] = None
+               server: int, guarantee: Optional[NetworkGuarantee]
                ) -> VirtualMachine:
         """Place the VM the way an SWP-only cloud would.
 
@@ -63,10 +62,9 @@ class SwpMechanism(Mechanism):
         if guarantee is None or not guarantee.wants_delay:
             return net.add_vm(vm_id, tenant_id, server,
                               guarantee=guarantee, paced=False)
-        if pacer_config is None:
-            pacer_config = PacerConfig(
-                bandwidth=guarantee.bandwidth, burst=units.MTU,
-                peak_rate=guarantee.bandwidth, packet_size=units.MTU)
+        pacer_config = PacerConfig(
+            bandwidth=guarantee.bandwidth, burst=units.MTU,
+            peak_rate=guarantee.bandwidth, packet_size=units.MTU)
         return net.add_vm(vm_id, tenant_id, server, guarantee=guarantee,
                           paced=True, pacer_config=pacer_config)
 

@@ -26,7 +26,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 __all__ = [
     "LatencyRecord", "QueueBucket", "TraceArtifacts",
@@ -85,47 +85,54 @@ LATENCY_COLUMNS = ("tenant_id", "src_vm", "dst_vm", "size", "start",
 QUEUE_COLUMNS = ("port", "time", "count", "mean", "min", "max", "last")
 
 
-def _check_header(path: Path, header, expected: Tuple[str, ...]) -> None:
-    if header is None or tuple(header) != expected:
-        raise ValueError(
-            f"{path}: expected columns {','.join(expected)}, "
-            f"got {','.join(header) if header else '<empty file>'}")
+#: One converter per column of the schemas above.
+_LATENCY_TYPES = (int, int, int, float, float, float, float, int)
+_QUEUE_TYPES = (str, float, int, float, float, float, float)
+
+
+def _typed_rows(path: Path, columns: Tuple[str, ...],
+                types: Tuple[type, ...]) -> Iterator[list]:
+    """Yield each data row of a CSV artifact converted by ``types``.
+
+    Raises ``ValueError`` naming the file (and, for a data row, its
+    line) when the header does not match ``columns`` or a row is short,
+    long or holds a non-numeric cell, so a stale, foreign or truncated
+    file fails loudly instead of mis-parsing.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or tuple(header) != columns:
+            raise ValueError(
+                f"{path}: expected columns {','.join(columns)}, "
+                f"got {','.join(header) if header else '<empty file>'}")
+        for row in reader:
+            if len(row) != len(columns):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected {len(columns)} "
+                    f"cells ({','.join(columns)}), got {len(row)}")
+            try:
+                values = [convert(cell)
+                          for convert, cell in zip(types, row)]
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: {exc}") from None
+            yield values
 
 
 def read_latency_csv(path: Union[str, Path]) -> List[LatencyRecord]:
-    """Parse a ``latency.csv`` artifact into typed records.
-
-    Raises ``ValueError`` when the header does not match the schema, so
-    a stale or foreign file fails loudly instead of mis-parsing.
-    """
-    path = Path(path)
-    records: List[LatencyRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        _check_header(path, next(reader, None), LATENCY_COLUMNS)
-        for row in reader:
-            records.append(LatencyRecord(
-                tenant_id=int(row[0]), src_vm=int(row[1]),
-                dst_vm=int(row[2]), size=float(row[3]),
-                start=float(row[4]), finish=float(row[5]),
-                latency=float(row[6]), rto_events=int(row[7])))
-    return records
+    """Parse a ``latency.csv`` artifact into typed records."""
+    return [LatencyRecord(*row) for row in
+            _typed_rows(Path(path), LATENCY_COLUMNS, _LATENCY_TYPES)]
 
 
 def read_queues_csv(path: Union[str, Path]
                     ) -> Dict[str, List[QueueBucket]]:
     """Parse a ``queues.csv`` artifact into per-port bucket lists."""
-    path = Path(path)
     series: Dict[str, List[QueueBucket]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        _check_header(path, next(reader, None), QUEUE_COLUMNS)
-        for row in reader:
-            bucket = QueueBucket(
-                port=row[0], time=float(row[1]), count=int(row[2]),
-                mean=float(row[3]), vmin=float(row[4]),
-                vmax=float(row[5]), last=float(row[6]))
-            series.setdefault(bucket.port, []).append(bucket)
+    for row in _typed_rows(Path(path), QUEUE_COLUMNS, _QUEUE_TYPES):
+        bucket = QueueBucket(*row)
+        series.setdefault(bucket.port, []).append(bucket)
     return series
 
 

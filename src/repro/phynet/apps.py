@@ -38,8 +38,7 @@ class EpochBurstApp:
                  rng: random.Random,
                  jitter: float = 10 * units.MICROS,
                  receiver_index: int = 0,
-                 transport_class: Optional[Type[Transport]] = None,
-                 transport_kwargs: Optional[dict] = None):
+                 transport_class: Optional[Type[Transport]] = None):
         if len(vm_ids) < 2:
             raise ValueError("an all-to-one tenant needs at least two VMs")
         self.network = network
@@ -51,9 +50,7 @@ class EpochBurstApp:
         self.epoch = epoch
         self.jitter = jitter
         self.rng = rng
-        kwargs = transport_kwargs or {}
-        self.flows = [network.transport(s, self.receiver, transport_class,
-                                        **kwargs)
+        self.flows = [network.transport(s, self.receiver, transport_class)
                       for s in self.senders]
         self.messages_sent = 0
         self._stopped = False
@@ -97,17 +94,15 @@ class BulkApp:
     def __init__(self, network: PacketNetwork, metrics: MetricsCollector,
                  tenant_id: int, pairs: Sequence[Tuple[int, int]],
                  chunk_size: float = 256 * units.KB,
-                 transport_class: Optional[Type[Transport]] = None,
-                 transport_kwargs: Optional[dict] = None):
+                 transport_class: Optional[Type[Transport]] = None):
         if not pairs:
             raise ValueError("a bulk app needs at least one VM pair")
         self.network = network
         self.metrics = metrics
         self.tenant_id = tenant_id
         self.chunk_size = chunk_size
-        kwargs = transport_kwargs or {}
         self.flows: Dict[Tuple[int, int], Transport] = {
-            (s, d): network.transport(s, d, transport_class, **kwargs)
+            (s, d): network.transport(s, d, transport_class)
             for (s, d) in pairs
         }
         self._stopped = False
@@ -158,7 +153,6 @@ class MemcachedApp:
                  client_vms: Sequence[int], workload: EtcWorkload,
                  rng: random.Random,
                  transport_class: Optional[Type[Transport]] = None,
-                 transport_kwargs: Optional[dict] = None,
                  service_time: Optional[Distribution] = None):
         """``service_time`` models end-host request processing (the
         kernel/app stack the paper's guarantees exclude but its testbed
@@ -172,13 +166,12 @@ class MemcachedApp:
         self.client_vms = list(client_vms)
         self.workload = workload
         self.rng = rng
-        kwargs = transport_kwargs or {}
         self.request_flows = {
-            c: network.transport(c, server_vm, transport_class, **kwargs)
+            c: network.transport(c, server_vm, transport_class)
             for c in client_vms
         }
         self.response_flows = {
-            c: network.transport(server_vm, c, transport_class, **kwargs)
+            c: network.transport(server_vm, c, transport_class)
             for c in client_vms
         }
         self.service_time = service_time

@@ -62,9 +62,6 @@ class Transport:
     VM pair; a bidirectional exchange (request/response) uses two.
     """
 
-    #: Name used in benchmark tables.
-    scheme = "tcp"
-
     def __init__(self, network: Any, src_vm: int, dst_vm: int,
                  mss: float = units.MTU - HEADER_BYTES,
                  min_rto: float = DEFAULT_MIN_RTO,

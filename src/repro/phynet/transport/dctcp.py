@@ -17,8 +17,6 @@ DCTCP_GAIN = 1.0 / 16.0
 class Dctcp(Transport):
     """DCTCP congestion control on top of the Reno machinery."""
 
-    scheme = "dctcp"
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.alpha = 0.0

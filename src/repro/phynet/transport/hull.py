@@ -22,5 +22,3 @@ HULL_MARKING_THRESHOLD = 3_000
 
 class HullTcp(Dctcp):
     """DCTCP endpoints; phantom-queue marking configured at the ports."""
-
-    scheme = "hull"

@@ -47,8 +47,6 @@ class SwpTransport(Transport):
     congested.
     """
 
-    scheme = "swp"
-
     def __init__(self, network: Any, src_vm: int, dst_vm: int,
                  spec_threshold: float = DEFAULT_SPEC_THRESHOLD,
                  **kwargs: Any):

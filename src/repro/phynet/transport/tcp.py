@@ -7,5 +7,3 @@ from repro.phynet.transport.base import Transport
 
 class TcpReno(Transport):
     """Standard Reno; all mechanics live in the base class."""
-
-    scheme = "tcp"

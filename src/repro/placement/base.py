@@ -283,7 +283,7 @@ class PlacementManager(abc.ABC):
         """
         if assignment is not None:
             constraint = CONSTRAINT_NONE
-            scope: Optional[str] = self._assignment_scope(assignment)
+            scope: Optional[str] = self.topology.span(assignment)
         else:
             constraint = self._rejection_constraint(request)
             scope = None
@@ -687,63 +687,10 @@ class PlacementManager(abc.ABC):
         """
         if request.guarantee is None or not self._checks_ports():
             return
-        topo = self.topology
-        n = request.n_vms
-        servers = sorted(assignment)
-        if len(servers) <= 1:
-            return  # same-server traffic never crosses a network port
-        scope = self._assignment_scope(assignment)
-        racks: Dict[int, int] = {}
-        pods: Dict[int, int] = {}
-        rack_servers: Dict[int, int] = {}
-        pod_servers: Dict[int, int] = {}
-        for server, count in assignment.items():
-            rack = topo.rack_of(server)
-            pod = topo.pod_of(server)
-            racks[rack] = racks.get(rack, 0) + count
-            pods[pod] = pods.get(pod, 0) + count
-            rack_servers[rack] = rack_servers.get(rack, 0) + 1
-            pod_servers[pod] = pod_servers.get(pod, 0) + 1
-        n_servers_used = len(servers)
-
-        for server, count in assignment.items():
-            up_port = topo.nic_up(server)
-            yield up_port.port_id, self._contribution(
-                request, count, 1, up_port.kind, scope)
-            down_port = topo.tor_down(server)
-            yield down_port.port_id, self._contribution(
-                request, n - count, n_servers_used - 1, down_port.kind,
-                scope)
-        if len(racks) > 1:
-            for rack, count in racks.items():
-                up = topo.tor_up(rack)
-                yield up.port_id, self._contribution(
-                    request, count, rack_servers[rack], up.kind, scope)
-                down = topo.agg_down(rack)
-                yield down.port_id, self._contribution(
-                    request, n - count, n_servers_used - rack_servers[rack],
-                    down.kind, scope)
-        if len(pods) > 1:
-            for pod, count in pods.items():
-                up = topo.agg_up(pod)
-                yield up.port_id, self._contribution(
-                    request, count, pod_servers[pod], up.kind, scope)
-                down = topo.core_down(pod)
-                yield down.port_id, self._contribution(
-                    request, n - count, n_servers_used - pod_servers[pod],
-                    down.kind, scope)
-
-    def _assignment_scope(self, assignment: Dict[int, int]) -> str:
-        """How widely an assignment spreads: server/rack/pod/cluster."""
-        topo = self.topology
-        servers = list(assignment)
-        if len(servers) == 1:
-            return "server"
-        racks = {topo.rack_of(s) for s in servers}
-        if len(racks) == 1:
-            return "rack"
-        pods = {topo.pod_of(s) for s in servers}
-        return "pod" if len(pods) == 1 else "cluster"
+        scope = self.topology.span(assignment)
+        for port, m_senders, k_servers in self.topology.hose_cuts(assignment):
+            yield port.port_id, self._contribution(
+                request, m_senders, k_servers, port.kind, scope)
 
     def _contribution(self, request: TenantRequest, m_senders: int,
                       k_servers: int, kind: PortKind,

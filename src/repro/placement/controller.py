@@ -341,27 +341,9 @@ class ClusterController:
         return hit
 
     def _placement_ports(self, placement) -> Set[int]:
-        """Directed ports a placement's hose traffic can cross (mirrors
-        :meth:`PlacementManager._port_contributions`'s expansion)."""
-        topo = self.manager.topology
-        servers = sorted(placement.vms_per_server())
-        if len(servers) <= 1:
-            return set()
-        ports: Set[int] = set()
-        racks = {topo.rack_of(s) for s in servers}
-        pods = {topo.pod_of(s) for s in servers}
-        for server in servers:
-            ports.add(topo.nic_up(server).port_id)
-            ports.add(topo.tor_down(server).port_id)
-        if len(racks) > 1:
-            for rack in racks:
-                ports.add(topo.tor_up(rack).port_id)
-                ports.add(topo.agg_down(rack).port_id)
-        if len(pods) > 1:
-            for pod in pods:
-                ports.add(topo.agg_up(pod).port_id)
-                ports.add(topo.core_down(pod).port_id)
-        return ports
+        """Directed ports a placement's hose traffic can cross."""
+        cuts = self.manager.topology.hose_cuts(placement.vms_per_server())
+        return {port.port_id for port, _, _ in cuts}
 
     # -- reporting -----------------------------------------------------------
 

@@ -18,7 +18,7 @@ server ``s`` to server ``t`` cross, in order:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from repro import units
 from repro.topology.switch import Port, PortKind
@@ -232,6 +232,58 @@ class TreeTopology:
         return [self._nic_up[src_server], self._tor_up[src_rack],
                 self._agg_up[src_pod], self._core_down[dst_pod],
                 self._agg_down[dst_rack], self._tor_down[dst_server]]
+
+    def span(self, servers: Iterable[int]) -> str:
+        """How widely ``servers`` spread: server/rack/pod/cluster."""
+        servers = set(servers)
+        if len(servers) == 1:
+            return "server"
+        racks = {self.rack_of(s) for s in servers}
+        if len(racks) == 1:
+            return "rack"
+        pods = {rack // self.racks_per_pod for rack in racks}
+        return "pod" if len(pods) == 1 else "cluster"
+
+    def hose_cuts(self, assignment: Mapping[int, int]
+                  ) -> Iterator[Tuple[Port, int, int]]:
+        """Every directed port a tenant's hose traffic can cross.
+
+        ``assignment`` maps server id -> number of the tenant's VMs
+        there.  Yields ``(port, m_senders, k_servers)``: the ``m`` VMs on
+        ``k`` servers that sit on the sending side of ``port`` (section
+        4.2.2's ``A_{min(m, N-m) * B, m * S}`` takes ``m``; ``k`` caps
+        the burst's arrival rate at the senders' physical links).  Order:
+        NIC-up and ToR-down per server in ``assignment`` order, then
+        ToR-up and agg-down per rack if more than one rack is used, then
+        agg-up and core-down per pod likewise.  Yields nothing for a
+        single server, whose traffic never leaves the hypervisor.
+        """
+        if len(assignment) <= 1:
+            return
+        n_vms = sum(assignment.values())
+        n_servers = len(assignment)
+        rack_vms: Dict[int, int] = {}
+        rack_servers: Dict[int, int] = {}
+        pod_vms: Dict[int, int] = {}
+        pod_servers: Dict[int, int] = {}
+        for server, count in assignment.items():
+            rack = self.rack_of(server)
+            pod = rack // self.racks_per_pod
+            rack_vms[rack] = rack_vms.get(rack, 0) + count
+            rack_servers[rack] = rack_servers.get(rack, 0) + 1
+            pod_vms[pod] = pod_vms.get(pod, 0) + count
+            pod_servers[pod] = pod_servers.get(pod, 0) + 1
+        for server, count in assignment.items():
+            yield self._nic_up[server], count, 1
+            yield self._tor_down[server], n_vms - count, n_servers - 1
+        for vms, servers, up, down in (
+                (rack_vms, rack_servers, self._tor_up, self._agg_down),
+                (pod_vms, pod_servers, self._agg_up, self._core_down)):
+            if len(vms) > 1:
+                for index, count in vms.items():
+                    yield up[index], count, servers[index]
+                    yield (down[index], n_vms - count,
+                           n_servers - servers[index])
 
     def path_queue_capacity(self, src_server: int, dst_server: int) -> float:
         """Sum of queue capacities along the path (Silo's delay check)."""

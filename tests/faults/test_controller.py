@@ -188,3 +188,25 @@ class TestReporting:
         assert report.guarantee_seconds_lost == pytest.approx(4.0 * 8)
         assert report.recovered_fraction() == 0.0
         assert report.mean_time_to_recover is None
+
+
+class TestAffectedTenantDiscovery:
+    def test_placement_ports_are_the_all_pairs_path_set(self):
+        """The watch set the hybrid simulator used to build by hand
+        (``HybridSim._foreground_ports``, pinned here): every port on
+        any path between two of the placement's servers."""
+        topo = TreeTopology(n_pods=2, racks_per_pod=2, servers_per_rack=2,
+                            slots_per_server=4, link_rate=units.gbps(10))
+        manager = SiloPlacementManager(topo)
+        controller = ClusterController(manager)
+        # Two servers of one rack, a second rack of pod 0, one of pod 1.
+        placement = manager.adopt(class_b_request(7, mbps=50.0),
+                                  {0: 2, 1: 1, 3: 2, 6: 2})
+        servers = sorted(set(placement.vm_servers))
+        all_pairs = {port.port_id
+                     for src in servers for dst in servers if src != dst
+                     for port in topo.path_ports(src, dst)}
+        assert controller._placement_ports(placement) == all_pairs
+        assert len(all_pairs) == 4 * 2 + 3 * 2 + 2 * 2
+        alone = manager.adopt(class_b_request(3, mbps=50.0), {7: 3})
+        assert controller._placement_ports(alone) == set()

@@ -141,8 +141,8 @@ class TestNoOpRateSkip:
         # The departed flow was alone in its component, so the
         # drain-time recompute found an empty dirty closure and cost
         # nothing: one counted solve (admission) over two flows, ever.
-        assert sim._mm_solver.recompute_count == 1
-        assert sim._mm_solver.affected_flow_count == 2
+        assert sim._solver.recompute_count == 1
+        assert sim._solver.affected_flow_count == 2
 
 
 class TestAccounting:

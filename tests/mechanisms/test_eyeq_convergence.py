@@ -46,8 +46,7 @@ def run_incast(send_rates_mbps, recv_rate_mbps, duration):
     metrics = MetricsCollector()
     app = BulkApp(net, metrics, tenant_id=1,
                   pairs=[(vm, 0) for vm in send_gs],
-                  transport_class=mech.transport_class(),
-                  transport_kwargs=mech.transport_kwargs())
+                  transport_class=mech.transport_class())
     mech.start(net)
     app.start(0.0)
     net.sim.run(until=duration)

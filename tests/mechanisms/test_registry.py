@@ -129,8 +129,7 @@ class TestPaperBaselines:
         net = mech.build_network(small_topology())
         vms = [mech.add_vm(net, vm_id, tenant_id=1, server=vm_id,
                            guarantee=GUARANTEE) for vm_id in (0, 1)]
-        flow = net.transport(0, 1, transport_class=mech.transport_class(),
-                             **mech.transport_kwargs())
+        flow = net.transport(0, 1, transport_class=mech.transport_class())
         return mech, net, vms[0], flow
 
     def test_dctcp_marks_ecn_and_runs_dctcp_endpoints(self):

@@ -59,6 +59,34 @@ class TestReaders:
         with pytest.raises(ValueError, match="empty"):
             read_queues_csv(path)
 
+    @pytest.mark.parametrize("bad_row, complaint", [
+        ("1,2,3,15000.0,0.0", "expected 8 cells"),
+        ("1,0,1,15000.0,0.0,0.0001,0.0001,0,9", "expected 8 cells"),
+        ("1,0,1,abc,0.0,0.0001,0.0001,0", "abc"),
+    ], ids=["short", "long", "non-numeric"])
+    def test_malformed_latency_row_names_file_and_line(self, tmp_path,
+                                                       bad_row, complaint):
+        path = tmp_path / "latency.csv"
+        write_latency(path, ["1,0,1,15000.0,0.0,0.0001,0.0001,0", bad_row])
+        with pytest.raises(ValueError) as excinfo:
+            read_latency_csv(path)
+        assert f"{path}:3:" in str(excinfo.value)
+        assert complaint in str(excinfo.value)
+
+    @pytest.mark.parametrize("bad_row, complaint", [
+        ("tor-down[3],0.0,5", "expected 7 cells"),
+        ("tor-down[3],0.0,5,100.0,0.0,300.0,50.0,1", "expected 7 cells"),
+        ("tor-down[3],0.0,abc,100.0,0.0,300.0,50.0", "abc"),
+    ], ids=["short", "long", "non-numeric"])
+    def test_malformed_queues_row_names_file_and_line(self, tmp_path,
+                                                      bad_row, complaint):
+        path = tmp_path / "queues.csv"
+        write_queues(path, [bad_row])
+        with pytest.raises(ValueError) as excinfo:
+            read_queues_csv(path)
+        assert f"{path}:2:" in str(excinfo.value)
+        assert complaint in str(excinfo.value)
+
 
 class TestPortKind:
     def test_indexed_name(self):

@@ -776,6 +776,30 @@ class TestWhatIf:
             capsys, ["whatif", "--calibrate", str(tmp_path)],
             "--calibrate", "neither")
 
+    @pytest.mark.parametrize("name, good, bad_row, needle", [
+        ("latency.csv", "1,0,1,15000.0,0.0,0.0001,0.0001,0",
+         "1,2,3,15000.0,0.0", "expected 8 cells"),
+        ("latency.csv", "1,0,1,15000.0,0.0,0.0001,0.0001,0",
+         "1,0,1,15000.0,0.0,0.0001,0.0001,0,9", "expected 8 cells"),
+        ("queues.csv", "tor-down[3],0.0,5,100.0,0.0,300.0,50.0",
+         "tor-down[3],0.0,abc,100.0,0.0,300.0,50.0", "abc"),
+    ], ids=["short", "long", "non-numeric"])
+    def test_malformed_trace_csv_row_is_a_spec_error(
+            self, capsys, tmp_path, name, good, bad_row, needle):
+        artifacts = self.CALIBRATION / "artifacts"
+        (cell,) = [p for p in artifacts.iterdir() if p.is_dir()]
+        for csv_name in ("latency.csv", "queues.csv"):
+            (tmp_path / csv_name).write_text(
+                (cell / csv_name).read_text(encoding="utf-8"),
+                encoding="utf-8")
+        target = tmp_path / name
+        header = target.read_text(encoding="utf-8").splitlines()[0]
+        target.write_text("\n".join([header, good, bad_row]) + "\n",
+                          encoding="utf-8")
+        self.check_spec_error(
+            capsys, ["whatif", "--calibrate", str(tmp_path)],
+            "--calibrate", f"{name}:3:", needle)
+
     def test_committed_model_scores_a_placement(self, capsys):
         code = main(["whatif", "--model", str(self.MODEL),
                      "--message-kb", "25"])

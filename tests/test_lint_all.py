@@ -14,8 +14,12 @@ its tests to import is two implementations again).
 The third check keeps prose honest: a benchmark, test, doc or campaign
 path that the documentation, CI or a source comment names must exist.
 
-The last one keeps the package honest: every module under ``src/repro``
+The fourth keeps the package honest: every module under ``src/repro``
 is reached, by imports, from something a user can run.
+
+The last keeps one copy of the hose-cut geometry: only
+``topology/tree.py`` walks rack and pod uplinks to say which ports a
+tenant's traffic crosses.
 """
 
 import ast
@@ -257,3 +261,46 @@ def test_every_module_is_reached_from_an_entry_point():
         "tests):\n" + "\n".join(unexpected))
     stale = sorted(set(UNREACHED_ALLOWED) - set(unreached))
     assert not stale, f"allow-listed but reached (or gone): {stale}"
+
+
+#: The tree accessors that only a walk over rack and pod uplinks needs.
+UPLINK_ACCESSORS = {"tor_up", "agg_down", "agg_up", "core_down"}
+
+#: Modules outside ``topology/tree.py`` that may call them, each with
+#: the reason it is not a second copy of ``TreeTopology.hose_cuts``.
+UPLINK_CALLERS_ALLOWED = {
+    "faults/model.py": "FaultTarget.ports answers which ports a failed "
+                       "*component* owns, not which ports a tenant's "
+                       "hose traffic crosses",
+}
+
+
+def uplink_accessor_callers(src=SRC):
+    """Modules under ``src`` (other than the tree itself) that call a
+    rack- or pod-uplink accessor, as posix paths relative to ``src``."""
+    callers = set()
+    for source in sorted(src.rglob("*.py")):
+        name = source.relative_to(src).as_posix()
+        if name == "topology/tree.py":
+            continue
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        if any(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr in UPLINK_ACCESSORS
+               for node in ast.walk(tree)):
+            callers.add(name)
+    return callers
+
+
+def test_one_hose_cut_walk():
+    """Which ports a tenant's traffic crosses, with which ``(m, k)``, is
+    ``TreeTopology.hose_cuts``' answer: a module that walks rack and pod
+    uplinks itself has re-grown a copy of it."""
+    callers = uplink_accessor_callers()
+    unexpected = sorted(callers - set(UPLINK_CALLERS_ALLOWED))
+    assert not unexpected, (
+        "modules walking tor_up/agg_down/agg_up/core_down themselves "
+        "(build on TreeTopology.hose_cuts instead):\n"
+        + "\n".join(unexpected))
+    stale = sorted(set(UPLINK_CALLERS_ALLOWED) - callers)
+    assert not stale, f"allow-listed but no longer a caller: {stale}"

@@ -1,6 +1,10 @@
 """Topology structure, paths and queue-capacity arithmetic."""
 
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.topology import PortKind, TreeTopology
@@ -146,3 +150,71 @@ class TestUpstreamQueueCapacity:
         assert topo.upstream_queue_capacity(
             PortKind.TOR_DOWN, "rack") == pytest.approx(
             topo.nic_up(0).queue_capacity)
+
+
+#: Examples per property: 60 in tier-1; CI's drift hunt asks for more
+#: (and passes ``--hypothesis-seed=random``).
+EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "60"))
+
+
+@st.composite
+def trees_and_assignments(draw):
+    """A random tree and a ``{server: n_vms}`` assignment on it, in
+    arbitrary (not sorted) server order."""
+    tree = TreeTopology(n_pods=draw(st.integers(1, 3)),
+                        racks_per_pod=draw(st.integers(1, 3)),
+                        servers_per_rack=draw(st.integers(1, 4)))
+    assignment = draw(st.dictionaries(
+        st.integers(0, tree.n_servers - 1), st.integers(1, 5),
+        min_size=1, max_size=8))
+    return tree, assignment
+
+
+class TestHoseCuts:
+    """``hose_cuts`` / ``span`` against all-pairs ``path_ports``, which
+    shares none of their tally code."""
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(trees_and_assignments())
+    def test_cuts_match_all_pairs_paths(self, drawn):
+        tree, assignment = drawn
+        senders_behind = {}  # port id -> servers with a path through it
+        for src in assignment:
+            for dst in assignment:
+                for port in tree.path_ports(src, dst):
+                    senders_behind.setdefault(port.port_id, set()).add(src)
+        cuts = list(tree.hose_cuts(assignment))
+        assert len(cuts) == len({port.port_id for port, _, _ in cuts})
+        assert ({port.port_id for port, _, _ in cuts}
+                == set(senders_behind))
+        for port, m_senders, k_servers in cuts:
+            senders = senders_behind[port.port_id]
+            assert m_senders == sum(assignment[s] for s in senders)
+            assert k_servers == len(senders)
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(trees_and_assignments())
+    def test_span_is_the_widest_pair(self, drawn):
+        tree, assignment = drawn
+        hops = max(len(tree.path_ports(src, dst))
+                   for src in assignment for dst in assignment)
+        assert tree.span(assignment) == {0: "server", 2: "rack",
+                                         4: "pod", 6: "cluster"}[hops]
+
+    def test_single_server_crosses_nothing(self, topo):
+        assert list(topo.hose_cuts({4: 9})) == []
+        assert topo.span({4: 9}) == "server"
+
+    def test_yield_order_servers_then_racks_then_pods(self, topo):
+        # Commit order, and so every registry fold and digest, follows it.
+        cuts = [(port.kind, port.index, m, k)
+                for port, m, k in topo.hose_cuts({7: 2, 0: 1, 1: 3})]
+        assert cuts == [
+            (PortKind.NIC_UP, 7, 2, 1), (PortKind.TOR_DOWN, 7, 4, 2),
+            (PortKind.NIC_UP, 0, 1, 1), (PortKind.TOR_DOWN, 0, 5, 2),
+            (PortKind.NIC_UP, 1, 3, 1), (PortKind.TOR_DOWN, 1, 3, 2),
+            (PortKind.TOR_UP, 2, 2, 1), (PortKind.AGG_DOWN, 2, 4, 2),
+            (PortKind.TOR_UP, 0, 4, 2), (PortKind.AGG_DOWN, 0, 2, 1),
+            (PortKind.AGG_UP, 1, 2, 1), (PortKind.CORE_DOWN, 1, 4, 2),
+            (PortKind.AGG_UP, 0, 4, 2), (PortKind.CORE_DOWN, 0, 2, 1),
+        ]
