@@ -40,7 +40,7 @@ def run_scenario(best_effort: str):
     """``best_effort``: "none", "low-priority" or "equal-priority"."""
     topo = TreeTopology(n_pods=1, racks_per_pod=1, servers_per_rack=3,
                         slots_per_server=6, link_rate=units.gbps(10))
-    net = PacketNetwork(topo, scheme="silo")
+    net = PacketNetwork(topo)
     metrics = MetricsCollector()
     rng = random.Random(77)
     for vm in range(6):

@@ -32,7 +32,7 @@ def run_scenario(with_netperf: bool):
     topo = TreeTopology(n_pods=1, racks_per_pod=1,
                         servers_per_rack=N_SERVERS, slots_per_server=4,
                         link_rate=units.gbps(10))
-    net = PacketNetwork(topo, scheme="tcp")
+    net = PacketNetwork(topo)
     metrics = MetricsCollector()
     rng = random.Random(17)
     for vm in range(6):

@@ -49,7 +49,7 @@ def run_scenario(scheme: str, bw_a=None, bw_b=None, with_b=True):
     topo = TreeTopology(n_pods=1, racks_per_pod=1,
                         servers_per_rack=N_SERVERS, slots_per_server=6,
                         link_rate=units.gbps(10))
-    net = PacketNetwork(topo, scheme=scheme)
+    net = PacketNetwork(topo)
     metrics = MetricsCollector()
     rng = random.Random(23)
     paced = scheme == "silo"

@@ -33,7 +33,7 @@ def build(scheme: str, with_neighbour: bool):
                             servers_per_rack=N_SERVERS,
                             slots_per_server=4,
                             link_rate=units.gbps(10))
-    net = PacketNetwork(topology, scheme=scheme)
+    net = PacketNetwork(topology)
     metrics = MetricsCollector()
     rng = random.Random(42)
     paced = scheme == "silo"

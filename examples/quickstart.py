@@ -57,7 +57,7 @@ def main() -> None:
 
     # Verify on the simulated wire: all 7 workers burst a full message to
     # the aggregator every 2 ms -- the worst case the guarantee covers.
-    net = PacketNetwork(topology, scheme="silo")
+    net = PacketNetwork(topology)
     for vm, server in enumerate(admitted.placement.vm_servers):
         net.add_vm(vm, request.tenant_id, server,
                    guarantee=request.guarantee, paced=True)

@@ -40,7 +40,7 @@ GUARANTEE = NetworkGuarantee(bandwidth=units.mbps(500),
 def run(scheme: str, with_neighbour: bool):
     topo = TreeTopology(n_pods=1, racks_per_pod=1, servers_per_rack=4,
                         slots_per_server=6, link_rate=units.gbps(10))
-    net = PacketNetwork(topo, scheme=scheme)
+    net = PacketNetwork(topo)
     metrics = MetricsCollector()
     paced = scheme == "silo"
     for vm in range(N_WORKERS + 1):

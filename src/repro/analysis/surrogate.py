@@ -265,8 +265,8 @@ class WhatIfModel:
     # -- queries -------------------------------------------------------------
 
     def estimate(self, topology: TreeTopology, placement: Placement,
-                 message_bytes: Optional[float] = None,
-                 receiver_index: int = 0) -> WhatIfEstimate:
+                 message_bytes: Optional[float] = None
+                 ) -> WhatIfEstimate:
         """Score one proposed all-to-one placement.
 
         Args:
@@ -275,7 +275,6 @@ class WhatIfModel:
                 a guarantee -- best-effort tenants have no burst model).
             message_bytes: per-epoch message size; defaults to the
                 calibration scenario's size.
-            receiver_index: which VM receives (class-A default: first).
 
         Returns:
             Estimated latency quantiles, clamped to the worst-case
@@ -288,7 +287,7 @@ class WhatIfModel:
             message_bytes = self.cal_message_bytes
         if message_bytes <= 0:
             raise ValueError("message size must be positive")
-        paths = incast_paths(topology, placement, receiver_index)
+        paths = incast_paths(topology, placement)
         n_senders = len(paths.senders)
         if n_senders == 0:
             raise ValueError("what-if needs at least one sender VM")
@@ -447,7 +446,6 @@ def fit_whatif_model(topology: TreeTopology,
                      guarantee: NetworkGuarantee,
                      message_bytes: float,
                      artifacts: Sequence[TraceArtifacts],
-                     grid: float = _DEFAULT_GRID,
                      meta: Optional[Dict[str, object]] = None
                      ) -> "WhatIfModel":
     """Calibrate a :class:`WhatIfModel` from traced packet campaigns.
@@ -465,7 +463,6 @@ def fit_whatif_model(topology: TreeTopology,
         artifacts: one or more traced runs (``latency.csv`` +
             ``queues.csv`` pairs, e.g. from
             :func:`repro.obs.traces.find_trace_artifacts`).
-        grid: convolution resolution in seconds.
         meta: provenance to embed in the model.
 
     Returns:
@@ -509,14 +506,14 @@ def fit_whatif_model(topology: TreeTopology,
                         for record in artifact.latencies()
                         if record.size == message_bytes)
 
-    hop_samples = {kind: _quantize_samples(points, grid)
+    hop_samples = {kind: _quantize_samples(points, _DEFAULT_GRID)
                    for kind, points in kind_points.items()}
     pooled = [point for points in kind_points.values()
               for point in points]
     if pooled:
-        hop_samples[_POOLED_KIND] = _quantize_samples(pooled, grid)
+        hop_samples[_POOLED_KIND] = _quantize_samples(pooled, _DEFAULT_GRID)
     model = WhatIfModel(hop_samples=hop_samples, cal_senders=cal_senders,
-                        cal_message_bytes=message_bytes, grid=grid,
+                        cal_message_bytes=message_bytes,
                         meta=dict(meta or {}))
     model.meta.setdefault("calibration_messages", len(observed))
     if len(observed) >= len(_FIT_QUANTILES):

@@ -391,6 +391,48 @@ def fill_to_occupancy(manager, occupancy: float, seed: int):
     return placed, used
 
 
+def _fill_and_replay(manager, occupancy: float, seed: int, schedule,
+                     horizon: float, tracer=None) -> Dict[str, object]:
+    """The control-plane experiment both fault scenarios run: fill
+    ``manager`` to ``occupancy``, replay ``schedule`` through a
+    self-healing :class:`~repro.placement.ClusterController` and close
+    the books at ``horizon``.
+
+    Returns the ``report``, the recovery counters every cell's
+    ``result`` starts from, one ``fault_rows`` timeline row per event,
+    and what the fill did (``filled_tenants``, ``filled_slots``, and the
+    manager's ``fill_audit`` summary when it has an audit -- taken
+    before the replay, whose re-placements run through the same manager
+    and would otherwise inflate the fill-phase counters).
+    """
+    from repro.placement import ClusterController
+    placed, placed_slots = fill_to_occupancy(manager, occupancy, seed)
+    fill_audit = (manager.audit.summary() if manager.audit is not None
+                  else None)
+    controller = ClusterController(manager, tracer=tracer,
+                                   retry_evicted=True)
+    fault_rows = []
+    for event in schedule:
+        outcomes = list(controller.apply(event, event.time).values())
+        fault_rows.append((event.time, event.target.spec, event.action,
+                           event.factor, len(outcomes),
+                           outcomes.count("recovered"),
+                           outcomes.count("degraded"),
+                           outcomes.count("evicted")))
+    controller.finalize(horizon)
+    report = controller.report()
+    return {
+        "report": report,
+        "result": {
+            **_recovery_counts(report),
+            "guarantee_seconds_lost": report.guarantee_seconds_lost},
+        "fault_rows": fault_rows,
+        "filled_tenants": placed,
+        "filled_slots": placed_slots,
+        "fill_audit": fill_audit,
+    }
+
+
 @scenario("failure_recovery")
 def failure_recovery_cell(policy: str, mtbf_ms: float, occupancy: float,
                           mttr_s: float, horizon_s: float,
@@ -402,23 +444,17 @@ def failure_recovery_cell(policy: str, mtbf_ms: float, occupancy: float,
     :func:`repro.campaign.merge.sum_counters` / ``pool_values``).
     """
     from repro.faults import FaultSchedule
-    from repro.placement import ClusterController
     manager_cls, _sharing = _policy_manager(policy)
     topology = _two_pod_topology(slots_per_server=8)
-    manager = manager_cls(topology)
-    fill_to_occupancy(manager, occupancy, seed)
     schedule = FaultSchedule.poisson(
         topology, mtbf=mtbf_ms * 1e-3, mttr=mttr_s,
         horizon=horizon_s, seed=seed, target_kinds=("server",))
-    controller = ClusterController(manager, retry_evicted=True)
-    for event in schedule:
-        controller.apply(event, event.time)
-    controller.finalize(horizon_s)
-    report = controller.report()
+    replay = _fill_and_replay(manager_cls(topology), occupancy, seed,
+                              schedule, horizon_s)
     return {
-        **_recovery_counts(report),
-        "guarantee_seconds_lost": report.guarantee_seconds_lost,
-        "recover_times": [row.time_to_recover for row in report.rows
+        **replay["result"],
+        "recover_times": [row.time_to_recover
+                          for row in replay["report"].rows
                           if row.time_to_recover is not None],
     }
 
@@ -527,7 +563,7 @@ def _wire_campaign_tenants(net, mech, placements, metrics, rng,
                            jitter: float, chunk: float, bulk: bool):
     """Attach the section 6.2 tenants' VMs and applications to ``net``.
 
-    VMs are numbered in placement order and added through ``mech``,
+    VMs are numbered in placement order and attached through ``mech``,
     whose transport every app runs; class-A tenants start an all-to-one
     epoch-burst app (each draws its phases from ``rng`` as it starts,
     in placement order), class-B tenants an all-to-all bulk app unless
@@ -540,12 +576,9 @@ def _wire_campaign_tenants(net, mech, placements, metrics, rng,
     vm_counter = 0
     class_a, class_b = [], []
     for kind, request, placement in placements:
-        vm_ids = []
-        for server in placement.vm_servers:
-            mech.add_vm(net, vm_counter, request.tenant_id, server,
-                        guarantee=request.guarantee)
-            vm_ids.append(vm_counter)
-            vm_counter += 1
+        vm_ids = mech.attach(net, request.tenant_id, placement.vm_servers,
+                             request.guarantee, vm_counter)
+        vm_counter += len(vm_ids)
         if kind == "a":
             class_a.append(request.tenant_id)
             EpochBurstApp(net, metrics, request.tenant_id, vm_ids,
@@ -881,7 +914,7 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
     Class-A tenants run synchronized all-to-one epoch bursts, class-B
     tenants run bulk transfers.  Admission and placement always go
     through the Silo controller (the contract being traced), but the
-    data path -- network scheme, hypervisor pacing, transports, control
+    data path -- port configuration, hypervisor pacing, transports, control
     loops -- is built through the named
     :class:`~repro.mechanisms.base.Mechanism`, so the same traced
     workload can run under any registered mechanism.
@@ -928,12 +961,10 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
         admitted = silo.admit(request)
         if admitted is None:
             return None
-        vm_ids = []
-        for server in admitted.placement.vm_servers:
-            mech.add_vm(net, next_vm, admitted.tenant_id, server,
-                        guarantee=guarantee)
-            vm_ids.append(next_vm)
-            next_vm += 1
+        vm_ids = mech.attach(net, admitted.tenant_id,
+                             admitted.placement.vm_servers, guarantee,
+                             next_vm)
+        next_vm += len(vm_ids)
         return admitted.tenant_id, vm_ids
 
     transport_class = mech.transport_class()
@@ -1151,55 +1182,33 @@ def faults_cell(policy: str, occupancy: float, faults: str,
     in ``faults.csv`` / ``recovery.csv`` (same-seed byte-identical).
     """
     from repro.faults import FaultSchedule
-    from repro.placement import ClusterController
 
     topo = _cli_topology(pods, racks_per_pod, servers_per_rack, slots,
                          link_gbps, oversubscription, buffer_kb)
     manager, _sharing, sink = _audited_manager(policy, topo, artifact_dir)
-    audit = manager.audit
-    traced = sink is not None
-
-    placed, placed_slots = fill_to_occupancy(manager, occupancy, seed)
-    # Snapshot before the replay: recovery re-placements run through the
-    # same manager and would otherwise inflate the fill-phase counters.
-    fill_audit = audit.summary()
-
     duration = duration_ms * 1e-3
     schedule = FaultSchedule.from_spec(faults, topo, horizon=duration,
                                        seed=seed)
-    controller = ClusterController(manager, tracer=sink,
-                                   retry_evicted=True)
-    fault_rows = []
-    for event in schedule:
-        outcomes = controller.apply(event, event.time)
-        counts = {"recovered": 0, "degraded": 0, "evicted": 0}
-        for outcome in outcomes.values():
-            counts[outcome] += 1
-        fault_rows.append((event.time, event.target.spec, event.action,
-                           event.factor, len(outcomes),
-                           counts["recovered"], counts["degraded"],
-                           counts["evicted"]))
-    controller.finalize(duration)
-    report = controller.report()
-
-    if traced:
+    replay = _fill_and_replay(manager, occupancy, seed, schedule, duration,
+                              tracer=sink)
+    report = replay["report"]
+    if sink is not None:
         write_csv(os.path.join(artifact_dir, "faults.csv"),
                   ("time", "target", "action", "factor", "affected",
-                   "recovered", "degraded", "evicted"), fault_rows)
+                   "recovered", "degraded", "evicted"),
+                  replay["fault_rows"])
         write_recovery_csv(os.path.join(artifact_dir, "recovery.csv"),
                            report)
         sink.close()
-    mttr = report.mean_time_to_recover
     return {
         "policy": policy,
-        "filled_tenants": placed,
-        "filled_slots": placed_slots,
+        "filled_tenants": replay["filled_tenants"],
+        "filled_slots": replay["filled_slots"],
         "total_slots": topo.n_slots,
-        "fill_audit": fill_audit,
+        "fill_audit": replay["fill_audit"],
         "n_events": len(schedule),
-        **_recovery_counts(report),
-        "guarantee_seconds_lost": report.guarantee_seconds_lost,
-        "mean_ttr_s": mttr,
+        **replay["result"],
+        "mean_ttr_s": report.mean_time_to_recover,
     }
 
 
@@ -1312,14 +1321,23 @@ def service_soak_sweep() -> SweepSpec:
 # Hybrid fidelity: packet foreground inside a fluid background
 # ---------------------------------------------------------------------------
 
+def _hybrid_guarantee(bandwidth_mbps: float) -> NetworkGuarantee:
+    """The hybrid foreground's class-A guarantee: Table 3's 15 KB burst
+    and 1 ms delay, with Bmax 1 Gbps or the bandwidth if that is more."""
+    bandwidth = units.mbps(bandwidth_mbps)
+    return NetworkGuarantee(
+        bandwidth=bandwidth, burst=15.0 * units.KB,
+        delay=1000.0 * units.MICROS,
+        peak_rate=max(units.gbps(1.0), bandwidth))
+
+
 @scenario("hybrid_cell")
 def hybrid_cell(policy: str, fg_app: str, fg_vms: int,
                 fg_bandwidth_mbps: float, occupancy: float,
                 horizon: float, fg_horizon_ms: float, seed: int,
                 pods: int, racks_per_pod: int, servers_per_rack: int,
                 slots: int, link_gbps: float, oversubscription: float,
-                buffer_kb: float, fg_burst_kb: float = 15.0,
-                fg_delay_us: float = 1000.0,
+                buffer_kb: float,
                 fg_offset: Union[float, str, None] = None,
                 bg_flow_mb: float = 250.0, bg_compute_s: float = 4.0,
                 faults: Optional[str] = None,
@@ -1327,8 +1345,9 @@ def hybrid_cell(policy: str, fg_app: str, fg_vms: int,
     """One ``repro hybrid`` cell: a packet-fidelity foreground tenant
     inside a fluid background cluster.
 
-    The foreground tenant (class A, ``fg_vms`` VMs, the given hose
-    guarantee) is admitted at ``t=0`` through the policy's placement
+    The foreground tenant (class A, ``fg_vms`` VMs,
+    :func:`_hybrid_guarantee` at the given bandwidth) is admitted at
+    ``t=0`` through the policy's placement
     manager; the background churns to ``occupancy`` for ``horizon``
     fluid seconds; the packet window replays the residual-capacity
     series from ``fg_offset`` (default: mid-run; ``"peak"`` aligns with
@@ -1349,8 +1368,7 @@ def hybrid_cell(policy: str, fg_app: str, fg_vms: int,
     topo = _cli_topology(pods, racks_per_pod, servers_per_rack, slots,
                          link_gbps, oversubscription, buffer_kb)
     manager = manager_cls(topo)
-    guarantee = _cli_guarantee(fg_bandwidth_mbps, fg_burst_kb, fg_delay_us,
-                               1.0)
+    guarantee = _hybrid_guarantee(fg_bandwidth_mbps)
     foreground = ForegroundTenant(
         request=TenantRequest(n_vms=fg_vms, guarantee=guarantee,
                               tenant_class=TenantClass.CLASS_A),

@@ -6,7 +6,8 @@ the system without writing code:
 * ``admit``      -- run admission control for one tenant spec and print
                     the placement and latency bound;
 * ``bounds``     -- print the message-latency bound table for a guarantee;
-* ``pace``       -- show the void-packet wire schedule for a rate limit;
+* ``pace``       -- show the void-packet wire schedule for a rate limit
+                    and check it against the rate's arrival curve;
 * ``churn``      -- run the flow-level cluster simulation and print
                     admission/utilization for the three policies;
 * ``hybrid``     -- run one packet-level foreground tenant inside a
@@ -33,8 +34,9 @@ the system without writing code:
 * ``report``     -- regenerate EXPERIMENTS.md's measured tables from
                     committed campaign outputs (``--check`` for CI).
 
-Error contract: a malformed ``--faults`` spec or campaign ``--spec``
-file exits with code 2 and a one-line ``error:`` diagnostic naming the
+Error contract: a malformed ``--faults`` spec, campaign ``--spec``
+file or infeasible guarantee (``--bmax-gbps`` below ``--bandwidth-mbps``)
+exits with code 2 and a one-line ``error:`` diagnostic naming the
 bad field on stderr -- never a traceback.  A campaign cell that outruns
 ``--cell-timeout`` fails that cell (and the campaign exits 1 listing
 it) instead of hanging the run.
@@ -72,7 +74,7 @@ from repro.campaign import (SweepSpec, get_scenario, get_sweep, list_sweeps,
 from repro.campaign.registry import import_scenario_modules
 from repro.campaign.scenarios import (POLICY_MANAGERS, _class_a_placements,
                                       _cli_guarantee, _cli_topology,
-                                      write_csv)
+                                      _hybrid_guarantee, write_csv)
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.silo import SiloController
 from repro.core.tenant import TenantClass, TenantRequest
@@ -202,6 +204,28 @@ def _check_faults_spec(args) -> Optional[int]:
     return None
 
 
+def _check_guarantee(args) -> Optional[int]:
+    """Build the guarantee the flags describe once, up front, so an
+    infeasible one (``Bmax`` below the bandwidth, a negative burst) is
+    a clean exit 2 here, not a traceback from inside a command or a
+    failed campaign cell.  Returns the exit code on error, None when
+    the guarantee is fine or the command takes none."""
+    if not hasattr(args, "bandwidth_mbps"):
+        return None
+    try:
+        if args.command == "hybrid":
+            _hybrid_guarantee(args.bandwidth_mbps)
+        else:
+            _guarantee(args)
+    except ValueError as exc:
+        flags = ("bandwidth_mbps", "burst_kb", "delay_us", "bmax_gbps")
+        return _spec_error("guarantee", " ".join(
+            f"--{name.replace('_', '-')} {getattr(args, name):g}"
+            for name in flags if getattr(args, name, None) is not None),
+            exc)
+    return None
+
+
 def _run_spec(args: argparse.Namespace, spec: SweepSpec,
               max_cells: Optional[int] = None):
     """Run ``spec`` under the campaign flags (in memory without
@@ -293,7 +317,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_pace(args: argparse.Namespace) -> int:
-    """Show the void-packet wire schedule for one rate limit."""
+    """Show the void-packet wire schedule for one rate limit, and check
+    the stamps against the ``{rate, 1 MTU}`` arrival curve admission
+    assumed (exit 1 on a violation)."""
+    from repro.netcalc.arrival import token_bucket
+    from repro.netcalc.trace import check_conformance
     from repro.pacer import PacerConfig, VMPacer, VoidScheduler
     link = units.gbps(args.link_gbps)
     rate = units.gbps(args.rate_gbps)
@@ -313,10 +341,18 @@ def cmd_pace(args: argparse.Namespace) -> int:
     print(f"wire: data {units.to_gbps(data_rate):.2f} Gbps + "
           f"void {units.to_gbps(void_rate):.2f} Gbps")
     print(f"worst pacing error: {schedule.max_pacing_error() * 1e9:.1f} ns")
+    violation = check_conformance(stamped, token_bucket(rate, units.MTU))
+    if violation is None:
+        print(f"conformance: {len(stamped)} stamps obey the "
+              f"{{{args.rate_gbps:g} Gbps, 1 MTU}} arrival curve")
+    else:
+        print(f"conformance: VIOLATED over [{violation.start * 1e6:.3f}, "
+              f"{violation.end * 1e6:.3f}] us: {violation.sent:.0f} bytes "
+              f"sent, {violation.allowed:.0f} allowed")
     if sink is not None:
         sink.close()
         print(f"wrote {args.trace_out}")
-    return 0
+    return 0 if violation is None else 1
 
 
 def _print_churn_result(result: dict, seed: Optional[int]) -> None:
@@ -1008,6 +1044,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: parse arguments and dispatch."""
     args = build_parser().parse_args(argv)
+    bad_guarantee = _check_guarantee(args)
+    if bad_guarantee is not None:
+        return bad_guarantee
     try:
         return args.func(args)
     except BrokenPipeError:

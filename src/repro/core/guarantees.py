@@ -9,8 +9,7 @@ message between its VMs without knowing anything about other tenants.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro import units
@@ -98,28 +97,6 @@ def message_latency_bound(message_size: float, bandwidth: float,
     if message_size <= burst:
         return message_size / peak + delay
     return burst / peak + (message_size - burst) / bandwidth + delay
-
-
-def transmission_latency(message_size: float, bandwidth: float) -> float:
-    """Equation 1's transmission-delay component: ``M / B``."""
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    return message_size / bandwidth
-
-
-def required_bandwidth(message_size: float, deadline: float,
-                       delay: float = 0.0) -> float:
-    """Bandwidth needed to finish ``M`` bytes within ``deadline`` seconds.
-
-    Inverts equation 1: ``B = M / (deadline - d)``.  Returns ``math.inf``
-    when the deadline is not achievable at any bandwidth (deadline <= d).
-    """
-    if message_size <= 0:
-        raise ValueError("message size must be positive")
-    slack = deadline - delay
-    if slack <= 0:
-        return math.inf
-    return message_size / slack
 
 
 #: Convenience presets mirroring the paper's evaluation (Table 3).

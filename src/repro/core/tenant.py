@@ -12,8 +12,8 @@ from repro.core.guarantees import NetworkGuarantee
 _tenant_ids = itertools.count(1)
 
 
-def reset_tenant_ids(start: int = 1) -> None:
-    """Restart the process-global tenant-id counter at ``start``.
+def reset_tenant_ids() -> None:
+    """Restart the process-global tenant-id counter at 1.
 
     Auto-assigned ids (``TenantRequest`` without an explicit
     ``tenant_id``) come from one process-global counter, so the ids a
@@ -25,7 +25,7 @@ def reset_tenant_ids(start: int = 1) -> None:
     would collide inside that manager.
     """
     global _tenant_ids
-    _tenant_ids = itertools.count(start)
+    _tenant_ids = itertools.count(1)
 
 
 class TenantClass(enum.Enum):

@@ -36,10 +36,10 @@ class NetworkFaultInjector:
     injector mid-run is safe but loses the pre-fault history.
     """
 
-    def __init__(self, network, schedule: FaultSchedule, tracer=None):
+    def __init__(self, network, schedule: FaultSchedule):
         self.network = network
         self.schedule = schedule
-        self.tracer = tracer if tracer is not None else network.tracer
+        self.tracer = network.tracer
         self.health = HealthState(network.topology)
         #: Number of events applied so far (for tests / reporting).
         self.applied = 0

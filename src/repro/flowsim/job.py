@@ -24,9 +24,7 @@ class FlowState:
                  "epoch", "key", "remaining", "rate", "updated")
 
     def __init__(self, tenant_id: int, src_vm: int, dst_vm: int,
-                 links: Tuple[int, ...], remaining: float,
-                 rate: float = 0.0, nominal_rate: float = 0.0,
-                 updated: float = 0.0, epoch: int = 0) -> None:
+                 links: Tuple[int, ...], remaining: float) -> None:
         self.tenant_id = tenant_id
         self.src_vm = src_vm
         self.dst_vm = dst_vm
@@ -34,18 +32,18 @@ class FlowState:
         #: Bytes still to deliver.
         self.remaining = remaining
         #: Current fluid rate.
-        self.rate = rate
+        self.rate = 0.0
         #: The reserved (hose-split) rate assigned at admission, before
         #: any fault capping; 0 for flows whose rate is dynamically
         #: shared.
-        self.nominal_rate = nominal_rate
+        self.nominal_rate = 0.0
         #: Simulator bookkeeping: virtual time ``remaining`` was last
         #: brought up to date (flows advance lazily between rate
         #: changes).
-        self.updated = updated
+        self.updated = 0.0
         #: Simulator bookkeeping: bumped on every rate change to
         #: invalidate finish events scheduled under the old rate.
-        self.epoch = epoch
+        self.epoch = 0
         #: Sharing-solver key assigned by the owning simulator (None for
         #: standalone flows).
         self.key = None

@@ -47,6 +47,7 @@ from repro.core.tenant import TenantRequest
 from repro.flowsim.sim import ClusterSim, ClusterStats
 from repro.flowsim.workload import TenantWorkload
 from repro.hybrid.recorder import PortUsageRecorder
+from repro.mechanisms import get_mechanism
 from repro.phynet.apps import EpochBurstApp, MemcachedApp
 from repro.phynet.metrics import MetricsCollector
 from repro.phynet.network import PacketNetwork
@@ -137,12 +138,12 @@ class HybridSim:
 
     def __init__(self, manager: PlacementManager,
                  foreground: List[ForegroundTenant],
-                 sharing: str = "reserved", faults=None, tracer=None):
+                 sharing: str = "reserved", faults=None):
         """``faults`` (a :class:`repro.faults.FaultSchedule`) applies to
         the *background* cluster; its capacity effects reach the
         foreground through the recorded residual series.  The packet
-        network runs Silo's scheme: foreground VMs that carry a
-        guarantee are paced."""
+        network and its VMs are built through the registered ``silo``
+        mechanism: foreground VMs that carry a guarantee are paced."""
         if not foreground:
             raise ValueError("hybrid simulation needs >= 1 foreground "
                              "tenant")
@@ -151,7 +152,6 @@ class HybridSim:
         self.foreground = list(foreground)
         self.sharing = sharing
         self.faults = faults
-        self.tracer = tracer
 
     def run(self, background: TenantWorkload, until: float,
             fg_offset: Optional[object] = None,
@@ -190,37 +190,36 @@ class HybridSim:
 
         # Phase 2: fluid background with the usage recorder attached.
         cluster = ClusterSim(self.manager, sharing=self.sharing,
-                             tracer=self.tracer, faults=self.faults)
+                             faults=self.faults)
         recorder = cluster.monitor_port_usage(watch)
         bg_stats = cluster.run(background, until)
         if fg_offset == "peak":
             fg_offset = _peak_offset(recorder, until, fg_horizon)
 
         # Phase 3: packet foreground inside the recorded residuals.
-        net = PacketNetwork(self.topology, scheme="silo",
-                            tracer=self.tracer)
-        metrics = MetricsCollector(tracer=self.tracer)
+        mech = get_mechanism("silo")
+        net = mech.build_network(self.topology)
+        transport_class = mech.transport_class()
+        metrics = MetricsCollector()
         rng = random.Random(seed)
         apps = []
         next_vm = 0
         for tenant, placement in placements:
-            vm_ids = []
-            guarantee = tenant.request.guarantee
-            for server in placement.vm_servers:
-                net.add_vm(next_vm, tenant.request.tenant_id, server,
-                           guarantee=guarantee,
-                           paced=guarantee is not None)
-                vm_ids.append(next_vm)
-                next_vm += 1
+            vm_ids = mech.attach(net, tenant.request.tenant_id,
+                                 placement.vm_servers,
+                                 tenant.request.guarantee, next_vm)
+            next_vm += len(vm_ids)
             if tenant.app == "memcached":
                 app = MemcachedApp(net, metrics, tenant.request.tenant_id,
                                    server_vm=vm_ids[0],
                                    client_vms=vm_ids[1:],
-                                   workload=EtcWorkload(), rng=rng)
+                                   workload=EtcWorkload(), rng=rng,
+                                   transport_class=transport_class)
             else:
                 app = EpochBurstApp(net, metrics, tenant.request.tenant_id,
                                     vm_ids, Fixed(tenant.message_bytes),
-                                    epoch=tenant.epoch, rng=rng)
+                                    epoch=tenant.epoch, rng=rng,
+                                    transport_class=transport_class)
             app.start(at=0.0)
             apps.append((tenant, app, vm_ids))
         residual_events = self._preschedule_residuals(

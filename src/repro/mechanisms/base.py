@@ -4,12 +4,13 @@ A *mechanism* is everything an SLO scheme does on the data path once
 VMs are placed: how the :class:`~repro.phynet.network.PacketNetwork` is
 configured (queue discipline, ECN), how each VM's hypervisor egress is
 paced, which transport its flows run, and what control machinery runs
-alongside the simulation.  Scenario construction consumes exactly this
-interface, so every packet-level experiment gains a ``mechanism`` axis
-for free: build the network through the mechanism, add VMs through the
-mechanism, pass its transport class to the applications, call
-:meth:`Mechanism.start` before ``sim.run`` and :meth:`Mechanism.counters`
-after.
+alongside the simulation.  The network itself knows no scheme; the
+mechanism is the only thing that does.  Scenario construction consumes
+exactly this interface, so every packet-level experiment gains a
+``mechanism`` axis for free: build the network through the mechanism,
+:meth:`Mechanism.attach` each tenant's VMs, pass its transport class to
+the applications, call :meth:`Mechanism.start` before ``sim.run`` and
+:meth:`Mechanism.counters` after.
 
 Registered implementations (see :mod:`repro.mechanisms`):
 
@@ -28,7 +29,7 @@ Registered implementations (see :mod:`repro.mechanisms`):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Optional, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Type
 
 from repro.core.guarantees import NetworkGuarantee
 from repro.phynet.network import PacketNetwork, VirtualMachine
@@ -48,8 +49,6 @@ class Mechanism(ABC):
 
     #: Registry key and display name ("silo", "swp", "eyeq", "none", ...).
     name: str = ""
-    #: The :class:`PacketNetwork` scheme this mechanism runs on.
-    scheme: str = "tcp"
     #: The placement policy the mechanism's tenants are admitted by
     #: ("silo": delay-aware admission, "oktopus": bandwidth-only), or
     #: ``None`` for mechanisms that run under any placement (the
@@ -58,10 +57,10 @@ class Mechanism(ABC):
     placement: Optional[str] = None
 
     def build_network(self, topology: TreeTopology,
-                      tracer=None, **kwargs: Any) -> PacketNetwork:
-        """Construct the simulated network this mechanism runs on."""
-        return PacketNetwork(topology, scheme=self.scheme, tracer=tracer,
-                             **kwargs)
+                      tracer=None) -> PacketNetwork:
+        """Construct the simulated network this mechanism runs on (plain
+        ports; a subclass configures them for its queue discipline)."""
+        return PacketNetwork(topology, tracer=tracer)
 
     @abstractmethod
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,
@@ -69,8 +68,19 @@ class Mechanism(ABC):
                ) -> VirtualMachine:
         """Place one VM with this mechanism's hypervisor egress config."""
 
+    def attach(self, net: PacketNetwork, tenant_id: int,
+               vm_servers: Sequence[int],
+               guarantee: Optional[NetworkGuarantee],
+               first_vm_id: int) -> List[int]:
+        """Add one tenant's VMs, numbered from ``first_vm_id`` in
+        placement order, through :meth:`add_vm`; returns their ids."""
+        vm_ids = list(range(first_vm_id, first_vm_id + len(vm_servers)))
+        for vm_id, server in zip(vm_ids, vm_servers):
+            self.add_vm(net, vm_id, tenant_id, server, guarantee)
+        return vm_ids
+
     def transport_class(self) -> Optional[Type[Transport]]:
-        """Transport for application flows; ``None`` = scheme default."""
+        """Transport for application flows; ``None`` = plain TCP."""
         return None
 
     def start(self, net: PacketNetwork) -> None:

@@ -11,13 +11,25 @@ allowance on top of a placement that did not account for it.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Type
 
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
 from repro.mechanisms.base import register_mechanism
 from repro.mechanisms.silo import NoneMechanism, SiloMechanism
 from repro.phynet.network import PacketNetwork, VirtualMachine
+from repro.phynet.transport.base import Transport
+from repro.phynet.transport.dctcp import Dctcp
+from repro.phynet.transport.hull import (
+    HULL_DRAIN_FRACTION,
+    HULL_MARKING_THRESHOLD,
+    HullTcp,
+)
+from repro.topology.tree import TreeTopology
+
+#: DCTCP marking threshold for 10 GbE (the DCTCP paper's K = 65 packets
+#: scaled to bytes is ~97 KB; shallow-buffer deployments use less).
+DCTCP_K = 65 * units.MTU
 
 __all__ = ["DctcpMechanism", "HullMechanism", "OktoMechanism",
            "OktoPlusMechanism"]
@@ -28,7 +40,18 @@ class DctcpMechanism(NoneMechanism):
     """ECN-marking ports and DCTCP endpoints; unpaced, unplaced."""
 
     name = "dctcp"
-    scheme = "dctcp"
+
+    def build_network(self, topology: TreeTopology,
+                      tracer=None) -> PacketNetwork:
+        """Every switch port marks above :data:`DCTCP_K` queued bytes."""
+        net = super().build_network(topology, tracer=tracer)
+        for port in net.ports.values():
+            port.ecn_threshold = DCTCP_K
+        return net
+
+    def transport_class(self) -> Optional[Type[Transport]]:
+        """Flows run :class:`Dctcp` to react to the marks."""
+        return Dctcp
 
 
 @register_mechanism
@@ -36,7 +59,20 @@ class HullMechanism(NoneMechanism):
     """Phantom-queue ports and HULL endpoints; unpaced, unplaced."""
 
     name = "hull"
-    scheme = "hull"
+
+    def build_network(self, topology: TreeTopology,
+                      tracer=None) -> PacketNetwork:
+        """Every switch port marks from a phantom queue draining just
+        under its line rate."""
+        net = super().build_network(topology, tracer=tracer)
+        for port in net.ports.values():
+            port.phantom_drain = HULL_DRAIN_FRACTION * port.capacity
+            port.phantom_threshold = HULL_MARKING_THRESHOLD
+        return net
+
+    def transport_class(self) -> Optional[Type[Transport]]:
+        """Flows run :class:`HullTcp` (DCTCP's endpoint algorithm)."""
+        return HullTcp
 
 
 @register_mechanism
@@ -44,7 +80,6 @@ class OktoPlusMechanism(SiloMechanism):
     """Oktopus placement, Silo's pacer: bursts nobody budgeted for."""
 
     name = "okto+"
-    scheme = "okto+"
     placement = "oktopus"
 
 
@@ -53,7 +88,6 @@ class OktoMechanism(OktoPlusMechanism):
     """Oktopus: bandwidth reservation only, no burst allowance."""
 
     name = "okto"
-    scheme = "okto"
 
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,
                server: int, guarantee: Optional[NetworkGuarantee]

@@ -143,11 +143,9 @@ class EyeQController:
     simulated network as real control packets.
     """
 
-    def __init__(self, net: PacketNetwork,
-                 interval: float = DEFAULT_FEEDBACK_INTERVAL,
-                 tracer=None):
+    def __init__(self, net: PacketNetwork, tracer=None):
         self.net = net
-        self.interval = interval
+        self.interval = DEFAULT_FEEDBACK_INTERVAL
         self.tracer = tracer
         #: Receiver side: last observed ``delivered_bytes`` per pair.
         self._seen_bytes: Dict[Tuple[int, int], float] = {}
@@ -299,17 +297,14 @@ class EyeQMechanism(Mechanism):
     """Distributed hose congestion control; no pacing calculus, no bursts."""
 
     name = "eyeq"
-    scheme = "eyeq"
 
-    def __init__(self, interval: float = DEFAULT_FEEDBACK_INTERVAL):
-        self.interval = interval
+    def __init__(self):
         #: The controller attached by :meth:`start` (one per run).
         self.controller: Optional[EyeQController] = None
 
-    def build_network(self, topology, tracer=None, **kwargs):
+    def build_network(self, topology, tracer=None):
         """Plain ports, oracle hose coordination off (the loop replaces it)."""
-        kwargs.setdefault("coordination", False)
-        return super().build_network(topology, tracer=tracer, **kwargs)
+        return PacketNetwork(topology, coordination=False, tracer=tracer)
 
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,
                server: int, guarantee: Optional[NetworkGuarantee]
@@ -332,8 +327,7 @@ class EyeQMechanism(Mechanism):
 
     def start(self, net: PacketNetwork) -> None:
         """Attach and start the distributed control loop."""
-        self.controller = EyeQController(net, interval=self.interval,
-                                         tracer=net.tracer)
+        self.controller = EyeQController(net, tracer=net.tracer)
         self.controller.start()
 
     def counters(self, net: PacketNetwork) -> Dict[str, float]:

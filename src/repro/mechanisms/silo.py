@@ -30,7 +30,6 @@ class SiloMechanism(Mechanism):
     """Network-calculus pacing + priorities + delay-aware admission."""
 
     name = "silo"
-    scheme = "silo"
     placement = "silo"
 
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,
@@ -46,7 +45,6 @@ class NoneMechanism(Mechanism):
     """No SLO mechanism at all: plain TCP on drop-tail queues."""
 
     name = "none"
-    scheme = "tcp"
 
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,
                server: int, guarantee: Optional[NetworkGuarantee]

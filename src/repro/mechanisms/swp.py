@@ -43,7 +43,6 @@ class SwpMechanism(Mechanism):
     """Rate-paced originals + unpaced low-priority speculative copies."""
 
     name = "swp"
-    scheme = "swp"
 
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,
                server: int, guarantee: Optional[NetworkGuarantee]

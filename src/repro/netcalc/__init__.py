@@ -20,11 +20,7 @@ by :mod:`repro.placement.state`.
 """
 
 from repro.netcalc.curves import AffinePiece, Curve
-from repro.netcalc.arrival import (
-    token_bucket,
-    dual_rate,
-    arrival_for_guarantee,
-)
+from repro.netcalc.arrival import token_bucket, dual_rate
 from repro.netcalc.service import RateLatencyService, constant_rate
 from repro.netcalc.bounds import (
     backlog_bound,
@@ -38,7 +34,6 @@ __all__ = [
     "Curve",
     "token_bucket",
     "dual_rate",
-    "arrival_for_guarantee",
     "RateLatencyService",
     "constant_rate",
     "backlog_bound",

@@ -10,8 +10,6 @@ uses for exposition and is an upper bound on the dual-rate curve.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro import units
 from repro.netcalc.curves import Curve
 
@@ -43,17 +41,3 @@ def dual_rate(rate: float, burst: float, peak_rate: float,
         (peak_rate, packet_size),
         (rate, burst),
     ])
-
-
-def arrival_for_guarantee(bandwidth: float, burst: float,
-                          peak_rate: Optional[float] = None,
-                          packet_size: float = units.MTU) -> Curve:
-    """Arrival curve for a Silo guarantee ``{B, S, Bmax}``.
-
-    Uses the dual-rate form when a finite ``peak_rate`` is given, otherwise
-    the plain token bucket (an infinite burst rate, matching the curve
-    labelled ``A`` in the paper's Fig. 6a).
-    """
-    if peak_rate is None:
-        return token_bucket(bandwidth, burst)
-    return dual_rate(bandwidth, burst, peak_rate, packet_size)

@@ -18,7 +18,7 @@ at breakpoints, so every bound below is exact and O(#pieces).
 from __future__ import annotations
 
 import math
-from typing import Iterable, List
+from typing import List
 
 from repro.netcalc.curves import Curve
 from repro.netcalc.service import RateLatencyService
@@ -115,14 +115,3 @@ def empty_interval(arrival: Curve, service: RateLatencyService) -> float:
         elif gap_hi > 0:
             crossing = hi
     return crossing
-
-
-def total_delay_bound(arrivals: Iterable[Curve],
-                      service: RateLatencyService) -> float:
-    """Delay bound for the aggregate of several independent sources."""
-    total = None
-    for curve in arrivals:
-        total = curve if total is None else total + curve
-    if total is None:
-        return 0.0
-    return delay_bound(total, service)

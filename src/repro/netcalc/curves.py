@@ -213,14 +213,14 @@ class Curve:
 
     # -- comparisons -------------------------------------------------------
 
-    def dominates(self, other: "Curve", horizon: float = 10.0) -> bool:
-        """True if ``self(t) >= other(t)`` on ``[0, horizon]``.
+    def dominates(self, other: "Curve") -> bool:
+        """True if ``self(t) >= other(t)`` on ``[0, 10]``.
 
         Checked at the union of breakpoints plus the horizon, which is exact
         for piecewise-linear curves whose final pieces extend past the last
         breakpoint.
         """
-        points = set(self._breaks) | set(other._breaks) | {horizon}
+        points = set(self._breaks) | set(other._breaks) | {10.0}
         return all(self(t) >= other(t) - _EPS for t in points)
 
     def __eq__(self, other: object) -> bool:

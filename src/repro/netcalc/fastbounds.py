@@ -57,52 +57,31 @@ def _effective_pieces(bandwidth: float, burst: float, peak: float,
 
 
 def dual_rate_backlog(bandwidth: float, burst: float, peak: float,
-                      slack: float, rate: float,
-                      latency: float = 0.0) -> float:
-    """Worst-case backlog of a dual-rate curve at a rate-latency server.
+                      slack: float, rate: float) -> float:
+    """Worst-case backlog of a dual-rate curve at a constant-rate server.
 
     Equivalent to ``backlog_bound(Curve.from_pieces([(peak, slack),
-    (bandwidth, burst)]), RateLatencyService(rate, latency))`` without
-    constructing either object.
+    (bandwidth, burst)]), constant_rate(rate))`` without constructing
+    either object.
     """
     pieces = _effective_pieces(bandwidth, burst, peak, slack)
     if pieces[-1][0] > rate * (1.0 + _REL_TOL):
         return _INF
-    if len(pieces) == 1:
-        prate, pburst = pieces[0]
-        # Candidates are t=0 and t=latency; the deviation at t=0 is the
-        # curve's burst and at t=latency it is burst + rate*latency.
-        best = pburst if pburst > 0.0 else 0.0
-        dev = prate * latency + pburst
-        if dev > best:
-            best = dev
-        return best
-    (p_rate, p_slack), (b_rate, b_burst) = pieces
-    crossover = (b_burst - p_slack) / (p_rate - b_rate)
-    best = p_slack if p_slack > 0.0 else 0.0
-    # t = latency: evaluate the piece active there (bisect semantics: the
-    # flat piece takes over at t >= crossover).
-    if latency >= crossover:
-        arrival_at_latency = b_rate * latency + b_burst
-    else:
-        arrival_at_latency = p_rate * latency + p_slack
-    if arrival_at_latency > best:
-        best = arrival_at_latency
-    # t = crossover (the only positive breakpoint).
-    if crossover > 0.0:
-        arrival = b_rate * crossover + b_burst
-        service = 0.0 if crossover <= latency else rate * (crossover
-                                                           - latency)
-        dev = arrival - service
+    # The deviation at t=0 is the steepest kept piece's burst.
+    best = pieces[0][1] if pieces[0][1] > 0.0 else 0.0
+    if len(pieces) == 2:
+        (p_rate, p_slack), (b_rate, b_burst) = pieces
+        # t = crossover (the only positive breakpoint, > _EPS here).
+        crossover = (b_burst - p_slack) / (p_rate - b_rate)
+        dev = b_rate * crossover + b_burst - rate * crossover
         if dev > best:
             best = dev
     return best
 
 
 def dual_rate_delay(bandwidth: float, burst: float, peak: float,
-                    slack: float, rate: float,
-                    latency: float = 0.0) -> float:
-    """Worst-case delay of a dual-rate curve at a rate-latency server.
+                    slack: float, rate: float) -> float:
+    """Worst-case delay of a dual-rate curve at a constant-rate server.
 
     Equivalent to ``delay_bound(...)`` on the rebuilt Curve; see
     :func:`dual_rate_backlog`.
@@ -110,32 +89,12 @@ def dual_rate_delay(bandwidth: float, burst: float, peak: float,
     pieces = _effective_pieces(bandwidth, burst, peak, slack)
     if pieces[-1][0] > rate * (1.0 + _REL_TOL):
         return _INF
-    if len(pieces) == 1:
-        prate, pburst = pieces[0]
-        best = 0.0
-        dev = latency + pburst / rate
-        if dev > best:
-            best = dev
-        dev = latency + (prate * latency + pburst) / rate - latency
-        if dev > best:
-            best = dev
-        return best
-    (p_rate, p_slack), (b_rate, b_burst) = pieces
-    crossover = (b_burst - p_slack) / (p_rate - b_rate)
-    best = 0.0
-    dev = latency + p_slack / rate
-    if dev > best:
-        best = dev
-    if latency >= crossover:
-        arrival_at_latency = b_rate * latency + b_burst
-    else:
-        arrival_at_latency = p_rate * latency + p_slack
-    dev = latency + arrival_at_latency / rate - latency
-    if dev > best:
-        best = dev
-    if crossover > 0.0:
-        arrival = b_rate * crossover + b_burst
-        dev = latency + arrival / rate - crossover
+    dev = pieces[0][1] / rate
+    best = dev if dev > 0.0 else 0.0
+    if len(pieces) == 2:
+        (p_rate, p_slack), (b_rate, b_burst) = pieces
+        crossover = (b_burst - p_slack) / (p_rate - b_rate)
+        dev = (b_rate * crossover + b_burst) / rate - crossover
         if dev > best:
             best = dev
     return best

@@ -12,7 +12,7 @@ is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro import units
 from repro.pacer.void_packets import VoidScheduler, WireSchedule, WireSlot
@@ -60,11 +60,10 @@ class PacedBatcher:
         self._void_scheduler = VoidScheduler(link_rate,
                                              idle_threshold=batch_window)
 
-    def build(self, packets: Sequence[Tuple[float, float]],
-              payloads: Optional[Sequence[Any]] = None) -> List[Batch]:
+    def build(self, packets: Sequence[Tuple[float, float]]
+              ) -> List[Batch]:
         """Schedule stamped packets onto the wire and group into batches."""
-        schedule = self._void_scheduler.schedule(packets, payloads)
-        return self.carve(schedule)
+        return self.carve(self._void_scheduler.schedule(packets))
 
     def carve(self, schedule: WireSchedule) -> List[Batch]:
         """Group an existing wire schedule into batches."""

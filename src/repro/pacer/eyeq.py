@@ -11,25 +11,23 @@ over the bipartite graph of sender and receiver hoses.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Mapping, Tuple
 
 from repro.maxmin import max_min_fair
 
 
 def allocate_hose_rates(
     demands: Mapping[Tuple[Hashable, Hashable], float],
-    send_guarantees: Mapping[Hashable, float],
-    recv_guarantees: Optional[Mapping[Hashable, float]] = None,
+    guarantees: Mapping[Hashable, float],
 ) -> Dict[Tuple[Hashable, Hashable], float]:
     """Max-min fair hose-model rates for a set of VM-pair demands.
 
     Args:
         demands: (src, dst) -> demanded rate (``math.inf`` for elastic bulk
             traffic); demands must be >= 0.
-        send_guarantees: VM -> sending hose bandwidth ``B`` (>= 0).
-        recv_guarantees: VM -> receiving hose bandwidth (>= 0); defaults
-            to the sending guarantees (Silo gives VMs symmetric hoses).
+        guarantees: VM -> hose bandwidth ``B`` (>= 0), which bounds what
+            the VM sends and what it receives (Silo gives VMs symmetric
+            hoses).
 
     Returns:
         (src, dst) -> allocated rate, satisfying
@@ -40,8 +38,6 @@ def allocate_hose_rates(
         ValueError: a demand or guarantee is negative (a sign error
             would otherwise silently propagate into the fair split).
     """
-    if recv_guarantees is None:
-        recv_guarantees = send_guarantees
     capacities: Dict[Hashable, float] = {}
     flows: Dict[Tuple[Hashable, Hashable],
                 Tuple[Tuple[Hashable, ...], float]] = {}
@@ -49,33 +45,19 @@ def allocate_hose_rates(
         if demand < 0:
             raise ValueError(
                 f"demand for ({src!r}, {dst!r}) must be >= 0, got {demand}")
-        if src not in send_guarantees:
+        if src not in guarantees:
             raise KeyError(f"no send guarantee for VM {src!r}")
-        if dst not in recv_guarantees:
+        if dst not in guarantees:
             raise KeyError(f"no receive guarantee for VM {dst!r}")
-        if send_guarantees[src] < 0:
+        if guarantees[src] < 0:
             raise ValueError(f"send guarantee for VM {src!r} must be >= 0, "
-                             f"got {send_guarantees[src]}")
-        if recv_guarantees[dst] < 0:
+                             f"got {guarantees[src]}")
+        if guarantees[dst] < 0:
             raise ValueError(f"receive guarantee for VM {dst!r} must be "
-                             f">= 0, got {recv_guarantees[dst]}")
+                             f">= 0, got {guarantees[dst]}")
         src_hose = ("send", src)
         dst_hose = ("recv", dst)
-        capacities[src_hose] = send_guarantees[src]
-        capacities[dst_hose] = recv_guarantees[dst]
+        capacities[src_hose] = guarantees[src]
+        capacities[dst_hose] = guarantees[dst]
         flows[(src, dst)] = ((src_hose, dst_hose), demand)
     return max_min_fair(flows, capacities)
-
-
-def receiver_fair_split(n_senders: int, receive_guarantee: float
-                        ) -> float:
-    """The per-sender rate when ``n`` senders saturate one receiver.
-
-    The paper's example: with a tenant guarantee ``B`` and ``N`` VMs
-    sending to one destination, each sender gets ``B / N``.
-    """
-    if n_senders < 1:
-        raise ValueError("need at least one sender")
-    if receive_guarantee <= 0:
-        raise ValueError("receive guarantee must be positive")
-    return receive_guarantee / n_senders

@@ -45,16 +45,13 @@ class PacerConfig:
 class VMPacer:
     """Stamps departure times for one VM's packets (Fig. 8 hierarchy)."""
 
-    def __init__(self, config: PacerConfig, start_time: float = 0.0,
-                 tracer=None, source: str = "vm"):
+    def __init__(self, config: PacerConfig, tracer=None,
+                 source: str = "vm"):
         self.config = config
-        self._start_time = start_time
-        self._tenant = TokenBucket(config.bandwidth, config.burst,
-                                   start_time)
-        self._peak = TokenBucket(config.peak_rate, config.packet_size,
-                                 start_time)
+        self._tenant = TokenBucket(config.bandwidth, config.burst)
+        self._peak = TokenBucket(config.peak_rate, config.packet_size)
         self._per_destination: Dict[Hashable, TokenBucket] = {}
-        self._last_stamp = start_time
+        self._last_stamp = 0.0
         #: Optional :class:`repro.obs.TraceSink` receiving one
         #: ``pacer.stamp`` event per stamped packet; ``source`` labels
         #: this pacer in those events.
@@ -69,8 +66,7 @@ class VMPacer:
         """
         bucket = self._per_destination.get(destination)
         if bucket is None:
-            bucket = TokenBucket(self.config.bandwidth, self.config.burst,
-                                 self._start_time)
+            bucket = TokenBucket(self.config.bandwidth, self.config.burst)
             self._per_destination[destination] = bucket
         return bucket
 

@@ -16,7 +16,7 @@ stamps, void packets filling the gaps, idle time only between batches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro import units
 from repro.obs.events import VoidEmit
@@ -92,7 +92,6 @@ class WireSlot:
     start_time: float
     wire_bytes: float
     stamp: Optional[float] = None
-    payload: Any = None
 
     @property
     def pacing_error(self) -> float:
@@ -171,8 +170,8 @@ class VoidScheduler:
         self.tracer = tracer
         self.source = source
 
-    def schedule(self, packets: Sequence[Tuple[float, float]],
-                 payloads: Optional[Sequence[Any]] = None) -> WireSchedule:
+    def schedule(self, packets: Sequence[Tuple[float, float]]
+                 ) -> WireSchedule:
         """Build the wire schedule for stamped ``(departure, size)`` packets.
 
         ``size`` is the packet size in bytes; frame overhead is added here.
@@ -190,7 +189,7 @@ class VoidScheduler:
             return schedule
         wire_time = packets[0][0]
         previous_stamp = None
-        for i, (stamp, size) in enumerate(packets):
+        for stamp, size in packets:
             if previous_stamp is not None and stamp < previous_stamp:
                 raise ValueError("packet stamps must be non-decreasing")
             previous_stamp = stamp
@@ -208,10 +207,9 @@ class VoidScheduler:
                             time=wire_time, source=self.source,
                             wire_bytes=frame))
                     wire_time += frame / self.link_rate
-            payload = payloads[i] if payloads is not None else None
             wire_bytes = size + FRAME_OVERHEAD
             schedule.slots.append(WireSlot(
                 kind="data", start_time=wire_time, wire_bytes=wire_bytes,
-                stamp=stamp, payload=payload))
+                stamp=stamp))
             wire_time += wire_bytes / self.link_rate
         return schedule

@@ -37,15 +37,14 @@ class EpochBurstApp:
                  message_size: Distribution, epoch: float,
                  rng: random.Random,
                  jitter: float = 10 * units.MICROS,
-                 receiver_index: int = 0,
                  transport_class: Optional[Type[Transport]] = None):
         if len(vm_ids) < 2:
             raise ValueError("an all-to-one tenant needs at least two VMs")
         self.network = network
         self.metrics = metrics
         self.tenant_id = tenant_id
-        self.receiver = vm_ids[receiver_index]
-        self.senders = [v for v in vm_ids if v != self.receiver]
+        self.receiver = vm_ids[0]
+        self.senders = list(vm_ids[1:])
         self.message_size = message_size
         self.epoch = epoch
         self.jitter = jitter

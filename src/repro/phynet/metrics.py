@@ -118,11 +118,10 @@ class MetricsCollector:
         hit = sum(1 for r in records if r.rto_events > 0)
         return hit / len(records)
 
-    def outlier_class(self, tenant_id: int, estimate: float,
-                      q: float = 99.0) -> float:
-        """How far a tenant's ``q``-th percentile latency exceeds an estimate.
+    def outlier_class(self, tenant_id: int, estimate: float) -> float:
+        """How far a tenant's 99th percentile latency exceeds an estimate.
 
-        Returns the ratio ``p_q / estimate`` (Table 4 counts tenants with
+        Returns the ratio ``p99 / estimate`` (Table 4 counts tenants with
         ratio > 1, > 2 and > 8).  Incomplete messages are treated as
         having infinite latency; ``NaN`` when the tenant recorded no
         messages at all.
@@ -132,7 +131,7 @@ class MetricsCollector:
             return _NAN
         values = [r.latency if r.completed else float("inf")
                   for r in records]
-        return percentile(values, q) / estimate
+        return percentile(values, 99.0) / estimate
 
     # -- export -------------------------------------------------------------------
 

@@ -27,13 +27,6 @@ from repro.phynet.shaper import VMShaper
 from repro.phynet.packet import PRIORITY_BEST_EFFORT, PRIORITY_GUARANTEED, Packet
 from repro.phynet.port import DEFAULT_PROP_DELAY, OutputPort
 from repro.phynet.transport.base import Transport
-from repro.phynet.transport.dctcp import Dctcp
-from repro.phynet.transport.hull import (
-    HULL_DRAIN_FRACTION,
-    HULL_MARKING_THRESHOLD,
-    HullTcp,
-)
-from repro.phynet.transport.swp import SwpTransport
 from repro.phynet.transport.tcp import TcpReno
 from repro.topology.tree import TreeTopology
 
@@ -46,46 +39,31 @@ VSWITCH_DELAY = 2 * units.MICROS
 VSWITCH_RATE_FACTOR = 4.0
 VSWITCH_BUFFER = 2 * units.MB
 
-#: DCTCP marking threshold for 10 GbE (the DCTCP paper's K = 65 packets
-#: scaled to bytes is ~97 KB; shallow-buffer deployments use less).
-DEFAULT_DCTCP_K = 65 * units.MTU
-
 #: How often the EyeQ-style coordinator re-splits hose bandwidth.
-DEFAULT_COORDINATION_INTERVAL = 500 * units.MICROS
+COORDINATION_INTERVAL = 500 * units.MICROS
 
-#: Default per-destination shaper queue (bytes awaiting their stamps).
-#: Applied per destination, like the per-queue limits of a multi-queue
-#: driver, so one backlogged destination cannot starve the others.
-DEFAULT_PACER_QUEUE = 128 * units.KB
-
-TRANSPORT_CLASSES: Dict[str, Type[Transport]] = {
-    "tcp": TcpReno,
-    "dctcp": Dctcp,
-    "hull": HullTcp,
-    "swp": SwpTransport,
-}
+#: Bytes a VM's shaper may hold per destination before the guest is
+#: backpressured (NDIS send-completion flow control in the prototype).
+#: Per destination, like the per-queue limits of a multi-queue driver,
+#: so one backlogged destination cannot starve the others.
+PACER_QUEUE_LIMIT = 128 * units.KB
 
 
 class VirtualMachine:
     """One placed VM, optionally behind a hypervisor pacer."""
 
     __slots__ = ("vm_id", "tenant_id", "server", "pacer", "priority",
-                 "guarantee", "pacer_queue_limit")
+                 "guarantee")
 
     def __init__(self, vm_id: int, tenant_id: int, server: int,
-                 pacer: Optional[VMShaper] = None,
-                 guarantee: Optional[NetworkGuarantee] = None,
-                 priority: int = PRIORITY_GUARANTEED,
-                 pacer_queue_limit: float = DEFAULT_PACER_QUEUE):
+                 guarantee: Optional[NetworkGuarantee], priority: int):
         self.vm_id = vm_id
         self.tenant_id = tenant_id
         self.server = server
-        self.pacer = pacer
+        #: The hypervisor shaper, attached by :meth:`PacketNetwork.add_vm`.
+        self.pacer: Optional[VMShaper] = None
         self.guarantee = guarantee
         self.priority = priority
-        #: Bytes the shaper may hold before the guest is backpressured
-        #: (NDIS send-completion flow control in the prototype).
-        self.pacer_queue_limit = pacer_queue_limit
 
 
 class PacketNetwork:
@@ -93,21 +71,17 @@ class PacketNetwork:
 
     def __init__(self, topology: TreeTopology,
                  sim: Optional[EventEngine] = None,
-                 scheme: str = "tcp",
                  prop_delay: float = DEFAULT_PROP_DELAY,
-                 dctcp_threshold: float = DEFAULT_DCTCP_K,
-                 coordination_interval: float = DEFAULT_COORDINATION_INTERVAL,
                  coordination: bool = True,
                  tracer=None):
-        """Build the simulated network.
+        """Build the simulated network: plain drop-tail priority ports.
 
-        ``scheme`` is what the eight registered
-        :mod:`repro.mechanisms` run on: "tcp" (mechanism ``none``),
-        "dctcp" and "hull" configure the switch ports accordingly;
-        "silo", "okto" and "okto+" use plain ports (their rate control
-        lives in the hypervisor pacers, attached per VM via
-        :meth:`add_vm`); "swp" and "eyeq" also use plain ports (their
-        machinery is end-host).
+        The fabric does not know which scheme runs on it.  A registered
+        :class:`~repro.mechanisms.base.Mechanism` that needs more
+        (DCTCP's marking threshold, HULL's phantom queues) configures
+        the ports of the network it builds and names its own transport;
+        rate control lives in the hypervisor pacers attached per VM via
+        :meth:`add_vm`.
 
         ``coordination=False`` disables the built-in oracle hose
         coordination loop (:meth:`_coordinate`); the EyeQ mechanism turns
@@ -118,37 +92,24 @@ class PacketNetwork:
         for every port and transport of this network; ``None`` keeps the
         zero-overhead path.
         """
-        known = {"tcp", "dctcp", "hull", "silo", "okto", "okto+",
-                 "swp", "eyeq"}
-        if scheme not in known:
-            raise ValueError(f"unknown scheme {scheme!r}; pick from "
-                             f"{sorted(known)}")
         self.topology = topology
         # The shared event core by default; an injected ``sim`` (an engine
         # shared with another fidelity, or the seed loop the tests keep in
         # ``tests/oracles/seed_engine.py``) is honoured as long as it
         # speaks the same surface.
         self.sim = sim if sim is not None else EventEngine()
-        self.scheme = scheme
-        self.coordination_interval = coordination_interval
         self.coordination = coordination
         self.tracer = tracer
         if tracer is not None:
             self.sim.tracer = tracer
 
-        ecn = dctcp_threshold if scheme == "dctcp" else None
         self.ports: Dict[int, OutputPort] = {}
         for port in topology.ports:
-            sim_port = OutputPort(
+            self.ports[port.port_id] = OutputPort(
                 sim=self.sim, name=f"{port.kind.value}[{port.index}]",
                 capacity=port.capacity, buffer_bytes=port.buffer_bytes,
-                prop_delay=prop_delay, ecn_threshold=ecn,
-                phantom_drain=(HULL_DRAIN_FRACTION * port.capacity
-                               if scheme == "hull" else None),
-                phantom_threshold=(HULL_MARKING_THRESHOLD
-                                   if scheme == "hull" else None),
-                on_delivery=self._deliver, tracer=tracer)
-            self.ports[port.port_id] = sim_port
+                prop_delay=prop_delay, on_delivery=self._deliver,
+                tracer=tracer)
 
         self.vms: Dict[int, VirtualMachine] = {}
         self.transports: Dict[Tuple[int, int], Transport] = {}
@@ -170,9 +131,7 @@ class PacketNetwork:
             raise ValueError(f"vm {vm_id} already exists")
         if not 0 <= server < self.topology.n_servers:
             raise ValueError(f"server {server} out of range")
-        vm = VirtualMachine(vm_id=vm_id, tenant_id=tenant_id, server=server,
-                            pacer=None, guarantee=guarantee,
-                            priority=priority)
+        vm = VirtualMachine(vm_id, tenant_id, server, guarantee, priority)
         if paced:
             if pacer_config is None:
                 if guarantee is None:
@@ -189,13 +148,13 @@ class PacketNetwork:
         return vm
 
     def transport(self, src_vm: int, dst_vm: int,
-                  transport_class: Optional[Type[Transport]] = None,
-                  **kwargs: Any) -> Transport:
+                  transport_class: Optional[Type[Transport]] = None
+                  ) -> Transport:
         """The (unique) transport for an ordered VM pair, created on demand.
 
-        The default transport class follows the network scheme: DCTCP
-        endpoints on a DCTCP network, and plain TCP for Silo/Oktopus
-        (the paper runs TCP on top of their rate enforcement).
+        The default transport is plain TCP (the paper runs TCP on top of
+        Silo's and Oktopus' rate enforcement); a mechanism with its own
+        endpoints names them in ``Mechanism.transport_class``.
         """
         key = (src_vm, dst_vm)
         existing = self.transports.get(key)
@@ -204,10 +163,9 @@ class PacketNetwork:
         if src_vm == dst_vm:
             raise ValueError("a transport needs two distinct VMs")
         if transport_class is None:
-            transport_class = TRANSPORT_CLASSES.get(self.scheme, TcpReno)
-        priority = self.vms[src_vm].priority
-        flow = transport_class(self, src_vm, dst_vm, priority=priority,
-                               **kwargs)
+            transport_class = TcpReno
+        flow = transport_class(self, src_vm, dst_vm,
+                               self.vms[src_vm].priority)
         self.transports[key] = flow
         return flow
 
@@ -261,7 +219,7 @@ class PacketNetwork:
 
     def _shaper_release(self, packet: Packet, vm: VirtualMachine) -> None:
         self._release(packet)
-        if vm.pacer.destination_backlog(packet.dst) < vm.pacer_queue_limit:
+        if vm.pacer.destination_backlog(packet.dst) < PACER_QUEUE_LIMIT:
             waiters = self._ready_waiters.pop((vm.vm_id, packet.dst), None)
             if waiters:
                 for callback in waiters:
@@ -281,7 +239,7 @@ class PacketNetwork:
         vm = self.vms[vm_id]
         if vm.pacer is None:
             return True
-        return vm.pacer.destination_backlog(dst_vm) < vm.pacer_queue_limit
+        return vm.pacer.destination_backlog(dst_vm) < PACER_QUEUE_LIMIT
 
     def notify_when_ready(self, vm_id: int, dst_vm: int,
                           callback: Any) -> None:
@@ -314,7 +272,7 @@ class PacketNetwork:
         if not self.coordination or self._coordinating.get(tenant_id):
             return
         self._coordinating[tenant_id] = True
-        self.sim.schedule(self.coordination_interval, self._coordinate,
+        self.sim.schedule(COORDINATION_INTERVAL, self._coordinate,
                           tenant_id)
 
     def _coordinate(self, tenant_id: int) -> None:
@@ -347,7 +305,7 @@ class PacketNetwork:
                 # fresh message is not throttled by a stale split.
                 rate = guarantees[src]
             vm.pacer.set_destination_rate(dst, rate)
-        self.sim.schedule(self.coordination_interval, self._coordinate,
+        self.sim.schedule(COORDINATION_INTERVAL, self._coordinate,
                           tenant_id)
 
     # -- inspection ---------------------------------------------------------------

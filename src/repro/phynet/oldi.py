@@ -27,6 +27,10 @@ from repro.phynet.transport.base import Transport
 from repro.workloads.distributions import Distribution, Fixed
 
 
+#: Bytes of the query the root fans out to each worker.
+QUERY_SIZE = 1.6 * units.KB
+
+
 @dataclass
 class QueryRecord:
     """One partition-aggregate request's life."""
@@ -57,7 +61,6 @@ class PartitionAggregateApp:
     def __init__(self, network: PacketNetwork, metrics: MetricsCollector,
                  tenant_id: int, root_vm: int, worker_vms: Sequence[int],
                  rng: random.Random,
-                 query_size: float = 1.6 * units.KB,
                  response_size: Distribution = None,
                  worker_compute: Distribution = None,
                  deadline: float = 20 * units.MILLIS,
@@ -70,7 +73,6 @@ class PartitionAggregateApp:
         self.root_vm = root_vm
         self.worker_vms = list(worker_vms)
         self.rng = rng
-        self.query_size = query_size
         self.response_size = response_size or Fixed(15 * units.KB)
         self.worker_compute = worker_compute or Fixed(units.MILLIS)
         self.deadline = deadline
@@ -108,7 +110,7 @@ class PartitionAggregateApp:
         for worker in self.worker_vms:
             request = MessageRecord(tenant_id=self.tenant_id,
                                     src_vm=self.root_vm, dst_vm=worker,
-                                    size=self.query_size, start=sim.now)
+                                    size=QUERY_SIZE, start=sim.now)
             request.on_complete = (
                 lambda _rec, w=worker, q=query: self._worker_compute(w, q))
             self.down_flows[worker].send_message(request)

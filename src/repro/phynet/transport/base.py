@@ -21,18 +21,15 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from repro import units
 from repro.obs.events import FlowFinish
 from repro.phynet.metrics import MessageRecord
-from repro.phynet.packet import (
-    ACK_BYTES,
-    HEADER_BYTES,
-    PRIORITY_GUARANTEED,
-    Packet,
-)
+from repro.phynet.packet import ACK_BYTES, HEADER_BYTES, Packet
 
-#: Default minimum / initial retransmission timeout.  Datacenter stacks run
-#: with a reduced min-RTO; the paper's testbed default (200 ms) can be
-#: restored per experiment.
-DEFAULT_MIN_RTO = 10 * units.MILLIS
-DEFAULT_INIT_CWND = 10.0
+#: Payload bytes of a full segment.
+MSS = units.MTU - HEADER_BYTES
+#: Minimum / initial retransmission timeout.  Datacenter stacks run with
+#: a reduced min-RTO (the paper's testbed default is 200 ms).
+MIN_RTO = 10 * units.MILLIS
+#: Initial congestion window, segments.
+INIT_CWND = 10.0
 #: Event-time slop for deadline comparisons.  Simulation times sit in
 #: the micro-to-millisecond range, so 1e-12 s is far below one ulp of
 #: any deadline yet far above accumulated scheduling error.
@@ -63,20 +60,15 @@ class Transport:
     """
 
     def __init__(self, network: Any, src_vm: int, dst_vm: int,
-                 mss: float = units.MTU - HEADER_BYTES,
-                 min_rto: float = DEFAULT_MIN_RTO,
-                 initial_cwnd: float = DEFAULT_INIT_CWND,
-                 priority: int = PRIORITY_GUARANTEED):
+                 priority: int):
         self.network = network
         self.sim = network.sim
         self.src_vm = src_vm
         self.dst_vm = dst_vm
-        self.mss = mss
         self.priority = priority
 
         # Sender state.
-        self.cwnd = initial_cwnd
-        self.initial_cwnd = initial_cwnd
+        self.cwnd = INIT_CWND
         self.ssthresh = float("inf")
         self.next_seq = 0
         self.snd_una = 0
@@ -84,8 +76,7 @@ class Transport:
         self.send_queue: Deque[Segment] = deque()
         self.in_flight: Dict[int, Segment] = {}
         self.segments: Dict[int, Segment] = {}
-        self.min_rto = min_rto
-        self.rto = min_rto
+        self.rto = MIN_RTO
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
         self._rto_deadline: Optional[float] = None
@@ -107,7 +98,7 @@ class Transport:
         if remaining <= 0:
             raise ValueError("message size must be positive")
         while remaining > 0:
-            size = min(self.mss, remaining)
+            size = min(MSS, remaining)
             remaining -= size
             segment = Segment(self.next_seq, size, record,
                               is_last=(remaining <= 0))
@@ -264,8 +255,8 @@ class Transport:
 
     def _current_rto(self) -> float:
         if self.srtt is None:
-            return self.min_rto
-        return max(self.min_rto, self.srtt + 4.0 * self.rttvar)
+            return MIN_RTO
+        return max(MIN_RTO, self.srtt + 4.0 * self.rttvar)
 
     def _arm_rto(self) -> None:
         """Push the retransmission deadline out; lazily (re)schedule.

@@ -5,8 +5,8 @@ near-zero queues: each port runs a *phantom queue* -- a virtual counter
 draining slightly slower than the link -- and marks ECN from the phantom,
 so real queues stay almost empty.  The end-host algorithm is DCTCP; the
 difference is entirely in how ports are configured, which
-:class:`~repro.phynet.network.PacketNetwork` does when the transport
-scheme is "hull".
+:class:`~repro.mechanisms.baselines.HullMechanism` does on the network
+it builds.
 """
 
 from __future__ import annotations

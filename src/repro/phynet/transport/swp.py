@@ -33,14 +33,14 @@ from repro.phynet.transport.base import Segment, Transport
 #: Messages at or below this size get a speculative duplicate; larger
 #: ones only ever go paced (duplicating bulk traffic would double load
 #: for no tail-latency benefit -- SWP speculates on *small* messages).
-DEFAULT_SPEC_THRESHOLD = 64 * units.KB
+SPEC_THRESHOLD = 64 * units.KB
 
 
 class SwpTransport(Transport):
     """Reno transport that speculatively duplicates small messages.
 
     Each first transmission of a segment belonging to a message no
-    larger than ``spec_threshold`` is mirrored by an immediate
+    larger than :data:`SPEC_THRESHOLD` is mirrored by an immediate
     best-effort copy (``packet.spec=True``).  Retransmissions are never
     duplicated: recovery traffic is already late, so speculation buys
     nothing and would double the load exactly when the network is
@@ -48,10 +48,8 @@ class SwpTransport(Transport):
     """
 
     def __init__(self, network: Any, src_vm: int, dst_vm: int,
-                 spec_threshold: float = DEFAULT_SPEC_THRESHOLD,
-                 **kwargs: Any):
-        super().__init__(network, src_vm, dst_vm, **kwargs)
-        self.spec_threshold = spec_threshold
+                 priority: int):
+        super().__init__(network, src_vm, dst_vm, priority)
         #: Speculative copies injected (packets / wire bytes).
         self.spec_packets_sent = 0
         self.spec_bytes_sent = 0.0
@@ -66,7 +64,7 @@ class SwpTransport(Transport):
     def _transmit_segment(self, segment: Segment) -> None:
         """Transmit the paced original, then race a speculative copy."""
         super()._transmit_segment(segment)
-        if segment.record.size > self.spec_threshold:
+        if segment.record.size > SPEC_THRESHOLD:
             return
         spec = Packet(
             src=self.src_vm, dst=self.dst_vm,

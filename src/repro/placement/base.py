@@ -57,9 +57,7 @@ class PlacementManager(abc.ABC):
 
     def __init__(self, topology: TreeTopology,
                  min_fault_domains: int = 1,
-                 hose_tightening: bool = True,
-                 audit: Optional[AdmissionAudit] = None,
-                 tracer=None) -> None:
+                 hose_tightening: bool = True) -> None:
         """Args:
             topology: the datacenter to place into.
             min_fault_domains: spread every tenant over at least this
@@ -69,12 +67,6 @@ class PlacementManager(abc.ABC):
                 ``min(m, N-m) * B`` when summing tenant curves; disabling
                 it falls back to the naive ``m * B`` (the ablation knob
                 for how much admission capacity the tightening buys).
-            audit: optional :class:`~repro.placement.audit.AdmissionAudit`
-                recording every decision with its binding constraint.
-            tracer: optional :class:`repro.obs.TraceSink`; each decision
-                additionally emits an ``admission`` event.  Both are
-                evaluated off the hot path (only after the search
-                concludes) and default to off.
         """
         if min_fault_domains < 1:
             raise ValueError("min_fault_domains must be >= 1")
@@ -128,8 +120,14 @@ class PlacementManager(abc.ABC):
         self.reservation_version = 0
         self.accepted_by_class: Dict[TenantClass, int] = {}
         self.rejected_by_class: Dict[TenantClass, int] = {}
-        self.audit = audit
-        self.tracer = tracer
+        #: Optional :class:`~repro.placement.audit.AdmissionAudit`
+        #: recording every decision with its binding constraint, and
+        #: optional :class:`repro.obs.TraceSink` receiving one
+        #: ``admission`` event per decision; attach either after
+        #: construction.  Both are evaluated off the hot path (only
+        #: after the search concludes).
+        self.audit: Optional[AdmissionAudit] = None
+        self.tracer = None
         self._decision_seq = 0
         self.rebuild_derived_state()
 

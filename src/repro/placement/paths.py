@@ -7,13 +7,13 @@ along the switch ports its traffic traverses.  This module answers the
 :class:`TreeTopology` it lives in, enumerate the directed port sequence
 of every sender->receiver flow of the paper's class-A workload (all VMs
 send to the tenant's first VM, matching
-:class:`repro.phynet.apps.EpochBurstApp` with ``receiver_index=0``).
+:class:`repro.phynet.apps.EpochBurstApp`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.core.tenant import Placement
 from repro.topology.switch import Port
@@ -62,32 +62,25 @@ class IncastPaths:
         return max((len(s.ports) for s in self.senders), default=0)
 
 
-def incast_paths(topology: TreeTopology, placement: Placement,
-                 receiver_index: int = 0) -> IncastPaths:
+def incast_paths(topology: TreeTopology,
+                 placement: Placement) -> IncastPaths:
     """Enumerate sender paths for an all-to-one (class-A) placement.
 
     Args:
         topology: the tree the placement's server ids index into.
         placement: an admitted (or merely proposed) placement;
             ``vm_servers`` need not have been accepted by a manager.
-        receiver_index: which VM receives -- defaults to the first,
-            matching the packet simulator's ``EpochBurstApp``.
+            Its first VM receives, matching the packet simulator's
+            ``EpochBurstApp``.
 
     Returns:
         One :class:`SenderPath` per non-receiver VM, in VM order.
     """
-    if not 0 <= receiver_index < len(placement.vm_servers):
-        raise ValueError(
-            f"receiver_index {receiver_index} out of range for "
-            f"{len(placement.vm_servers)} VMs")
-    receiver_server = placement.vm_servers[receiver_index]
-    senders: List[SenderPath] = []
-    for vm_index, server in enumerate(placement.vm_servers):
-        if vm_index == receiver_index:
-            continue
-        ports = topology.path_ports(server, receiver_server)
-        senders.append(SenderPath(vm_index=vm_index, server=server,
-                                  ports=tuple(ports)))
-    return IncastPaths(receiver_vm=receiver_index,
-                       receiver_server=receiver_server,
-                       senders=tuple(senders))
+    receiver_server = placement.vm_servers[0]
+    senders = tuple(
+        SenderPath(vm_index=vm_index, server=server,
+                   ports=tuple(topology.path_ports(server,
+                                                   receiver_server)))
+        for vm_index, server in enumerate(placement.vm_servers[1:], 1))
+    return IncastPaths(receiver_vm=0, receiver_server=receiver_server,
+                       senders=senders)

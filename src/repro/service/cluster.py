@@ -43,18 +43,15 @@ class ClusterBooks:
 
     Args:
         topology: the full datacenter tree.
-        retry_evicted: passed to the controller (see
-            :class:`ClusterController`).
     """
 
-    def __init__(self, topology: TreeTopology,
-                 retry_evicted: bool = True) -> None:
+    def __init__(self, topology: TreeTopology) -> None:
         self.topology = topology
         self.pod_servers = (topology.racks_per_pod
                             * topology.servers_per_rack)
         self.manager = SiloPlacementManager(topology)
         self.controller = ClusterController(self.manager,
-                                            retry_evicted=retry_evicted)
+                                            retry_evicted=True)
         self.cordoned_pods: Set[int] = set()
 
     # -- admission -----------------------------------------------------------

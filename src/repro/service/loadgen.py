@@ -44,8 +44,8 @@ class ClosedLoopLoadGen:
         arrival_rate: tenant arrivals per virtual second.
         horizon: stop generating new arrivals after this virtual time;
             the run then drains pending work.
-        seed: workload seed (arrivals, mixes, compute times).
-        config: workload shape; defaults to the Table 3 mix.
+        seed: workload seed (arrivals, mixes, compute times) over the
+            Table 3 mix.
         fault_events: optional list of
             :class:`~repro.faults.model.FaultEvent` to inject on
             schedule.
@@ -57,7 +57,6 @@ class ClosedLoopLoadGen:
 
     def __init__(self, service: AdmissionService, arrival_rate: float,
                  horizon: float, seed: int = 0,
-                 config: Optional[WorkloadConfig] = None,
                  fault_events: Optional[List] = None,
                  tick_interval: float = 0.05,
                  retry_budget: int = 2) -> None:
@@ -65,8 +64,8 @@ class ClosedLoopLoadGen:
         self.horizon = horizon
         self.tick_interval = tick_interval
         self.retry_budget = retry_budget
-        workload = TenantWorkload(config or WorkloadConfig(),
-                                  arrival_rate, seed=seed)
+        workload = TenantWorkload(WorkloadConfig(), arrival_rate,
+                                  seed=seed)
         #: ordinal -> (time, request, compute_time); explicit tenant id
         #: = ordinal + 1, so ids survive a restart.
         self.arrivals: List[Tuple[float, TenantRequest, float]] = []
@@ -141,8 +140,8 @@ class ClosedLoopLoadGen:
 
     # -- the drive loop ------------------------------------------------------
 
-    def run(self, on_tick: Optional[Callable[[int, float], bool]] = None,
-            max_ticks: Optional[int] = None) -> Dict[str, object]:
+    def run(self, on_tick: Optional[Callable[[int, float], bool]] = None
+            ) -> Dict[str, object]:
         """Drive the service until the horizon's work has drained.
 
         ``on_tick(tick_index, now)`` runs after every service tick;
@@ -164,8 +163,6 @@ class ClosedLoopLoadGen:
                 tick_index += 1
                 if on_tick is not None and on_tick(tick_index,
                                                    now) is False:
-                    break
-                if max_ticks is not None and tick_index >= max_ticks:
                     break
                 if (now >= self.horizon and not self._pending
                         and len(service.queue) == 0):

@@ -57,6 +57,10 @@ class IngressItem:
     order: int = field(default=0, compare=False)
 
 
+#: Retry-after hint (seconds) of an empty queue on a first attempt.
+RETRY_AFTER_BASE = 0.05
+
+
 class BoundedIngressQueue:
     """The service's single ingress point, never deeper than ``capacity``.
 
@@ -68,11 +72,10 @@ class BoundedIngressQueue:
     them (the service logs and answers each with a retry-after).
     """
 
-    def __init__(self, capacity: int, retry_after_base: float = 0.05):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("queue capacity must be >= 1")
         self.capacity = capacity
-        self.retry_after_base = retry_after_base
         self._faults: deque = deque()
         self._departures: deque = deque()
         #: (deadline, order, item) min-heap: pop = earliest deadline.
@@ -102,8 +105,7 @@ class BoundedIngressQueue:
         sustainable offered rate.
         """
         fill = len(self) / self.capacity
-        return (self.retry_after_base * (1.0 + fill)
-                * (2 ** min(attempt, 6)))
+        return RETRY_AFTER_BASE * (1.0 + fill) * (2 ** min(attempt, 6))
 
     def offer(self, item: IngressItem,
               force: bool = False) -> Optional[float]:

@@ -122,7 +122,6 @@ class AdmissionService:
             granted to each admission.
         snapshot_every: checkpoint the books after this many completed
             items (0 disables periodic snapshots).
-        retry_evicted: see :class:`ClusterController`.
         tracer: optional obs sink; attached *after* replay, so recovery
             does not re-emit the previous life's events.
     """
@@ -130,14 +129,13 @@ class AdmissionService:
     def __init__(self, topology: TreeTopology, data_dir,
                  queue_capacity: int = 256, batch_size: int = 16,
                  admission_timeout: float = 5.0,
-                 snapshot_every: int = 200,
-                 retry_evicted: bool = True, tracer=None) -> None:
+                 snapshot_every: int = 200, tracer=None) -> None:
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.batch_size = batch_size
         self.admission_timeout = admission_timeout
         self.snapshot_every = snapshot_every
-        self.cluster = ClusterBooks(topology, retry_evicted=retry_evicted)
+        self.cluster = ClusterBooks(topology)
         self.queue = BoundedIngressQueue(queue_capacity)
         self.metrics = ServiceMetrics()
         self.snapshots = SnapshotStore(self.data_dir / "snapshot.json")

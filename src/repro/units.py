@@ -36,11 +36,6 @@ def bits(n_bytes: float) -> float:
     return n_bytes * 8.0
 
 
-def bytes_from_bits(n_bits: float) -> float:
-    """Convert bits to bytes."""
-    return n_bits / 8.0
-
-
 def gbps(rate: float) -> float:
     """Convert a rate in gigabits per second to bytes per second."""
     return rate * 1e9 / 8.0
@@ -49,11 +44,6 @@ def gbps(rate: float) -> float:
 def mbps(rate: float) -> float:
     """Convert a rate in megabits per second to bytes per second."""
     return rate * 1e6 / 8.0
-
-
-def kbps(rate: float) -> float:
-    """Convert a rate in kilobits per second to bytes per second."""
-    return rate * 1e3 / 8.0
 
 
 def to_gbps(rate_bytes_per_s: float) -> float:
@@ -84,10 +74,3 @@ def to_usec(t_seconds: float) -> float:
 def to_msec(t_seconds: float) -> float:
     """Convert seconds to milliseconds."""
     return t_seconds / MILLIS
-
-
-def transmission_delay(size_bytes: float, rate_bytes_per_s: float) -> float:
-    """Time to serialize ``size_bytes`` onto a link of the given rate."""
-    if rate_bytes_per_s <= 0:
-        raise ValueError("link rate must be positive")
-    return size_bytes / rate_bytes_per_s

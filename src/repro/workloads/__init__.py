@@ -13,7 +13,6 @@ from repro.workloads.patterns import (
     all_to_one_pairs,
     permutation_pairs,
 )
-from repro.workloads.trace import MessageEvent, MessageTrace, TraceReplayer
 
 __all__ = [
     "Distribution",
@@ -25,7 +24,4 @@ __all__ = [
     "all_to_all_pairs",
     "all_to_one_pairs",
     "permutation_pairs",
-    "MessageEvent",
-    "MessageTrace",
-    "TraceReplayer",
 ]

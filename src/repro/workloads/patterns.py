@@ -14,13 +14,9 @@ import random
 from typing import List, Sequence, Tuple
 
 
-def all_to_one_pairs(vms: Sequence[int],
-                     receiver_index: int = 0) -> List[Tuple[int, int]]:
-    """Every VM sends to one receiver."""
-    if not vms:
-        return []
-    receiver = vms[receiver_index]
-    return [(vm, receiver) for vm in vms if vm != receiver]
+def all_to_one_pairs(vms: Sequence[int]) -> List[Tuple[int, int]]:
+    """Every VM sends to the first one."""
+    return [(vm, vms[0]) for vm in vms[1:]]
 
 
 def all_to_all_pairs(vms: Sequence[int]) -> List[Tuple[int, int]]:

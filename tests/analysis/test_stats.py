@@ -106,7 +106,7 @@ class TestMetricsCollector:
 
     def test_outlier_class_uses_percentile_vs_estimate(self):
         collector = self.make_collector()
-        ratio = collector.outlier_class(1, estimate=0.01, q=99.0)
+        ratio = collector.outlier_class(1, estimate=0.01)
         assert ratio == float("inf")  # the incomplete message dominates
 
     def test_latency_percentile(self):

@@ -1,7 +1,5 @@
 """Guarantees and the tenant-visible message latency bound (section 4.1)."""
 
-import math
-
 import pytest
 
 from repro import units
@@ -10,8 +8,6 @@ from repro.core.guarantees import (
     CLASS_B_GUARANTEE,
     NetworkGuarantee,
     message_latency_bound,
-    required_bandwidth,
-    transmission_latency,
 )
 
 
@@ -93,17 +89,6 @@ class TestMessageLatencyBound:
 
 
 class TestHelpers:
-    def test_transmission_latency(self):
-        assert transmission_latency(1000.0, 100.0) == pytest.approx(10.0)
-
-    def test_required_bandwidth_inverts_eq1(self):
-        b = required_bandwidth(1000.0, deadline=2.0, delay=1.0)
-        assert b == pytest.approx(1000.0)
-
-    def test_required_bandwidth_infeasible_deadline(self):
-        assert required_bandwidth(1000.0, deadline=1.0,
-                                  delay=2.0) == math.inf
-
     def test_web_search_example(self):
         """The paper's intro example: a task with a 20 ms budget that
         knows messages take at most 4 ms can compute for 16 ms."""

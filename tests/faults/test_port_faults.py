@@ -94,7 +94,7 @@ class TestNetworkFaultInjector:
                             oversubscription=5.0,
                             buffer_bytes=312 * units.KB)
         silo = SiloController(topo)
-        net = PacketNetwork(topo, scheme="silo")
+        net = PacketNetwork(topo)
         request = TenantRequest(
             n_vms=6,
             guarantee=NetworkGuarantee(bandwidth=units.mbps(500),

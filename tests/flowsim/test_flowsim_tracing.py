@@ -45,7 +45,8 @@ class StaticWorkload:
 
 
 def run_traced(sink, audit=None, utilization=False):
-    manager = SiloPlacementManager(topo(), audit=audit, tracer=sink)
+    manager = SiloPlacementManager(topo())
+    manager.audit, manager.tracer = audit, sink
     sim = ClusterSim(manager, sharing="reserved", tracer=sink)
     series = (sim.monitor_utilization(interval=0.1)
               if utilization else None)
@@ -93,7 +94,8 @@ class TestFlowEvents:
 
     def test_tracing_does_not_change_results(self):
         def run(sink):
-            manager = SiloPlacementManager(topo(), tracer=sink)
+            manager = SiloPlacementManager(topo())
+            manager.tracer = sink
             sim = ClusterSim(manager, sharing="reserved", tracer=sink)
             items = [arrival(0, time=0.0), arrival(1, time=0.5)]
             stats = sim.run(StaticWorkload(items), until=10.0)

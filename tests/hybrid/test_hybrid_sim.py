@@ -115,6 +115,28 @@ class TestRun:
         assert 0.0 <= result.fg_offset <= 1.0
         assert result.background.finished_jobs >= 0
 
+    def test_foreground_vms_are_built_by_the_silo_mechanism(
+            self, monkeypatch):
+        """Phase 3 goes through the registry: every foreground VM is one
+        ``SiloMechanism.add_vm`` placed, paced from its guarantee."""
+        from repro.mechanisms import SiloMechanism
+        built = []
+        add_vm = SiloMechanism.add_vm
+
+        def recording_add_vm(self, net, vm_id, tenant_id, server,
+                             guarantee):
+            vm = add_vm(self, net, vm_id, tenant_id, server, guarantee)
+            built.append((net, vm))
+            return vm
+        monkeypatch.setattr(SiloMechanism, "add_vm", recording_add_vm)
+        result = self.run(tenants=[foreground(), foreground(n_vms=2)])
+        (net,) = {id(net): net for net, _ in built}.values()
+        assert list(net.vms.values()) == [vm for _, vm in built]
+        assert [vm.vm_id for _, vm in built] == list(range(6))
+        assert all(vm.pacer is not None and vm.guarantee == guarantee()
+                   for _, vm in built)
+        assert [fg["vms"] for fg in result.foreground] == [4, 2]
+
     def test_default_offset_is_midpoint(self):
         assert self.run(fg_offset=None).fg_offset == 0.5
 

@@ -83,7 +83,7 @@ class TestSimulationWithinBound:
         placement = manager.place(request)
         assert placement is not None
 
-        net = PacketNetwork(manager.topology, scheme="silo")
+        net = PacketNetwork(manager.topology)
         for vm, server in enumerate(placement.vm_servers):
             net.add_vm(vm, request.tenant_id, server,
                        guarantee=guarantee, paced=True)

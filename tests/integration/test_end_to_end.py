@@ -20,9 +20,9 @@ from repro.workloads import Fixed
 from repro.workloads.patterns import all_to_all_pairs
 
 
-def build_network_from_controller(controller, scheme="silo"):
+def build_network_from_controller(controller):
     """Instantiate the packet network from admitted placements."""
-    net = PacketNetwork(controller.topology, scheme=scheme)
+    net = PacketNetwork(controller.topology)
     vm_ids = {}
     next_vm = 0
     for tenant in controller.tenants.values():
@@ -136,7 +136,7 @@ class TestBaselineContrast:
             topo = TreeTopology(n_pods=1, racks_per_pod=1,
                                 servers_per_rack=3, slots_per_server=6,
                                 link_rate=units.gbps(10))
-            net = PacketNetwork(topo, scheme=scheme)
+            net = PacketNetwork(topo)
             metrics = MetricsCollector()
             g_a = NetworkGuarantee(bandwidth=units.mbps(250),
                                    burst=15 * units.KB,

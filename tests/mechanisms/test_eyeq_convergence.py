@@ -52,8 +52,8 @@ def run_incast(send_rates_mbps, recv_rate_mbps, duration):
     net.sim.run(until=duration)
     expected = allocate_hose_rates(
         demands={(vm, 0): float("inf") for vm in send_gs},
-        send_guarantees={vm: g.bandwidth for vm, g in send_gs.items()},
-        recv_guarantees={0: recv_g.bandwidth})
+        guarantees={0: recv_g.bandwidth,
+                    **{vm: g.bandwidth for vm, g in send_gs.items()}})
     return mech, expected
 
 

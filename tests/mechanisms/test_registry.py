@@ -11,6 +11,7 @@ from repro.mechanisms import (
     mechanism_names,
     register_mechanism,
 )
+from repro.mechanisms.baselines import DCTCP_K
 from repro.phynet.packet import PRIORITY_GUARANTEED
 from repro.phynet.transport import Dctcp, HullTcp, TcpReno
 from repro.phynet.transport.swp import SwpTransport
@@ -63,7 +64,10 @@ class TestStackConfiguration:
         net = mech.build_network(small_topology())
         vm = mech.add_vm(net, 0, tenant_id=1, server=0,
                          guarantee=GUARANTEE)
-        assert net.scheme == "silo"
+        assert all(port.ecn_threshold is None
+                   and port.phantom_drain is None
+                   for port in net.ports.values())
+        assert mech.transport_class() is None
         assert mech.placement == "silo"
         assert vm.pacer is not None
         assert vm.guarantee is GUARANTEE
@@ -73,7 +77,9 @@ class TestStackConfiguration:
         net = mech.build_network(small_topology())
         vm = mech.add_vm(net, 0, tenant_id=1, server=0,
                          guarantee=GUARANTEE)
-        assert net.scheme == "tcp"
+        assert all(port.ecn_threshold is None
+                   and port.phantom_drain is None
+                   for port in net.ports.values())
         assert vm.pacer is None
         assert mech.transport_class() is None
         assert mech.counters(net) == {}
@@ -83,7 +89,8 @@ class TestStackConfiguration:
         net = mech.build_network(small_topology())
         vm = mech.add_vm(net, 0, tenant_id=1, server=0,
                          guarantee=GUARANTEE)
-        assert net.scheme == "swp"
+        assert all(port.ecn_threshold is None
+                   for port in net.ports.values())
         assert mech.transport_class() is SwpTransport
         assert vm.pacer is not None
         bucket = vm.pacer.destination_bucket(1)
@@ -105,12 +112,22 @@ class TestStackConfiguration:
         net = mech.build_network(small_topology())
         vm = mech.add_vm(net, 0, tenant_id=1, server=0,
                          guarantee=GUARANTEE)
-        assert net.scheme == "eyeq"
+        assert mech.transport_class() is None
         # The oracle hose coordination is off: the distributed loop
         # owns the rates.
         assert not net.coordination
         assert vm.pacer.destination_bucket(1).rate \
             == net.topology.link_rate
+
+    def test_attach_numbers_vms_in_placement_order(self):
+        mech = get_mechanism("silo")
+        net = mech.build_network(small_topology())
+        assert mech.attach(net, 7, [1, 0, 1], GUARANTEE, 10) \
+            == [10, 11, 12]
+        assert [net.vms[vm].server for vm in (10, 11, 12)] == [1, 0, 1]
+        assert all(net.vms[vm].tenant_id == 7
+                   and net.vms[vm].pacer is not None
+                   for vm in (10, 11, 12))
 
     def test_eyeq_start_attaches_controller(self):
         mech = get_mechanism("eyeq")
@@ -134,15 +151,20 @@ class TestPaperBaselines:
 
     def test_dctcp_marks_ecn_and_runs_dctcp_endpoints(self):
         mech, net, vm, flow = self.build("dctcp")
-        assert all(port.ecn_threshold is not None
+        assert all(port.ecn_threshold == DCTCP_K
+                   and port.phantom_drain is None
                    for port in net.ports.values())
+        assert mech.transport_class() is Dctcp
         assert type(flow) is Dctcp
         assert vm.pacer is None
 
     def test_hull_runs_phantom_queues_and_hull_endpoints(self):
         mech, net, vm, flow = self.build("hull")
-        assert all(port.phantom_drain is not None
+        assert all(port.phantom_drain == 0.95 * port.capacity
+                   and port.phantom_threshold == 3_000
+                   and port.ecn_threshold is None
                    for port in net.ports.values())
+        assert mech.transport_class() is HullTcp
         assert type(flow) is HullTcp
         assert vm.pacer is None
 

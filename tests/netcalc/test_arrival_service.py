@@ -3,7 +3,7 @@
 import pytest
 
 from repro import units
-from repro.netcalc.arrival import arrival_for_guarantee, dual_rate, token_bucket
+from repro.netcalc.arrival import dual_rate, token_bucket
 from repro.netcalc.service import (
     RateLatencyService,
     constant_rate,
@@ -57,17 +57,6 @@ class TestDualRate:
         t_join = (S - units.MTU) / (Bmax - B)
         assert limited(2 * t_join) == pytest.approx(plain(2 * t_join),
                                                     rel=1e-6)
-
-
-class TestArrivalForGuarantee:
-    def test_without_peak_rate_is_token_bucket(self):
-        curve = arrival_for_guarantee(10.0, 100.0)
-        assert len(curve.pieces) == 1
-
-    def test_with_peak_rate_is_dual(self):
-        curve = arrival_for_guarantee(10.0, 100.0, peak_rate=50.0,
-                                      packet_size=1.0)
-        assert len(curve.pieces) == 2
 
 
 class TestServiceCurves:

@@ -10,7 +10,6 @@ from repro.netcalc.bounds import (
     delay_bound,
     empty_interval,
     queue_is_stable,
-    total_delay_bound,
 )
 from repro.netcalc.service import RateLatencyService, constant_rate
 
@@ -105,14 +104,3 @@ class TestEmptyInterval:
     def test_unstable_is_infinite(self):
         arrival = token_bucket(20.0, 1.0)
         assert empty_interval(arrival, constant_rate(10.0)) == math.inf
-
-
-class TestAggregateDelay:
-    def test_total_delay_of_independent_sources(self):
-        sources = [token_bucket(2.0, 10.0) for _ in range(3)]
-        # Aggregate = 6t + 30 against C = 10: delay 3.
-        assert total_delay_bound(sources, constant_rate(10.0)) == (
-            pytest.approx(3.0))
-
-    def test_empty_iterable_is_zero(self):
-        assert total_delay_bound([], constant_rate(10.0)) == 0.0

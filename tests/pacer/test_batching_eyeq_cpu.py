@@ -7,7 +7,7 @@ import pytest
 from repro import units
 from repro.pacer.batching import PacedBatcher
 from repro.pacer.cpu_model import PacerCpuModel
-from repro.pacer.eyeq import allocate_hose_rates, receiver_fair_split
+from repro.pacer.eyeq import allocate_hose_rates
 from repro.pacer.void_packets import VoidScheduler
 
 
@@ -43,12 +43,6 @@ class TestPacedBatcher:
 
 
 class TestHoseAllocation:
-    def test_receiver_fair_split(self):
-        assert receiver_fair_split(4, units.gbps(1)) == pytest.approx(
-            units.gbps(0.25))
-        with pytest.raises(ValueError):
-            receiver_fair_split(0, 1.0)
-
     def test_all_to_one_splits_receiver_hose(self):
         demands = {(s, "r"): math.inf for s in range(4)}
         hoses = {"r": 100.0, 0: 100.0, 1: 100.0, 2: 100.0, 3: 100.0}
@@ -86,7 +80,6 @@ class TestHoseAllocation:
     def test_negative_recv_guarantee_raises(self):
         with pytest.raises(ValueError, match="receive guarantee"):
             allocate_hose_rates({("a", "b"): 1.0},
-                                {"a": 100.0, "b": 100.0},
                                 {"a": 100.0, "b": -100.0})
 
 

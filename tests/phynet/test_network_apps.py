@@ -6,6 +6,7 @@ import pytest
 
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
+from repro.mechanisms import get_mechanism
 from repro.phynet import MetricsCollector, PacketNetwork
 from repro.phynet.apps import BulkApp, EpochBurstApp, MemcachedApp
 from repro.phynet.packet import PRIORITY_BEST_EFFORT
@@ -20,14 +21,6 @@ def small_topo():
 
 
 class TestNetworkConstruction:
-    def test_scheme_validation(self):
-        # The choices render sorted: the text must not vary with
-        # PYTHONHASHSEED.
-        with pytest.raises(ValueError, match=r"pick from \['dctcp', "
-                           r"'eyeq', 'hull', 'okto', 'okto\+', 'silo', "
-                           r"'swp', 'tcp'\]"):
-            PacketNetwork(small_topo(), scheme="carrier-pigeon")
-
     def test_vm_validation(self):
         net = PacketNetwork(small_topo())
         net.add_vm(0, 1, 0)
@@ -45,13 +38,13 @@ class TestNetworkConstruction:
         assert net.route(0, 1) is net.route(0, 1)
 
     def test_hull_ports_have_phantom_queues(self):
-        net = PacketNetwork(small_topo(), scheme="hull")
+        net = get_mechanism("hull").build_network(small_topo())
         port = next(iter(net.ports.values()))
         assert port.phantom_drain is not None
         assert port.phantom_drain < port.capacity
 
     def test_dctcp_ports_have_ecn(self):
-        net = PacketNetwork(small_topo(), scheme="dctcp")
+        net = get_mechanism("dctcp").build_network(small_topo())
         port = next(iter(net.ports.values()))
         assert port.ecn_threshold is not None
 
@@ -163,7 +156,7 @@ class TestHoseCoordination:
         """Six paced senders converging on one receiver must end up with
         ~B/6 each after coordination."""
         topo = small_topo()
-        net = PacketNetwork(topo, scheme="silo")
+        net = PacketNetwork(topo)
         metrics = MetricsCollector()
         g = NetworkGuarantee(bandwidth=units.gbps(1.2),
                              burst=1.5 * units.KB)

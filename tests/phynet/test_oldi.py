@@ -14,10 +14,10 @@ from repro.workloads import Fixed
 from repro.workloads.patterns import all_to_all_pairs
 
 
-def build(scheme="tcp", paced=False, n_workers=5):
+def build(paced=False, n_workers=5):
     topo = TreeTopology(n_pods=1, racks_per_pod=1, servers_per_rack=3,
                         slots_per_server=6, link_rate=units.gbps(10))
-    net = PacketNetwork(topo, scheme=scheme)
+    net = PacketNetwork(topo)
     metrics = MetricsCollector()
     guarantee = NetworkGuarantee(bandwidth=units.mbps(500),
                                  burst=20 * units.KB,
@@ -66,7 +66,7 @@ class TestPartitionAggregate:
         assert app.slo_miss_fraction() > 0.0
 
     def test_guaranteed_tenant_meets_tight_slo(self):
-        net, metrics, app = build(scheme="silo", paced=True)
+        net, metrics, app = build(paced=True)
         app.deadline = 5 * units.MILLIS
         app.start(interval=units.msec(3))
         net.sim.run(until=0.05)

@@ -104,7 +104,7 @@ class TestNetworkRollup:
         from repro.topology import TreeTopology
         topo = TreeTopology(n_pods=1, racks_per_pod=1, servers_per_rack=2,
                             slots_per_server=2, link_rate=units.gbps(1))
-        net = PacketNetwork(topo, scheme="tcp")
+        net = PacketNetwork(topo)
         stats = net.port_stats()
         assert stats["class_drops"] == [0] * N_CLASSES
         assert stats["class_pushouts"] == [0] * N_CLASSES

@@ -15,7 +15,8 @@ from repro.phynet.packet import (
     PRIORITY_BEST_EFFORT,
     PRIORITY_GUARANTEED,
 )
-from repro.phynet.transport.swp import DEFAULT_SPEC_THRESHOLD, SwpTransport
+from repro.phynet.transport.base import MSS
+from repro.phynet.transport.swp import SPEC_THRESHOLD, SwpTransport
 
 
 class StubNetwork:
@@ -42,7 +43,8 @@ class StubNetwork:
 def send_copies(message_size):
     """One message's transmitted copies: (originals, speculative)."""
     net = StubNetwork()
-    flow = SwpTransport(net, 0, 1, initial_cwnd=1000.0)
+    flow = SwpTransport(net, 0, 1, PRIORITY_GUARANTEED)
+    flow.cwnd = 1000.0
     record = MessageRecord(tenant_id=1, src_vm=0, dst_vm=1,
                            size=message_size, start=0.0)
     completions = []
@@ -58,7 +60,7 @@ class TestDuplication:
         _net, flow, _rec, _done, originals, specs = send_copies(
             10 * units.KB)
         assert len(specs) == len(originals) == math.ceil(
-            10 * units.KB / flow.mss)
+            10 * units.KB / MSS)
         assert {p.payload[1] for p in specs} \
             == {p.payload[1] for p in originals}
         assert flow.spec_packets_sent == len(specs)
@@ -73,7 +75,7 @@ class TestDuplication:
 
     def test_large_messages_are_not_duplicated(self):
         _net, flow, _rec, _done, _originals, specs = send_copies(
-            DEFAULT_SPEC_THRESHOLD + units.KB)
+            SPEC_THRESHOLD + units.KB)
         assert specs == []
         assert flow.spec_packets_sent == 0
 
@@ -88,7 +90,7 @@ def arrival_schedules(draw):
     under duplication, reordering and partial loss.
     """
     message_size = draw(st.integers(min_value=1,
-                                    max_value=DEFAULT_SPEC_THRESHOLD))
+                                    max_value=SPEC_THRESHOLD))
     n_segments = math.ceil(message_size / (units.MTU - HEADER_BYTES))
     survivors = []
     for seq in range(n_segments):
@@ -119,7 +121,7 @@ class TestExactlyOnceDelivery:
         assert flow.delivered_bytes == pytest.approx(message_size)
         # Dedup accounting: every surviving copy beyond the first of
         # its segment was recognized as a duplicate.
-        n_segments = math.ceil(message_size / flow.mss)
+        n_segments = math.ceil(message_size / MSS)
         assert flow.duplicate_deliveries == len(order) - n_segments
         assert flow.spec_wins <= sum(1 for _seq, spec in order if spec)
 

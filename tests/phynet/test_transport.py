@@ -4,22 +4,35 @@ import pytest
 
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
+from repro.mechanisms import get_mechanism
 from repro.phynet import (
     Dctcp,
     MetricsCollector,
     PacketNetwork,
     TcpReno,
 )
+from repro.phynet.transport.base import MSS
 from repro.topology import TreeTopology
 
 
-def two_vm_network(scheme="tcp", **net_kwargs):
+def two_vm_network():
     topo = TreeTopology(n_pods=1, racks_per_pod=1, servers_per_rack=2,
                         slots_per_server=4, link_rate=units.gbps(10))
-    net = PacketNetwork(topo, scheme=scheme, **net_kwargs)
+    net = PacketNetwork(topo)
     net.add_vm(0, tenant_id=1, server=0)
     net.add_vm(1, tenant_id=1, server=1)
     return net
+
+
+def shallow_network(mechanism, topo):
+    """``mechanism``'s network on ``topo``, marking ports (if it has
+    any) retuned to a shallow-buffer 15 KB threshold."""
+    mech = get_mechanism(mechanism)
+    net = mech.build_network(topo)
+    for port in net.ports.values():
+        if port.ecn_threshold is not None:
+            port.ecn_threshold = 15 * units.KB
+    return mech, net
 
 
 class TestReliableDelivery:
@@ -93,11 +106,12 @@ class TestCongestionResponse:
                             slots_per_server=4,
                             link_rate=units.gbps(1),
                             buffer_bytes=8 * units.KB)
-        net = PacketNetwork(topo, scheme="tcp")
+        net = PacketNetwork(topo)
         net.add_vm(0, tenant_id=1, server=0)
         net.add_vm(1, tenant_id=1, server=1)
         metrics = MetricsCollector()
-        flow = net.transport(0, 1, initial_cwnd=64.0)
+        flow = net.transport(0, 1)
+        flow.cwnd = 64.0
         record = metrics.new_message(1, 0, 1, 300 * units.KB, 0.0)
         flow.send_message(record)
         net.sim.run(until=1.0)
@@ -113,13 +127,14 @@ class TestCongestionResponse:
                             slots_per_server=4,
                             link_rate=units.gbps(1),
                             buffer_bytes=3 * units.KB)
-        net = PacketNetwork(topo, scheme="tcp")
+        net = PacketNetwork(topo)
         net.add_vm(0, tenant_id=1, server=0)
         net.add_vm(1, tenant_id=1, server=1)
         metrics = MetricsCollector()
         # An 8-segment burst into a 2-packet buffer loses the tail.
-        flow = net.transport(0, 1, initial_cwnd=8.0)
-        record = metrics.new_message(1, 0, 1, 8 * flow.mss, 0.0)
+        flow = net.transport(0, 1)
+        flow.cwnd = 8.0
+        record = metrics.new_message(1, 0, 1, 8 * MSS, 0.0)
         flow.send_message(record)
         net.sim.run(until=2.0)
         assert record.completed
@@ -131,13 +146,14 @@ class TestDctcp:
     def test_alpha_rises_under_persistent_marking(self):
         topo = TreeTopology(n_pods=1, racks_per_pod=1, servers_per_rack=3,
                             slots_per_server=4, link_rate=units.gbps(1))
-        net = PacketNetwork(topo, scheme="dctcp",
-                            dctcp_threshold=15 * units.KB)
+        mech, net = shallow_network("dctcp", topo)
         for i in range(3):
             net.add_vm(i, tenant_id=1, server=i)
         metrics = MetricsCollector()
         # Two senders converge on VM 2 to build a standing queue.
-        flows = [net.transport(0, 2), net.transport(1, 2)]
+        flows = [net.transport(src, 2,
+                               transport_class=mech.transport_class())
+                 for src in (0, 1)]
         for f in flows:
             record = metrics.new_message(1, f.src_vm, 2, units.MB, 0.0)
             f.send_message(record)
@@ -148,21 +164,21 @@ class TestDctcp:
         assert marks > 0
 
     def test_dctcp_keeps_queues_below_tcp(self):
-        def max_queue(scheme):
+        def max_queue(mechanism):
             topo = TreeTopology(n_pods=1, racks_per_pod=1,
                                 servers_per_rack=3, slots_per_server=4,
                                 link_rate=units.gbps(1))
-            net = PacketNetwork(topo, scheme=scheme,
-                                dctcp_threshold=15 * units.KB)
+            mech, net = shallow_network(mechanism, topo)
             for i in range(3):
                 net.add_vm(i, tenant_id=1, server=i)
             metrics = MetricsCollector()
             for src in (0, 1):
-                flow = net.transport(src, 2)
+                flow = net.transport(
+                    src, 2, transport_class=mech.transport_class())
                 flow.send_message(
                     metrics.new_message(1, src, 2, units.MB, 0.0))
             net.sim.run(until=0.1)
             return max(p.stats.max_queue_bytes
                        for p in net.ports.values())
 
-        assert max_queue("dctcp") < max_queue("tcp")
+        assert max_queue("dctcp") < max_queue("none")

@@ -45,8 +45,8 @@ def request(tenant_id=0, n_vms=4, bandwidth=units.gbps(0.25),
 
 def audited_manager(topo=None, tracer=None):
     audit = AdmissionAudit()
-    manager = SiloPlacementManager(topo or make_topo(), audit=audit,
-                                   tracer=tracer)
+    manager = SiloPlacementManager(topo or make_topo())
+    manager.audit, manager.tracer = audit, tracer
     return manager, audit
 
 

@@ -1,7 +1,5 @@
 """Directed sender->receiver port paths for incast placements."""
 
-import pytest
-
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import TenantClass, TenantRequest
@@ -69,19 +67,6 @@ class TestIncastPaths:
         tor_down = [name for name in fan_in if "tor-down" in name]
         assert len(tor_down) == 1
         assert fan_in[tor_down[0]] == len(remote)
-
-    def test_receiver_index_selects_receiver(self):
-        topo = make_topo()
-        placement = place(topo, n_vms=8)
-        paths = incast_paths(topo, placement, receiver_index=3)
-        assert paths.receiver_vm == 3
-        assert len(paths.senders) == 7
-
-    def test_receiver_index_out_of_range(self):
-        topo = make_topo()
-        placement = place(topo, n_vms=4)
-        with pytest.raises(ValueError, match="receiver_index"):
-            incast_paths(topo, placement, receiver_index=4)
 
 
 class TestPortNames:

@@ -73,6 +73,21 @@ class TestPace:
         assert "pacing error" in out
 
 
+    def test_pace_checks_the_schedule_against_its_arrival_curve(
+            self, capsys, monkeypatch):
+        """The verdict is printed, and a pacer that over-bursts (every
+        packet stamped for t=0) exits 1."""
+        assert main(["pace", "--rate-gbps", "2", "--packets", "50"]) == 0
+        assert "conformance: 50 stamps obey" in capsys.readouterr().out
+        from repro.pacer import VMPacer
+        monkeypatch.setattr(VMPacer, "stamp",
+                            lambda self, destination, size, now: 0.0)
+        assert main(["pace", "--rate-gbps", "2", "--packets", "50"]) == 1
+        out = capsys.readouterr().out
+        assert "conformance: VIOLATED" in out
+        assert "75000 bytes sent, 1500 allowed" in out
+
+
 class TestChurn:
     def test_churn_runs_three_policies(self, capsys):
         code = main(["churn", "--pods", "1", "--racks-per-pod", "2",
@@ -568,6 +583,35 @@ class TestSpecErrorContract:
                    ["campaign", "--name", "no-such-sweep",
                     "--out", str(tmp_path / "c")],
                    "--name", "no-such-sweep")
+
+    @pytest.mark.parametrize("argv", [
+        ["admit", "--vms", "4"],
+        ["bounds"],
+        ["trace", "--duration-ms", "2"],
+        ["whatif", "--model", "campaigns/whatif-error/model.json"],
+    ], ids=lambda argv: argv[0])
+    def test_bmax_below_bandwidth(self, capsys, argv):
+        """An infeasible guarantee used to be a bare ValueError
+        traceback (``admit``) or a failed campaign cell (``trace``)."""
+        self.check(capsys,
+                   [*argv, "--bandwidth-mbps", "2000", "--bmax-gbps", "1"],
+                   "guarantee", "--bandwidth-mbps 2000", "--bmax-gbps 1",
+                   "Bmax must be at least the bandwidth")
+
+    def test_hybrid_rejects_a_negative_bandwidth(self, capsys):
+        self.check(capsys, ["hybrid", *SMALL_TOPO, "--bandwidth-mbps", "-5"],
+                   "guarantee", "--bandwidth-mbps -5", "must be positive")
+
+    def test_hybrid_bmax_follows_a_multi_gigabit_foreground(self, capsys):
+        """``hybrid`` has no ``--bmax-gbps``: the cell used to hard-code
+        1 Gbps, so any foreground above that died inside its cell."""
+        code = main(["hybrid", *SMALL_TOPO, "--fg-vms", "6", "--horizon",
+                     "1", "--bandwidth-mbps", "2000", "--seed", "11"])
+        captured = capsys.readouterr()
+        assert code in (0, 1)
+        assert "window: offset=" in captured.out
+        assert "Traceback" not in captured.err
+        assert "FAILED" not in captured.err
 
     def test_no_traceback_on_stderr_via_subprocess(self, tmp_path):
         env = dict(os.environ, PYTHONPATH="src")

@@ -31,11 +31,6 @@ class TestExamples:
         assert "67.2 ns" in out
         assert "void" in out
 
-    def test_guarantee_inference(self):
-        out = run_example("guarantee_inference.py", timeout=300.0)
-        assert "inferred guarantee" in out
-        assert "ACCEPTED" in out
-
     def test_campaign_sweep(self):
         out = run_example("campaign_sweep.py", timeout=300.0)
         assert out.count("byte-identical") == 2

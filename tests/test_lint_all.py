@@ -17,15 +17,22 @@ path that the documentation, CI or a source comment names must exist.
 The fourth keeps the package honest: every module under ``src/repro``
 is reached, by imports, from something a user can run.
 
-The last keeps one copy of the hose-cut geometry: only
+The fifth keeps one copy of the hose-cut geometry: only
 ``topology/tree.py`` walks rack and pod uplinks to say which ports a
 tenant's traffic crosses.
+
+The last two keep the tree closed one level down: every defaulted
+parameter under ``src/repro`` is set by something a user can run, and
+nothing a build, test run or editor leaves behind is tracked.
 """
 
 import ast
 import importlib
 import re
+import subprocess
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -304,3 +311,271 @@ def test_one_hose_cut_walk():
         + "\n".join(unexpected))
     stale = sorted(set(UPLINK_CALLERS_ALLOWED) - callers)
     assert not stale, f"allow-listed but no longer a caller: {stale}"
+
+
+# -- options: every defaulted parameter is set by something that ships -------
+
+#: Where a call counts: the package itself and everything a user runs.
+OPTION_CALLER_TREES = ("src/repro", "benchmarks", "examples", "perf")
+
+#: Defaulted parameters no shipped call passes, each with the reason it
+#: is not (yet) the module constant it defaults to.
+OPTIONS_ALLOWED = {
+    # The paper's own knobs.
+    "placement/base.py:PlacementManager.__init__(min_fault_domains)":
+        "section 4.2.3's fault-tolerance constraint",
+    "pacer/cpu_model.py:PacerCpuModel.__init__(base_cores)":
+        "Fig. 10 calibration weight",
+    "pacer/cpu_model.py:PacerCpuModel.__init__(data_weight)":
+        "Fig. 10 calibration weight",
+    "pacer/cpu_model.py:PacerCpuModel.__init__(void_weight)":
+        "Fig. 10 calibration weight",
+    "pacer/cpu_model.py:PacerCpuModel.__init__(alpha)":
+        "Fig. 10 calibration weight",
+    "pacer/cpu_model.py:PacerCpuModel.__init__(scale)":
+        "Fig. 10 calibration weight",
+    "pacer/cpu_model.py:PacerCpuModel.sample_rate_limit(packet_size)":
+        "Fig. 10's x-axis is swept at one MTU; tests sweep the frame size",
+    "pacer/cpu_model.py:PacerCpuModel.sample_rate_limit(duration)":
+        "the averaging window of one Fig. 10 operating point",
+    "pacer/cpu_model.py:PacerCpuModel.baseline_no_pacing(packet_size)":
+        "same frame-size axis as sample_rate_limit",
+    # The paper's L (one maximum-size packet) in the curve arithmetic:
+    # shipped callers run at one MTU, the netcalc/pacer unit tests at
+    # round numbers that keep the expected values readable.
+    "netcalc/arrival.py:dual_rate(packet_size)": "the paper's L, Fig. 6a",
+    "netcalc/service.py:store_and_forward(packet_size)": "the paper's L",
+    "pacer/hierarchy.py:PacerConfig.from_guarantee(packet_size)":
+        "the paper's L, Fig. 8's bottom bucket",
+    "pacer/void_packets.py:void_gap_for_rate(packet_size)":
+        "the paper's L in section 5's void-gap arithmetic",
+    # Seams the test suite drives the shipped code through.
+    "cli.py:main(argv)":
+        "`python -m repro` reads sys.argv; tests/test_cli.py passes argv",
+    "phynet/network.py:PacketNetwork.__init__(sim)":
+        "tests inject the seed engine oracle (tests/oracles/seed_engine.py)",
+    "phynet/network.py:PacketNetwork.__init__(prop_delay)":
+        "per-hop propagation delay of the modelled cabling; ISSUE 24 "
+        "keeps it on the constructor",
+    "flowsim/sim.py:ClusterSim.__init__(controller)":
+        "tests/faults hands in a pre-armed controller to pin its policy",
+    "campaign/spec.py:SweepSpec.restrict(seeds)":
+        "tests/test_campaign.py shrinks registered sweeps to micro-grids",
+    "service/server.py:AdmissionService.submit_admission(deadline)":
+        "tests/service orders the queue by explicit deadlines; the load "
+        "generator takes the service's timeout",
+    "phynet/port.py:OutputPort.__init__(ecn_threshold)":
+        "a Mechanism sets it on the ports it builds; tests/phynet build "
+        "one bare marking port",
+    "phynet/port.py:OutputPort.__init__(phantom_drain)":
+        "as ecn_threshold",
+    "phynet/port.py:OutputPort.__init__(phantom_threshold)":
+        "as ecn_threshold",
+    "placement/state.py:PortState.aggregate_curve(extra)":
+        "the candidate-probe form admits() inlines; the Curve-built "
+        "oracle tests compare the two",
+    "placement/state.py:PortState.queue_bound(extra)":
+        "as aggregate_curve",
+    "placement/state.py:PortState.backlog(extra)": "as aggregate_curve",
+    # Observability surface: what a trace consumer may ask for.
+    "netcalc/trace.py:conforms(tolerance)":
+        "slack for traces with event-granular timestamps (one packet in "
+        "tests/netcalc/test_trace.py); `repro pace` needs none",
+    "obs/sink.py:RingBufferSink.__init__(capacity)":
+        "how many events an untraced run keeps; tests shrink it to force "
+        "wrap-around",
+    "obs/timeseries.py:TimeSeries.__init__(seed)":
+        "reservoir-sampling seed, varied by tests/obs/test_timeseries.py",
+    "flowsim/sim.py:ClusterSim.monitor_utilization(reservoir_size)":
+        "raw-sample reservoir of the obs TimeSeries; no command asks for "
+        "raw samples yet",
+    "phynet/network.py:PacketNetwork.monitor_queues(reservoir_size)":
+        "as monitor_utilization",
+    "pacer/hierarchy.py:VMPacer.__init__(source)":
+        "labels this pacer in pacer.stamp events when several are traced",
+    "pacer/void_packets.py:VoidScheduler.__init__(source)":
+        "labels this NIC in pacer.void events",
+    "phynet/oldi.py:PartitionAggregateApp.__init__(transport_class)":
+        "the apps' common mechanism seam (Mechanism.transport_class); "
+        "examples/web_search_oldi.py runs plain TCP",
+}
+
+
+def _decorator_names(node):
+    """The bare names a def is decorated with (``@scenario("x")`` ->
+    ``scenario``)."""
+    names = set()
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if isinstance(decorator, ast.Name):
+            names.add(decorator.id)
+        elif isinstance(decorator, ast.Attribute):
+            names.add(decorator.attr)
+    return names
+
+
+def defaulted_parameters(src=SRC):
+    """Every defaulted parameter of a module-level function or a method
+    of a module-level class under ``src``, as ``(key, callee names,
+    parameter, positional index or None, positional capacity or None,
+    is a scenario)``.
+
+    A constructor is called by its class's name -- and by the name of
+    every subclass that inherits it without overriding ``__init__``.
+    """
+    trees = {source: ast.parse(source.read_text(encoding="utf-8"))
+             for source in sorted(src.rglob("*.py"))}
+    classes = [node for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)]
+    own_init = {cls.name for cls in classes
+                if any(isinstance(n, ast.FunctionDef)
+                       and n.name == "__init__" for n in cls.body)}
+
+    def constructed_as(name):
+        names, frontier = {name}, [name]
+        while frontier:
+            base = frontier.pop()
+            for cls in classes:
+                if (cls.name not in names and cls.name not in own_init
+                        and any(isinstance(b, ast.Name) and b.id == base
+                                for b in cls.bases)):
+                    names.add(cls.name)
+                    frontier.append(cls.name)
+        return names
+
+    for source, tree in trees.items():
+        rel = source.relative_to(src).as_posix()
+        scopes = [(None, tree.body)] + [
+            (node.name, node.body) for node in tree.body
+            if isinstance(node, ast.ClassDef)]
+        for cls, body in scopes:
+            for node in body:
+                if not isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                decorators = _decorator_names(node)
+                bound = cls is not None and "staticmethod" not in decorators
+                positional = (node.args.posonlyargs + node.args.args)[bound:]
+                callees = (constructed_as(cls) if node.name == "__init__"
+                           else {node.name})
+                qualname = f"{cls}.{node.name}" if cls else node.name
+                capacity = None if node.args.vararg else len(positional)
+                first = len(positional) - len(node.args.defaults)
+                params = [(arg.arg, index)
+                          for index, arg in enumerate(positional)
+                          if index >= first]
+                params += [(arg.arg, None) for arg, default
+                           in zip(node.args.kwonlyargs,
+                                  node.args.kw_defaults)
+                           if default is not None]
+                for param, index in params:
+                    yield (f"{rel}:{qualname}({param})", callees, param,
+                           index, capacity, "scenario" in decorators)
+
+
+def shipped_calls(repo=REPO):
+    """``({callee name: [(positional count or None, keywords)]},
+    splat keys)`` over every call outside ``tests/``.
+
+    The callee is the call's terminal name (``a.b.f(...)`` -> ``f``); a
+    ``*args`` call has no positional count.  A ``**mapping`` argument is
+    opaque to the AST (it shows as the keyword ``None``), so the string
+    keys of every dict literal, ``dict(...)`` call and ``d["k"] = ...``
+    store are collected as the keywords a splat may carry.
+    """
+    calls, splat_keys = {}, set()
+    for tree_name in OPTION_CALLER_TREES:
+        for source in sorted((repo / tree_name).rglob("*.py")):
+            tree = ast.parse(source.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Dict):
+                    splat_keys.update(
+                        key.value for key in node.keys
+                        if isinstance(key, ast.Constant)
+                        and isinstance(key.value, str))
+                elif (isinstance(node, ast.Subscript)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.slice, ast.Constant)
+                        and isinstance(node.slice.value, str)):
+                    splat_keys.add(node.slice.value)
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute)
+                        else None)
+                keywords = {keyword.arg for keyword in node.keywords}
+                if name == "dict":
+                    splat_keys.update(keywords - {None})
+                n_positional = (
+                    None if any(isinstance(arg, ast.Starred)
+                                for arg in node.args) else len(node.args))
+                calls.setdefault(name, []).append((n_positional, keywords))
+    return calls, splat_keys
+
+
+def uncalled_options(src=SRC, repo=REPO):
+    """Keys of the defaulted parameters no shipped call passes.
+
+    A call passes a parameter by keyword, or by position when it has
+    more positional arguments than the parameter's index (and no more
+    than the function takes: ``sim.schedule(delay, fn, arg)`` is not a
+    call to a two-argument ``schedule``).  A scenario's parameters
+    arrive through the campaign runner's ``fn(**params)``, so for
+    scenarios -- and any callee that is called with a ``**`` splat --
+    a splat key of the parameter's name counts.
+    """
+    calls, splat_keys = shipped_calls(repo)
+    uncalled = []
+    for key, callees, param, index, capacity, splatted in (
+            defaulted_parameters(src)):
+        passed = False
+        for callee in callees:
+            for n_positional, keywords in calls.get(callee, ()):
+                splatted = splatted or None in keywords
+                if param in keywords:
+                    passed = True
+                elif index is None:
+                    continue
+                elif n_positional is None:
+                    passed = True
+                elif index < n_positional and (capacity is None
+                                               or n_positional <= capacity):
+                    passed = True
+        if not passed and not (splatted and param in splat_keys):
+            uncalled.append(key)
+    return uncalled
+
+
+def test_every_option_has_a_caller():
+    """A parameter with a default that nothing shipped ever overrides is
+    a constant with extra steps (and one more independently settable
+    value to reason about): make it the module constant it defaults to,
+    or say in ``OPTIONS_ALLOWED`` why it stays."""
+    uncalled = uncalled_options()
+    unexpected = [key for key in uncalled if key not in OPTIONS_ALLOWED]
+    assert not unexpected, (
+        "defaulted parameters no call outside tests/ passes (make them "
+        "module constants, or allow-list them with a reason):\n"
+        + "\n".join(unexpected))
+    stale = sorted(set(OPTIONS_ALLOWED) - set(uncalled))
+    assert not stale, f"allow-listed but passed (or gone): {stale}"
+
+
+#: What building, testing and editing leave behind.
+GENERATED = re.compile(r"(^|/)([^/]+\.egg-info|__pycache__|\.hypothesis"
+                       r"|\.pytest_cache)(/|$)|\.pyc$")
+
+
+def test_no_generated_files_are_tracked():
+    """``git ls-files`` holds sources, not build or test-run leftovers."""
+    if not (REPO / ".git").exists():
+        pytest.skip("not a git checkout")
+    tracked = subprocess.run(
+        ["git", "ls-files"], cwd=REPO, capture_output=True, text=True,
+        check=True).stdout.splitlines()
+    generated = [path for path in tracked if GENERATED.search(path)]
+    assert not generated, (
+        "generated files are tracked (git rm --cached them and list the "
+        "pattern in .gitignore):\n" + "\n".join(generated))

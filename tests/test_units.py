@@ -14,12 +14,8 @@ class TestRates:
         assert units.to_mbps(units.mbps(250)) == pytest.approx(250.0)
         assert units.mbps(250) == pytest.approx(31.25e6)
 
-    def test_kbps(self):
-        assert units.kbps(8) == pytest.approx(1000.0)
-
     def test_bits_bytes(self):
         assert units.bits(100) == 800
-        assert units.bytes_from_bits(800) == 100
 
 
 class TestTimes:
@@ -36,9 +32,3 @@ class TestConstants:
         assert units.MIN_WIRE_FRAME / units.gbps(10) == pytest.approx(
             67.2e-9)
         assert units.MTU == 1500
-
-    def test_transmission_delay(self):
-        assert units.transmission_delay(1.25e9, units.gbps(10)) == (
-            pytest.approx(1.0))
-        with pytest.raises(ValueError):
-            units.transmission_delay(100.0, 0.0)

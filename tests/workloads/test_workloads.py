@@ -105,10 +105,6 @@ class TestPatterns:
         pairs = all_to_one_pairs([10, 11, 12, 13])
         assert pairs == [(11, 10), (12, 10), (13, 10)]
 
-    def test_all_to_one_alternate_receiver(self):
-        pairs = all_to_one_pairs([10, 11, 12], receiver_index=2)
-        assert pairs == [(10, 12), (11, 12)]
-
     def test_all_to_all(self):
         pairs = all_to_all_pairs([1, 2, 3])
         assert len(pairs) == 6
