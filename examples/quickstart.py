@@ -3,21 +3,23 @@
 
 This walks the three steps a Silo deployment performs:
 
-1. describe the datacenter and stand up the controller;
+1. describe the datacenter and stand up the placement manager;
 2. admit a tenant with {bandwidth, burst, delay} guarantees -- the
    placement manager finds servers whose switch queues can absorb it;
-3. ask for the tenant-visible message-latency bound, then *check it* by
-   simulating the tenant's worst-case traffic at packet level.
+3. compute the tenant-visible message-latency bound from the guarantee
+   alone, then *check it* by simulating the tenant's worst-case traffic
+   at packet level.
 
 Run:  python examples/quickstart.py
 """
 
 import random
 
-from repro import NetworkGuarantee, SiloController, TenantClass, TenantRequest
+from repro import NetworkGuarantee, TenantClass, TenantRequest
 from repro import units
 from repro.phynet import MetricsCollector, PacketNetwork
 from repro.phynet.apps import EpochBurstApp
+from repro.placement import SiloPlacementManager
 from repro.topology import TreeTopology
 from repro.workloads import Fixed
 
@@ -29,7 +31,7 @@ def main() -> None:
                             slots_per_server=4,
                             link_rate=units.gbps(10),
                             buffer_bytes=312 * units.KB)
-    silo = SiloController(topology)
+    manager = SiloPlacementManager(topology)
     print(f"datacenter: {topology}")
 
     # 2. A tenant that needs predictable small-message latency: 8 VMs,
@@ -42,23 +44,23 @@ def main() -> None:
                                    delay=units.msec(1),
                                    peak_rate=units.gbps(1)),
         tenant_class=TenantClass.CLASS_A)
-    admitted = silo.admit(request)
-    if admitted is None:
+    placement = manager.place(request)
+    if placement is None:
         raise SystemExit("tenant rejected -- should not happen here")
     print(f"admitted {request.name} on servers "
-          f"{sorted(set(admitted.placement.vm_servers))}")
+          f"{sorted(set(placement.vm_servers))}")
 
     # 3. The tenant can now bound its own message latency, with no
     #    knowledge of other tenants (section 4.1).
     message = 15 * units.KB
-    bound = silo.message_latency_bound(request.tenant_id, message)
+    bound = request.guarantee.message_latency_bound(message)
     print(f"guaranteed latency for a {message / 1000:.0f} KB message: "
           f"{units.to_msec(bound):.3f} ms")
 
     # Verify on the simulated wire: all 7 workers burst a full message to
     # the aggregator every 2 ms -- the worst case the guarantee covers.
     net = PacketNetwork(topology)
-    for vm, server in enumerate(admitted.placement.vm_servers):
+    for vm, server in enumerate(placement.vm_servers):
         net.add_vm(vm, request.tenant_id, server,
                    guarantee=request.guarantee, paced=True)
     metrics = MetricsCollector()

@@ -28,13 +28,14 @@ This package re-implements the full system in Python:
 ``repro.analysis``
     Percentiles, CDFs, outlier classification and report helpers.
 ``repro.core``
-    The tenant-facing API: guarantees, requests, latency estimates, and the
-    :class:`~repro.core.silo.SiloController` facade tying it all together.
+    The tenant-facing API: guarantees, requests and latency estimates,
+    plus the event engine both simulators run on.  A tenant is admitted
+    by :class:`repro.placement.SiloPlacementManager` and bounds its own
+    message latency from its guarantee alone.
 """
 
 from repro.core.guarantees import NetworkGuarantee, message_latency_bound
 from repro.core.tenant import TenantClass, TenantRequest
-from repro.core.silo import SiloController
 
 __version__ = "1.0.0"
 
@@ -43,6 +44,5 @@ __all__ = [
     "message_latency_bound",
     "TenantClass",
     "TenantRequest",
-    "SiloController",
     "__version__",
 ]

@@ -55,6 +55,7 @@ from repro.netcalc.concat import end_to_end_delay_bound
 from repro.netcalc.service import store_and_forward
 from repro.obs.traces import TraceArtifacts, port_kind_of
 from repro.placement.paths import IncastPaths, incast_paths
+from repro.topology.switch import VSWITCH_DELAY
 from repro.topology.tree import TreeTopology
 
 __all__ = [
@@ -123,11 +124,6 @@ class HopSamples:
     def __post_init__(self) -> None:
         if len(self.delays) != len(self.weights):
             raise ValueError("need one weight per delay sample")
-
-    @property
-    def total_weight(self) -> float:
-        """Sum of the sample weights."""
-        return sum(self.weights)
 
 
 @dataclass(frozen=True)
@@ -339,7 +335,7 @@ class WhatIfModel:
                         for port in longest]
             queueing = end_to_end_delay_bound(arrival, services)
         bound = (message_bytes / guarantee.effective_peak_rate
-                 + queueing + 2 * _vswitch_delay())
+                 + queueing + 2 * VSWITCH_DELAY)
         if guarantee.wants_delay:
             bound = min(bound,
                         guarantee.message_latency_bound(message_bytes))
@@ -401,17 +397,6 @@ class WhatIfModel:
         return cls.from_dict(data)
 
 
-def _vswitch_delay() -> float:
-    """The simulator's hypervisor vswitch hop delay (seconds).
-
-    Imported lazily: :mod:`repro.phynet` itself imports from
-    :mod:`repro.analysis`, so a module-level import here would be
-    circular.
-    """
-    from repro.phynet.network import VSWITCH_DELAY
-    return VSWITCH_DELAY
-
-
 def _base_latency(guarantee: NetworkGuarantee, message_bytes: float,
                   ports: Sequence) -> float:
     """Contention-free latency of one message along one sender path.
@@ -421,7 +406,7 @@ def _base_latency(guarantee: NetworkGuarantee, message_bytes: float,
     receiving hypervisor vswitch hops.
     """
     base = (message_bytes / guarantee.effective_peak_rate
-            + 2 * _vswitch_delay())
+            + 2 * VSWITCH_DELAY)
     for port in ports:
         base += units.MTU / port.capacity
     return base

@@ -828,17 +828,18 @@ def _cli_guarantee(bandwidth_mbps: float, burst_kb: float,
 
 def _class_a_placements(topo, guarantee: NetworkGuarantee, class_a: int,
                         vms: int) -> List[Placement]:
-    """Replay a traced run's class-A admissions on a fresh controller
-    and return the admitted placements, in admission order."""
-    from repro.core.silo import SiloController
-    silo = SiloController(topo)
+    """Replay a traced run's class-A admissions on a fresh Silo
+    placement manager and return the admitted placements, in admission
+    order."""
+    from repro.placement import SiloPlacementManager
+    manager = SiloPlacementManager(topo)
     placements = []
     for _ in range(class_a):
-        admitted = silo.admit(TenantRequest(
+        placement = manager.place(TenantRequest(
             n_vms=vms, guarantee=guarantee,
             tenant_class=TenantClass.CLASS_A))
-        if admitted is not None:
-            placements.append(admitted.placement)
+        if placement is not None:
+            placements.append(placement)
     return placements
 
 
@@ -913,7 +914,7 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
 
     Class-A tenants run synchronized all-to-one epoch bursts, class-B
     tenants run bulk transfers.  Admission and placement always go
-    through the Silo controller (the contract being traced), but the
+    through Silo's placement manager (the contract being traced), but the
     data path -- port configuration, hypervisor pacing, transports, control
     loops -- is built through the named
     :class:`~repro.mechanisms.base.Mechanism`, so the same traced
@@ -923,12 +924,12 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
     per-request admission CSVs; without one the events go to a ring
     buffer and only their count is reported.
     """
-    from repro.core.silo import SiloController
     from repro.mechanisms import get_mechanism
     from repro.obs import JsonlSink, RingBufferSink
     from repro.obs.traces import QUEUE_COLUMNS
     from repro.phynet.apps import BulkApp, EpochBurstApp
     from repro.phynet.metrics import MetricsCollector
+    from repro.placement import SiloPlacementManager
     from repro.placement.audit import AdmissionAudit
     from repro.workloads.distributions import Fixed
 
@@ -940,10 +941,10 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
     else:
         sink = RingBufferSink()
     mech = get_mechanism(mechanism)
-    silo = SiloController(topo)
+    manager = SiloPlacementManager(topo)
     audit = AdmissionAudit()
-    silo.placement_manager.audit = audit
-    silo.placement_manager.tracer = sink
+    manager.audit = audit
+    manager.tracer = sink
     net = mech.build_network(topo, tracer=sink)
     queue_series = net.monitor_queues(
         interval=queue_interval_us * units.MICROS)
@@ -958,14 +959,13 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
         nonlocal next_vm
         request = TenantRequest(n_vms=vms, guarantee=guarantee,
                                 tenant_class=tenant_class)
-        admitted = silo.admit(request)
-        if admitted is None:
+        placement = manager.place(request)
+        if placement is None:
             return None
-        vm_ids = mech.attach(net, admitted.tenant_id,
-                             admitted.placement.vm_servers, guarantee,
-                             next_vm)
+        vm_ids = mech.attach(net, request.tenant_id, placement.vm_servers,
+                             guarantee, next_vm)
         next_vm += len(vm_ids)
-        return admitted.tenant_id, vm_ids
+        return request.tenant_id, vm_ids
 
     transport_class = mech.transport_class()
     guarantee = _cli_guarantee(bandwidth_mbps, burst_kb, delay_us,

@@ -76,8 +76,8 @@ from repro.campaign.scenarios import (POLICY_MANAGERS, _class_a_placements,
                                       _cli_guarantee, _cli_topology,
                                       _hybrid_guarantee, write_csv)
 from repro.core.guarantees import NetworkGuarantee
-from repro.core.silo import SiloController
 from repro.core.tenant import TenantClass, TenantRequest
+from repro.placement import SiloPlacementManager
 
 #: The topology flags and their defaults, keyed by ``dest`` name = the
 #: scenarios' topology parameter name = :func:`_cli_topology`'s argument.
@@ -278,28 +278,29 @@ def _run_sweep(args: argparse.Namespace, name: str, scenario: str,
 
 def cmd_admit(args: argparse.Namespace) -> int:
     """Admission-control one tenant spec and print its placement."""
-    silo = SiloController(_topology(args))
+    manager = SiloPlacementManager(_topology(args))
     request = TenantRequest(
         n_vms=args.vms, guarantee=_guarantee(args),
         tenant_class=(TenantClass.CLASS_A if args.delay_us is not None
                       else TenantClass.CLASS_B))
-    admitted = silo.admit(request)
-    if admitted is None:
+    placement = manager.place(request)
+    if placement is None:
         print("REJECTED: the guarantees cannot be met on this topology")
         return 1
-    counts = admitted.placement.vms_per_server()
+    counts = placement.vms_per_server()
     print(f"ADMITTED {request.n_vms} VMs across "
           f"{len(counts)} servers: "
           + ", ".join(f"server {s}: {c} VM(s)"
                       for s, c in sorted(counts.items())))
     if request.wants_delay:
         for size_kb in (1, 15, 100, 1000):
-            bound = silo.message_latency_bound(request.tenant_id,
-                                               size_kb * units.KB)
+            bound = request.guarantee.message_latency_bound(
+                size_kb * units.KB)
             print(f"  {size_kb:5d} KB message latency bound: "
                   f"{units.to_msec(bound):8.3f} ms")
-    print(f"  worst switch queue bound now: "
-          f"{units.to_usec(silo.worst_queue_bound()):.1f} us")
+    worst = max((state.queue_bound() for state in manager.states.values()),
+                default=0.0)
+    print(f"  worst switch queue bound now: {units.to_usec(worst):.1f} us")
     return 0
 
 
@@ -607,24 +608,23 @@ def cmd_whatif(args: argparse.Namespace) -> int:
 
     topology = _topology(args)
     guarantee = _guarantee(args)
-    silo = SiloController(topology)
+    manager = SiloPlacementManager(topology)
     message_bytes = args.message_kb * units.KB
     scored = []
     start = time.perf_counter()
     for _ in range(args.class_a):
         request = TenantRequest(n_vms=args.vms, guarantee=guarantee,
                                 tenant_class=TenantClass.CLASS_A)
-        admitted = silo.admit(request)
-        if admitted is None:
+        placement = manager.place(request)
+        if placement is None:
             print(f"tenant {request.tenant_id}: REJECTED (guarantees "
                   f"cannot be met on this topology)")
             continue
-        estimate = model.estimate(topology, admitted.placement,
-                                  message_bytes)
-        scored.append((request, admitted, estimate))
+        estimate = model.estimate(topology, placement, message_bytes)
+        scored.append((request, placement, estimate))
     elapsed = time.perf_counter() - start
-    for request, admitted, estimate in scored:
-        servers = len(admitted.placement.vms_per_server())
+    for request, placement, estimate in scored:
+        servers = len(placement.vms_per_server())
         quantiles = " ".join(
             f"{quantile_label(q)}="
             f"{units.to_usec(estimate.quantiles[q]):.1f}us"

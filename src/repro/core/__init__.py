@@ -1,14 +1,14 @@
 """Tenant-facing API plus the shared event core.
 
-Guarantees, requests and the Silo controller (tenant-facing), and the
+Guarantees and requests (tenant-facing), and the
 :class:`~repro.core.engine.EventEngine` both simulator fidelities run
-on.
+on.  Admission lives in :mod:`repro.placement`; this package imports
+nothing above :mod:`repro.units`.
 """
 
 from repro.core.engine import EventEngine
 from repro.core.guarantees import NetworkGuarantee, message_latency_bound
 from repro.core.tenant import TenantClass, TenantRequest, Placement
-from repro.core.silo import SiloController
 
 __all__ = [
     "EventEngine",
@@ -17,5 +17,4 @@ __all__ = [
     "TenantClass",
     "TenantRequest",
     "Placement",
-    "SiloController",
 ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.guarantees import NetworkGuarantee
 
@@ -99,8 +99,3 @@ class Placement:
         for server in self.vm_servers:
             counts[server] = counts.get(server, 0) + 1
         return counts
-
-    def server_pairs(self) -> List[Tuple[int, int]]:
-        """Distinct ordered server pairs with tenant traffic between them."""
-        servers = sorted(self.vms_per_server())
-        return [(a, b) for a in servers for b in servers if a != b]

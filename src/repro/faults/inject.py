@@ -30,10 +30,11 @@ class NetworkFaultInjector:
     """Replays a :class:`FaultSchedule` against a ``PacketNetwork``.
 
     Construct it *before* running the simulation: every event is
-    pre-scheduled on the network's event loop at construction time.
-    Events earlier than the simulator's current time are applied on the
-    loop's next dispatch (the engine clamps to ``now``), so attaching an
-    injector mid-run is safe but loses the pre-fault history.
+    pre-scheduled on the network's event loop at construction time, and
+    :meth:`~repro.core.engine.EventEngine.schedule_at` raises
+    ``ValueError`` for an event earlier than the loop's current time, so
+    an injector cannot be attached to a run already past its schedule's
+    first event.
     """
 
     def __init__(self, network, schedule: FaultSchedule):

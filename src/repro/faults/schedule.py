@@ -3,7 +3,7 @@
 A :class:`FaultSchedule` is an immutable, time-sorted list of
 :class:`~repro.faults.model.FaultEvent` built one of three ways:
 
-* **fixed** -- :meth:`FaultSchedule.from_events` with explicit events;
+* **fixed** -- ``FaultSchedule(events)`` over explicit events;
 * **Poisson MTBF/MTTR** -- :meth:`FaultSchedule.poisson`: a cluster-wide
   failure process (inter-fault gaps exponential around the MTBF), each
   fault hitting a uniformly chosen component of the requested kinds and
@@ -89,11 +89,6 @@ class FaultSchedule:
         return FaultClock(self)
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def from_events(cls, events: Iterable[FaultEvent]) -> "FaultSchedule":
-        """A schedule over an explicit event iterable."""
-        return cls(events)
 
     @classmethod
     def poisson(cls, topology: TreeTopology, mtbf: float, mttr: float,

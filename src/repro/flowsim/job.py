@@ -87,10 +87,6 @@ class TenantJob:
         """Whether every flow of the job has finished."""
         return all(flow.done for flow in self.flows)
 
-    def total_bytes(self) -> float:
-        """Bytes still to deliver across the job's flows."""
-        return sum(f.remaining for f in self.flows)
-
     @property
     def duration(self) -> Optional[float]:
         """Arrival-to-finish duration, or None while running."""

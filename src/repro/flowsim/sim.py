@@ -47,6 +47,7 @@ from repro.flowsim.job import _DONE_EPS, FlowState, TenantJob
 from repro.flowsim.workload import TenantArrival, TenantWorkload
 from repro.maxmin import IncrementalMaxMin
 from repro.obs.events import FaultInjected, FlowFinish, FlowStart
+from repro.obs.timeseries import TimeSeries
 from repro.pacer.eyeq import allocate_hose_rates
 from repro.placement.base import PlacementManager
 from repro.placement.controller import OUTCOME_EVICTED, ClusterController
@@ -186,24 +187,22 @@ class ClusterSim:
                             reservoir_size: int = 0):
         """Attach a :class:`repro.obs.TimeSeries` sampling aggregate link
         utilization (carried rate over total capacity) and return it."""
-        from repro.obs import TimeSeries
         self.utilization_series = TimeSeries(
             name="utilization", interval=interval,
             reservoir_size=reservoir_size)
         return self.utilization_series
 
-    def monitor_port_usage(self, ports):
-        """Attach a per-port used-rate recorder over ``ports`` and return it.
+    def monitor_port_usage(self, recorder) -> None:
+        """Feed every actual flow rate change to ``recorder``.
 
-        Records a ``(time, used_rate)`` breakpoint on every actual rate
-        change touching a watched port -- the residual-capacity feed of
-        the hybrid-fidelity simulation (see :mod:`repro.hybrid`).  Watch
-        only the ports you need: the hot-path cost is one membership
-        test per watched-flow rate change, and zero when detached.
+        ``recorder.record(links, old_rate, new_rate, now)`` is called
+        once per change -- the residual-capacity feed of the
+        hybrid-fidelity simulation, which hands in a
+        :class:`repro.hybrid.recorder.PortUsageRecorder` over the ports
+        it watches.  Detached, the hot paths pay one ``is None`` test
+        per rate change.
         """
-        from repro.hybrid.recorder import PortUsageRecorder
-        self._port_usage = PortUsageRecorder(ports)
-        return self._port_usage
+        self._port_usage = recorder
 
     @property
     def tracer(self):

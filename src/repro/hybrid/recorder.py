@@ -8,7 +8,9 @@ its event model -- so the recorder simply folds those deltas into a
 per-port running sum and appends a ``(time, used_rate)`` breakpoint
 whenever the sum moves.
 
-Attach via :meth:`repro.flowsim.sim.ClusterSim.monitor_port_usage`.
+:class:`repro.hybrid.sim.HybridSim` builds one over the foreground's
+ports and hands it to
+:meth:`repro.flowsim.sim.ClusterSim.monitor_port_usage`.
 The hot-path contract matches the rest of ``obs/``: detached costs one
 ``is None`` test per actual rate change; attached costs one frozenset
 membership test per (watched candidate) port per change, and nothing at

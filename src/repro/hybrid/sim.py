@@ -13,17 +13,19 @@ property:
    background admission for the whole run, exactly as on a real
    cluster.
 2. **Fluid background.**  A :class:`repro.flowsim.sim.ClusterSim` runs
-   the background tenant churn with a
-   :class:`~repro.hybrid.recorder.PortUsageRecorder` attached to the
+   the background tenant churn and feeds every rate change to a
+   :class:`~repro.hybrid.recorder.PortUsageRecorder` over the
    foreground tenants' path ports, producing an exact stepwise
    ``(time, used_rate)`` series per port.
 3. **Packet foreground.**  A :class:`repro.phynet.network.PacketNetwork`
    over the *same topology* runs the foreground applications at packet
    fidelity for a window of the background run; each watched port's
-   residual fraction ``(capacity - background_used) / capacity`` is
-   pre-scheduled onto the packet engine as capacity factors (the same
-   per-port mechanism fault degradation uses), so foreground packets
-   serialize at exactly the rate the background leaves free.
+   residual fraction ``(capacity * health - background_used) /
+   capacity`` -- ``health`` is the port's factor under the background's
+   fault schedule, 1 without one -- is pre-scheduled onto the packet
+   engine as capacity factors (the same per-port mechanism fault
+   degradation uses), so foreground packets serialize at exactly the
+   rate the background leaves free.
 
 The coupling is one-way (background drives foreground): a paced
 foreground tenant's traffic is bounded by its own reservation, which
@@ -40,10 +42,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import units
 from repro.core.tenant import TenantRequest
+from repro.faults.model import HealthState
 from repro.flowsim.sim import ClusterSim, ClusterStats
 from repro.flowsim.workload import TenantWorkload
 from repro.hybrid.recorder import PortUsageRecorder
@@ -57,10 +60,12 @@ from repro.workloads.memcached import EtcWorkload
 
 __all__ = ["ForegroundTenant", "HybridResult", "HybridSim"]
 
-#: Residual capacity factors never drop below this fraction: admission
-#: reserved the foreground's share, so a lower value can only be float
-#: slop (or a background over-commit bug, which the clamp makes visible
-#: as pacing delay rather than a wedged port).
+#: Residual capacity factors never drop below this fraction, except on a
+#: port the background's faults hold down.  Under reserved sharing
+#: admission kept the foreground's share free and the floor does not
+#: bind; under max-min sharing the background fills the foreground's
+#: ports, the residual is zero up to rounding, and the floor is what
+#: keeps those ports draining (docs/HYBRID.md, "The residual floor").
 RESIDUAL_FLOOR = 1e-3
 
 
@@ -140,8 +145,8 @@ class HybridSim:
                  foreground: List[ForegroundTenant],
                  sharing: str = "reserved", faults=None):
         """``faults`` (a :class:`repro.faults.FaultSchedule`) applies to
-        the *background* cluster; its capacity effects reach the
-        foreground through the recorded residual series.  The packet
+        the background cluster and is replayed on the packet window as
+        port health (see :meth:`_preschedule_residuals`).  The packet
         network and its VMs are built through the registered ``silo``
         mechanism: foreground VMs that carry a guarantee are paced."""
         if not foreground:
@@ -191,7 +196,8 @@ class HybridSim:
         # Phase 2: fluid background with the usage recorder attached.
         cluster = ClusterSim(self.manager, sharing=self.sharing,
                              faults=self.faults)
-        recorder = cluster.monitor_port_usage(watch)
+        recorder = PortUsageRecorder(watch)
+        cluster.monitor_port_usage(recorder)
         bg_stats = cluster.run(background, until)
         if fg_offset == "peak":
             fg_offset = _peak_offset(recorder, until, fg_horizon)
@@ -252,7 +258,15 @@ class HybridSim:
                                start: float, end: float) -> int:
         """Replay the recorded window as packet-port capacity factors.
 
-        Factors ride the ports' existing fault-degradation machinery
+        A watched port's factor is ``(capacity * health - used) /
+        capacity``, re-evaluated at every usage and fault breakpoint of
+        the window: ``used`` is the background's recorded rate and
+        ``health`` the port's factor under the background's fault
+        schedule (exactly 1.0 without one, so fault-free factors are
+        bit for bit ``(capacity - used) / capacity``).  A port the
+        schedule holds down replays as down: factor 0, never raised to
+        :data:`RESIDUAL_FLOOR`.  Factors ride the ports' existing
+        fault-degradation machinery
         (:meth:`repro.phynet.port.OutputPort.set_fault_factor`), so
         in-flight serialization stretches and queue drains all behave
         exactly as they do under partial faults.  Returns the number of
@@ -260,25 +274,68 @@ class HybridSim:
         """
         capacity: Dict[int, float] = {
             p.port_id: p.capacity for p in self.topology.ports}
+        health_steps = _health_steps(self.topology, self.faults,
+                                     recorder.ports, start, end)
         count = 0
         for port_id in sorted(recorder.ports):
-            port = net.ports.get(port_id)
-            if port is None:
-                continue
+            port = net.ports[port_id]
             cap = capacity[port_id]
+            # Usage and health breakpoints in window order; at equal
+            # times the usage step comes first.
+            changes = sorted(
+                [(when, used, None) for when, used
+                 in recorder.window(port_id, start, end)]
+                + [(when, None, health) for when, health
+                   in health_steps.get(port_id, ())],
+                key=lambda change: change[0])
+            used, health = 0.0, 1.0
             last = 1.0  # ports start undegraded
-            for when, used in recorder.window(port_id, start, end):
-                factor = (cap - used) / cap
-                if factor < RESIDUAL_FLOOR:
-                    factor = RESIDUAL_FLOOR
-                elif factor > 1.0:
-                    factor = 1.0
+            for when, new_used, new_health in changes:
+                if new_health is None:
+                    used = new_used
+                else:
+                    health = new_health
+                if health <= 0.0:
+                    factor = 0.0
+                else:
+                    factor = (cap * health - used) / cap
+                    if factor < RESIDUAL_FLOOR:
+                        factor = RESIDUAL_FLOOR
+                    elif factor > 1.0:
+                        factor = 1.0
                 if factor == last:
                     continue
                 net.sim.schedule_at(when, port.set_fault_factor, factor)
                 count += 1
                 last = factor
         return count
+
+
+def _health_steps(topology, faults, watched, start: float, end: float
+                  ) -> Dict[int, List[Tuple[float, float]]]:
+    """``{port: [(window time, health factor), ...]}`` for the watched
+    ports ``faults`` touches before ``end``: the factor in force at
+    ``start`` first (at window time 0), then every in-window change.
+
+    The schedule is folded through one
+    :class:`~repro.faults.model.HealthState`, the composition the fluid
+    side applied, so both fidelities see one health timeline.
+    """
+    steps: Dict[int, List[Tuple[float, float]]] = {}
+    if faults is None:
+        return steps
+    health = HealthState(topology)
+    for event in faults:
+        if event.time >= end:
+            break
+        when = max(event.time - start, 0.0)
+        for port_id, factor in health.apply(event).items():
+            if port_id in watched:
+                series = steps.setdefault(port_id, [])
+                if series and series[-1][0] == when:
+                    series.pop()
+                series.append((when, factor))
+    return steps
 
 
 def _peak_offset(recorder: PortUsageRecorder, until: float,

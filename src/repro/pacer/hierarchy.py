@@ -103,11 +103,3 @@ class VMPacer:
         :meth:`TokenBucket.deficit`.
         """
         return self._tenant.deficit(now)
-
-    def earliest_departure(self, destination: Hashable, size: float,
-                           now: float) -> float:
-        """Like :meth:`stamp` but without consuming tokens."""
-        now = max(now, self._last_stamp)
-        t = self.destination_bucket(destination).would_stamp(size, now)
-        t = self._tenant.would_stamp(size, t)
-        return self._peak.would_stamp(size, t)

@@ -23,15 +23,14 @@ from repro.core.guarantees import NetworkGuarantee
 from repro.pacer.eyeq import allocate_hose_rates
 from repro.pacer.hierarchy import PacerConfig
 from repro.core.engine import EventEngine
+from repro.obs.timeseries import TimeSeries
 from repro.phynet.shaper import VMShaper
 from repro.phynet.packet import PRIORITY_BEST_EFFORT, PRIORITY_GUARANTEED, Packet
-from repro.phynet.port import DEFAULT_PROP_DELAY, OutputPort
+from repro.phynet.port import DEFAULT_PROP_DELAY, N_CLASSES, OutputPort
 from repro.phynet.transport.base import Transport
 from repro.phynet.transport.tcp import TcpReno
+from repro.topology.switch import VSWITCH_DELAY
 from repro.topology.tree import TreeTopology
-
-#: Fixed hypervisor vswitch latency for intra-server delivery.
-VSWITCH_DELAY = 2 * units.MICROS
 
 #: Intra-server copies go through the vswitch at memory speed, not
 #: infinitely fast: modelling it as a finite-rate port keeps TCP windows
@@ -247,10 +246,7 @@ class PacketNetwork:
         self._ready_waiters.setdefault((vm_id, dst_vm), []).append(callback)
 
     def _release(self, packet: Packet) -> None:
-        if packet.route:
-            packet.route[0].enqueue(packet)
-        else:  # pragma: no cover - routes always have >= 1 port now
-            self.sim.schedule(VSWITCH_DELAY, self._deliver, packet)
+        packet.route[0].enqueue(packet)
 
     def _deliver(self, packet: Packet) -> None:
         flow: Transport = packet.flow
@@ -320,7 +316,6 @@ class PacketNetwork:
         best-effort), so speculative-duplicate loss never reads as
         congestion loss of guaranteed traffic.
         """
-        from repro.phynet.port import N_CLASSES
         drops = sum(p.stats.drops for p in self.ports.values())
         pushouts = sum(p.stats.pushouts for p in self.ports.values())
         fault_drops = sum(p.stats.fault_drops for p in self.ports.values())
@@ -349,7 +344,6 @@ class PacketNetwork:
         the port's depth trajectory bucketed at ``interval`` seconds
         (the per-bucket ``max`` is the figure-ready worst-case occupancy).
         """
-        from repro.obs.timeseries import TimeSeries
         series: Dict[str, Any] = {}
         for port in self.ports.values():
             port.depth_series = TimeSeries(

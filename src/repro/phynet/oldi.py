@@ -157,13 +157,3 @@ class PartitionAggregateApp:
                      if q.deadline_missed
                      or q.latency > self.deadline)
         return missed / len(finished_or_due)
-
-    def compute_budget(self, network_bound: float) -> float:
-        """Compute time a guaranteed network leaves inside the deadline.
-
-        The paper's point: if the round trip is *bounded* by
-        ``network_bound``, the application can spend
-        ``deadline - network_bound`` computing instead of padding for
-        network variance.
-        """
-        return max(0.0, self.deadline - network_bound)

@@ -72,10 +72,6 @@ class AdmissionAudit:
                                                    0) + 1
         return counts
 
-    def rejections(self) -> List[AdmissionRecord]:
-        """The rejected-request records."""
-        return [r for r in self.records if not r.admitted]
-
     def rows(self) -> Iterable[Dict[str, Any]]:
         """Flat dict per record, for CSV/JSON export."""
         for r in self.records:

@@ -98,12 +98,6 @@ class RecoveryReport:
             return None
         return sum(ttrs) / len(ttrs)
 
-    def recovered_fraction(self) -> float:
-        """Fraction of affected tenants that got their full guarantee back."""
-        if not self.rows:
-            return 1.0
-        return self.count(OUTCOME_RECOVERED) / len(self.rows)
-
 
 class _Track:
     """Mutable per-tenant recovery bookkeeping."""

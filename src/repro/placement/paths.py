@@ -13,7 +13,7 @@ send to the tenant's first VM, matching
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.core.tenant import Placement
 from repro.topology.switch import Port
@@ -43,23 +43,6 @@ class IncastPaths:
     receiver_vm: int
     receiver_server: int
     senders: Tuple[SenderPath, ...]
-
-    def port_fan_in(self) -> Dict[str, int]:
-        """Map port name -> number of senders whose path crosses it.
-
-        The fan-in at a port is what drives its incast queue build-up:
-        a ``tor-down`` port carrying all ``N-1`` senders of an epoch
-        burst queues roughly ``N-1`` messages back-to-back.
-        """
-        counts: Dict[str, int] = {}
-        for sender in self.senders:
-            for port in sender.ports:
-                counts[port.name] = counts.get(port.name, 0) + 1
-        return counts
-
-    def max_hops(self) -> int:
-        """The longest sender path length, in ports."""
-        return max((len(s.ports) for s in self.senders), default=0)
 
 
 def incast_paths(topology: TreeTopology,

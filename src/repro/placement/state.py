@@ -92,22 +92,10 @@ class PortState:
         self.peak_rate += contribution.peak_rate
         self.packet_slack += contribution.packet_slack
 
-    def remove(self, contribution: Contribution) -> None:
-        """Remove a previously added contribution."""
-        self.bandwidth -= contribution.bandwidth
-        self.burst -= contribution.burst
-        self.peak_rate -= contribution.peak_rate
-        self.packet_slack -= contribution.packet_slack
-        # Guard against floating-point drift after many add/remove cycles.
-        self.bandwidth = max(self.bandwidth, 0.0)
-        self.burst = max(self.burst, 0.0)
-        self.peak_rate = max(self.peak_rate, 0.0)
-        self.packet_slack = max(self.packet_slack, 0.0)
-
     def reset_totals(self, contributions: Iterable[Contribution]) -> None:
         """Rebuild the running totals by folding ``contributions`` in order.
 
-        Incremental subtraction (:meth:`remove`) can leave ~1-ulp residue
+        Incremental subtraction would leave ~1-ulp residue
         per cycle; re-summing the surviving contributions in their
         original commit order reproduces *bit-for-bit* the totals a
         freshly built port holding the same reservations would have, so
@@ -227,29 +215,6 @@ class PortState:
     def admits_bandwidth(self, extra: Contribution) -> bool:
         """Oktopus' bandwidth-only admission check."""
         return self.bandwidth + extra.bandwidth <= self._capacity
-
-    @property
-    def residual_bandwidth(self) -> float:
-        """Bandwidth capacity not yet reserved."""
-        return max(self._capacity - self.bandwidth, 0.0)
-
-    def snapshot(self) -> dict:
-        """Flat dict of this port's reservation state and bounds.
-
-        Used by the observability layer (admission audits, trace exports)
-        to capture admission state alongside event streams.
-        """
-        return {
-            "port": repr(self.port),
-            "capacity": self._capacity,
-            "bandwidth": self.bandwidth,
-            "burst": self.burst,
-            "peak_rate": self.peak_rate,
-            "packet_slack": self.packet_slack,
-            "backlog_bound": self.backlog(),
-            "queue_bound": self.queue_bound(),
-            "buffer_bytes": self.port.buffer_bytes,
-        }
 
     @property
     def is_empty(self) -> bool:

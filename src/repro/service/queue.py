@@ -91,11 +91,6 @@ class BoundedIngressQueue:
         return (len(self._faults) + len(self._departures)
                 + len(self._admits))
 
-    @property
-    def admit_depth(self) -> int:
-        """Queued admissions (the only shed-eligible class)."""
-        return len(self._admits)
-
     def retry_after(self, attempt: int = 0) -> float:
         """Backoff hint for a rejected/shed admission.
 

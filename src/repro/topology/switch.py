@@ -12,6 +12,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro import units
+
+#: Fixed hypervisor vswitch latency: the hop out of a sender's hypervisor
+#: and into a receiver's.  The packet network charges it on the vswitch
+#: port intra-server traffic crosses; the what-if surrogate adds it twice
+#: to every message's contention-free latency.
+VSWITCH_DELAY = 2 * units.MICROS
+
 
 class PortKind(enum.Enum):
     """Where in the tree a port sits (used for readable diagnostics)."""

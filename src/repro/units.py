@@ -31,11 +31,6 @@ MTU = 1_500
 MIN_WIRE_FRAME = 84
 
 
-def bits(n_bytes: float) -> float:
-    """Convert bytes to bits."""
-    return n_bytes * 8.0
-
-
 def gbps(rate: float) -> float:
     """Convert a rate in gigabits per second to bytes per second."""
     return rate * 1e9 / 8.0

@@ -1,12 +1,10 @@
-"""Tenant requests, placements, and the SiloController facade."""
+"""Tenant requests and placements."""
 
 import pytest
 
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
-from repro.core.silo import SiloController
 from repro.core.tenant import Placement, TenantClass, TenantRequest
-from repro.topology import TreeTopology
 
 
 def guarantee(**kwargs):
@@ -51,53 +49,3 @@ class TestPlacement:
         request = TenantRequest(n_vms=4, guarantee=guarantee())
         placement = Placement(request=request, vm_servers=[0, 0, 1, 2])
         assert placement.vms_per_server() == {0: 2, 1: 1, 2: 1}
-
-    def test_server_pairs(self):
-        request = TenantRequest(n_vms=3, guarantee=guarantee())
-        placement = Placement(request=request, vm_servers=[0, 1, 1])
-        assert set(placement.server_pairs()) == {(0, 1), (1, 0)}
-
-
-class TestSiloController:
-    @pytest.fixture
-    def controller(self):
-        topo = TreeTopology(n_pods=1, racks_per_pod=2, servers_per_rack=4,
-                            slots_per_server=4,
-                            link_rate=units.gbps(10))
-        return SiloController(topo)
-
-    def test_admit_and_release(self, controller):
-        request = TenantRequest(n_vms=6, guarantee=guarantee(),
-                                tenant_class=TenantClass.CLASS_A)
-        admitted = controller.admit(request)
-        assert admitted is not None
-        assert admitted.pacer_config.bandwidth == units.gbps(0.5)
-        assert controller.occupancy > 0
-        controller.release(request.tenant_id)
-        assert controller.occupancy == 0
-
-    def test_latency_bound_query(self, controller):
-        request = TenantRequest(n_vms=4, guarantee=guarantee())
-        controller.admit(request)
-        bound = controller.message_latency_bound(request.tenant_id,
-                                                 10 * units.KB)
-        assert bound == pytest.approx(request.guarantee
-                                      .message_latency_bound(10 * units.KB))
-
-    def test_latency_bound_unknown_tenant(self, controller):
-        with pytest.raises(KeyError):
-            controller.message_latency_bound(999999, 1.0)
-
-    def test_release_unknown(self, controller):
-        with pytest.raises(KeyError):
-            controller.release(999999)
-
-    def test_rejection_returns_none(self, controller):
-        huge = TenantRequest(n_vms=1000, guarantee=guarantee())
-        assert controller.admit(huge) is None
-
-    def test_worst_queue_bound_tracks_admissions(self, controller):
-        base = controller.worst_queue_bound()
-        request = TenantRequest(n_vms=8, guarantee=guarantee())
-        controller.admit(request)
-        assert controller.worst_queue_bound() >= base

@@ -186,7 +186,7 @@ class TestReporting:
         controller.finalize(end_time=50.0)  # idempotent
         report = controller.report()
         assert report.guarantee_seconds_lost == pytest.approx(4.0 * 8)
-        assert report.recovered_fraction() == 0.0
+        assert report.count("recovered") == 0
         assert report.mean_time_to_recover is None
 
 

@@ -102,7 +102,7 @@ class TestFaultRuns:
         config = WorkloadConfig(mean_vms=8, max_vms=8, min_vms=8,
                                 mean_compute_time=100.0)
         workload = TenantWorkload(config, arrival_rate=100.0, seed=1)
-        faults = FaultSchedule.from_events(
+        faults = FaultSchedule(
             [FaultEvent.down(0.5, FaultTarget("server", 0))])
         sim = ClusterSim(manager, sharing="reserved", faults=faults)
         stats = sim.run(workload, until=2.0)
@@ -112,7 +112,7 @@ class TestFaultRuns:
     def test_link_repair_restores_capacity(self):
         topo = build_topology()
         port_id = topo.tor_up(0).port_id
-        faults = FaultSchedule.from_events([
+        faults = FaultSchedule([
             FaultEvent.down(1.0, FaultTarget("link", port_id)),
             FaultEvent.up(2.0, FaultTarget("link", port_id)),
         ])

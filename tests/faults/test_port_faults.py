@@ -84,32 +84,32 @@ class TestPortFaults:
 class TestNetworkFaultInjector:
     def test_injector_drives_ports_and_counts_drops(self):
         from repro.core.guarantees import NetworkGuarantee
-        from repro.core.silo import SiloController
         from repro.core.tenant import TenantClass, TenantRequest
         from repro.phynet.network import PacketNetwork
+        from repro.placement import SiloPlacementManager
         from repro.topology import TreeTopology
 
         topo = TreeTopology(n_pods=1, racks_per_pod=2, servers_per_rack=2,
                             slots_per_server=4, link_rate=units.gbps(10),
                             oversubscription=5.0,
                             buffer_bytes=312 * units.KB)
-        silo = SiloController(topo)
+        manager = SiloPlacementManager(topo)
         net = PacketNetwork(topo)
         request = TenantRequest(
             n_vms=6,
             guarantee=NetworkGuarantee(bandwidth=units.mbps(500),
                                        burst=15 * units.KB),
             tenant_class=TenantClass.CLASS_B)
-        admitted = silo.admit(request)
-        assert admitted is not None
+        placement = manager.place(request)
+        assert placement is not None
         vms = []
-        for i, server in enumerate(admitted.placement.vm_servers):
-            net.add_vm(i, admitted.tenant_id, server,
+        for i, server in enumerate(placement.vm_servers):
+            net.add_vm(i, request.tenant_id, server,
                        guarantee=request.guarantee, paced=False)
             vms.append(i)
         # Take server 0's NIC uplink down for the middle of the run.
         target = FaultTarget("link", topo.nic_up(0).port_id)
-        schedule = FaultSchedule.from_events([
+        schedule = FaultSchedule([
             FaultEvent.down(0.5e-3, target),
             FaultEvent.up(1.5e-3, target),
         ])
@@ -119,12 +119,12 @@ class TestNetworkFaultInjector:
         # recovered by the transport).
         from repro.phynet.metrics import MessageRecord
         src = next(v for v in vms
-                   if admitted.placement.vm_servers[v] == 0)
+                   if placement.vm_servers[v] == 0)
         dst = next(v for v in vms
-                   if admitted.placement.vm_servers[v] != 0)
+                   if placement.vm_servers[v] != 0)
         flow = net.transport(src, dst)
         flow.send_message(MessageRecord(
-            tenant_id=admitted.tenant_id, src_vm=src, dst_vm=dst,
+            tenant_id=request.tenant_id, src_vm=src, dst_vm=dst,
             size=2000 * units.KB, start=0.0))
         net.sim.run(until=5e-3)
         assert injector.applied == 2
@@ -144,7 +144,7 @@ class TestNetworkFaultInjector:
                             slots_per_server=4, link_rate=units.gbps(10))
         net = PacketNetwork(topo, sim=Simulator())
         target = FaultTarget("link", topo.nic_up(0).port_id)
-        schedule = FaultSchedule.from_events([
+        schedule = FaultSchedule([
             FaultEvent.down(0.5e-3, target),
             FaultEvent.degrade(1.0e-3, target, 0.5),
             FaultEvent.up(1.5e-3, target),

@@ -139,7 +139,7 @@ class TestFromSpec:
 class TestFaultClock:
     def test_pop_due_delivers_each_event_once_in_order(self):
         target = FaultTarget("link", 0)
-        schedule = FaultSchedule.from_events([
+        schedule = FaultSchedule([
             FaultEvent.down(0.5, target),
             FaultEvent.up(1.5, target),
             FaultEvent.down(2.5, target),

@@ -9,6 +9,7 @@ from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import TenantClass, TenantRequest
 from repro.flowsim import ClusterSim, TenantWorkload, WorkloadConfig
 from repro.flowsim.workload import TenantArrival
+from repro.hybrid.recorder import PortUsageRecorder
 from repro.placement import (
     LocalityPlacementManager,
     OktopusPlacementManager,
@@ -172,8 +173,8 @@ class TestAccounting:
         topology = topo(n_pods=2, oversubscription=2.0)
         sim = ClusterSim(LocalityPlacementManager(topology),
                          sharing="maxmin")
-        recorder = sim.monitor_port_usage(
-            port.port_id for port in topology.ports)
+        recorder = PortUsageRecorder(port.port_id for port in topology.ports)
+        sim.monitor_port_usage(recorder)
         workload = TenantWorkload(
             WorkloadConfig(b_flow_bytes=20 * units.MB,
                            mean_compute_time=0.5),

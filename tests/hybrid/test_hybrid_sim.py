@@ -11,8 +11,11 @@ import json
 import pytest
 
 from repro import units
+from repro.campaign import get_sweep
+from repro.campaign.scenarios import hybrid_cell
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import TenantClass, TenantRequest, reset_tenant_ids
+from repro.faults import FaultEvent, FaultSchedule, FaultTarget
 from repro.flowsim import TenantWorkload, WorkloadConfig
 from repro.hybrid import ForegroundTenant, HybridSim
 from repro.hybrid.recorder import PortUsageRecorder
@@ -154,3 +157,64 @@ class TestRun:
         assert round_trip["fg_horizon"] == 5e-3
         assert set(round_trip["background"]) >= {"finished_jobs",
                                                  "mean_occupancy"}
+
+
+class TestBackgroundFaults:
+    def test_a_port_down_across_the_window_is_down_on_the_packet_side(
+            self, monkeypatch):
+        """The background's fault schedule reaches the packet window: a
+        foreground path port held down from before the window to past
+        its end replays as down, not at the full capacity the background
+        -- whose flows through it stopped -- left unused."""
+        reset_tenant_ids()
+        topo = build_topology()
+        port_id = topo.tor_down(0).port_id
+        faults = FaultSchedule(
+            [FaultEvent.down(0.1, FaultTarget("link", port_id))])
+        seen = []
+        replay = HybridSim._preschedule_residuals
+
+        def recording_replay(self, net, recorder, start, end):
+            seen.append((net, recorder))
+            return replay(self, net, recorder, start, end)
+        monkeypatch.setattr(HybridSim, "_preschedule_residuals",
+                            recording_replay)
+        sim = HybridSim(SiloPlacementManager(topo), [foreground()],
+                        faults=faults)
+        result = sim.run(background(topo), until=1.0, fg_offset=0.5,
+                         fg_horizon=5e-3, seed=3)
+        ((net, recorder),) = seen
+        assert port_id in recorder.ports
+        assert net.ports[port_id].is_down
+        assert result.residual_events >= 1
+
+
+class TestResidualFloor:
+    """Measured before the clamp on the committed ``hybrid-smoke`` shape:
+    reserved sharing leaves the foreground its share, max-min sharing
+    fills the foreground's ports and leans on the floor."""
+
+    @staticmethod
+    def smallest_residual(policy, monkeypatch):
+        class Captured(Exception):
+            pass
+
+        def capture(self, net, recorder, start, end):
+            raise Captured(min(
+                (port.capacity - used) / port.capacity
+                for port in self.topology.ports
+                if port.port_id in recorder.ports
+                for _, used in recorder.window(port.port_id, start, end)))
+        monkeypatch.setattr(HybridSim, "_preschedule_residuals", capture)
+        spec = get_sweep("hybrid-smoke")
+        with pytest.raises(Captured) as caught:
+            hybrid_cell(**spec.fixed, policy=policy, fg_app="memcached",
+                        seed=spec.seeds[0])
+        return caught.value.args[0]
+
+    def test_reserved_sharing_leaves_the_foreground_its_share(
+            self, monkeypatch):
+        assert self.smallest_residual("silo", monkeypatch) >= 0.8
+
+    def test_maxmin_sharing_fills_the_foreground_ports(self, monkeypatch):
+        assert self.smallest_residual("locality", monkeypatch) <= 0.0

@@ -10,31 +10,31 @@ import random
 
 import pytest
 
-from repro import SiloController, units
+from repro import units
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import TenantClass, TenantRequest
 from repro.phynet import MetricsCollector, PacketNetwork
 from repro.phynet.apps import BulkApp, EpochBurstApp
+from repro.placement import SiloPlacementManager
 from repro.topology import TreeTopology
 from repro.workloads import Fixed
 from repro.workloads.patterns import all_to_all_pairs
 
 
-def build_network_from_controller(controller):
-    """Instantiate the packet network from admitted placements."""
-    net = PacketNetwork(controller.topology)
+def build_network_from_placements(manager):
+    """Instantiate the packet network from admitted placements; every VM
+    runs behind a pacer configured from its tenant's guarantee."""
+    net = PacketNetwork(manager.topology)
     vm_ids = {}
     next_vm = 0
-    for tenant in controller.tenants.values():
+    for tenant_id, placement in manager.placements.items():
         ids = []
-        for server in tenant.placement.vm_servers:
-            net.add_vm(next_vm, tenant.tenant_id, server,
-                       guarantee=tenant.request.guarantee,
-                       paced=tenant.pacer_config is not None,
-                       pacer_config=tenant.pacer_config)
+        for server in placement.vm_servers:
+            net.add_vm(next_vm, tenant_id, server,
+                       guarantee=placement.request.guarantee, paced=True)
             ids.append(next_vm)
             next_vm += 1
-        vm_ids[tenant.tenant_id] = ids
+        vm_ids[tenant_id] = ids
     return net, vm_ids
 
 
@@ -46,7 +46,7 @@ class TestGuaranteeHolds:
         topo = TreeTopology(n_pods=1, racks_per_pod=1, servers_per_rack=3,
                             slots_per_server=6,
                             link_rate=units.gbps(10))
-        controller = SiloController(topo)
+        manager = SiloPlacementManager(topo)
         message_size = 15 * units.KB
         class_a = TenantRequest(
             n_vms=6,
@@ -60,12 +60,11 @@ class TestGuaranteeHolds:
             guarantee=NetworkGuarantee(bandwidth=units.gbps(2),
                                        burst=1.5 * units.KB),
             tenant_class=TenantClass.CLASS_B)
-        assert controller.admit(class_a) is not None
-        assert controller.admit(class_b) is not None
-        bound = controller.message_latency_bound(class_a.tenant_id,
-                                                 message_size)
+        assert manager.place(class_a) is not None
+        assert manager.place(class_b) is not None
+        bound = class_a.guarantee.message_latency_bound(message_size)
 
-        net, vm_ids = build_network_from_controller(controller)
+        net, vm_ids = build_network_from_placements(manager)
         metrics = MetricsCollector()
         rng = random.Random(11)
         app_a = EpochBurstApp(net, metrics, class_a.tenant_id,
@@ -94,7 +93,7 @@ class TestGuaranteeHolds:
         topo = TreeTopology(n_pods=1, racks_per_pod=2, servers_per_rack=3,
                             slots_per_server=4,
                             link_rate=units.gbps(10))
-        controller = SiloController(topo)
+        manager = SiloPlacementManager(topo)
         tenants = []
         for _ in range(10):
             request = TenantRequest(
@@ -105,11 +104,11 @@ class TestGuaranteeHolds:
                     delay=units.msec(1),
                     peak_rate=units.gbps(1)),
                 tenant_class=TenantClass.CLASS_A)
-            if controller.admit(request) is not None:
+            if manager.place(request) is not None:
                 tenants.append(request)
         assert tenants, "nothing admitted; topology misconfigured"
 
-        net, vm_ids = build_network_from_controller(controller)
+        net, vm_ids = build_network_from_placements(manager)
         metrics = MetricsCollector()
         apps = []
         for request in tenants:

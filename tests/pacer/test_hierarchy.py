@@ -62,12 +62,6 @@ class TestStamping:
         for gap in gaps[1:]:
             assert gap == pytest.approx(expected, rel=1e-6)
 
-    def test_earliest_departure_does_not_consume(self):
-        pacer = make_pacer()
-        t1 = pacer.earliest_departure("d", units.MTU, 0.0)
-        t2 = pacer.earliest_departure("d", units.MTU, 0.0)
-        assert t1 == t2
-
     def test_aggregate_rate_conforms_to_tenant_bucket(self):
         """Total stamped bytes over a window never exceed B*t + S."""
         bandwidth = units.gbps(1)

@@ -73,12 +73,6 @@ class TestPartitionAggregate:
         assert app.completed_queries()
         assert app.slo_miss_fraction() == 0.0
 
-    def test_compute_budget(self):
-        _, _, app = build()
-        assert app.compute_budget(4 * units.MILLIS) == pytest.approx(
-            16 * units.MILLIS)
-        assert app.compute_budget(units.MILLIS * 30) == 0.0
-
     def test_validation(self):
         net, metrics, app = build()
         with pytest.raises(ValueError):

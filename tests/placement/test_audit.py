@@ -99,7 +99,7 @@ class TestConstraintAttribution:
         counts = audit.constraint_counts()
         assert counts == {CONSTRAINT_NONE: 1, CONSTRAINT_DELAY: 1,
                           CONSTRAINT_CAPACITY: 1}
-        assert len(audit.rejections()) == 2
+        assert sum(not r.admitted for r in audit.records) == 2
 
 
 class TestOutputs:

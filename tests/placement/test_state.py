@@ -30,21 +30,15 @@ class TestContribution:
 
 class TestPortState:
     def test_add_remove_roundtrip(self):
+        """Release refolds the surviving contributions, so adding one
+        and refolding none leaves the port exactly empty."""
         state = PortState(make_port())
-        c = contribution()
-        state.add(c)
-        state.remove(c)
+        state.add(contribution())
+        state.reset_totals([])
         assert state.bandwidth == 0.0
         assert state.burst == 0.0
         assert state.peak_rate == 0.0
-
-    def test_drift_clamped_to_zero(self):
-        state = PortState(make_port())
-        c = contribution()
-        state.add(c)
-        state.remove(c)
-        state.remove(Contribution(0.0, 0.0, 0.0, 0.0))
-        assert state.bandwidth >= 0.0
+        assert state.is_empty
 
     def test_empty_port_has_one_packet_floor(self):
         state = PortState(make_port())
@@ -108,8 +102,3 @@ class TestPortState:
         assert state.admits_bandwidth(ok)
         assert not state.admits_bandwidth(
             contribution(bandwidth=units.gbps(11), peak=units.gbps(11)))
-
-    def test_residual_bandwidth(self):
-        state = PortState(make_port(capacity=units.gbps(10)))
-        state.add(contribution(bandwidth=units.gbps(4)))
-        assert state.residual_bandwidth == pytest.approx(units.gbps(6))

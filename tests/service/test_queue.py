@@ -43,7 +43,7 @@ class TestOffer:
         q = BoundedIngressQueue(capacity=1)
         assert q.offer(admit(0.0)) is None
         assert q.offer(admit(0.1), force=True) is None
-        assert q.admit_depth == 2
+        assert len(q) == 2
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError, match="capacity"):

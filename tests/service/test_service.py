@@ -107,7 +107,7 @@ class TestSheddingAndDegradation:
         # The survivors are the two latest deadlines; batch_size=1
         # admitted the earlier of them.
         assert counts["admitted"] == 1
-        assert service.queue.admit_depth == 1
+        assert len(service.queue) == 1
         service.close()
 
 
@@ -161,7 +161,7 @@ class TestRecovery:
                                  deadline=9.0)  # queued, never ticked
         del service
         reborn = build_service(tmp_path)
-        assert reborn.queue.admit_depth == 1
+        assert len(reborn.queue) == 1
         counts = reborn.tick(now=0.3)
         assert counts["admitted"] == 1
         assert 2 in reborn.cluster.placements

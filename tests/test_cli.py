@@ -436,9 +436,28 @@ def run_repro(argv):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "repro", *argv],
-                          env=env, capture_output=True, text=True)
+                          cwd=REPO, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+#: Exact stdout of the two commands that admit through
+#: ``SiloPlacementManager`` directly, ``admit`` and ``whatif`` (fresh
+#: interpreters, as above), without ``whatif``'s wall-clock
+#: ``estimated ... in X ms`` line.  Kept apart from ``GOLDEN_STDOUT``,
+#: which also drives an ``--out`` test these commands cannot take.
+GOLDEN_ADMISSION_STDOUT = json.loads(
+    (REPO / "tests" / "golden_admission_stdout.json").read_text(
+        encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", GOLDEN_ADMISSION_STDOUT,
+                         ids=lambda c: c.split()[0])
+def test_admission_stdout_is_byte_identical(command):
+    out = run_repro(shlex.split(command))
+    kept = [line for line in out.splitlines(keepends=True)
+            if not line.startswith("estimated ")]
+    assert "".join(kept) == GOLDEN_ADMISSION_STDOUT[command]
 
 
 @pytest.mark.parametrize("command", GOLDEN_STDOUT,

@@ -21,15 +21,20 @@ The fifth keeps one copy of the hose-cut geometry: only
 ``topology/tree.py`` walks rack and pod uplinks to say which ports a
 tenant's traffic crosses.
 
-The last two keep the tree closed one level down: every defaulted
+The next two keep the tree closed one level down: every defaulted
 parameter under ``src/repro`` is set by something a user can run, and
 nothing a build, test run or editor leaves behind is tracked.
+
+The last two keep it closed at the top and the bottom: docs/ARCHITECTURE.md's
+layer map is the package's import graph, and every public function,
+method and property under ``src/repro`` is named by something that ships.
 """
 
 import ast
 import importlib
 import re
 import subprocess
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -579,3 +584,290 @@ def test_no_generated_files_are_tracked():
     assert not generated, (
         "generated files are tracked (git rm --cached them and list the "
         "pattern in .gitignore):\n" + "\n".join(generated))
+
+
+# -- layers: docs/ARCHITECTURE.md's layer map is the import graph ----------
+
+#: The document whose layer map the package's imports must follow.
+ARCHITECTURE = REPO / "docs" / "ARCHITECTURE.md"
+
+#: The only places under ``src/repro`` that may import ``repro`` inside a
+#: function: each command and each scenario loads the one subsystem it
+#: runs, so ``python -m repro pace`` imports no simulator.
+LAZY_IMPORTERS = ("cli.py", "campaign/")
+
+#: The package's two doors sit outside the map, each importing one unit:
+#: ``import repro`` exports the tenant vocabulary, ``python -m repro``
+#: runs the CLI.
+DOORS = {"__init__.py": "core", "__main__.py": "cli"}
+
+
+def layer_rows(doc=ARCHITECTURE):
+    """The layer map's rows, bottom row first, as lists of unit names
+    (``core/`` -> ``core``, ``units.py`` -> ``units``).
+
+    The map is the fenced block between the ``layer-map`` markers, drawn
+    top row first; a row's units are the ``·``-separated names before
+    the first run of two spaces, and the rest of the line describes them.
+    """
+    text = doc.read_text(encoding="utf-8")
+    block = text.split("<!-- layer-map:begin -->")[1]
+    block = block.split("<!-- layer-map:end -->")[0]
+    rows = []
+    for line in block.splitlines():
+        names = re.split(r"\s{2,}", line.strip())[0]
+        if names and not names.startswith("`"):
+            rows.append([re.sub(r"(/|\.py)$", "", name.strip())
+                         for name in names.split("·")])
+    return rows[::-1]
+
+
+def layer_units(src=SRC):
+    """Every package and top-level module under ``src``, doors aside."""
+    return ({path.stem for path in src.glob("*.py")
+             if path.name not in DOORS}
+            | {path.name for path in src.iterdir()
+               if (path / "__init__.py").is_file()})
+
+
+def repro_imports(tree, units):
+    """``(line, unit, inside a function)`` for every ``repro`` import in
+    ``tree``.  ``from repro import units`` imports ``units``; any other
+    name taken from the bare package comes through its ``__init__``,
+    i.e. from ``core``."""
+    def visit(node, nested):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                modules = ([f"repro.{alias.name}" for alias in child.names]
+                           if child.module == "repro" else [child.module])
+            else:
+                yield from visit(child, nested or isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                            ast.Lambda)))
+                continue
+            for module in modules:
+                parts = module.split(".")
+                if parts[0] == "repro":
+                    unit = parts[1] if len(parts) > 1 else "core"
+                    yield (child.lineno,
+                           unit if unit in units else "core", nested)
+    yield from visit(tree, False)
+
+
+def layer_violations(src=SRC, doc=ARCHITECTURE):
+    """Every way ``src``'s imports depart from ``doc``'s layer map, one
+    line each; an edge that points sideways or up reads
+    ``core → placement (core/facade.py:1)``."""
+    units = layer_units(src)
+    row_of, problems = {}, []
+    for index, row in enumerate(layer_rows(doc)):
+        for name in row:
+            if name in row_of:
+                problems.append(f"{name} sits in two rows of the map")
+            row_of[name] = index
+    problems += [f"{name} sits in no row of the map"
+                 for name in sorted(units - set(row_of))]
+    problems += [f"the map names {name}, which is not a package or "
+                 f"top-level module" for name in sorted(set(row_of) - units)]
+    for source in sorted(src.rglob("*.py")):
+        rel = source.relative_to(src).as_posix()
+        unit = re.sub(r"\.py$", "", rel.split("/")[0])
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for line, target, nested in repro_imports(tree, units):
+            where = f"{rel}:{line}"
+            if nested and not rel.startswith(LAZY_IMPORTERS):
+                problems.append(f"{where}: imports {target} inside a "
+                                f"function")
+            if rel in DOORS:
+                if target != DOORS[rel]:
+                    problems.append(f"{where}: {rel} imports {target}")
+            elif (target != unit
+                    and row_of.get(target, -1) >= row_of.get(unit, -1)):
+                problems.append(f"{unit} → {target} ({where})")
+    return problems
+
+
+def test_layer_map_is_the_import_graph():
+    """docs/ARCHITECTURE.md's layer map is what the imports do: every
+    ``repro`` import, at module level or inside a function, points to a
+    strictly lower row; every package and top-level module sits in one
+    row; ``repro/__init__.py`` imports only ``core``; and only ``cli.py``
+    and ``campaign/`` import inside a function."""
+    problems = layer_violations()
+    assert not problems, (
+        "imports that depart from docs/ARCHITECTURE.md's layer map:\n"
+        + "\n".join(problems))
+
+
+def test_layer_lint_names_the_edge_it_rejects(tmp_path):
+    """The lint checks the tree and the map it is handed: ``core``
+    importing ``placement`` under a map that puts ``core`` lower is
+    named as that edge."""
+    src = tmp_path / "repro"
+    for package in ("core", "placement"):
+        (src / package).mkdir(parents=True)
+        (src / package / "__init__.py").write_text("")
+    (src / "__init__.py").write_text("from repro.core import x\n")
+    (src / "core" / "facade.py").write_text(
+        "from repro.placement import y\n")
+    doc = tmp_path / "map.md"
+    doc.write_text("<!-- layer-map:begin -->\n```\nplacement/  admission\n"
+                   "core/  vocabulary\n```\n<!-- layer-map:end -->\n")
+    assert layer_violations(src, doc) == [
+        "core → placement (core/facade.py:1)"]
+
+
+# -- callables: every public function, method and property is used ---------
+
+#: Public callables nothing in ``OPTION_CALLER_TREES`` names, each with
+#: the test or oracle that drives shipped code through it.
+CALLABLES_ALLOWED = {
+    # Oracles under tests/oracles/ call these.
+    "placement/state.py:PortState.aggregate_curve":
+        "the Curve-built admission oracle (seed_admission.py) probes "
+        "through it",
+    "netcalc/bounds.py:backlog_bound":
+        "seed_admission.py evaluates aggregate_curve's backlog with it",
+    "topology/tree.py:TreeTopology.servers_in_pod":
+        "seed_admission.py walks pods with it",
+    "core/engine.py:EventEngine.pending_events":
+        "the engine-equivalence tests compare it with seed_engine.py",
+    "netcalc/arrival.py:dual_rate":
+        "curve_aggregate.py and the property tests build the exact "
+        "per-tenant curves admission over-approximates",
+    "netcalc/curves.py:Curve.minimum":
+        "curve_aggregate.py folds curves with it",
+    "netcalc/curves.py:Curve.dominates":
+        "the tests assert admission's aggregate is conservative with it",
+    # Tests drive shipped code through these.
+    "netcalc/concat.py:per_hop_delay_sum":
+        "ROADMAP item 2 measures the concatenated bound against it",
+    "netcalc/service.py:constant_rate":
+        "the bound tests build a plain rate server with it",
+    "netcalc/bounds.py:empty_interval":
+        "tests/netcalc/test_bounds.py checks busy periods through it",
+    "netcalc/curves.py:Curve.active_piece":
+        "tests/netcalc/test_curves.py checks piece selection with it",
+    "netcalc/trace.py:conforms":
+        "tests/netcalc/test_trace.py checks single traces with it; "
+        "`repro pace` runs check_conformance",
+    "pacer/void_packets.py:void_gap_for_rate":
+        "tests/pacer/test_void_packets.py checks the section 5 gap "
+        "arithmetic with it",
+    "analysis/burst.py:PortBurst.overflows":
+        "tests/analysis/test_burst.py checks the Fig. 5 verdicts with it",
+    "campaign/merge.py:pooled_stats":
+        "tests/test_campaign.py checks seed pooling through it",
+    "campaign/spec.py:SweepSpec.restrict":
+        "tests/test_campaign.py shrinks registered sweeps with it",
+    "faults/model.py:HealthState.is_down":
+        "tests/faults/test_model.py reads fault state through it",
+    "phynet/port.py:OutputPort.is_down":
+        "the fault and hybrid tests read port state through it",
+    "phynet/port.py:OutputPort.fault_factor":
+        "tests/faults/test_port_faults.py reads port state through it",
+    "phynet/port.py:OutputPort.class_queued_bytes":
+        "tests/phynet/test_port_class_stats.py reads per-class queues "
+        "through it",
+    "mechanisms/eyeq.py:EyeQController.pair_rate":
+        "tests/mechanisms/test_eyeq_convergence.py reads the loop's "
+        "rates through it",
+    "obs/sink.py:RingBufferSink.of_kind":
+        "the tracing tests filter captured events with it",
+    "placement/base.py:PlacementManager.cordoned_servers":
+        "the controller, differential and service tests read the "
+        "cordon through it",
+    "topology/tree.py:TreeTopology.pod_of":
+        "tests/topology and tests/service index pods with it",
+    "topology/tree.py:TreeTopology.path_queue_capacity":
+        "tests/placement/test_invariants.py checks the delay constraint "
+        "with it",
+}
+
+#: A string that names code: an identifier or a dotted path of them
+#: (``perf/layers.py`` patches ``"PortUsageRecorder.record"`` by string).
+_DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _is_all(node):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for target in node.targets)
+
+
+def mentions(node):
+    """Every identifier under ``node``: names, attributes and the parts
+    of dotted-name strings.  An ``__all__`` list re-exports; it is not a
+    use."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if _is_all(node):
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif (isinstance(node, ast.Constant)
+              and isinstance(node.value, str)
+              and _DOTTED_NAME.fullmatch(node.value)):
+            yield from node.value.split(".")
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def public_callables(src=SRC):
+    """``(key, name, defs)`` for every public module-level function and
+    every public method or property of a module-level class under
+    ``src``; ``defs`` are the scope's defs of that name (a property's
+    getter and setter are one callable).  ``@scenario`` and ``@sweep``
+    functions are exempt: the campaign registry calls them by their
+    registered names."""
+    for source in sorted(src.rglob("*.py")):
+        rel = source.relative_to(src).as_posix()
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        scopes = [("", tree.body)] + [
+            (f"{node.name}.", node.body) for node in tree.body
+            if isinstance(node, ast.ClassDef)]
+        for prefix, body in scopes:
+            defs = {}
+            for node in body:
+                if (isinstance(node, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")
+                        and not _decorator_names(node) & {"scenario",
+                                                          "sweep"}):
+                    defs.setdefault(node.name, []).append(node)
+            for name, nodes in defs.items():
+                yield f"{rel}:{prefix}{name}", name, nodes
+
+
+def uncalled_callables(src=SRC, repo=REPO):
+    """Keys of the public callables that nothing in the package, the
+    benchmarks, the examples or the perf harness names outside their
+    own defs."""
+    named = Counter()
+    for tree_name in OPTION_CALLER_TREES:
+        for source in sorted((repo / tree_name).rglob("*.py")):
+            named.update(mentions(ast.parse(
+                source.read_text(encoding="utf-8"))))
+    return [key for key, name, defs in public_callables(src)
+            if named[name] <= sum(mention == name for node in defs
+                                  for mention in mentions(node))]
+
+
+def test_every_public_callable_has_a_shipped_caller():
+    """A public function, method or property nothing that ships ever
+    names is surface no user reaches: delete it, or say in
+    ``CALLABLES_ALLOWED`` which test or oracle drives shipped code
+    through it."""
+    uncalled = uncalled_callables()
+    unexpected = [key for key in uncalled if key not in CALLABLES_ALLOWED]
+    assert not unexpected, (
+        "public callables nothing in src/repro, the benchmarks, the "
+        "examples or perf names (delete them, or allow-list them with a "
+        "reason):\n" + "\n".join(unexpected))
+    stale = sorted(set(CALLABLES_ALLOWED) - set(uncalled))
+    assert not stale, f"allow-listed but named (or gone): {stale}"
+    assert all(CALLABLES_ALLOWED.values()), "every entry needs a reason"

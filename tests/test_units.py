@@ -14,9 +14,6 @@ class TestRates:
         assert units.to_mbps(units.mbps(250)) == pytest.approx(250.0)
         assert units.mbps(250) == pytest.approx(31.25e6)
 
-    def test_bits_bytes(self):
-        assert units.bits(100) == 800
-
 
 class TestTimes:
     def test_usec_msec(self):
