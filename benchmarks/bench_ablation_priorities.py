@@ -16,12 +16,8 @@ import random
 from repro import units
 from repro.analysis import percentile
 from repro.core.guarantees import NetworkGuarantee
-from repro.phynet import (
-    MetricsCollector,
-    PacketNetwork,
-    PRIORITY_BEST_EFFORT,
-    PRIORITY_GUARANTEED,
-)
+from repro.mechanisms import get_mechanism
+from repro.phynet import MetricsCollector
 from repro.phynet.apps import BulkApp, EpochBurstApp
 from repro.topology import TreeTopology
 from repro.workloads import Fixed
@@ -40,22 +36,23 @@ def run_scenario(best_effort: str):
     """``best_effort``: "none", "low-priority" or "equal-priority"."""
     topo = TreeTopology(n_pods=1, racks_per_pod=1, servers_per_rack=3,
                         slots_per_server=6, link_rate=units.gbps(10))
-    net = PacketNetwork(topo)
+    silo = get_mechanism("silo")
+    net = silo.build_network(topo)
     metrics = MetricsCollector()
     rng = random.Random(77)
-    for vm in range(6):
-        net.add_vm(vm, 1, vm % 3, guarantee=GUARANTEE, paced=True)
-    app_a = EpochBurstApp(net, metrics, 1, list(range(6)), Fixed(MESSAGE),
+    servers = [vm % 3 for vm in range(6)]
+    vms_a = silo.attach(net, 1, servers, GUARANTEE)
+    app_a = EpochBurstApp(net, metrics, 1, vms_a, Fixed(MESSAGE),
                           epoch=units.msec(3), rng=rng)
     app_a.start()
 
     bulk = None
     if best_effort != "none":
-        priority = (PRIORITY_BEST_EFFORT if best_effort == "low-priority"
-                    else PRIORITY_GUARANTEED)
-        vms = list(range(6, 12))
-        for vm in vms:
-            net.add_vm(vm, 2, vm % 3, priority=priority)  # unpaced
+        # Unpaced and without a guarantee either way: Silo puts such a
+        # tenant in the best-effort class, plain TCP ("none") leaves it
+        # in the guaranteed tenant's class.
+        arm = silo if best_effort == "low-priority" else get_mechanism("none")
+        vms = arm.attach(net, 2, servers, None)
         bulk = BulkApp(net, metrics, 2, all_to_all_pairs(vms),
                        chunk_size=units.MB)
         bulk.start()

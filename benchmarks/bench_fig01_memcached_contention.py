@@ -15,7 +15,8 @@ import random
 
 from repro import units
 from repro.analysis import summarize
-from repro.phynet import MetricsCollector, PacketNetwork
+from repro.mechanisms import get_mechanism
+from repro.phynet import MetricsCollector
 from repro.phynet.apps import BulkApp, MemcachedApp
 from repro.topology import TreeTopology
 from repro.workloads import EtcWorkload, Fixed
@@ -32,20 +33,19 @@ def run_scenario(with_netperf: bool):
     topo = TreeTopology(n_pods=1, racks_per_pod=1,
                         servers_per_rack=N_SERVERS, slots_per_server=4,
                         link_rate=units.gbps(10))
-    net = PacketNetwork(topo)
+    tcp = get_mechanism("none")
+    net = tcp.build_network(topo)
     metrics = MetricsCollector()
     rng = random.Random(17)
-    for vm in range(6):
-        net.add_vm(vm, 1, vm % N_SERVERS)
-    memcached = MemcachedApp(net, metrics, 1, server_vm=0,
-                             client_vms=list(range(1, 6)),
+    servers = [vm % N_SERVERS for vm in range(6)]
+    vms_a = tcp.attach(net, 1, servers, None)
+    memcached = MemcachedApp(net, metrics, 1, server_vm=vms_a[0],
+                             client_vms=vms_a[1:],
                              workload=EtcWorkload(), rng=rng,
                              service_time=SERVICE_TIME)
     memcached.start()
     if with_netperf:
-        vms_b = list(range(6, 12))
-        for vm in vms_b:
-            net.add_vm(vm, 2, vm % N_SERVERS)
+        vms_b = tcp.attach(net, 2, servers, None)
         BulkApp(net, metrics, 2, all_to_all_pairs(vms_b),
                 chunk_size=units.MB).start()
     net.sim.run(until=DURATION)

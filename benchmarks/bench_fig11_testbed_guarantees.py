@@ -18,7 +18,8 @@ import random
 from repro import units
 from repro.analysis import summarize
 from repro.core.guarantees import NetworkGuarantee, message_latency_bound
-from repro.phynet import MetricsCollector, PacketNetwork
+from repro.mechanisms import get_mechanism
+from repro.phynet import MetricsCollector
 from repro.phynet.apps import BulkApp, MemcachedApp
 from repro.topology import TreeTopology
 from repro.workloads import EtcWorkload, Fixed
@@ -46,23 +47,25 @@ REQUIREMENTS = [
 
 
 def run_scenario(scheme: str, bw_a=None, bw_b=None, with_b=True):
+    """``scheme`` is a registered mechanism: "none" (plain TCP) or
+    "silo" (tenant A guaranteed ``bw_a``, tenant B ``bw_b``)."""
     topo = TreeTopology(n_pods=1, racks_per_pod=1,
                         servers_per_rack=N_SERVERS, slots_per_server=6,
                         link_rate=units.gbps(10))
-    net = PacketNetwork(topo)
+    mech = get_mechanism(scheme)
+    net = mech.build_network(topo)
     metrics = MetricsCollector()
     rng = random.Random(23)
-    paced = scheme == "silo"
+    servers = [vm % N_SERVERS for vm in range(VMS_EACH)]
 
     g_a = None
-    if paced:
+    if scheme == "silo":
         g_a = NetworkGuarantee(bandwidth=bw_a, burst=1.5 * units.KB,
                                delay=units.msec(1),
                                peak_rate=units.gbps(1))
-    for vm in range(VMS_EACH):
-        net.add_vm(vm, 1, vm % N_SERVERS, guarantee=g_a, paced=paced)
-    memcached = MemcachedApp(net, metrics, 1, server_vm=0,
-                             client_vms=list(range(1, VMS_EACH)),
+    vms_a = mech.attach(net, 1, servers, g_a)
+    memcached = MemcachedApp(net, metrics, 1, server_vm=vms_a[0],
+                             client_vms=vms_a[1:],
                              workload=ETC, rng=rng,
                              service_time=SERVICE_TIME)
     memcached.start()
@@ -70,11 +73,9 @@ def run_scenario(scheme: str, bw_a=None, bw_b=None, with_b=True):
     netperf = None
     if with_b:
         g_b = None
-        if paced:
+        if scheme == "silo":
             g_b = NetworkGuarantee(bandwidth=bw_b, burst=1.5 * units.KB)
-        vms_b = list(range(VMS_EACH, 2 * VMS_EACH))
-        for vm in vms_b:
-            net.add_vm(vm, 2, vm % N_SERVERS, guarantee=g_b, paced=paced)
+        vms_b = mech.attach(net, 2, servers, g_b)
         netperf = BulkApp(net, metrics, 2, all_to_all_pairs(vms_b),
                           chunk_size=units.MB)
         netperf.start()
@@ -86,8 +87,8 @@ def run_scenario(scheme: str, bw_a=None, bw_b=None, with_b=True):
 
 def compute():
     results = {}
-    results["tcp-idle"] = run_scenario("tcp", with_b=False)
-    results["tcp"] = run_scenario("tcp")
+    results["tcp-idle"] = run_scenario("none", with_b=False)
+    results["tcp"] = run_scenario("none")
     for label, bw_a, bw_b in REQUIREMENTS:
         results[f"silo-{label}"] = run_scenario("silo", bw_a, bw_b)
     return results

@@ -17,7 +17,8 @@ import random
 
 from repro import NetworkGuarantee, units
 from repro.analysis import summarize
-from repro.phynet import MetricsCollector, PacketNetwork
+from repro.mechanisms import get_mechanism
+from repro.phynet import MetricsCollector
 from repro.phynet.apps import BulkApp, MemcachedApp
 from repro.topology import TreeTopology
 from repro.workloads import EtcWorkload
@@ -29,24 +30,24 @@ VMS_PER_TENANT = 6
 
 
 def build(scheme: str, with_neighbour: bool):
+    """``scheme`` is a registered mechanism: "none" (plain TCP) or "silo"."""
     topology = TreeTopology(n_pods=1, racks_per_pod=1,
                             servers_per_rack=N_SERVERS,
                             slots_per_server=4,
                             link_rate=units.gbps(10))
-    net = PacketNetwork(topology)
+    mech = get_mechanism(scheme)
+    net = mech.build_network(topology)
     metrics = MetricsCollector()
     rng = random.Random(42)
-    paced = scheme == "silo"
+    servers = [vm % N_SERVERS for vm in range(VMS_PER_TENANT)]
 
     g_a = NetworkGuarantee(bandwidth=units.mbps(420),
                            burst=3 * units.KB,
                            delay=units.msec(1),
                            peak_rate=units.gbps(1))
-    for vm in range(VMS_PER_TENANT):
-        net.add_vm(vm, 1, vm % N_SERVERS,
-                   guarantee=g_a if paced else None, paced=paced)
-    memcached = MemcachedApp(net, metrics, 1, server_vm=0,
-                             client_vms=list(range(1, VMS_PER_TENANT)),
+    vms_a = mech.attach(net, 1, servers, g_a)
+    memcached = MemcachedApp(net, metrics, 1, server_vm=vms_a[0],
+                             client_vms=vms_a[1:],
                              workload=EtcWorkload(), rng=rng)
     memcached.start()
 
@@ -54,10 +55,7 @@ def build(scheme: str, with_neighbour: bool):
     if with_neighbour:
         g_b = NetworkGuarantee(bandwidth=units.gbps(2.9),
                                burst=1.5 * units.KB)
-        vms_b = list(range(VMS_PER_TENANT, 2 * VMS_PER_TENANT))
-        for vm in vms_b:
-            net.add_vm(vm, 2, vm % N_SERVERS,
-                       guarantee=g_b if paced else None, paced=paced)
+        vms_b = mech.attach(net, 2, servers, g_b)
         shuffle = BulkApp(net, metrics, 2, all_to_all_pairs(vms_b),
                           chunk_size=units.MB)
         shuffle.start()
@@ -81,8 +79,8 @@ def report(label: str, metrics: MetricsCollector, memcached, shuffle):
 def main() -> None:
     print(f"memcached RPC latency over {DURATION * 1000:.0f} ms simulated")
     for label, scheme, neighbour in [
-        ("TCP (idle)", "tcp", False),
-        ("TCP + shuffle", "tcp", True),
+        ("TCP (idle)", "none", False),
+        ("TCP + shuffle", "none", True),
         ("Silo + shuffle", "silo", True),
     ]:
         metrics, memcached, shuffle = build(scheme, neighbour)

@@ -17,7 +17,8 @@ import random
 
 from repro import NetworkGuarantee, TenantClass, TenantRequest
 from repro import units
-from repro.phynet import MetricsCollector, PacketNetwork
+from repro.mechanisms import get_mechanism
+from repro.phynet import MetricsCollector
 from repro.phynet.apps import EpochBurstApp
 from repro.placement import SiloPlacementManager
 from repro.topology import TreeTopology
@@ -59,14 +60,16 @@ def main() -> None:
 
     # Verify on the simulated wire: all 7 workers burst a full message to
     # the aggregator every 2 ms -- the worst case the guarantee covers.
-    net = PacketNetwork(topology)
-    for vm, server in enumerate(placement.vm_servers):
-        net.add_vm(vm, request.tenant_id, server,
-                   guarantee=request.guarantee, paced=True)
+    # The Silo mechanism puts every VM behind a pacer derived from the
+    # guarantee.
+    silo = get_mechanism("silo")
+    net = silo.build_network(topology)
+    vm_ids = silo.attach(net, request.tenant_id, placement.vm_servers,
+                         request.guarantee)
     metrics = MetricsCollector()
-    app = EpochBurstApp(net, metrics, request.tenant_id,
-                        list(range(request.n_vms)), Fixed(message),
-                        epoch=units.msec(2), rng=random.Random(0))
+    app = EpochBurstApp(net, metrics, request.tenant_id, vm_ids,
+                        Fixed(message), epoch=units.msec(2),
+                        rng=random.Random(0))
     app.start(phase=0.0)
     net.sim.run(until=0.1)
 

@@ -18,11 +18,8 @@ import random
 from repro import NetworkGuarantee, units
 from repro.analysis import percentile
 from repro.core.guarantees import message_latency_bound
-from repro.phynet import (
-    MetricsCollector,
-    PacketNetwork,
-    PRIORITY_BEST_EFFORT,
-)
+from repro.mechanisms import get_mechanism
+from repro.phynet import MetricsCollector
 from repro.phynet.apps import BulkApp
 from repro.phynet.oldi import PartitionAggregateApp
 from repro.topology import TreeTopology
@@ -38,29 +35,25 @@ GUARANTEE = NetworkGuarantee(bandwidth=units.mbps(500),
 
 
 def run(scheme: str, with_neighbour: bool):
+    """``scheme`` is a registered mechanism: "none" (plain TCP) or "silo"."""
     topo = TreeTopology(n_pods=1, racks_per_pod=1, servers_per_rack=4,
                         slots_per_server=6, link_rate=units.gbps(10))
-    net = PacketNetwork(topo)
+    mech = get_mechanism(scheme)
+    net = mech.build_network(topo)
     metrics = MetricsCollector()
-    paced = scheme == "silo"
-    for vm in range(N_WORKERS + 1):
-        net.add_vm(vm, 1, vm % 4,
-                   guarantee=GUARANTEE if paced else None, paced=paced)
+    vms_a = mech.attach(net, 1, [vm % 4 for vm in range(N_WORKERS + 1)],
+                        GUARANTEE)
     app = PartitionAggregateApp(
-        net, metrics, 1, root_vm=0,
-        worker_vms=list(range(1, N_WORKERS + 1)),
+        net, metrics, 1, root_vm=vms_a[0], worker_vms=vms_a[1:],
         rng=random.Random(13),
         response_size=Fixed(15 * units.KB),
         worker_compute=Fixed(500 * units.MICROS),
         deadline=DEADLINE)
     if with_neighbour:
-        vms_b = list(range(8, 20))
-        for vm in vms_b:
-            # Under Silo the unguaranteed neighbour rides the best-effort
-            # class (section 4.4); under plain TCP there is no such split.
-            net.add_vm(vm, 2, vm % 4,
-                       priority=(PRIORITY_BEST_EFFORT if paced
-                                 else 0))
+        # The neighbour has no guarantee: under Silo it rides the
+        # best-effort class (section 4.4); under plain TCP there is no
+        # such split.
+        vms_b = mech.attach(net, 2, [vm % 4 for vm in range(12)], None)
         BulkApp(net, metrics, 2, all_to_all_pairs(vms_b),
                 chunk_size=units.MB).start()
     app.start(interval=units.msec(3))
@@ -81,8 +74,8 @@ def main() -> None:
           f"{(DEADLINE - network_bound - 500e-6) * 1e3:.2f} ms\n")
 
     for label, scheme, neighbour in [
-            ("TCP (idle)", "tcp", False),
-            ("TCP + neighbour", "tcp", True),
+            ("TCP (idle)", "none", False),
+            ("TCP + neighbour", "none", True),
             ("Silo + neighbour", "silo", True)]:
         app, lats = run(scheme, neighbour)
         print(f"{label:18s} queries={len(lats):3d} "

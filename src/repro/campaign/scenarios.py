@@ -563,34 +563,29 @@ def _wire_campaign_tenants(net, mech, placements, metrics, rng,
                            jitter: float, chunk: float, bulk: bool):
     """Attach the section 6.2 tenants' VMs and applications to ``net``.
 
-    VMs are numbered in placement order and attached through ``mech``,
-    whose transport every app runs; class-A tenants start an all-to-one
-    epoch-burst app (each draws its phases from ``rng`` as it starts,
-    in placement order), class-B tenants an all-to-all bulk app unless
-    ``bulk`` is off.  Returns the class-A and class-B tenant ids.
+    VMs are numbered in placement order and attached through ``mech``;
+    class-A tenants start an all-to-one epoch-burst app (each draws its
+    phases from ``rng`` as it starts, in placement order), class-B
+    tenants an all-to-all bulk app unless ``bulk`` is off.  Returns the
+    class-A and class-B tenant ids.
     """
     from repro.phynet.apps import BulkApp, EpochBurstApp
     from repro.workloads import Fixed
     from repro.workloads.patterns import all_to_all_pairs
-    transport_class = mech.transport_class()
-    vm_counter = 0
     class_a, class_b = [], []
     for kind, request, placement in placements:
         vm_ids = mech.attach(net, request.tenant_id, placement.vm_servers,
-                             request.guarantee, vm_counter)
-        vm_counter += len(vm_ids)
+                             request.guarantee)
         if kind == "a":
             class_a.append(request.tenant_id)
             EpochBurstApp(net, metrics, request.tenant_id, vm_ids,
                           Fixed(CLASS_A_MESSAGE), epoch=CLASS_A_EPOCH,
-                          rng=rng, jitter=jitter,
-                          transport_class=transport_class).start()
+                          rng=rng, jitter=jitter).start()
         else:
             class_b.append(request.tenant_id)
             if bulk:
                 BulkApp(net, metrics, request.tenant_id,
-                        all_to_all_pairs(vm_ids), chunk_size=chunk,
-                        transport_class=transport_class).start()
+                        all_to_all_pairs(vm_ids), chunk_size=chunk).start()
     return class_a, class_b
 
 
@@ -951,23 +946,18 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
     metrics = MetricsCollector(tracer=sink)
     rng = random.Random(seed)
 
-    next_vm = 0
-
     def admit_and_place(guarantee, tenant_class):
         """Admit one tenant and attach its VMs; ``(tenant id, VM ids)``,
         or None when admission rejects it."""
-        nonlocal next_vm
         request = TenantRequest(n_vms=vms, guarantee=guarantee,
                                 tenant_class=tenant_class)
         placement = manager.place(request)
         if placement is None:
             return None
         vm_ids = mech.attach(net, request.tenant_id, placement.vm_servers,
-                             guarantee, next_vm)
-        next_vm += len(vm_ids)
+                             guarantee)
         return request.tenant_id, vm_ids
 
-    transport_class = mech.transport_class()
     guarantee = _cli_guarantee(bandwidth_mbps, burst_kb, delay_us,
                                bmax_gbps)
     message_bytes = message_kb * units.KB
@@ -979,8 +969,7 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
         tenant_id, vm_ids = placed
         bounds[tenant_id] = guarantee.message_latency_bound(message_bytes)
         EpochBurstApp(net, metrics, tenant_id, vm_ids, Fixed(message_bytes),
-                      epoch=epoch_us * units.MICROS, rng=rng,
-                      transport_class=transport_class).start()
+                      epoch=epoch_us * units.MICROS, rng=rng).start()
     bulk_guarantee = _cli_guarantee(bandwidth_mbps, burst_kb, None,
                                     bmax_gbps)
     for _ in range(class_b):
@@ -989,8 +978,7 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
             continue
         tenant_id, vm_ids = placed
         BulkApp(net, metrics, tenant_id,
-                list(zip(vm_ids[0::2], vm_ids[1::2])),
-                transport_class=transport_class).start()
+                list(zip(vm_ids[0::2], vm_ids[1::2]))).start()
 
     duration = duration_ms * 1e-3
     injector = None

@@ -30,8 +30,8 @@ byte-identical campaign outputs.
 
 The engine knows nothing about faults: a fault schedule is delivered
 either as ordinary :meth:`EventEngine.schedule_at` callbacks
-(:class:`repro.faults.inject.NetworkFaultInjector`) or through a
-:class:`repro.faults.schedule.FaultClock` the consumer holds itself
+(:class:`repro.faults.inject.NetworkFaultInjector`) or by a consumer
+that walks the schedule's events itself
 (:class:`repro.flowsim.sim.ClusterSim`).
 """
 

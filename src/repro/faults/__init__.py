@@ -6,14 +6,13 @@ The subsystem splits into three layers:
   :class:`~repro.faults.model.HealthState` that folds them into per-port
   capacity factors and crashed servers;
 * :mod:`repro.faults.schedule` -- seeded, reproducible schedules (fixed
-  lists, Poisson MTBF/MTTR processes, JSON scenario files) and the
-  :class:`~repro.faults.schedule.FaultClock` cursor both simulators
-  consume;
+  lists, Poisson MTBF/MTTR processes, JSON scenario files) whose
+  time-sorted events both simulators replay;
 * :mod:`repro.faults.inject` -- the packet-engine adapter that replays a
   schedule against a ``PacketNetwork``.
 
-The fluid simulator and the recovery controller integrate directly with
-:class:`FaultClock` / :class:`HealthState`; see
+The fluid simulator walks a schedule's events itself and the recovery
+controller folds them into a :class:`HealthState`; see
 :class:`repro.flowsim.sim.ClusterSim` and
 :class:`repro.placement.controller.ClusterController`.
 """
@@ -32,7 +31,6 @@ from repro.faults.model import (
 )
 from repro.faults.schedule import (
     DEFAULT_TARGET_KINDS,
-    FaultClock,
     FaultSchedule,
     eligible_targets,
 )
@@ -42,6 +40,6 @@ __all__ = [
     "TARGET_LINK", "TARGET_SERVER", "TARGET_SWITCH",
     "ACTION_DOWN", "ACTION_UP", "ACTION_DEGRADE", "SWITCH_LEVELS",
     "FaultTarget", "FaultEvent", "HealthState",
-    "FaultSchedule", "FaultClock", "eligible_targets",
+    "FaultSchedule", "eligible_targets",
     "DEFAULT_TARGET_KINDS", "NetworkFaultInjector",
 ]

@@ -9,10 +9,9 @@ changed per-port capacity factor into the matching
 :meth:`~repro.phynet.port.OutputPort.set_fault_factor`, and emits a
 ``fault.inject`` trace event.
 
-The fluid simulator does *not* use this class -- it holds the
-schedule's :class:`~repro.faults.schedule.FaultClock` cursor and folds
-it into its own next-event search (see
-:class:`repro.flowsim.sim.ClusterSim`).
+The fluid simulator does *not* use this class -- it walks the
+schedule's events with an index folded into its own next-event search
+(see :class:`repro.flowsim.sim.ClusterSim`).
 """
 
 from __future__ import annotations

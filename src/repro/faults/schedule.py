@@ -1,4 +1,4 @@
-"""Deterministic, seeded fault schedules and the clock that replays them.
+"""Deterministic, seeded fault schedules.
 
 A :class:`FaultSchedule` is an immutable, time-sorted list of
 :class:`~repro.faults.model.FaultEvent` built one of three ways:
@@ -12,10 +12,9 @@ A :class:`FaultSchedule` is an immutable, time-sorted list of
   ``"poisson:mtbf_ms=10,mttr_ms=5,targets=link+server"`` shorthand or a
   path to a JSON file (``{"events": [...]}`` or ``{"poisson": {...}}``).
 
-Both simulators consume a schedule through a :class:`FaultClock`: the
-packet engine pre-schedules each event on its event loop, the fluid
-simulator folds :meth:`FaultClock.next_time` into its next-event search
-and pops due events with :meth:`FaultClock.pop_due`.
+Both simulators replay a schedule's time-sorted :attr:`FaultSchedule.events`:
+the packet engine pre-schedules each event on its event loop, the fluid
+simulator walks them with an index folded into its next-event search.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro.faults.model import (
 )
 from repro.topology.tree import TreeTopology
 
-__all__ = ["FaultSchedule", "FaultClock", "eligible_targets"]
+__all__ = ["FaultSchedule", "eligible_targets"]
 
 #: Target kinds the Poisson generator draws from by default.
 DEFAULT_TARGET_KINDS = (TARGET_LINK, TARGET_SERVER)
@@ -83,10 +82,6 @@ class FaultSchedule:
     def is_empty(self) -> bool:
         """Whether the schedule holds no events."""
         return not self.events
-
-    def clock(self) -> "FaultClock":
-        """A fresh replay cursor over this schedule."""
-        return FaultClock(self)
 
     # -- constructors --------------------------------------------------------
 
@@ -207,37 +202,3 @@ def _parse_kv(text: str) -> Dict[str, str]:
         key, value = part.split("=", 1)
         params[key.strip()] = value.strip()
     return params
-
-
-class FaultClock:
-    """Cursor over a schedule, shared by the simulators.
-
-    ``next_time()`` is the next undelivered event's time (``inf`` when
-    exhausted) -- fold it into the next-event search; ``pop_due(now)``
-    delivers every event at or before ``now`` exactly once.
-    """
-
-    def __init__(self, schedule: FaultSchedule):
-        self.schedule = schedule
-        self._cursor = 0
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether every event has been popped."""
-        return self._cursor >= len(self.schedule.events)
-
-    def next_time(self) -> float:
-        """Time of the next pending event (``inf`` when exhausted)."""
-        if self.exhausted:
-            return float("inf")
-        return self.schedule.events[self._cursor].time
-
-    def pop_due(self, now: float) -> List[FaultEvent]:
-        """Pop and return every event due at or before ``now``."""
-        events = self.schedule.events
-        due: List[FaultEvent] = []
-        while (self._cursor < len(events)
-               and events[self._cursor].time <= now):
-            due.append(events[self._cursor])
-            self._cursor += 1
-        return due

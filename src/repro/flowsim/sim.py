@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.engine import EventEngine
 from repro.core.tenant import TenantClass, TenantRequest
 from repro.faults.model import FaultEvent
-from repro.faults.schedule import FaultClock, FaultSchedule
+from repro.faults.schedule import FaultSchedule
 from repro.flowsim.job import _DONE_EPS, FlowState, TenantJob
 from repro.flowsim.workload import TenantArrival, TenantWorkload
 from repro.maxmin import IncrementalMaxMin
@@ -170,14 +170,16 @@ class ClusterSim:
         #: one ``is None`` test per actual rate change.
         self._port_usage = None
         # -- fault injection --------------------------------------------------
-        # A cursor over the schedule, folded into the run loop's
-        # next-event search; empty schedules attach nothing.
-        self._fault_clock: Optional[FaultClock] = (
-            None if faults is None or faults.is_empty else faults.clock())
+        # The schedule's time-sorted events and the index of the next
+        # undelivered one, folded into the run loop's next-event search;
+        # empty schedules attach nothing.
+        self._faults: Optional[Tuple[FaultEvent, ...]] = (
+            None if faults is None or faults.is_empty else faults.events)
+        self._fault_cursor = 0
         self.controller: Optional[ClusterController] = None
         self._base_capacity: Dict[int, float] = {}
         self._down_ports: frozenset = frozenset()
-        if self._fault_clock is not None or controller is not None:
+        if self._faults is not None or controller is not None:
             self.controller = (controller if controller is not None
                                else ClusterController(manager, tracer=tracer,
                                                       retry_evicted=False))
@@ -653,7 +655,7 @@ class ClusterSim:
         total_capacity = sum(self._link_capacity.values())
         flow_events = self._flow_events
         job_events = self._job_events
-        fault_clock = self._fault_clock
+        faults = self._faults
         stats = self.stats
 
         while now < until:
@@ -675,10 +677,9 @@ class ClusterSim:
                 t_next = flow_events[0][0]
             if job_events and job_events[0][0] < t_next:
                 t_next = job_events[0][0]
-            if fault_clock is not None:
-                fault_next = fault_clock.next_time()
-                if fault_next < t_next:
-                    t_next = fault_next
+            if (faults is not None and self._fault_cursor < len(faults)
+                    and faults[self._fault_cursor].time < t_next):
+                t_next = faults[self._fault_cursor].time
             if t_next < now:
                 t_next = now
             dt = t_next - now
@@ -697,8 +698,12 @@ class ClusterSim:
             progressed = dt > 0
             # Faults first: capacity changes and evictions take effect
             # before same-instant drains and arrivals see them.
-            if fault_clock is not None:
-                for fault in fault_clock.pop_due(now + _TIME_EPS):
+            if faults is not None:
+                while (self._fault_cursor < len(faults)
+                       and faults[self._fault_cursor].time
+                       <= now + _TIME_EPS):
+                    fault = faults[self._fault_cursor]
+                    self._fault_cursor += 1
                     self._apply_fault(fault, now)
                     progressed = True
             # Flow drains at (or before) now.

@@ -205,27 +205,22 @@ class HybridSim:
         # Phase 3: packet foreground inside the recorded residuals.
         mech = get_mechanism("silo")
         net = mech.build_network(self.topology)
-        transport_class = mech.transport_class()
         metrics = MetricsCollector()
         rng = random.Random(seed)
         apps = []
-        next_vm = 0
         for tenant, placement in placements:
             vm_ids = mech.attach(net, tenant.request.tenant_id,
                                  placement.vm_servers,
-                                 tenant.request.guarantee, next_vm)
-            next_vm += len(vm_ids)
+                                 tenant.request.guarantee)
             if tenant.app == "memcached":
                 app = MemcachedApp(net, metrics, tenant.request.tenant_id,
                                    server_vm=vm_ids[0],
                                    client_vms=vm_ids[1:],
-                                   workload=EtcWorkload(), rng=rng,
-                                   transport_class=transport_class)
+                                   workload=EtcWorkload(), rng=rng)
             else:
                 app = EpochBurstApp(net, metrics, tenant.request.tenant_id,
                                     vm_ids, Fixed(tenant.message_bytes),
-                                    epoch=tenant.epoch, rng=rng,
-                                    transport_class=transport_class)
+                                    epoch=tenant.epoch, rng=rng)
             app.start(at=0.0)
             apps.append((tenant, app, vm_ids))
         residual_events = self._preschedule_residuals(

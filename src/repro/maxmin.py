@@ -1,9 +1,10 @@
 """Generic max-min fair rate allocation.
 
-Used twice in this package: the EyeQ-style hose coordination inside the
-pacer (every flow crosses its sender's and receiver's hose "links") and the
-flow-level simulator's ideal-TCP bandwidth sharing (every flow crosses the
-tree links on its path).
+Used twice in this package: the hose split of :mod:`repro.pacer.eyeq`
+(every flow crosses its sender's and receiver's hose "links"), which the
+pacing mechanisms run over a tenant's VM pairs, and the flow-level
+simulator's ideal-TCP bandwidth sharing (every flow crosses the tree
+links on its path).
 
 :func:`max_min_fair` implements progressive filling in its *water-level*
 form: every unfrozen flow shares one common rate ``W``; a link with

@@ -49,7 +49,7 @@ class DctcpMechanism(NoneMechanism):
             port.ecn_threshold = DCTCP_K
         return net
 
-    def transport_class(self) -> Optional[Type[Transport]]:
+    def transport_class(self) -> Type[Transport]:
         """Flows run :class:`Dctcp` to react to the marks."""
         return Dctcp
 
@@ -70,7 +70,7 @@ class HullMechanism(NoneMechanism):
             port.phantom_threshold = HULL_MARKING_THRESHOLD
         return net
 
-    def transport_class(self) -> Optional[Type[Transport]]:
+    def transport_class(self) -> Type[Transport]:
         """Flows run :class:`HullTcp` (DCTCP's endpoint algorithm)."""
         return HullTcp
 

@@ -1,11 +1,12 @@
 """EyeQ end to end: a distributed, RTT-scale hose congestion-control loop.
 
-The repo long had :func:`repro.pacer.eyeq.allocate_hose_rates` -- the
-*steady state* an EyeQ deployment converges to -- wired into
-:class:`~repro.phynet.network.PacketNetwork` as an oracle that recomputes
-the max-min split centrally every coordination interval.  That oracle is
-exactly what a real deployment cannot have.  This module replaces it with
-the mechanism EyeQ actually runs:
+:func:`repro.pacer.eyeq.allocate_hose_rates` is the *steady state* an
+EyeQ deployment converges to; the pacing mechanisms (``silo``, ``okto``,
+``okto+``, ``swp``) run it as an oracle that recomputes the max-min
+split centrally every coordination interval
+(:func:`repro.mechanisms.base._coordinate_hose`).  That oracle is exactly
+what a real deployment cannot have.  This mechanism never starts it and
+runs instead what EyeQ actually runs:
 
 * **sender module** -- every VM's egress runs per-destination rate
   limiters (the :class:`~repro.phynet.shaper.VMShaper` destination
@@ -299,12 +300,9 @@ class EyeQMechanism(Mechanism):
     name = "eyeq"
 
     def __init__(self):
+        super().__init__()
         #: The controller attached by :meth:`start` (one per run).
         self.controller: Optional[EyeQController] = None
-
-    def build_network(self, topology, tracer=None):
-        """Plain ports, oracle hose coordination off (the loop replaces it)."""
-        return PacketNetwork(topology, coordination=False, tracer=tracer)
 
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,
                server: int, guarantee: Optional[NetworkGuarantee]
@@ -313,17 +311,17 @@ class EyeQMechanism(Mechanism):
 
         The limiters start at line rate (EyeQ is work-conserving until
         told otherwise) with a two-packet burst; the control loop's
-        feedback is what subsequently holds pairs to their hose shares.
+        feedback, not the oracle hose split, is what subsequently holds
+        pairs to their hose shares.
         """
         if guarantee is None:
-            return net.add_vm(vm_id, tenant_id, server, guarantee=None,
-                              paced=False)
+            return net.add_vm(vm_id, tenant_id, server)
         line = net.topology.link_rate
         pacer_config = PacerConfig(
             bandwidth=line, burst=_LIMITER_BURST_PACKETS * units.MTU,
             peak_rate=line, packet_size=units.MTU)
         return net.add_vm(vm_id, tenant_id, server, guarantee=guarantee,
-                          paced=True, pacer_config=pacer_config)
+                          pacer_config=pacer_config)
 
     def start(self, net: PacketNetwork) -> None:
         """Attach and start the distributed control loop."""

@@ -2,11 +2,13 @@
 
 Silo is the paper's full stack: every VM sits behind the Fig. 8
 token-bucket hierarchy (network-calculus pacing with burst allowance
-``S`` and peak rate ``Bmax``), guaranteed traffic rides the high
-802.1q priority class, and -- uniquely among the registered mechanisms
--- placement goes through delay-aware admission control, which is what
-turns the pacer's per-hop burstiness bounds into an end-to-end delay
-guarantee.
+``S`` and peak rate ``Bmax``) whose per-destination buckets the
+tenant's hose split re-rates, guaranteed traffic rides the high 802.1q
+priority class while VMs without a guarantee run unpaced in the
+best-effort class (section 4.4), and -- uniquely among the registered
+mechanisms -- placement goes through delay-aware admission control,
+which is what turns the pacer's per-hop burstiness bounds into an
+end-to-end delay guarantee.
 
 ``none`` is the control group: plain TCP Reno, no pacing, no admission;
 it calibrates both the simulation overhead of the other mechanisms
@@ -20,7 +22,9 @@ from typing import Optional
 
 from repro.core.guarantees import NetworkGuarantee
 from repro.mechanisms.base import Mechanism, register_mechanism
+from repro.pacer.hierarchy import PacerConfig
 from repro.phynet.network import PacketNetwork, VirtualMachine
+from repro.phynet.packet import PRIORITY_BEST_EFFORT
 
 __all__ = ["SiloMechanism", "NoneMechanism"]
 
@@ -35,9 +39,13 @@ class SiloMechanism(Mechanism):
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,
                server: int, guarantee: Optional[NetworkGuarantee]
                ) -> VirtualMachine:
-        """Place the VM behind a Silo pacer derived from its guarantee."""
-        return net.add_vm(vm_id, tenant_id, server, guarantee=guarantee,
-                          paced=guarantee is not None)
+        """Place the VM behind a Silo pacer derived from its guarantee,
+        or unpaced in the best-effort class when it has none."""
+        if guarantee is None:
+            return net.add_vm(vm_id, tenant_id, server,
+                              priority=PRIORITY_BEST_EFFORT)
+        return self._add_paced_vm(net, vm_id, tenant_id, server, guarantee,
+                                  PacerConfig.from_guarantee(guarantee))
 
 
 @register_mechanism
@@ -49,6 +57,5 @@ class NoneMechanism(Mechanism):
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,
                server: int, guarantee: Optional[NetworkGuarantee]
                ) -> VirtualMachine:
-        """Place the VM unpaced; the guarantee is recorded but unenforced."""
-        return net.add_vm(vm_id, tenant_id, server, guarantee=None,
-                          paced=False)
+        """Place the VM unpaced; its guarantee is dropped, unenforced."""
+        return net.add_vm(vm_id, tenant_id, server)

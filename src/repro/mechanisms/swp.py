@@ -20,7 +20,8 @@ burst allowance), SWP holds no delay guarantee to fall back on.
 Data-path details -- the dedup rule, duplicate-load counters, and the
 pacer bypass -- live in :class:`repro.phynet.transport.swp.SwpTransport`
 and ``phynet/network.py``; this module only packages them behind the
-:class:`~repro.mechanisms.base.Mechanism` interface.
+:class:`~repro.mechanisms.base.Mechanism` interface (paced originals
+share Silo's hose split).
 """
 
 from __future__ import annotations
@@ -59,15 +60,14 @@ class SwpMechanism(Mechanism):
         offers no bandwidth isolation for bulk traffic.
         """
         if guarantee is None or not guarantee.wants_delay:
-            return net.add_vm(vm_id, tenant_id, server,
-                              guarantee=guarantee, paced=False)
+            return net.add_vm(vm_id, tenant_id, server, guarantee=guarantee)
         pacer_config = PacerConfig(
             bandwidth=guarantee.bandwidth, burst=units.MTU,
             peak_rate=guarantee.bandwidth, packet_size=units.MTU)
-        return net.add_vm(vm_id, tenant_id, server, guarantee=guarantee,
-                          paced=True, pacer_config=pacer_config)
+        return self._add_paced_vm(net, vm_id, tenant_id, server, guarantee,
+                                  pacer_config)
 
-    def transport_class(self) -> Optional[Type[Transport]]:
+    def transport_class(self) -> Type[Transport]:
         """Flows must run :class:`SwpTransport` to emit/dedup copies."""
         return SwpTransport
 

@@ -14,13 +14,13 @@ Three application models cover the paper's experiments:
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro import units
 from repro.phynet.metrics import MessageRecord, MetricsCollector
 from repro.phynet.network import PacketNetwork
 from repro.phynet.transport.base import Transport
-from repro.workloads.distributions import Distribution, Fixed
+from repro.workloads.distributions import Distribution
 from repro.workloads.memcached import EtcWorkload
 
 
@@ -36,8 +36,7 @@ class EpochBurstApp:
                  tenant_id: int, vm_ids: Sequence[int],
                  message_size: Distribution, epoch: float,
                  rng: random.Random,
-                 jitter: float = 10 * units.MICROS,
-                 transport_class: Optional[Type[Transport]] = None):
+                 jitter: float = 10 * units.MICROS):
         if len(vm_ids) < 2:
             raise ValueError("an all-to-one tenant needs at least two VMs")
         self.network = network
@@ -49,7 +48,7 @@ class EpochBurstApp:
         self.epoch = epoch
         self.jitter = jitter
         self.rng = rng
-        self.flows = [network.transport(s, self.receiver, transport_class)
+        self.flows = [network.transport(s, self.receiver)
                       for s in self.senders]
         self.messages_sent = 0
         self._stopped = False
@@ -92,8 +91,7 @@ class BulkApp:
 
     def __init__(self, network: PacketNetwork, metrics: MetricsCollector,
                  tenant_id: int, pairs: Sequence[Tuple[int, int]],
-                 chunk_size: float = 256 * units.KB,
-                 transport_class: Optional[Type[Transport]] = None):
+                 chunk_size: float = 256 * units.KB):
         if not pairs:
             raise ValueError("a bulk app needs at least one VM pair")
         self.network = network
@@ -101,7 +99,7 @@ class BulkApp:
         self.tenant_id = tenant_id
         self.chunk_size = chunk_size
         self.flows: Dict[Tuple[int, int], Transport] = {
-            (s, d): network.transport(s, d, transport_class)
+            (s, d): network.transport(s, d)
             for (s, d) in pairs
         }
         self._stopped = False
@@ -151,7 +149,6 @@ class MemcachedApp:
                  tenant_id: int, server_vm: int,
                  client_vms: Sequence[int], workload: EtcWorkload,
                  rng: random.Random,
-                 transport_class: Optional[Type[Transport]] = None,
                  service_time: Optional[Distribution] = None):
         """``service_time`` models end-host request processing (the
         kernel/app stack the paper's guarantees exclude but its testbed
@@ -166,11 +163,11 @@ class MemcachedApp:
         self.workload = workload
         self.rng = rng
         self.request_flows = {
-            c: network.transport(c, server_vm, transport_class)
+            c: network.transport(c, server_vm)
             for c in client_vms
         }
         self.response_flows = {
-            c: network.transport(server_vm, c, transport_class)
+            c: network.transport(server_vm, c)
             for c in client_vms
         }
         self.service_time = service_time

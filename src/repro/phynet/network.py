@@ -8,24 +8,24 @@ VMs on servers, and mediates every transmission:
   its token-bucket hierarchy computes (section 4.3) and then contends in
   the real NIC queue;
 * unpaced traffic (TCP / DCTCP / HULL baselines) is released immediately;
-* intra-server traffic crosses only the hypervisor vswitch;
-* an EyeQ-style coordinator periodically re-splits each tenant's hose
-  bandwidth over its active VM pairs (the ``B_i`` rates of Fig. 8).
+* intra-server traffic crosses only the hypervisor vswitch.
+
+Which pacer a VM gets, which transport its flows run and whether its
+tenant's hose is re-split (the ``B_i`` rates of Fig. 8) is the business
+of the :class:`~repro.mechanisms.base.Mechanism` that builds the network.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
-from repro.pacer.eyeq import allocate_hose_rates
 from repro.pacer.hierarchy import PacerConfig
 from repro.core.engine import EventEngine
 from repro.obs.timeseries import TimeSeries
 from repro.phynet.shaper import VMShaper
-from repro.phynet.packet import PRIORITY_BEST_EFFORT, PRIORITY_GUARANTEED, Packet
+from repro.phynet.packet import PRIORITY_GUARANTEED, Packet
 from repro.phynet.port import DEFAULT_PROP_DELAY, N_CLASSES, OutputPort
 from repro.phynet.transport.base import Transport
 from repro.phynet.transport.tcp import TcpReno
@@ -37,9 +37,6 @@ from repro.topology.tree import TreeTopology
 #: of co-located VM pairs bounded, like a real vmbus/vswitch would.
 VSWITCH_RATE_FACTOR = 4.0
 VSWITCH_BUFFER = 2 * units.MB
-
-#: How often the EyeQ-style coordinator re-splits hose bandwidth.
-COORDINATION_INTERVAL = 500 * units.MICROS
 
 #: Bytes a VM's shaper may hold per destination before the guest is
 #: backpressured (NDIS send-completion flow control in the prototype).
@@ -71,21 +68,18 @@ class PacketNetwork:
     def __init__(self, topology: TreeTopology,
                  sim: Optional[EventEngine] = None,
                  prop_delay: float = DEFAULT_PROP_DELAY,
-                 coordination: bool = True,
+                 transport_class: Type[Transport] = TcpReno,
                  tracer=None):
         """Build the simulated network: plain drop-tail priority ports.
 
         The fabric does not know which scheme runs on it.  A registered
         :class:`~repro.mechanisms.base.Mechanism` that needs more
         (DCTCP's marking threshold, HULL's phantom queues) configures
-        the ports of the network it builds and names its own transport;
-        rate control lives in the hypervisor pacers attached per VM via
-        :meth:`add_vm`.
+        the ports of the network it builds; rate control lives in the
+        hypervisor pacers attached per VM via :meth:`add_vm`.
 
-        ``coordination=False`` disables the built-in oracle hose
-        coordination loop (:meth:`_coordinate`); the EyeQ mechanism turns
-        it off because its *distributed* control loop
-        (:class:`repro.mechanisms.eyeq.EyeQController`) replaces it.
+        ``transport_class`` is what every flow of this network runs
+        (:meth:`transport`); a mechanism passes its own.
 
         ``tracer`` (a :class:`repro.obs.TraceSink`) turns on event tracing
         for every port and transport of this network; ``None`` keeps the
@@ -97,7 +91,7 @@ class PacketNetwork:
         # ``tests/oracles/seed_engine.py``) is honoured as long as it
         # speaks the same surface.
         self.sim = sim if sim is not None else EventEngine()
-        self.coordination = coordination
+        self.transport_class = transport_class
         self.tracer = tracer
         if tracer is not None:
             self.sim.tracer = tracer
@@ -112,9 +106,7 @@ class PacketNetwork:
 
         self.vms: Dict[int, VirtualMachine] = {}
         self.transports: Dict[Tuple[int, int], Transport] = {}
-        self._tenant_vms: Dict[int, List[int]] = {}
         self._route_cache: Dict[Tuple[int, int], List[OutputPort]] = {}
-        self._coordinating: Dict[int, bool] = {}
         self._ready_waiters: Dict[int, List[Any]] = {}
         self._vswitches: Dict[int, OutputPort] = {}
 
@@ -122,49 +114,33 @@ class PacketNetwork:
 
     def add_vm(self, vm_id: int, tenant_id: int, server: int,
                guarantee: Optional[NetworkGuarantee] = None,
-               paced: bool = False,
                pacer_config: Optional[PacerConfig] = None,
                priority: int = PRIORITY_GUARANTEED) -> VirtualMachine:
-        """Place a VM; with ``paced=True`` it runs behind a Silo pacer."""
+        """Place a VM; with a ``pacer_config`` it runs behind a hypervisor
+        shaper of that configuration, without one it is unpaced."""
         if vm_id in self.vms:
             raise ValueError(f"vm {vm_id} already exists")
         if not 0 <= server < self.topology.n_servers:
             raise ValueError(f"server {server} out of range")
         vm = VirtualMachine(vm_id, tenant_id, server, guarantee, priority)
-        if paced:
-            if pacer_config is None:
-                if guarantee is None:
-                    raise ValueError("a paced VM needs a guarantee or an "
-                                     "explicit pacer config")
-                pacer_config = PacerConfig.from_guarantee(guarantee)
+        if pacer_config is not None:
             vm.pacer = VMShaper(
                 self.sim, pacer_config,
                 release=lambda packet, v=vm: self._shaper_release(packet, v))
         self.vms[vm_id] = vm
-        self._tenant_vms.setdefault(tenant_id, []).append(vm_id)
-        if vm.pacer is not None and guarantee is not None:
-            self._start_coordination(tenant_id)
         return vm
 
-    def transport(self, src_vm: int, dst_vm: int,
-                  transport_class: Optional[Type[Transport]] = None
-                  ) -> Transport:
-        """The (unique) transport for an ordered VM pair, created on demand.
-
-        The default transport is plain TCP (the paper runs TCP on top of
-        Silo's and Oktopus' rate enforcement); a mechanism with its own
-        endpoints names them in ``Mechanism.transport_class``.
-        """
+    def transport(self, src_vm: int, dst_vm: int) -> Transport:
+        """The (unique) transport for an ordered VM pair, created on
+        demand as an instance of the network's ``transport_class``."""
         key = (src_vm, dst_vm)
         existing = self.transports.get(key)
         if existing is not None:
             return existing
         if src_vm == dst_vm:
             raise ValueError("a transport needs two distinct VMs")
-        if transport_class is None:
-            transport_class = TcpReno
-        flow = transport_class(self, src_vm, dst_vm,
-                               self.vms[src_vm].priority)
+        flow = self.transport_class(self, src_vm, dst_vm,
+                                    self.vms[src_vm].priority)
         self.transports[key] = flow
         return flow
 
@@ -261,48 +237,6 @@ class PacketNetwork:
             flow.on_control(packet)
         else:
             flow.on_ack(packet)
-
-    # -- hose coordination -------------------------------------------------------
-
-    def _start_coordination(self, tenant_id: int) -> None:
-        if not self.coordination or self._coordinating.get(tenant_id):
-            return
-        self._coordinating[tenant_id] = True
-        self.sim.schedule(COORDINATION_INTERVAL, self._coordinate,
-                          tenant_id)
-
-    def _coordinate(self, tenant_id: int) -> None:
-        """Periodic EyeQ-style hose split for one tenant (Fig. 8 top row)."""
-        vm_ids = self._tenant_vms.get(tenant_id, [])
-        guarantees = {}
-        for vm_id in vm_ids:
-            vm = self.vms[vm_id]
-            if vm.guarantee is not None:
-                guarantees[vm_id] = vm.guarantee.bandwidth
-        demands: Dict[Tuple[int, int], float] = {}
-        for (src, dst), flow in self.transports.items():
-            if (src in guarantees and dst in guarantees
-                    and (flow.send_queue or flow.in_flight)):
-                demands[(src, dst)] = math.inf
-        if demands:
-            rates = allocate_hose_rates(demands, guarantees)
-        else:
-            rates = {}
-        now = self.sim.now
-        for (src, dst), flow in self.transports.items():
-            if src not in guarantees or dst not in guarantees:
-                continue
-            vm = self.vms[src]
-            if vm.pacer is None:
-                continue
-            rate = rates.get((src, dst))
-            if rate is None or rate <= 0:
-                # Idle pair: optimistically restore the full hose rate so a
-                # fresh message is not throttled by a stale split.
-                rate = guarantees[src]
-            vm.pacer.set_destination_rate(dst, rate)
-        self.sim.schedule(COORDINATION_INTERVAL, self._coordinate,
-                          tenant_id)
 
     # -- inspection ---------------------------------------------------------------
 

@@ -17,13 +17,12 @@ computes for ``worker_compute`` and returns a response of
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Type
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro import units
 from repro.phynet.metrics import MessageRecord, MetricsCollector
 from repro.phynet.network import PacketNetwork
-from repro.phynet.transport.base import Transport
 from repro.workloads.distributions import Distribution, Fixed
 
 
@@ -63,8 +62,7 @@ class PartitionAggregateApp:
                  rng: random.Random,
                  response_size: Distribution = None,
                  worker_compute: Distribution = None,
-                 deadline: float = 20 * units.MILLIS,
-                 transport_class: Optional[Type[Transport]] = None):
+                 deadline: float = 20 * units.MILLIS):
         if not worker_vms:
             raise ValueError("partition-aggregate needs workers")
         self.network = network
@@ -79,11 +77,9 @@ class PartitionAggregateApp:
         self.queries: List[QueryRecord] = []
         self._query_counter = 0
         self._stopped = False
-        self.down_flows = {w: network.transport(root_vm, w,
-                                                transport_class)
+        self.down_flows = {w: network.transport(root_vm, w)
                            for w in self.worker_vms}
-        self.up_flows = {w: network.transport(w, root_vm,
-                                              transport_class)
+        self.up_flows = {w: network.transport(w, root_vm)
                          for w in self.worker_vms}
 
     # -- driving -----------------------------------------------------------

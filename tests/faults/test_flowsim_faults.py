@@ -88,8 +88,15 @@ class TestFaultRuns:
         sim = ClusterSim(manager, sharing="reserved", tracer=sink,
                          faults=faults)
         sim.run(workload, until=5.0)
-        kinds = {e.kind for e in sink.events}
-        assert "fault.inject" in kinds
+        # Every scheduled event before the horizon is delivered exactly
+        # once, in schedule order, and never before its time.
+        injected = [e for e in sink.events if e.kind == "fault.inject"]
+        due = [e for e in faults.events if e.time <= 5.0]
+        assert len(due) >= 2
+        assert [(e.target, e.action) for e in injected] \
+            == [(e.target.spec, e.action) for e in due]
+        assert all(seen.time >= event.time
+                   for seen, event in zip(injected, due))
 
     def test_server_crash_kills_unplaceable_jobs(self):
         # A cluster exactly big enough for one spanning job: crashing a

@@ -105,7 +105,7 @@ class TestNetworkFaultInjector:
         vms = []
         for i, server in enumerate(placement.vm_servers):
             net.add_vm(i, request.tenant_id, server,
-                       guarantee=request.guarantee, paced=False)
+                       guarantee=request.guarantee)
             vms.append(i)
         # Take server 0's NIC uplink down for the middle of the run.
         target = FaultTarget("link", topo.nic_up(0).port_id)

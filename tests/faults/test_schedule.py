@@ -1,4 +1,4 @@
-"""Seeded fault schedules: determinism, spec grammar, replay clock."""
+"""Seeded fault schedules: determinism, spec grammar, replay order."""
 
 import json
 
@@ -11,6 +11,9 @@ from repro.faults import (
     FaultTarget,
     eligible_targets,
 )
+from repro.flowsim import ClusterSim, TenantWorkload, WorkloadConfig
+from repro.obs import RingBufferSink
+from repro.placement import SiloPlacementManager
 from repro.topology import TreeTopology
 
 
@@ -137,18 +140,30 @@ class TestFromSpec:
 
 
 class TestFaultClock:
+    """A schedule replays through ``ClusterSim``'s cursor over
+    ``schedule.events``."""
+
+    def replay(self, schedule, until):
+        topo = build_topology()
+        workload = TenantWorkload.for_occupancy(
+            WorkloadConfig(mean_compute_time=0.3), 0.5, topo.n_slots, seed=3)
+        sink = RingBufferSink()
+        sim = ClusterSim(SiloPlacementManager(topo), sharing="reserved",
+                         tracer=sink, faults=schedule)
+        sim.run(workload, until=until)
+        return [e for e in sink.events if e.kind == "fault.inject"]
+
     def test_pop_due_delivers_each_event_once_in_order(self):
-        target = FaultTarget("link", 0)
+        target = FaultTarget("link", build_topology().tor_up(0).port_id)
         schedule = FaultSchedule([
             FaultEvent.down(0.5, target),
             FaultEvent.up(1.5, target),
             FaultEvent.down(2.5, target),
         ])
-        clock = schedule.clock()
-        assert clock.next_time() == 0.5
-        assert [e.time for e in clock.pop_due(1.6)] == [0.5, 1.5]
-        assert clock.next_time() == 2.5
-        assert clock.pop_due(1.6) == []
-        assert [e.time for e in clock.pop_due(10.0)] == [2.5]
-        assert clock.exhausted
-        assert clock.next_time() == float("inf")
+        early = self.replay(schedule, until=1.6)
+        assert [e.action for e in early] == ["down", "up"]
+        assert [e.time for e in early] == [0.5, 1.5]
+        full = self.replay(schedule, until=10.0)
+        assert [e.action for e in full] == ["down", "up", "down"]
+        assert [e.time for e in full] == [0.5, 1.5, 2.5]
+        assert all(e.target == target.spec for e in full)

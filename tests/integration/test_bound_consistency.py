@@ -18,7 +18,8 @@ from repro import units
 from repro.analysis.burst import burst_convergence
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import TenantClass, TenantRequest
-from repro.phynet import MetricsCollector, PacketNetwork
+from repro.mechanisms import get_mechanism
+from repro.phynet import MetricsCollector
 from repro.phynet.apps import EpochBurstApp
 from repro.placement import SiloPlacementManager
 from repro.topology import TreeTopology
@@ -83,13 +84,13 @@ class TestSimulationWithinBound:
         placement = manager.place(request)
         assert placement is not None
 
-        net = PacketNetwork(manager.topology)
-        for vm, server in enumerate(placement.vm_servers):
-            net.add_vm(vm, request.tenant_id, server,
-                       guarantee=guarantee, paced=True)
+        silo = get_mechanism("silo")
+        net = silo.build_network(manager.topology)
+        vm_ids = silo.attach(net, request.tenant_id, placement.vm_servers,
+                             guarantee)
         metrics = MetricsCollector()
         app = EpochBurstApp(net, metrics, request.tenant_id,
-                            list(range(8)), Fixed(15 * units.KB),
+                            vm_ids, Fixed(15 * units.KB),
                             epoch=units.msec(3), rng=random.Random(3),
                             jitter=units.MICROS)
         app.start(phase=0.0)

@@ -13,7 +13,8 @@ import pytest
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import TenantClass, TenantRequest
-from repro.phynet import MetricsCollector, PacketNetwork
+from repro.mechanisms import get_mechanism
+from repro.phynet import MetricsCollector
 from repro.phynet.apps import BulkApp, EpochBurstApp
 from repro.placement import SiloPlacementManager
 from repro.topology import TreeTopology
@@ -22,19 +23,14 @@ from repro.workloads.patterns import all_to_all_pairs
 
 
 def build_network_from_placements(manager):
-    """Instantiate the packet network from admitted placements; every VM
-    runs behind a pacer configured from its tenant's guarantee."""
-    net = PacketNetwork(manager.topology)
-    vm_ids = {}
-    next_vm = 0
-    for tenant_id, placement in manager.placements.items():
-        ids = []
-        for server in placement.vm_servers:
-            net.add_vm(next_vm, tenant_id, server,
-                       guarantee=placement.request.guarantee, paced=True)
-            ids.append(next_vm)
-            next_vm += 1
-        vm_ids[tenant_id] = ids
+    """Instantiate the packet network from admitted placements through
+    the Silo mechanism: every VM runs behind a pacer configured from its
+    tenant's guarantee."""
+    silo = get_mechanism("silo")
+    net = silo.build_network(manager.topology)
+    vm_ids = {tenant_id: silo.attach(net, tenant_id, placement.vm_servers,
+                                     placement.request.guarantee)
+              for tenant_id, placement in manager.placements.items()}
     return net, vm_ids
 
 
@@ -135,7 +131,8 @@ class TestBaselineContrast:
             topo = TreeTopology(n_pods=1, racks_per_pod=1,
                                 servers_per_rack=3, slots_per_server=6,
                                 link_rate=units.gbps(10))
-            net = PacketNetwork(topo)
+            mech = get_mechanism(scheme)
+            net = mech.build_network(topo)
             metrics = MetricsCollector()
             g_a = NetworkGuarantee(bandwidth=units.mbps(250),
                                    burst=15 * units.KB,
@@ -143,13 +140,9 @@ class TestBaselineContrast:
                                    peak_rate=units.gbps(1))
             g_b = NetworkGuarantee(bandwidth=units.gbps(2),
                                    burst=1.5 * units.KB)
-            paced = scheme == "silo"
-            for i in range(6):
-                net.add_vm(i, 1, i % 3,
-                           guarantee=g_a if paced else None, paced=paced)
-            for i in range(6, 12):
-                net.add_vm(i, 2, i % 3,
-                           guarantee=g_b if paced else None, paced=paced)
+            servers = [i % 3 for i in range(6)]
+            mech.attach(net, 1, servers, g_a)
+            mech.attach(net, 2, servers, g_b)
             rng = random.Random(2)
             app_a = EpochBurstApp(net, metrics, 1, list(range(6)),
                                   Fixed(15 * units.KB),
@@ -164,5 +157,5 @@ class TestBaselineContrast:
             return lats[int(len(lats) * 0.99)]
 
         p99_silo = run("silo")
-        p99_tcp = run("tcp")
+        p99_tcp = run("none")
         assert p99_tcp > 2 * p99_silo

@@ -45,8 +45,7 @@ def run_incast(send_rates_mbps, recv_rate_mbps, duration):
                     guarantee=send_gs[i + 1])
     metrics = MetricsCollector()
     app = BulkApp(net, metrics, tenant_id=1,
-                  pairs=[(vm, 0) for vm in send_gs],
-                  transport_class=mech.transport_class())
+                  pairs=[(vm, 0) for vm in send_gs])
     mech.start(net)
     app.start(0.0)
     net.sim.run(until=duration)

@@ -12,7 +12,9 @@ from repro.mechanisms import (
     register_mechanism,
 )
 from repro.mechanisms.baselines import DCTCP_K
-from repro.phynet.packet import PRIORITY_GUARANTEED
+from repro.pacer.hierarchy import PacerConfig
+from repro.phynet.metrics import MessageRecord
+from repro.phynet.packet import PRIORITY_BEST_EFFORT, PRIORITY_GUARANTEED
 from repro.phynet.transport import Dctcp, HullTcp, TcpReno
 from repro.phynet.transport.swp import SwpTransport
 from repro.placement import OktopusPlacementManager, SiloPlacementManager
@@ -67,10 +69,22 @@ class TestStackConfiguration:
         assert all(port.ecn_threshold is None
                    and port.phantom_drain is None
                    for port in net.ports.values())
-        assert mech.transport_class() is None
+        assert mech.transport_class() is TcpReno
         assert mech.placement == "silo"
-        assert vm.pacer is not None
+        assert vm.pacer.config == PacerConfig.from_guarantee(GUARANTEE)
+        assert vm.priority == PRIORITY_GUARANTEED
         assert vm.guarantee is GUARANTEE
+
+    @pytest.mark.parametrize("name", ["silo", "okto", "okto+"])
+    def test_silo_puts_unguaranteed_vms_in_best_effort(self, name):
+        """Section 4.4: a VM without a guarantee is unpaced and rides the
+        low 802.1q class, below every guaranteed tenant."""
+        mech = get_mechanism(name)
+        net = mech.build_network(small_topology())
+        vm = mech.add_vm(net, 0, tenant_id=1, server=0, guarantee=None)
+        assert vm.pacer is None
+        assert vm.guarantee is None
+        assert vm.priority == PRIORITY_BEST_EFFORT
 
     def test_none_leaves_everything_unpaced(self):
         mech = get_mechanism("none")
@@ -81,7 +95,8 @@ class TestStackConfiguration:
                    and port.phantom_drain is None
                    for port in net.ports.values())
         assert vm.pacer is None
-        assert mech.transport_class() is None
+        assert vm.priority == PRIORITY_GUARANTEED
+        assert mech.transport_class() is TcpReno
         assert mech.counters(net) == {}
 
     def test_swp_paces_delay_tenants_rate_only(self):
@@ -112,22 +127,33 @@ class TestStackConfiguration:
         net = mech.build_network(small_topology())
         vm = mech.add_vm(net, 0, tenant_id=1, server=0,
                          guarantee=GUARANTEE)
-        assert mech.transport_class() is None
-        # The oracle hose coordination is off: the distributed loop
-        # owns the rates.
-        assert not net.coordination
+        assert mech.transport_class() is TcpReno
+        # No oracle hose split was scheduled: the distributed loop,
+        # started by ``mech.start``, owns the rates.
+        assert net.sim.pending_events == 0
         assert vm.pacer.destination_bucket(1).rate \
             == net.topology.link_rate
 
     def test_attach_numbers_vms_in_placement_order(self):
         mech = get_mechanism("silo")
         net = mech.build_network(small_topology())
-        assert mech.attach(net, 7, [1, 0, 1], GUARANTEE, 10) \
-            == [10, 11, 12]
-        assert [net.vms[vm].server for vm in (10, 11, 12)] == [1, 0, 1]
+        assert mech.attach(net, 7, [1, 0, 1], GUARANTEE) == [0, 1, 2]
+        assert [net.vms[vm].server for vm in (0, 1, 2)] == [1, 0, 1]
         assert all(net.vms[vm].tenant_id == 7
                    and net.vms[vm].pacer is not None
-                   for vm in (10, 11, 12))
+                   for vm in (0, 1, 2))
+
+    def test_attach_numbers_after_the_vms_the_network_holds(self):
+        """A second tenant, a second mechanism on the same network, or a
+        VM placed by hand: attach never reuses an id."""
+        silo = get_mechanism("silo")
+        net = silo.build_network(small_topology())
+        assert silo.attach(net, 1, [0, 1], GUARANTEE) == [0, 1]
+        assert get_mechanism("none").attach(net, 2, [1], None) == [2]
+        net.add_vm(9, tenant_id=3, server=0)
+        assert silo.attach(net, 4, [0, 1], None) == [10, 11]
+        assert [net.vms[vm].tenant_id for vm in (0, 1, 2, 9, 10, 11)] \
+            == [1, 1, 2, 3, 4, 4]
 
     def test_eyeq_start_attaches_controller(self):
         mech = get_mechanism("eyeq")
@@ -146,7 +172,7 @@ class TestPaperBaselines:
         net = mech.build_network(small_topology())
         vms = [mech.add_vm(net, vm_id, tenant_id=1, server=vm_id,
                            guarantee=GUARANTEE) for vm_id in (0, 1)]
-        flow = net.transport(0, 1, transport_class=mech.transport_class())
+        flow = net.transport(0, 1)
         return mech, net, vms[0], flow
 
     def test_dctcp_marks_ecn_and_runs_dctcp_endpoints(self):
@@ -201,3 +227,43 @@ class TestPaperBaselines:
             policy, scenarios._cli_topology(1, 2, 5, 4))
         first = placements[0][2].vm_servers
         assert (first == list(range(len(first)))) == (manager is None)
+
+
+class TestNetworkContract:
+    """What every mechanism's network promises the applications."""
+
+    @pytest.mark.parametrize("name", mechanism_names())
+    def test_every_flow_runs_the_mechanisms_transport(self, name):
+        mech = get_mechanism(name)
+        net = mech.build_network(small_topology())
+        mech.attach(net, 1, [0, 1], GUARANTEE)
+        assert isinstance(net.transport(0, 1), mech.transport_class())
+        assert isinstance(net.transport(1, 0), mech.transport_class())
+
+    @staticmethod
+    def incast_rates(name):
+        """Two backlogged senders into one receiver of a GUARANTEE
+        tenant, 2 ms in: each sender's pacer rate toward the receiver."""
+        topo = TreeTopology(n_pods=1, racks_per_pod=1, servers_per_rack=3,
+                            slots_per_server=2, link_rate=units.gbps(1))
+        mech = get_mechanism(name)
+        net = mech.build_network(topo)
+        receiver, *senders = mech.attach(net, 1, [0, 1, 2], GUARANTEE)
+        for sender in senders:
+            net.transport(sender, receiver).send_message(MessageRecord(
+                tenant_id=1, src_vm=sender, dst_vm=receiver,
+                size=units.MB, start=0.0))
+        net.sim.run(until=units.msec(2))
+        return [net.vms[sender].pacer.destination_bucket(receiver).rate
+                for sender in senders]
+
+    @pytest.mark.parametrize("name", ["silo", "okto", "okto+", "swp"])
+    def test_pacing_mechanisms_split_the_receivers_hose(self, name):
+        """Fig. 8's top row: the receiver's hose is shared by the pairs
+        converging on it, so each sender is re-rated to ``B / 2``."""
+        assert self.incast_rates(name) == [GUARANTEE.bandwidth / 2] * 2
+
+    def test_eyeq_never_runs_the_oracle_split(self):
+        """EyeQ's limiters stay at line rate until its own feedback
+        loop (not started here) re-rates them."""
+        assert self.incast_rates("eyeq") == [units.gbps(1)] * 2

@@ -7,6 +7,7 @@ import pytest
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
 from repro.mechanisms import get_mechanism
+from repro.pacer.hierarchy import PacerConfig
 from repro.phynet import MetricsCollector, PacketNetwork
 from repro.phynet.apps import BulkApp, EpochBurstApp, MemcachedApp
 from repro.phynet.packet import PRIORITY_BEST_EFFORT
@@ -28,8 +29,18 @@ class TestNetworkConstruction:
             net.add_vm(0, 1, 1)  # duplicate id
         with pytest.raises(ValueError):
             net.add_vm(1, 1, 99)  # bad server
-        with pytest.raises(ValueError):
-            net.add_vm(2, 1, 0, paced=True)  # paced needs guarantee
+
+    def test_a_pacer_config_paces_and_nothing_else_does(self):
+        net = PacketNetwork(small_topo())
+        config = PacerConfig(bandwidth=units.mbps(100), burst=units.MTU,
+                             peak_rate=units.gbps(1))
+        g = NetworkGuarantee(bandwidth=units.mbps(100), burst=units.MTU)
+        assert net.add_vm(0, 1, 0, pacer_config=config).pacer.config \
+            is config
+        # A guarantee alone is bookkeeping: the network derives no pacer.
+        assert net.add_vm(1, 1, 1, guarantee=g).pacer is None
+        # No hose split or other timer is started behind the caller.
+        assert net.sim.pending_events == 0
 
     def test_routes_are_cached_and_shared(self):
         net = PacketNetwork(small_topo())
@@ -155,13 +166,12 @@ class TestHoseCoordination:
     def test_all_to_one_senders_share_receiver_hose(self):
         """Six paced senders converging on one receiver must end up with
         ~B/6 each after coordination."""
-        topo = small_topo()
-        net = PacketNetwork(topo)
+        mech = get_mechanism("silo")
+        net = mech.build_network(small_topo())
         metrics = MetricsCollector()
         g = NetworkGuarantee(bandwidth=units.gbps(1.2),
                              burst=1.5 * units.KB)
-        for i in range(7):
-            net.add_vm(i, 1, i % 3, guarantee=g, paced=True)
+        mech.attach(net, 1, [i % 3 for i in range(7)], g)
         pairs = [(i, 6) for i in range(6)]
         app = BulkApp(net, metrics, 1, pairs, chunk_size=units.MB)
         app.start()

@@ -6,7 +6,8 @@ import pytest
 
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
-from repro.phynet import MetricsCollector, PacketNetwork
+from repro.mechanisms import get_mechanism
+from repro.phynet import MetricsCollector
 from repro.phynet.apps import BulkApp
 from repro.phynet.oldi import PartitionAggregateApp
 from repro.topology import TreeTopology
@@ -15,16 +16,17 @@ from repro.workloads.patterns import all_to_all_pairs
 
 
 def build(paced=False, n_workers=5):
+    """The app on plain TCP, or under Silo with ``paced``."""
     topo = TreeTopology(n_pods=1, racks_per_pod=1, servers_per_rack=3,
                         slots_per_server=6, link_rate=units.gbps(10))
-    net = PacketNetwork(topo)
+    mech = get_mechanism("silo" if paced else "none")
+    net = mech.build_network(topo)
     metrics = MetricsCollector()
     guarantee = NetworkGuarantee(bandwidth=units.mbps(500),
                                  burst=20 * units.KB,
                                  delay=units.msec(1),
-                                 peak_rate=units.gbps(1)) if paced else None
-    for vm in range(n_workers + 1):
-        net.add_vm(vm, 1, vm % 3, guarantee=guarantee, paced=paced)
+                                 peak_rate=units.gbps(1))
+    mech.attach(net, 1, [vm % 3 for vm in range(n_workers + 1)], guarantee)
     app = PartitionAggregateApp(
         net, metrics, 1, root_vm=0, worker_vms=list(range(1, n_workers + 1)),
         rng=random.Random(5), worker_compute=Fixed(200 * units.MICROS),

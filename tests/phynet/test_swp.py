@@ -140,7 +140,7 @@ class TestFirstCopyWins:
                                      delay=units.msec(1))
         mech.add_vm(net, 0, tenant_id=1, server=0, guarantee=guarantee)
         mech.add_vm(net, 1, tenant_id=1, server=1, guarantee=guarantee)
-        flow = net.transport(0, 1, transport_class=mech.transport_class())
+        flow = net.transport(0, 1)
         metrics = MetricsCollector()
         record = metrics.new_message(1, 0, 1, size=15 * units.KB,
                                      start=0.0)

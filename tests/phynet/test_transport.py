@@ -27,12 +27,11 @@ def two_vm_network():
 def shallow_network(mechanism, topo):
     """``mechanism``'s network on ``topo``, marking ports (if it has
     any) retuned to a shallow-buffer 15 KB threshold."""
-    mech = get_mechanism(mechanism)
-    net = mech.build_network(topo)
+    net = get_mechanism(mechanism).build_network(topo)
     for port in net.ports.values():
         if port.ecn_threshold is not None:
             port.ecn_threshold = 15 * units.KB
-    return mech, net
+    return net
 
 
 class TestReliableDelivery:
@@ -146,14 +145,12 @@ class TestDctcp:
     def test_alpha_rises_under_persistent_marking(self):
         topo = TreeTopology(n_pods=1, racks_per_pod=1, servers_per_rack=3,
                             slots_per_server=4, link_rate=units.gbps(1))
-        mech, net = shallow_network("dctcp", topo)
+        net = shallow_network("dctcp", topo)
         for i in range(3):
             net.add_vm(i, tenant_id=1, server=i)
         metrics = MetricsCollector()
         # Two senders converge on VM 2 to build a standing queue.
-        flows = [net.transport(src, 2,
-                               transport_class=mech.transport_class())
-                 for src in (0, 1)]
+        flows = [net.transport(src, 2) for src in (0, 1)]
         for f in flows:
             record = metrics.new_message(1, f.src_vm, 2, units.MB, 0.0)
             f.send_message(record)
@@ -168,13 +165,12 @@ class TestDctcp:
             topo = TreeTopology(n_pods=1, racks_per_pod=1,
                                 servers_per_rack=3, slots_per_server=4,
                                 link_rate=units.gbps(1))
-            mech, net = shallow_network(mechanism, topo)
+            net = shallow_network(mechanism, topo)
             for i in range(3):
                 net.add_vm(i, tenant_id=1, server=i)
             metrics = MetricsCollector()
             for src in (0, 1):
-                flow = net.transport(
-                    src, 2, transport_class=mech.transport_class())
+                flow = net.transport(src, 2)
                 flow.send_message(
                     metrics.new_message(1, src, 2, units.MB, 0.0))
             net.sim.run(until=0.1)

@@ -31,6 +31,14 @@ class TestExamples:
         assert "67.2 ns" in out
         assert "void" in out
 
+    def test_cluster_churn(self):
+        out = run_example("cluster_churn.py")
+        for policy in ("locality", "oktopus", "silo"):
+            row = next(line for line in out.splitlines()
+                       if line.startswith(policy))
+            admitted = float(row.split("admitted=")[1].split("%")[0])
+            assert 0.0 < admitted <= 100.0
+
     def test_campaign_sweep(self):
         out = run_example("campaign_sweep.py", timeout=300.0)
         assert out.count("byte-identical") == 2

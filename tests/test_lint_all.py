@@ -318,6 +318,52 @@ def test_one_hose_cut_walk():
     assert not stale, f"allow-listed but no longer a caller: {stale}"
 
 
+# -- packet runs: one build path, through a registered Mechanism -------------
+
+#: Where a packet run may be built by hand: the fabric and the schemes.
+PACKET_RUN_BUILDERS = ("src/repro/phynet/", "src/repro/mechanisms/")
+
+#: Files elsewhere that may construct ``PacketNetwork`` or call
+#: ``.add_vm``, each with its reason (none today).
+PACKET_RUN_BUILDERS_ALLOWED = {}
+
+
+def hand_built_packet_runs(repo=REPO):
+    """Files under :data:`OPTION_CALLER_TREES` outside
+    :data:`PACKET_RUN_BUILDERS` that construct ``PacketNetwork`` or call
+    ``.add_vm``, as posix paths relative to ``repo``."""
+    builders = set()
+    for tree_name in OPTION_CALLER_TREES:
+        for source in sorted((repo / tree_name).rglob("*.py")):
+            name = source.relative_to(repo).as_posix()
+            if name.startswith(PACKET_RUN_BUILDERS):
+                continue
+            tree = ast.parse(source.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if ((isinstance(func, ast.Name)
+                     and func.id == "PacketNetwork")
+                        or (isinstance(func, ast.Attribute)
+                            and func.attr in ("PacketNetwork", "add_vm"))):
+                    builders.add(name)
+    return builders
+
+
+def test_packet_runs_build_through_mechanisms():
+    """Pacing, hose split, transport and VM numbering are a mechanism's
+    business: everything that ships builds its packet network through
+    ``get_mechanism(...).build_network`` and ``attach``."""
+    builders = hand_built_packet_runs()
+    unexpected = sorted(builders - set(PACKET_RUN_BUILDERS_ALLOWED))
+    assert not unexpected, (
+        "files building a packet run by hand (use get_mechanism(name)"
+        ".build_network and .attach):\n" + "\n".join(unexpected))
+    stale = sorted(set(PACKET_RUN_BUILDERS_ALLOWED) - builders)
+    assert not stale, f"allow-listed but no longer a builder: {stale}"
+
+
 # -- options: every defaulted parameter is set by something that ships -------
 
 #: Where a call counts: the package itself and everything a user runs.
@@ -400,9 +446,6 @@ OPTIONS_ALLOWED = {
         "labels this pacer in pacer.stamp events when several are traced",
     "pacer/void_packets.py:VoidScheduler.__init__(source)":
         "labels this NIC in pacer.void events",
-    "phynet/oldi.py:PartitionAggregateApp.__init__(transport_class)":
-        "the apps' common mechanism seam (Mechanism.transport_class); "
-        "examples/web_search_oldi.py runs plain TCP",
 }
 
 
