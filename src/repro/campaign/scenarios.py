@@ -509,7 +509,7 @@ VMS_PER_TENANT_A = 6
 VMS_PER_TENANT_B = 11
 
 
-def _place_campaign_tenants(policy: Optional[str], topo):
+def _place_campaign_tenants(policy: Optional[str], topo) -> List[Placement]:
     """Admit the campaign tenants under a mechanism's placement policy.
 
     ``"silo"`` and ``"oktopus"`` place through their managers.  ``None``
@@ -522,71 +522,31 @@ def _place_campaign_tenants(policy: Optional[str], topo):
     provides).
     """
     manager = _policy_manager(policy)[0](topo) if policy else None
-
-    # Interleaved arrival order (a, b, a, b, a): tenants arrive mixed in
-    # a real cloud, so greedy managers end up sharing servers across
-    # classes -- the situation Figs. 12-14 measure.
-    requests = []
+    placements, slot_cursor = [], 0
     for i in range(N_CLASS_A + N_CLASS_B):
+        # Interleaved arrival order (a, b, a, b, a): tenants arrive mixed
+        # in a real cloud, so greedy managers end up sharing servers
+        # across classes -- the situation Figs. 12-14 measure.
         if i % 2 == 0 and i // 2 < N_CLASS_A:
-            requests.append(("a", TenantRequest(
+            request = TenantRequest(
                 n_vms=VMS_PER_TENANT_A, guarantee=CLASS_A_GUARANTEE,
-                tenant_class=TenantClass.CLASS_A)))
+                tenant_class=TenantClass.CLASS_A)
         else:
-            requests.append(("b", TenantRequest(
+            request = TenantRequest(
                 n_vms=VMS_PER_TENANT_B, guarantee=CLASS_B_GUARANTEE,
-                tenant_class=TenantClass.CLASS_B)))
-
-    placements = []
-    if manager is not None:
-        for kind, request in requests:
+                tenant_class=TenantClass.CLASS_B)
+        if manager is None:
+            placement = Placement(request=request, vm_servers=[
+                (slot_cursor + vm) % topo.n_servers
+                for vm in range(request.n_vms)])
+            slot_cursor += request.n_vms
+        else:
             placement = manager.place(request)
             if placement is None:
                 raise RuntimeError(f"campaign tenant rejected "
                                    f"under {policy}")
-            placements.append((kind, request, placement))
-        return placements
-
-    # Striped placement for the unmanaged baselines.
-    slot_cursor = 0
-    for kind, request in requests:
-        servers = []
-        for _ in range(request.n_vms):
-            servers.append(slot_cursor % topo.n_servers)
-            slot_cursor += 1
-        placements.append((kind, request,
-                           Placement(request=request, vm_servers=servers)))
+        placements.append(placement)
     return placements
-
-
-def _wire_campaign_tenants(net, mech, placements, metrics, rng,
-                           jitter: float, chunk: float, bulk: bool):
-    """Attach the section 6.2 tenants' VMs and applications to ``net``.
-
-    VMs are numbered in placement order and attached through ``mech``;
-    class-A tenants start an all-to-one epoch-burst app (each draws its
-    phases from ``rng`` as it starts, in placement order), class-B
-    tenants an all-to-all bulk app unless ``bulk`` is off.  Returns the
-    class-A and class-B tenant ids.
-    """
-    from repro.phynet.apps import BulkApp, EpochBurstApp
-    from repro.workloads import Fixed
-    from repro.workloads.patterns import all_to_all_pairs
-    class_a, class_b = [], []
-    for kind, request, placement in placements:
-        vm_ids = mech.attach(net, request.tenant_id, placement.vm_servers,
-                             request.guarantee)
-        if kind == "a":
-            class_a.append(request.tenant_id)
-            EpochBurstApp(net, metrics, request.tenant_id, vm_ids,
-                          Fixed(CLASS_A_MESSAGE), epoch=CLASS_A_EPOCH,
-                          rng=rng, jitter=jitter).start()
-        else:
-            class_b.append(request.tenant_id)
-            if bulk:
-                BulkApp(net, metrics, request.tenant_id,
-                        all_to_all_pairs(vm_ids), chunk_size=chunk).start()
-    return class_a, class_b
 
 
 #: The Fig. 12-14 message-latency pressure ladder.  Each workload keeps
@@ -641,46 +601,57 @@ def _run_section62(mechanism: str, workload: str, duration: float,
     bound.  Placement follows the mechanism's ``placement`` policy:
     Silo places through its delay-aware admission manager, Oktopus(+)
     through the bandwidth-only one, everything else gets the striped
-    placement an unmanaged cloud would.  Returns the result dict plus
-    the live ``(metrics, class-A ids, class-B ids)`` for callers that
-    summarize further.
+    placement an unmanaged cloud would.  Class-A tenants run all-to-one
+    epoch bursts, class-B all-to-all bulk (unless the workload has none).
+    Returns the result dict plus the live ``(run, class-A tenants,
+    class-B tenants)`` for callers that summarize further.
     """
     from repro.analysis.stats import percentile
-    from repro.mechanisms import get_mechanism
-    from repro.phynet import MetricsCollector
+    from repro.mechanisms import PacketRun, PacketTenant, get_mechanism
+    from repro.phynet.apps import BulkApp, EpochBurstApp
+    from repro.workloads import Fixed
+    from repro.workloads.patterns import all_to_all_pairs
     shape = MECHANISM_WORKLOADS[workload]
     mech = get_mechanism(mechanism)
     topo = _cli_topology(1, 2, 5, 4)
-    placements = _place_campaign_tenants(mech.placement, topo)
-    net = mech.build_network(topo)
-    metrics = MetricsCollector()
-    class_a, class_b = _wire_campaign_tenants(
-        net, mech, placements, metrics, random.Random(seed), **shape)
+    rng = random.Random(seed)
 
-    mech.start(net)
-    net.sim.run(until=duration)
+    def burst(net, metrics, tenant_id, vm_ids):
+        return EpochBurstApp(net, metrics, tenant_id, vm_ids,
+                             Fixed(CLASS_A_MESSAGE), epoch=CLASS_A_EPOCH,
+                             rng=rng, jitter=shape["jitter"])
 
-    a_records = [r for r in metrics.records if r.tenant_id in class_a]
-    a_done = [r for r in a_records if r.completed]
-    late = sum(1 for r in a_records
-               if not r.completed
-               or r.latency > CLASS_A_GUARANTEE.message_latency_bound(
-                   r.size))
-    latencies = [r.latency for r in a_done]
+    def bulk(net, metrics, tenant_id, vm_ids):
+        return BulkApp(net, metrics, tenant_id, all_to_all_pairs(vm_ids),
+                       chunk_size=shape["chunk"])
+
+    tenants = [PacketTenant(
+        p.request, p.vm_servers,
+        burst if p.request.wants_delay else bulk if shape["bulk"] else None)
+        for p in _place_campaign_tenants(mech.placement, topo)]
+    class_a = [t for t in tenants if t.request.wants_delay]
+    class_b = [t for t in tenants if not t.request.wants_delay]
+    run = PacketRun(mech, topo, tenants)
+    run.run(until=duration)
+
+    a_records = [r for t in class_a for r in run.records(t)]
+    b_ids = {t.request.tenant_id for t in class_b}
+    late = run.count_late(class_a)
+    latencies = [r.latency for r in a_records if r.completed]
     percentiles = ({label: percentile(latencies, q) * 1e6
                     for label, q in (("p50", 50.0), ("p90", 90.0),
                                      ("p99", 99.0), ("p999", 99.9))}
                    if latencies else {})
-    b_bytes = sum(r.size for r in metrics.records
-                  if r.tenant_id in class_b and r.completed)
-    stats = net.port_stats()
+    b_bytes = sum(r.size for r in run.metrics.records
+                  if r.tenant_id in b_ids and r.completed)
+    stats = run.net.port_stats()
     result = {
         "mechanism": mechanism, "workload": workload, "seed": seed,
         "duration": duration,
         "bound_us": CLASS_A_GUARANTEE.message_latency_bound(
             CLASS_A_MESSAGE) * 1e6,
         "messages": len(a_records),
-        "incomplete": len(a_records) - len(a_done),
+        "incomplete": len(a_records) - len(latencies),
         "late": late,
         "late_fraction": late / len(a_records) if a_records else None,
         "guarantee_met": bool(a_records) and late == 0,
@@ -691,9 +662,9 @@ def _run_section62(mechanism: str, workload: str, duration: float,
         "port": {"drops": stats["drops"],
                  "class_drops": stats["class_drops"],
                  "class_pushouts": stats["class_pushouts"]},
-        "counters": mech.counters(net),
+        "counters": mech.counters(run.net),
     }
-    return result, metrics, class_a, class_b
+    return result, run, class_a, class_b
 
 
 @scenario("mechanism_compare")
@@ -720,26 +691,29 @@ def fig12_cell(mechanism: str, duration: float = CAMPAIGN_DURATION,
     tenants' message latencies over the hose estimate (Fig. 14).
     """
     from repro.analysis.stats import percentile
-    result, metrics, class_a, class_b = _run_section62(
+    result, run, class_a, class_b = _run_section62(
         mechanism, "fig12", duration, seed)
+    metrics = run.metrics
     estimate = CLASS_A_GUARANTEE.message_latency_bound(CLASS_A_MESSAGE)
     result["class_a"] = []
     for tenant in class_a:
-        records = [r for r in metrics.records if r.tenant_id == tenant]
+        tenant_id = tenant.request.tenant_id
+        records = run.records(tenant)
         # inf: the p99 never finished; NaN: the tenant sent nothing.
-        ratio = metrics.outlier_class(tenant, estimate)
+        ratio = metrics.outlier_class(tenant_id, estimate)
         finished = math.isfinite(ratio)
         result["class_a"].append({
             "messages": len(records),
             "incomplete": sum(1 for r in records if not r.completed),
-            "rto_fraction": (metrics.rto_message_fraction(tenant)
+            "rto_fraction": (metrics.rto_message_fraction(tenant_id)
                              if records else None),
             "p99_over_estimate": ratio if finished else None,
             "p99_us": ratio * result["bound_us"] if finished else None})
     b_estimate = (MECHANISM_WORKLOADS["fig12"]["chunk"]
                   / (CLASS_B_GUARANTEE.bandwidth / (VMS_PER_TENANT_B - 1)))
+    b_ids = {t.request.tenant_id for t in class_b}
     ratios = [r.latency / b_estimate for r in metrics.records
-              if r.tenant_id in class_b and r.completed]
+              if r.tenant_id in b_ids and r.completed]
     result["class_b"] = {
         "estimate_us": b_estimate * 1e6,
         "messages": len(ratios),
@@ -919,111 +893,76 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
     per-request admission CSVs; without one the events go to a ring
     buffer and only their count is reported.
     """
-    from repro.mechanisms import get_mechanism
-    from repro.obs import JsonlSink, RingBufferSink
+    from repro.mechanisms import PacketRun, PacketTenant, get_mechanism
+    from repro.obs import RingBufferSink
     from repro.obs.traces import QUEUE_COLUMNS
     from repro.phynet.apps import BulkApp, EpochBurstApp
-    from repro.phynet.metrics import MetricsCollector
-    from repro.placement import SiloPlacementManager
-    from repro.placement.audit import AdmissionAudit
     from repro.workloads.distributions import Fixed
 
     topo = _cli_topology(pods, racks_per_pod, servers_per_rack, slots,
                          link_gbps, oversubscription, buffer_kb)
-    traced = artifact_dir is not None
-    if traced:
-        sink = JsonlSink(os.path.join(artifact_dir, "events.jsonl"))
-    else:
-        sink = RingBufferSink()
-    mech = get_mechanism(mechanism)
-    manager = SiloPlacementManager(topo)
-    audit = AdmissionAudit()
-    manager.audit = audit
-    manager.tracer = sink
-    net = mech.build_network(topo, tracer=sink)
-    queue_series = net.monitor_queues(
-        interval=queue_interval_us * units.MICROS)
-    metrics = MetricsCollector(tracer=sink)
+    manager, _, sink = _audited_manager("silo", topo, artifact_dir)
+    traced = sink is not None
+    if not traced:
+        sink = manager.tracer = RingBufferSink()
+    audit = manager.audit
     rng = random.Random(seed)
 
-    def admit_and_place(guarantee, tenant_class):
-        """Admit one tenant and attach its VMs; ``(tenant id, VM ids)``,
-        or None when admission rejects it."""
-        request = TenantRequest(n_vms=vms, guarantee=guarantee,
-                                tenant_class=tenant_class)
-        placement = manager.place(request)
-        if placement is None:
-            return None
-        vm_ids = mech.attach(net, request.tenant_id, placement.vm_servers,
-                             guarantee)
-        return request.tenant_id, vm_ids
+    def burst(net, metrics, tenant_id, vm_ids):
+        return EpochBurstApp(net, metrics, tenant_id, vm_ids,
+                             Fixed(message_kb * units.KB),
+                             epoch=epoch_us * units.MICROS, rng=rng)
 
-    guarantee = _cli_guarantee(bandwidth_mbps, burst_kb, delay_us,
-                               bmax_gbps)
-    message_bytes = message_kb * units.KB
-    bounds = {}
-    for _ in range(class_a):
-        placed = admit_and_place(guarantee, TenantClass.CLASS_A)
-        if placed is None:
-            continue
-        tenant_id, vm_ids = placed
-        bounds[tenant_id] = guarantee.message_latency_bound(message_bytes)
-        EpochBurstApp(net, metrics, tenant_id, vm_ids, Fixed(message_bytes),
-                      epoch=epoch_us * units.MICROS, rng=rng).start()
-    bulk_guarantee = _cli_guarantee(bandwidth_mbps, burst_kb, None,
-                                    bmax_gbps)
-    for _ in range(class_b):
-        placed = admit_and_place(bulk_guarantee, TenantClass.CLASS_B)
-        if placed is None:
-            continue
-        tenant_id, vm_ids = placed
-        BulkApp(net, metrics, tenant_id,
-                list(zip(vm_ids[0::2], vm_ids[1::2]))).start()
-
-    duration = duration_ms * 1e-3
-    injector = None
-    schedule = _fault_schedule(faults, topo, duration, seed)
-    if schedule is not None:
-        from repro.faults import NetworkFaultInjector
-        injector = NetworkFaultInjector(net, schedule)
-    mech.start(net)
-    net.sim.run(until=duration)
+    def bulk(net, metrics, tenant_id, vm_ids):
+        return BulkApp(net, metrics, tenant_id,
+                       list(zip(vm_ids[0::2], vm_ids[1::2])))
 
     tenants = []
-    for tenant_id in metrics.tenants():
-        latencies = metrics.latencies(tenant_id)
-        p99 = (metrics.latency_percentile(99.0, tenant_id)
-               if latencies else float("nan"))
-        bound = bounds.get(tenant_id)
-        late = (metrics.fraction_late(bound, tenant_id)
-                if bound is not None else float("nan"))
-        tenants.append({"tenant_id": tenant_id,
-                        "messages": len(latencies),
-                        "p99_us": None if math.isnan(p99)
-                        else units.to_usec(p99),
-                        "late": None if math.isnan(late) else late})
-    stats = net.port_stats()
+    for count, delay, tenant_class, app in (
+            (class_a, delay_us, TenantClass.CLASS_A, burst),
+            (class_b, None, TenantClass.CLASS_B, bulk)):
+        guarantee = _cli_guarantee(bandwidth_mbps, burst_kb, delay,
+                                   bmax_gbps)
+        for _ in range(count):
+            placement = manager.place(TenantRequest(
+                n_vms=vms, guarantee=guarantee, tenant_class=tenant_class))
+            if placement is not None:
+                tenants.append(PacketTenant(placement.request,
+                                            placement.vm_servers, app))
+    duration = duration_ms * 1e-3
+    run = PacketRun(get_mechanism(mechanism), topo, tenants, tracer=sink,
+                    faults=_fault_schedule(faults, topo, duration, seed))
+    queue_series = run.net.monitor_queues(
+        interval=queue_interval_us * units.MICROS)
+    run.run(until=duration)
+
+    stats = run.net.port_stats()
     result: Dict[str, object] = {
         "mechanism": mechanism,
         "admission": audit.summary(),
-        "tenants": tenants,
+        "tenants": [{"tenant_id": tenant.request.tenant_id,
+                     "messages": len(run.metrics.latencies(
+                         tenant.request.tenant_id)),
+                     "p99_us": run.percentile_us(tenant, 99.0),
+                     "late": run.late(tenant)}
+                    for tenant in tenants if run.records(tenant)],
         "ports": {"drops": stats["drops"],
                   "pushouts": stats["pushouts"],
                   "max_queue_bytes": stats["max_queue_bytes"]},
-        "mechanism_counters": mech.counters(net),
+        "mechanism_counters": run.mech.counters(run.net),
     }
-    if injector is not None:
-        result["faults"] = {"applied": injector.applied,
+    if run.injector is not None:
+        result["faults"] = {"applied": run.injector.applied,
                             "fault_drops": stats["fault_drops"]}
         if traced:
             write_csv(os.path.join(artifact_dir, "faults.csv"),
                       ("time", "target", "action", "factor"),
                       ((e.time, e.target.spec, e.action, e.factor)
-                       for e in injector.schedule))
+                       for e in run.injector.schedule))
 
     if traced:
         write_latency_csv(os.path.join(artifact_dir, "latency.csv"),
-                          metrics)
+                          run.metrics)
         write_csv(os.path.join(artifact_dir, "queues.csv"), QUEUE_COLUMNS,
                   ((name, b.start, b.count, b.mean, b.vmin, b.vmax, b.last)
                    for name, series in queue_series.items()
@@ -1356,9 +1295,9 @@ def hybrid_cell(policy: str, fg_app: str, fg_vms: int,
     topo = _cli_topology(pods, racks_per_pod, servers_per_rack, slots,
                          link_gbps, oversubscription, buffer_kb)
     manager = manager_cls(topo)
-    guarantee = _hybrid_guarantee(fg_bandwidth_mbps)
     foreground = ForegroundTenant(
-        request=TenantRequest(n_vms=fg_vms, guarantee=guarantee,
+        request=TenantRequest(n_vms=fg_vms,
+                              guarantee=_hybrid_guarantee(fg_bandwidth_mbps),
                               tenant_class=TenantClass.CLASS_A),
         app=fg_app)
     config = WorkloadConfig(b_flow_bytes=bg_flow_mb * units.MB,
@@ -1373,12 +1312,6 @@ def hybrid_cell(policy: str, fg_app: str, fg_vms: int,
     result = outcome.to_dict()
     result["policy"] = policy
     result["bg_admitted"] = manager.admitted_fraction()
-    if fg_app == "burst":
-        bound = guarantee.message_latency_bound(foreground.message_bytes)
-        for tenant in result["foreground"]:
-            late = outcome.metrics.fraction_late(bound,
-                                                 tenant["tenant_id"])
-            tenant["late"] = None if math.isnan(late) else late
     if artifact_dir is not None:
         write_latency_csv(os.path.join(artifact_dir, "latency.csv"),
                           outcome.metrics)

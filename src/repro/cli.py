@@ -148,10 +148,6 @@ def _topology_params(params: dict) -> dict:
     return {name: params[name] for name in _TOPOLOGY_FLAGS}
 
 
-def _topology(args: argparse.Namespace):
-    return _cli_topology(**_topology_params(vars(args)))
-
-
 def _guarantee(args: argparse.Namespace) -> NetworkGuarantee:
     return _cli_guarantee(args.bandwidth_mbps, args.burst_kb,
                           args.delay_us, args.bmax_gbps)
@@ -197,7 +193,7 @@ def _check_faults_spec(args) -> Optional[int]:
         return None
     from repro.faults import FaultSchedule
     try:
-        FaultSchedule.from_spec(args.faults, _topology(args),
+        FaultSchedule.from_spec(args.faults, args.topology,
                                 horizon=0.0, seed=args.seed)
     except (KeyError, OSError, ValueError) as exc:
         return _spec_error("--faults", args.faults, exc)
@@ -223,6 +219,37 @@ def _check_guarantee(args) -> Optional[int]:
             f"--{name.replace('_', '-')} {getattr(args, name):g}"
             for name in flags if getattr(args, name, None) is not None),
             exc)
+    return None
+
+
+#: Packet-workload flags and the range each must lie in, per command.
+_WORKLOAD_RANGES = {
+    "trace": (("vms", ">=", 2), ("class_a", ">=", 0), ("class_b", ">=", 0),
+              ("message_kb", ">", 0), ("epoch_us", ">", 0),
+              ("duration_ms", ">", 0), ("queue_interval_us", ">", 0)),
+    "hybrid": (("fg_vms", ">=", 2), ("horizon", ">", 0),
+               ("fg_horizon_ms", ">", 0), ("bg_flow_mb", ">", 0)),
+}
+
+
+def _check_inputs(args) -> Optional[int]:
+    """Build the topology the flags describe (once, as ``args.topology``)
+    and range-check the packet-workload flags up front, so a bad value is
+    a clean exit 2 here, not a traceback, a failed campaign cell or a
+    run that never ends.  Returns the exit code on error, None when the
+    inputs are fine."""
+    if hasattr(args, "pods"):
+        try:
+            args.topology = _cli_topology(**_topology_params(vars(args)))
+        except ValueError as exc:
+            return _spec_error("topology", " ".join(
+                f"--{name.replace('_', '-')} {getattr(args, name):g}"
+                for name in _TOPOLOGY_FLAGS), exc)
+    for name, op, bound in _WORKLOAD_RANGES.get(args.command, ()):
+        value = getattr(args, name)
+        if not (value > bound if op == ">" else value >= bound):
+            return _spec_error(f"--{name.replace('_', '-')}", value,
+                               ValueError(f"must be {op} {bound}"))
     return None
 
 
@@ -278,7 +305,7 @@ def _run_sweep(args: argparse.Namespace, name: str, scenario: str,
 
 def cmd_admit(args: argparse.Namespace) -> int:
     """Admission-control one tenant spec and print its placement."""
-    manager = SiloPlacementManager(_topology(args))
+    manager = SiloPlacementManager(args.topology)
     request = TenantRequest(
         n_vms=args.vms, guarantee=_guarantee(args),
         tenant_class=(TenantClass.CLASS_A if args.delay_us is not None
@@ -606,7 +633,7 @@ def cmd_whatif(args: argparse.Namespace) -> int:
         model.save(args.save_model)
         print(f"wrote {args.save_model}")
 
-    topology = _topology(args)
+    topology = args.topology
     guarantee = _guarantee(args)
     manager = SiloPlacementManager(topology)
     message_bytes = args.message_kb * units.KB
@@ -757,7 +784,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     bad_spec = _check_faults_spec(args)
     if bad_spec is not None:
         return bad_spec
-    topology = _topology(args)
+    topology = args.topology
     fault_events: list = []
     if args.faults:
         schedule = FaultSchedule.from_spec(args.faults, topology,
@@ -1044,9 +1071,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: parse arguments and dispatch."""
     args = build_parser().parse_args(argv)
-    bad_guarantee = _check_guarantee(args)
-    if bad_guarantee is not None:
-        return bad_guarantee
+    for check in (_check_inputs, _check_guarantee):
+        bad_input = check(args)
+        if bad_input is not None:
+            return bad_input
     try:
         return args.func(args)
     except BrokenPipeError:

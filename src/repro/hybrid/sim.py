@@ -17,7 +17,7 @@ property:
    :class:`~repro.hybrid.recorder.PortUsageRecorder` over the
    foreground tenants' path ports, producing an exact stepwise
    ``(time, used_rate)`` series per port.
-3. **Packet foreground.**  A :class:`repro.phynet.network.PacketNetwork`
+3. **Packet foreground.**  A :class:`repro.mechanisms.run.PacketRun`
    over the *same topology* runs the foreground applications at packet
    fidelity for a window of the background run; each watched port's
    residual fraction ``(capacity * health - background_used) /
@@ -50,7 +50,7 @@ from repro.faults.model import HealthState
 from repro.flowsim.sim import ClusterSim, ClusterStats
 from repro.flowsim.workload import TenantWorkload
 from repro.hybrid.recorder import PortUsageRecorder
-from repro.mechanisms import get_mechanism
+from repro.mechanisms import PacketRun, PacketTenant, get_mechanism
 from repro.phynet.apps import EpochBurstApp, MemcachedApp
 from repro.phynet.metrics import MetricsCollector
 from repro.phynet.network import PacketNetwork
@@ -68,6 +68,10 @@ __all__ = ["ForegroundTenant", "HybridResult", "HybridSim"]
 #: keeps those ports draining (docs/HYBRID.md, "The residual floor").
 RESIDUAL_FLOOR = 1e-3
 
+#: The ``burst`` foreground app's message size and epoch.
+FOREGROUND_MESSAGE = 20 * units.KB
+FOREGROUND_EPOCH = 1000 * units.MICROS
+
 
 @dataclass
 class ForegroundTenant:
@@ -77,13 +81,11 @@ class ForegroundTenant:
     request/response RPCs from every other VM against the first
     (section 6.1's testbed shape); ``"burst"`` runs the synchronized
     epoch-burst sender of the fig. 11--14 experiments with
-    ``message_bytes`` per epoch of length ``epoch``.
+    :data:`FOREGROUND_MESSAGE` per :data:`FOREGROUND_EPOCH`.
     """
 
     request: TenantRequest
     app: str = "memcached"
-    message_bytes: float = 20 * units.KB
-    epoch: float = 1000 * units.MICROS
 
     def __post_init__(self) -> None:
         if self.app not in ("memcached", "burst"):
@@ -203,46 +205,43 @@ class HybridSim:
             fg_offset = _peak_offset(recorder, until, fg_horizon)
 
         # Phase 3: packet foreground inside the recorded residuals.
-        mech = get_mechanism("silo")
-        net = mech.build_network(self.topology)
-        metrics = MetricsCollector()
         rng = random.Random(seed)
-        apps = []
-        for tenant, placement in placements:
-            vm_ids = mech.attach(net, tenant.request.tenant_id,
-                                 placement.vm_servers,
-                                 tenant.request.guarantee)
-            if tenant.app == "memcached":
-                app = MemcachedApp(net, metrics, tenant.request.tenant_id,
-                                   server_vm=vm_ids[0],
-                                   client_vms=vm_ids[1:],
-                                   workload=EtcWorkload(), rng=rng)
-            else:
-                app = EpochBurstApp(net, metrics, tenant.request.tenant_id,
-                                    vm_ids, Fixed(tenant.message_bytes),
-                                    epoch=tenant.epoch, rng=rng)
-            app.start(at=0.0)
-            apps.append((tenant, app, vm_ids))
+
+        def memcached(net, metrics, tenant_id, vm_ids):
+            return MemcachedApp(net, metrics, tenant_id, server_vm=vm_ids[0],
+                                client_vms=vm_ids[1:],
+                                workload=EtcWorkload(), rng=rng)
+
+        def burst(net, metrics, tenant_id, vm_ids):
+            return EpochBurstApp(net, metrics, tenant_id, vm_ids,
+                                 Fixed(FOREGROUND_MESSAGE),
+                                 epoch=FOREGROUND_EPOCH, rng=rng)
+
+        run = PacketRun(get_mechanism("silo"), self.topology, [
+            PacketTenant(tenant.request, placement.vm_servers,
+                         memcached if tenant.app == "memcached" else burst)
+            for tenant, placement in placements])
         residual_events = self._preschedule_residuals(
-            net, recorder, fg_offset, fg_offset + fg_horizon)
-        net.sim.run(until=fg_horizon)
+            run.net, recorder, fg_offset, fg_offset + fg_horizon)
+        run.run(until=fg_horizon)
 
         foreground = []
-        for tenant, app, vm_ids in apps:
-            tenant_id = tenant.request.tenant_id
-            latencies = metrics.latencies(tenant_id)
+        for (fg, _), tenant, app in zip(placements, run.tenants, run.apps):
             summary = {
-                "tenant_id": tenant_id,
-                "app": tenant.app,
-                "vms": len(vm_ids),
-                "messages": len(latencies),
-                "p50_us": _pct_us(metrics, 50.0, tenant_id, latencies),
-                "p99_us": _pct_us(metrics, 99.0, tenant_id, latencies),
+                "tenant_id": tenant.request.tenant_id,
+                "app": fg.app,
+                "vms": len(tenant.vm_servers),
+                "messages": len(run.metrics.latencies(
+                    tenant.request.tenant_id)),
+                "p50_us": run.percentile_us(tenant, 50.0),
+                "p99_us": run.percentile_us(tenant, 99.0),
             }
-            if isinstance(app, MemcachedApp):
+            if fg.app == "memcached":
                 summary["rps"] = app.throughput_rps(fg_horizon)
+            else:
+                summary["late"] = run.late(tenant)
             foreground.append(summary)
-        return HybridResult(background=bg_stats, metrics=metrics,
+        return HybridResult(background=bg_stats, metrics=run.metrics,
                             foreground=foreground, rejected=rejected,
                             watched_ports=len(watch),
                             residual_events=residual_events,
@@ -355,10 +354,3 @@ def _peak_offset(recorder: PortUsageRecorder, until: float,
         return until / 2.0
     return max(0.0, min(best_time, until - fg_horizon))
 
-
-def _pct_us(metrics: MetricsCollector, q: float, tenant_id: int,
-            latencies: List[float]) -> Optional[float]:
-    """Latency percentile in microseconds, ``None`` with no messages."""
-    if not latencies:
-        return None
-    return units.to_usec(metrics.latency_percentile(q, tenant_id))

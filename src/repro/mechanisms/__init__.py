@@ -5,8 +5,9 @@ that attack the same tail-latency problem from different angles.  This
 package makes that comparison a first-class axis of the repo: each
 mechanism configures the *whole* stack -- hypervisor pacing, transport
 behavior, queue discipline, control loops -- behind one
-:class:`~repro.mechanisms.base.Mechanism` interface that scenario
-construction consumes, so ``repro trace --mechanism eyeq`` and the
+:class:`~repro.mechanisms.base.Mechanism` interface that
+:class:`~repro.mechanisms.run.PacketRun`, the one packet-run assembler,
+consumes, so ``repro trace --mechanism eyeq`` and the
 ``mechanism-compare`` campaign swap entire mechanisms, not flags.
 
 Registered mechanisms: ``silo`` (pacing + priorities + admission),
@@ -30,6 +31,7 @@ from repro.mechanisms.eyeq import (
     EyeQController,
     EyeQMechanism,
 )
+from repro.mechanisms.run import PacketRun, PacketTenant
 from repro.mechanisms.silo import NoneMechanism, SiloMechanism
 from repro.mechanisms.swp import SwpMechanism
 
@@ -40,6 +42,8 @@ __all__ = [
     "MECHANISMS",
     "Mechanism",
     "NoneMechanism",
+    "PacketRun",
+    "PacketTenant",
     "SiloMechanism",
     "SwpMechanism",
     "get_mechanism",

@@ -6,12 +6,12 @@ configured (queue discipline, ECN), how each VM's hypervisor egress is
 paced, whether a tenant's hose is re-split over its VM pairs, which
 transport its flows run, and what control machinery runs alongside the
 simulation.  The network itself knows no scheme; the mechanism is the
-only thing that does.  Scenario construction consumes exactly this
-interface, so every packet-level experiment gains a ``mechanism`` axis
-for free: build the network through the mechanism (which fixes its
-transport), :meth:`Mechanism.attach` each tenant's VMs, call
-:meth:`Mechanism.start` before ``sim.run`` and :meth:`Mechanism.counters`
-after.
+only thing that does.  :class:`~repro.mechanisms.run.PacketRun` consumes
+exactly this interface, so every packet-level experiment gains a
+``mechanism`` axis for free: it builds the network through the
+mechanism (which fixes its transport), adds each tenant's VMs with
+:meth:`Mechanism.attach` and calls :meth:`Mechanism.start` before
+``sim.run``; callers read :meth:`Mechanism.counters` after.
 
 Registered implementations (see :mod:`repro.mechanisms`):
 

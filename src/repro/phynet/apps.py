@@ -39,6 +39,8 @@ class EpochBurstApp:
                  jitter: float = 10 * units.MICROS):
         if len(vm_ids) < 2:
             raise ValueError("an all-to-one tenant needs at least two VMs")
+        if epoch <= 0:
+            raise ValueError("the epoch must be positive")
         self.network = network
         self.metrics = metrics
         self.tenant_id = tenant_id
@@ -53,11 +55,11 @@ class EpochBurstApp:
         self.messages_sent = 0
         self._stopped = False
 
-    def start(self, at: float = 0.0, phase: Optional[float] = None) -> None:
+    def start(self, phase: Optional[float] = None) -> None:
         """Begin the epoch loop; ``phase`` randomizes tenant alignment."""
         if phase is None:
             phase = self.rng.uniform(0.0, self.epoch)
-        self.network.sim.schedule_at(at + phase, self._fire_epoch)
+        self.network.sim.schedule_at(phase, self._fire_epoch)
 
     def stop(self) -> None:
         """Stop scheduling further epochs."""
@@ -103,13 +105,11 @@ class BulkApp:
             for (s, d) in pairs
         }
         self._stopped = False
-        self._started_at: Optional[float] = None
 
-    def start(self, at: float = 0.0) -> None:
+    def start(self) -> None:
         """Begin the bulk transfers."""
-        self._started_at = at
         for pair in self.flows:
-            self.network.sim.schedule_at(at, self._send_chunk, pair)
+            self.network.sim.schedule_at(0.0, self._send_chunk, pair)
 
     def stop(self) -> None:
         """Stop issuing further transfers."""
@@ -174,12 +174,11 @@ class MemcachedApp:
         self.rpcs_completed = 0
         self._stopped = False
 
-    def start(self, at: float = 0.0) -> None:
+    def start(self) -> None:
         """Begin issuing requests."""
         for client in self.client_vms:
             gap = self.workload.sample_gap(self.rng)
-            self.network.sim.schedule_at(at + gap, self._issue_request,
-                                         client)
+            self.network.sim.schedule_at(gap, self._issue_request, client)
 
     def stop(self) -> None:
         """Stop issuing further requests."""

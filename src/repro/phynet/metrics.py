@@ -80,32 +80,7 @@ class MetricsCollector:
         """Completed-message latencies (optionally one tenant's)."""
         return [r.latency for r in self.completed(tenant_id)]
 
-    def tenants(self) -> List[int]:
-        """Tenant ids with at least one recorded message."""
-        return sorted({r.tenant_id for r in self.records})
-
     # -- the paper's metrics ------------------------------------------------------
-
-    def latency_percentile(self, q: float,
-                           tenant_id: Optional[int] = None) -> float:
-        """Latency percentile (``q`` in [0, 100]) over completed messages."""
-        return percentile(self.latencies(tenant_id), q)
-
-    def fraction_late(self, bound: float,
-                      tenant_id: Optional[int] = None) -> float:
-        """Fraction of messages later than ``bound`` (Table 1's metric).
-
-        Messages that never completed within the simulation count as late.
-        ``NaN`` when no messages were recorded at all -- 0.0 would read as
-        "no SLO violations" for a tenant that never ran.
-        """
-        records = [r for r in self.records
-                   if tenant_id is None or r.tenant_id == tenant_id]
-        if not records:
-            return _NAN
-        late = sum(1 for r in records
-                   if not r.completed or r.latency > bound)
-        return late / len(records)
 
     def rto_message_fraction(self, tenant_id: int) -> float:
         """Fraction of a tenant's messages that suffered >= 1 RTO (Fig 13).

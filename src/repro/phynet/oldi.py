@@ -84,12 +84,12 @@ class PartitionAggregateApp:
 
     # -- driving -----------------------------------------------------------
 
-    def start(self, interval: float, at: float = 0.0) -> None:
+    def start(self, interval: float) -> None:
         """Issue one query every ``interval`` seconds."""
         if interval <= 0:
             raise ValueError("query interval must be positive")
         self._interval = interval
-        self.network.sim.schedule_at(at + interval, self._issue_query)
+        self.network.sim.schedule_at(interval, self._issue_query)
 
     def stop(self) -> None:
         """Stop issuing further queries."""

@@ -95,11 +95,6 @@ class TestMetricsCollector:
         incomplete = collector.new_message(1, 0, 1, 1000.0, 0.0)
         return collector
 
-    def test_fraction_late_counts_incomplete(self):
-        collector = self.make_collector()
-        # bound 0.05: one completed late + one never completed = 2 of 5.
-        assert collector.fraction_late(0.05, 1) == pytest.approx(0.4)
-
     def test_rto_fraction(self):
         collector = self.make_collector()
         assert collector.rto_message_fraction(1) == pytest.approx(0.2)
@@ -109,30 +104,21 @@ class TestMetricsCollector:
         ratio = collector.outlier_class(1, estimate=0.01)
         assert ratio == float("inf")  # the incomplete message dominates
 
-    def test_latency_percentile(self):
-        collector = self.make_collector()
-        assert collector.latency_percentile(50, 1) == pytest.approx(0.002)
-
-    def test_tenants(self):
-        collector = self.make_collector()
-        collector.new_message(7, 0, 1, 1.0, 0.0)
-        assert collector.tenants() == [1, 7]
-
     def test_empty_record_sets_are_nan_not_zero(self):
         """Regression: metrics over an empty record set used to return
         0.0, which reads as "no SLO violations" for a tenant that never
-        ran a single message.  They must be NaN (distinguishable)."""
+        ran a single message.  They must be NaN (distinguishable).  The
+        late fraction's own null-not-zero case is
+        tests/mechanisms/test_packet_run.py's."""
         import math
         collector = MetricsCollector()
-        assert math.isnan(collector.fraction_late(0.05))
-        assert math.isnan(collector.fraction_late(0.05, tenant_id=1))
         assert math.isnan(collector.rto_message_fraction(1))
         assert math.isnan(collector.outlier_class(1, estimate=0.01))
         # A tenant with records is unaffected...
         collector.new_message(1, 0, 1, 1.0, 0.0).finish = 0.001
-        assert collector.fraction_late(0.05, tenant_id=1) == 0.0
+        assert collector.rto_message_fraction(1) == 0.0
         # ...while an unknown tenant still reads as "no data".
-        assert math.isnan(collector.fraction_late(0.05, tenant_id=2))
+        assert math.isnan(collector.rto_message_fraction(2))
 
     def test_latency_rows_export(self):
         collector = self.make_collector()

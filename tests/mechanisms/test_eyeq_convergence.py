@@ -47,7 +47,7 @@ def run_incast(send_rates_mbps, recv_rate_mbps, duration):
     app = BulkApp(net, metrics, tenant_id=1,
                   pairs=[(vm, 0) for vm in send_gs])
     mech.start(net)
-    app.start(0.0)
+    app.start()
     net.sim.run(until=duration)
     expected = allocate_hose_rates(
         demands={(vm, 0): float("inf") for vm in send_gs},

@@ -225,7 +225,7 @@ class TestPaperBaselines:
             assert scenarios._policy_manager(policy)[0] is manager
         placements = scenarios._place_campaign_tenants(
             policy, scenarios._cli_topology(1, 2, 5, 4))
-        first = placements[0][2].vm_servers
+        first = placements[0].vm_servers
         assert (first == list(range(len(first)))) == (manager is None)
 
 

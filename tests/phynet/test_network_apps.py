@@ -109,6 +109,17 @@ class TestEpochBurstApp:
             EpochBurstApp(net, MetricsCollector(), 1, [0],
                           Fixed(1.0), units.msec(1), random.Random(1))
 
+    @pytest.mark.parametrize("epoch", [0.0, -1e-3])
+    def test_needs_a_positive_epoch(self, epoch):
+        """A zero epoch used to re-fire the epoch loop at the same
+        instant forever, so the run never reached its horizon."""
+        net = PacketNetwork(small_topo())
+        for i in range(2):
+            net.add_vm(i, 1, i)
+        with pytest.raises(ValueError, match="epoch"):
+            EpochBurstApp(net, MetricsCollector(), 1, [0, 1],
+                          Fixed(1.0), epoch, random.Random(1))
+
 
 class TestBulkApp:
     def test_saturates_unpaced_link(self):

@@ -632,6 +632,52 @@ class TestSpecErrorContract:
         assert "Traceback" not in captured.err
         assert "FAILED" not in captured.err
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["trace", "--vms", "1"], "--vms 1: must be >= 2"),
+        (["trace", "--vms", "0"], "--vms 0: must be >= 2"),
+        (["trace", "--message-kb", "0"], "--message-kb 0.0: must be > 0"),
+        (["trace", "--message-kb", "-5"], "--message-kb -5.0"),
+        (["trace", "--queue-interval-us", "0"], "--queue-interval-us 0.0"),
+        (["trace", "--class-a", "-1"], "--class-a -1: must be >= 0"),
+        (["hybrid", *SMALL_TOPO, "--horizon", "1", "--fg-vms", "1"],
+         "--fg-vms 1: must be >= 2"),
+        (["hybrid", *SMALL_TOPO, "--horizon", "1", "--fg-horizon-ms", "-1"],
+         "--fg-horizon-ms -1.0: must be > 0"),
+    ], ids=["trace-vms-1", "trace-vms-0", "trace-message-0",
+            "trace-message-negative", "trace-queue-interval-0",
+            "trace-class-a-negative", "hybrid-fg-vms-1",
+            "hybrid-window-negative"])
+    def test_bad_packet_workload_flag(self, capsys, argv, needle):
+        """These used to fail inside a campaign cell with a traceback,
+        or run and exit 0 (``--class-a -1``, a negative window)."""
+        self.check(capsys, [*argv, *(["--duration-ms", "2"]
+                                     if argv[0] == "trace" else [])],
+                   needle)
+
+    @pytest.mark.parametrize("argv", [
+        ["admit"],
+        ["whatif", "--model", "campaigns/whatif-error/model.json"],
+        ["churn", "--horizon", "1"],
+        ["trace", "--duration-ms", "2"],
+        ["faults", "--duration-ms", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_empty_topology(self, capsys, argv):
+        """``--pods 0`` used to be a traceback (or, on ``faults``, an
+        error blamed on ``--faults``)."""
+        self.check(capsys, [*argv, "--pods", "0"], "bad topology",
+                   "--pods 0", "all topology dimensions must be >= 1")
+
+    def test_zero_epoch_exits_instead_of_hanging(self):
+        """``--epoch-us 0`` re-fired the epoch loop at the same instant
+        forever; the timeout turns a hang into a failure."""
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "trace", "--duration-ms", "2",
+             "--epoch-us", "0"],
+            capture_output=True, text=True, cwd=REPO, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: bad --epoch-us 0.0: must be > 0\n"
+
     def test_no_traceback_on_stderr_via_subprocess(self, tmp_path):
         env = dict(os.environ, PYTHONPATH="src")
         proc = subprocess.run(

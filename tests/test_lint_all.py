@@ -324,14 +324,25 @@ def test_one_hose_cut_walk():
 PACKET_RUN_BUILDERS = ("src/repro/phynet/", "src/repro/mechanisms/")
 
 #: Files elsewhere that may construct ``PacketNetwork`` or call
-#: ``.add_vm``, each with its reason (none today).
+#: ``.add_vm`` (or, under ``src/repro``, assemble a run), each with its
+#: reason (none today).
 PACKET_RUN_BUILDERS_ALLOWED = {}
+
+
+def _assembles_packet_run(func):
+    """``X.build_network(``, ``X.attach(`` or ``X.sim.run(``: the steps
+    :class:`repro.mechanisms.run.PacketRun` takes for the package."""
+    return isinstance(func, ast.Attribute) and (
+        func.attr in ("build_network", "attach")
+        or (func.attr == "run" and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "sim"))
 
 
 def hand_built_packet_runs(repo=REPO):
     """Files under :data:`OPTION_CALLER_TREES` outside
     :data:`PACKET_RUN_BUILDERS` that construct ``PacketNetwork`` or call
-    ``.add_vm``, as posix paths relative to ``repo``."""
+    ``.add_vm``, plus files under ``src/repro`` that assemble a packet
+    run themselves, as posix paths relative to ``repo``."""
     builders = set()
     for tree_name in OPTION_CALLER_TREES:
         for source in sorted((repo / tree_name).rglob("*.py")):
@@ -346,7 +357,9 @@ def hand_built_packet_runs(repo=REPO):
                 if ((isinstance(func, ast.Name)
                      and func.id == "PacketNetwork")
                         or (isinstance(func, ast.Attribute)
-                            and func.attr in ("PacketNetwork", "add_vm"))):
+                            and func.attr in ("PacketNetwork", "add_vm"))
+                        or (name.startswith("src/repro/")
+                            and _assembles_packet_run(func))):
                     builders.add(name)
     return builders
 
@@ -354,14 +367,34 @@ def hand_built_packet_runs(repo=REPO):
 def test_packet_runs_build_through_mechanisms():
     """Pacing, hose split, transport and VM numbering are a mechanism's
     business: everything that ships builds its packet network through
-    ``get_mechanism(...).build_network`` and ``attach``."""
+    ``get_mechanism(...).build_network`` and ``attach``, and inside the
+    package only ``PacketRun`` takes those steps (and runs the engine)."""
     builders = hand_built_packet_runs()
     unexpected = sorted(builders - set(PACKET_RUN_BUILDERS_ALLOWED))
     assert not unexpected, (
-        "files building a packet run by hand (use get_mechanism(name)"
-        ".build_network and .attach):\n" + "\n".join(unexpected))
+        "files building a packet run by hand (the package uses "
+        "repro.mechanisms.PacketRun; examples and benchmarks "
+        "get_mechanism(name).build_network and .attach):\n"
+        + "\n".join(unexpected))
     stale = sorted(set(PACKET_RUN_BUILDERS_ALLOWED) - builders)
     assert not stale, f"allow-listed but no longer a builder: {stale}"
+
+
+def test_packet_run_lint_names_a_hand_assembled_run(tmp_path):
+    """A scenario that attaches, builds or runs a packet network itself
+    is named; the same calls in ``mechanisms/``, or in an example, are
+    not."""
+    hand = "net = mech.build_network(t)\nmech.attach(net, 1, [0], g)\n"
+    files = {"src/repro/campaign/cell.py": hand,
+             "src/repro/hybrid/window.py": "run.net.sim.run(until=1.0)\n",
+             "src/repro/mechanisms/run.py": hand + "net.sim.run(until=1)\n",
+             "examples/demo.py": hand + "net.sim.run(until=1.0)\n",
+             "src/repro/flowsim/cluster.py": "sim.run(workload, 1.0)\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert hand_built_packet_runs(tmp_path) == {
+        "src/repro/campaign/cell.py", "src/repro/hybrid/window.py"}
 
 
 # -- options: every defaulted parameter is set by something that ships -------
