@@ -61,6 +61,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import signal
 import sys
@@ -222,22 +223,30 @@ def _check_guarantee(args) -> Optional[int]:
     return None
 
 
-#: Packet-workload flags and the range each must lie in, per command.
+#: Workload flags and the bounds each must satisfy, per command.  A
+#: fluid tenant stream targets an occupancy in (0, 1); a fault campaign
+#: fills the cluster to at most all of it.
 _WORKLOAD_RANGES = {
+    "admit": (("vms", ">=", 1),),
+    "churn": (("occupancy", ">", 0), ("occupancy", "<", 1)),
+    "faults": (("occupancy", ">", 0), ("occupancy", "<=", 1)),
     "trace": (("vms", ">=", 2), ("class_a", ">=", 0), ("class_b", ">=", 0),
               ("message_kb", ">", 0), ("epoch_us", ">", 0),
               ("duration_ms", ">", 0), ("queue_interval_us", ">", 0)),
     "hybrid": (("fg_vms", ">=", 2), ("horizon", ">", 0),
-               ("fg_horizon_ms", ">", 0), ("bg_flow_mb", ">", 0)),
+               ("fg_horizon_ms", ">", 0), ("bg_flow_mb", ">", 0),
+               ("occupancy", ">", 0), ("occupancy", "<", 1)),
 }
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+            "<=": operator.le}
 
 
 def _check_inputs(args) -> Optional[int]:
     """Build the topology the flags describe (once, as ``args.topology``)
-    and range-check the packet-workload flags up front, so a bad value is
-    a clean exit 2 here, not a traceback, a failed campaign cell or a
-    run that never ends.  Returns the exit code on error, None when the
-    inputs are fine."""
+    and range-check the workload flags up front, so a bad value is a
+    clean exit 2 here, not a traceback, a failed campaign cell, a run
+    that never ends or a report on a meaningless fill.  Returns the exit
+    code on error, None when the inputs are fine."""
     if hasattr(args, "pods"):
         try:
             args.topology = _cli_topology(**_topology_params(vars(args)))
@@ -247,7 +256,7 @@ def _check_inputs(args) -> Optional[int]:
                 for name in _TOPOLOGY_FLAGS), exc)
     for name, op, bound in _WORKLOAD_RANGES.get(args.command, ()):
         value = getattr(args, name)
-        if not (value > bound if op == ">" else value >= bound):
+        if not _COMPARE[op](value, bound):
             return _spec_error(f"--{name.replace('_', '-')}", value,
                                ValueError(f"must be {op} {bound}"))
     return None

@@ -6,53 +6,139 @@ pacing mechanisms run over a tenant's VM pairs, and the flow-level
 simulator's ideal-TCP bandwidth sharing (every flow crosses the tree
 links on its path).
 
-:func:`max_min_fair` implements progressive filling in its *water-level*
-form: every unfrozen flow shares one common rate ``W``; a link with
-``count`` unfrozen crossings and ``used`` bytes/s already frozen onto it
-saturates at ``W = (capacity - used) / count``, and a flow with finite
-demand ``d`` freezes at ``W = d``.  Both event families live in lazy
-min-heaps (link entries are version-stamped and invalidated whenever a
-freeze changes the link's count), and a precomputed link -> flow incidence
-list lets a saturating link freeze exactly the flows that cross it.  Each
-flow is frozen once, so the total cost is O(sum of path lengths · log)
-instead of the O(#links · #flows) per *round* of the textbook loop.  That
-loop is the test oracle ``tests/oracles/seed_maxmin.py``;
-``tests/test_maxmin.py`` asserts the two agree to 1e-6 relative.
+Both solve with one kernel, :func:`_water_fill`: progressive filling in
+its *water-level* form, over flow *classes*.  Every unfrozen flow shares
+one rate ``W``; a link with ``count`` unfrozen crossings and ``used``
+bytes/s already frozen onto it saturates at ``W = (capacity - used) /
+count``, and a flow with finite demand ``d`` freezes at ``W = d``.  Both
+event families live in lazy min-heaps (link entries are version-stamped
+and go stale whenever a freeze changes the link's count), and a link ->
+class incidence list lets a saturating link freeze exactly its flows.
+
+A class is the flows with the same ``links`` tuple and the same demand.
+They get bit-identical rates: a saturating link freezes every unfrozen
+flow crossing it at the current water level, so a class's unfrozen
+members always freeze together, and between two demand events at ``d``
+the water level stays exactly ``d``.  So a saturating link freezes each
+class crossing it in one step.  It adds the rate to each link's
+``used`` once per member, so every float sum is the one the per-flow
+solver computed, and bumps the link's version by the member count, so
+every heap tie-break ``(level, version, link)`` is too.  A demand event
+still freezes one member, in ``(demand, flow id)`` order: after each,
+a link whose fair share equals ``d`` may recompute a float ulp below
+it and saturate first, which a whole-class step would skip.
+``tests/test_maxmin_classes.py`` checks all of this with ``==``
+against the per-flow solver (``tests/oracles/seed_maxmin_perflow.py``).
+The textbook round-by-round loop is ``tests/oracles/seed_maxmin.py``;
+``tests/test_maxmin.py`` asserts agreement with it to 1e-6 relative.
 """
 
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from heapq import heapify, heappop, heappush
+from typing import (Collection, Dict, Hashable, List, Mapping, Optional,
+                    Sequence, Tuple)
+
+#: A flow class: ``(links, demand)`` and its members' flow ids.
+FlowClass = Tuple[Tuple[Tuple[Hashable, ...], float], Collection[Hashable]]
 
 
-def _validate(
-    flows: Mapping[Hashable, Tuple[Sequence[Hashable], float]],
-    capacities: Mapping[Hashable, float],
-    rates: Dict[Hashable, float],
-) -> Dict[Hashable, Tuple[Sequence[Hashable], float]]:
-    """Shared input validation; returns the link-crossing (active) flows
-    and pre-fills ``rates`` for the trivial ones."""
-    active: Dict[Hashable, Tuple[Sequence[Hashable], float]] = {}
-    for flow_id, (links, demand) in flows.items():
-        if demand < 0:
-            raise ValueError(f"flow {flow_id!r} has negative demand")
-        if not links:
-            if math.isinf(demand):
-                raise ValueError(
-                    f"flow {flow_id!r} is elastic but crosses no links")
-            rates[flow_id] = demand
-        elif demand == 0:
-            rates[flow_id] = 0.0
-        else:
-            for link in links:
-                if link not in capacities:
-                    raise KeyError(f"flow {flow_id!r} crosses unknown "
-                                   f"link {link!r}")
-            active[flow_id] = (links, demand)
-            rates[flow_id] = 0.0
-    return active
+def _water_fill(classes: Sequence[FlowClass],
+                capacities: Mapping[Hashable, float]) -> List[float]:
+    """Water-fill ``classes`` (active ones: links and a demand > 0);
+    returns each class's rate, in order.
+
+    A link's version counts the crossings frozen on it, as in the
+    per-flow solver.  Its level is heaped once per event, after the
+    event's freezes: only the last level an event leaves is current.
+    """
+    # link -> [unfrozen crossings, used, version, classes crossing it,
+    #          link, finite capacity or None, version last heaped]
+    records: Dict[Hashable, list] = {}
+    paths: List[List[list]] = []
+    left: List[int] = []  # unfrozen members per class
+    demand_heap: List[Tuple[float, Hashable, int]] = []
+    for i, ((links, demand), members) in enumerate(classes):
+        size = len(members)
+        left.append(size)
+        path = []
+        for link in links:
+            record = records.get(link)
+            if record is None:
+                try:
+                    capacity = capacities[link]
+                except KeyError:
+                    raise KeyError(f"flows {list(members)!r} cross unknown "
+                                   f"link {link!r}") from None
+                records[link] = record = [
+                    size, 0.0, 0, [i], link,
+                    capacity if math.isfinite(capacity) else None, 0]
+            else:
+                record[0] += size
+                record[3].append(i)
+            path.append(record)
+        paths.append(path)
+        if demand < math.inf:
+            for fid in members:
+                demand_heap.append((demand, fid, i))
+    demand_heap.sort()
+    # (level, version, link, record): ties break on the link id itself.
+    link_heap = [(record[5] / record[0], 0, record[4], record)
+                 for record in records.values() if record[5] is not None]
+    heapify(link_heap)
+
+    rates = [0.0] * len(classes)
+    unfrozen = len(classes)
+    water = 0.0
+    while unfrozen:
+        while demand_heap and not left[demand_heap[0][2]]:
+            heappop(demand_heap)
+        # Every count change bumps the version, so a current entry's link
+        # still has unfrozen crossings.
+        while link_heap and link_heap[0][1] != link_heap[0][3][2]:
+            heappop(link_heap)
+        next_w = demand_heap[0][0] if demand_heap else math.inf
+        from_link = bool(link_heap) and link_heap[0][0] < next_w
+        if from_link:
+            next_w = link_heap[0][0]
+        elif next_w == math.inf:
+            raise RuntimeError("all active flows are elastic and "
+                               "unconstrained; allocation diverges")
+        # Water never recedes: a freeze can nudge a recomputed saturation
+        # level a float ulp below the current level.
+        if next_w > water:
+            water = next_w
+        # A saturated link freezes every unfrozen class crossing it; a
+        # demand event freezes one member of its class.
+        batch = (heappop(link_heap)[3][3] if from_link
+                 else (heappop(demand_heap)[2],))
+        touched = []
+        for i in batch:
+            size = left[i] if from_link else 1
+            if not size:
+                continue
+            rates[i] = water
+            left[i] -= size
+            if not left[i]:
+                unfrozen -= 1
+            path = paths[i]
+            touched += path
+            for record in path:
+                record[0] -= size
+                if size == 1:
+                    record[1] += water
+                else:
+                    for _ in range(size):
+                        record[1] += water
+                record[2] += size
+        for record in touched:
+            crossings, total, stamp, _, link, capacity, heaped = record
+            if crossings > 0 and capacity is not None and stamp != heaped:
+                record[6] = stamp
+                heappush(link_heap, ((capacity - total) / crossings, stamp,
+                                     link, record))
+    return rates
 
 
 def max_min_fair(
@@ -68,87 +154,29 @@ def max_min_fair(
             must be present.
 
     Returns:
-        flow id -> allocated rate.  Flows crossing no links get their full
-        demand (an infinite demand on a linkless flow is an error).
+        flow id -> allocated rate, in ``flows`` order.  Flows crossing no
+        links get their full demand (an infinite demand on a linkless
+        flow is an error).
     """
     rates: Dict[Hashable, float] = {}
-    active = _validate(flows, capacities, rates)
-
-    # Link -> flow incidence (with multiplicity: a flow crossing a link
-    # twice consumes two shares of it).
-    incidence: Dict[Hashable, List[Hashable]] = {}
-    count: Dict[Hashable, int] = {}
-    used: Dict[Hashable, float] = {}
-    for flow_id, (links, _) in active.items():
-        for link in links:
-            if link in count:
-                count[link] += 1
-                incidence[link].append(flow_id)
-            else:
-                count[link] = 1
-                used[link] = 0.0
-                incidence[link] = [flow_id]
-
-    version: Dict[Hashable, int] = dict.fromkeys(count, 0)
-    link_heap: List[Tuple[float, int, Hashable]] = []
-    for link, crossings in count.items():
-        capacity = capacities[link]
-        if math.isfinite(capacity):
-            heappush(link_heap, (capacity / crossings, 0, link))
-    demand_heap: List[Tuple[float, Hashable]] = [
-        (demand, flow_id) for flow_id, (_, demand) in active.items()
-        if math.isfinite(demand)]
-    demand_heap.sort()
-
-    unfrozen = set(active)
-
-    def freeze(flow_id: Hashable, rate: float) -> None:
-        rates[flow_id] = rate
-        unfrozen.discard(flow_id)
-        for link in active[flow_id][0]:
-            count[link] -= 1
-            used[link] += rate
-            version[link] += 1
-            crossings = count[link]
-            if crossings > 0:
-                capacity = capacities[link]
-                if math.isfinite(capacity):
-                    heappush(link_heap,
-                             ((capacity - used[link]) / crossings,
-                              version[link], link))
-
-    water = 0.0
-    while unfrozen:
-        while demand_heap and demand_heap[0][1] not in unfrozen:
-            heappop(demand_heap)
-        while link_heap:
-            _, stamp, link = link_heap[0]
-            if stamp != version[link] or count[link] <= 0:
-                heappop(link_heap)
-            else:
-                break
-        next_w = demand_heap[0][0] if demand_heap else math.inf
-        from_link = False
-        if link_heap and link_heap[0][0] < next_w:
-            next_w = link_heap[0][0]
-            from_link = True
-        if not math.isfinite(next_w):
-            raise RuntimeError("all active flows are elastic and "
-                               "unconstrained; allocation diverges")
-        # Water never recedes: a freeze can nudge a recomputed saturation
-        # level a float ulp below the current level.
-        if next_w > water:
-            water = next_w
-        if from_link:
-            _, _, link = heappop(link_heap)
-            # Bulk-freeze every unfrozen flow crossing the saturated link
-            # at the current water level.
-            for flow_id in incidence[link]:
-                if flow_id in unfrozen:
-                    freeze(flow_id, water)
-        else:
-            _, flow_id = heappop(demand_heap)
-            freeze(flow_id, water)
+    groups: Dict[Tuple[Tuple[Hashable, ...], float], List[Hashable]] = {}
+    for flow_id, (links, demand) in flows.items():
+        if demand < 0:
+            raise ValueError(f"flow {flow_id!r} has negative demand")
+        if not links:
+            if math.isinf(demand):
+                raise ValueError(
+                    f"flow {flow_id!r} is elastic but crosses no links")
+            rates[flow_id] = demand
+            continue
+        rates[flow_id] = 0.0  # also keeps the input order
+        if demand == 0:
+            continue
+        groups.setdefault((tuple(links), demand), []).append(flow_id)
+    classes = list(groups.items())
+    for (_, members), rate in zip(classes, _water_fill(classes, capacities)):
+        for flow_id in members:
+            rates[flow_id] = rate
     return rates
 
 
@@ -158,50 +186,59 @@ class IncrementalMaxMin:
     Max-min fairness decomposes over connected components of the
     flow-link bipartite graph: flows that share no link (directly or
     through a chain of other flows) never influence each other's rates.
-    This class keeps the link -> flow incidence map alive between events;
-    when flows arrive, finish, or a link capacity changes, only the
-    affected links are marked *dirty*, and :meth:`recompute` re-runs
-    :func:`max_min_fair` on the closure of dirty links alone -- the rest
-    of the allocation is untouched.  On a large topology where each event
-    perturbs one small component this turns an O(total flows) recompute
-    into one proportional to the component size.
+    This class keeps a class index alive between events: ``(links,
+    demand)`` -> its member flows in insertion order, and link -> the
+    classes crossing it.  An arrival, a departure or a capacity change
+    only marks links and classes *dirty*; :meth:`recompute` walks their
+    closure over classes and hands it straight to the class kernel.  An
+    event costs in proportion to its component's classes, not to all
+    flows.
 
     Equivalence contract: after every :meth:`recompute`, :meth:`rates`
     equals ``max_min_fair(flows, capacities)`` over the full current flow
-    set.  Sub-problems are handed to :func:`max_min_fair` with the flows
-    in their global insertion order, so freeze ordering -- and therefore
-    the float-level result -- matches a from-scratch solve restricted to
-    the same component (asserted by ``tests/test_maxmin_incremental.py``
-    and the campaign bit-identity gate).
+    set.  The kernel's result does not depend on the order classes come
+    in, so each re-solved component gets, bit for bit, the per-flow
+    solve of the same flows (``tests/test_maxmin_classes.py``,
+    ``tests/test_maxmin_incremental.py``, the campaign bit-identity
+    gate); changed rates come back in global flow insertion order, the
+    order the fluid simulator applies them in.
 
     Not thread-safe; the fluid simulator drives one instance per sharing
     domain from its single-threaded event loop.
     """
 
-    __slots__ = ("_capacities", "_flows", "_order", "_next_order",
-                 "_incidence", "_rates", "_dirty_links", "_dirty_flows",
-                 "recompute_count", "affected_flow_count")
+    __slots__ = ("_capacities", "_flows", "_next_order", "_classes",
+                 "_crossing", "_rates", "_dirty_links", "_dirty_classes",
+                 "_dirty_trivial", "recompute_count", "affected_flow_count",
+                 "affected_class_count")
 
     def __init__(
             self,
             capacities: Optional[Mapping[Hashable, float]] = None) -> None:
         self._capacities: Dict[Hashable, float] = \
             dict(capacities) if capacities else {}
-        #: flow id -> (links, demand); insertion-ordered, mirrored by
-        #: ``_order`` so sub-problems can be rebuilt in global order.
-        self._flows: Dict[Hashable, Tuple[Tuple[Hashable, ...], float]] = {}
-        self._order: Dict[Hashable, int] = {}
+        #: flow id -> (links, demand, insertion number).
+        self._flows: Dict[Hashable,
+                          Tuple[Tuple[Hashable, ...], float, int]] = {}
         self._next_order = 0
-        #: link -> ordered set of flow ids crossing it (multiplicity is
-        #: carried by the flow's links tuple, not repeated here).
-        self._incidence: Dict[Hashable, Dict[Hashable, None]] = {}
+        #: (links, demand) -> ordered set of its member flow ids; only
+        #: flows with links and a demand > 0 have a class.
+        self._classes: Dict[Tuple[Tuple[Hashable, ...], float],
+                            Dict[Hashable, None]] = {}
+        #: link -> ordered set of the class keys crossing it (multiplicity
+        #: is carried by the class's links tuple, not repeated here).
+        self._crossing: Dict[Hashable, Dict[Tuple, None]] = {}
         self._rates: Dict[Hashable, float] = {}
         self._dirty_links: Dict[Hashable, None] = {}
-        self._dirty_flows: Dict[Hashable, None] = {}
+        #: Classes with arrivals since the last solve.
+        self._dirty_classes: Dict[Tuple, None] = {}
+        #: Arrived flows with no links or zero demand: no solve needed.
+        self._dirty_trivial: Dict[Hashable, None] = {}
         #: Instrumentation for benchmarks: recomputes performed and the
-        #: cumulative number of flows re-solved across them.
+        #: cumulative number of flows and classes re-solved across them.
         self.recompute_count = 0
         self.affected_flow_count = 0
+        self.affected_class_count = 0
 
     def __len__(self) -> int:
         return len(self._flows)
@@ -219,7 +256,7 @@ class IncrementalMaxMin:
         if old is not None and old == capacity:
             return
         self._capacities[link] = capacity
-        if self._incidence.get(link):
+        if self._crossing.get(link):
             self._dirty_links[link] = None
 
     def add_flow(self, flow_id: Hashable, links: Sequence[Hashable],
@@ -242,88 +279,104 @@ class IncrementalMaxMin:
             if link not in self._capacities:
                 raise KeyError(f"flow {flow_id!r} crosses unknown "
                                f"link {link!r}")
-        self._flows[flow_id] = (links, demand)
-        self._order[flow_id] = self._next_order
+        self._flows[flow_id] = (links, demand, self._next_order)
         self._next_order += 1
-        if links and demand > 0:
+        if not links or demand == 0:
+            self._dirty_trivial[flow_id] = None
+            return
+        key = (links, demand)
+        members = self._classes.get(key)
+        if members is None:
+            self._classes[key] = members = {}
             for link in links:
-                self._incidence.setdefault(link, {})[flow_id] = None
-        self._dirty_flows[flow_id] = None
+                self._crossing.setdefault(link, {})[key] = None
+        members[flow_id] = None
+        self._dirty_classes[key] = None
 
     def remove_flow(self, flow_id: Hashable) -> None:
         """Remove a flow, dirtying the links it crossed."""
-        links, demand = self._flows.pop(flow_id)
-        del self._order[flow_id]
-        self._dirty_flows.pop(flow_id, None)
+        links, demand, _ = self._flows.pop(flow_id)
         self._rates.pop(flow_id, None)
-        if links and demand > 0:
-            for link in links:
-                crossing = self._incidence.get(link)
-                if crossing is None:
-                    continue
-                crossing.pop(flow_id, None)
-                if crossing:
-                    self._dirty_links[link] = None
-                else:
-                    del self._incidence[link]
+        if not links or demand == 0:
+            self._dirty_trivial.pop(flow_id, None)
+            return
+        key = (links, demand)
+        members = self._classes[key]
+        del members[flow_id]
+        if not members:
+            del self._classes[key]
+            self._dirty_classes.pop(key, None)
+        for link in links:
+            crossing = self._crossing.get(link)
+            if crossing is None:
+                continue
+            if not members:
+                crossing.pop(key, None)
+            if crossing:
+                self._dirty_links[link] = None
+            else:
+                del self._crossing[link]
 
     def recompute(self) -> Dict[Hashable, float]:
         """Re-solve the dirty components; return only the changed rates.
 
         The returned mapping holds every flow whose allocated rate
-        differs (bit-for-bit) from its previous value, so callers can
-        apply exactly the updates a from-scratch solve would have made
-        through an equality-skipping rate setter.
+        differs (bit-for-bit) from its previous value, solved flows in
+        global insertion order and then the linkless / zero-demand
+        arrivals, so callers can apply exactly the updates a
+        from-scratch solve would have made through an equality-skipping
+        rate setter.
         """
-        if not self._dirty_links and not self._dirty_flows:
+        if not (self._dirty_links or self._dirty_classes
+                or self._dirty_trivial):
             return {}
-        affected: Dict[Hashable, None] = {}
+        crossing = self._crossing
+        affected = dict.fromkeys(self._dirty_classes)
         seen_links = set(self._dirty_links)
         frontier: List[Hashable] = list(self._dirty_links)
-        trivial: List[Hashable] = []
-        for flow_id in self._dirty_flows:
-            links, demand = self._flows[flow_id]
-            if links and demand > 0:
-                affected[flow_id] = None
-                for link in links:
-                    if link not in seen_links:
-                        seen_links.add(link)
-                        frontier.append(link)
-            else:
-                trivial.append(flow_id)
-        # Closure of the dirty links over the flow-link bipartite graph:
-        # every flow crossing a reached link joins the sub-problem, and
-        # drags its own links in behind it.
+        for links, _ in affected:
+            for link in links:
+                if link not in seen_links:
+                    seen_links.add(link)
+                    frontier.append(link)
+        # Closure of the dirty links and classes over the class-link
+        # bipartite graph: every class crossing a reached link joins the
+        # sub-problem, and drags its own links in behind it.
         while frontier:
-            link = frontier.pop()
-            for flow_id in self._incidence.get(link, ()):
-                if flow_id not in affected:
-                    affected[flow_id] = None
-                    for other in self._flows[flow_id][0]:
+            for key in crossing.get(frontier.pop(), ()):
+                if key not in affected:
+                    affected[key] = None
+                    for other in key[0]:
                         if other not in seen_links:
                             seen_links.add(other)
                             frontier.append(other)
-        changed: Dict[Hashable, float] = {}
         rates = self._rates
-        if affected:
-            order = self._order
-            sub_flows = {fid: self._flows[fid]
-                         for fid in sorted(affected, key=order.__getitem__)}
-            sub_caps = {link: self._capacities[link] for link in seen_links}
-            for fid, rate in max_min_fair(sub_flows, sub_caps).items():
+        flows = self._flows
+        solved: List[FlowClass] = [(key, self._classes[key])
+                                   for key in affected]
+        updates: List[Tuple[int, Hashable]] = []
+        n_flows = 0
+        for (_, members), rate in zip(
+                solved, _water_fill(solved, self._capacities)):
+            n_flows += len(members)
+            for fid in members:
                 if rates.get(fid) != rate:
                     rates[fid] = rate
-                    changed[fid] = rate
-        for fid in trivial:
-            links, demand = self._flows[fid]
+                    updates.append((flows[fid][2], fid))
+        updates.sort()
+        changed = {fid: rates[fid] for _, fid in updates}
+        for fid in self._dirty_trivial:
+            links, demand, _ = flows[fid]
             rate = demand if not links else 0.0
             if rates.get(fid) != rate:
                 rates[fid] = rate
                 changed[fid] = rate
         self._dirty_links.clear()
-        self._dirty_flows.clear()
+        self._dirty_classes.clear()
+        self._dirty_trivial.clear()
         self.recompute_count += 1
-        self.affected_flow_count += len(affected)
+        self.affected_flow_count += n_flows
+        self.affected_class_count += len(solved)
         return changed
 
     def rates(self) -> Dict[Hashable, float]:

@@ -4,8 +4,10 @@
 # together with the two epsilons only it uses.  It is the textbook
 # round-by-round progressive filling the seed shipped; ``tests/test_maxmin.py``,
 # ``tests/test_maxmin_incremental.py`` and ``tests/oracles/seed_flowsim.py``
-# compare the live water-level solver with it to 1e-6 relative.  Do not optimise or "fix" this file: it is the
-# reference, not product code.
+# compare the live water-level solver with it to 1e-6 relative.  The one
+# edit: ``_validate`` left the package with the per-flow solver, so it is
+# imported from the sibling oracle ``seed_maxmin_perflow``.  Do not
+# optimise or "fix" this file: it is the reference, not product code.
 """Textbook progressive-filling max-min allocation (the seed solver).
 
 Saturation epsilon: a link counts as saturated when its remaining room is
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
-from repro.maxmin import _validate
+from seed_maxmin_perflow import _validate
 
 #: A link is saturated when its room falls within this fraction of its
 #: capacity (relative epsilon; see module docstring).

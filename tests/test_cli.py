@@ -654,6 +654,23 @@ class TestSpecErrorContract:
                                      if argv[0] == "trace" else [])],
                    needle)
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["churn", "--occupancy", "1.5"], "--occupancy 1.5: must be < 1"),
+        (["churn", "--occupancy", "0"], "--occupancy 0.0: must be > 0"),
+        (["hybrid", "--occupancy", "-0.2"], "--occupancy -0.2: must be > 0"),
+        (["hybrid", "--occupancy", "1"], "--occupancy 1.0: must be < 1"),
+        (["faults", "--occupancy", "2"], "--occupancy 2.0: must be <= 1"),
+        (["admit", "--vms", "0"], "--vms 0: must be >= 1"),
+    ], ids=["churn-occupancy-over", "churn-occupancy-0",
+            "hybrid-occupancy-negative", "hybrid-occupancy-1",
+            "faults-occupancy-over", "admit-vms-0"])
+    def test_out_of_range_workload_flag(self, capsys, argv, needle):
+        """``churn``/``hybrid`` used to fail inside their campaign cell
+        with a traceback (``TenantWorkload.for_occupancy`` wants (0, 1)),
+        ``faults --occupancy 2`` reported on a meaningless fill with exit
+        0, and ``admit --vms 0`` was a ``ValueError`` traceback."""
+        self.check(capsys, argv, needle)
+
     @pytest.mark.parametrize("argv", [
         ["admit"],
         ["whatif", "--model", "campaigns/whatif-error/model.json"],

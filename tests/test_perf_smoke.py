@@ -2,14 +2,15 @@
 
 Each test pins a hot-path gain as a *count* -- probes per stamp,
 ``free_slots`` reads per ``place``, dumps per snapshot, servers probed
-by a failing ``_fill``, port derivations per fault -- never as
+by a failing ``_fill``, port derivations per fault, flows per
+water-filled max-min class -- never as
 wall-clock time, so it holds on any machine.  Wall-clock numbers are
 the repo benchmark's (``python3 perf/run.py``, ``perf/README.md``);
 agreement of each shipped path with its seed oracle under
 ``tests/oracles/`` is the differential tests' job
 (``tests/placement/test_seed_manager_differential.py``,
 ``tests/flowsim/test_sim_equivalence.py``, ``tests/test_maxmin.py``,
-``tests/test_maxmin_incremental.py``).
+``tests/test_maxmin_incremental.py``, ``tests/test_maxmin_classes.py``).
 """
 
 import pytest
@@ -247,3 +248,40 @@ def test_fault_events_derive_each_placements_ports_once():
         time=51.0, target=FaultTarget("link", uplinks[0]), factor=0.5))
     assert len(derived) == 10 + len(replaced)
     assert len({id(p) for p in derived}) == len(derived)
+
+
+def test_fluid_solver_water_fills_classes_not_flows():
+    """The ``fluid-maxmin`` shape (2 pods x 25 racks x 10 servers, the
+    fig16a operating point) run to 10 s at seeds 5 and 6: the solver
+    re-solves 56 176 flows but water-fills only 22 376 flow classes
+    (same links, same demand), 2.51 flows per class.  The per-flow
+    solver water-filled every flow, a ratio of 1.  Counts repeat exactly
+    for a seed, so the margin only absorbs a change of workload."""
+    from repro import units
+    from repro.core.tenant import reset_tenant_ids
+    from repro.flowsim import ClusterSim, TenantWorkload, WorkloadConfig
+    from repro.placement import LocalityPlacementManager
+    from repro.topology import TreeTopology
+
+    flows = classes = 0
+    for seed in (5, 6):
+        reset_tenant_ids()
+        topology = TreeTopology(n_pods=2, racks_per_pod=25,
+                                servers_per_rack=10, slots_per_server=4,
+                                link_rate=units.gbps(10),
+                                oversubscription=5.0,
+                                buffer_bytes=312 * units.KB)
+        config = WorkloadConfig(
+            b_flow_bytes=250 * units.MB, a_flow_bytes=5 * units.MB,
+            mean_compute_time=8.0, a_delay=600 * units.MICROS,
+            permutation_x=3.0, mean_vms=10, max_vms=16)
+        workload = TenantWorkload.for_occupancy(config, 0.5,
+                                                topology.n_slots, seed=seed)
+        workload.arrival_rate *= 4.0
+        sim = ClusterSim(LocalityPlacementManager(topology),
+                         sharing="maxmin")
+        sim.run(workload, until=10.0)
+        flows += sim._solver.affected_flow_count
+        classes += sim._solver.affected_class_count
+    assert flows > 50_000
+    assert flows / classes >= 2.3
