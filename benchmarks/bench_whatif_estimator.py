@@ -2,13 +2,13 @@
 
 The extension claim behind ``repro whatif`` (EXPERIMENTS.md "What-if
 tail-latency estimator"): the committed surrogate
-(``campaigns/whatif-error/model.json``, fit on the committed
-calibration trace beside it) lands within 15% of the simulated p99 of
-the scenario it was calibrated on -- at a seed no calibration or sweep
-cell ever used -- and answers at least 100x faster than simulating it.
-The speed-up is four orders of magnitude in practice, so the floor is a
-claim about the method, not a timing of this machine; wall-clock
-numbers proper are ``perf/``'s.
+(``campaigns/whatif-error/model.json``: hop samples harvested from the
+committed calibration trace beside it, no fitted correction) lands
+within 15% of the simulated p99 of the scenario it was calibrated on --
+at a seed no calibration or sweep cell ever used -- and answers at
+least 100x faster than simulating it.  The speed-up is thousands-fold
+in practice, so the floor is a claim about the method, not a timing of
+this machine; wall-clock numbers proper are ``perf/``'s.
 
 Expected shape: relative p99 error of a few percent, speed-up in the
 thousands.

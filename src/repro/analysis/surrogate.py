@@ -12,27 +12,27 @@ tenant's message-latency distribution in milliseconds of compute:
    queue-depth samples from a traced packet campaign's ``queues.csv``
    (restricted to ports on the calibration tenants' incast paths), turn
    each depth into the M/D/1-style waiting time ``depth / line_rate``,
-   and pool them per port *kind* (``nic-up``, ``tor-down``, ...).  An
-   affine quantile correction (offset + spread scale) is then fit
-   against the observed message latencies in ``latency.csv``, absorbing
-   everything the depth samples cannot see (epoch phasing, pacer
-   serialization, within-bucket variance).
+   and pool them per port *kind* (``nic-up``, ``tor-down``, ...).
+   Nothing is fitted to the observed latencies: the model is the hop
+   samples and the calibration scenario's size.
 2. **Estimate** (:meth:`WhatIfModel.estimate`): for a proposed
-   placement, enumerate each sender's directed port path
-   (:func:`repro.placement.paths.incast_paths`), scale every hop's
-   empirical delay samples by the what-if's burst term -- incast-shared
-   down-facing ports grow linearly with ``senders x message_bytes``,
-   sender-private up-facing ports with ``message_bytes`` alone --
-   compose the hops by discrete convolution on a fixed time grid, mix
-   across senders, and read p50/p95/p99/p999 off the resulting CDF.
-3. **Anchor**: every estimate is clamped by the worst-case
-   network-calculus bound for the same placement (token-bucket hose
-   arrival through the concatenated store-and-forward hops, via
-   :func:`repro.netcalc.concat.end_to_end_delay_bound`, and the paper's
-   ``{B, S, d, Bmax}`` message bound when the tenant holds a delay
-   guarantee) so the surrogate can never promise more than the math.
+   placement, take each sender's directed port path toward the first
+   VM (:meth:`repro.topology.tree.TreeTopology.path_ports`), scale
+   every hop's empirical delay samples by the what-if's burst term --
+   incast-shared down-facing ports grow linearly with
+   ``senders x message_bytes``, sender-private up-facing ports with
+   ``message_bytes`` alone -- compose the hops by discrete convolution
+   on a fixed time grid, mix across senders, and read p50/p95/p99/p999
+   off the resulting CDF.
+3. **Anchor**: every quantile is clamped into [contention-free base,
+   worst-case network-calculus bound] for the same placement
+   (token-bucket hose arrival through the concatenated store-and-forward
+   hops, via :func:`repro.netcalc.concat.end_to_end_delay_bound`, and
+   the paper's ``{B, S, d, Bmax}`` message bound when the tenant holds a
+   delay guarantee) so the surrogate can never promise more than the
+   math.
 
-The fitted model is a small JSON document (``to_dict``/``from_dict``)
+The calibrated model is a small JSON document (``to_dict``/``from_dict``)
 meant to be committed next to the calibration campaign, so CI and the
 README example can score what-ifs without re-simulating anything.
 """
@@ -40,6 +40,7 @@ README example can score what-ifs without re-simulating anything.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -47,15 +48,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import units
-from repro.analysis.stats import percentile
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import Placement
 from repro.netcalc.arrival import token_bucket
 from repro.netcalc.concat import end_to_end_delay_bound
 from repro.netcalc.service import store_and_forward
 from repro.obs.traces import TraceArtifacts, port_kind_of
-from repro.placement.paths import IncastPaths, incast_paths
-from repro.topology.switch import VSWITCH_DELAY
+from repro.topology.switch import VSWITCH_DELAY, Port
 from repro.topology.tree import TreeTopology
 
 __all__ = [
@@ -66,9 +65,10 @@ __all__ = [
 #: The quantiles an estimate reports, matching the evaluation tables.
 REPORT_QUANTILES = (50.0, 95.0, 99.0, 99.9)
 
-#: Quantiles the affine correction is fit over -- a denser ladder than
-#: the report set so the least-squares slope sees the body *and* tail.
-_FIT_QUANTILES = (50.0, 75.0, 90.0, 95.0, 99.0, 99.9)
+#: The model JSON layout :meth:`WhatIfModel.to_dict` writes and
+#: :meth:`WhatIfModel.from_dict` reads; any other is refused, to be
+#: refit with ``repro whatif --calibrate``.
+_FORMAT = 2
 
 #: Port kinds whose queue carries the *aggregated* incast toward the
 #: receiver; their burst term scales with ``senders x message_bytes``.
@@ -89,17 +89,15 @@ _DEFAULT_GRID = 2.0 * units.MICROS
 #: this is clipped rather than allocating an absurd convolution grid.
 _HORIZON = 0.1
 
-#: Guard rails on the fitted spread scale: a degenerate calibration
-#: (e.g. two nearly identical quantile points) must not explode or
-#: collapse the predicted distribution.
-_MIN_SCALE = 0.1
-_MAX_SCALE = 10.0
-
 #: Within-bucket sample weighting: a ``queues.csv`` bucket only keeps
 #: (min, mean, max) of the depths observed during its interval, so each
 #: bucket contributes three delay points with these weight fractions.
 _BUCKET_WEIGHTS = ((lambda b: b.vmin, 0.25), (lambda b: b.mean, 0.5),
                    (lambda b: b.vmax, 0.25))
+
+#: One sender's directed switch ports toward the receiver; empty when
+#: the sender shares the receiver's server (only the vswitch is crossed).
+_SenderPorts = Tuple[Port, ...]
 
 
 def quantile_label(q: float) -> str:
@@ -115,7 +113,9 @@ class HopSamples:
     ``delays`` are seconds a packet arriving at a random instant would
     wait behind the sampled queue depth; ``weights`` are the sample
     counts backing each point (time-proportional, since the simulator
-    samples depths on a fixed interval).
+    samples depths on a fixed interval).  Both must be finite and
+    non-negative: a negative delay would index the convolution grid
+    from its end.
     """
 
     delays: List[float]
@@ -124,6 +124,10 @@ class HopSamples:
     def __post_init__(self) -> None:
         if len(self.delays) != len(self.weights):
             raise ValueError("need one weight per delay sample")
+        if not all(math.isfinite(d) and d >= 0 for d in self.delays):
+            raise ValueError("hop delays must be finite and >= 0")
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+            raise ValueError("hop sample weights must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -131,27 +135,13 @@ class WhatIfEstimate:
     """The surrogate's answer for one proposed placement.
 
     All times are seconds; ``quantiles`` maps q in [0, 100] to the
-    estimated message latency, already clamped to the worst-case
-    ``bound`` and floored at the contention-free ``base``.
+    estimated message latency, already clamped into [``base``,
+    ``bound``]: the contention-free latency and the worst-case bound.
     """
 
     quantiles: Dict[float, float]
     bound: float
     base: float
-    n_senders: int
-    message_bytes: float
-
-    def to_dict(self) -> Dict[str, float]:
-        """JSON-friendly summary with latencies in microseconds."""
-        out: Dict[str, float] = {
-            f"{quantile_label(q)}_us": units.to_usec(v)
-            for q, v in sorted(self.quantiles.items())
-        }
-        out["bound_us"] = units.to_usec(self.bound)
-        out["base_us"] = units.to_usec(self.base)
-        out["n_senders"] = self.n_senders
-        out["message_bytes"] = self.message_bytes
-        return out
 
 
 @dataclass
@@ -164,8 +154,6 @@ class WhatIfModel:
         cal_senders: senders per class-A tenant in the calibration
             scenario; the reference point of the incast burst term.
         cal_message_bytes: the calibration scenario's message size.
-        offset: additive quantile correction (seconds) from the fit.
-        scale: multiplicative spread correction from the fit.
         grid: convolution resolution in seconds.
         meta: free-form provenance (scenario parameters, sample counts).
     """
@@ -173,18 +161,18 @@ class WhatIfModel:
     hop_samples: Dict[str, HopSamples]
     cal_senders: int
     cal_message_bytes: float
-    offset: float = 0.0
-    scale: float = 1.0
     grid: float = _DEFAULT_GRID
     meta: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.cal_senders < 1:
             raise ValueError("calibration needs at least one sender")
-        if self.cal_message_bytes <= 0:
-            raise ValueError("calibration message size must be positive")
-        if self.grid <= 0:
-            raise ValueError("convolution grid must be positive")
+        if not (math.isfinite(self.cal_message_bytes)
+                and self.cal_message_bytes > 0):
+            raise ValueError(
+                "calibration message size must be finite and positive")
+        if not (math.isfinite(self.grid) and self.grid > 0):
+            raise ValueError("convolution grid must be finite and positive")
 
     # -- composition ---------------------------------------------------------
 
@@ -222,16 +210,15 @@ class WhatIfModel:
 
     def _raw_quantiles(self,
                        profiles: Sequence[Tuple[Tuple[str, ...], float]],
-                       ratio_up: float, ratio_down: float,
-                       quantiles: Sequence[float]) -> Dict[float, float]:
-        """Quantiles of the mixture latency distribution over senders.
+                       ratio_up: float, ratio_down: float
+                       ) -> Dict[float, float]:
+        """The :data:`REPORT_QUANTILES` of the mixture latency
+        distribution over senders (monotone in q by construction).
 
         ``profiles`` holds one ``(hop kinds, base latency)`` entry per
         sender; every sender emits the same number of messages, so the
         tenant-level latency distribution is their uniform mixture.
         """
-        if not profiles:
-            raise ValueError("need at least one sender profile")
         path_cache: Dict[Tuple[str, ...], np.ndarray] = {}
         parts: List[Tuple[int, np.ndarray]] = []
         for kinds, base in profiles:
@@ -247,16 +234,10 @@ class WhatIfModel:
         mix /= mix.sum()
         cdf = np.cumsum(mix)
         out: Dict[float, float] = {}
-        for q in quantiles:
+        for q in REPORT_QUANTILES:
             idx = int(np.searchsorted(cdf, q / 100.0, side="left"))
             out[q] = min(idx, length - 1) * self.grid
         return out
-
-    def _profiles(self, paths: IncastPaths, guarantee: NetworkGuarantee,
-                  message_bytes: float
-                  ) -> List[Tuple[Tuple[str, ...], float]]:
-        """One (hop kinds, contention-free base latency) per sender."""
-        return _model_profiles(paths, guarantee, message_bytes)
 
     # -- queries -------------------------------------------------------------
 
@@ -269,12 +250,14 @@ class WhatIfModel:
             topology: the tree the placement's servers index into.
             placement: the candidate placement (its request must carry
                 a guarantee -- best-effort tenants have no burst model).
+                Its first VM receives, as in the packet simulator's
+                ``EpochBurstApp``.
             message_bytes: per-epoch message size; defaults to the
                 calibration scenario's size.
 
         Returns:
-            Estimated latency quantiles, clamped to the worst-case
-            bound for the same placement.
+            Estimated latency quantiles, clamped into [contention-free
+            base, worst-case bound] for the same placement.
         """
         guarantee = placement.request.guarantee
         if guarantee is None:
@@ -283,31 +266,22 @@ class WhatIfModel:
             message_bytes = self.cal_message_bytes
         if message_bytes <= 0:
             raise ValueError("message size must be positive")
-        paths = incast_paths(topology, placement)
-        n_senders = len(paths.senders)
-        if n_senders == 0:
+        paths = _sender_paths(topology, placement)
+        if not paths:
             raise ValueError("what-if needs at least one sender VM")
         ratio_up = message_bytes / self.cal_message_bytes
-        ratio_down = (n_senders * message_bytes) / (
+        ratio_down = (len(paths) * message_bytes) / (
             self.cal_senders * self.cal_message_bytes)
-        profiles = self._profiles(paths, guarantee, message_bytes)
-        raw = self._raw_quantiles(profiles, ratio_up, ratio_down,
-                                  REPORT_QUANTILES)
-        raw_p50 = raw[50.0]
+        profiles = _profiles(paths, guarantee, message_bytes)
+        raw = self._raw_quantiles(profiles, ratio_up, ratio_down)
         base = min(b for _, b in profiles)
         bound = self.worst_case_bound(paths, guarantee, message_bytes)
-        calibrated: Dict[float, float] = {}
-        floor = base
-        for q in sorted(raw):
-            value = raw_p50 + self.offset + self.scale * (raw[q] - raw_p50)
-            value = min(max(value, floor), bound)
-            calibrated[q] = value
-            floor = value  # quantiles must be monotone in q
-        return WhatIfEstimate(quantiles=calibrated, bound=bound,
-                              base=base, n_senders=n_senders,
-                              message_bytes=message_bytes)
+        return WhatIfEstimate(
+            quantiles={q: min(max(value, base), bound)
+                       for q, value in raw.items()},
+            bound=bound, base=base)
 
-    def worst_case_bound(self, paths: IncastPaths,
+    def worst_case_bound(self, paths: Sequence[_SenderPorts],
                          guarantee: NetworkGuarantee,
                          message_bytes: float) -> float:
         """Network-calculus ceiling for the estimate (seconds).
@@ -322,15 +296,11 @@ class WhatIfModel:
         delay guarantee the paper's ``{B, S, d, Bmax}`` message bound
         (which Silo's admission enforces) tightens the ceiling.
         """
-        n_senders = max(1, len(paths.senders))
-        longest: Tuple[object, ...] = ()
-        for sender in paths.senders:
-            if len(sender.ports) > len(longest):
-                longest = sender.ports
+        longest = max(paths, key=len, default=())
         queueing = 0.0
         if longest:
             arrival = token_bucket(guarantee.bandwidth,
-                                   n_senders * guarantee.burst)
+                                   len(paths) * guarantee.burst)
             services = [store_and_forward(port.capacity)
                         for port in longest]
             queueing = end_to_end_delay_bound(arrival, services)
@@ -346,12 +316,10 @@ class WhatIfModel:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form (delays stored in microseconds)."""
         return {
-            "format": 1,
+            "format": _FORMAT,
             "grid_us": units.to_usec(self.grid),
             "cal_senders": self.cal_senders,
             "cal_message_bytes": self.cal_message_bytes,
-            "offset_us": units.to_usec(self.offset),
-            "scale": self.scale,
             "hop_samples": {
                 kind: {"delays_us": [units.to_usec(d)
                                      for d in samples.delays],
@@ -363,21 +331,22 @@ class WhatIfModel:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "WhatIfModel":
-        """Inverse of :meth:`to_dict`; validates the format tag."""
-        if data.get("format") != 1:
+        """Inverse of :meth:`to_dict`; validates the format tag and,
+        through the constructors, every value."""
+        if data.get("format") != _FORMAT:
             raise ValueError(
-                f"unsupported what-if model format {data.get('format')!r}")
+                f"unsupported what-if model format "
+                f"{data.get('format')!r} (this version reads format "
+                f"{_FORMAT}; refit the model with --calibrate)")
         hop_samples = {
             kind: HopSamples(
-                delays=[units.usec(d) for d in entry["delays_us"]],
-                weights=list(entry["weights"]))
+                delays=[units.usec(float(d)) for d in entry["delays_us"]],
+                weights=[float(w) for w in entry["weights"]])
             for kind, entry in data["hop_samples"].items()
         }
         return cls(hop_samples=hop_samples,
                    cal_senders=int(data["cal_senders"]),
                    cal_message_bytes=float(data["cal_message_bytes"]),
-                   offset=units.usec(float(data["offset_us"])),
-                   scale=float(data["scale"]),
                    grid=units.usec(float(data["grid_us"])),
                    meta=dict(data.get("meta", {})))
 
@@ -397,19 +366,29 @@ class WhatIfModel:
         return cls.from_dict(data)
 
 
-def _base_latency(guarantee: NetworkGuarantee, message_bytes: float,
-                  ports: Sequence) -> float:
-    """Contention-free latency of one message along one sender path.
+def _sender_paths(topology: TreeTopology,
+                  placement: Placement) -> List[_SenderPorts]:
+    """Each non-receiver VM's ports toward the first VM, in VM order."""
+    receiver = placement.vm_servers[0]
+    return [tuple(topology.path_ports(server, receiver))
+            for server in placement.vm_servers[1:]]
 
-    Serialization of the whole message at the burst rate ``Bmax``, plus
-    one store-and-forward MTU per switch hop, plus the sending and
-    receiving hypervisor vswitch hops.
+
+def _profiles(paths: Sequence[_SenderPorts], guarantee: NetworkGuarantee,
+              message_bytes: float
+              ) -> List[Tuple[Tuple[str, ...], float]]:
+    """One (hop kinds, contention-free base latency) per sender.
+
+    The base is serialization of the whole message at the burst rate
+    ``Bmax``, plus one store-and-forward MTU per switch hop, plus the
+    sending and receiving hypervisor vswitch hops.
     """
-    base = (message_bytes / guarantee.effective_peak_rate
-            + 2 * VSWITCH_DELAY)
-    for port in ports:
-        base += units.MTU / port.capacity
-    return base
+    serialization = (message_bytes / guarantee.effective_peak_rate
+                     + 2 * VSWITCH_DELAY)
+    return [(tuple(port.kind.value for port in ports),
+             serialization + sum(units.MTU / port.capacity
+                                 for port in ports))
+            for ports in paths]
 
 
 def _quantize_samples(points: Iterable[Tuple[float, float]],
@@ -428,12 +407,11 @@ def _quantize_samples(points: Iterable[Tuple[float, float]],
 
 def fit_whatif_model(topology: TreeTopology,
                      placements: Sequence[Placement],
-                     guarantee: NetworkGuarantee,
                      message_bytes: float,
                      artifacts: Sequence[TraceArtifacts],
                      meta: Optional[Dict[str, object]] = None
                      ) -> "WhatIfModel":
-    """Calibrate a :class:`WhatIfModel` from traced packet campaigns.
+    """Calibrate a :class:`WhatIfModel`'s hop samples from traced runs.
 
     Args:
         topology: the tree the calibration trace ran on.
@@ -441,38 +419,32 @@ def fit_whatif_model(topology: TreeTopology,
             (re-derivable by replaying admission, which is
             deterministic); only ports on their incast paths contribute
             samples, so idle ports cannot dilute the tail.
-        guarantee: the class-A guarantee of the calibration tenants.
-        message_bytes: the calibration scenario's epoch message size;
-            also selects the class-A rows of ``latency.csv`` (bulk
-            traffic uses a different chunk size).
-        artifacts: one or more traced runs (``latency.csv`` +
-            ``queues.csv`` pairs, e.g. from
+        message_bytes: the calibration scenario's epoch message size,
+            the reference point of the what-if burst term.
+        artifacts: one or more traced runs; only their ``queues.csv``
+            is read (e.g. from
             :func:`repro.obs.traces.find_trace_artifacts`).
         meta: provenance to embed in the model.
 
     Returns:
-        The fitted model, affine-corrected against the observed
-        calibration latencies when enough messages are available.
+        The calibrated model.
     """
     if not placements:
         raise ValueError("calibration needs at least one placement")
     if not artifacts:
         raise ValueError("calibration needs at least one trace")
     port_caps = {port.name: port.capacity for port in topology.ports}
-    profiles: List[Tuple[Tuple[str, ...], float]] = []
     path_port_names = set()
     cal_senders = 0
     for placement in placements:
-        paths = incast_paths(topology, placement)
-        cal_senders = max(cal_senders, len(paths.senders))
-        profiles.extend(_model_profiles(paths, guarantee, message_bytes))
-        for sender in paths.senders:
-            path_port_names.update(port.name for port in sender.ports)
+        paths = _sender_paths(topology, placement)
+        cal_senders = max(cal_senders, len(paths))
+        for ports in paths:
+            path_port_names.update(port.name for port in ports)
     if cal_senders == 0:
         raise ValueError("calibration placements have no senders")
 
     kind_points: Dict[str, List[Tuple[float, float]]] = {}
-    observed: List[float] = []
     for artifact in artifacts:
         for port_name, buckets in artifact.queues().items():
             if port_name not in path_port_names:
@@ -487,9 +459,6 @@ def fit_whatif_model(topology: TreeTopology,
                 for depth_of, fraction in _BUCKET_WEIGHTS:
                     points.append((depth_of(bucket) / capacity,
                                    fraction * bucket.count))
-        observed.extend(record.latency
-                        for record in artifact.latencies()
-                        if record.size == message_bytes)
 
     hop_samples = {kind: _quantize_samples(points, _DEFAULT_GRID)
                    for kind, points in kind_points.items()}
@@ -497,45 +466,6 @@ def fit_whatif_model(topology: TreeTopology,
               for point in points]
     if pooled:
         hop_samples[_POOLED_KIND] = _quantize_samples(pooled, _DEFAULT_GRID)
-    model = WhatIfModel(hop_samples=hop_samples, cal_senders=cal_senders,
-                        cal_message_bytes=message_bytes,
-                        meta=dict(meta or {}))
-    model.meta.setdefault("calibration_messages", len(observed))
-    if len(observed) >= len(_FIT_QUANTILES):
-        _fit_affine(model, profiles, observed)
-    return model
-
-
-def _model_profiles(paths: IncastPaths, guarantee: NetworkGuarantee,
-                    message_bytes: float
-                    ) -> List[Tuple[Tuple[str, ...], float]]:
-    """Sender profiles for a placement (module-level fit helper)."""
-    return [
-        (tuple(port.kind.value for port in sender.ports),
-         _base_latency(guarantee, message_bytes, sender.ports))
-        for sender in paths.senders
-    ]
-
-
-def _fit_affine(model: WhatIfModel,
-                profiles: Sequence[Tuple[Tuple[str, ...], float]],
-                observed: Sequence[float]) -> None:
-    """Least-squares fit of the offset/scale quantile correction.
-
-    Regresses the observed calibration quantiles on the raw predicted
-    quantiles (centred at the raw median), so at query time
-    ``est(q) = raw_p50 + offset + scale * (raw(q) - raw_p50)``.
-    """
-    raw = model._raw_quantiles(profiles, 1.0, 1.0, _FIT_QUANTILES)
-    raw_p50 = raw[50.0]
-    xs = np.array([raw[q] - raw_p50 for q in _FIT_QUANTILES])
-    ys = np.array([percentile(observed, q) for q in _FIT_QUANTILES])
-    spread = float(np.dot(xs - xs.mean(), xs - xs.mean()))
-    if spread > 0:
-        slope = float(np.dot(xs - xs.mean(), ys - ys.mean())) / spread
-    else:
-        slope = 1.0
-    slope = min(max(slope, _MIN_SCALE), _MAX_SCALE)
-    intercept = float(ys.mean()) - slope * float(xs.mean())
-    model.scale = slope
-    model.offset = intercept - raw_p50
+    return WhatIfModel(hop_samples=hop_samples, cal_senders=cal_senders,
+                       cal_message_bytes=message_bytes,
+                       meta=dict(meta or {}))

@@ -992,11 +992,12 @@ def whatif_error_cell(message_kb: float, class_a: int, seed: int,
     with ``derive_seed(seed, "whatif-cal")`` to calibrate the surrogate
     (held out -- the calibration trace never sees the target seed's
     epoch phases) and once at the cell seed as ground truth.  The
-    surrogate is fit on the first trace, queried for the same
-    placements, and compared against the second trace's observed
-    class-A latency quantiles.  Wall-clock speedup is deliberately NOT
-    part of the result (it would break byte-identical merges); the
-    speed-up floor lives in ``benchmarks/bench_whatif_estimator.py``.
+    surrogate's hop samples come from the first trace's queues; it is
+    queried for the same placements and compared against the second
+    trace's observed class-A latency quantiles.  Wall-clock speedup is
+    deliberately NOT part of the result (it would break byte-identical
+    merges); the speed-up floor lives in
+    ``benchmarks/bench_whatif_estimator.py``.
     """
     import contextlib
     import tempfile
@@ -1043,8 +1044,7 @@ def whatif_error_cell(message_kb: float, class_a: int, seed: int,
                              buffer_kb)
         reset_tenant_ids()
         placements = _class_a_placements(topo, guarantee, class_a, vms)
-        model = fit_whatif_model(topo, placements, guarantee,
-                                 message_bytes,
+        model = fit_whatif_model(topo, placements, message_bytes,
                                  find_trace_artifacts(cal_dir))
         estimates = [model.estimate(topo, placement, message_bytes)
                      for placement in placements]

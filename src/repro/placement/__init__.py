@@ -18,7 +18,6 @@ from repro.placement.oktopus import OktopusPlacementManager
 from repro.placement.locality import LocalityPlacementManager
 from repro.placement.controller import (ClusterController, RecoveryReport,
                                         TenantOutcome)
-from repro.placement.paths import IncastPaths, SenderPath, incast_paths
 
 __all__ = [
     "PortState",
@@ -30,7 +29,4 @@ __all__ = [
     "ClusterController",
     "RecoveryReport",
     "TenantOutcome",
-    "IncastPaths",
-    "SenderPath",
-    "incast_paths",
 ]

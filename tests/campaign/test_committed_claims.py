@@ -69,12 +69,19 @@ def check_mechanism_ordering(cells):
 
 
 def check_whatif_error(cells):
-    """Median relative p99 error of the surrogate over the held-out grid
-    is within the 15% acceptance floor (the maximum is not: the 25 KB
-    cells are the documented limitation)."""
+    """The surrogate's relative p99 error over the held-out grid: every
+    15 KB cell (660 Mbps offered into a 1 Gbps receiver hose) is within
+    the 15% acceptance floor, and so are the median and at least 10 of
+    the 12 cells.  The 25 KB cells offer 1.1 Gbps, over the hose, where
+    Silo promises nothing; two of them are the documented miss."""
     errors = [cell["result"]["rel_error_p99"] for cell in cells]
     assert len(errors) == 12
     assert median(errors) <= 0.15, sorted(errors)
+    within_hose = [cell["result"]["rel_error_p99"] for cell in cells
+                   if cell["params"]["message_kb"] == 15.0]
+    assert len(within_hose) == 6
+    assert max(within_hose) <= 0.15, sorted(within_hose)
+    assert sum(error <= 0.15 for error in errors) >= 10, sorted(errors)
 
 
 def check_fig12_is_the_section62_cell(cells):

@@ -671,6 +671,42 @@ class TestSpecErrorContract:
         0, and ``admit --vms 0`` was a ``ValueError`` traceback."""
         self.check(capsys, argv, needle)
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["pace", "--rate-gbps", "0"], "--rate-gbps 0.0: must be > 0"),
+        (["whatif", "--model", "campaigns/whatif-error/model.json",
+          "--message-kb", "0"], "--message-kb 0.0: must be > 0"),
+        (["whatif", "--model", "campaigns/whatif-error/model.json",
+          "--vms", "1"], "--vms 1: must be >= 2"),
+        (["serve", "--queue-capacity", "0"],
+         "--queue-capacity 0: must be >= 1"),
+        (["serve", "--arrival-rate", "0"], "--arrival-rate 0.0: must be > 0"),
+        (["campaign", "--name", "fig12", "--workers", "-1"],
+         "--workers -1: must be >= 0"),
+        (["campaign", "--name", "fig12", "--cell-timeout", "0"],
+         "--cell-timeout 0.0: must be > 0"),
+        (["churn", "--horizon", "0"], "--horizon 0.0: must be > 0"),
+        (["faults", "--duration-ms", "0"], "--duration-ms 0.0: must be > 0"),
+        (["hybrid", "--bg-compute-s", "-1"],
+         "--bg-compute-s -1.0: must be > 0"),
+        (["trace", "--message-kb", "nan"], "--message-kb nan: must be finite"),
+    ], ids=["pace-rate-0", "whatif-message-0", "whatif-vms-1",
+            "serve-queue-0", "serve-arrivals-0",
+            "campaign-workers-negative", "campaign-timeout-0",
+            "churn-horizon-0", "faults-duration-0",
+            "hybrid-compute-negative", "trace-message-nan"])
+    def test_out_of_range_numeric_flag(self, capsys, tmp_path, argv,
+                                       needle):
+        """These were tracebacks, except ``churn --horizon 0``,
+        ``faults --duration-ms 0`` and ``hybrid --bg-compute-s -1``,
+        which exited 0 on an empty run."""
+        if argv[0] == "serve":
+            argv = [*argv, "--data-dir", str(tmp_path / "d")]
+        if argv[0] == "campaign":
+            argv = [*argv, "--out", str(tmp_path / "c")]
+        self.check(capsys, argv, needle)
+        assert not (tmp_path / "d").exists()
+        assert not (tmp_path / "c").exists()
+
     @pytest.mark.parametrize("argv", [
         ["admit"],
         ["whatif", "--model", "campaigns/whatif-error/model.json"],
@@ -695,6 +731,23 @@ class TestSpecErrorContract:
         assert proc.returncode == 2
         assert proc.stderr == "error: bad --epoch-us 0.0: must be > 0\n"
 
+    @pytest.mark.parametrize("flags, diagnostic", [
+        (["--tick-interval", "0"], "--tick-interval 0.0: must be > 0"),
+        (["--horizon", "inf"], "--horizon inf: must be finite"),
+    ], ids=["tick-interval-0", "horizon-inf"])
+    def test_serve_exits_instead_of_hanging(self, tmp_path, flags,
+                                            diagnostic):
+        """Neither ever returned: at ``--tick-interval 0`` every tick of
+        the load generator landed at virtual time 0, and an infinite
+        horizon never stops generating arrivals."""
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--data-dir",
+             str(tmp_path / "d"), "--horizon", "1", *flags],
+            capture_output=True, text=True, cwd=REPO, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: bad {diagnostic}\n"
+
     def test_no_traceback_on_stderr_via_subprocess(self, tmp_path):
         env = dict(os.environ, PYTHONPATH="src")
         proc = subprocess.run(
@@ -704,6 +757,44 @@ class TestSpecErrorContract:
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+
+#: Numeric flags with no range entry, each with the reason.
+UNRANGED_FLAGS_ALLOWED = {
+    "seed": "any integer seeds a run",
+    "seeds": "any integers seed a sweep",
+}
+
+
+def test_every_numeric_flag_has_a_declared_range():
+    """Every ``int``/``float`` flag of every subcommand is range-checked
+    by ``cli._check_inputs`` (an entry in ``_FLAG_RANGES``), built into a
+    topology or guarantee whose constructor checks it, or allow-listed
+    with a reason."""
+    from repro.cli import _FLAG_RANGES, _TOPOLOGY_FLAGS
+    guarantee_flags = {"bandwidth_mbps", "burst_kb", "delay_us",
+                       "bmax_gbps"}
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    undeclared = []
+    for command, parser in subparsers.choices.items():
+        dests = {action.dest for action in parser._actions}
+        checked = {name for name, _, _ in _FLAG_RANGES.get(command, ())}
+        if "pods" in dests:
+            checked |= set(_TOPOLOGY_FLAGS)
+        if "bandwidth_mbps" in dests:
+            checked |= guarantee_flags
+        for action in parser._actions:
+            if (action.type in (int, float)
+                    and action.dest not in checked
+                    and action.dest not in UNRANGED_FLAGS_ALLOWED):
+                undeclared.append(f"{command} {action.option_strings[0]}")
+    assert not undeclared, (
+        "numeric flags with no declared range (add them to "
+        "cli._FLAG_RANGES):\n" + "\n".join(undeclared))
+    ranged = {name for ranges in _FLAG_RANGES.values()
+              for name, _, _ in ranges}
+    assert not ranged & set(UNRANGED_FLAGS_ALLOWED)
 
 
 class TestServe:
@@ -903,15 +994,18 @@ class TestWhatIf:
             "--calibrate", "neither")
 
     @pytest.mark.parametrize("name, good, bad_row, needle", [
-        ("latency.csv", "1,0,1,15000.0,0.0,0.0001,0.0001,0",
-         "1,2,3,15000.0,0.0", "expected 8 cells"),
-        ("latency.csv", "1,0,1,15000.0,0.0,0.0001,0.0001,0",
-         "1,0,1,15000.0,0.0,0.0001,0.0001,0,9", "expected 8 cells"),
+        ("queues.csv", "tor-down[3],0.0,5,100.0,0.0,300.0,50.0",
+         "tor-down[3],0.0,5,100.0", "expected 7 cells"),
+        ("queues.csv", "tor-down[3],0.0,5,100.0,0.0,300.0,50.0",
+         "tor-down[3],0.0,5,100.0,0.0,300.0,50.0,9", "expected 7 cells"),
         ("queues.csv", "tor-down[3],0.0,5,100.0,0.0,300.0,50.0",
          "tor-down[3],0.0,abc,100.0,0.0,300.0,50.0", "abc"),
     ], ids=["short", "long", "non-numeric"])
     def test_malformed_trace_csv_row_is_a_spec_error(
             self, capsys, tmp_path, name, good, bad_row, needle):
+        """The calibration reads ``queues.csv`` (``latency.csv`` is
+        only required beside it; its rows are parsed by the readers'
+        own tests)."""
         artifacts = self.CALIBRATION / "artifacts"
         (cell,) = [p for p in artifacts.iterdir() if p.is_dir()]
         for csv_name in ("latency.csv", "queues.csv"):
@@ -945,3 +1039,52 @@ class TestWhatIf:
         assert model_path.is_file()
         # The saved model round-trips through --model.
         assert main(["whatif", "--model", str(model_path)]) == 0
+
+    def test_committed_model_is_what_the_tree_fits(self, capsys, tmp_path,
+                                                   monkeypatch):
+        """Refitting the committed calibration corpus reproduces
+        ``model.json`` byte for byte (numpy's convolution is not in the
+        fit, but the sample quantization and the JSON layout are)."""
+        monkeypatch.chdir(REPO)
+        model_path = tmp_path / "model.json"
+        assert main(["whatif", "--calibrate",
+                     "campaigns/whatif-error/calibration",
+                     "--save-model", str(model_path)]) == 0
+        capsys.readouterr()
+        assert model_path.read_bytes() == self.MODEL.read_bytes()
+
+    @staticmethod
+    def _set_first(kind, key, value):
+        def doctor(model):
+            model["hop_samples"][kind][key][0] = value
+        return doctor
+
+    @staticmethod
+    def _set_all(key, value):
+        def doctor(model):
+            for entry in model["hop_samples"].values():
+                entry[key] = [value] * len(entry[key])
+        return doctor
+
+    @pytest.mark.parametrize("doctor, needle", [
+        (_set_first.__func__("tor-down", "delays_us", -30.0), "delays"),
+        (_set_first.__func__("tor-down", "delays_us", -4.0), "delays"),
+        (_set_all.__func__("delays_us", -4.0), "delays"),
+        (_set_first.__func__("tor-down", "delays_us", float("nan")),
+         "delays"),
+        (_set_all.__func__("weights", -1.0), "weights"),
+    ], ids=["delay-out-of-grid", "delay-wraps-into-grid",
+            "all-delays-negative", "delay-nan", "negative-weights"])
+    def test_malformed_model_value_is_a_spec_error(self, capsys, tmp_path,
+                                                   doctor, needle):
+        """A negative delay used to be an ``IndexError`` traceback or,
+        between -2 us and -(bins x 2 us), to wrap silently into the top
+        bins; all-negative delays and a NaN were tracebacks; negative
+        weights exited 0 with a collapsed distribution."""
+        model = json.loads(self.MODEL.read_text(encoding="utf-8"))
+        doctor(model)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(model))
+        self.check_spec_error(
+            capsys, ["whatif", "--model", str(bad), "--class-a", "2"],
+            "--model", needle, "finite and >= 0")

@@ -78,6 +78,16 @@ class TestPorts:
         assert nic.queue_capacity == pytest.approx(
             312 * units.KB / units.gbps(10))
 
+    def test_name_matches_trace_convention(self, topo):
+        """``Port.name`` is the packet simulator's ``<kind>[<index>]``
+        trace name, so ``queues.csv`` rows map back to ports."""
+        port = topo.ports[0]
+        assert port.name == f"{port.kind.value}[{port.index}]"
+
+    def test_names_are_unique(self, topo):
+        names = [port.name for port in topo.ports]
+        assert len(names) == len(set(names))
+
 
 class TestPaths:
     def test_same_server_is_empty(self, topo):
