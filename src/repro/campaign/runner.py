@@ -34,6 +34,7 @@ import json
 import multiprocessing
 import os
 import signal
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
@@ -165,18 +166,21 @@ def _alarm(timeout: Optional[float]):
     expiry: an exception raised while the interpreter is inside a
     ``__del__``, weakref or gc callback is printed as "Exception
     ignored in ..." and dropped, and a one-shot timer would then leave
-    the cell running with no budget at all.
+    the cell running with no budget at all.  A block that finishes
+    before a repeat lands is still over budget: its measured wall time
+    decides, so the verdict does not hang on where a signal fell.
     """
     if timeout is None:
         yield
         return
 
     armed = True
+    over = f"cell exceeded {timeout:g}s wall-clock budget"
+    start = time.monotonic()
 
     def _on_alarm(signum, frame):
         if armed:
-            raise CellTimeout(
-                f"cell exceeded {timeout:g}s wall-clock budget")
+            raise CellTimeout(over)
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, timeout, _ALARM_REPEAT_S)
@@ -189,6 +193,8 @@ def _alarm(timeout: Optional[float]):
         armed = False
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    if time.monotonic() - start > timeout:
+        raise CellTimeout(over)
 
 
 def _execute_cell(cell: Cell, out: Optional[Path],

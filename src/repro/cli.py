@@ -77,7 +77,7 @@ from repro.campaign.scenarios import (POLICY_MANAGERS, _class_a_placements,
                                       _cli_guarantee, _cli_topology,
                                       _hybrid_guarantee, write_csv)
 from repro.core.guarantees import NetworkGuarantee
-from repro.core.tenant import TenantClass, TenantRequest
+from repro.core.tenant import TenantClass, TenantRequest, reset_tenant_ids
 from repro.placement import SiloPlacementManager
 
 #: The topology flags and their defaults, keyed by ``dest`` name = the
@@ -227,13 +227,17 @@ def _check_guarantee(args) -> Optional[int]:
 #: topology and guarantee flags (their constructors check those) and
 #: ``--seed``/``--seeds`` (any integer seeds a run).  A fluid tenant
 #: stream targets an occupancy in (0, 1); a fault campaign fills the
-#: cluster to at most all of it.  ``tests/test_cli.py`` fails on a
+#: cluster to at most all of it.  A bound that names another flag is
+#: that flag's value, checked after the flag's own bounds: a pacer
+#: cannot send faster than its link, and the hybrid packet window
+#: starts inside the background run (``--fg-offset peak`` is not a
+#: number and is not checked).  ``tests/test_cli.py`` fails on a
 #: numeric flag that is in none of these.
 _CAMPAIGN_RANGES = (("workers", ">=", 0), ("cell_timeout", ">", 0))
 _FLAG_RANGES = {
     "admit": (("vms", ">=", 1),),
     "pace": (("rate_gbps", ">", 0), ("link_gbps", ">", 0),
-             ("packets", ">=", 1)),
+             ("packets", ">=", 1), ("rate_gbps", "<=", "link_gbps")),
     "churn": (("occupancy", ">", 0), ("occupancy", "<", 1),
               ("horizon", ">", 0), *_CAMPAIGN_RANGES),
     "faults": (("occupancy", ">", 0), ("occupancy", "<=", 1),
@@ -245,7 +249,8 @@ _FLAG_RANGES = {
     "hybrid": (("fg_vms", ">=", 2), ("horizon", ">", 0),
                ("fg_horizon_ms", ">", 0), ("bg_flow_mb", ">", 0),
                ("bg_compute_s", ">", 0), ("occupancy", ">", 0),
-               ("occupancy", "<", 1), *_CAMPAIGN_RANGES),
+               ("occupancy", "<", 1), ("fg_offset", ">=", 0),
+               ("fg_offset", "<=", "horizon"), *_CAMPAIGN_RANGES),
     "whatif": (("vms", ">=", 2), ("class_a", ">=", 1),
                ("message_kb", ">", 0)),
     "campaign": (("max_cells", ">=", 0), *_CAMPAIGN_RANGES),
@@ -274,12 +279,16 @@ def _check_inputs(args) -> Optional[int]:
                 for name in _TOPOLOGY_FLAGS), exc)
     for name, op, bound in _FLAG_RANGES.get(args.command, ()):
         value = getattr(args, name)
-        if value is None:
+        if value is None or isinstance(value, str):
             continue
+        shown = bound
+        if isinstance(bound, str):  # another flag's value
+            bound = getattr(args, shown)
+            shown = f"--{shown.replace('_', '-')} {bound:g}"
         if not math.isfinite(value):
             reason = "must be finite"
         elif not _COMPARE[op](value, bound):
-            reason = f"must be {op} {bound}"
+            reason = f"must be {op} {shown}"
         else:
             continue
         return _spec_error(f"--{name.replace('_', '-')}", value,
@@ -664,6 +673,9 @@ def cmd_whatif(args: argparse.Namespace) -> int:
         model.save(args.save_model)
         print(f"wrote {args.save_model}")
 
+    # The calibration's placements drew ids from the global counter; the
+    # what-if tenants are numbered from 1 on either path.
+    reset_tenant_ids()
     topology = args.topology
     guarantee = _guarantee(args)
     manager = SiloPlacementManager(topology)

@@ -29,6 +29,16 @@ a link whose fair share equals ``d`` may recompute a float ulp below
 it and saturate first, which a whole-class step would skip.
 ``tests/test_maxmin_classes.py`` checks all of this with ``==``
 against the per-flow solver (``tests/oracles/seed_maxmin_perflow.py``).
+
+The kernel can also start part-way up: classes already frozen below
+every active class are replayed onto the links first (``frozen``).
+Water never recedes, so a link's ``used`` at any level is the sum of
+the rates frozen on it below that level, added in ascending order (and
+equal terms commute), and its version is the count of those frozen
+crossings; both are rebuilt from the stored rates alone.  That is what
+lets :class:`IncrementalMaxMin` re-solve a departure only above the
+lowest rate it freed.
+
 The textbook round-by-round loop is ``tests/oracles/seed_maxmin.py``;
 ``tests/test_maxmin.py`` asserts agreement with it to 1e-6 relative.
 """
@@ -37,6 +47,7 @@ from __future__ import annotations
 
 import math
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import (Collection, Dict, Hashable, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -45,13 +56,20 @@ FlowClass = Tuple[Tuple[Tuple[Hashable, ...], float], Collection[Hashable]]
 
 
 def _water_fill(classes: Sequence[FlowClass],
-                capacities: Mapping[Hashable, float]) -> List[float]:
+                capacities: Mapping[Hashable, float],
+                frozen: Sequence[Tuple[FlowClass, float]] = ()
+                ) -> List[float]:
     """Water-fill ``classes`` (active ones: links and a demand > 0);
     returns each class's rate, in order.
 
     A link's version counts the crossings frozen on it, as in the
     per-flow solver.  Its level is heaped once per event, after the
     event's freezes: only the last level an event leaves is current.
+
+    ``frozen`` holds ``(class, rate)`` pairs already frozen below every
+    active class, in ascending rate order: they are replayed onto the
+    active classes' links before the first event, as the freezes that
+    put those rates there would have left them.
     """
     # link -> [unfrozen crossings, used, version, classes crossing it,
     #          link, finite capacity or None, version last heaped]
@@ -83,8 +101,20 @@ def _water_fill(classes: Sequence[FlowClass],
             for fid in members:
                 demand_heap.append((demand, fid, i))
     demand_heap.sort()
+    # ``used`` is the ascending sum of the frozen rates, once per member
+    # per path occurrence (equal terms commute), and the version counts
+    # those crossings; with nothing frozen both stay 0.
+    for ((links, _), members), rate in frozen:
+        size = len(members)
+        for link in links:
+            record = records.get(link)
+            if record is not None:
+                for _ in range(size):
+                    record[1] += rate
+                record[2] += size
     # (level, version, link, record): ties break on the link id itself.
-    link_heap = [(record[5] / record[0], 0, record[4], record)
+    link_heap = [((record[5] - record[1]) / record[0], record[2],
+                  record[4], record)
                  for record in records.values() if record[5] is not None]
     heapify(link_heap)
 
@@ -194,11 +224,38 @@ class IncrementalMaxMin:
     event costs in proportion to its component's classes, not to all
     flows.
 
+    Departures re-solve less: the water-fill restarts at the *floor*,
+    the lowest stored rate of the flows removed since the last solve,
+    and every class below it keeps its rate.  The closure walks only
+    into classes at or above the floor; a class below it that crosses a
+    reached link goes to the kernel pre-frozen, and a solve that reaches
+    no class at or above the floor calls no kernel.  Why this is exact
+    in floats, comparing the water-fill of the flow set ``F`` with that
+    of ``F - D`` (``D`` the departed flows):
+
+    * Below the floor both runs make the same events.  A link no departed
+      flow crosses has the same count, ``used`` and version in both.  A
+      link ``D`` crosses never pops below the floor in the ``F`` run (it
+      would have frozen a departed flow below that flow's rate), and in
+      the ``F - D`` run its level ``(cap - used) / (count - k)`` is at
+      least ``(cap - used) / count``, since float division by a smaller
+      positive count with a positive numerator cannot come out smaller.
+    * The state at the floor is rebuildable from stored rates: ``used`` is
+      the ascending sum of the rates frozen on the link and its version
+      the count of those crossings (see the module docstring).
+    * Above the floor components are independent but for the shared water
+      clamp, which the per-component solve already relies on.
+
+    The floor resets to 0 -- a full closure solve -- on an arrival, on a
+    capacity change that dirties a link, and on the removal of a flow
+    that was never solved (its stored rate reads as 0).
+
     Equivalence contract: after every :meth:`recompute`, :meth:`rates`
     equals ``max_min_fair(flows, capacities)`` over the full current flow
     set.  The kernel's result does not depend on the order classes come
     in, so each re-solved component gets, bit for bit, the per-flow
-    solve of the same flows (``tests/test_maxmin_classes.py``,
+    solve of the same flows, and the classes below the floor keep the
+    rates that solve gives them (``tests/test_maxmin_classes.py``,
     ``tests/test_maxmin_incremental.py``, the campaign bit-identity
     gate); changed rates come back in global flow insertion order, the
     order the fluid simulator applies them in.
@@ -208,8 +265,9 @@ class IncrementalMaxMin:
     """
 
     __slots__ = ("_capacities", "_flows", "_next_order", "_classes",
-                 "_crossing", "_rates", "_dirty_links", "_dirty_classes",
-                 "_dirty_trivial", "recompute_count", "affected_flow_count",
+                 "_class_rates", "_crossing", "_rates", "_floor",
+                 "_dirty_links", "_dirty_classes", "_dirty_trivial",
+                 "recompute_count", "affected_flow_count",
                  "affected_class_count")
 
     def __init__(
@@ -225,10 +283,16 @@ class IncrementalMaxMin:
         #: flows with links and a demand > 0 have a class.
         self._classes: Dict[Tuple[Tuple[Hashable, ...], float],
                             Dict[Hashable, None]] = {}
+        #: (links, demand) -> the rate its members got at the last solve.
+        self._class_rates: Dict[Tuple, float] = {}
         #: link -> ordered set of the class keys crossing it (multiplicity
         #: is carried by the class's links tuple, not repeated here).
         self._crossing: Dict[Hashable, Dict[Tuple, None]] = {}
         self._rates: Dict[Hashable, float] = {}
+        #: Lowest stored rate of the flows removed since the last solve
+        #: (0 after an arrival or a capacity change): classes below it
+        #: keep their rates, and the next solve restarts there.
+        self._floor = math.inf
         self._dirty_links: Dict[Hashable, None] = {}
         #: Classes with arrivals since the last solve.
         self._dirty_classes: Dict[Tuple, None] = {}
@@ -258,6 +322,7 @@ class IncrementalMaxMin:
         self._capacities[link] = capacity
         if self._crossing.get(link):
             self._dirty_links[link] = None
+            self._floor = 0.0
 
     def add_flow(self, flow_id: Hashable, links: Sequence[Hashable],
                  demand: float) -> None:
@@ -292,19 +357,24 @@ class IncrementalMaxMin:
                 self._crossing.setdefault(link, {})[key] = None
         members[flow_id] = None
         self._dirty_classes[key] = None
+        self._floor = 0.0
 
     def remove_flow(self, flow_id: Hashable) -> None:
-        """Remove a flow, dirtying the links it crossed."""
+        """Remove a flow, dirtying the links it crossed and lowering the
+        floor to its rate (to 0 if it was never solved)."""
         links, demand, _ = self._flows.pop(flow_id)
-        self._rates.pop(flow_id, None)
+        rate = self._rates.pop(flow_id, 0.0)
         if not links or demand == 0:
             self._dirty_trivial.pop(flow_id, None)
             return
+        if rate < self._floor:
+            self._floor = rate
         key = (links, demand)
         members = self._classes[key]
         del members[flow_id]
         if not members:
             del self._classes[key]
+            self._class_rates.pop(key, None)
             self._dirty_classes.pop(key, None)
         for link in links:
             crossing = self._crossing.get(link)
@@ -327,11 +397,15 @@ class IncrementalMaxMin:
         from-scratch solve would have made through an equality-skipping
         rate setter.
         """
+        floor = self._floor
         if not (self._dirty_links or self._dirty_classes
                 or self._dirty_trivial):
+            self._floor = math.inf
             return {}
         crossing = self._crossing
+        class_rates = self._class_rates
         affected = dict.fromkeys(self._dirty_classes)
+        below: Dict[Tuple, None] = {}
         seen_links = set(self._dirty_links)
         frontier: List[Hashable] = list(self._dirty_links)
         for links, _ in affected:
@@ -340,29 +414,39 @@ class IncrementalMaxMin:
                     seen_links.add(link)
                     frontier.append(link)
         # Closure of the dirty links and classes over the class-link
-        # bipartite graph: every class crossing a reached link joins the
-        # sub-problem, and drags its own links in behind it.
+        # bipartite graph: every class at or above the floor crossing a
+        # reached link joins the sub-problem, and drags its own links in
+        # behind it; a class below the floor stays frozen at its rate.
         while frontier:
             for key in crossing.get(frontier.pop(), ()):
-                if key not in affected:
-                    affected[key] = None
-                    for other in key[0]:
-                        if other not in seen_links:
-                            seen_links.add(other)
-                            frontier.append(other)
+                if key in affected:
+                    continue
+                # At floor 0 every class joins, new ones with no rate yet.
+                if floor and class_rates[key] < floor:
+                    below[key] = None
+                    continue
+                affected[key] = None
+                for other in key[0]:
+                    if other not in seen_links:
+                        seen_links.add(other)
+                        frontier.append(other)
         rates = self._rates
         flows = self._flows
-        solved: List[FlowClass] = [(key, self._classes[key])
-                                   for key in affected]
+        classes = self._classes
+        solved: List[FlowClass] = [(key, classes[key]) for key in affected]
         updates: List[Tuple[int, Hashable]] = []
         n_flows = 0
-        for (_, members), rate in zip(
-                solved, _water_fill(solved, self._capacities)):
-            n_flows += len(members)
-            for fid in members:
-                if rates.get(fid) != rate:
-                    rates[fid] = rate
-                    updates.append((flows[fid][2], fid))
+        if solved:
+            frozen = sorted((((key, classes[key]), class_rates[key])
+                             for key in below), key=itemgetter(1))
+            for (key, members), rate in zip(
+                    solved, _water_fill(solved, self._capacities, frozen)):
+                n_flows += len(members)
+                class_rates[key] = rate
+                for fid in members:
+                    if rates.get(fid) != rate:
+                        rates[fid] = rate
+                        updates.append((flows[fid][2], fid))
         updates.sort()
         changed = {fid: rates[fid] for _, fid in updates}
         for fid in self._dirty_trivial:
@@ -374,6 +458,7 @@ class IncrementalMaxMin:
         self._dirty_links.clear()
         self._dirty_classes.clear()
         self._dirty_trivial.clear()
+        self._floor = math.inf
         self.recompute_count += 1
         self.affected_flow_count += n_flows
         self.affected_class_count += len(solved)

@@ -50,3 +50,13 @@ def test_repeating_alarm_is_disarmed_after_the_block():
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
     # A repeat that was still armed would raise out of this sleep.
     time.sleep(3 * _ALARM_REPEAT_S)
+
+
+def test_a_block_over_budget_times_out_when_every_alarm_is_lost(
+        monkeypatch):
+    """A cell shorter than one alarm repeat used to pass when its only
+    alarm was swallowed; its measured wall time now decides."""
+    monkeypatch.setattr(signal, "setitimer", lambda *args: (0.0, 0.0))
+    with pytest.raises(CellTimeout, match="wall-clock budget"):
+        with _alarm(BUDGET_S):
+            time.sleep(2 * BUDGET_S)

@@ -707,6 +707,22 @@ class TestSpecErrorContract:
         assert not (tmp_path / "d").exists()
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["pace", "--rate-gbps", "20"],
+         "--rate-gbps 20.0: must be <= --link-gbps 10"),
+        (["hybrid", *SMALL_TOPO, "--horizon", "2", "--fg-offset", "5"],
+         "--fg-offset 5.0: must be <= --horizon 2"),
+        (["hybrid", *SMALL_TOPO, "--horizon", "2", "--fg-offset", "-1"],
+         "--fg-offset -1.0: must be >= 0"),
+    ], ids=["pace-rate-over-link", "hybrid-offset-past-horizon",
+            "hybrid-offset-negative"])
+    def test_flag_bounded_by_another_flag(self, capsys, argv, needle):
+        """``pace --rate-gbps 20`` on a 10 GbE link exited 0 and claimed
+        conformance for a rate the wire cannot carry; an ``--fg-offset``
+        outside the background run failed its campaign cell with a
+        traceback."""
+        self.check(capsys, argv, needle)
+
     @pytest.mark.parametrize("argv", [
         ["admit"],
         ["whatif", "--model", "campaigns/whatif-error/model.json"],
@@ -1039,6 +1055,21 @@ class TestWhatIf:
         assert model_path.is_file()
         # The saved model round-trips through --model.
         assert main(["whatif", "--model", str(model_path)]) == 0
+
+    def test_both_sources_number_tenants_from_1(self, capsys):
+        """``--calibrate`` places the calibration's tenants before the
+        what-if ones; it used to print the same placements as tenants 3
+        and 4 where ``--model`` printed tenants 1 and 2."""
+        lines = {}
+        for source in (["--calibrate", str(self.CALIBRATION)],
+                       ["--model", str(self.MODEL)]):
+            assert main(["whatif", *source, "--class-a", "2"]) == 0
+            lines[source[0]] = [
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("tenant ")]
+        assert [line.split(":")[0] for line in lines["--calibrate"]] == \
+            ["tenant 1", "tenant 2"]
+        assert lines["--calibrate"] == lines["--model"]
 
     def test_committed_model_is_what_the_tree_fits(self, capsys, tmp_path,
                                                    monkeypatch):
