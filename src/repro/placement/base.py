@@ -52,6 +52,16 @@ _NIC_UP = PortKind.NIC_UP.value
 _TOR_DOWN = PortKind.TOR_DOWN.value
 
 
+def _empty_state(states: Sequence[PortState]) -> PortState:
+    """A fresh state for the one port shape all of ``states`` share."""
+    port = states[0].port
+    shape = (port.capacity, port.buffer_bytes)
+    if any((s.port.capacity, s.port.buffer_bytes) != shape for s in states):
+        raise ValueError(f"{port.kind.value} ports differ in capacity or "
+                         f"buffer; the domain reject needs them uniform")
+    return PortState(port)
+
+
 class PlacementManager(abc.ABC):
     """Base class: slot accounting, greedy search, commit/remove."""
 
@@ -84,6 +94,13 @@ class PlacementManager(abc.ABC):
         self._tor_down_states: List[PortState] = [
             self.states[topology.tor_down(s).port_id]
             for s in range(topology.n_servers)]
+        # One empty state per server-facing port kind: the domain reject
+        # (_domain_rejects) asks it whether *any* port of the kind could
+        # admit a contribution, which holds only because a TreeTopology
+        # gives every NIC-up and every ToR-down port the same link_rate
+        # and buffer_bytes.
+        self._empty_nic = _empty_state(self._nic_states)
+        self._empty_tor_down = _empty_state(self._tor_down_states)
         self._upstream_qcap: Dict[Tuple[str, str], float] = {
             (kind.value, scope): topology.upstream_queue_capacity(kind,
                                                                   scope)
@@ -95,6 +112,8 @@ class PlacementManager(abc.ABC):
         # servers of a domain cost one dict lookup.
         self._contribution_memo: Dict[Tuple[int, int, str, str],
                                       Contribution] = {}
+        # _domain_rejects answers, per request, keyed by (k, top, scope).
+        self._reject_memo: Dict[Tuple[int, int, str], bool] = {}
         self.free_slots: List[int] = (
             [topology.slots_per_server] * topology.n_servers)
         self.placements: Dict[int, Placement] = {}
@@ -189,6 +208,13 @@ class PlacementManager(abc.ABC):
         """Whether this manager runs network checks at all."""
         return True
 
+    def _port_bound(self, empty: PortState,
+                    contribution: Contribution) -> bool:
+        """A necessary condition for :meth:`_port_ok`: False only if no
+        reachable state of a port shaped like ``empty`` passes it.  The
+        default knows no bound and never rejects."""
+        return True
+
     # -- public API -------------------------------------------------------------
 
     def place(self, request: TenantRequest,
@@ -198,7 +224,7 @@ class PlacementManager(abc.ABC):
         ``now`` (optional simulation time) only annotates the audit
         trail / admission events; it does not affect the decision.
         """
-        self._contribution_memo.clear()
+        self._clear_request_memos()
         return self._place_impl(request, now)
 
     def place_batch(self, requests: Sequence[TenantRequest],
@@ -228,7 +254,7 @@ class PlacementManager(abc.ABC):
                 order.append(signature)
             groups[signature].append(i)
         for signature in order:
-            self._contribution_memo.clear()
+            self._clear_request_memos()
             for i in groups[signature]:
                 results[i] = self._place_impl(requests[i], now)
         return results
@@ -247,10 +273,15 @@ class PlacementManager(abc.ABC):
         """
         if request.tenant_id in self.placements:
             raise ValueError(f"tenant {request.tenant_id} is already placed")
-        self._contribution_memo.clear()
+        self._clear_request_memos()
         placement = self._commit(request, dict(assignment))
         self._count(request, admitted=True)
         return placement
+
+    def _clear_request_memos(self) -> None:
+        """Forget what depends on the request's ``(n_vms, guarantee)``."""
+        self._contribution_memo.clear()
+        self._reject_memo.clear()
 
     def _place_impl(self, request: TenantRequest,
                     now: Optional[float]) -> Optional[Placement]:
@@ -498,7 +529,9 @@ class PlacementManager(abc.ABC):
         """First fit over the domains of ``scope``, in ascending order.
 
         Domains come from the free-slot indexes, so only servers / racks /
-        pods that can hold the whole tenant are ever visited.
+        pods that can hold the whole tenant are ever visited, and a domain
+        :meth:`_domain_rejects` turns away is skipped without a probe,
+        exactly as if both of its fills had failed.
         """
         topo = self.topology
         n_vms = request.n_vms
@@ -524,6 +557,7 @@ class PlacementManager(abc.ABC):
             # cluster domain is untouched iff no slot is in use.
             domains, touched, span = (0,), (self.used_slots,), topo.n_servers
         free_slots = self.free_slots
+        checks_ports = self._checks_ports()
         pristine_failed = False
         for domain in domains:
             pristine = touched[domain] == 0
@@ -536,6 +570,10 @@ class PlacementManager(abc.ABC):
             available = list(compress(
                 range(start, start + span),
                 free_slots[start:start + span]))
+            if checks_ports and self._domain_rejects(request, available,
+                                                     scope):
+                pristine_failed = pristine_failed or pristine
+                continue
             for strategy in _STRATEGIES:
                 assignment = self._fill(request, available, strategy,
                                         scope)
@@ -589,6 +627,49 @@ class PlacementManager(abc.ABC):
         if remaining:
             return None
         return assignment
+
+    def _domain_rejects(self, request: TenantRequest,
+                        available: Sequence[int], scope: str) -> bool:
+        """Whether every ``_server_ok`` probe a fill of ``available``
+        could make is bound to fail.
+
+        A fill probes ``m`` VMs on a server for ``1 <= m <= top``, ``top =
+        min(N, the largest free-slot count in the domain)``, always with
+        the NIC-up contribution ``(m, 1)`` and the ToR-down contribution
+        ``(N - m, k)``, ``k`` being the fill's estimate.  If for every such
+        ``m`` one of the two fails :meth:`_port_bound` on the kind's empty
+        state, no server takes a VM and both fills return ``None``.
+        Starts at ``m = top``, the largest probe, so a domain that can
+        hold the tenant usually costs one pair of checks.
+        """
+        k_estimate = max(1, len(available) - 1)
+        n_vms = request.n_vms
+        top = min(n_vms, max(map(self.free_slots.__getitem__, available)))
+        key = (k_estimate, top, scope)
+        rejects = self._reject_memo.get(key)
+        if rejects is not None:
+            return rejects
+        # Memo probes inlined as in _server_ok.
+        memo = self._contribution_memo
+        bound = self._port_bound
+        nic, tor_down = self._empty_nic, self._empty_tor_down
+        rejects = True
+        for m in range(top, 0, -1):
+            up = memo.get((m, 1, _NIC_UP, scope))
+            if up is None:
+                up = self._contribution(request, m, 1, PortKind.NIC_UP,
+                                        scope)
+            if not bound(nic, up):
+                continue
+            down = memo.get((n_vms - m, k_estimate, _TOR_DOWN, scope))
+            if down is None:
+                down = self._contribution(request, n_vms - m, k_estimate,
+                                          PortKind.TOR_DOWN, scope)
+            if bound(tor_down, down):
+                rejects = False
+                break
+        self._reject_memo[key] = rejects
+        return rejects
 
     def _max_vms_on_server(self, request: TenantRequest, server: int,
                            want: int, k_estimate: int, scope: str) -> int:

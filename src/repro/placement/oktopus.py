@@ -24,3 +24,9 @@ class OktopusPlacementManager(PlacementManager):
     def _port_ok(self, state: PortState,
                  contribution: Contribution) -> bool:
         return state.admits_bandwidth(contribution)
+
+    def _port_bound(self, empty: PortState,
+                    contribution: Contribution) -> bool:
+        """Exact: ``admits_bandwidth`` on an empty state rejects only what
+        added load can never make fit."""
+        return empty.admits_bandwidth(contribution)

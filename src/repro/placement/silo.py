@@ -35,3 +35,9 @@ class SiloPlacementManager(PlacementManager):
     def _port_ok(self, state: PortState,
                  contribution: Contribution) -> bool:
         return state.admits(contribution)
+
+    def _port_bound(self, empty: PortState,
+                    contribution: Contribution) -> bool:
+        """Implied by ``admits`` on every reachable state; see
+        :meth:`PortState.could_admit`."""
+        return empty.could_admit(contribution)

@@ -27,7 +27,8 @@ network-calculus bounds, exactly as the seed did.  The shipped
 :class:`~repro.placement.base.PlacementManager` finds servers and domains
 through free-slot indexes, reads a maintained per-server pristine flag,
 binary-searches per-server VM counts and memoises contributions;
-:class:`SeedSiloPlacementManager` restores the seed's scans.
+:class:`SeedSiloPlacementManager` restores the seed's scans, and
+:class:`SeedOktopusPlacementManager` runs them with Oktopus' checks.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro import units
 from repro.core.tenant import TenantRequest
 from repro.netcalc.bounds import backlog_bound, delay_bound
 from repro.netcalc.service import RateLatencyService
-from repro.placement import SiloPlacementManager
+from repro.placement import OktopusPlacementManager, SiloPlacementManager
 from repro.placement.state import Contribution, PortState
 from repro.topology.switch import PortKind
 from repro.topology.tree import SCOPES
@@ -214,3 +215,11 @@ class SeedSiloPlacementManager(SiloPlacementManager):
             contribution = Contribution(bandwidth=bandwidth, burst=burst,
                                         peak_rate=peak, packet_slack=slack)
         return contribution
+
+
+class SeedOktopusPlacementManager(SeedSiloPlacementManager):
+    """The seed scans with Oktopus' bandwidth-only port check and its
+    unlimited scope: the oracle for :class:`OktopusPlacementManager`."""
+
+    _allowed_scope = OktopusPlacementManager._allowed_scope
+    _port_ok = OktopusPlacementManager._port_ok

@@ -18,7 +18,9 @@ without a tenant crossing them, which is where an index and a scan could
 part ways).  Two shapes: 2 pods x 2 racks x 3 servers x 4 slots, and a
 wider 3 x 4 x 2 x 2 one whose tenants (1..14 VMs) fall on both sides of
 ``slots_per_server``, of a rack and of a pod, so queries cross the
-indexes' internal node boundaries.
+indexes' internal node boundaries.  Oktopus runs the same lockstep
+against ``SeedOktopusPlacementManager``, the seed scans with its
+bandwidth-only check.
 """
 
 import os
@@ -29,11 +31,13 @@ from hypothesis import strategies as st
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import TenantClass, TenantRequest
-from repro.placement import Contribution, SiloPlacementManager
+from repro.placement import (Contribution, OktopusPlacementManager,
+                             SiloPlacementManager)
 from repro.service.snapshot import dump_manager, restore_manager
 from repro.topology import TreeTopology
 
-from seed_admission import SeedSiloPlacementManager
+from seed_admission import (SeedOktopusPlacementManager,
+                            SeedSiloPlacementManager)
 
 #: Examples per shape: 60 in tier-1; CI's drift hunt asks for more (and
 #: passes ``--hypothesis-seed=random``).
@@ -50,33 +54,44 @@ def build_topology(shape):
                         buffer_bytes=312 * units.KB)
 
 
-place_step = st.tuples(
-    st.just("place"),
-    st.integers(min_value=1, max_value=14),                 # n_vms
-    st.sampled_from([50, 200, 800, 3000]),                  # Mbps
-    st.sampled_from([1.5, 15.0, 60.0]),                     # burst KB
-    st.sampled_from([None, 500e-6, 1e-3, 5e-3]),            # delay
-)
-# Index steps pick the i-th live tenant / reservation / server / port
-# modulo what the shape under test has.
-steps = st.lists(
-    st.one_of(
-        place_step,
-        st.tuples(st.just("remove"), st.integers(0, 30)),
-        st.tuples(st.just("cordon"), st.integers(0, 30)),
-        st.tuples(st.just("uncordon"), st.integers(0, 30)),
-        st.tuples(st.just("reserve"), st.integers(0, 100),
-                  st.sampled_from([0.25, 0.5, 1.0])),
-        st.tuples(st.just("release"), st.integers(0, 30)),
-        st.tuples(st.just("readopt"), st.integers(0, 30)),
-        st.tuples(st.just("restore")),
-    ),
-    min_size=1, max_size=40)
+def place_steps(mbps):
+    return st.tuples(
+        st.just("place"),
+        st.integers(min_value=1, max_value=14),             # n_vms
+        st.sampled_from(mbps),                              # Mbps
+        st.sampled_from([1.5, 15.0, 60.0]),                 # burst KB
+        st.sampled_from([None, 500e-6, 1e-3, 5e-3]),        # delay
+    )
+
+
+def step_lists(place_step):
+    # Index steps pick the i-th live tenant / reservation / server / port
+    # modulo what the shape under test has.
+    return st.lists(
+        st.one_of(
+            place_step,
+            st.tuples(st.just("remove"), st.integers(0, 30)),
+            st.tuples(st.just("cordon"), st.integers(0, 30)),
+            st.tuples(st.just("uncordon"), st.integers(0, 30)),
+            st.tuples(st.just("reserve"), st.integers(0, 100),
+                      st.sampled_from([0.25, 0.5, 1.0])),
+            st.tuples(st.just("release"), st.integers(0, 30)),
+            st.tuples(st.just("readopt"), st.integers(0, 30)),
+            st.tuples(st.just("restore")),
+        ),
+        min_size=1, max_size=40)
+
+
+steps = step_lists(place_steps([50, 200, 800, 3000]))
+#: Oktopus checks bandwidth only, so its domain reject fires only on a
+#: hose above the 10 Gbps link: such a tenant fits one server or nothing.
+oktopus_steps = step_lists(place_steps([50, 200, 800, 3000, 12000]))
 
 
 def make_request(step):
     _, n_vms, mbps, burst_kb, delay = step
-    peak = units.gbps(10) if delay is not None else None
+    peak = (max(units.gbps(10), units.mbps(mbps)) if delay is not None
+            else None)
     return TenantRequest(
         n_vms=n_vms,
         guarantee=NetworkGuarantee(bandwidth=units.mbps(mbps),
@@ -152,6 +167,22 @@ def test_shipped_manager_matches_seed_with_two_fault_domains(step_list):
     run_in_lockstep((2, 2, 3, 4), step_list, min_fault_domains=2)
 
 
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(step_list=oktopus_steps)
+def test_oktopus_matches_its_seed_scan(step_list):
+    run_in_lockstep((2, 2, 3, 4), step_list,
+                    managers=(OktopusPlacementManager,
+                              SeedOktopusPlacementManager))
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(step_list=oktopus_steps)
+def test_oktopus_matches_its_seed_scan_across_index_boundaries(step_list):
+    run_in_lockstep((3, 4, 2, 2), step_list,
+                    managers=(OktopusPlacementManager,
+                              SeedOktopusPlacementManager))
+
+
 def test_balanced_fill_succeeds_where_greedy_fails_in_the_same_rack():
     """9 VMs with a 100 KB burst into a pristine 3 x 4-slot rack: greedy
     packs 4 + 4 and leaves one VM for the last server, whose ToR
@@ -193,11 +224,14 @@ def is_subsequence(short, long):
     return all(item in remaining for item in short)
 
 
-def run_in_lockstep(shape, step_list, min_fault_domains=1):
-    live = SiloPlacementManager(build_topology(shape),
-                                min_fault_domains=min_fault_domains)
-    seed = SeedSiloPlacementManager(build_topology(shape),
-                                    min_fault_domains=min_fault_domains)
+def run_in_lockstep(shape, step_list, min_fault_domains=1,
+                    managers=(SiloPlacementManager,
+                              SeedSiloPlacementManager)):
+    live_class, seed_class = managers
+    live = live_class(build_topology(shape),
+                      min_fault_domains=min_fault_domains)
+    seed = seed_class(build_topology(shape),
+                      min_fault_domains=min_fault_domains)
     logs = [record_server_probes(live), record_server_probes(seed)]
     managers = [live, seed]
     n_servers = live.topology.n_servers
@@ -257,7 +291,7 @@ def run_in_lockstep(shape, step_list, min_fault_domains=1):
                         m.remove(tenant_id)
                         m.adopt(placement.request, assignment)
         else:
-            restored = SiloPlacementManager(
+            restored = live_class(
                 build_topology(shape), min_fault_domains=min_fault_domains)
             restore_manager(restored, dump_manager(live))
             managers[0] = live = restored

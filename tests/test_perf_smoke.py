@@ -2,7 +2,8 @@
 
 Each test pins a hot-path gain as a *count* -- probes per stamp,
 ``free_slots`` reads per ``place``, dumps per snapshot, servers probed
-by a failing ``_fill``, port derivations per fault, flows per
+by a failing ``_fill`` and by a tenant no empty port can hold, port
+derivations per fault, flows per
 water-filled max-min class -- never as
 wall-clock time, so it holds on any machine.  Wall-clock numbers are
 the repo benchmark's (``python3 perf/run.py``, ``perf/README.md``);
@@ -192,6 +193,60 @@ def test_failing_fill_stops_once_the_slots_ahead_cannot_cover_the_rest():
     assert len(set(seed)) == 40
     assert len(set(shipped)) <= len(healthy) + slack // slots + 1
     assert len(shipped) < len(seed) // 4
+
+
+def test_a_tenant_no_empty_port_can_hold_is_rejected_without_a_probe():
+    """No rack, pod or cluster is walked for a tenant the bound refuses.
+
+    10 VMs that each burst 150 KB at a 10 Gbps peak: whatever ``m <= 4``
+    VMs a server takes, its ToR downlink faces the other six or more
+    bursting at well above line rate, a backlog even an empty 312 KB
+    port cannot hold.  One slot of every server is taken, so no domain
+    is pristine and the scanning search fills every rack, every pod and
+    the cluster, probing each server.  The shipped search turns every
+    domain away with no ``_max_vms_on_server`` call; both reject.
+    """
+    from repro import units
+    from repro.core.guarantees import NetworkGuarantee
+    from repro.core.tenant import TenantClass, TenantRequest
+    from repro.placement import SiloPlacementManager
+    from repro.topology import TreeTopology
+
+    from seed_admission import SeedSiloPlacementManager
+
+    def probes(manager_class):
+        topology = TreeTopology(n_pods=2, racks_per_pod=4,
+                                servers_per_rack=10, slots_per_server=4,
+                                link_rate=units.gbps(10),
+                                oversubscription=5.0,
+                                buffer_bytes=312 * units.KB)
+        manager = manager_class(topology)
+        for server in range(topology.n_servers):
+            manager.adopt(TenantRequest(n_vms=1, guarantee=None,
+                                        tenant_class=TenantClass.BEST_EFFORT),
+                          {server: 1})
+        log = []
+        inner = manager._max_vms_on_server
+
+        def logged(request, server, want, k_estimate, scope):
+            log.append((server, scope))
+            return inner(request, server, want, k_estimate, scope)
+
+        manager._max_vms_on_server = logged
+        request = TenantRequest(
+            n_vms=10,
+            guarantee=NetworkGuarantee(bandwidth=units.mbps(100),
+                                       burst=150 * units.KB,
+                                       peak_rate=units.gbps(10)),
+            tenant_class=TenantClass.CLASS_B)
+        return manager.place(request), log
+
+    shipped, shipped_log = probes(SiloPlacementManager)
+    seed, seed_log = probes(SeedSiloPlacementManager)
+    assert shipped is None and seed is None
+    assert shipped_log == []
+    assert {scope for _, scope in seed_log} == {"rack", "pod", "cluster"}
+    assert len({server for server, _ in seed_log}) == 80
 
 
 def test_fault_events_derive_each_placements_ports_once():
