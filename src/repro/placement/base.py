@@ -50,6 +50,8 @@ _STRATEGIES = ("greedy", "balanced")
 # lookups skip the Enum descriptor and Python-level __hash__.
 _NIC_UP = PortKind.NIC_UP.value
 _TOR_DOWN = PortKind.TOR_DOWN.value
+#: Memo tag of :meth:`PlacementManager._tor_down_floor`'s contributions.
+_TOR_DOWN_FLOOR = "tor_down_floor"
 
 
 def _empty_state(states: Sequence[PortState]) -> PortState:
@@ -109,7 +111,8 @@ class PlacementManager(abc.ABC):
         }
         # Contributions depend only on (m, k, port kind, scope) within one
         # request; memoised per `place` call so repeated probes across the
-        # servers of a domain cost one dict lookup.
+        # servers of a domain cost one dict lookup.  _tor_down_floor's
+        # contributions live here too, under (want, k, its tag, scope).
         self._contribution_memo: Dict[Tuple[int, int, str, str],
                                       Contribution] = {}
         # _domain_rejects answers, per request, keyed by (k, top, scope).
@@ -208,11 +211,12 @@ class PlacementManager(abc.ABC):
         """Whether this manager runs network checks at all."""
         return True
 
-    def _port_bound(self, empty: PortState,
+    def _port_bound(self, state: PortState,
                     contribution: Contribution) -> bool:
         """A necessary condition for :meth:`_port_ok`: False only if no
-        reachable state of a port shaped like ``empty`` passes it.  The
-        default knows no bound and never rejects."""
+        reachable state at least as loaded as ``state`` passes it with a
+        contribution at least as large (componentwise).  The default knows
+        no bound and never rejects."""
         return True
 
     # -- public API -------------------------------------------------------------
@@ -577,6 +581,8 @@ class PlacementManager(abc.ABC):
             for strategy in _STRATEGIES:
                 assignment = self._fill(request, available, strategy,
                                         scope)
+                if assignment == {}:
+                    break  # no server took a VM: balanced asks for fewer
                 if assignment and self._validate(request, assignment):
                     return assignment
             if pristine:
@@ -586,12 +592,20 @@ class PlacementManager(abc.ABC):
     def _fill(self, request: TenantRequest, available: Sequence[int],
               strategy: str, scope: str) -> Optional[Dict[int, int]]:
         """Distribute all N VMs over the ``available`` (non-full) servers;
-        ``None`` if they don't fit.
+        ``None`` if they don't fit, ``{}`` if no server took a single VM.
 
         ``slack`` is the free slots still ahead minus the VMs still to
         place: once negative, VMs must be left over whatever the later
         probes say, and probes only fill the contribution memo, so
-        returning there drops probes but changes no decision.
+        stopping there drops probes but changes no decision.
+
+        The empty result lets :meth:`_search_scope` skip the balanced
+        fill.  With nothing placed, greedy asks each server for ``want =
+        min(N, free, fault-domain cap)``; balanced asks for at most that
+        (with the same ``k`` and scope, on unchanged books), and each
+        server's 0 says every ``m`` up to greedy's ``want`` failed.  So
+        balanced places nothing either: same servers, same slot budget,
+        same pristine skips.
         """
         remaining = request.n_vms
         assignment: Dict[int, int] = {}
@@ -604,7 +618,7 @@ class PlacementManager(abc.ABC):
             if remaining == 0:
                 break
             if slack < 0:
-                return None
+                break
             free = free_slots[server]
             if pristine_failed and pristine[server]:
                 slack -= free
@@ -625,7 +639,7 @@ class PlacementManager(abc.ABC):
                 pristine_failed = True
             slack -= free - placed
         if remaining:
-            return None
+            return None if assignment else {}
         return assignment
 
     def _domain_rejects(self, request: TenantRequest,
@@ -673,9 +687,32 @@ class PlacementManager(abc.ABC):
 
     def _max_vms_on_server(self, request: TenantRequest, server: int,
                            want: int, k_estimate: int, scope: str) -> int:
-        """Largest ``m <= want`` passing this server's two port checks."""
+        """Largest ``m <= want`` passing this server's two port checks.
+
+        A loaded server is turned away before its first probe: every ``m``
+        in ``1..want`` (``want < N``) puts at least :meth:`_tor_down_floor`
+        on the server's ToR downlink and at least the NIC-up contribution
+        ``(1, 1)`` on its uplink, componentwise, so if either fails
+        :meth:`_port_bound` on the port's own state, every probe below
+        fails too (see :meth:`PortState.could_admit`).
+        """
         if not self._checks_ports():
             return want
+        if want < request.n_vms:
+            # The downlink first: on the benchmark's loads it rejects
+            # every server the uplink would, and more.
+            memo = self._contribution_memo
+            down = memo.get((want, k_estimate, _TOR_DOWN_FLOOR, scope))
+            if down is None:
+                down = self._tor_down_floor(request, want, k_estimate, scope)
+            if not self._port_bound(self._tor_down_states[server], down):
+                return 0
+            up = memo.get((1, 1, _NIC_UP, scope))
+            if up is None:
+                up = self._contribution(request, 1, 1, PortKind.NIC_UP,
+                                        scope)
+            if not self._port_bound(self._nic_states[server], up):
+                return 0
         if self._server_ok(request, server, want, k_estimate, scope):
             return want  # uncongested common case: one probe
         if want <= 1:
@@ -721,6 +758,39 @@ class PlacementManager(abc.ABC):
             down = self._contribution(request, n_other, k_estimate,
                                       PortKind.TOR_DOWN, scope)
         return self._port_ok(self._tor_down_states[server], down)
+
+    def _tor_down_floor(self, request: TenantRequest, want: int,
+                        k_servers: int, scope: str) -> Contribution:
+        """Componentwise minimum of the ToR-down contributions ``(N - m,
+        k)`` over ``m`` in ``1..want``, for ``want < N``.
+
+        With ``n = N - want`` (the fewest other senders) and ``u`` the
+        scope's upstream queue capacity, :meth:`_contribution` gives each
+        such ``m`` at least bandwidth ``B`` (the hose term holds ``1 <=
+        min(m, N - m)`` VMs tightened, ``N - m >= 1`` not), slack ``n *
+        MTU``, burst ``max(n S + B u, slack)`` and peak ``max(B, min(n
+        Bmax, k * link))``: each of its terms is a rounded product or sum
+        of non-negative factors that are at least these, and rounding is
+        monotone.  Memoised per request beside the contributions.
+        """
+        key = (want, k_servers, _TOR_DOWN_FLOOR, scope)
+        guarantee = request.guarantee
+        if guarantee is None:
+            floor = Contribution(0.0, 0.0, 0.0, 0.0)
+        else:
+            senders = request.n_vms - want
+            bandwidth = guarantee.bandwidth
+            upstream = self._upstream_qcap[(_TOR_DOWN, scope)]
+            slack = senders * units.MTU
+            burst = max(senders * guarantee.burst + bandwidth * upstream,
+                        slack)
+            capped = min(senders * guarantee.effective_peak_rate,
+                         max(k_servers, 1) * self.topology.link_rate)
+            floor = Contribution(bandwidth=bandwidth, burst=burst,
+                                 peak_rate=max(bandwidth, capped),
+                                 packet_slack=slack)
+        self._contribution_memo[key] = floor
+        return floor
 
     # -- validation and commit ------------------------------------------------------
 

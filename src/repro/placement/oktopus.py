@@ -25,8 +25,9 @@ class OktopusPlacementManager(PlacementManager):
                  contribution: Contribution) -> bool:
         return state.admits_bandwidth(contribution)
 
-    def _port_bound(self, empty: PortState,
+    def _port_bound(self, state: PortState,
                     contribution: Contribution) -> bool:
-        """Exact: ``admits_bandwidth`` on an empty state rejects only what
-        added load can never make fit."""
-        return empty.admits_bandwidth(contribution)
+        """Exact: ``admits_bandwidth`` is monotone in the load and the
+        contribution, so on ``state`` it rejects only what more load or a
+        larger contribution can never make fit."""
+        return state.admits_bandwidth(contribution)

@@ -36,8 +36,9 @@ class SiloPlacementManager(PlacementManager):
                  contribution: Contribution) -> bool:
         return state.admits(contribution)
 
-    def _port_bound(self, empty: PortState,
+    def _port_bound(self, state: PortState,
                     contribution: Contribution) -> bool:
-        """Implied by ``admits`` on every reachable state; see
+        """Implied by ``admits`` on every reachable state at least as
+        loaded, for every contribution at least as large; see
         :meth:`PortState.could_admit`."""
-        return empty.could_admit(contribution)
+        return state.could_admit(contribution)

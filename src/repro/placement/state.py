@@ -26,11 +26,16 @@ bounds on it gives the same numbers; that is the test oracle
 rebuilt peak equals the bandwidth it checks the burst, but where the peak
 lies within the ``isclose`` band above the bandwidth it checks only the
 packet slack (the equal-rate dedup keeps the slack piece).  Adding a load
-can move a port from the first branch to the second, so an empty port
-rejecting a contribution does not mean every port rejects it.
-:meth:`PortState.could_admit` is the weaker test that *is* implied by
-``admits`` on every reachable state; placement uses it to turn away a
-tenant no port of a domain can hold without probing the domain's servers.
+can move a port from the first branch to the second, so a port rejecting
+a contribution does not mean a more loaded port rejects it too.
+:meth:`PortState.could_admit` is the weaker test that *is* monotone: for
+reachable states ``P <= P'`` and valid contributions ``x <= x'`` (float
+totals and terms, componentwise), ``P'.admits(x')`` implies
+``P.could_admit(x)``.  It reads the port's totals plus ``x``, so placement
+asks it twice: on an *empty* state, to turn away a tenant no port of a
+domain can hold, and on a server's own ports with the smallest
+contributions any VM count the fill may try there would make, to turn
+away a loaded server without probing it.
 """
 
 from __future__ import annotations
@@ -46,9 +51,10 @@ from repro.netcalc.fastbounds import (_EPS, _REL_TOL, dual_rate_backlog,
 from repro.topology.switch import Port
 
 _MTU = units.MTU
-#: :meth:`PortState.could_admit` uses a contribution's two-piece backlog
-#: only when its peak exceeds the port capacity by this fraction (plus
-#: ``_EPS``); below it the bound falls back to the packet slack.
+#: :meth:`PortState.could_admit` uses the two-piece backlog of the totals
+#: plus a contribution only when their peak exceeds the port capacity by
+#: this fraction (plus ``_EPS``); below it the bound falls back to the
+#: packet slack.
 _PEAK_GAP = 0.01
 #: Relative margin on that backlog: it covers the rounding of both the
 #: bound's and ``admits``' evaluation (below 1e-10, see ``could_admit``).
@@ -230,20 +236,26 @@ class PortState:
         return backlog <= limit
 
     def could_admit(self, extra: Contribution) -> bool:
-        """False only when no reachable state of this port admits ``extra``.
+        """False only when no reachable state at least this loaded admits
+        anything at least as large as ``extra``.
 
-        Reads only the port's capacity ``C`` and buffer limit ``L``, never
-        the totals, so one state stands for every port of the same shape.
-        Reachable means: the totals are float sums, from ``0.0``, of valid
-        contributions (tenants and fault poisons alike), so each is
-        ``>= 0`` and the summed peak is ``>=`` the summed bandwidth.
+        Evaluates its clauses on the port's totals plus ``extra``, summed
+        as :meth:`admits` sums them; on an empty state that sum is
+        ``extra`` itself (``0.0 + x == x``).  Reachable means: the totals
+        are float sums, from ``0.0``, of valid contributions (tenants and
+        fault poisons alike), so each is ``>= 0`` and the summed peak is
+        ``>=`` the summed bandwidth.  ``C`` is the port capacity, ``L``
+        the buffer limit.
 
-        Claim: ``P.admits(x)`` implies ``could_admit(x)`` for every such
-        ``P``.  Let ``B, R, Q, S`` be the conditioned totals ``admits``
-        builds (bandwidth, burst, peak, slack) and ``b, r, p, s`` the
-        conditioned terms of ``x`` alone.  Float addition of a
-        non-negative term is monotone and so is the conditioning, so
-        ``B >= b``, ``R >= r``, ``Q >= p`` and ``S >= s``.
+        Lemma: for reachable states ``P <= P'`` and valid contributions
+        ``x <= x'`` (componentwise), ``P'.admits(x')`` implies
+        ``P.could_admit(x)``.  Rounded float addition is monotone in both
+        operands, so the sums ``b, r, p, s`` (bandwidth, burst, peak,
+        slack) this method forms on ``P`` and ``x`` are componentwise
+        ``<=`` the sums ``admits`` forms on ``P'`` and ``x'``, and the
+        conditioning (slack raised to one MTU, burst to the slack, peak
+        to the bandwidth) is monotone too; call the conditioned sums of
+        ``admits`` ``B, R, Q, S``.
 
         * Bandwidth: ``admits`` requires ``B <= C``, so ``b <= C``.
         * Slack: every branch of ``admits`` that returns True has checked
@@ -251,41 +263,43 @@ class PortState:
           ``>= S``; the slack itself in the near-equal branch; the
           two-piece backlog, raised to ``>= S``), so ``s <= S <= L``.
         * Backlog, used only when ``p > C(1 + g) + _EPS`` (``g`` is
-          ``_PEAK_GAP``).  Then ``Q - B > gC + _EPS``, wider than the
-          ``isclose`` band ``max(_EPS * Q, _EPS)`` of any ``Q <= C(1 +
-          _REL_TOL)``, the only peaks that branch admits; so ``P`` admits
-          either through a branch that checks ``R <= L`` or through the
-          two-piece branch.  In real numbers the backlog of
-          ``min(p t + s, b t + r)`` at rate ``C`` is ``((p - C) r + (C -
-          b) s) / (p - b)``, a convex combination of ``r`` and ``s``, and
-          it grows with every term because the curve grows pointwise.  If
-          ``R <= L`` it is at most ``r <= R <= L``.  In the two-piece
-          branch ``admits`` evaluates ``B t + R - C t`` with ``t = (R -
-          S) / (Q - B) < R / gC``; its rounding is a few ulps of ``R + 2
-          C t < R (1 + 2 / g)``, and the exact value is at least ``R (Q -
-          C) / (Q - B) >= R g / (1 + g)``, so the computed value is within
-          a relative 1e-10 of the exact one.  The bound evaluates the
-          convex form from non-negative terms, within a few ulps.
-          ``_BOUND_MARGIN`` covers both.
+          ``_PEAK_GAP``).  Then ``Q >= p`` and ``B <= C`` give ``Q - B >
+          gC + _EPS``, wider than the ``isclose`` band ``max(_EPS * Q,
+          _EPS)`` of any ``Q <= C(1 + _REL_TOL)``, the only peaks that
+          branch admits; so ``P'`` admits ``x'`` either through a branch
+          that checks ``R <= L`` or through the two-piece branch.  In
+          real numbers the backlog of ``min(p t + s, b t + r)`` at rate
+          ``C`` is ``((p - C) r + (C - b) s) / (p - b)``, a convex
+          combination of ``r`` and ``s``, and it grows with every term
+          because the curve grows pointwise; so it is at most the backlog
+          of ``min(Q t + S, B t + R)``.  If ``R <= L`` that is at most
+          ``R <= L``.  In the two-piece branch ``admits`` evaluates ``B t
+          + R - C t`` with ``t = (R - S) / (Q - B) < R / gC``; its
+          rounding is a few ulps of ``R + 2 C t < R (1 + 2 / g)``, and
+          the exact value is at least ``R (Q - C) / (Q - B) >= R g / (1 +
+          g)``, so the computed value is within a relative 1e-10 of the
+          exact one.  This method evaluates the convex form from
+          non-negative terms, within a few ulps of its exact value.
+          ``_BOUND_MARGIN`` covers both roundings.
 
         Below the gap the bound checks no burst: where ``p == b`` an empty
         port would check the burst, and that is exactly the check a loaded
         port in the near-equal branch skips.
         """
         capacity = self._capacity
-        bandwidth = extra.bandwidth
+        bandwidth = self.bandwidth + extra.bandwidth
         if bandwidth > capacity:
             return False
-        slack = extra.packet_slack
+        slack = self.packet_slack + extra.packet_slack
         if slack < _MTU:
             slack = _MTU
         limit = self._buffer_limit
         if slack > limit:
             return False
-        peak = extra.peak_rate
+        peak = self.peak_rate + extra.peak_rate
         if peak <= capacity * (1.0 + _PEAK_GAP) + _EPS:
             return True
-        burst = extra.burst
+        burst = self.burst + extra.burst
         if burst < slack:
             burst = slack
         backlog = (((peak - capacity) * burst + (capacity - bandwidth) * slack)

@@ -441,11 +441,14 @@ def run_repro(argv):
     return proc.stdout
 
 
-#: Exact stdout of the two commands that admit through
-#: ``SiloPlacementManager`` directly, ``admit`` and ``whatif`` (fresh
+#: Exact stdout of the commands that admit through
+#: ``SiloPlacementManager``: ``admit`` and ``whatif`` directly, ``serve``
+#: through the admission service under a server-crash storm (fresh
 #: interpreters, as above), without ``whatif``'s wall-clock
-#: ``estimated ... in X ms`` line.  Kept apart from ``GOLDEN_STDOUT``,
-#: which also drives an ``--out`` test these commands cannot take.
+#: ``estimated ... in X ms`` line.  ``serve``'s ``--data-dir DIR`` is a
+#: fresh directory per run; its summary counts virtual time only.  Kept
+#: apart from ``GOLDEN_STDOUT``, which also drives an ``--out`` test
+#: these commands cannot take.
 GOLDEN_ADMISSION_STDOUT = json.loads(
     (REPO / "tests" / "golden_admission_stdout.json").read_text(
         encoding="utf-8"))
@@ -453,8 +456,9 @@ GOLDEN_ADMISSION_STDOUT = json.loads(
 
 @pytest.mark.parametrize("command", GOLDEN_ADMISSION_STDOUT,
                          ids=lambda c: c.split()[0])
-def test_admission_stdout_is_byte_identical(command):
-    out = run_repro(shlex.split(command))
+def test_admission_stdout_is_byte_identical(command, tmp_path):
+    out = run_repro([str(tmp_path / "data") if arg == "DIR" else arg
+                     for arg in shlex.split(command)])
     kept = [line for line in out.splitlines(keepends=True)
             if not line.startswith("estimated ")]
     assert "".join(kept) == GOLDEN_ADMISSION_STDOUT[command]

@@ -2,8 +2,9 @@
 
 Each test pins a hot-path gain as a *count* -- probes per stamp,
 ``free_slots`` reads per ``place``, dumps per snapshot, servers probed
-by a failing ``_fill`` and by a tenant no empty port can hold, port
-derivations per fault, flows per
+by a failing ``_fill``, by a tenant no empty port can hold and by
+loaded servers that cannot take one VM, balanced fills after a greedy
+one that placed nothing, port derivations per fault, flows per
 water-filled max-min class -- never as
 wall-clock time, so it holds on any machine.  Wall-clock numbers are
 the repo benchmark's (``python3 perf/run.py``, ``perf/README.md``);
@@ -247,6 +248,96 @@ def test_a_tenant_no_empty_port_can_hold_is_rejected_without_a_probe():
     assert shipped_log == []
     assert {scope for _, scope in seed_log} == {"rack", "pod", "cluster"}
     assert len({server for server, _ in seed_log}) == 80
+
+
+def _place_beside_a_loaded_rack(manager_class):
+    """An 8-VM tenant on two 10-server racks, rack 0 loaded: its
+    ``(placement, manager)``, with every ``_server_ok`` probe logged as
+    ``(server, strategy)`` on ``manager.probes`` and every
+    ``_max_vms_on_server`` call on ``manager.calls``.
+
+    A 10-VM tenant with 30 KB bursts at 10 Gbps holds one slot of every
+    rack-0 server, so each rack-0 ToR downlink carries nine of its
+    bursts.  The new tenant also bursts 30 KB at 10 Gbps: a server taking
+    ``m <= 3`` of its VMs faces at least five more of those bursts, over
+    400 KB against a 312 KB buffer.  An empty downlink would hold even
+    seven (210 KB), so the domain reject lets rack 0 through, and rack 1
+    takes the tenant four and four.
+    """
+    from repro import units
+    from repro.core.guarantees import NetworkGuarantee
+    from repro.core.tenant import TenantClass, TenantRequest
+    from repro.topology import TreeTopology
+
+    topology = TreeTopology(n_pods=1, racks_per_pod=2, servers_per_rack=10,
+                            slots_per_server=4, link_rate=units.gbps(10),
+                            oversubscription=5.0,
+                            buffer_bytes=312 * units.KB)
+    manager = manager_class(topology)
+
+    def bursty(n_vms):
+        return TenantRequest(
+            n_vms=n_vms,
+            guarantee=NetworkGuarantee(bandwidth=units.mbps(100),
+                                       burst=30 * units.KB,
+                                       peak_rate=units.gbps(10)),
+            tenant_class=TenantClass.CLASS_B)
+
+    manager.adopt(bursty(10), {server: 1 for server in range(10)})
+    manager.probes, manager.calls = [], []
+    strategy = [None]
+    fill, max_vms, server_ok = (manager._fill, manager._max_vms_on_server,
+                                manager._server_ok)
+
+    def logged_fill(request, available, name, scope):
+        strategy[0] = name
+        return fill(request, available, name, scope)
+
+    def logged_max_vms(request, server, *args):
+        manager.calls.append((server, strategy[0]))
+        return max_vms(request, server, *args)
+
+    def logged_server_ok(request, server, *args):
+        manager.probes.append((server, strategy[0]))
+        return server_ok(request, server, *args)
+
+    manager._fill = logged_fill
+    manager._max_vms_on_server = logged_max_vms
+    manager._server_ok = logged_server_ok
+    return manager.place(bursty(8)), manager
+
+
+def test_a_loaded_server_no_vm_fits_is_turned_away_without_a_probe():
+    """Rack 0's servers cannot take a single VM of the tenant, and the
+    bound on their loaded ports says so before any ``_server_ok`` probe;
+    the scanning seed probes each of them, and both place the tenant on
+    rack 1."""
+    from repro.placement import SiloPlacementManager
+
+    from seed_admission import SeedSiloPlacementManager
+
+    shipped, live = _place_beside_a_loaded_rack(SiloPlacementManager)
+    seed, scan = _place_beside_a_loaded_rack(SeedSiloPlacementManager)
+    assert shipped.vm_servers == seed.vm_servers == [10] * 4 + [11] * 4
+    assert any(server < 10 for server, _ in live.calls)
+    assert [p for p in live.probes if p[0] < 10] == []
+    assert len({server for server, _ in scan.probes if server < 10}) == 10
+
+
+def test_a_domain_whose_greedy_fill_placed_nothing_gets_no_balanced_fill():
+    """Greedy asked rack-0 servers for all they could hold and got
+    nothing (until the slot budget ran out: 30 free slots for 8 VMs, 3
+    lost per server, so eight servers); balanced would ask each for
+    fewer, so it is not run there.  Rack 1's greedy fill succeeds, so no
+    balanced call remains."""
+    from repro.placement import SiloPlacementManager
+
+    placement, manager = _place_beside_a_loaded_rack(SiloPlacementManager)
+    assert placement is not None
+    greedy_rack0 = [s for s, name in manager.calls
+                    if name == "greedy" and s < 10]
+    assert greedy_rack0 == list(range(8))
+    assert [c for c in manager.calls if c[1] == "balanced"] == []
 
 
 def test_fault_events_derive_each_placements_ports_once():
