@@ -21,8 +21,8 @@ from pathlib import Path
 from repro import units
 from repro.analysis import percentile
 from repro.analysis.surrogate import WhatIfModel
-from repro.campaign.scenarios import (_class_a_placements, _cli_guarantee,
-                                      _cli_topology, trace_cell)
+from repro.campaign.scenarios import (GUARANTEE, TOPOLOGY,
+                                      _class_a_placements, trace_cell)
 from repro.core.tenant import reset_tenant_ids
 from repro.obs.traces import find_trace_artifacts
 
@@ -60,11 +60,8 @@ def test_whatif_estimator_error_and_speedup(tmp_path):
     # whatif-error cells build it.  Admission replay stays outside the
     # timer: the query being priced is the estimate.
     reset_tenant_ids()
-    topology = _cli_topology(*(scenario[key] for key in (
-        "pods", "racks_per_pod", "servers_per_rack", "slots", "link_gbps",
-        "oversubscription", "buffer_kb")))
-    guarantee = _cli_guarantee(*(scenario[key] for key in (
-        "bandwidth_mbps", "burst_kb", "delay_us", "bmax_gbps")))
+    topology = TOPOLOGY.build(scenario)
+    guarantee = GUARANTEE.build(scenario)
     placements = _class_a_placements(topology, guarantee,
                                      scenario["class_a"], scenario["vms"])
     t0 = time.perf_counter()

@@ -6,7 +6,9 @@ lists, strings, booleans, ``None`` and finite numbers).  Scenarios
 register under a string name so a
 :class:`~repro.campaign.spec.SweepSpec` -- itself plain JSON -- can
 reference them, and so spawned worker processes can resolve them after
-importing the spec's declared modules.
+importing the spec's declared modules.  Its signature, with what
+``@scenario`` adds, declares its parameters
+(:mod:`repro.campaign.params`); :func:`check_cell` holds a cell to it.
 
 Named sweeps work the same way for whole specs: the benchmark grids
 (``fig12``, ``fig15``, ``fig16``, ``table1``, ``failure-recovery``)
@@ -23,12 +25,14 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Sequence
 
-from repro.campaign.spec import SweepSpec
+from repro.campaign.params import Declaration, Group, Param
+from repro.campaign.spec import Cell, SweepSpec
 
-__all__ = ["scenario", "get_scenario", "sweep", "get_sweep",
-           "list_sweeps", "import_scenario_modules"]
+__all__ = ["scenario", "get_scenario", "declaration", "check_cell",
+           "sweep", "get_sweep", "list_sweeps", "import_scenario_modules"]
 
 _SCENARIOS: Dict[str, Callable[..., Any]] = {}
+_DECLARATIONS: Dict[str, Declaration] = {}
 _SWEEPS: Dict[str, Callable[[], SweepSpec]] = {}
 
 
@@ -48,16 +52,22 @@ def _same_definition(a: Callable[..., Any], b: Callable[..., Any]) -> bool:
         return False
 
 
-def scenario(name: str) -> Callable[[Callable[..., Any]],
-                                    Callable[..., Any]]:
-    """Class of decorators registering a cell function under ``name``."""
+def scenario(name: str, *groups: Group, **params: Param
+             ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+    """Class of decorators registering a cell function under ``name``.
+
+    The function's signature declares its parameters; ``groups`` and
+    ``params`` add what a signature cannot hold (see
+    :mod:`repro.campaign.params`), which :func:`check_cell` enforces.
+    """
     def register(fn: Callable[..., Any]) -> Callable[..., Any]:
         existing = _SCENARIOS.get(name)
         if (existing is not None and existing is not fn
                 and not _same_definition(existing, fn)):
             raise ValueError(f"scenario {name!r} is already registered "
                              f"by {existing.__module__}")
-        _SCENARIOS.setdefault(name, fn)
+        if _SCENARIOS.setdefault(name, fn) is fn:
+            _DECLARATIONS[name] = Declaration(name, fn, groups, params)
         return fn
     return register
 
@@ -70,6 +80,19 @@ def get_scenario(name: str) -> Callable[..., Any]:
         known = ", ".join(sorted(_SCENARIOS)) or "(none imported)"
         raise KeyError(f"unknown scenario {name!r}; registered: {known}"
                        ) from None
+
+
+def declaration(name: str) -> Declaration:
+    """The registered scenario's parameter declaration."""
+    get_scenario(name)  # an unknown name's KeyError
+    return _DECLARATIONS[name]
+
+
+def check_cell(cell: Cell) -> None:
+    """Raise :class:`~repro.campaign.params.ParamError` (a
+    ``ValueError``) unless ``cell``'s parameters pass its scenario's
+    declaration: the one input check every campaign cell passes."""
+    declaration(cell.scenario).check(dict(cell.params), cell.seed)
 
 
 def sweep(name: str) -> Callable[[Callable[[], SweepSpec]],

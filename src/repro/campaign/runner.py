@@ -40,7 +40,8 @@ from pathlib import Path
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from repro.campaign.registry import get_scenario, import_scenario_modules
+from repro.campaign.registry import (check_cell, get_scenario,
+                                     import_scenario_modules)
 from repro.campaign.spec import Cell, SweepSpec
 from repro.core.tenant import reset_tenant_ids
 
@@ -326,6 +327,10 @@ def run_campaign(spec: SweepSpec,
     cells -- the hook the tests and tutorial use to simulate a crash
     mid-campaign -- leaving a partial, resumable directory behind.
 
+    Every cell's parameters pass :func:`~repro.campaign.registry.check_cell`
+    first: a :class:`~repro.campaign.params.ParamError` names the bad
+    one before anything is written, ``out`` included.
+
     ``cell_timeout`` bounds each cell's wall-clock seconds: a cell that
     outruns it is recorded as *failed* (``result.failed``) instead of
     hanging the campaign -- the run completes, is marked partial, and
@@ -340,13 +345,15 @@ def run_campaign(spec: SweepSpec,
         raise ValueError("max_cells (simulated crash) needs an out dir "
                          "to leave checkpoints in")
     import_scenario_modules(spec.modules, spec.module_paths)
+    cells = list(spec.cells())
+    for cell in cells:
+        check_cell(cell)
     out_path: Optional[Path] = None
     if out is not None:
         out_path = Path(out)
         out_path.mkdir(parents=True, exist_ok=True)
         _atomic_write_json(out_path / "spec.json", spec.to_dict())
 
-    cells = list(spec.cells())
     done: Dict[int, CellRecord] = {}
     if resume and out_path is not None:
         for cell in cells:

@@ -20,9 +20,11 @@ from __future__ import annotations
 import math
 import os
 import random
-from typing import Dict, List, Optional, Union
+from dataclasses import replace
+from typing import Dict, List, Literal, Mapping, Optional, Union
 
 from repro import units
+from repro.campaign.params import Group, Param
 from repro.campaign.registry import scenario, sweep
 from repro.campaign.spec import SweepSpec
 from repro.core.guarantees import NetworkGuarantee
@@ -59,11 +61,12 @@ def _policy_manager(policy: str):
 POLICY_MANAGERS = ("locality", "oktopus", "silo")
 
 
-def _cli_topology(pods: int, racks_per_pod: int, servers_per_rack: int,
-                  slots: int, link_gbps: float = 10.0,
-                  oversubscription: float = 5.0, buffer_kb: float = 312.0):
-    """The tree topology the CLI's topology flags describe; the
-    defaults are the fabric every built-in sweep runs on (10 GbE,
+def _cli_topology(pods: int = 2, racks_per_pod: int = 4,
+                  servers_per_rack: int = 10, slots: int = 8,
+                  link_gbps: float = 10.0, oversubscription: float = 5.0,
+                  buffer_kb: float = 312.0):
+    """The tree topology the topology parameters describe; the defaults
+    are the CLI's, on the fabric every built-in sweep runs on (10 GbE,
     1:5 oversubscribed, 312 KB port buffers)."""
     from repro.topology import TreeTopology
     return TreeTopology(
@@ -72,6 +75,74 @@ def _cli_topology(pods: int, racks_per_pod: int, servers_per_rack: int,
         link_rate=units.gbps(link_gbps),
         oversubscription=oversubscription,
         buffer_bytes=buffer_kb * units.KB)
+
+
+def _cli_guarantee(bandwidth_mbps: float = 250.0, burst_kb: float = 15.0,
+                   delay_us: Optional[float] = 1000.0,
+                   bmax_gbps: Optional[float] = 1.0) -> NetworkGuarantee:
+    """The guarantee the guarantee parameters describe."""
+    return NetworkGuarantee(
+        bandwidth=units.mbps(bandwidth_mbps), burst=burst_kb * units.KB,
+        delay=delay_us * units.MICROS if delay_us is not None else None,
+        peak_rate=units.gbps(bmax_gbps) if bmax_gbps is not None else None)
+
+
+def _hybrid_guarantee(fg_bandwidth_mbps: float) -> NetworkGuarantee:
+    """The hybrid foreground's class-A guarantee: Table 3's 15 KB burst
+    and 1 ms delay, with Bmax 1 Gbps or the bandwidth if that is more."""
+    bandwidth = units.mbps(fg_bandwidth_mbps)
+    return NetworkGuarantee(
+        bandwidth=bandwidth, burst=15.0 * units.KB,
+        delay=1000.0 * units.MICROS,
+        peak_rate=max(units.gbps(1.0), bandwidth))
+
+
+#: The seven topology parameters of every scenario and command that
+#: builds a tree; ``TreeTopology`` checks them.
+TOPOLOGY = Group("topology", _cli_topology)
+#: The four hose-guarantee parameters; ``NetworkGuarantee`` checks them.
+GUARANTEE = Group("guarantee", _cli_guarantee)
+#: The hybrid foreground's one guarantee parameter (``--bandwidth-mbps``).
+HYBRID_GUARANTEE = Group(
+    "guarantee", _hybrid_guarantee,
+    fg_bandwidth_mbps=Param(
+        flag="bandwidth-mbps",
+        help="foreground hose guarantee (Mbps); burst 15 KB and delay "
+             "1 ms are Table 3's class-A values, Bmax is 1 Gbps or the "
+             "bandwidth if that is more"))
+
+
+def _parse_faults(spec: str, values: Mapping[str, object]) -> None:
+    """Parse a ``faults`` spec at horizon 0: every field (inline keys,
+    JSON event entries, target names) is checked against the topology
+    without generating the event stream."""
+    _fault_schedule(spec, TOPOLOGY.build(values), 0.0, values["seed"])
+
+
+#: The ``faults`` parameter every fault-injecting scenario and command
+#: shares.
+FAULTS = Param(kind=Optional[str], default=None, check=_parse_faults,
+               metavar="SPEC",
+               help="inject failures mid-run: 'poisson:mtbf_ms=..,"
+                    "mttr_ms=..[,targets=link+server][,degrade=..]' or a "
+                    "JSON scenario file ('none' disables; default: "
+                    "%(default)s)")
+
+#: Policy names in the order the CLI lists them.
+_POLICY_CHOICES = ("silo", "oktopus", "locality")
+_POSITIVE = ((">", 0),)
+#: A fluid tenant stream targets an occupancy in (0, 1).
+_OCCUPANCY = ((">", 0), ("<", 1))
+#: The load, density and run length of a section 6.3 fluid cell.
+_SECTION63_BOUNDS = dict(boost=Param(bounds=_POSITIVE),
+                         permutation_x=Param(bounds=_POSITIVE),
+                         horizon=Param(bounds=_POSITIVE))
+
+
+def _mechanism_names() -> List[str]:
+    """The registered mechanisms (imported on first use)."""
+    from repro.mechanisms import mechanism_names
+    return mechanism_names()
 
 
 def _two_pod_topology(slots_per_server: int = 4):
@@ -159,7 +230,9 @@ def _section63_run(policy: str, topo, permutation_x: float, boost: float,
     return manager, stats
 
 
-@scenario("fig15_policy")
+@scenario("fig15_policy", policy=Param(choices=POLICY_MANAGERS),
+          load=Param(choices=tuple(FIG15_LOAD_BOOSTS)),
+          horizon=Param(bounds=_POSITIVE))
 def fig15_cell(policy: str, load: str, horizon: float,
                seed: int) -> Dict[str, float]:
     """One Fig. 15 cell: a policy's admission under one offered load."""
@@ -197,7 +270,8 @@ def fig15_micro_sweep() -> SweepSpec:
 # Fig. 16 -- network utilization vs offered load and traffic density
 # ---------------------------------------------------------------------------
 
-@scenario("fig16_cell")
+@scenario("fig16_cell", policy=Param(choices=POLICY_MANAGERS),
+          **_SECTION63_BOUNDS)
 def fig16_cell(policy: str, boost: float, permutation_x: float,
                horizon: float, seed: int) -> Dict[str, float]:
     """One Fig. 16 cell: utilization at one load x density point."""
@@ -244,7 +318,9 @@ def fig16_micro_sweep() -> SweepSpec:
 FIG16_SCALE_SHAPES = {2000: (8, 25), 8000: (16, 50), 32000: (32, 100)}
 
 
-@scenario("fig16_scale_cell")
+@scenario("fig16_scale_cell", policy=Param(choices=POLICY_MANAGERS),
+          servers=Param(choices=tuple(FIG16_SCALE_SHAPES)),
+          **_SECTION63_BOUNDS)
 def fig16_scale_cell(policy: str, servers: int, boost: float,
                      permutation_x: float, horizon: float,
                      seed: int) -> Dict[str, float]:
@@ -304,7 +380,7 @@ TABLE1_BANDWIDTH_MULTIPLIERS = (1.0, 1.4, 1.8, 2.2, 2.6, 3.0)
 TABLE1_BURST_MULTIPLIERS = (1, 3, 5, 7, 9)
 
 
-@scenario("table1_cell")
+@scenario("table1_cell", n_messages=Param(bounds=((">=", 1),)))
 def table1_cell(bw_mult: float, burst_mult: float, n_messages: int,
                 seed: int) -> Dict[str, float]:
     """One Table 1 cell: fraction of messages later than the guarantee.
@@ -433,7 +509,10 @@ def _fill_and_replay(manager, occupancy: float, seed: int, schedule,
     }
 
 
-@scenario("failure_recovery")
+@scenario("failure_recovery", policy=Param(choices=POLICY_MANAGERS),
+          mtbf_ms=Param(bounds=_POSITIVE), mttr_s=Param(bounds=_POSITIVE),
+          occupancy=Param(bounds=((">", 0), ("<=", 1))),
+          horizon_s=Param(bounds=_POSITIVE))
 def failure_recovery_cell(policy: str, mtbf_ms: float, occupancy: float,
                           mttr_s: float, horizon_s: float,
                           seed: int) -> Dict[str, object]:
@@ -667,7 +746,9 @@ def _run_section62(mechanism: str, workload: str, duration: float,
     return result, run, class_a, class_b
 
 
-@scenario("mechanism_compare")
+@scenario("mechanism_compare", mechanism=Param(choices=_mechanism_names),
+          workload=Param(choices=tuple(MECHANISM_WORKLOADS)),
+          duration=Param(bounds=_POSITIVE))
 def mechanism_compare_cell(mechanism: str, workload: str,
                            duration: float = CAMPAIGN_DURATION,
                            seed: int = 1234) -> Dict:
@@ -676,7 +757,8 @@ def mechanism_compare_cell(mechanism: str, workload: str,
     return _run_section62(mechanism, workload, duration, seed)[0]
 
 
-@scenario("fig12")
+@scenario("fig12", mechanism=Param(choices=_mechanism_names),
+          duration=Param(bounds=_POSITIVE))
 def fig12_cell(mechanism: str, duration: float = CAMPAIGN_DURATION,
                seed: int = 1234) -> Dict:
     """One scheme's cell of the Fig. 12-14 / Table 4 campaign.
@@ -785,16 +867,6 @@ def _fault_schedule(faults: Optional[str], topo, horizon: float,
     return FaultSchedule.from_spec(faults, topo, horizon=horizon, seed=seed)
 
 
-def _cli_guarantee(bandwidth_mbps: float, burst_kb: float,
-                   delay_us: Optional[float],
-                   bmax_gbps: Optional[float]) -> NetworkGuarantee:
-    """The guarantee the CLI's guarantee flags describe."""
-    return NetworkGuarantee(
-        bandwidth=units.mbps(bandwidth_mbps), burst=burst_kb * units.KB,
-        delay=delay_us * units.MICROS if delay_us is not None else None,
-        peak_rate=units.gbps(bmax_gbps) if bmax_gbps is not None else None)
-
-
 def _class_a_placements(topo, guarantee: NetworkGuarantee, class_a: int,
                         vms: int) -> List[Placement]:
     """Replay a traced run's class-A admissions on a fresh Silo
@@ -812,8 +884,11 @@ def _class_a_placements(topo, guarantee: NetworkGuarantee, class_a: int,
     return placements
 
 
-@scenario("churn_policy")
-def churn_cell(policy: str, occupancy: float, horizon: float, seed: int,
+@scenario("churn_policy", TOPOLOGY, faults=FAULTS,
+          policy=Param(choices=_POLICY_CHOICES),
+          occupancy=Param(bounds=_OCCUPANCY), horizon=Param(bounds=_POSITIVE))
+def churn_cell(*, policy: str, occupancy: float = 0.75,
+               horizon: float = 60.0, seed: int,
                pods: int, racks_per_pod: int, servers_per_rack: int,
                slots: int, link_gbps: float, oversubscription: float,
                buffer_kb: float, faults: Optional[str] = None,
@@ -868,12 +943,29 @@ def churn_cell(policy: str, occupancy: float, horizon: float, seed: int,
     return result
 
 
-@scenario("trace_run")
-def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
-               delay_us: float, bmax_gbps: Optional[float],
-               class_a: int, class_b: int, message_kb: float,
-               epoch_us: float, duration_ms: float,
-               queue_interval_us: float, seed: int,
+#: The traced packet workload's parameters, shared by ``trace_run`` and
+#: the ``whatif_error`` cells that run it.
+_TRACE_PARAMS = dict(
+    vms=Param(bounds=((">=", 2),)),
+    class_a=Param(bounds=((">=", 0),), help="epoch-burst (OLDI) tenants"),
+    class_b=Param(bounds=((">=", 0),), help="bulk-transfer tenants"),
+    message_kb=Param(bounds=_POSITIVE), epoch_us=Param(bounds=_POSITIVE),
+    duration_ms=Param(bounds=_POSITIVE),
+    queue_interval_us=Param(bounds=_POSITIVE,
+                            help="queue-depth time-series bucket width"))
+
+
+@scenario("trace_run", TOPOLOGY, GUARANTEE, faults=FAULTS, **_TRACE_PARAMS,
+          mechanism=Param(choices=_mechanism_names,
+                          help="SLO mechanism running the data path "
+                               "(placement still goes through Silo "
+                               "admission)"))
+def trace_cell(*, vms: int = 12, bandwidth_mbps: float = 1000.0,
+               burst_kb: float = 15.0, delay_us: float = 1000.0,
+               bmax_gbps: Optional[float] = 1.0, class_a: int = 2,
+               class_b: int = 1, message_kb: float = 15.0,
+               epoch_us: float = 2000.0, duration_ms: float = 20.0,
+               queue_interval_us: float = 50.0, seed: int,
                pods: int, racks_per_pod: int, servers_per_rack: int,
                slots: int, link_gbps: float, oversubscription: float,
                buffer_kb: float, faults: Optional[str] = None,
@@ -891,7 +983,10 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
     With an ``artifact_dir`` the cell dumps the complete event stream
     (JSONL) plus per-message latency, per-port queue depth and
     per-request admission CSVs; without one the events go to a ring
-    buffer and only their count is reported.
+    buffer and only their count is reported.  The default 12 VMs on
+    8-slot servers force a rack-scope placement, so the traced traffic
+    crosses switch ports (an 8-VM tenant fits on one server and would
+    only exercise its vswitch).
     """
     from repro.mechanisms import PacketRun, PacketTenant, get_mechanism
     from repro.obs import RingBufferSink
@@ -974,7 +1069,8 @@ def trace_cell(vms: int, bandwidth_mbps: float, burst_kb: float,
     return result
 
 
-@scenario("whatif_error")
+@scenario("whatif_error", TOPOLOGY, GUARANTEE, **{
+    **_TRACE_PARAMS, "class_a": Param(bounds=((">=", 1),))})
 def whatif_error_cell(message_kb: float, class_a: int, seed: int,
                       vms: int, bandwidth_mbps: float, burst_kb: float,
                       delay_us: float, bmax_gbps: Optional[float],
@@ -999,6 +1095,9 @@ def whatif_error_cell(message_kb: float, class_a: int, seed: int,
     merges); the speed-up floor lives in
     ``benchmarks/bench_whatif_estimator.py``.
     """
+    # Every declared parameter but the seed is trace_cell's too.
+    params = {name: value for name, value in locals().items()
+              if name not in ("seed", "artifact_dir")}
     import contextlib
     import tempfile
 
@@ -1010,16 +1109,6 @@ def whatif_error_cell(message_kb: float, class_a: int, seed: int,
     from repro.core.tenant import reset_tenant_ids
     from repro.obs.traces import find_trace_artifacts
 
-    params = dict(vms=vms, bandwidth_mbps=bandwidth_mbps,
-                  burst_kb=burst_kb, delay_us=delay_us,
-                  bmax_gbps=bmax_gbps, class_a=class_a, class_b=class_b,
-                  message_kb=message_kb, epoch_us=epoch_us,
-                  duration_ms=duration_ms,
-                  queue_interval_us=queue_interval_us, pods=pods,
-                  racks_per_pod=racks_per_pod,
-                  servers_per_rack=servers_per_rack, slots=slots,
-                  link_gbps=link_gbps, oversubscription=oversubscription,
-                  buffer_kb=buffer_kb)
     message_bytes = message_kb * units.KB
     with contextlib.ExitStack() as stack:
         if artifact_dir is None:
@@ -1037,11 +1126,8 @@ def whatif_error_cell(message_kb: float, class_a: int, seed: int,
         reset_tenant_ids()
         trace_cell(seed=seed, artifact_dir=target_dir, **params)
 
-        guarantee = _cli_guarantee(bandwidth_mbps, burst_kb, delay_us,
-                                   bmax_gbps)
-        topo = _cli_topology(pods, racks_per_pod, servers_per_rack,
-                             slots, link_gbps, oversubscription,
-                             buffer_kb)
+        guarantee = GUARANTEE.build(params)
+        topo = TOPOLOGY.build(params)
         reset_tenant_ids()
         placements = _class_a_placements(topo, guarantee, class_a, vms)
         model = fit_whatif_model(topo, placements, message_bytes,
@@ -1093,9 +1179,14 @@ def whatif_error_sweep() -> SweepSpec:
                    oversubscription=5.0, buffer_kb=312.0))
 
 
-@scenario("faults_campaign")
-def faults_cell(policy: str, occupancy: float, faults: str,
-                duration_ms: float, seed: int,
+@scenario("faults_campaign", TOPOLOGY, faults=FAULTS,
+          policy=Param(choices=_POLICY_CHOICES),
+          # A fault campaign may fill the whole cluster.
+          occupancy=Param(bounds=((">", 0), ("<=", 1))),
+          duration_ms=Param(bounds=_POSITIVE))
+def faults_cell(*, policy: str = "silo", occupancy: float = 0.75,
+                faults: str = "poisson:mtbf_ms=5,mttr_ms=2",
+                duration_ms: float = 50.0, seed: int,
                 pods: int, racks_per_pod: int, servers_per_rack: int,
                 slots: int, link_gbps: float, oversubscription: float,
                 buffer_kb: float,
@@ -1143,7 +1234,11 @@ def faults_cell(policy: str, occupancy: float, faults: str,
 # The admission-service soak (chaos) campaign
 # ---------------------------------------------------------------------------
 
-@scenario("service_soak")
+@scenario("service_soak", TOPOLOGY, faults=FAULTS,
+          arrival_rate=Param(bounds=_POSITIVE),
+          horizon=Param(bounds=_POSITIVE),
+          kill_tick=Param(bounds=((">=", 0),)),
+          queue_capacity=Param(bounds=((">=", 1),)))
 def service_soak_cell(arrival_rate: float, horizon: float, faults: str,
                       kill_tick: int, seed: int,
                       pods: int = 2, racks_per_pod: int = 2,
@@ -1248,24 +1343,45 @@ def service_soak_sweep() -> SweepSpec:
 # Hybrid fidelity: packet foreground inside a fluid background
 # ---------------------------------------------------------------------------
 
-def _hybrid_guarantee(bandwidth_mbps: float) -> NetworkGuarantee:
-    """The hybrid foreground's class-A guarantee: Table 3's 15 KB burst
-    and 1 ms delay, with Bmax 1 Gbps or the bandwidth if that is more."""
-    bandwidth = units.mbps(bandwidth_mbps)
-    return NetworkGuarantee(
-        bandwidth=bandwidth, burst=15.0 * units.KB,
-        delay=1000.0 * units.MICROS,
-        peak_rate=max(units.gbps(1.0), bandwidth))
-
-
-@scenario("hybrid_cell")
-def hybrid_cell(policy: str, fg_app: str, fg_vms: int,
-                fg_bandwidth_mbps: float, occupancy: float,
-                horizon: float, fg_horizon_ms: float, seed: int,
+@scenario(
+    "hybrid_cell", TOPOLOGY, HYBRID_GUARANTEE,
+    policy=Param(choices=_POLICY_CHOICES,
+                 help="admission/placement policy of both foreground and "
+                      "background: silo or oktopus (reserved sharing), "
+                      "locality (TCP max-min)"),
+    fg_app=Param(flag="app", choices=("memcached", "burst"),
+                 help="foreground packet application: memcached "
+                      "(ETC-style RPCs) or burst (the Fig. 11-14 epoch "
+                      "burster)"),
+    fg_vms=Param(bounds=((">=", 2),), help="foreground tenant size (VMs)"),
+    occupancy=Param(bounds=_OCCUPANCY,
+                    help="target background slot occupancy"),
+    horizon=Param(bounds=_POSITIVE,
+                  help="fluid background run length (seconds)"),
+    fg_horizon_ms=Param(bounds=_POSITIVE,
+                        help="packet window length (milliseconds)"),
+    # The packet window starts inside the background run.
+    fg_offset=Param(bounds=((">=", 0), ("<=", "horizon")),
+                    metavar="SECONDS|peak",
+                    help="background time the packet window starts at "
+                         "(default: mid-run; 'peak' aligns with the "
+                         "recorded background-usage peak)"),
+    bg_flow_mb=Param(bounds=_POSITIVE,
+                     help="background class-B flow size (MB; class-A "
+                          "scales with it)"),
+    bg_compute_s=Param(bounds=_POSITIVE,
+                       help="background mean compute time (seconds)"),
+    faults=replace(FAULTS, help=FAULTS.help + "; hits the background "
+                   "cluster and replays on the packet window as port "
+                   "health"))
+def hybrid_cell(*, policy: str = "silo", fg_app: str = "memcached",
+                fg_vms: int = 6, fg_bandwidth_mbps: float = 100.0,
+                occupancy: float = 0.7, horizon: float = 8.0,
+                fg_horizon_ms: float = 20.0, seed: int,
                 pods: int, racks_per_pod: int, servers_per_rack: int,
                 slots: int, link_gbps: float, oversubscription: float,
                 buffer_kb: float,
-                fg_offset: Union[float, str, None] = None,
+                fg_offset: Union[float, Literal["peak"], None] = None,
                 bg_flow_mb: float = 250.0, bg_compute_s: float = 4.0,
                 faults: Optional[str] = None,
                 artifact_dir: Optional[str] = None) -> Dict[str, object]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 
@@ -185,13 +186,15 @@ class SweepSpec:
         """Rebuild a spec from :meth:`to_dict` output (or a spec file).
 
         Anything but a JSON object naming at least ``name`` and
-        ``scenario`` is a ``ValueError`` that says what is wrong.
+        ``scenario``, with every field of its JSON shape, is a
+        ``ValueError`` naming the field.  The values of ``grid`` and
+        ``fixed`` are the scenario's to check
+        (:func:`~repro.campaign.registry.check_cell`).
         """
         if not isinstance(data, Mapping):
             raise ValueError(f"a sweep spec is a JSON object, not "
                              f"{type(data).__name__}")
-        known = {"name", "scenario", "grid", "seeds", "fixed",
-                 "derive_cell_seeds", "modules", "module_paths"}
+        known = set(_FIELDS)
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
@@ -199,11 +202,50 @@ class SweepSpec:
         if missing:
             raise ValueError(f"missing spec fields: {missing}")
         kwargs = {key: data[key] for key in known if key in data}
+        for key, value in kwargs.items():
+            kind, shape = _FIELDS[key]
+            if not (isinstance(value, list) and all(
+                    type(item) is kind[0] for item in value)
+                    if isinstance(kind, list) else isinstance(value, kind)):
+                raise ValueError(f"{key} must be {shape}, not {value!r}")
+        for axis, values in kwargs.get("grid", {}).items():
+            if not isinstance(values, list):
+                raise ValueError(f"grid axis {axis!r} must be a list of "
+                                 f"values, not {values!r}")
         kwargs["seeds"] = tuple(kwargs.get("seeds", (0,)))
         return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path: str) -> "SweepSpec":
-        """Load a spec from a JSON file."""
+        """Load a spec from a JSON file.  ``NaN`` and ``Infinity`` are a
+        ``ValueError`` naming where they stand: ``spec.json`` is written
+        as strict JSON, so such a spec could not be recorded."""
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+            data = json.load(handle)
+        _reject_non_finite(data, "spec")
+        return cls.from_dict(data)
+
+
+#: Each spec field's JSON type (``[t]``: a list of ``t``, in which a
+#: bool is no int) and its name in an error.
+_FIELDS = {"name": (str, "a string"), "scenario": (str, "a string"),
+           "grid": (dict, "an object"), "fixed": (dict, "an object"),
+           "derive_cell_seeds": (bool, "true or false"),
+           "seeds": ([int], "a list of integers"),
+           "modules": ([str], "a list of strings"),
+           "module_paths": ([str], "a list of strings")}
+
+
+def _reject_non_finite(value: Any, where: str) -> None:
+    """Raise ``ValueError`` naming the first ``NaN`` or infinity in a
+    parsed JSON document (``where`` is its path, e.g. ``fixed.horizon``)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where} is {json.dumps(value)}; a spec holds "
+                         f"finite numbers only")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, key if where == "spec"
+                               else f"{where}.{key}")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _reject_non_finite(item, f"{where}[{index}]")

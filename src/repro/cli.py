@@ -34,16 +34,23 @@ the system without writing code:
 * ``report``     -- regenerate EXPERIMENTS.md's measured tables from
                     committed campaign outputs (``--check`` for CI).
 
-Error contract: a malformed ``--faults`` spec, campaign ``--spec``
-file or infeasible guarantee (``--bmax-gbps`` below ``--bandwidth-mbps``)
-exits with code 2 and a one-line ``error:`` diagnostic naming the
-bad field on stderr -- never a traceback.  A campaign cell that outruns
+Error contract: a malformed campaign ``--spec`` file, or a flag or spec
+value its declaration rejects (out of range, wrong JSON type, not
+finite, unknown or missing, an infeasible guarantee, a topology the tree
+refuses, a ``--faults`` spec that does not parse) exits with code 2 and
+one ``error:`` line naming the parameter or field, before any ``--out``
+directory is made -- never a traceback.  A value is named by its flag
+wherever it came from: ``churn --occupancy 1.5`` and a spec's
+``"occupancy": 1.5`` both print ``error: bad --occupancy 1.5: must be <
+1``.  A campaign cell that outruns
 ``--cell-timeout`` fails that cell (and the campaign exits 1 listing
 it) instead of hanging the run.
 
 ``churn``, ``hybrid``, ``trace`` and ``faults`` are *sweep-backed*:
-each is a (policy x) seed grid that always runs through the campaign
-runner (:func:`_run_sweep`), in memory by default.  ``--seeds A B``
+each is a (policy x) seed grid of one scenario that always runs through
+the campaign runner (:func:`_run_sweep`), in memory by default; its
+flags are built from the scenario's parameter declaration
+(:mod:`repro.campaign.params`).  ``--seeds A B``
 widens the grid, ``--workers N`` / ``--cell-timeout`` apply with or
 without ``--out <dir>``, and ``--out`` adds the on-disk layout:
 checkpoints under ``<dir>/cells/`` (``--resume``), each cell's event
@@ -61,56 +68,47 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import os
 import signal
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro import units
-from repro.campaign import (SweepSpec, get_scenario, get_sweep, list_sweeps,
-                            merge_bucket_rows, run_campaign, sum_counters)
+from repro.campaign import (ParamError, SweepSpec, declaration, get_scenario,
+                            get_sweep, list_sweeps, merge_bucket_rows,
+                            run_campaign, sum_counters)
+from repro.campaign.params import Param, check_values, flag_type
 from repro.campaign.registry import import_scenario_modules
-from repro.campaign.scenarios import (POLICY_MANAGERS, _class_a_placements,
-                                      _cli_guarantee, _cli_topology,
-                                      _hybrid_guarantee, write_csv)
-from repro.core.guarantees import NetworkGuarantee
+from repro.campaign.scenarios import (FAULTS, GUARANTEE, POLICY_MANAGERS,
+                                      TOPOLOGY, _class_a_placements,
+                                      write_csv)
 from repro.core.tenant import TenantClass, TenantRequest, reset_tenant_ids
 from repro.placement import SiloPlacementManager
 
-#: The topology flags and their defaults, keyed by ``dest`` name = the
-#: scenarios' topology parameter name = :func:`_cli_topology`'s argument.
-_TOPOLOGY_FLAGS = {"pods": 2, "racks_per_pod": 4, "servers_per_rack": 10,
-                   "slots": 8, "link_gbps": 10.0, "oversubscription": 5.0,
-                   "buffer_kb": 312.0}
+#: The sweep-backed commands: the scenario each runs, and the grid it
+#: sweeps beside the seeds.  Their flags are the scenario's parameters.
+_SWEEPS = {"churn": ("churn_policy", {"policy": list(POLICY_MANAGERS)}),
+           "hybrid": ("hybrid_cell", {}),
+           "trace": ("trace_run", {}),
+           "faults": ("faults_campaign", {})}
 
 
-def _add_topology_args(parser: argparse.ArgumentParser) -> None:
-    for name, default in _TOPOLOGY_FLAGS.items():
-        parser.add_argument("--" + name.replace("_", "-"),
-                            type=type(default), default=default)
-
-
-def _add_guarantee_args(parser: argparse.ArgumentParser,
-                        bandwidth_mbps: float) -> None:
-    """The hose-guarantee flags :func:`_guarantee` reads."""
-    parser.add_argument("--bandwidth-mbps", type=float,
-                        default=bandwidth_mbps)
-    parser.add_argument("--burst-kb", type=float, default=15.0)
-    parser.add_argument("--delay-us", type=float, default=1000.0)
-    parser.add_argument("--bmax-gbps", type=float, default=1.0)
-
-
-def _add_faults_arg(parser: argparse.ArgumentParser,
-                    default: Optional[str] = None) -> None:
-    """The one ``--faults SPEC`` declaration every command shares."""
-    parser.add_argument("--faults", metavar="SPEC", default=default,
-                        help="inject failures mid-run: 'poisson:mtbf_ms=..,"
-                             "mttr_ms=..[,targets=link+server]"
-                             "[,degrade=..]' or a JSON scenario file "
-                             "('none' disables; default: %(default)s)")
+def _add_params(parser: argparse.ArgumentParser,
+                params: Dict[str, Param]) -> None:
+    """One flag per declared parameter: its type, default, choices,
+    metavar and help, all from the declaration."""
+    for name, param in params.items():
+        flag = param.flag or name.replace("_", "-")
+        choices = param.options()
+        parser.add_argument(
+            "--" + flag, dest=name, type=flag_type(param.kind),
+            default=param.default, choices=choices,
+            metavar=param.metavar or (None if choices else
+                                      flag.upper().replace("-", "_")),
+            help=param.help)
 
 
 def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
@@ -133,25 +131,22 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
                              "the campaign")
 
 
-def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
-    """The seed axis plus the campaign-runner flags of a sweep-backed
-    command (``churn``/``hybrid``/``trace``/``faults``)."""
+def _add_sweep_command(sub, command: str, help: str, func) -> None:
+    """A sweep-backed command: the topology flags, then its scenario's
+    other parameters in signature order (the grid axes aside), then the
+    seed axis and the campaign-runner flags."""
+    scenario, grid = _SWEEPS[command]
+    parser = sub.add_parser(command, help=help)
+    _add_params(parser, TOPOLOGY.params)
+    _add_params(parser, {
+        name: param for name, param in declaration(scenario).params.items()
+        if name not in TOPOLOGY.params and name not in grid})
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seeds", type=int, nargs="+", metavar="SEED",
                         default=None,
                         help="sweep several seeds (overrides --seed)")
     _add_campaign_args(parser)
-
-
-def _topology_params(params: dict) -> dict:
-    """The topology entries of ``vars(args)`` (or of a manifest cell's
-    parameters) as scenario keyword arguments."""
-    return {name: params[name] for name in _TOPOLOGY_FLAGS}
-
-
-def _guarantee(args: argparse.Namespace) -> NetworkGuarantee:
-    return _cli_guarantee(args.bandwidth_mbps, args.burst_kb,
-                          args.delay_us, args.bmax_gbps)
+    parser.set_defaults(func=func)
 
 
 def _fmt_ratio(value: Optional[float]) -> str:
@@ -181,126 +176,57 @@ def _spec_error(flag: str, spec, exc: Exception) -> int:
     return 2
 
 
-def _check_faults_spec(args) -> Optional[int]:
-    """Eagerly validate ``--faults`` so a malformed spec is a clean
-    exit 2 here, not a traceback from inside a scenario or worker.
-    Returns the exit code on error, None when the spec is fine.
-
-    Validation runs the real parser at horizon 0: every field of the
-    spec (inline keys, JSON event entries, target names) is checked
-    without generating the event stream twice.
-    """
-    if not getattr(args, "faults", None):
-        return None
-    from repro.faults import FaultSchedule
-    try:
-        FaultSchedule.from_spec(args.faults, args.topology,
-                                horizon=0.0, seed=args.seed)
-    except (KeyError, OSError, ValueError) as exc:
-        return _spec_error("--faults", args.faults, exc)
-    return None
-
-
-def _check_guarantee(args) -> Optional[int]:
-    """Build the guarantee the flags describe once, up front, so an
-    infeasible one (``Bmax`` below the bandwidth, a negative burst) is
-    a clean exit 2 here, not a traceback from inside a command or a
-    failed campaign cell.  Returns the exit code on error, None when
-    the guarantee is fine or the command takes none."""
-    if not hasattr(args, "bandwidth_mbps"):
-        return None
-    try:
-        if args.command == "hybrid":
-            _hybrid_guarantee(args.bandwidth_mbps)
-        else:
-            _guarantee(args)
-    except ValueError as exc:
-        flags = ("bandwidth_mbps", "burst_kb", "delay_us", "bmax_gbps")
-        return _spec_error("guarantee", " ".join(
-            f"--{name.replace('_', '-')} {getattr(args, name):g}"
-            for name in flags if getattr(args, name, None) is not None),
-            exc)
-    return None
-
-
-#: The bounds every numeric flag of a command must satisfy, except the
-#: topology and guarantee flags (their constructors check those) and
-#: ``--seed``/``--seeds`` (any integer seeds a run).  A fluid tenant
-#: stream targets an occupancy in (0, 1); a fault campaign fills the
-#: cluster to at most all of it.  A bound that names another flag is
-#: that flag's value, checked after the flag's own bounds: a pacer
-#: cannot send faster than its link, and the hybrid packet window
-#: starts inside the background run (``--fg-offset peak`` is not a
-#: number and is not checked).  ``tests/test_cli.py`` fails on a
-#: numeric flag that is in none of these.
-_CAMPAIGN_RANGES = (("workers", ">=", 0), ("cell_timeout", ">", 0))
+#: The bounds every numeric flag of a command without a scenario must
+#: satisfy, besides its topology and guarantee flags (their groups check
+#: those) and ``--seed`` (any integer seeds a run); a sweep-backed
+#: command's flags are its scenario's declared parameters, checked with
+#: every campaign cell.  A bound that names another flag is that flag's
+#: value: a pacer cannot send faster than its link.
+#: ``tests/test_cli.py`` fails on a numeric flag that is in none of these.
 _FLAG_RANGES = {
-    "admit": (("vms", ">=", 1),),
-    "pace": (("rate_gbps", ">", 0), ("link_gbps", ">", 0),
-             ("packets", ">=", 1), ("rate_gbps", "<=", "link_gbps")),
-    "churn": (("occupancy", ">", 0), ("occupancy", "<", 1),
-              ("horizon", ">", 0), *_CAMPAIGN_RANGES),
-    "faults": (("occupancy", ">", 0), ("occupancy", "<=", 1),
-               ("duration_ms", ">", 0), *_CAMPAIGN_RANGES),
-    "trace": (("vms", ">=", 2), ("class_a", ">=", 0), ("class_b", ">=", 0),
-              ("message_kb", ">", 0), ("epoch_us", ">", 0),
-              ("duration_ms", ">", 0), ("queue_interval_us", ">", 0),
-              *_CAMPAIGN_RANGES),
-    "hybrid": (("fg_vms", ">=", 2), ("horizon", ">", 0),
-               ("fg_horizon_ms", ">", 0), ("bg_flow_mb", ">", 0),
-               ("bg_compute_s", ">", 0), ("occupancy", ">", 0),
-               ("occupancy", "<", 1), ("fg_offset", ">=", 0),
-               ("fg_offset", "<=", "horizon"), *_CAMPAIGN_RANGES),
-    "whatif": (("vms", ">=", 2), ("class_a", ">=", 1),
-               ("message_kb", ">", 0)),
-    "campaign": (("max_cells", ">=", 0), *_CAMPAIGN_RANGES),
-    "serve": (("arrival_rate", ">", 0), ("horizon", ">", 0),
-              ("queue_capacity", ">=", 1), ("batch_size", ">=", 1),
-              ("timeout", ">", 0), ("tick_interval", ">", 0),
-              ("retry_budget", ">=", 0), ("snapshot_every", ">=", 0),
-              ("kill_after", ">=", 0)),
+    "admit": {"vms": ((">=", 1),)},
+    "pace": {"rate_gbps": ((">", 0), ("<=", "link_gbps")),
+             "link_gbps": ((">", 0),), "packets": ((">=", 1),)},
+    "whatif": {"vms": ((">=", 2),), "class_a": ((">=", 1),),
+               "message_kb": ((">", 0),)},
+    "campaign": {"max_cells": ((">=", 0),)},
+    "serve": {"arrival_rate": ((">", 0),), "horizon": ((">", 0),),
+              "queue_capacity": ((">=", 1),), "batch_size": ((">=", 1),),
+              "timeout": ((">", 0),), "tick_interval": ((">", 0),),
+              "retry_budget": ((">=", 0),), "snapshot_every": ((">=", 0),),
+              "kill_after": ((">=", 0),)},
 }
-_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
-            "<=": operator.le}
+#: The campaign-runner flags every command with ``--workers`` takes.
+_CAMPAIGN_RANGES = {"workers": ((">=", 0),), "cell_timeout": ((">", 0),)}
+#: The parameter groups of the commands without a scenario.
+_FLAG_GROUPS = {"admit": (TOPOLOGY, GUARANTEE), "bounds": (GUARANTEE,),
+                "whatif": (TOPOLOGY, GUARANTEE), "serve": (TOPOLOGY,)}
 
 
-def _check_inputs(args) -> Optional[int]:
-    """Build the topology the flags describe (once, as ``args.topology``)
-    and range-check the numeric flags up front, so a bad value is a
-    clean exit 2 here, not a traceback, a failed campaign cell, a run
-    that never ends or a report on a meaningless fill.  Returns the exit
-    code on error, None when the inputs are fine."""
-    if hasattr(args, "pods"):
-        try:
-            args.topology = _cli_topology(**_topology_params(vars(args)))
-        except ValueError as exc:
-            return _spec_error("topology", " ".join(
-                f"--{name.replace('_', '-')} {getattr(args, name):g}"
-                for name in _TOPOLOGY_FLAGS), exc)
-    for name, op, bound in _FLAG_RANGES.get(args.command, ()):
-        value = getattr(args, name)
-        if value is None or isinstance(value, str):
-            continue
-        shown = bound
-        if isinstance(bound, str):  # another flag's value
-            bound = getattr(args, shown)
-            shown = f"--{shown.replace('_', '-')} {bound:g}"
-        if not math.isfinite(value):
-            reason = "must be finite"
-        elif not _COMPARE[op](value, bound):
-            reason = f"must be {op} {shown}"
-        else:
-            continue
-        return _spec_error(f"--{name.replace('_', '-')}", value,
-                           ValueError(reason))
-    return None
+def _check_inputs(args) -> None:
+    """Check the flags of a command without a scenario (and the
+    campaign-runner flags of any command) up front, so a bad value is a
+    clean exit 2, not a traceback, a run that never ends or a report on
+    a meaningless fill.  A sweep-backed command's own flags are checked
+    by ``run_campaign``, before it writes anything.  Both raise
+    :class:`~repro.campaign.ParamError`."""
+    values = vars(args)
+    ranges = dict(_FLAG_RANGES.get(args.command, {}))
+    if "workers" in values:
+        ranges.update(_CAMPAIGN_RANGES)
+    params = {name: Param(bounds=bounds) for name, bounds in ranges.items()}
+    if args.command == "serve":  # the scenarios' shared --faults
+        params["faults"] = FAULTS
+    check_values(params, _FLAG_GROUPS.get(args.command, ()), values)
 
 
 def _run_spec(args: argparse.Namespace, spec: SweepSpec,
               max_cells: Optional[int] = None):
     """Run ``spec`` under the campaign flags (in memory without
     ``--out``); failed cells are listed on stderr and leave
-    ``result.failed`` non-empty for the caller's exit 1."""
+    ``result.failed`` non-empty for the caller's exit 1.  A cell whose
+    parameters fail their declaration raises
+    :class:`~repro.campaign.ParamError` before anything is written."""
     result = run_campaign(spec, out=args.out, workers=args.workers,
                           resume=args.resume, max_cells=max_cells,
                           progress=_progress,
@@ -315,25 +241,25 @@ def _run_spec(args: argparse.Namespace, spec: SweepSpec,
     return result
 
 
-def _run_sweep(args: argparse.Namespace, name: str, scenario: str,
-               grid: dict, params: dict, print_cell, wrote: str,
+def _run_sweep(args: argparse.Namespace, print_cell, wrote: str,
                finish=None) -> int:
     """The one way ``churn``, ``hybrid``, ``trace`` and ``faults`` run.
 
-    The (``grid`` x seeds) cells of ``scenario``, with ``params`` and
-    the topology flags fixed, go through the campaign runner -- in
-    memory without ``--out``.  Each result is printed in commit order
-    by ``print_cell(result, seed)`` (``seed`` is None on a single-seed
-    run), ``finish(result)`` does the command's cross-cell reductions,
-    and with ``--out`` the trailer says what was ``wrote``.
+    The (grid x seeds) cells of the command's scenario, every other
+    declared parameter fixed at its flag's value, go through the
+    campaign runner -- in memory without ``--out``.  Each result is
+    printed in commit order by ``print_cell(result, seed)`` (``seed``
+    is None on a single-seed run), ``finish(result)`` does the
+    command's cross-cell reductions, and with ``--out`` the trailer
+    says what was ``wrote``.
     """
-    bad_spec = _check_faults_spec(args)
-    if bad_spec is not None:
-        return bad_spec
+    scenario, grid = _SWEEPS[args.command]
+    declared = declaration(scenario).params
     seeds = tuple(args.seeds) if args.seeds else (args.seed,)
     result = _run_spec(args, SweepSpec(
-        name=name, scenario=scenario, grid=grid, seeds=seeds,
-        fixed={**params, **_topology_params(vars(args))}))
+        name=args.command, scenario=scenario, grid=grid, seeds=seeds,
+        fixed={name: value for name, value in vars(args).items()
+               if name in declared}))
     if result.failed:
         return 1
     for record in result.records:
@@ -348,9 +274,9 @@ def _run_sweep(args: argparse.Namespace, name: str, scenario: str,
 
 def cmd_admit(args: argparse.Namespace) -> int:
     """Admission-control one tenant spec and print its placement."""
-    manager = SiloPlacementManager(args.topology)
+    manager = SiloPlacementManager(TOPOLOGY.build(vars(args)))
     request = TenantRequest(
-        n_vms=args.vms, guarantee=_guarantee(args),
+        n_vms=args.vms, guarantee=GUARANTEE.build(vars(args)),
         tenant_class=(TenantClass.CLASS_A if args.delay_us is not None
                       else TenantClass.CLASS_B))
     placement = manager.place(request)
@@ -376,7 +302,7 @@ def cmd_admit(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     """Print the message-latency bound table for a guarantee."""
-    guarantee = _guarantee(args)
+    guarantee = GUARANTEE.build(vars(args))
     if not guarantee.wants_delay:
         print("bounds need a --delay-us guarantee", file=sys.stderr)
         return 2
@@ -481,24 +407,9 @@ def cmd_churn(args: argparse.Namespace) -> int:
     ``<dir>/merged.util.<policy>.csv``.  With several ``--seeds`` the
     job counters are pooled per policy.
     """
-    return _run_sweep(
-        args, "churn", "churn_policy", {"policy": list(POLICY_MANAGERS)},
-        dict(occupancy=args.occupancy, horizon=args.horizon,
-             faults=args.faults),
-        _print_churn_result,
-        "+ merged.util.<policy>.csv, cells/, artifacts/",
-        finish=_merge_churn_cells)
-
-
-def _fg_offset(value: str):
-    """``--fg-offset`` parser: a float, or the literal ``peak``."""
-    if value == "peak":
-        return value
-    try:
-        return float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number of seconds or 'peak', got {value!r}")
+    return _run_sweep(args, _print_churn_result,
+                      "+ merged.util.<policy>.csv, cells/, artifacts/",
+                      finish=_merge_churn_cells)
 
 
 def _print_hybrid_result(result: dict, seed: Optional[int]) -> None:
@@ -530,24 +441,10 @@ def _print_hybrid_result(result: dict, seed: Optional[int]) -> None:
 
 
 def cmd_hybrid(args: argparse.Namespace) -> int:
-    """Hybrid-fidelity run: packet foreground, fluid background.
-
-    Places one foreground tenant through the policy's admission path,
-    churns a fluid background cluster around its reservation, then
-    replays the background's residual port capacity into a packet-level
-    window running the foreground application.  The seed grid runs
-    as a campaign; with ``--out DIR`` each cell keeps its foreground
-    ``latency.csv``.
-    """
-    return _run_sweep(
-        args, "hybrid", "hybrid_cell", {},
-        dict(policy=args.policy, fg_app=args.app, fg_vms=args.fg_vms,
-             fg_bandwidth_mbps=args.bandwidth_mbps,
-             occupancy=args.occupancy, horizon=args.horizon,
-             fg_horizon_ms=args.fg_horizon_ms, fg_offset=args.fg_offset,
-             bg_flow_mb=args.bg_flow_mb, bg_compute_s=args.bg_compute_s,
-             faults=args.faults),
-        _print_hybrid_result, "+ cells/, artifacts/")
+    """Hybrid-fidelity run: packet foreground, fluid background
+    (:func:`~repro.campaign.scenarios.hybrid_cell` per seed).  With
+    ``--out DIR`` each cell keeps its foreground ``latency.csv``."""
+    return _run_sweep(args, _print_hybrid_result, "+ cells/, artifacts/")
 
 
 def _print_trace_result(result: dict, seed: Optional[int]) -> None:
@@ -578,29 +475,14 @@ def _print_trace_result(result: dict, seed: Optional[int]) -> None:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Packet-level Fig. 9-style run with full event tracing.
-
-    Class-A tenants run synchronized all-to-one epoch bursts, class-B
-    tenants run bulk transfers, all behind Silo admission control and
-    hypervisor pacers.  The seed grid runs as a campaign; with
-    ``--out DIR`` each seed's complete event stream (JSONL) plus
-    per-message latency, per-port queue depth and per-request admission
-    CSVs land under ``<dir>/artifacts/<cell>/`` with a
-    ``manifest.json`` mapping cells to files -- enough to plot
-    per-tenant latency distributions and queue-depth time series
-    offline.  Without it the events go to a ring buffer and only
-    their count is printed.
-    """
+    """Packet-level Fig. 9-style run with full event tracing
+    (:func:`~repro.campaign.scenarios.trace_cell` per seed).  With
+    ``--out DIR`` each seed's event JSONL and latency, queue-depth and
+    admission CSVs land under ``<dir>/artifacts/<cell>/``, enough to
+    plot per-tenant latency and queue depth offline; without it only
+    the event count is printed."""
     return _run_sweep(
-        args, "trace", "trace_run", {},
-        dict(vms=args.vms, bandwidth_mbps=args.bandwidth_mbps,
-             burst_kb=args.burst_kb, delay_us=args.delay_us,
-             bmax_gbps=args.bmax_gbps, class_a=args.class_a,
-             class_b=args.class_b, message_kb=args.message_kb,
-             epoch_us=args.epoch_us, duration_ms=args.duration_ms,
-             queue_interval_us=args.queue_interval_us,
-             faults=args.faults, mechanism=args.mechanism),
-        _print_trace_result,
+        args, _print_trace_result,
         "events.jsonl / latency.csv / queues.csv / admission.csv per cell "
         "under artifacts/")
 
@@ -626,9 +508,8 @@ def _calibrate_whatif(args: argparse.Namespace):
             params = cells[0].get("params")
     if params is None:
         params = vars(args)
-    topology = _cli_topology(**_topology_params(params))
-    guarantee = _cli_guarantee(params["bandwidth_mbps"], params["burst_kb"],
-                               params["delay_us"], params["bmax_gbps"])
+    topology = TOPOLOGY.build(params)
+    guarantee = GUARANTEE.build(params)
     placements = _class_a_placements(topology, guarantee,
                                      params["class_a"], params["vms"])
     meta = {"source": str(args.calibrate), "traces": len(artifacts),
@@ -676,8 +557,8 @@ def cmd_whatif(args: argparse.Namespace) -> int:
     # The calibration's placements drew ids from the global counter; the
     # what-if tenants are numbered from 1 on either path.
     reset_tenant_ids()
-    topology = args.topology
-    guarantee = _guarantee(args)
+    topology = TOPOLOGY.build(vars(args))
+    guarantee = GUARANTEE.build(vars(args))
     manager = SiloPlacementManager(topology)
     message_bytes = args.message_kb * units.KB
     scored = []
@@ -734,25 +615,14 @@ def _print_faults_result(result: dict, seed: Optional[int],
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
-    """Control-plane fault campaign: fill, break, self-heal, report.
-
-    Fills the cluster to ``--occupancy`` with the standard tenant mix,
-    replays a seeded fault schedule through the
-    :class:`~repro.placement.ClusterController`, and reports each
-    tenant's fate (recovered / degraded / evicted) plus the
-    SLO-violation totals (guarantee-seconds lost, time-to-recover).
-    The seed grid runs as a campaign; with ``--out DIR`` each seed's
-    fault timeline, per-tenant report and placement event stream
-    land under ``<dir>/artifacts/<cell>/`` as ``faults.csv`` /
-    ``recovery.csv`` / ``events.jsonl``; same-seed runs are
-    byte-identical.
-    """
+    """Control-plane fault campaign: fill, break, self-heal, report
+    (:func:`~repro.campaign.scenarios.faults_cell` per seed).  With
+    ``--out DIR`` each seed's ``faults.csv`` / ``recovery.csv`` /
+    ``events.jsonl`` land under ``<dir>/artifacts/<cell>/``; same-seed
+    runs are byte-identical."""
     return _run_sweep(
-        args, "faults", "faults_campaign", {},
-        dict(policy=args.policy, occupancy=args.occupancy,
-             faults=args.faults, duration_ms=args.duration_ms),
-        lambda result, seed: _print_faults_result(result, seed,
-                                                  args.duration_ms),
+        args, lambda result, seed: _print_faults_result(
+            result, seed, args.duration_ms),
         "faults.csv / recovery.csv / events.jsonl per cell under "
         "artifacts/")
 
@@ -824,10 +694,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.faults import FaultSchedule
     from repro.service import (AdmissionService, ClosedLoopLoadGen,
                                SnapshotError, WalError)
-    bad_spec = _check_faults_spec(args)
-    if bad_spec is not None:
-        return bad_spec
-    topology = args.topology
+    topology = TOPOLOGY.build(vars(args))
     fault_events: list = []
     if args.faults:
         schedule = FaultSchedule.from_spec(args.faults, topology,
@@ -923,13 +790,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("admit", help="admission-control one tenant")
-    _add_topology_args(p)
+    _add_params(p, TOPOLOGY.params)
     p.add_argument("--vms", type=int, default=8)
-    _add_guarantee_args(p, 250.0)
+    _add_params(p, GUARANTEE.params)
     p.set_defaults(func=cmd_admit)
 
     p = sub.add_parser("bounds", help="message latency bound table")
-    _add_guarantee_args(p, 250.0)
+    _add_params(p, GUARANTEE.params)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("pace", help="void-packet wire schedule")
@@ -940,77 +807,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write pacer stamp/void events as JSONL")
     p.set_defaults(func=cmd_pace)
 
-    p = sub.add_parser("churn", help="flow-level cluster simulation")
-    _add_topology_args(p)
-    p.add_argument("--occupancy", type=float, default=0.75)
-    p.add_argument("--horizon", type=float, default=60.0)
-    _add_faults_arg(p)
-    _add_sweep_args(p)
-    p.set_defaults(func=cmd_churn)
-
-    p = sub.add_parser("hybrid",
-                       help="packet foreground inside a fluid background")
-    _add_topology_args(p)
-    p.add_argument("--policy", choices=["silo", "oktopus", "locality"],
-                   default="silo",
-                   help="admission/placement policy shared by foreground "
-                        "and background")
-    p.add_argument("--app", choices=["memcached", "burst"],
-                   default="memcached",
-                   help="foreground packet application")
-    p.add_argument("--fg-vms", type=int, default=6)
-    p.add_argument("--bandwidth-mbps", type=float, default=100.0,
-                   help="foreground hose guarantee")
-    p.add_argument("--occupancy", type=float, default=0.7,
-                   help="target background slot occupancy")
-    p.add_argument("--horizon", type=float, default=8.0,
-                   help="fluid background run length (seconds)")
-    p.add_argument("--fg-horizon-ms", type=float, default=20.0,
-                   help="packet window length (milliseconds)")
-    p.add_argument("--fg-offset", type=_fg_offset, default=None,
-                   metavar="SECONDS|peak",
-                   help="background time the packet window starts at "
-                        "(default: mid-run; 'peak' aligns with the "
-                        "recorded background-usage peak)")
-    p.add_argument("--bg-flow-mb", type=float, default=250.0,
-                   help="background class-B flow size (MB; class-A "
-                        "scales with it)")
-    p.add_argument("--bg-compute-s", type=float, default=4.0,
-                   help="background mean compute time (seconds)")
-    _add_faults_arg(p)
-    _add_sweep_args(p)
-    p.set_defaults(func=cmd_hybrid)
-
-    p = sub.add_parser("trace",
-                       help="packet-level run with full event tracing")
-    _add_topology_args(p)
-    # 12 VMs on 8-slot servers forces a rack-scope placement, so the
-    # traced traffic actually crosses switch ports (an 8-VM tenant fits
-    # on one server and would only exercise its vswitch).
-    p.add_argument("--vms", type=int, default=12)
-    _add_guarantee_args(p, 1000.0)
-    p.add_argument("--class-a", type=int, default=2,
-                   help="epoch-burst (OLDI) tenants")
-    p.add_argument("--class-b", type=int, default=1,
-                   help="bulk-transfer tenants")
-    p.add_argument("--message-kb", type=float, default=15.0)
-    p.add_argument("--epoch-us", type=float, default=2000.0)
-    p.add_argument("--duration-ms", type=float, default=20.0)
-    p.add_argument("--queue-interval-us", type=float, default=50.0,
-                   help="queue-depth time-series bucket width")
-    _add_faults_arg(p)
-    from repro.mechanisms import mechanism_names
-    p.add_argument("--mechanism", choices=mechanism_names(),
-                   default="silo",
-                   help="SLO mechanism running the data path "
-                        "(placement still goes through Silo admission)")
-    _add_sweep_args(p)
-    p.set_defaults(func=cmd_trace)
+    _add_sweep_command(sub, "churn", "flow-level cluster simulation",
+                       cmd_churn)
+    _add_sweep_command(sub, "hybrid",
+                       "packet foreground inside a fluid background",
+                       cmd_hybrid)
+    _add_sweep_command(sub, "trace",
+                       "packet-level run with full event tracing", cmd_trace)
 
     p = sub.add_parser("whatif",
                        help="estimate a placement's tail latency "
                             "without packet simulation")
-    _add_topology_args(p)
+    _add_params(p, TOPOLOGY.params)
     p.add_argument("--model", metavar="JSON", default=None,
                    help="committed surrogate model (written by "
                         "--save-model)")
@@ -1021,23 +829,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-model", metavar="JSON", default=None,
                    help="persist the fitted model (with --calibrate)")
     p.add_argument("--vms", type=int, default=12)
-    _add_guarantee_args(p, 1000.0)
+    _add_params(p, {**GUARANTEE.params, "bandwidth_mbps": replace(
+        GUARANTEE.params["bandwidth_mbps"], default=1000.0)})
     p.add_argument("--class-a", type=int, default=1,
                    help="class-A tenants to place and score")
     p.add_argument("--message-kb", type=float, default=15.0)
     p.set_defaults(func=cmd_whatif)
 
-    p = sub.add_parser("faults",
-                       help="control-plane fault campaign with recovery "
-                            "report")
-    _add_topology_args(p)
-    p.add_argument("--policy", choices=("silo", "oktopus", "locality"),
-                   default="silo")
-    p.add_argument("--occupancy", type=float, default=0.75)
-    _add_faults_arg(p, "poisson:mtbf_ms=5,mttr_ms=2")
-    p.add_argument("--duration-ms", type=float, default=50.0)
-    _add_sweep_args(p)
-    p.set_defaults(func=cmd_faults)
+    _add_sweep_command(sub, "faults",
+                       "control-plane fault campaign with recovery report",
+                       cmd_faults)
 
     p = sub.add_parser("campaign",
                        help="run a sweep across worker processes with "
@@ -1057,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve",
                        help="long-running admission service with "
                             "crash-consistent recovery")
-    _add_topology_args(p)
+    _add_params(p, TOPOLOGY.params)
     p.add_argument("--data-dir", metavar="DIR", required=True,
                    help="durable state directory (write-ahead log + "
                         "snapshots); rerun with the same DIR to "
@@ -1082,7 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot-every", type=int, default=200,
                    help="snapshot the books after this many completed "
                         "items (0 = WAL only)")
-    _add_faults_arg(p)
+    _add_params(p, {"faults": FAULTS})
     p.add_argument("--kill-after", type=int, metavar="TICK",
                    default=None,
                    help="record the state digest after this tick and "
@@ -1114,12 +915,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: parse arguments and dispatch."""
     args = build_parser().parse_args(argv)
-    for check in (_check_inputs, _check_guarantee):
-        bad_input = check(args)
-        if bad_input is not None:
-            return bad_input
     try:
+        _check_inputs(args)
         return args.func(args)
+    except ParamError as exc:
+        # A value its declaration rejects, from a flag or a spec file.
+        print(f"error: bad {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into a pager/head that closed early; not an error.
         return 0

@@ -8,14 +8,17 @@ campaign smoke job (serial vs 2 workers, ``cmp``).
 """
 
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
 
-from repro.campaign import (Cell, SweepSpec, derive_seed, get_scenario,
-                            get_sweep, list_sweeps, merge_bucket_rows,
-                            pool_values, pooled_stats, run_campaign,
-                            scenario, sum_counters)
+from repro.campaign import (Cell, ParamError, SweepSpec, check_cell,
+                            derive_seed, get_scenario, get_sweep,
+                            list_sweeps, merge_bucket_rows, pool_values,
+                            pooled_stats, run_campaign, scenario,
+                            sum_counters)
 
 HELPER = str(Path(__file__).resolve().parent
              / "campaign_scenarios_helper.py")
@@ -95,6 +98,108 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="unknown spec fields"):
             SweepSpec.from_dict({"name": "x", "scenario": "y",
                                  "typo": 1})
+
+    @pytest.mark.parametrize("field, value, needle", [
+        ("grid", {"policy": "silo"}, "grid axis 'policy' must be a list"),
+        ("seeds", "12", "seeds must be a list of integers, not '12'"),
+        ("seeds", [True, 2.5], "seeds must be a list of integers"),
+        ("fixed", [1, 2], "fixed must be an object"),
+    ], ids=["string-axis", "string-seeds", "bool-and-float-seeds",
+            "list-fixed"])
+    def test_from_dict_checks_each_field_shape(self, field, value, needle):
+        """A string axis used to split into one cell per character,
+        string seeds into one seed per digit, and a list of fixed values
+        failed later as a TypeError."""
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            SweepSpec.from_dict({"name": "x", "scenario": "y",
+                                 field: value})
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_from_file_rejects_non_finite_numbers(self, tmp_path, token):
+        """Such a spec used to load and crash writing ``spec.json``."""
+        path = tmp_path / "spec.json"
+        path.write_text('{"name": "x", "scenario": "y", '
+                        '"grid": {"n": [1, %s]}}' % token)
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid.n[1] is {token}; a spec holds finite numbers")):
+            SweepSpec.from_file(str(path))
+
+
+# ---------------------------------------------------------------------------
+# Declared parameters: the one check every cell passes
+# ---------------------------------------------------------------------------
+
+#: A small tree, as topology parameters.
+TOPO = {"pods": 1, "racks_per_pod": 2, "servers_per_rack": 2, "slots": 2,
+        "link_gbps": 10.0, "oversubscription": 5.0, "buffer_kb": 312.0}
+
+
+def first_cell(scenario, **fixed):
+    """The first cell of a one-seed spec of ``scenario``."""
+    return next(SweepSpec(name="t", scenario=scenario, seeds=(1,),
+                          fixed=fixed).cells())
+
+
+class TestDeclaredParams:
+    @pytest.mark.parametrize("name", list_sweeps())
+    def test_every_registered_sweep_passes(self, name):
+        """A declaration that rejected a committed grid (a string
+        ``fg_offset``, an int where a float is declared) fails here,
+        without running a cell."""
+        for cell in get_sweep(name).cells():
+            check_cell(cell)
+
+    @pytest.mark.parametrize("scenario, fixed, needle", [
+        ("churn_policy", {**TOPO, "policy": "silo", "horizn": 1.0},
+         "parameter 'horizn': churn_policy takes no such parameter"),
+        ("churn_policy", {"policy": "silo"},
+         "parameter 'pods': missing; churn_policy has no default"),
+        ("trace_run", {**TOPO, "vms": True}, "--vms True: must be an integer"),
+        ("trace_run", {**TOPO, "vms": 6.0}, "--vms 6.0: must be an integer"),
+        ("trace_run", {**TOPO, "mechanism": "tcp"},
+         "--mechanism 'tcp': must be one of"),
+        ("trace_run", {**TOPO, "duration_ms": math.inf},
+         "--duration-ms inf: must be finite"),
+        ("trace_run", {**TOPO, "duration_ms": -5.0},
+         "--duration-ms -5.0: must be > 0"),
+        ("churn_policy", {**TOPO, "policy": "silo", "occupancy": 1.5},
+         "--occupancy 1.5: must be < 1"),
+        ("hybrid_cell", {**TOPO, "horizon": 2.0, "fg_offset": 3.0},
+         "--fg-offset 3.0: must be <= --horizon 2"),
+        ("hybrid_cell", {**TOPO, "fg_offset": "late"},
+         "--fg-offset 'late': must be a number or 'peak' or null"),
+        ("hybrid_cell", {**TOPO, "fg_bandwidth_mbps": -5.0},
+         "guarantee '--bandwidth-mbps -5': guaranteed bandwidth must be "
+         "positive"),
+        ("trace_run", {**TOPO, "bandwidth_mbps": 2000.0},
+         "guarantee '--bandwidth-mbps 2000 --burst-kb 15 --delay-us 1000 "
+         "--bmax-gbps 1': Bmax must be at least the bandwidth"),
+        ("faults_campaign", {**TOPO, "pods": 0}, "topology '--pods 0 "),
+        ("faults_campaign", {**TOPO, "faults": "poisson:mtbfms=5"},
+         "--faults 'poisson:mtbfms=5': "),
+    ], ids=["unknown", "missing", "bool-for-int", "float-for-int",
+            "choice", "non-finite", "below-bound", "above-bound",
+            "cross-bound", "literal", "hybrid-guarantee", "guarantee",
+            "topology", "faults"])
+    def test_rejects(self, scenario, fixed, needle):
+        with pytest.raises(ParamError, match=re.escape(needle)):
+            check_cell(first_cell(scenario, **fixed))
+
+    def test_a_rejected_campaign_writes_nothing(self, tmp_path):
+        spec = SweepSpec(name="t", scenario="churn_policy", seeds=(1,),
+                         grid={"occupancy": [0.5, 1.5]},
+                         fixed={**TOPO, "policy": "silo"})
+        with pytest.raises(ParamError, match="--occupancy 1.5"):
+            run_campaign(spec, out=tmp_path / "c")
+        assert not (tmp_path / "c").exists()
+
+    def test_defaults_are_not_written_into_a_cell(self):
+        """Cell ids digest the given parameters only: the check fills in
+        the service soak's own topology defaults without adding them."""
+        cell = first_cell("service_soak", arrival_rate=1.0, horizon=1.0,
+                          faults="none", kill_tick=1)
+        check_cell(cell)
+        assert "pods" not in dict(cell.params)
 
 
 # ---------------------------------------------------------------------------

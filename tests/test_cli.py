@@ -4,17 +4,19 @@ import argparse
 import csv
 import filecmp
 import json
+import math
 import os
 import shlex
 import signal
 import subprocess
 import sys
 import time
+import typing
 from pathlib import Path
 
 import pytest
 
-from repro.campaign import SweepSpec
+from repro.campaign import SweepSpec, declaration
 from repro.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -688,21 +690,16 @@ class TestSpecErrorContract:
          "--workers -1: must be >= 0"),
         (["campaign", "--name", "fig12", "--cell-timeout", "0"],
          "--cell-timeout 0.0: must be > 0"),
-        (["churn", "--horizon", "0"], "--horizon 0.0: must be > 0"),
-        (["faults", "--duration-ms", "0"], "--duration-ms 0.0: must be > 0"),
-        (["hybrid", "--bg-compute-s", "-1"],
-         "--bg-compute-s -1.0: must be > 0"),
         (["trace", "--message-kb", "nan"], "--message-kb nan: must be finite"),
     ], ids=["pace-rate-0", "whatif-message-0", "whatif-vms-1",
             "serve-queue-0", "serve-arrivals-0",
             "campaign-workers-negative", "campaign-timeout-0",
-            "churn-horizon-0", "faults-duration-0",
-            "hybrid-compute-negative", "trace-message-nan"])
+            "trace-message-nan"])
     def test_out_of_range_numeric_flag(self, capsys, tmp_path, argv,
                                        needle):
-        """These were tracebacks, except ``churn --horizon 0``,
-        ``faults --duration-ms 0`` and ``hybrid --bg-compute-s -1``,
-        which exited 0 on an empty run."""
+        """These were tracebacks.  The sweep-backed commands' bounds are
+        fuzzed from their declarations below
+        (``test_declared_bound_rejects_flag_and_spec_alike``)."""
         if argv[0] == "serve":
             argv = [*argv, "--data-dir", str(tmp_path / "d")]
         if argv[0] == "campaign":
@@ -779,42 +776,159 @@ class TestSpecErrorContract:
         assert "Traceback" not in proc.stderr
 
 
-#: Numeric flags with no range entry, each with the reason.
+#: Numeric flags and scenario parameters with no declared range, each
+#: with the reason.
 UNRANGED_FLAGS_ALLOWED = {
     "seed": "any integer seeds a run",
     "seeds": "any integers seed a sweep",
 }
 
 
+def _ranged(scenario):
+    """The parameters of ``scenario`` something checks the value of: a
+    declared bound, or a group whose builder checks it."""
+    params = declaration(scenario)
+    return ({name for name, param in params.params.items() if param.bounds}
+            | {name for group in params.groups for name in group.params})
+
+
 def test_every_numeric_flag_has_a_declared_range():
     """Every ``int``/``float`` flag of every subcommand is range-checked
-    by ``cli._check_inputs`` (an entry in ``_FLAG_RANGES``), built into a
-    topology or guarantee whose constructor checks it, or allow-listed
-    with a reason."""
-    from repro.cli import _FLAG_RANGES, _TOPOLOGY_FLAGS
-    guarantee_flags = {"bandwidth_mbps", "burst_kb", "delay_us",
-                       "bmax_gbps"}
+    -- by its scenario's declaration, by ``cli._check_inputs`` (an entry
+    in ``_FLAG_RANGES``), built into a topology or guarantee whose
+    constructor checks it -- or allow-listed with a reason.  So is every
+    numeric parameter of the four sweep-backed scenarios, which a spec
+    file can set as well as a flag."""
+    from repro.cli import (_CAMPAIGN_RANGES, _FLAG_GROUPS, _FLAG_RANGES,
+                           _SWEEPS)
     (subparsers,) = [action for action in build_parser()._actions
                      if isinstance(action, argparse._SubParsersAction)]
     undeclared = []
     for command, parser in subparsers.choices.items():
         dests = {action.dest for action in parser._actions}
-        checked = {name for name, _, _ in _FLAG_RANGES.get(command, ())}
-        if "pods" in dests:
-            checked |= set(_TOPOLOGY_FLAGS)
-        if "bandwidth_mbps" in dests:
-            checked |= guarantee_flags
+        checked = set(_FLAG_RANGES.get(command, {}))
+        if "workers" in dests:
+            checked |= set(_CAMPAIGN_RANGES)
+        checked |= {name for group in _FLAG_GROUPS.get(command, ())
+                    for name in group.params}
+        if command in _SWEEPS:
+            checked |= _ranged(_SWEEPS[command][0])
         for action in parser._actions:
             if (action.type in (int, float)
                     and action.dest not in checked
                     and action.dest not in UNRANGED_FLAGS_ALLOWED):
                 undeclared.append(f"{command} {action.option_strings[0]}")
+    for scenario, _grid in _SWEEPS.values():
+        for name, param in declaration(scenario).params.items():
+            kinds = {param.kind, *typing.get_args(param.kind)}
+            if (kinds & {int, float} and name not in _ranged(scenario)
+                    and name not in UNRANGED_FLAGS_ALLOWED):
+                undeclared.append(f"{scenario}({name})")
     assert not undeclared, (
-        "numeric flags with no declared range (add them to "
+        "numeric flags or parameters with no declared range (declare a "
+        "bound with the scenario, or add the flag to "
         "cli._FLAG_RANGES):\n" + "\n".join(undeclared))
-    ranged = {name for ranges in _FLAG_RANGES.values()
-              for name, _, _ in ranges}
+    ranged = {name for ranges in _FLAG_RANGES.values() for name in ranges}
     assert not ranged & set(UNRANGED_FLAGS_ALLOWED)
+
+
+def _just_past(bound, op, integral):
+    """The nearest value the bound ``op bound`` rejects."""
+    if integral:
+        return {">": bound, ">=": bound - 1, "<": bound, "<=": bound + 1}[op]
+    return {">": float(bound), ">=": math.nextafter(bound, -math.inf),
+            "<": float(bound), "<=": math.nextafter(bound, math.inf)}[op]
+
+
+def declared_bound_cases():
+    """``(command, flag=value)`` just past every declared bound of the
+    sweep-backed commands' scenarios (a bound naming another parameter
+    is that parameter's default)."""
+    from repro.cli import _SWEEPS
+    cases = []
+    for command, (scenario, _grid) in _SWEEPS.items():
+        params = declaration(scenario).params
+        for name, param in params.items():
+            for op, bound in param.bounds:
+                limit = (params[bound].default if isinstance(bound, str)
+                         else bound)
+                value = _just_past(limit, op, param.kind is int)
+                cases.append(pytest.param(
+                    command, f"--{param.flag}={value!r}",
+                    id=f"{command}-{name}{op}{bound}"))
+    return cases
+
+
+def _spec_for(tmp_path, argv, **edits):
+    """A ``campaign --spec`` file for the first cell ``argv`` (a
+    sweep-backed command line) runs, with ``edits`` applied to its fixed
+    parameters (None deletes one)."""
+    from repro.cli import _SWEEPS
+    args = build_parser().parse_args(argv)
+    scenario, grid = _SWEEPS[args.command]
+    declared = declaration(scenario).params
+    fixed = {name: value for name, value in vars(args).items()
+             if name in declared}
+    fixed.update({axis: values[0] for axis, values in grid.items()})
+    for name, value in edits.items():
+        if value is None:
+            del fixed[name]
+        else:
+            fixed[name] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"name": args.command, "scenario": scenario,
+                                "seeds": [0], "fixed": fixed}))
+    return path
+
+
+def _rejected(capsys, argv, out):
+    """Run ``argv --out out``: exit 2, one ``error:`` line, no ``out``."""
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: bad "), err
+    assert not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("command, flag", declared_bound_cases())
+def test_declared_bound_rejects_flag_and_spec_alike(capsys, tmp_path,
+                                                    command, flag):
+    """A value just past a declared bound is the same one-line exit 2
+    as a flag and as a ``campaign --spec`` value, before anything is
+    written.  On a spec file these used to be tracebacks or runs of
+    negative length."""
+    by_flag = _rejected(capsys, [command, flag], tmp_path / "flag")
+    spec = _spec_for(tmp_path, [command, flag])
+    assert _rejected(capsys, ["campaign", "--spec", str(spec)],
+                     tmp_path / "spec") == by_flag
+
+
+#: One bounded numeric parameter per sweep-backed command.
+SPEC_PARAMETER = {"churn": "occupancy", "trace": "vms", "hybrid": "fg_vms",
+                  "faults": "duration_ms"}
+
+
+@pytest.mark.parametrize("command", sorted(SPEC_PARAMETER))
+@pytest.mark.parametrize("mistake", ["misspelled", "missing", "wrong-type",
+                                     "infinite"])
+def test_malformed_spec_value_is_one_line(capsys, tmp_path, command,
+                                          mistake):
+    """A misspelled or missing name, a value of the wrong JSON type and
+    ``Infinity`` in a spec file are one ``error:`` line naming the
+    parameter, not a traceback from inside a cell."""
+    name = SPEC_PARAMETER[command]
+    default = build_parser().parse_args([command]).__dict__[name]
+    edits, needle = {
+        "misspelled": ({name: None, name[:-1]: default},
+                       f"parameter {name[:-1]!r}"),
+        "missing": ({"pods": None}, "parameter 'pods': missing"),
+        "wrong-type": ({name: str(default)},
+                       f"{name.replace('_', '-')} {str(default)!r}: must be"),
+        "infinite": ({name: math.inf}, f"fixed.{name} is Infinity"),
+    }[mistake]
+    spec = _spec_for(tmp_path, [command], **edits)
+    assert needle in _rejected(capsys, ["campaign", "--spec", str(spec)],
+                               tmp_path / "c")
 
 
 class TestServe:
