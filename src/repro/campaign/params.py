@@ -8,8 +8,10 @@ that several scenarios and commands share (the topology, the
 guarantee), declared once by the signature of the function that builds
 them.  :meth:`Declaration.check` raises :class:`ParamError`, a
 ``ValueError`` naming the parameter; ``run_campaign`` runs it on every
-cell before it writes anything, and the CLI builds the sweep-backed
-commands' flags from the same declarations.
+cell before it writes anything.  The CLI builds every command's flags
+from :class:`Param` s -- a sweep-backed command's from its scenario's
+declaration, any other command's from its own -- and checks the values
+with :func:`check_values`.
 """
 
 from __future__ import annotations
@@ -43,27 +45,37 @@ class ParamError(ValueError):
     def __init__(self, subject: str, value: Any, reason: str) -> None:
         super().__init__(f"{subject} {value!r}: {reason}")
 
+    @classmethod
+    def from_exception(cls, subject: str, value: Any,
+                       exc: Exception) -> "ParamError":
+        """``exc``, raised while reading ``value``, as its rejection: a
+        ``KeyError`` is a missing key."""
+        return cls(subject, value, f"missing key {exc}"
+                   if isinstance(exc, KeyError) else str(exc))
+
 
 @dataclass(frozen=True)
 class Param:
-    """What a signature cannot say about one parameter.
+    """One parameter: its JSON type (``kind``, an annotation), its
+    default, and what else a value must satisfy.
 
     ``bounds`` are ``(op, bound)`` pairs; a string bound names another
     parameter, whose value is the bound.  ``choices`` is a sequence, or
     a function returning one.  ``check(value, values)`` may read the
     other parameters; its ``ValueError``, ``KeyError`` or ``OSError``
-    rejects the value.  ``kind`` (the annotation) and ``default`` are
-    the signature's.
+    rejects the value.  A scenario's parameter takes ``kind`` and
+    ``default`` from its signature; a command without a scenario gives
+    them here.
     """
 
+    kind: Any = None
+    default: Any = REQUIRED
     bounds: Tuple[Tuple[str, Any], ...] = ()
     choices: Any = None
     check: Optional[Callable[[Any, Mapping[str, Any]], Any]] = None
     help: Optional[str] = None
     flag: Optional[str] = None
     metavar: Optional[str] = None
-    kind: Any = None
-    default: Any = REQUIRED
 
     def options(self) -> Optional[Sequence[Any]]:
         """The allowed values, or None when the type is enough."""
@@ -215,12 +227,9 @@ def check_values(params: Mapping[str, Param], groups: Sequence[Group],
         if param.check is not None and values[name] is not None:
             try:
                 param.check(values[name], values)
-            except KeyError as exc:
-                raise ParamError(_flag(name, param), values[name],
-                                 f"missing key {exc}") from None
-            except (OSError, ValueError) as exc:
-                raise ParamError(_flag(name, param), values[name],
-                                 str(exc)) from None
+            except (KeyError, OSError, ValueError) as exc:
+                raise ParamError.from_exception(
+                    _flag(name, param), values[name], exc) from None
 
 
 class Declaration:

@@ -34,15 +34,20 @@ the system without writing code:
 * ``report``     -- regenerate EXPERIMENTS.md's measured tables from
                     committed campaign outputs (``--check`` for CI).
 
-Error contract: a malformed campaign ``--spec`` file, or a flag or spec
-value its declaration rejects (out of range, wrong JSON type, not
-finite, unknown or missing, an infeasible guarantee, a topology the tree
-refuses, a ``--faults`` spec that does not parse) exits with code 2 and
-one ``error:`` line naming the parameter or field, before any ``--out``
-directory is made -- never a traceback.  A value is named by its flag
-wherever it came from: ``churn --occupancy 1.5`` and a spec's
-``"occupancy": 1.5`` both print ``error: bad --occupancy 1.5: must be <
-1``.  A campaign cell that outruns
+Error contract: every command's flags are declared :class:`Param` s
+(a sweep-backed command's scenario parameters, every other command's
+own table in :data:`_COMMANDS`), and every value passes the one
+declared check, :func:`~repro.campaign.params.check_values`.  A
+malformed campaign ``--spec`` file, ``--model``, ``--calibrate``
+directory or ``--data-dir``, or a flag or spec value its declaration
+rejects (out of range, wrong JSON type, not finite, unknown or missing,
+an infeasible guarantee, a topology the tree refuses, a ``--faults``
+spec that does not parse) exits with code 2 and one ``error:`` line
+naming the flag, parameter or field, before any ``--out`` or
+``--data-dir`` directory is made -- never a traceback.  A value is named
+by its flag wherever it came from: ``churn --occupancy 1.5`` and a
+spec's ``"occupancy": 1.5`` both print ``error: bad --occupancy 1.5:
+must be < 1``.  A campaign cell that outruns
 ``--cell-timeout`` fails that cell (and the campaign exits 1 listing
 it) instead of hanging the run.
 
@@ -74,13 +79,14 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import units
 from repro.campaign import (ParamError, SweepSpec, declaration, get_scenario,
                             get_sweep, list_sweeps, merge_bucket_rows,
                             run_campaign, sum_counters)
-from repro.campaign.params import Param, check_values, flag_type
+from repro.campaign.params import (REQUIRED, Group, Param, check_values,
+                                   flag_type)
 from repro.campaign.registry import import_scenario_modules
 from repro.campaign.scenarios import (FAULTS, GUARANTEE, POLICY_MANAGERS,
                                       TOPOLOGY, _class_a_placements,
@@ -95,57 +101,171 @@ _SWEEPS = {"churn": ("churn_policy", {"policy": list(POLICY_MANAGERS)}),
            "trace": ("trace_run", {}),
            "faults": ("faults_campaign", {})}
 
+#: The campaign-runner flags of ``campaign`` and of every sweep-backed
+#: command.
+_RUNNER = {
+    "out": Param(Optional[str], None, metavar="DIR",
+                 help="campaign directory: checkpoints under DIR/cells/, "
+                      "per-cell artifacts under DIR/artifacts/, plus "
+                      "DIR/manifest.json (and merged.json for 'campaign')"),
+    "workers": Param(int, 0, bounds=((">=", 0),),
+                     help="worker processes (0 = serial in-process)"),
+    "resume": Param(bool, False,
+                    help="with --out: skip cells already checkpointed"),
+    "cell_timeout": Param(Optional[float], None, bounds=((">", 0),),
+                          metavar="SECONDS",
+                          help="fail any cell that outruns this wall-clock "
+                               "budget instead of hanging the campaign"),
+}
+
+#: Each command's own flags, in ``--help`` order, and the groups built
+#: from them; ``main`` checks both before the command runs.  A
+#: sweep-backed command's own flags are the runner's: its scenario's
+#: parameters come first on its command line, and ``run_campaign``
+#: checks them with each cell.  A bound that names another flag is that
+#: flag's value: a pacer cannot send faster than its link.
+_COMMANDS: Dict[str, Tuple[Dict[str, Param], Tuple[Group, ...]]] = {
+    "admit": ({**TOPOLOGY.params, "vms": Param(int, 8, bounds=((">=", 1),)),
+               **GUARANTEE.params}, (TOPOLOGY, GUARANTEE)),
+    "bounds": (GUARANTEE.params, (GUARANTEE,)),
+    "pace": ({
+        "rate_gbps": Param(float, 2.0,
+                           bounds=((">", 0), ("<=", "link_gbps"))),
+        "link_gbps": Param(float, 10.0, bounds=((">", 0),)),
+        "packets": Param(int, 1000, bounds=((">=", 1),)),
+        "trace_out": Param(Optional[str], None, metavar="PATH",
+                           help="write pacer stamp/void events as JSONL"),
+    }, ()),
+    "whatif": ({
+        **TOPOLOGY.params,
+        "model": Param(Optional[str], None, metavar="JSON",
+                       help="committed surrogate model (written by "
+                            "--save-model)"),
+        "calibrate": Param(Optional[str], None, metavar="DIR",
+                           help="fit the surrogate from a traced campaign "
+                                "directory ('repro trace --out DIR') "
+                                "before estimating"),
+        "save_model": Param(Optional[str], None, metavar="JSON",
+                            help="persist the fitted model (with "
+                                 "--calibrate)"),
+        "vms": Param(int, 12, bounds=((">=", 2),)),
+        **GUARANTEE.params,
+        "bandwidth_mbps": replace(GUARANTEE.params["bandwidth_mbps"],
+                                  default=1000.0),
+        "class_a": Param(int, 1, bounds=((">=", 1),),
+                         help="class-A tenants to place and score"),
+        "message_kb": Param(float, 15.0, bounds=((">", 0),)),
+    }, (TOPOLOGY, GUARANTEE)),
+    "campaign": ({
+        "list": Param(bool, False,
+                      help="print the registered sweep names and exit"),
+        "name": Param(Optional[str], None, metavar="SWEEP",
+                      help="a registered sweep (see --list)"),
+        "spec": Param(Optional[str], None, metavar="JSON",
+                      help="a SweepSpec JSON file (see docs/CAMPAIGNS.md)"),
+        **_RUNNER,
+        "max_cells": Param(Optional[int], None, bounds=((">=", 0),),
+                           help="stop after N newly executed cells "
+                                "(simulates a crash; finish later with "
+                                "--resume)"),
+    }, ()),
+    "serve": ({
+        **TOPOLOGY.params,
+        "data_dir": Param(str, metavar="DIR",
+                          help="durable state directory (write-ahead log "
+                               "+ snapshots); rerun with the same DIR to "
+                               "recover a killed service"),
+        "arrival_rate": Param(float, 20.0, bounds=((">", 0),),
+                              help="tenant arrivals per virtual second"),
+        "horizon": Param(float, 5.0, bounds=((">", 0),),
+                         help="stop generating arrivals after this virtual "
+                              "time, then drain"),
+        "seed": Param(int, 0),
+        "queue_capacity": Param(int, 64, bounds=((">=", 1),),
+                                help="ingress queue bound (admissions "
+                                     "bounce with a retry-after hint "
+                                     "beyond it)"),
+        "batch_size": Param(int, 16, bounds=((">=", 1),),
+                            help="admissions processed per service tick"),
+        "timeout": Param(float, 5.0, bounds=((">", 0),),
+                         help="admission deadline budget (virtual "
+                              "seconds)"),
+        "tick_interval": Param(float, 0.05, bounds=((">", 0),),
+                               help="virtual seconds between service "
+                                    "ticks"),
+        "retry_budget": Param(int, 2, bounds=((">=", 0),),
+                              help="client retries per bounced/shed "
+                                   "admission"),
+        "snapshot_every": Param(int, 200, bounds=((">=", 0),),
+                                help="snapshot the books after this many "
+                                     "completed items (0 = WAL only)"),
+        "faults": FAULTS,
+        "kill_after": Param(Optional[int], None, bounds=((">=", 0),),
+                            metavar="TICK",
+                            help="record the state digest after this tick "
+                                 "and SIGKILL the process (chaos test; "
+                                 "verify with --check-digest on restart)"),
+        "check_digest": Param(bool, False,
+                              help="assert the recovered state digest "
+                                   "matches the one --kill-after "
+                                   "recorded, then resume"),
+        "trace_out": Param(Optional[str], None, metavar="PATH",
+                           help="write service ingress/decision/snapshot "
+                                "events as JSONL"),
+    }, (TOPOLOGY,)),
+    "report": ({
+        "campaigns": Param(str, "campaigns", metavar="DIR",
+                           help="committed campaign outputs (default: "
+                                "campaigns/)"),
+        "doc": Param(str, "EXPERIMENTS.md", metavar="PATH",
+                     help="document to splice tables into"),
+        "check": Param(bool, False,
+                       help="exit 1 if the document would change (CI "
+                            "drift gate)"),
+    }, ()),
+    **{command: (_RUNNER, ()) for command in _SWEEPS},
+}
+
 
 def _add_params(parser: argparse.ArgumentParser,
                 params: Dict[str, Param]) -> None:
     """One flag per declared parameter: its type, default, choices,
-    metavar and help, all from the declaration."""
+    metavar and help, all from the declaration.  A ``bool`` is a switch;
+    a parameter with no default is a required flag."""
     for name, param in params.items():
         flag = param.flag or name.replace("_", "-")
+        if param.kind is bool:
+            parser.add_argument("--" + flag, dest=name, action="store_true",
+                                help=param.help)
+            continue
         choices = param.options()
+        default = ({"required": True} if param.default is REQUIRED
+                   else {"default": param.default})
         parser.add_argument(
             "--" + flag, dest=name, type=flag_type(param.kind),
-            default=param.default, choices=choices,
+            choices=choices,
             metavar=param.metavar or (None if choices else
                                       flag.upper().replace("-", "_")),
-            help=param.help)
+            help=param.help, **default)
 
 
-def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
-    """The campaign-runner flags of ``campaign`` and of every
-    sweep-backed command."""
-    parser.add_argument("--out", metavar="DIR", default=None,
-                        help="campaign directory: checkpoints under "
-                             "DIR/cells/, per-cell artifacts under "
-                             "DIR/artifacts/, plus DIR/manifest.json "
-                             "(and merged.json for 'campaign')")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="worker processes (0 = serial in-process)")
-    parser.add_argument("--resume", action="store_true",
-                        help="with --out: skip cells already "
-                             "checkpointed")
-    parser.add_argument("--cell-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="fail any cell that outruns this "
-                             "wall-clock budget instead of hanging "
-                             "the campaign")
-
-
-def _add_sweep_command(sub, command: str, help: str, func) -> None:
-    """A sweep-backed command: the topology flags, then its scenario's
-    other parameters in signature order (the grid axes aside), then the
-    seed axis and the campaign-runner flags."""
-    scenario, grid = _SWEEPS[command]
+def _add_command(sub, command: str, help: str, func) -> None:
+    """One subcommand.  A sweep-backed command first takes the topology
+    flags, its scenario's other parameters in signature order (the grid
+    axes aside) and the seed axis; then every command takes its own
+    declared flags."""
     parser = sub.add_parser(command, help=help)
-    _add_params(parser, TOPOLOGY.params)
-    _add_params(parser, {
-        name: param for name, param in declaration(scenario).params.items()
-        if name not in TOPOLOGY.params and name not in grid})
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seeds", type=int, nargs="+", metavar="SEED",
-                        default=None,
-                        help="sweep several seeds (overrides --seed)")
-    _add_campaign_args(parser)
+    if command in _SWEEPS:
+        scenario, grid = _SWEEPS[command]
+        _add_params(parser, {**TOPOLOGY.params, **{
+            name: param
+            for name, param in declaration(scenario).params.items()
+            if name not in TOPOLOGY.params and name not in grid}})
+        parser.add_argument("--seed", type=int, default=0)
+        parser.add_argument("--seeds", type=int, nargs="+", metavar="SEED",
+                            default=None,
+                            help="sweep several seeds (overrides --seed)")
+    _add_params(parser, _COMMANDS[command][0])
     parser.set_defaults(func=func)
 
 
@@ -166,58 +286,6 @@ def _fmt_usec(value: Optional[float]) -> str:
 def _progress(message: str) -> None:
     """Campaign progress lines go to stderr, keeping stdout scriptable."""
     print(message, file=sys.stderr)
-
-
-def _spec_error(flag: str, spec, exc: Exception) -> int:
-    """One-line exit-2 diagnostic for a malformed spec (no traceback)."""
-    reason = (f"missing key {exc}" if isinstance(exc, KeyError)
-              else str(exc))
-    print(f"error: bad {flag} {spec!r}: {reason}", file=sys.stderr)
-    return 2
-
-
-#: The bounds every numeric flag of a command without a scenario must
-#: satisfy, besides its topology and guarantee flags (their groups check
-#: those) and ``--seed`` (any integer seeds a run); a sweep-backed
-#: command's flags are its scenario's declared parameters, checked with
-#: every campaign cell.  A bound that names another flag is that flag's
-#: value: a pacer cannot send faster than its link.
-#: ``tests/test_cli.py`` fails on a numeric flag that is in none of these.
-_FLAG_RANGES = {
-    "admit": {"vms": ((">=", 1),)},
-    "pace": {"rate_gbps": ((">", 0), ("<=", "link_gbps")),
-             "link_gbps": ((">", 0),), "packets": ((">=", 1),)},
-    "whatif": {"vms": ((">=", 2),), "class_a": ((">=", 1),),
-               "message_kb": ((">", 0),)},
-    "campaign": {"max_cells": ((">=", 0),)},
-    "serve": {"arrival_rate": ((">", 0),), "horizon": ((">", 0),),
-              "queue_capacity": ((">=", 1),), "batch_size": ((">=", 1),),
-              "timeout": ((">", 0),), "tick_interval": ((">", 0),),
-              "retry_budget": ((">=", 0),), "snapshot_every": ((">=", 0),),
-              "kill_after": ((">=", 0),)},
-}
-#: The campaign-runner flags every command with ``--workers`` takes.
-_CAMPAIGN_RANGES = {"workers": ((">=", 0),), "cell_timeout": ((">", 0),)}
-#: The parameter groups of the commands without a scenario.
-_FLAG_GROUPS = {"admit": (TOPOLOGY, GUARANTEE), "bounds": (GUARANTEE,),
-                "whatif": (TOPOLOGY, GUARANTEE), "serve": (TOPOLOGY,)}
-
-
-def _check_inputs(args) -> None:
-    """Check the flags of a command without a scenario (and the
-    campaign-runner flags of any command) up front, so a bad value is a
-    clean exit 2, not a traceback, a run that never ends or a report on
-    a meaningless fill.  A sweep-backed command's own flags are checked
-    by ``run_campaign``, before it writes anything.  Both raise
-    :class:`~repro.campaign.ParamError`."""
-    values = vars(args)
-    ranges = dict(_FLAG_RANGES.get(args.command, {}))
-    if "workers" in values:
-        ranges.update(_CAMPAIGN_RANGES)
-    params = {name: Param(bounds=bounds) for name, bounds in ranges.items()}
-    if args.command == "serve":  # the scenarios' shared --faults
-        params["faults"] = FAULTS
-    check_values(params, _FLAG_GROUPS.get(args.command, ()), values)
 
 
 def _run_spec(args: argparse.Namespace, spec: SweepSpec,
@@ -275,10 +343,9 @@ def _run_sweep(args: argparse.Namespace, print_cell, wrote: str,
 def cmd_admit(args: argparse.Namespace) -> int:
     """Admission-control one tenant spec and print its placement."""
     manager = SiloPlacementManager(TOPOLOGY.build(vars(args)))
-    request = TenantRequest(
-        n_vms=args.vms, guarantee=GUARANTEE.build(vars(args)),
-        tenant_class=(TenantClass.CLASS_A if args.delay_us is not None
-                      else TenantClass.CLASS_B))
+    request = TenantRequest(n_vms=args.vms,
+                            guarantee=GUARANTEE.build(vars(args)),
+                            tenant_class=TenantClass.CLASS_A)
     placement = manager.place(request)
     if placement is None:
         print("REJECTED: the guarantees cannot be met on this topology")
@@ -288,12 +355,10 @@ def cmd_admit(args: argparse.Namespace) -> int:
           f"{len(counts)} servers: "
           + ", ".join(f"server {s}: {c} VM(s)"
                       for s, c in sorted(counts.items())))
-    if request.wants_delay:
-        for size_kb in (1, 15, 100, 1000):
-            bound = request.guarantee.message_latency_bound(
-                size_kb * units.KB)
-            print(f"  {size_kb:5d} KB message latency bound: "
-                  f"{units.to_msec(bound):8.3f} ms")
+    for size_kb in (1, 15, 100, 1000):
+        bound = request.guarantee.message_latency_bound(size_kb * units.KB)
+        print(f"  {size_kb:5d} KB message latency bound: "
+              f"{units.to_msec(bound):8.3f} ms")
     worst = max((state.queue_bound() for state in manager.states.values()),
                 default=0.0)
     print(f"  worst switch queue bound now: {units.to_usec(worst):.1f} us")
@@ -303,9 +368,6 @@ def cmd_admit(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     """Print the message-latency bound table for a guarantee."""
     guarantee = GUARANTEE.build(vars(args))
-    if not guarantee.wants_delay:
-        print("bounds need a --delay-us guarantee", file=sys.stderr)
-        return 2
     print(f"{'message':>10}  {'bound':>12}")
     for size_kb in (0.1, 1, 4, 15, 50, 100, 500, 1000, 10000):
         bound = guarantee.message_latency_bound(size_kb * units.KB)
@@ -492,22 +554,23 @@ def _calibrate_whatif(args: argparse.Namespace):
 
     When ``--calibrate`` points at a ``repro trace --out`` campaign,
     the calibration scenario's parameters (topology, guarantee,
-    workload) are taken from its ``manifest.json`` so the fit replays
-    exactly the admission decisions that produced the trace; a plain
-    artifact directory falls back to the command-line flags.
+    workload) are taken from its ``manifest.json``, checked against the
+    scenario's declaration, so the fit replays exactly the admission
+    decisions that produced the trace; a plain artifact directory falls
+    back to the command-line flags.
     """
     from repro.analysis.surrogate import fit_whatif_model
     from repro.obs.traces import find_trace_artifacts
     artifacts = find_trace_artifacts(args.calibrate)
-    params = None
+    params = vars(args)
     manifest = Path(args.calibrate) / "manifest.json"
     if manifest.is_file():
-        cells = json.loads(
-            manifest.read_text(encoding="utf-8")).get("cells") or []
+        document = json.loads(manifest.read_text(encoding="utf-8"))
+        cells = document.get("cells") or []
         if cells:
-            params = cells[0].get("params")
-    if params is None:
-        params = vars(args)
+            params = cells[0]["params"]
+            declaration(document["scenario"]).check(params,
+                                                    cells[0]["seed"])
     topology = TOPOLOGY.build(params)
     guarantee = GUARANTEE.build(params)
     placements = _class_a_placements(topology, guarantee,
@@ -542,13 +605,15 @@ def cmd_whatif(args: argparse.Namespace) -> int:
         try:
             model = WhatIfModel.load(args.model)
         except (KeyError, OSError, TypeError, ValueError) as exc:
-            return _spec_error("--model", args.model, exc)
+            raise ParamError.from_exception("--model", args.model,
+                                            exc) from None
         print(f"loaded surrogate model from {args.model}")
     else:
         try:
             model = _calibrate_whatif(args)
         except (KeyError, OSError, ValueError) as exc:
-            return _spec_error("--calibrate", args.calibrate, exc)
+            raise ParamError.from_exception("--calibrate", args.calibrate,
+                                            exc) from None
         print(f"calibrated on {model.meta.get('traces', '?')} trace(s)")
     if args.save_model:
         model.save(args.save_model)
@@ -659,8 +724,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         import_scenario_modules(spec.modules, spec.module_paths)
         get_scenario(spec.scenario)
     except (ImportError, KeyError, OSError, ValueError) as exc:
-        return _spec_error("--name" if args.name else "--spec",
-                           args.name or args.spec, exc)
+        raise ParamError.from_exception("--name" if args.name else "--spec",
+                                        args.name or args.spec,
+                                        exc) from None
     result = _run_spec(args, spec, args.max_cells)
     if result.failed:
         return 1
@@ -712,7 +778,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             batch_size=args.batch_size, admission_timeout=args.timeout,
             snapshot_every=args.snapshot_every, tracer=sink)
     except (SnapshotError, WalError) as exc:
-        return _spec_error("--data-dir", args.data_dir, exc)
+        raise ParamError.from_exception("--data-dir", args.data_dir,
+                                        exc) from None
     digest_path = data_dir / "digest.txt"
     if args.check_digest:
         if not digest_path.is_file():
@@ -763,9 +830,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     doc = Path(args.doc)
     campaigns = Path(args.campaigns)
     if not doc.is_file():
-        print(f"error: bad --doc {args.doc!r}: no such file",
-              file=sys.stderr)
-        return 2
+        raise ParamError("--doc", args.doc, "no such file")
     try:
         changed = update_document(doc, campaigns, check=args.check)
     except ValueError as exc:
@@ -789,126 +854,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Silo (SIGCOMM 2015) reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("admit", help="admission-control one tenant")
-    _add_params(p, TOPOLOGY.params)
-    p.add_argument("--vms", type=int, default=8)
-    _add_params(p, GUARANTEE.params)
-    p.set_defaults(func=cmd_admit)
-
-    p = sub.add_parser("bounds", help="message latency bound table")
-    _add_params(p, GUARANTEE.params)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("pace", help="void-packet wire schedule")
-    p.add_argument("--rate-gbps", type=float, default=2.0)
-    p.add_argument("--link-gbps", type=float, default=10.0)
-    p.add_argument("--packets", type=int, default=1000)
-    p.add_argument("--trace-out", metavar="PATH", default=None,
-                   help="write pacer stamp/void events as JSONL")
-    p.set_defaults(func=cmd_pace)
-
-    _add_sweep_command(sub, "churn", "flow-level cluster simulation",
-                       cmd_churn)
-    _add_sweep_command(sub, "hybrid",
-                       "packet foreground inside a fluid background",
-                       cmd_hybrid)
-    _add_sweep_command(sub, "trace",
-                       "packet-level run with full event tracing", cmd_trace)
-
-    p = sub.add_parser("whatif",
-                       help="estimate a placement's tail latency "
-                            "without packet simulation")
-    _add_params(p, TOPOLOGY.params)
-    p.add_argument("--model", metavar="JSON", default=None,
-                   help="committed surrogate model (written by "
-                        "--save-model)")
-    p.add_argument("--calibrate", metavar="DIR", default=None,
-                   help="fit the surrogate from a traced campaign "
-                        "directory ('repro trace --out DIR') before "
-                        "estimating")
-    p.add_argument("--save-model", metavar="JSON", default=None,
-                   help="persist the fitted model (with --calibrate)")
-    p.add_argument("--vms", type=int, default=12)
-    _add_params(p, {**GUARANTEE.params, "bandwidth_mbps": replace(
-        GUARANTEE.params["bandwidth_mbps"], default=1000.0)})
-    p.add_argument("--class-a", type=int, default=1,
-                   help="class-A tenants to place and score")
-    p.add_argument("--message-kb", type=float, default=15.0)
-    p.set_defaults(func=cmd_whatif)
-
-    _add_sweep_command(sub, "faults",
-                       "control-plane fault campaign with recovery report",
-                       cmd_faults)
-
-    p = sub.add_parser("campaign",
-                       help="run a sweep across worker processes with "
-                            "checkpoint/resume")
-    p.add_argument("--list", action="store_true",
-                   help="print the registered sweep names and exit")
-    p.add_argument("--name", metavar="SWEEP", default=None,
-                   help="a registered sweep (see --list)")
-    p.add_argument("--spec", metavar="JSON", default=None,
-                   help="a SweepSpec JSON file (see docs/CAMPAIGNS.md)")
-    _add_campaign_args(p)
-    p.add_argument("--max-cells", type=int, default=None,
-                   help="stop after N newly executed cells (simulates "
-                        "a crash; finish later with --resume)")
-    p.set_defaults(func=cmd_campaign)
-
-    p = sub.add_parser("serve",
-                       help="long-running admission service with "
-                            "crash-consistent recovery")
-    _add_params(p, TOPOLOGY.params)
-    p.add_argument("--data-dir", metavar="DIR", required=True,
-                   help="durable state directory (write-ahead log + "
-                        "snapshots); rerun with the same DIR to "
-                        "recover a killed service")
-    p.add_argument("--arrival-rate", type=float, default=20.0,
-                   help="tenant arrivals per virtual second")
-    p.add_argument("--horizon", type=float, default=5.0,
-                   help="stop generating arrivals after this virtual "
-                        "time, then drain")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--queue-capacity", type=int, default=64,
-                   help="ingress queue bound (admissions bounce with "
-                        "a retry-after hint beyond it)")
-    p.add_argument("--batch-size", type=int, default=16,
-                   help="admissions processed per service tick")
-    p.add_argument("--timeout", type=float, default=5.0,
-                   help="admission deadline budget (virtual seconds)")
-    p.add_argument("--tick-interval", type=float, default=0.05,
-                   help="virtual seconds between service ticks")
-    p.add_argument("--retry-budget", type=int, default=2,
-                   help="client retries per bounced/shed admission")
-    p.add_argument("--snapshot-every", type=int, default=200,
-                   help="snapshot the books after this many completed "
-                        "items (0 = WAL only)")
-    _add_params(p, {"faults": FAULTS})
-    p.add_argument("--kill-after", type=int, metavar="TICK",
-                   default=None,
-                   help="record the state digest after this tick and "
-                        "SIGKILL the process (chaos test; verify with "
-                        "--check-digest on restart)")
-    p.add_argument("--check-digest", action="store_true",
-                   help="assert the recovered state digest matches "
-                        "the one --kill-after recorded, then resume")
-    p.add_argument("--trace-out", metavar="PATH", default=None,
-                   help="write service ingress/decision/snapshot "
-                        "events as JSONL")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser("report",
-                       help="regenerate EXPERIMENTS.md tables from "
-                            "campaign outputs")
-    p.add_argument("--campaigns", metavar="DIR", default="campaigns",
-                   help="committed campaign outputs "
-                        "(default: campaigns/)")
-    p.add_argument("--doc", metavar="PATH", default="EXPERIMENTS.md",
-                   help="document to splice tables into")
-    p.add_argument("--check", action="store_true",
-                   help="exit 1 if the document would change "
-                        "(CI drift gate)")
-    p.set_defaults(func=cmd_report)
+    _add_command(sub, "admit", "admission-control one tenant", cmd_admit)
+    _add_command(sub, "bounds", "message latency bound table", cmd_bounds)
+    _add_command(sub, "pace", "void-packet wire schedule", cmd_pace)
+    _add_command(sub, "churn", "flow-level cluster simulation", cmd_churn)
+    _add_command(sub, "hybrid",
+                 "packet foreground inside a fluid background", cmd_hybrid)
+    _add_command(sub, "trace", "packet-level run with full event tracing",
+                 cmd_trace)
+    _add_command(sub, "whatif", "estimate a placement's tail latency "
+                 "without packet simulation", cmd_whatif)
+    _add_command(sub, "faults",
+                 "control-plane fault campaign with recovery report",
+                 cmd_faults)
+    _add_command(sub, "campaign", "run a sweep across worker processes "
+                 "with checkpoint/resume", cmd_campaign)
+    _add_command(sub, "serve", "long-running admission service with "
+                 "crash-consistent recovery", cmd_serve)
+    _add_command(sub, "report", "regenerate EXPERIMENTS.md tables from "
+                 "campaign outputs", cmd_report)
     return parser
 
 
@@ -916,7 +880,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: parse arguments and dispatch."""
     args = build_parser().parse_args(argv)
     try:
-        _check_inputs(args)
+        # One check of every flag the command declares; a sweep-backed
+        # command's scenario parameters are checked per campaign cell.
+        check_values(*_COMMANDS[args.command], vars(args))
         return args.func(args)
     except ParamError as exc:
         # A value its declaration rejects, from a flag or a spec file.

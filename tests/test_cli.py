@@ -7,6 +7,7 @@ import json
 import math
 import os
 import shlex
+import shutil
 import signal
 import subprocess
 import sys
@@ -447,10 +448,11 @@ def run_repro(argv):
 #: ``SiloPlacementManager``: ``admit`` and ``whatif`` directly, ``serve``
 #: through the admission service under a server-crash storm (fresh
 #: interpreters, as above), without ``whatif``'s wall-clock
-#: ``estimated ... in X ms`` line.  ``serve``'s ``--data-dir DIR`` is a
-#: fresh directory per run; its summary counts virtual time only.  Kept
-#: apart from ``GOLDEN_STDOUT``, which also drives an ``--out`` test
-#: these commands cannot take.
+#: ``estimated ... in X ms`` line; and of the two other commands
+#: without a scenario, ``bounds`` and ``pace``.  ``serve``'s
+#: ``--data-dir DIR`` is a fresh directory per run; its summary counts
+#: virtual time only.  Kept apart from ``GOLDEN_STDOUT``, which also
+#: drives an ``--out`` test these commands cannot take.
 GOLDEN_ADMISSION_STDOUT = json.loads(
     (REPO / "tests" / "golden_admission_stdout.json").read_text(
         encoding="utf-8"))
@@ -666,47 +668,15 @@ class TestSpecErrorContract:
         (["hybrid", "--occupancy", "-0.2"], "--occupancy -0.2: must be > 0"),
         (["hybrid", "--occupancy", "1"], "--occupancy 1.0: must be < 1"),
         (["faults", "--occupancy", "2"], "--occupancy 2.0: must be <= 1"),
-        (["admit", "--vms", "0"], "--vms 0: must be >= 1"),
     ], ids=["churn-occupancy-over", "churn-occupancy-0",
             "hybrid-occupancy-negative", "hybrid-occupancy-1",
-            "faults-occupancy-over", "admit-vms-0"])
+            "faults-occupancy-over"])
     def test_out_of_range_workload_flag(self, capsys, argv, needle):
         """``churn``/``hybrid`` used to fail inside their campaign cell
         with a traceback (``TenantWorkload.for_occupancy`` wants (0, 1)),
-        ``faults --occupancy 2`` reported on a meaningless fill with exit
-        0, and ``admit --vms 0`` was a ``ValueError`` traceback."""
+        and ``faults --occupancy 2`` reported on a meaningless fill with
+        exit 0."""
         self.check(capsys, argv, needle)
-
-    @pytest.mark.parametrize("argv, needle", [
-        (["pace", "--rate-gbps", "0"], "--rate-gbps 0.0: must be > 0"),
-        (["whatif", "--model", "campaigns/whatif-error/model.json",
-          "--message-kb", "0"], "--message-kb 0.0: must be > 0"),
-        (["whatif", "--model", "campaigns/whatif-error/model.json",
-          "--vms", "1"], "--vms 1: must be >= 2"),
-        (["serve", "--queue-capacity", "0"],
-         "--queue-capacity 0: must be >= 1"),
-        (["serve", "--arrival-rate", "0"], "--arrival-rate 0.0: must be > 0"),
-        (["campaign", "--name", "fig12", "--workers", "-1"],
-         "--workers -1: must be >= 0"),
-        (["campaign", "--name", "fig12", "--cell-timeout", "0"],
-         "--cell-timeout 0.0: must be > 0"),
-        (["trace", "--message-kb", "nan"], "--message-kb nan: must be finite"),
-    ], ids=["pace-rate-0", "whatif-message-0", "whatif-vms-1",
-            "serve-queue-0", "serve-arrivals-0",
-            "campaign-workers-negative", "campaign-timeout-0",
-            "trace-message-nan"])
-    def test_out_of_range_numeric_flag(self, capsys, tmp_path, argv,
-                                       needle):
-        """These were tracebacks.  The sweep-backed commands' bounds are
-        fuzzed from their declarations below
-        (``test_declared_bound_rejects_flag_and_spec_alike``)."""
-        if argv[0] == "serve":
-            argv = [*argv, "--data-dir", str(tmp_path / "d")]
-        if argv[0] == "campaign":
-            argv = [*argv, "--out", str(tmp_path / "c")]
-        self.check(capsys, argv, needle)
-        assert not (tmp_path / "d").exists()
-        assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("argv, needle", [
         (["pace", "--rate-gbps", "20"],
@@ -784,52 +754,54 @@ UNRANGED_FLAGS_ALLOWED = {
 }
 
 
-def _ranged(scenario):
-    """The parameters of ``scenario`` something checks the value of: a
-    declared bound, or a group whose builder checks it."""
-    params = declaration(scenario)
-    return ({name for name, param in params.params.items() if param.bounds}
-            | {name for group in params.groups for name in group.params})
+def declared(command):
+    """``(params, groups)``: every parameter ``command`` declares -- its
+    own flags (``cli._COMMANDS``) and, on a sweep-backed command, its
+    scenario's parameters -- and the groups whose builders check them."""
+    from repro.cli import _COMMANDS, _SWEEPS
+    params, groups = _COMMANDS[command]
+    if command not in _SWEEPS:
+        return params, groups
+    scenario = declaration(_SWEEPS[command][0])
+    return {**scenario.params, **params}, (*scenario.groups, *groups)
+
+
+def _kinds(param):
+    """A parameter's annotation and its alternatives."""
+    return {param.kind, *typing.get_args(param.kind)}
+
+
+def _subparsers():
+    """Command name -> its argparse subparser."""
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    return subparsers.choices
 
 
 def test_every_numeric_flag_has_a_declared_range():
-    """Every ``int``/``float`` flag of every subcommand is range-checked
-    -- by its scenario's declaration, by ``cli._check_inputs`` (an entry
-    in ``_FLAG_RANGES``), built into a topology or guarantee whose
-    constructor checks it -- or allow-listed with a reason.  So is every
-    numeric parameter of the four sweep-backed scenarios, which a spec
-    file can set as well as a flag."""
-    from repro.cli import (_CAMPAIGN_RANGES, _FLAG_GROUPS, _FLAG_RANGES,
-                           _SWEEPS)
-    (subparsers,) = [action for action in build_parser()._actions
-                     if isinstance(action, argparse._SubParsersAction)]
+    """Every numeric parameter a command declares -- its own flags and,
+    on a sweep-backed command, its scenario's parameters, which a spec
+    file can set as well as a flag -- has a declared bound, is built
+    into a group whose builder checks it, or is allow-listed with a
+    reason.  Every ``int``/``float`` flag is a declared parameter."""
     undeclared = []
-    for command, parser in subparsers.choices.items():
-        dests = {action.dest for action in parser._actions}
-        checked = set(_FLAG_RANGES.get(command, {}))
-        if "workers" in dests:
-            checked |= set(_CAMPAIGN_RANGES)
-        checked |= {name for group in _FLAG_GROUPS.get(command, ())
-                    for name in group.params}
-        if command in _SWEEPS:
-            checked |= _ranged(_SWEEPS[command][0])
+    for command, parser in _subparsers().items():
+        params, groups = declared(command)
+        grouped = {name for group in groups for name in group.params}
+        for name, param in params.items():
+            if (_kinds(param) & {int, float} and not param.bounds
+                    and name not in grouped
+                    and name not in UNRANGED_FLAGS_ALLOWED):
+                undeclared.append(f"{command} {name}")
+            assert not (param.bounds and name in UNRANGED_FLAGS_ALLOWED)
         for action in parser._actions:
-            if (action.type in (int, float)
-                    and action.dest not in checked
+            if (action.type in (int, float) and action.dest not in params
                     and action.dest not in UNRANGED_FLAGS_ALLOWED):
                 undeclared.append(f"{command} {action.option_strings[0]}")
-    for scenario, _grid in _SWEEPS.values():
-        for name, param in declaration(scenario).params.items():
-            kinds = {param.kind, *typing.get_args(param.kind)}
-            if (kinds & {int, float} and name not in _ranged(scenario)
-                    and name not in UNRANGED_FLAGS_ALLOWED):
-                undeclared.append(f"{scenario}({name})")
     assert not undeclared, (
         "numeric flags or parameters with no declared range (declare a "
-        "bound with the scenario, or add the flag to "
-        "cli._FLAG_RANGES):\n" + "\n".join(undeclared))
-    ranged = {name for ranges in _FLAG_RANGES.values() for name in ranges}
-    assert not ranged & set(UNRANGED_FLAGS_ALLOWED)
+        "bound with the scenario or in cli._COMMANDS):\n"
+        + "\n".join(undeclared))
 
 
 def _just_past(bound, op, integral):
@@ -840,23 +812,76 @@ def _just_past(bound, op, integral):
             "<": float(bound), "<=": math.nextafter(bound, math.inf)}[op]
 
 
-def declared_bound_cases():
-    """``(command, flag=value)`` just past every declared bound of the
-    sweep-backed commands' scenarios (a bound naming another parameter
-    is that parameter's default)."""
-    from repro.cli import _SWEEPS
+def _flag(name, param):
+    """The flag a declared parameter is set by."""
+    return "--" + (param.flag or name.replace("_", "-"))
+
+
+def declared_bound_cases(own):
+    """``(command, flag=value)`` just past every declared bound (a bound
+    naming another parameter is that parameter's default): with
+    ``own``, of every command's own flags, the sweep-backed commands'
+    runner flags among them; else of the sweep-backed commands'
+    scenario parameters."""
+    from repro.cli import _COMMANDS, _SWEEPS
     cases = []
-    for command, (scenario, _grid) in _SWEEPS.items():
-        params = declaration(scenario).params
+    for command in _COMMANDS if own else _SWEEPS:
+        params = (_COMMANDS[command][0] if own
+                  else declaration(_SWEEPS[command][0]).params)
         for name, param in params.items():
             for op, bound in param.bounds:
                 limit = (params[bound].default if isinstance(bound, str)
                          else bound)
-                value = _just_past(limit, op, param.kind is int)
+                value = _just_past(limit, op, int in _kinds(param))
                 cases.append(pytest.param(
-                    command, f"--{param.flag}={value!r}",
+                    command, f"{_flag(name, param)}={value!r}",
                     id=f"{command}-{name}{op}{bound}"))
     return cases
+
+
+def non_finite_cases():
+    """``(command, flag=value)``: every float flag of every command,
+    given ``inf`` and ``nan`` (an ``int`` flag's parser refuses both
+    words before any check)."""
+    return [pytest.param(command, f"{_flag(name, param)}={word}",
+                         id=f"{command}-{name}-{word}")
+            for command in _subparsers()
+            for name, param in declared(command)[0].items()
+            if float in _kinds(param)
+            for word in ("inf", "nan")]
+
+
+def _rejected_up_front(capsys, tmp_path, argv):
+    """Run ``argv`` (with the ``--data-dir`` or ``--out`` its command
+    takes): exit 2, one ``error: bad`` line, nothing made."""
+    own = declared(argv[0])[0]
+    made = tmp_path / "made"
+    for name in ("data_dir", "out"):
+        if name in own:
+            argv = [*argv, _flag(name, own[name]), str(made)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: bad "), err
+    assert not made.exists()
+    return err
+
+
+@pytest.mark.parametrize("command, flag", declared_bound_cases(own=True))
+def test_declared_bound_rejects_flag(capsys, tmp_path, command, flag):
+    """A value just past a bound a command declares for its own flag is
+    one ``error:`` line and exit 2, before the command runs."""
+    err = _rejected_up_front(capsys, tmp_path, [command, flag])
+    assert flag.split("=")[0] in err
+
+
+@pytest.mark.parametrize("command, flag", non_finite_cases())
+def test_non_finite_flag_is_rejected(capsys, tmp_path, command, flag):
+    """``admit --link-gbps inf`` used to print a 0.0 us queue bound,
+    ``bounds --burst-kb nan`` a table of ``nanms``, and ``serve`` ran to
+    completion on a ``nan`` oversubscription; every float flag of every
+    command now refuses ``inf`` and ``nan`` up front."""
+    err = _rejected_up_front(capsys, tmp_path, [command, flag])
+    assert err.endswith(": must be finite\n"), err
 
 
 def _spec_for(tmp_path, argv, **edits):
@@ -890,7 +915,7 @@ def _rejected(capsys, argv, out):
     return err
 
 
-@pytest.mark.parametrize("command, flag", declared_bound_cases())
+@pytest.mark.parametrize("command, flag", declared_bound_cases(own=False))
 def test_declared_bound_rejects_flag_and_spec_alike(capsys, tmp_path,
                                                     command, flag):
     """A value just past a declared bound is the same one-line exit 2
@@ -1120,6 +1145,21 @@ class TestWhatIf:
         bad.write_text("[]")
         self.check_spec_error(capsys, ["whatif", "--model", str(bad)],
                               "--model", "not list")
+
+    def test_calibration_manifest_values_are_checked(self, capsys,
+                                                     tmp_path):
+        """The manifest's cell parameters pass its scenario's
+        declaration; a string ``vms`` used to be a ``TypeError``
+        traceback from inside the fit."""
+        calibration = tmp_path / "calibration"
+        shutil.copytree(self.CALIBRATION, calibration)
+        manifest = calibration / "manifest.json"
+        document = json.loads(manifest.read_text(encoding="utf-8"))
+        document["cells"][0]["params"]["vms"] = "12"
+        manifest.write_text(json.dumps(document), encoding="utf-8")
+        self.check_spec_error(
+            capsys, ["whatif", "--calibrate", str(calibration)],
+            "--calibrate", "--vms '12': must be an integer")
 
     def test_bad_calibration_dir_is_a_spec_error(self, capsys,
                                                  tmp_path):
