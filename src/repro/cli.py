@@ -569,6 +569,9 @@ def _calibrate_whatif(args: argparse.Namespace):
         cells = document.get("cells") or []
         if cells:
             params = cells[0]["params"]
+            if not isinstance(params, dict):
+                raise ValueError(f"{manifest}: cells[0].params must be an "
+                                 f"object, not {type(params).__name__}")
             declaration(document["scenario"]).check(params,
                                                     cells[0]["seed"])
     topology = TOPOLOGY.build(params)

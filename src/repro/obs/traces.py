@@ -145,6 +145,30 @@ def port_kind_of(port_name: str) -> str:
     return port_name.split("[", 1)[0]
 
 
+def _manifest_cells(path: Path) -> List[dict]:
+    """The ``cells`` of a campaign ``manifest.json``, shape-checked: an
+    object whose ``cells`` is a list of objects, each with a list of
+    artifact paths."""
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: expected a JSON object, not "
+                         f"{type(manifest).__name__}")
+    cells = manifest.get("cells", [])
+    if not isinstance(cells, list):
+        raise ValueError(f"{path}: 'cells' must be a list, not "
+                         f"{type(cells).__name__}")
+    for index, cell in enumerate(cells):
+        if not isinstance(cell, dict):
+            raise ValueError(f"{path}: cells[{index}] must be an object, "
+                             f"not {type(cell).__name__}")
+        artifacts = cell.get("artifacts", [])
+        if not (isinstance(artifacts, list)
+                and all(isinstance(a, str) for a in artifacts)):
+            raise ValueError(f"{path}: cells[{index}].artifacts must be a "
+                             f"list of paths")
+    return cells
+
+
 def find_trace_artifacts(path: Union[str, Path]) -> List[TraceArtifacts]:
     """Resolve a directory to the trace artifact sets it holds.
 
@@ -154,7 +178,8 @@ def find_trace_artifacts(path: Union[str, Path]) -> List[TraceArtifacts]:
     produced both files contributes one :class:`TraceArtifacts`.
 
     Raises ``ValueError`` when the directory matches neither layout --
-    the caller is pointing the calibration at the wrong place.
+    the caller is pointing the calibration at the wrong place -- or when
+    its ``manifest.json`` is not a campaign manifest's shape.
     """
     root = Path(path)
     direct = TraceArtifacts(latency_path=root / "latency.csv",
@@ -163,9 +188,8 @@ def find_trace_artifacts(path: Union[str, Path]) -> List[TraceArtifacts]:
         return [direct]
     manifest_path = root / "manifest.json"
     if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         found: List[TraceArtifacts] = []
-        for cell in manifest.get("cells", []):
+        for cell in _manifest_cells(manifest_path):
             files = {p.rsplit("/", 1)[-1]: root / p
                     for p in cell.get("artifacts", [])}
             if "latency.csv" in files and "queues.csv" in files:

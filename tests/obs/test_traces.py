@@ -125,6 +125,18 @@ class TestFindTraceArtifacts:
         with pytest.raises(ValueError, match="no cells"):
             find_trace_artifacts(tmp_path)
 
+    @pytest.mark.parametrize("manifest, needle", [
+        ([], "JSON object"),
+        ({"cells": {"0000": {}}}, "'cells' must be a list"),
+        ({"cells": ["0000"]}, r"cells\[0\] must be an object"),
+        ({"cells": [{"artifacts": "artifacts/0000/latency.csv"}]},
+         r"cells\[0\]\.artifacts must be a list"),
+    ])
+    def test_malformed_manifest_raises(self, tmp_path, manifest, needle):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=needle):
+            find_trace_artifacts(tmp_path)
+
     def test_unrecognized_directory_raises(self, tmp_path):
         with pytest.raises(ValueError, match="neither"):
             find_trace_artifacts(tmp_path)

@@ -15,7 +15,7 @@ seed doing it, checks the undercut is rounding-sized, and ends the script
 at that step: everything released up to then must still be bit-equal.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import units
 from repro.core import EventEngine
@@ -99,7 +99,40 @@ steps = st.one_of(
 )
 
 
+#: The ``packet-paced`` regime: ten destinations at one equal hose rate,
+#: all backlogged, so the shared tenant/peak time decides most releases.
+EQUAL_HOSE_SCRIPT = (
+    [("rate", d, units.mbps(100)) for d in range(10)]
+    + [("burst", d, 8, units.MTU) for d in range(10)]
+    + [("gap", 90e-6)]
+    + [("burst", d, 2, size) for d in range(10) for size in SIZES[1:]]
+    + [("gap", 12.5e-6), ("rate", 3, units.mbps(400)), ("gap", 1.1e-3)])
+
+
 @settings(max_examples=300, deadline=None)
+# Destination 1's head is indexed one ulp *below* destination 0's
+# (0.000127699999 vs 0.00012769999900000002), the reverse of their rank
+# order; both become eligible at the shared tenant time, and the
+# first-registered destination 0 must still win.
+@example(n_dest=2, bandwidth=units.gbps(3), burst=6 * units.KB,
+         peak_factor=1.0,
+         script=[("gap", 0.3e-6)] * 4 + [
+             ("gap", 12.5e-6), ("gap", 90e-6), ("rate", 0, units.gbps(1)),
+             ("burst", 0, 1, units.MTU), ("burst", 0, 1, units.MTU),
+             ("burst", 0, 4, units.MTU), ("burst", 1, 3, units.MTU),
+             ("gap", 12.5e-6), ("gap", 12.5e-6)])
+@example(n_dest=10, bandwidth=units.gbps(1), burst=6 * units.KB,
+         peak_factor=2.5, script=EQUAL_HOSE_SCRIPT)
+# Destination 1's second head is indexed at 0.3 us under its bucket's
+# answer 1.8666666666666669e-06; at the wake-up the bucket answers one ulp
+# earlier, tying destination 0 at the shared time.  Without the
+# ``_TIME_EPS`` margin on the bound the scan would stop before
+# destination 1 and hand the slot to destination 0.
+@example(n_dest=2, bandwidth=units.gbps(3), burst=1.5 * units.KB,
+         peak_factor=1.0,
+         script=[("rate", 0, units.mbps(50)), ("burst", 1, 1, 700.0),
+                 ("burst", 0, 4, units.MTU), ("gap", 0.3e-6),
+                 ("burst", 1, 1, units.MTU)])
 @given(n_dest=st.integers(1, 12),
        bandwidth=st.sampled_from(RATES[1:]),
        burst=st.sampled_from((1.5 * units.KB, 6 * units.KB, 30 * units.KB)),

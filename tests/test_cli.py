@@ -1161,11 +1161,43 @@ class TestWhatIf:
             capsys, ["whatif", "--calibrate", str(calibration)],
             "--calibrate", "--vms '12': must be an integer")
 
+    def test_calibration_manifest_params_must_be_an_object(self, capsys,
+                                                           tmp_path):
+        """Non-object cell parameters used to be a ``TypeError``
+        traceback from inside the declaration check."""
+        calibration = tmp_path / "calibration"
+        shutil.copytree(self.CALIBRATION, calibration)
+        manifest = calibration / "manifest.json"
+        document = json.loads(manifest.read_text(encoding="utf-8"))
+        document["cells"][0]["params"] = 5
+        manifest.write_text(json.dumps(document), encoding="utf-8")
+        self.check_spec_error(
+            capsys, ["whatif", "--calibrate", str(calibration)],
+            "--calibrate", "cells[0].params must be an object, not int")
+
     def test_bad_calibration_dir_is_a_spec_error(self, capsys,
                                                  tmp_path):
         self.check_spec_error(
             capsys, ["whatif", "--calibrate", str(tmp_path)],
             "--calibrate", "neither")
+
+    @pytest.mark.parametrize("manifest, needle", [
+        ([], "expected a JSON object, not list"),
+        ({"cells": 5}, "'cells' must be a list, not int"),
+        ({"cells": [1, "x"]}, "cells[0] must be an object, not int"),
+        ({"cells": [{"artifacts": 5}]},
+         "cells[0].artifacts must be a list of paths"),
+    ], ids=["not-object", "cells-not-list", "cell-not-object",
+            "artifacts-not-list"])
+    def test_malformed_calibration_manifest_is_a_spec_error(
+            self, capsys, tmp_path, manifest, needle):
+        """Each of these used to escape as an ``AttributeError`` or
+        ``TypeError`` traceback from the manifest walk."""
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest),
+                                                encoding="utf-8")
+        self.check_spec_error(
+            capsys, ["whatif", "--calibrate", str(tmp_path)],
+            "--calibrate", "manifest.json", needle)
 
     @pytest.mark.parametrize("name, good, bad_row, needle", [
         ("queues.csv", "tor-down[3],0.0,5,100.0,0.0,300.0,50.0",

@@ -24,8 +24,9 @@ def test_shaper_probes_per_stamp_floor(monkeypatch):
     """The pacer's wasted-work ratio on the headline cell, as a count.
 
     ``would_stamp`` probes per ``stamp`` debit on a 5 ms fig12 Silo cell:
-    the rescanning shaper needed ~36, the incremental one ~6 (the repo
-    benchmark reports it as ``pacer.token_bucket.probes_per_stamp``).
+    the rescanning shaper needed ~36, the incremental one scanning in
+    queue-creation order 5.45, and bound-ordered selection 2.63 (the
+    repo benchmark reports it as ``pacer.token_bucket.probes_per_stamp``).
     Counts repeat exactly for a seed, so this guards the gain on any
     machine without a timing assertion.
     """
@@ -47,7 +48,7 @@ def test_shaper_probes_per_stamp_floor(monkeypatch):
     mechanism_compare_cell(mechanism="silo", workload="fig12",
                            duration=0.005)
     assert calls["stamp"] > 10_000
-    assert calls["would_stamp"] <= 8 * calls["stamp"]
+    assert calls["would_stamp"] <= 3 * calls["stamp"]
 
 
 def test_place_reads_free_slots_independent_of_cluster_size():
