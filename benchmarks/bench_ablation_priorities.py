@@ -60,7 +60,7 @@ def run_scenario(best_effort: str):
 
     lats = metrics.latencies(1)
     elapsed = DURATION
-    wire = sum(p.stats.tx_bytes for p in net.ports.values())
+    wire = net.port_stats()["tx_bytes"]
     return {
         "p99": percentile(lats, 99),
         "max": max(lats),

@@ -24,8 +24,8 @@ import typing
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["Param", "Group", "Declaration", "ParamError", "check_values",
-           "flag_type"]
+__all__ = ["Param", "Group", "Declaration", "ParamError", "UnknownName",
+           "check_values", "flag_type"]
 
 #: The default of a parameter whose signature gives none.
 REQUIRED = inspect.Parameter.empty
@@ -49,9 +49,20 @@ class ParamError(ValueError):
     def from_exception(cls, subject: str, value: Any,
                        exc: Exception) -> "ParamError":
         """``exc``, raised while reading ``value``, as its rejection: a
-        ``KeyError`` is a missing key."""
-        return cls(subject, value, f"missing key {exc}"
-                   if isinstance(exc, KeyError) else str(exc))
+        ``KeyError`` is a missing key, unless it is an
+        :class:`UnknownName`, whose message is the whole reason."""
+        missing = (isinstance(exc, KeyError)
+                   and not isinstance(exc, UnknownName))
+        return cls(subject, value,
+                   f"missing key {exc}" if missing else str(exc))
+
+
+class UnknownName(KeyError):
+    """A name nothing is registered under (a scenario, a sweep): a
+    ``KeyError`` whose message reads as written, not as a quoted key."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Sequence
 
-from repro.campaign.params import Declaration, Group, Param
+from repro.campaign.params import Declaration, Group, Param, UnknownName
 from repro.campaign.spec import Cell, SweepSpec
 
 __all__ = ["scenario", "get_scenario", "declaration", "check_cell",
@@ -74,17 +74,17 @@ def scenario(name: str, *groups: Group, **params: Param
 
 def get_scenario(name: str) -> Callable[..., Any]:
     """Resolve a registered scenario function by name."""
-    try:
-        return _SCENARIOS[name]
-    except KeyError:
+    fn = _SCENARIOS.get(name) if isinstance(name, str) else None
+    if fn is None:
         known = ", ".join(sorted(_SCENARIOS)) or "(none imported)"
-        raise KeyError(f"unknown scenario {name!r}; registered: {known}"
-                       ) from None
+        raise UnknownName(f"unknown scenario {name!r}; registered: "
+                          f"{known}")
+    return fn
 
 
 def declaration(name: str) -> Declaration:
     """The registered scenario's parameter declaration."""
-    get_scenario(name)  # an unknown name's KeyError
+    get_scenario(name)  # an unknown name's UnknownName
     return _DECLARATIONS[name]
 
 
@@ -113,8 +113,8 @@ def get_sweep(name: str) -> SweepSpec:
     try:
         factory = _SWEEPS[name]
     except KeyError:
-        raise KeyError(f"unknown sweep {name!r}; known: "
-                       f"{', '.join(list_sweeps())}") from None
+        raise UnknownName(f"unknown sweep {name!r}; known: "
+                          f"{', '.join(list_sweeps())}") from None
     return factory()
 
 

@@ -49,9 +49,7 @@ class NetworkFaultInjector:
     def _fire(self, event: FaultEvent) -> None:
         changed = self.health.apply(event)
         for port_id, factor in changed.items():
-            port = self.network.ports.get(port_id)
-            if port is not None:
-                port.set_fault_factor(factor)
+            self.network.port(port_id).set_fault_factor(factor)
         self.applied += 1
         if self.tracer is not None:
             self.tracer.emit(FaultInjected(

@@ -266,14 +266,13 @@ class HybridSim:
         exactly as they do under partial faults.  Returns the number of
         scheduled factor changes.
         """
-        capacity: Dict[int, float] = {
-            p.port_id: p.capacity for p in self.topology.ports}
+        specs = self.topology.ports
         health_steps = _health_steps(self.topology, self.faults,
                                      recorder.ports, start, end)
         count = 0
         for port_id in sorted(recorder.ports):
-            port = net.ports[port_id]
-            cap = capacity[port_id]
+            port = net.port(port_id)
+            cap = specs[port_id].capacity
             # Usage and health breakpoints in window order; at equal
             # times the usage step comes first.
             changes = sorted(

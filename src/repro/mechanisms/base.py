@@ -38,6 +38,7 @@ from repro.core.guarantees import NetworkGuarantee
 from repro.pacer.eyeq import allocate_hose_rates
 from repro.pacer.hierarchy import PacerConfig
 from repro.phynet.network import PacketNetwork, VirtualMachine
+from repro.phynet.port import OutputPort
 from repro.phynet.transport.base import Transport
 from repro.phynet.transport.tcp import TcpReno
 from repro.topology.tree import TreeTopology
@@ -102,11 +103,16 @@ class Mechanism(ABC):
 
     def build_network(self, topology: TreeTopology,
                       tracer=None) -> PacketNetwork:
-        """Construct the simulated network this mechanism runs on: plain
-        ports (a subclass configures them for its queue discipline) and
-        :meth:`transport_class` for every flow."""
+        """Construct the simulated network this mechanism runs on: its
+        fabric ports set up by :meth:`configure_port` as they are built,
+        and :meth:`transport_class` for every flow."""
         return PacketNetwork(topology, transport_class=self.transport_class(),
+                             configure_port=self.configure_port,
                              tracer=tracer)
+
+    def configure_port(self, port: OutputPort) -> None:
+        """Set this mechanism's queue discipline on a fabric port as the
+        network builds it; plain drop-tail unless a subclass marks."""
 
     @abstractmethod
     def add_vm(self, net: PacketNetwork, vm_id: int, tenant_id: int,

@@ -18,6 +18,7 @@ from repro.core.guarantees import NetworkGuarantee
 from repro.mechanisms.base import register_mechanism
 from repro.mechanisms.silo import NoneMechanism, SiloMechanism
 from repro.phynet.network import PacketNetwork, VirtualMachine
+from repro.phynet.port import OutputPort
 from repro.phynet.transport.base import Transport
 from repro.phynet.transport.dctcp import Dctcp
 from repro.phynet.transport.hull import (
@@ -25,7 +26,6 @@ from repro.phynet.transport.hull import (
     HULL_MARKING_THRESHOLD,
     HullTcp,
 )
-from repro.topology.tree import TreeTopology
 
 #: DCTCP marking threshold for 10 GbE (the DCTCP paper's K = 65 packets
 #: scaled to bytes is ~97 KB; shallow-buffer deployments use less).
@@ -41,13 +41,9 @@ class DctcpMechanism(NoneMechanism):
 
     name = "dctcp"
 
-    def build_network(self, topology: TreeTopology,
-                      tracer=None) -> PacketNetwork:
+    def configure_port(self, port: OutputPort) -> None:
         """Every switch port marks above :data:`DCTCP_K` queued bytes."""
-        net = super().build_network(topology, tracer=tracer)
-        for port in net.ports.values():
-            port.ecn_threshold = DCTCP_K
-        return net
+        port.ecn_threshold = DCTCP_K
 
     def transport_class(self) -> Type[Transport]:
         """Flows run :class:`Dctcp` to react to the marks."""
@@ -60,15 +56,17 @@ class HullMechanism(NoneMechanism):
 
     name = "hull"
 
-    def build_network(self, topology: TreeTopology,
-                      tracer=None) -> PacketNetwork:
+    def configure_port(self, port: OutputPort) -> None:
         """Every switch port marks from a phantom queue draining just
-        under its line rate."""
-        net = super().build_network(topology, tracer=tracer)
-        for port in net.ports.values():
-            port.phantom_drain = HULL_DRAIN_FRACTION * port.capacity
-            port.phantom_threshold = HULL_MARKING_THRESHOLD
-        return net
+        under its line rate.
+
+        A port built mid-run starts its phantom clock at ``sim.now``
+        with an empty phantom queue; a port built at ``t=0`` that sat
+        idle until then has drained to empty too, so both mark the
+        first packet they see exactly alike.
+        """
+        port.phantom_drain = HULL_DRAIN_FRACTION * port.capacity
+        port.phantom_threshold = HULL_MARKING_THRESHOLD
 
     def transport_class(self) -> Type[Transport]:
         """Flows run :class:`HullTcp` (DCTCP's endpoint algorithm)."""

@@ -1,8 +1,8 @@
 """The simulated datacenter: ports, VMs, pacers, routing and delivery.
 
-:class:`PacketNetwork` instantiates one :class:`~repro.phynet.port.OutputPort`
-per directed port of a :class:`~repro.topology.tree.TreeTopology`, places
-VMs on servers, and mediates every transmission:
+:class:`PacketNetwork` places VMs on the servers of a
+:class:`~repro.topology.tree.TreeTopology` and mediates every
+transmission:
 
 * traffic from a paced VM (Silo / Oktopus) is released at the exact stamp
   its token-bucket hierarchy computes (section 4.3) and then contends in
@@ -10,14 +10,24 @@ VMs on servers, and mediates every transmission:
 * unpaced traffic (TCP / DCTCP / HULL baselines) is released immediately;
 * intra-server traffic crosses only the hypervisor vswitch.
 
-Which pacer a VM gets, which transport its flows run and whether its
-tenant's hose is re-split (the ``B_i`` rates of Fig. 8) is the business
-of the :class:`~repro.mechanisms.base.Mechanism` that builds the network.
+An :class:`~repro.phynet.port.OutputPort` exists only once something
+reaches it: a route through it, a fault or hybrid residual replay on it
+(:meth:`PacketNetwork.port`), or a queue monitor
+(:meth:`PacketNetwork.monitor_queues`, which builds them all).  A
+packet window on a paper-scale tree therefore costs what the links its
+traffic crosses cost, not what the tree costs.  Building a port
+schedules nothing, so the order ports are built in never shows in a
+run.
+
+Which pacer a VM gets, which transport its flows run, how its fabric
+ports queue and whether its tenant's hose is re-split (the ``B_i``
+rates of Fig. 8) is the business of the
+:class:`~repro.mechanisms.base.Mechanism` that builds the network.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
@@ -69,14 +79,18 @@ class PacketNetwork:
                  sim: Optional[EventEngine] = None,
                  prop_delay: float = DEFAULT_PROP_DELAY,
                  transport_class: Type[Transport] = TcpReno,
+                 configure_port: Optional[
+                     Callable[[OutputPort], None]] = None,
                  tracer=None):
-        """Build the simulated network: plain drop-tail priority ports.
+        """Set up the simulated network: plain drop-tail priority ports,
+        each built the first time something reaches it (:meth:`port`).
 
         The fabric does not know which scheme runs on it.  A registered
         :class:`~repro.mechanisms.base.Mechanism` that needs more
-        (DCTCP's marking threshold, HULL's phantom queues) configures
-        the ports of the network it builds; rate control lives in the
-        hypervisor pacers attached per VM via :meth:`add_vm`.
+        (DCTCP's marking threshold, HULL's phantom queues) passes
+        ``configure_port``, which :meth:`port` calls on every fabric
+        port as it builds it; rate control lives in the hypervisor
+        pacers attached per VM via :meth:`add_vm`.
 
         ``transport_class`` is what every flow of this network runs
         (:meth:`transport`); a mechanism passes its own.
@@ -95,15 +109,13 @@ class PacketNetwork:
         self.tracer = tracer
         if tracer is not None:
             self.sim.tracer = tracer
+        self._prop_delay = prop_delay
+        self._configure_port = configure_port
+        self._port_specs = topology.ports
 
+        #: The fabric ports built so far, by topology port id (see
+        #: :meth:`port`); vswitches are not fabric ports.
         self.ports: Dict[int, OutputPort] = {}
-        for port in topology.ports:
-            self.ports[port.port_id] = OutputPort(
-                sim=self.sim, name=f"{port.kind.value}[{port.index}]",
-                capacity=port.capacity, buffer_bytes=port.buffer_bytes,
-                prop_delay=prop_delay, on_delivery=self._deliver,
-                tracer=tracer)
-
         self.vms: Dict[int, VirtualMachine] = {}
         self.transports: Dict[Tuple[int, int], Transport] = {}
         self._route_cache: Dict[Tuple[int, int], List[OutputPort]] = {}
@@ -159,22 +171,47 @@ class PacketNetwork:
             if src_server == dst_server:
                 cached = [self._vswitch(src_server)]
             else:
-                cached = [self.ports[p.port_id]
+                cached = [self.port(p.port_id)
                           for p in self.topology.path_ports(src_server,
                                                             dst_server)]
             self._route_cache[key] = cached
         return cached
 
+    def port(self, port_id: int) -> OutputPort:
+        """The fabric output port with topology id ``port_id``, built the
+        first time anything reaches it (a route, a fault, a residual
+        replay, a monitor) and configured by the network's
+        ``configure_port``.  An id outside the topology is an error."""
+        port = self.ports.get(port_id)
+        if port is None:
+            if not 0 <= port_id < len(self._port_specs):
+                raise ValueError(
+                    f"port {port_id} is not a port of the topology")
+            spec = self._port_specs[port_id]
+            port = self._new_port(f"{spec.kind.value}[{spec.index}]",
+                                  spec.capacity, spec.buffer_bytes,
+                                  self._prop_delay)
+            if self._configure_port is not None:
+                self._configure_port(port)
+            self.ports[port_id] = port
+        return port
+
     def _vswitch(self, server: int) -> OutputPort:
         port = self._vswitches.get(server)
         if port is None:
-            port = OutputPort(
-                sim=self.sim, name=f"vswitch[{server}]",
-                capacity=VSWITCH_RATE_FACTOR * self.topology.link_rate,
-                buffer_bytes=VSWITCH_BUFFER, prop_delay=VSWITCH_DELAY,
-                on_delivery=self._deliver, tracer=self.tracer)
+            port = self._new_port(
+                f"vswitch[{server}]",
+                VSWITCH_RATE_FACTOR * self.topology.link_rate,
+                VSWITCH_BUFFER, VSWITCH_DELAY)
             self._vswitches[server] = port
         return port
+
+    def _new_port(self, name: str, capacity: float, buffer_bytes: float,
+                  prop_delay: float) -> OutputPort:
+        """The one place an :class:`OutputPort` of this network is made."""
+        return OutputPort(sim=self.sim, name=name, capacity=capacity,
+                          buffer_bytes=buffer_bytes, prop_delay=prop_delay,
+                          on_delivery=self._deliver, tracer=self.tracer)
 
     def transmit(self, packet: Packet, src_vm: int) -> None:
         """Inject a packet, honouring the sender's pacer if it has one."""
@@ -250,18 +287,18 @@ class PacketNetwork:
         best-effort), so speculative-duplicate loss never reads as
         congestion loss of guaranteed traffic.
         """
-        drops = sum(p.stats.drops for p in self.ports.values())
-        pushouts = sum(p.stats.pushouts for p in self.ports.values())
-        fault_drops = sum(p.stats.fault_drops for p in self.ports.values())
-        marks = sum(p.stats.ecn_marks for p in self.ports.values())
-        tx = sum(p.stats.tx_bytes for p in self.ports.values())
-        max_q = max((p.stats.max_queue_bytes for p in self.ports.values()),
-                    default=0.0)
-        class_drops = [sum(p.stats.class_drops[c]
-                           for p in self.ports.values())
+        # Port-id order, as if every port existed: a port never built
+        # would only have added 0 to each sum, so the totals are exact.
+        ports = [self.ports[port_id] for port_id in sorted(self.ports)]
+        drops = sum(p.stats.drops for p in ports)
+        pushouts = sum(p.stats.pushouts for p in ports)
+        fault_drops = sum(p.stats.fault_drops for p in ports)
+        marks = sum(p.stats.ecn_marks for p in ports)
+        tx = sum(p.stats.tx_bytes for p in ports)
+        max_q = max((p.stats.max_queue_bytes for p in ports), default=0.0)
+        class_drops = [sum(p.stats.class_drops[c] for p in ports)
                        for c in range(N_CLASSES)]
-        class_pushouts = [sum(p.stats.class_pushouts[c]
-                              for p in self.ports.values())
+        class_pushouts = [sum(p.stats.class_pushouts[c] for p in ports)
                           for c in range(N_CLASSES)]
         return {"drops": drops, "pushouts": pushouts,
                 "fault_drops": fault_drops, "ecn_marks": marks,
@@ -272,14 +309,16 @@ class PacketNetwork:
     def monitor_queues(self, interval: float,
                        reservoir_size: int = 0) -> Dict[str, Any]:
         """Attach a queue-depth :class:`~repro.obs.TimeSeries` to every
-        switch port; returns ``{port name: series}``.
+        switch port, building the ports no traffic reached yet; returns
+        ``{port name: series}`` in topology order.
 
         Call before :meth:`EventEngine.run`; afterwards each series holds
         the port's depth trajectory bucketed at ``interval`` seconds
         (the per-bucket ``max`` is the figure-ready worst-case occupancy).
         """
         series: Dict[str, Any] = {}
-        for port in self.ports.values():
+        for spec in self._port_specs:
+            port = self.port(spec.port_id)
             port.depth_series = TimeSeries(
                 name=port.name, interval=interval,
                 reservoir_size=reservoir_size)

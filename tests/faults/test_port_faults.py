@@ -132,6 +132,38 @@ class TestNetworkFaultInjector:
         assert stats["fault_drops"] > 0
         assert not net.ports[target.index].is_down
 
+    def test_fault_reaches_a_port_no_packet_has_crossed(self):
+        """Ports are built when something first reaches them: a fault at
+        t = 0 builds the ToR downlink it takes down, and the first packet
+        routed through that port is a fault drop."""
+        from repro.phynet.metrics import MessageRecord
+        from repro.phynet.network import PacketNetwork
+        from repro.topology import TreeTopology
+
+        topo = TreeTopology(n_pods=1, racks_per_pod=2, servers_per_rack=2,
+                            slots_per_server=4, link_rate=units.gbps(10))
+        net = PacketNetwork(topo)
+        net.add_vm(0, 1, server=0)
+        net.add_vm(1, 1, server=1)
+        target = FaultTarget("link", topo.tor_down(1).port_id)
+        injector = NetworkFaultInjector(
+            net, FaultSchedule([FaultEvent.down(0.0, target)]))
+        net.sim.run(until=0.0)
+        assert injector.applied == 1
+        assert list(net.ports) == [target.index]
+        assert net.ports[target.index].is_down
+        flow = net.transport(0, 1)
+        flow.send_message(MessageRecord(
+            tenant_id=1, src_vm=0, dst_vm=1, size=units.MTU, start=0.0))
+        uplink = net.port(topo.nic_up(0).port_id)
+        net.sim.run(until=10 * units.MICROS)
+        # Every packet that left the uplink, the first included, died at
+        # the down ToR port.
+        sent = uplink.stats.tx_packets
+        assert sent > 0
+        assert net.ports[target.index].stats.fault_drops == sent
+        assert net.port_stats()["fault_drops"] == sent
+
     def test_injector_runs_on_an_injected_reference_simulator(self):
         """``PacketNetwork(sim=...)`` promises any loop speaking the
         ``schedule_at`` surface is honoured; the injector must not need

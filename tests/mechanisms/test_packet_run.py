@@ -171,7 +171,7 @@ class TestAssemblyOrder:
             def start(self):
                 self.net.sim.schedule_at(
                     when, lambda: seen.append(
-                        self.net.ports[port_id].is_down))
+                        self.net.port(port_id).is_down))
 
         run = PacketRun(
             get_mechanism("silo"), topology(),

@@ -30,6 +30,14 @@ def small_topology():
                         slots_per_server=2, link_rate=units.gbps(1))
 
 
+def every_port(net):
+    """Every fabric port of ``net``, built through :meth:`port` as a
+    route, a fault or a monitor would build it."""
+    ports = [net.port(spec.port_id) for spec in net.topology.ports]
+    assert len(net.ports) == len(ports) > 0
+    return ports
+
+
 class TestRegistry:
     def test_all_mechanisms_registered(self):
         assert mechanism_names() == ("dctcp", "eyeq", "hull", "none",
@@ -68,7 +76,7 @@ class TestStackConfiguration:
                          guarantee=GUARANTEE)
         assert all(port.ecn_threshold is None
                    and port.phantom_drain is None
-                   for port in net.ports.values())
+                   for port in every_port(net))
         assert mech.transport_class() is TcpReno
         assert mech.placement == "silo"
         assert vm.pacer.config == PacerConfig.from_guarantee(GUARANTEE)
@@ -93,7 +101,7 @@ class TestStackConfiguration:
                          guarantee=GUARANTEE)
         assert all(port.ecn_threshold is None
                    and port.phantom_drain is None
-                   for port in net.ports.values())
+                   for port in every_port(net))
         assert vm.pacer is None
         assert vm.priority == PRIORITY_GUARANTEED
         assert mech.transport_class() is TcpReno
@@ -105,7 +113,7 @@ class TestStackConfiguration:
         vm = mech.add_vm(net, 0, tenant_id=1, server=0,
                          guarantee=GUARANTEE)
         assert all(port.ecn_threshold is None
-                   for port in net.ports.values())
+                   for port in every_port(net))
         assert mech.transport_class() is SwpTransport
         assert vm.pacer is not None
         bucket = vm.pacer.destination_bucket(1)
@@ -179,7 +187,7 @@ class TestPaperBaselines:
         mech, net, vm, flow = self.build("dctcp")
         assert all(port.ecn_threshold == DCTCP_K
                    and port.phantom_drain is None
-                   for port in net.ports.values())
+                   for port in every_port(net))
         assert mech.transport_class() is Dctcp
         assert type(flow) is Dctcp
         assert vm.pacer is None
@@ -189,10 +197,41 @@ class TestPaperBaselines:
         assert all(port.phantom_drain == 0.95 * port.capacity
                    and port.phantom_threshold == 3_000
                    and port.ecn_threshold is None
-                   for port in net.ports.values())
+                   for port in every_port(net))
         assert mech.transport_class() is HullTcp
         assert type(flow) is HullTcp
         assert vm.pacer is None
+
+    @pytest.mark.parametrize("name", ["dctcp", "hull"])
+    def test_a_port_built_mid_run_marks_like_one_built_at_start(self, name):
+        """Ports are built when traffic first reaches them.  One built
+        at t = 1 ms carries the mechanism's marking, and marks the same
+        packets as the same port built at t = 0 and left idle."""
+        def run(built_at_start):
+            mech, net, _, flow = self.build(name)
+            if built_at_start:
+                every_port(net)
+
+            def send():
+                assert bool(net.ports) == built_at_start
+                flow.send_message(MessageRecord(
+                    tenant_id=1, src_vm=0, dst_vm=1, size=units.MB,
+                    start=net.sim.now))
+            net.sim.schedule_at(units.msec(1), send)
+            net.sim.run(until=units.msec(30))
+            return net
+
+        lazy, eager = run(False), run(True)
+        assert 0 < len(lazy.ports) < len(eager.ports)
+        for port_id, port in lazy.ports.items():
+            twin = eager.ports[port_id]
+            assert (port.ecn_threshold, port.phantom_drain,
+                    port.phantom_threshold) == (
+                twin.ecn_threshold, twin.phantom_drain,
+                twin.phantom_threshold)
+            assert port.stats == twin.stats
+        assert lazy.port_stats()["ecn_marks"] > 0
+        assert lazy.port_stats() == eager.port_stats()
 
     def test_okto_is_a_rate_limit_without_burst(self):
         mech, net, vm, flow = self.build("okto")

@@ -48,16 +48,41 @@ class TestNetworkConstruction:
         net.add_vm(1, 1, 1)
         assert net.route(0, 1) is net.route(0, 1)
 
+    @staticmethod
+    def routed(mechanism):
+        """``mechanism``'s network with one cross-server route built."""
+        net = get_mechanism(mechanism).build_network(small_topo())
+        net.add_vm(0, 1, 0)
+        net.add_vm(1, 1, 1)
+        assert net.ports == {}
+        route = net.route(0, 1)
+        assert route == [net.ports[p.port_id]
+                         for p in net.topology.path_ports(0, 1)]
+        return net, route
+
     def test_hull_ports_have_phantom_queues(self):
-        net = get_mechanism("hull").build_network(small_topo())
-        port = next(iter(net.ports.values()))
-        assert port.phantom_drain is not None
-        assert port.phantom_drain < port.capacity
+        _, route = self.routed("hull")
+        assert all(port.phantom_drain is not None
+                   and port.phantom_drain < port.capacity
+                   for port in route)
 
     def test_dctcp_ports_have_ecn(self):
-        net = get_mechanism("dctcp").build_network(small_topo())
-        port = next(iter(net.ports.values()))
-        assert port.ecn_threshold is not None
+        _, route = self.routed("dctcp")
+        assert all(port.ecn_threshold is not None for port in route)
+
+    def test_ports_are_built_when_a_route_first_reaches_them(self):
+        net, route = self.routed("none")
+        assert sorted(net.ports) == sorted(
+            p.port_id for p in net.topology.path_ports(0, 1))
+        # Reaching a built port again returns it, it builds no twin.
+        assert net.port(net.topology.nic_up(0).port_id) is route[0]
+
+    def test_port_outside_the_topology_is_an_error(self):
+        net = PacketNetwork(small_topo())
+        for port_id in (-1, len(net.topology.ports)):
+            with pytest.raises(ValueError, match="not a port"):
+                net.port(port_id)
+        assert net.ports == {}
 
 
 class TestIntraServerDelivery:
@@ -71,7 +96,8 @@ class TestIntraServerDelivery:
         flow.send_message(record)
         net.sim.run(until=0.01)
         assert record.completed
-        assert all(p.stats.tx_packets == 0 for p in net.ports.values())
+        # Only the vswitch was reached: no fabric port was even built.
+        assert net.ports == {}
 
 
 class TestEpochBurstApp:

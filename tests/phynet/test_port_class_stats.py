@@ -108,3 +108,46 @@ class TestNetworkRollup:
         stats = net.port_stats()
         assert stats["class_drops"] == [0] * N_CLASSES
         assert stats["class_pushouts"] == [0] * N_CLASSES
+
+    def test_port_stats_of_a_run_that_built_a_subset_of_ports(self):
+        """Only the ports traffic reached are built; the roll-up reports
+        what those carried, and equals the roll-up of the same run with
+        every port of the tree built up front."""
+        from repro.phynet.metrics import MetricsCollector
+        from repro.phynet.network import PacketNetwork
+        from repro.topology import TreeTopology
+
+        def run(build_every_port):
+            topo = TreeTopology(n_pods=1, racks_per_pod=2,
+                                servers_per_rack=2, slots_per_server=2,
+                                link_rate=units.gbps(1),
+                                buffer_bytes=8 * units.KB)
+            net = PacketNetwork(topo)
+            if build_every_port:
+                for spec in topo.ports:
+                    net.port(spec.port_id)
+            metrics = MetricsCollector()
+            # Two senders in one rack converge on a server of the other.
+            for vm, server in enumerate((0, 1, 2)):
+                net.add_vm(vm, 1, server)
+            for src in (0, 1):
+                flow = net.transport(src, 2)
+                flow.cwnd = 32.0
+                flow.send_message(
+                    metrics.new_message(1, src, 2, 200 * units.KB, 0.0))
+            net.sim.run(until=0.05)
+            return net
+
+        lazy, eager = run(False), run(True)
+        assert len(eager.ports) == len(eager.topology.ports)
+        assert 0 < len(lazy.ports) < len(eager.ports)
+        stats = lazy.port_stats()
+        carried = [lazy.ports[port_id] for port_id in sorted(lazy.ports)]
+        assert stats["drops"] == sum(p.stats.drops for p in carried) > 0
+        assert stats["tx_bytes"] == sum(p.stats.tx_bytes for p in carried)
+        assert stats["max_queue_bytes"] == max(
+            p.stats.max_queue_bytes for p in carried)
+        assert stats["class_drops"] == [
+            sum(p.stats.class_drops[c] for p in carried)
+            for c in range(N_CLASSES)]
+        assert stats == eager.port_stats()

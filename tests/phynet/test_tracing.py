@@ -146,10 +146,29 @@ class TestNetworkEvents:
         ports = {e.port for e in sink.of_kind("pkt.tx")}
         assert any(p.startswith("nic") for p in ports)
 
+    def test_monitor_queues_builds_every_port_in_topology_order(self):
+        """Routes build their ports first, out of topology order; the
+        monitor still returns one series per fabric port, in topology
+        order, each attached to the port traffic will cross."""
+        topo = TreeTopology(n_pods=1, racks_per_pod=2, servers_per_rack=2,
+                            slots_per_server=4, link_rate=units.gbps(10))
+        net = PacketNetwork(topo)
+        net.add_vm(0, 1, 3)
+        net.add_vm(1, 1, 0)
+        route = net.route(0, 1)
+        assert 0 < len(net.ports) < len(topo.ports)
+        series = net.monitor_queues(interval=10 * units.MICROS)
+        assert list(series) == [f"{p.kind.value}[{p.index}]"
+                                for p in topo.ports]
+        assert sorted(net.ports) == [p.port_id for p in topo.ports]
+        assert all(series[port.name] is port.depth_series
+                   for port in route)
+
     def test_monitor_queues_attaches_series(self):
         net = PacketNetwork(small_topo())
         series = net.monitor_queues(interval=10 * units.MICROS)
         assert set(series) == {p.name for p in net.ports.values()}
+        assert len(series) == len(net.ports) == len(net.topology.ports)
         metrics = MetricsCollector()
         net.add_vm(0, 1, 0)
         net.add_vm(1, 1, 1)

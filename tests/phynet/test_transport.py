@@ -28,7 +28,8 @@ def shallow_network(mechanism, topo):
     """``mechanism``'s network on ``topo``, marking ports (if it has
     any) retuned to a shallow-buffer 15 KB threshold."""
     net = get_mechanism(mechanism).build_network(topo)
-    for port in net.ports.values():
+    for spec in topo.ports:
+        port = net.port(spec.port_id)
         if port.ecn_threshold is not None:
             port.ecn_threshold = 15 * units.KB
     return net

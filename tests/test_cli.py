@@ -611,6 +611,23 @@ class TestSpecErrorContract:
                     "--out", str(tmp_path / "c")],
                    "--name", "no-such-sweep")
 
+    @pytest.mark.parametrize("source, value, message", [
+        ("--spec", {"name": "x", "scenario": "nope"},
+         "unknown scenario 'nope'; registered: "),
+        ("--name", "nope", "unknown sweep 'nope'; known: "),
+    ], ids=["spec", "name"])
+    def test_unknown_name_reads_as_it_is(self, capsys, tmp_path, source,
+                                         value, message):
+        """An unregistered scenario or sweep used to read as a
+        ``missing key '...'``."""
+        if source == "--spec":
+            (tmp_path / "sweep.json").write_text(json.dumps(value))
+            value = str(tmp_path / "sweep.json")
+        self.check(capsys,
+                   ["campaign", source, value,
+                    "--out", str(tmp_path / "c")],
+                   f"error: bad {source} {value!r}: {message}")
+
     @pytest.mark.parametrize("argv", [
         ["admit", "--vms", "4"],
         ["bounds"],
@@ -1174,6 +1191,24 @@ class TestWhatIf:
         self.check_spec_error(
             capsys, ["whatif", "--calibrate", str(calibration)],
             "--calibrate", "cells[0].params must be an object, not int")
+
+    @pytest.mark.parametrize("name", [7, ["churn_cell"]],
+                             ids=["int", "list"])
+    def test_calibration_manifest_scenario_must_be_registered(
+            self, capsys, tmp_path, name):
+        """An unregistered scenario used to read as ``missing key
+        'unknown scenario 7; ...'``, a list one as a ``TypeError``."""
+        calibration = tmp_path / "calibration"
+        shutil.copytree(self.CALIBRATION, calibration)
+        manifest = calibration / "manifest.json"
+        document = json.loads(manifest.read_text(encoding="utf-8"))
+        document["scenario"] = name
+        manifest.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["whatif", "--calibrate", str(calibration)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(
+            f"error: bad --calibrate {str(calibration)!r}: "
+            f"unknown scenario {name!r}; registered: ")
 
     def test_bad_calibration_dir_is_a_spec_error(self, capsys,
                                                  tmp_path):

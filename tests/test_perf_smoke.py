@@ -5,7 +5,7 @@ Each test pins a hot-path gain as a *count* -- probes per stamp,
 by a failing ``_fill``, by a tenant no empty port can hold and by
 loaded servers that cannot take one VM, balanced fills after a greedy
 one that placed nothing, port derivations per fault, flows per
-water-filled max-min class -- never as
+water-filled max-min class, packet ports built per route -- never as
 wall-clock time, so it holds on any machine.  Wall-clock numbers are
 the repo benchmark's (``python3 perf/run.py``, ``perf/README.md``);
 agreement of each shipped path with its seed oracle under
@@ -437,3 +437,54 @@ def test_fluid_solver_water_fills_classes_not_flows():
         recomputes += sim._solver.recompute_count
     assert recomputes > 1_900
     assert flows / classes >= 2.3
+
+
+def test_packet_window_builds_only_the_ports_its_routes_cross():
+    """A packet run on the ``hybrid-8k`` tree (16 pods x 50 racks x 10
+    servers, 17 632 directed ports) builds the ports its traffic
+    reaches and no other: one memcached tenant spread over three pods
+    for 2 ms builds the 24 fabric ports on its routes (and one
+    vswitch, which is no fabric port).  The network used to build all
+    17 632 before the first packet moved."""
+    import random
+
+    from repro import units
+    from repro.core.guarantees import NetworkGuarantee
+    from repro.core.tenant import TenantClass, TenantRequest
+    from repro.mechanisms import get_mechanism
+    from repro.mechanisms.run import PacketRun, PacketTenant
+    from repro.phynet.apps import MemcachedApp
+    from repro.topology import TreeTopology
+    from repro.workloads import EtcWorkload
+
+    topology = TreeTopology(n_pods=16, racks_per_pod=50,
+                            servers_per_rack=10, slots_per_server=4,
+                            link_rate=units.gbps(10), oversubscription=5.0,
+                            buffer_bytes=312 * units.KB)
+    guarantee = NetworkGuarantee(bandwidth=units.mbps(100),
+                                 burst=15 * units.KB,
+                                 delay=1000 * units.MICROS,
+                                 peak_rate=units.gbps(1))
+    rng = random.Random(7)
+
+    def memcached(net, metrics, tenant_id, vm_ids):
+        return MemcachedApp(net, metrics, tenant_id, server_vm=vm_ids[0],
+                            client_vms=vm_ids[1:], workload=EtcWorkload(),
+                            rng=rng)
+
+    # Server, rack-mate, pod-mate, two other pods, and a co-located VM.
+    servers = (0, 1, 10, 2000, 7999, 0)
+    run = PacketRun(get_mechanism("silo"), topology, [PacketTenant(
+        TenantRequest(n_vms=len(servers), guarantee=guarantee,
+                      tenant_class=TenantClass.CLASS_A),
+        servers, memcached)])
+    run.run(until=units.msec(2))
+    net = run.net
+    assert run.metrics.latencies(run.tenants[0].request.tenant_id)
+    routed = {port.port_id
+              for src, dst in net.transports
+              for port in topology.path_ports(net.vms[src].server,
+                                              net.vms[dst].server)}
+    assert len(topology.ports) == 17_632
+    assert set(net.ports) == routed
+    assert len(net.ports) < 50
