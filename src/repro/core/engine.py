@@ -86,10 +86,12 @@ class EventEngine:
                  *args: Any) -> list:
         """Run ``callback(*args)`` after ``delay`` seconds of virtual time.
 
-        Returns an opaque handle accepted by :meth:`cancel`.
+        Returns an opaque handle accepted by :meth:`cancel`.  A negative
+        or NaN ``delay`` is a ``ValueError``; ``+inf`` is allowed.
         """
-        if delay < 0:
-            raise ValueError(f"cannot schedule {delay}s into the past")
+        if not delay >= 0:  # false for NaN too
+            raise ValueError(f"cannot schedule {delay}s into the past"
+                             if delay < 0 else "cannot schedule a NaN delay")
         entry = [self.now + delay, next(self._sequence), callback, args]
         heapq.heappush(self._queue, entry)
         return entry
@@ -98,10 +100,13 @@ class EventEngine:
                     *args: Any) -> list:
         """Run ``callback(*args)`` at absolute virtual time ``when``.
 
-        Returns an opaque handle accepted by :meth:`cancel`.
+        Returns an opaque handle accepted by :meth:`cancel`.  A ``when``
+        before now or NaN is a ``ValueError``; ``+inf`` is allowed.
         """
-        if when < self.now:
-            raise ValueError(f"cannot schedule at {when} < now {self.now}")
+        if not when >= self.now:  # false for NaN too
+            raise ValueError(f"cannot schedule at {when} < now {self.now}"
+                             if when < self.now
+                             else "cannot schedule at a NaN time")
         entry = [when, next(self._sequence), callback, args]
         heapq.heappush(self._queue, entry)
         return entry

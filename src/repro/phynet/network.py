@@ -290,6 +290,10 @@ class PacketNetwork:
         # Port-id order, as if every port existed: a port never built
         # would only have added 0 to each sum, so the totals are exact.
         ports = [self.ports[port_id] for port_id in sorted(self.ports)]
+        # A port starts its queued packets lazily; settling every port,
+        # vswitches too, completes each depth series and trace up to now.
+        for port in ports + list(self._vswitches.values()):
+            port.settle()
         drops = sum(p.stats.drops for p in ports)
         pushouts = sum(p.stats.pushouts for p in ports)
         fault_drops = sum(p.stats.fault_drops for p in ports)
@@ -312,8 +316,10 @@ class PacketNetwork:
         switch port, building the ports no traffic reached yet; returns
         ``{port name: series}`` in topology order.
 
-        Call before :meth:`EventEngine.run`; afterwards each series holds
-        the port's depth trajectory bucketed at ``interval`` seconds
+        Call before :meth:`EventEngine.run`; after the run and
+        :meth:`port_stats` (which settles the lazily started ports) each
+        series holds the port's depth trajectory bucketed at
+        ``interval`` seconds
         (the per-bucket ``max`` is the figure-ready worst-case occupancy).
         """
         series: Dict[str, Any] = {}

@@ -9,7 +9,9 @@ has no cancellation, so cancelled callbacks are emulated there as
 logged no-ops).  And a golden-digest pin re-runs the ``fig16-micro``
 and ``mechanism-compare-micro`` campaigns -- whose outputs were
 captured on the pre-port seed loops immediately before the shared-core
-refactor -- and asserts the bytes did not move.
+refactor -- with the eager seed port ``tests/oracles/seed_port.py`` in
+place of the lazy one, and asserts the bytes did not move.  The lazy
+port's own digests are pinned beside them.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ from repro.campaign import get_sweep, run_campaign
 from repro.core.engine import EventEngine
 
 from seed_engine import Simulator
+from seed_port import OutputPort as SeedPort
 
 # A small set of exactly-representable delays so simultaneous events
 # (the tie-breaking contract) are common, not a fluke.
@@ -135,25 +138,45 @@ class TestEngineEquivalence:
         assert engine.now == 5.0
 
 
+class EagerPort(SeedPort):
+    """The seed port behind the network's port surface: it decides every
+    departure at its own tx-done event, so it has nothing to settle."""
+
+    def settle(self):
+        pass
+
+
 class TestGoldenCampaignPins:
     """The engine port left committed campaign bytes untouched.
 
     The digests were captured by running both micro sweeps on the
-    pre-port seed loops; re-running them on the shared core must
-    reproduce the same merged.json and manifest.json byte for byte.
+    pre-port seed loops; re-running them on the shared core with the
+    eager seed port must reproduce the same merged.json and
+    manifest.json byte for byte.  The shipped lazy port breaks
+    same-instant ties its own way (``phynet/port.py``), so it is pinned
+    to digests of its own.
     """
 
     GOLDEN = json.loads(
         (Path(__file__).resolve().parent.parent / "campaign"
          / "golden_engine_port.json").read_text(encoding="utf-8"))
 
-    @pytest.mark.parametrize("name", ["fig16-micro",
-                                      "mechanism-compare-micro"])
-    def test_campaign_bytes_pinned(self, name, tmp_path):
-        out = tmp_path / name
+    @staticmethod
+    def assert_pinned(name, out, pins):
         run_campaign(get_sweep(name), out=out)
-        for filename, expected in self.GOLDEN[name].items():
+        for filename, expected in pins.items():
             digest = hashlib.sha256(
                 (out / filename).read_bytes()).hexdigest()
             assert digest == expected, (
-                f"{name}/{filename} drifted from the pre-port bytes")
+                f"{name}/{filename} drifted from the pinned bytes")
+
+    @pytest.mark.parametrize("name", ["fig16-micro",
+                                      "mechanism-compare-micro"])
+    def test_campaign_bytes_pinned(self, name, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.phynet.network.OutputPort", EagerPort)
+        self.assert_pinned(name, tmp_path / name, self.GOLDEN[name])
+
+    def test_lazy_port_bytes_pinned(self, tmp_path):
+        name = "mechanism-compare-micro"
+        self.assert_pinned(name, tmp_path / name,
+                           self.GOLDEN["lazy_port"][name])

@@ -49,6 +49,30 @@ class TestSimulator:
         with pytest.raises(ValueError):
             sim.schedule_at(0.5, lambda: None)
 
+    def test_nan_time_is_rejected(self):
+        # A NaN stamp would sort before real events and run its callback
+        # with ``now = nan``.
+        sim = EventEngine()
+        fired = []
+        with pytest.raises(ValueError):
+            sim.schedule(float("nan"), fired.append, "nan")
+        with pytest.raises(ValueError):
+            sim.schedule_at(float("nan"), fired.append, "nan")
+        sim.schedule(0.5, fired.append, "real")
+        sim.run()
+        assert fired == ["real"]
+        assert sim.now == 0.5
+
+    def test_infinite_time_is_allowed(self):
+        # A zero-rate token bucket arms at +inf: queued, never fired.
+        sim = EventEngine()
+        fired = []
+        sim.schedule(float("inf"), fired.append, "never")
+        sim.schedule_at(float("inf"), fired.append, "never")
+        sim.run(until=1.0)
+        assert fired == []
+        assert sim.pending_events == 2
+
     def test_stop_aborts_run(self):
         sim = EventEngine()
         log = []
@@ -176,3 +200,20 @@ class TestOutputPort:
         sim.run()
         assert delivered == [p]
         assert p.hop == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("capacity", float("nan")), ("capacity", float("inf")),
+        ("capacity", 0.0), ("buffer_bytes", float("nan")),
+        ("buffer_bytes", float("inf")), ("buffer_bytes", -1.0),
+        ("prop_delay", float("nan")), ("prop_delay", -1e-6),
+    ])
+    def test_constructor_rejects_non_finite_or_negative(self, field, value):
+        with pytest.raises(ValueError):
+            make_port(EventEngine(), **{field: value})
+
+    def test_fault_factor_rejects_nan(self):
+        port = make_port(EventEngine())
+        for factor in (float("nan"), -0.1, 1.1):
+            with pytest.raises(ValueError):
+                port.set_fault_factor(factor)
+        assert port.fault_factor == 1.0

@@ -488,3 +488,38 @@ def test_packet_window_builds_only_the_ports_its_routes_cross():
     assert len(topology.ports) == 17_632
     assert set(net.ports) == routed
     assert len(net.ports) < 50
+
+
+def test_a_packet_costs_one_event_per_hop(monkeypatch):
+    """Engine events per port enqueue on an unpaced packet cell.
+
+    A 2 ms fig12 cell with no mechanism (drop-tail, TCP, no pacer): every
+    scheduled event there is a port's next-hop arrival, a transport
+    timer or an app's send.  The eager port scheduled a tx-done and then
+    an arrival for every packet it started: 1.82 events per enqueue here
+    (173 173 for 95 137).  The lazy one schedules only the arrival: 0.91
+    (85 948 for 94 075; the packets dropped at a full port start
+    nothing).
+    """
+    from repro.campaign.scenarios import mechanism_compare_cell
+    from repro.core.engine import EventEngine
+    from repro.phynet.port import OutputPort
+
+    calls = {"schedule": 0, "schedule_at": 0, "enqueue": 0}
+
+    def counted(owner, name):
+        method = getattr(owner, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(EventEngine, "schedule")
+    counted(EventEngine, "schedule_at")
+    counted(OutputPort, "enqueue")
+    mechanism_compare_cell(mechanism="none", workload="fig12",
+                           duration=0.002)
+    assert calls["enqueue"] > 10_000
+    scheduled = calls["schedule"] + calls["schedule_at"]
+    assert scheduled <= 1.1 * calls["enqueue"]
