@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, List, Optional
 
 __all__ = ["EventEngine"]
@@ -130,12 +131,17 @@ class EventEngine:
         """
         self._running = True
         queue = self._queue
+        pop = heapq.heappop
+        limit = math.inf if until is None else until
         try:
             while queue and self._running:
-                when, _seq, callback, args = queue[0]
-                if until is not None and when > until:
+                entry = pop(queue)
+                when, _seq, callback, args = entry
+                if when > limit:
+                    # The one entry past the horizon goes back, the same
+                    # list, so its handle still cancels it.
+                    heapq.heappush(queue, entry)
                     break
-                heapq.heappop(queue)
                 if callback is None:
                     continue  # cancelled
                 self.now = when

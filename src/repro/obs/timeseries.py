@@ -75,17 +75,30 @@ class TimeSeries:
     # -- recording -----------------------------------------------------------
 
     def record(self, t: float, value: float) -> None:
-        """Observe ``value`` at time ``t`` (``t`` should be non-decreasing;
-        a stray earlier observation folds into the current bucket)."""
-        self.count += 1
-        self.last = value
-        self.last_time = t
+        """Observe ``value`` at time ``t``.
+
+        Times must not run backwards past the open bucket: an
+        observation older than that bucket's start cannot be binned
+        without rewriting closed buckets, so it is a ``ValueError``
+        naming the series and both times.  An earlier time within the
+        open bucket folds into it.
+        """
         interval = self.interval
         if interval is not None:
             start = (t // interval) * interval
-            if self._open_start is None:
+            open_start = self._open_start
+            if open_start is not None and start < open_start:
+                raise ValueError(
+                    f"time series {self.name!r}: observation at t={t!r} "
+                    f"is older than its open bucket, which starts at "
+                    f"{open_start!r}")
+        self.count += 1
+        self.last = value
+        self.last_time = t
+        if interval is not None:
+            if open_start is None:
                 self._open_bucket(start, value)
-            elif start > self._open_start:
+            elif start > open_start:
                 self._close_bucket()
                 self._open_bucket(start, value)
             else:

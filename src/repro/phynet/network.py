@@ -215,7 +215,6 @@ class PacketNetwork:
 
     def transmit(self, packet: Packet, src_vm: int) -> None:
         """Inject a packet, honouring the sender's pacer if it has one."""
-        vm = self.vms[src_vm]
         # Pure ACKs bypass the pacer: they are ack-clocked by paced data (so
         # inherently rate-bounded at a few percent of the data rate) and a
         # real driver treats them as control traffic.  They still consume
@@ -223,14 +222,15 @@ class PacketNetwork:
         # SWP speculative duplicates also bypass the pacer: the whole point
         # of the spec copy is to race ahead of the paced original, taking
         # its chances in the best-effort queue class.
-        if (vm.pacer is not None and not packet.is_control
-                and not packet.spec):
-            vm.pacer.submit(packet)
-            return
-        self._release(packet)
+        if not packet.is_control and not packet.spec:
+            pacer = self.vms[src_vm].pacer
+            if pacer is not None:
+                pacer.submit(packet)
+                return
+        packet.route[0].enqueue(packet)
 
     def _shaper_release(self, packet: Packet, vm: VirtualMachine) -> None:
-        self._release(packet)
+        packet.route[0].enqueue(packet)
         if vm.pacer.destination_backlog(packet.dst) < PACER_QUEUE_LIMIT:
             waiters = self._ready_waiters.pop((vm.vm_id, packet.dst), None)
             if waiters:
@@ -258,17 +258,13 @@ class PacketNetwork:
         """Invoke ``callback`` once the shaper queue to ``dst_vm`` drains."""
         self._ready_waiters.setdefault((vm_id, dst_vm), []).append(callback)
 
-    def _release(self, packet: Packet) -> None:
-        packet.route[0].enqueue(packet)
-
     def _deliver(self, packet: Packet) -> None:
         flow: Transport = packet.flow
         if flow is None:
             return
-        kind = packet.payload[0]
-        if kind == "data":
+        if not packet.is_control:
             flow.on_data(packet)
-        elif kind == "ctrl":
+        elif packet.payload[0] == "ctrl":
             # Non-transport control traffic (e.g. EyeQ rate feedback):
             # dispatched to the endpoint object carried in ``flow``.
             flow.on_control(packet)

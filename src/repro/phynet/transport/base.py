@@ -75,7 +75,6 @@ class Transport:
         self.dup_acks = 0
         self.send_queue: Deque[Segment] = deque()
         self.in_flight: Dict[int, Segment] = {}
-        self.segments: Dict[int, Segment] = {}
         self.rto = MIN_RTO
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
@@ -84,6 +83,11 @@ class Transport:
         self.rto_count = 0
         self._recovery_until = -1
         self.highest_sent = -1
+        # The ports a data segment and an ACK cross, resolved on first
+        # use: resolving them here would build ports no traffic has
+        # reached yet.
+        self._data_route: Optional[List[Any]] = None
+        self._ack_route: Optional[List[Any]] = None
 
         # Receiver state.
         self.rcv_next = 0
@@ -102,7 +106,6 @@ class Transport:
             remaining -= size
             segment = Segment(self.next_seq, size, record,
                               is_last=(remaining <= 0))
-            self.segments[self.next_seq] = segment
             self.send_queue.append(segment)
             self.next_seq += 1
         self._pump()
@@ -127,10 +130,13 @@ class Transport:
         self.in_flight[segment.seq] = segment
         if segment.seq > self.highest_sent:
             self.highest_sent = segment.seq
+        route = self._data_route
+        if route is None:
+            route = self._data_route = self.network.route(self.src_vm,
+                                                          self.dst_vm)
         packet = Packet(
             src=self.src_vm, dst=self.dst_vm,
-            size=segment.size + HEADER_BYTES,
-            route=self.network.route(self.src_vm, self.dst_vm),
+            size=segment.size + HEADER_BYTES, route=route,
             flow=self, priority=self.priority,
             payload=("data", segment.seq, segment.is_last, segment.record))
         packet.sent_time = self.sim.now
@@ -163,9 +169,12 @@ class Transport:
         self._send_ack(ecn_echo=packet.ecn)
 
     def _send_ack(self, ecn_echo: bool) -> None:
+        route = self._ack_route
+        if route is None:
+            route = self._ack_route = self.network.route(self.dst_vm,
+                                                         self.src_vm)
         ack = Packet(
-            src=self.dst_vm, dst=self.src_vm, size=ACK_BYTES,
-            route=self.network.route(self.dst_vm, self.src_vm),
+            src=self.dst_vm, dst=self.src_vm, size=ACK_BYTES, route=route,
             flow=self, priority=self.priority, is_control=True,
             payload=("ack", self.rcv_next, ecn_echo, None))
         self.network.transmit(ack, self.dst_vm)
@@ -185,7 +194,6 @@ class Transport:
                     newly_acked += 1
                     if not segment.retransmitted and segment.send_time is not None:
                         rtt_sample = self.sim.now - segment.send_time
-                self.segments.pop(seq, None)
             self.snd_una = ack_seq
             self.dup_acks = 0
             if rtt_sample is not None:
@@ -216,7 +224,10 @@ class Transport:
                 self.cwnd += 1.0
             else:
                 self.cwnd += 1.0 / self.cwnd
-        self.rto = self._current_rto()
+        # The one RTO update of an ACK (RFC 6298 from srtt/rttvar).
+        srtt = self.srtt
+        self.rto = (MIN_RTO if srtt is None
+                    else max(MIN_RTO, srtt + 4.0 * self.rttvar))
 
     def _on_ecn_feedback(self, ecn_echo: bool, ack_seq: int) -> None:
         """Reno ignores ECN; DCTCP overrides."""
@@ -232,10 +243,11 @@ class Transport:
             self._retransmit(segment)
 
     def _retransmit(self, segment: Segment) -> None:
+        # Only a segment _transmit_segment sent comes back here, so the
+        # data route is resolved.
         packet = Packet(
             src=self.src_vm, dst=self.dst_vm,
-            size=segment.size + HEADER_BYTES,
-            route=self.network.route(self.src_vm, self.dst_vm),
+            size=segment.size + HEADER_BYTES, route=self._data_route,
             flow=self, priority=self.priority,
             payload=("data", segment.seq, segment.is_last, segment.record))
         segment.send_time = self.sim.now
@@ -245,18 +257,14 @@ class Transport:
     # ----------------------------------------------------------------------- RTO
 
     def _update_rtt(self, sample: float) -> None:
+        """Fold an RTT sample into ``srtt``/``rttvar``; the RTO they give
+        is set by :meth:`_on_new_ack`, which follows on every new ACK."""
         if self.srtt is None:
             self.srtt = sample
             self.rttvar = sample / 2.0
         else:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
             self.srtt = 0.875 * self.srtt + 0.125 * sample
-        self.rto = self._current_rto()
-
-    def _current_rto(self) -> float:
-        if self.srtt is None:
-            return MIN_RTO
-        return max(MIN_RTO, self.srtt + 4.0 * self.rttvar)
 
     def _arm_rto(self) -> None:
         """Push the retransmission deadline out; lazily (re)schedule.

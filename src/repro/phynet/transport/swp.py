@@ -68,8 +68,7 @@ class SwpTransport(Transport):
             return
         spec = Packet(
             src=self.src_vm, dst=self.dst_vm,
-            size=segment.size + HEADER_BYTES,
-            route=self.network.route(self.src_vm, self.dst_vm),
+            size=segment.size + HEADER_BYTES, route=self._data_route,
             flow=self, priority=PRIORITY_BEST_EFFORT, spec=True,
             payload=("data", segment.seq, segment.is_last,
                      segment.record))

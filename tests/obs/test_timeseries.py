@@ -58,6 +58,18 @@ class TestBuckets:
         assert len(ts.buckets()) == 1
         assert ts.buckets()[0].count == 2
 
+    def test_observation_older_than_open_bucket_raises(self):
+        """Folding it in would bin it under the wrong bucket silently."""
+        ts = TimeSeries(name="tor_down[3]", interval=1.0)
+        ts.record(5.5, 1.0)
+        with pytest.raises(ValueError,
+                           match=r"'tor_down\[3\]'.*t=4\.9.*starts at 5\.0"):
+            ts.record(4.9, 2.0)
+        # The refused observation left the series as it was.
+        assert ts.count == 1
+        assert ts.last_time == 5.5
+        assert [(b.start, b.count) for b in ts.buckets()] == [(5.0, 1)]
+
 
 class TestReservoir:
     def test_keeps_everything_under_capacity(self):

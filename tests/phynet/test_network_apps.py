@@ -216,3 +216,39 @@ class TestHoseCoordination:
         # Aggregate at the receiver is capped by its hose, not 6x.
         assert app.throughput(0.05) <= units.gbps(1.4)
         assert app.throughput(0.05) >= units.gbps(0.8)
+
+
+class TestPublicScheduleSurface:
+    """Ports, transports, apps and the shaper schedule only through
+    ``schedule``/``schedule_at``, so ``PacketNetwork(sim=...)`` runs on
+    any loop with that surface.  The seed loop keeps tuple heap entries
+    and returns no handles: a component that pushed onto the engine's
+    heap or kept a handle would fail or diverge on it."""
+
+    @staticmethod
+    def run_cell(monkeypatch, mechanism, sim_class):
+        from repro.campaign.scenarios import _run_section62
+        import repro.phynet.network as network
+        monkeypatch.setattr(network, "EventEngine", sim_class)
+        _result, run, _a, _b = _run_section62(mechanism, "fig12", 0.002,
+                                              1234)
+        assert type(run.net.sim) is sim_class
+        # Tenant ids count up across runs; keep their placement order.
+        tenant = {t.request.tenant_id: i for i, t in enumerate(run.tenants)}
+        records = [(tenant[r.tenant_id], r.src_vm, r.dst_vm, r.size,
+                    r.start, r.finish, r.rto_events)
+                   for r in run.metrics.records]
+        return records, run.net.port_stats()
+
+    # ``none``: unpaced TCP, class-B bulk under class-A incast, with
+    # drops, push-outs and RTOs; ``silo``: every VM behind the shaper.
+    @pytest.mark.parametrize("mechanism", ["none", "silo"])
+    def test_seed_loop_runs_a_cell_like_the_engine(self, monkeypatch,
+                                                   mechanism):
+        from repro.core.engine import EventEngine
+        from seed_engine import Simulator
+        records, stats = self.run_cell(monkeypatch, mechanism, Simulator)
+        assert len(records) > 50
+        assert stats["tx_bytes"] > 0
+        assert (records, stats) == self.run_cell(monkeypatch, mechanism,
+                                                 EventEngine)

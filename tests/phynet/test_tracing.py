@@ -7,6 +7,8 @@ attached behaviour is identical (the hooks are pure observers).
 
 import random
 
+import pytest
+
 from repro import units
 from repro.core import EventEngine
 from repro.core.guarantees import NetworkGuarantee
@@ -176,3 +178,45 @@ class TestNetworkEvents:
         flow.send_message(metrics.new_message(1, 0, 1, 50000.0, 0.0))
         net.sim.run(until=0.01)
         assert any(s.count > 0 for s in series.values())
+
+
+class TestSeriesOrder:
+    """Every producer records its series in time order, which
+    :meth:`TimeSeries.record` requires past the open bucket.  The lazy
+    port records a start at the time it was due, not at the touch that
+    decides it, and an idle port starts an arriving packet within the
+    enqueue; the shaper records its backlog on every submit and
+    release."""
+
+    @pytest.mark.parametrize("mechanism", ["none", "silo"])
+    def test_depth_and_backlog_series_never_go_back(self, monkeypatch,
+                                                    mechanism):
+        from repro.campaign.scenarios import fig12_cell
+        from repro.mechanisms.run import PacketRun
+
+        last = {}
+        record = TimeSeries.record
+
+        def in_order(series, t, value):
+            assert t >= last.get(series, 0.0), (series.name, t)
+            last[series] = t
+            record(series, t, value)
+
+        run = PacketRun.run
+
+        def monitored(self, until):
+            self.net.monitor_queues(interval=10 * units.MICROS)
+            for vm in self.net.vms.values():
+                if vm.pacer is not None:
+                    vm.pacer.backlog_series = TimeSeries(
+                        name=f"shaper[{vm.vm_id}]",
+                        interval=10 * units.MICROS)
+            run(self, until)
+
+        monkeypatch.setattr(TimeSeries, "record", in_order)
+        monkeypatch.setattr(PacketRun, "run", monitored)
+        fig12_cell(mechanism=mechanism, duration=0.002)
+        depth = [s for s in last if not s.name.startswith("shaper")]
+        backlog = [s for s in last if s.name.startswith("shaper")]
+        assert sum(s.count for s in depth) > 10_000
+        assert bool(backlog) == (mechanism == "silo")

@@ -810,6 +810,9 @@ CALLABLES_ALLOWED = {
         "seed_admission.py walks pods with it",
     "core/engine.py:EventEngine.pending_events":
         "the engine-equivalence tests compare it with seed_engine.py",
+    "phynet/packet.py:Packet.next_port":
+        "the eager seed port (seed_port.py) routes with it; the shipped "
+        "port advances a packet's hop inline",
     "netcalc/arrival.py:dual_rate":
         "curve_aggregate.py and the property tests build the exact "
         "per-tenant curves admission over-approximates",
