@@ -27,6 +27,7 @@ rates of Fig. 8) is the business of the
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro import units
@@ -136,9 +137,8 @@ class PacketNetwork:
             raise ValueError(f"server {server} out of range")
         vm = VirtualMachine(vm_id, tenant_id, server, guarantee, priority)
         if pacer_config is not None:
-            vm.pacer = VMShaper(
-                self.sim, pacer_config,
-                release=lambda packet, v=vm: self._shaper_release(packet, v))
+            vm.pacer = VMShaper(self.sim, pacer_config,
+                                release=partial(self._shaper_release, vm))
         self.vms[vm_id] = vm
         return vm
 
@@ -151,8 +151,9 @@ class PacketNetwork:
             return existing
         if src_vm == dst_vm:
             raise ValueError("a transport needs two distinct VMs")
-        flow = self.transport_class(self, src_vm, dst_vm,
-                                    self.vms[src_vm].priority)
+        src = self.vms[src_vm]
+        flow = self.transport_class(self, src_vm, dst_vm, src.priority)
+        flow.backpressured = src.pacer is not None
         self.transports[key] = flow
         return flow
 
@@ -229,13 +230,15 @@ class PacketNetwork:
                 return
         packet.route[0].enqueue(packet)
 
-    def _shaper_release(self, packet: Packet, vm: VirtualMachine) -> None:
+    def _shaper_release(self, vm: VirtualMachine, packet: Packet) -> None:
         packet.route[0].enqueue(packet)
-        if vm.pacer.destination_backlog(packet.dst) < PACER_QUEUE_LIMIT:
-            waiters = self._ready_waiters.pop((vm.vm_id, packet.dst), None)
-            if waiters:
-                for callback in waiters:
-                    callback()
+        key = (vm.vm_id, packet.dst)
+        waiters = self._ready_waiters.get(key)
+        if (waiters is not None and vm.pacer.destination_backlog(packet.dst)
+                < PACER_QUEUE_LIMIT):
+            del self._ready_waiters[key]
+            for callback in waiters:
+                callback()
 
     # -- shaper backpressure ------------------------------------------------------
 
@@ -246,7 +249,8 @@ class PacketNetwork:
         guest stack is not completed (and so stops sending) while the
         driver's shaper queue for that destination is full, instead of
         overflowing it.  Limits are per destination so one congested
-        receiver cannot starve a VM's other flows.
+        receiver cannot starve a VM's other flows.  A flow whose sender
+        has no shaper does not ask (``Transport.backpressured``).
         """
         vm = self.vms[vm_id]
         if vm.pacer is None:

@@ -13,6 +13,12 @@ destination, computes for each head packet the earliest instant all three
 Fig. 8 buckets allow it out, releases the globally earliest, and re-arms.
 Aggregate output conforms to ``{B, S}``, per-destination output to its
 hose rate ``B_d``, and consecutive releases are spaced at ``Bmax``.
+
+A wake-up carries its winner: the scan that arms it also proves, when it
+can, that no other head can come within ``2 * _TIME_EPS`` of the winning
+time, and the wake-up then releases that destination's head without a
+second scan (:meth:`VMShaper._earliest_head`; docs/ARCHITECTURE.md,
+"Shaper scheduling contract").
 """
 
 from __future__ import annotations
@@ -59,6 +65,9 @@ class VMShaper:
                                  sim.now)
         self._generation = 0
         self._armed_at: Optional[float] = None
+        #: The destination the armed wake-up releases without a scan, or
+        #: ``None`` if it must rescan (see :meth:`_arm`).
+        self._armed_winner: Optional[Hashable] = None
         self.backlog = 0.0
         self._dest_backlog: Dict[Hashable, float] = {}
         #: Optional :class:`repro.obs.TimeSeries` recording the shaper's
@@ -137,8 +146,8 @@ class VMShaper:
         self._indexed[destination] = entry
         heapq.heappush(self._heads, entry)
 
-    def _earliest_head(self) -> Tuple[Optional[Hashable], float]:
-        """``(destination, eligible)`` of the head packet that may leave first.
+    def _earliest_head(self) -> Tuple[Optional[Hashable], float, bool]:
+        """``(destination, eligible, clear)`` of the head that may leave first.
 
         A head is eligible at the ``max`` over its three buckets (token
         balances only grow until a debit, so the per-bucket earliest
@@ -172,6 +181,17 @@ class VMShaper:
         only ever dropped heads that could not beat its strict ``<``:
         both return ``argmin(eligible, rank)``.  Visited entries are
         pushed back unchanged; stale ones are dropped at the top.
+
+        ``clear`` says no other live head can come near the winner:
+        ``floor``, the least lower bound on a losing head's eligibility
+        the scan saw -- its computed ``eligible``, ``shared`` for a head
+        skipped unprobed, the ``bound`` of the entry or the two children
+        where it stopped -- is above ``eligible + 2 * _TIME_EPS``.  Until
+        a head, rate or balance changes, the winner's own eligibility
+        stays within rounding of ``eligible`` and every other head's at
+        or above its bound, so a scan at the wake-up would return the
+        same destination, eligible then: :meth:`_fire` releases it
+        without scanning.
         """
         now = self.sim.now
         heads, indexed = self._heads, self._indexed
@@ -181,7 +201,7 @@ class VMShaper:
         visited = []
         best_dest = None
         best_rank = -1
-        best_time = math.inf
+        best_time = floor = math.inf
         while heads:
             entry = heads[0]
             bound, rank, destination, answer, indexed_at = entry
@@ -189,40 +209,70 @@ class VMShaper:
                 heapq.heappop(heads)
                 continue
             if bound > best_time:
+                if bound < floor:
+                    floor = bound
                 break
             size = queues[destination][0].size
             shared = shared_for.get(size)
             if shared is None:
-                shared = shared_for[size] = max(
-                    tenant.would_stamp(size, now), peak.would_stamp(size, now))
+                # max() inline, here and for ``eligible``: a tie keeps
+                # the first argument's float, as max does.
+                shared = tenant.would_stamp(size, now)
+                peak_at = peak.would_stamp(size, now)
+                if peak_at > shared:
+                    shared = peak_at
+                shared_for[size] = shared
             if shared < best_time or (shared == best_time
                                       and rank < best_rank):
                 if indexed_at != now:
                     answer = buckets[destination].would_stamp(size, now)
-                eligible = max(answer, shared)
+                eligible = shared if shared > answer else answer
                 if eligible < best_time or (eligible == best_time
                                             and rank < best_rank):
+                    if best_time < floor:
+                        floor = best_time
                     best_dest, best_rank = destination, rank
                     best_time = eligible
+                elif eligible < floor:
+                    floor = eligible
+            elif shared < floor:
+                floor = shared
             # The rest of the heap hangs below the top's two children.
-            if ((len(heads) < 2 or heads[1][0] > best_time)
-                    and (len(heads) < 3 or heads[2][0] > best_time)):
+            n = len(heads)
+            if ((n < 2 or heads[1][0] > best_time)
+                    and (n < 3 or heads[2][0] > best_time)):
+                if n >= 2 and heads[1][0] < floor:
+                    floor = heads[1][0]
+                if n >= 3 and heads[2][0] < floor:
+                    floor = heads[2][0]
                 break
             visited.append(heapq.heappop(heads))
         for entry in visited:
             heapq.heappush(heads, entry)
-        return best_dest, best_time
+        return best_dest, best_time, floor > best_time + 2 * _TIME_EPS
 
     def _reschedule(self) -> None:
-        destination, eligible = self._earliest_head()
+        destination, eligible, clear = self._earliest_head()
         if destination is not None:
-            self._arm(eligible)
+            self._arm(eligible, destination if clear else None)
 
-    def _arm(self, eligible: float) -> None:
-        if self._armed_at is not None and self._armed_at <= eligible:
-            return  # an earlier-or-equal wakeup is already pending
+    def _arm(self, eligible: float, winner: Optional[Hashable]) -> None:
+        """Arm a wake-up at ``eligible`` that releases ``winner``'s head
+        without a scan (``None``: it rescans).
+
+        A pending wake-up at or before ``eligible`` stays, but the scan
+        that led here followed a change to a head, a rate or a balance,
+        so the pending one keeps its winner only if this scan confirms
+        the same destination at the same time, clear.
+        """
+        armed = self._armed_at
+        if armed is not None and armed <= eligible:
+            if armed != eligible or winner != self._armed_winner:
+                self._armed_winner = None
+            return
         self._generation += 1
         self._armed_at = eligible
+        self._armed_winner = winner
         self.sim.schedule(max(0.0, eligible - self.sim.now), self._fire,
                           self._generation)
 
@@ -230,20 +280,23 @@ class VMShaper:
         if generation != self._generation:
             return
         self._armed_at = None
-        destination, eligible = self._earliest_head()
-        if destination is None:
-            return
         now = self.sim.now
-        if eligible > now + _TIME_EPS:
-            self._arm(eligible)
-            return
+        destination = self._armed_winner
+        if destination is None:
+            destination, eligible, clear = self._earliest_head()
+            if destination is None:
+                return
+            if eligible > now + _TIME_EPS:
+                self._arm(eligible, destination if clear else None)
+                return
         queue = self._queues[destination]
         packet = queue.popleft()
-        self.backlog -= packet.size
-        self._dest_backlog[destination] -= packet.size
-        self._dest_buckets[destination].stamp(packet.size, now)
-        self._tenant.stamp(packet.size, now)
-        self._peak.stamp(packet.size, now)
+        size = packet.size
+        self.backlog -= size
+        self._dest_backlog[destination] -= size
+        self._dest_buckets[destination].stamp(size, now)
+        self._tenant.stamp(size, now)
+        self._peak.stamp(size, now)
         if queue:
             self._index(destination, queue)
         else:

@@ -16,7 +16,7 @@ message when its final segment is consumed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import units
 from repro.obs.events import FlowFinish
@@ -59,6 +59,11 @@ class Transport:
     VM pair; a bidirectional exchange (request/response) uses two.
     """
 
+    #: The ECN reaction each ACK runs before its window update, called as
+    #: ``(ecn_echo, ack_seq)``; ``None`` for Reno, which ignores ECN.
+    #: DCTCP defines it as a method.
+    _on_ecn_feedback: Optional[Callable[[bool, int], None]] = None
+
     def __init__(self, network: Any, src_vm: int, dst_vm: int,
                  priority: int):
         self.network = network
@@ -66,6 +71,10 @@ class Transport:
         self.src_vm = src_vm
         self.dst_vm = dst_vm
         self.priority = priority
+        #: Whether the network may hold this sender back
+        #: (``network.sender_ready``); a :class:`PacketNetwork` clears it
+        #: for a sender without a shaper.
+        self.backpressured = True
 
         # Sender state.
         self.cwnd = INIT_CWND
@@ -118,7 +127,9 @@ class Transport:
         pauses rather than overrunning it, and resumes when notified.
         """
         while self.send_queue and len(self.in_flight) < int(self.cwnd):
-            if not self.network.sender_ready(self.src_vm, self.dst_vm):
+            if (self.backpressured
+                    and not self.network.sender_ready(self.src_vm,
+                                                      self.dst_vm)):
                 self.network.notify_when_ready(self.src_vm, self.dst_vm,
                                                self._pump)
                 return
@@ -184,7 +195,8 @@ class Transport:
     def on_ack(self, packet: Packet) -> None:
         """Called by the network when an ACK reaches the sender."""
         _kind, ack_seq, ecn_echo, _ = packet.payload
-        self._on_ecn_feedback(ecn_echo, ack_seq)
+        if self._on_ecn_feedback is not None:
+            self._on_ecn_feedback(ecn_echo, ack_seq)
         if ack_seq > self.snd_una:
             newly_acked = 0
             rtt_sample = None
@@ -228,9 +240,6 @@ class Transport:
         srtt = self.srtt
         self.rto = (MIN_RTO if srtt is None
                     else max(MIN_RTO, srtt + 4.0 * self.rttvar))
-
-    def _on_ecn_feedback(self, ecn_echo: bool, ack_seq: int) -> None:
-        """Reno ignores ECN; DCTCP overrides."""
 
     def _fast_retransmit(self) -> None:
         if self.snd_una >= self._recovery_until:

@@ -168,3 +168,56 @@ class TestWakeUpInvariant:
         assert sim.pending_events == pending + 1
         sim.run(until=40e-6)
         assert [p.dst for _, p in released] == ["slow", "idle", "slow"]
+
+
+class TestCarriedWinner:
+    """A wake-up releases the head its arming scan picked, without a
+    second scan, only when that scan was clear: no other head within
+    ``2 * _TIME_EPS`` of the winning time."""
+
+    def test_clear_wake_up_releases_without_a_scan(self, monkeypatch):
+        sim, shaper, released = build(bandwidth=units.gbps(1))
+        for _ in range(3):
+            shaper.submit(FakePacket("d"))
+        assert shaper._armed_winner == "d"
+        scans = []
+        earliest_head = VMShaper._earliest_head
+
+        def counted(self):
+            scans.append(sim.now)
+            return earliest_head(self)
+        monkeypatch.setattr(VMShaper, "_earliest_head", counted)
+        sim.run(until=1.0)
+        assert len(released) == 3
+        # One scan after each release, to arm the next wake-up (the last
+        # finds nothing); none at a fire.
+        assert scans == [t for t, _ in released]
+
+    def test_an_ulp_close_loser_forces_a_rescan(self):
+        """Without the margin the wake-up would release the wrong head.
+
+        ``b`` (rank 1) is eligible at ``E`` and ``a`` (rank 0) one ulp
+        later.  The wake-up armed at ``T0`` for ``E`` fires at ``T0 + (E
+        - T0)``, which rounds to that later ulp, where both heads are
+        eligible and the tie goes to ``a``: the rescanning shaper
+        (``tests/oracles/seed_shaper.py``) releases ``a`` first, and so
+        must the live one.  A scan that called ``b`` clear would hand
+        the slot to ``b``.
+        """
+        import math
+
+        t0, e = 7.646572816333626e-06, 0.00010189544801599962
+        assert t0 + (e - t0) == math.nextafter(e, math.inf)
+        sim, shaper, released = build(bandwidth=units.gbps(10),
+                                      burst=30 * units.KB)
+        sim.run(until=t0)
+        # Full buckets whose clocks a deficit stamp pushed to these
+        # instants answer exactly them.
+        for dst, at in (("a", math.nextafter(e, math.inf)), ("b", e)):
+            shaper.destination_bucket(dst)._updated = at
+        shaper.submit(FakePacket("a"))
+        shaper.submit(FakePacket("b"))
+        assert shaper._armed_at == e
+        assert shaper._armed_winner is None
+        sim.run(until=1.0)
+        assert [p.dst for _, p in released] == ["a", "b"]

@@ -15,6 +15,8 @@ seed doing it, checks the undercut is rounding-sized, and ends the script
 at that step: everything released up to then must still be bit-equal.
 """
 
+import os
+
 from hypothesis import example, given, settings, strategies as st
 
 from repro import units
@@ -23,6 +25,8 @@ from repro.pacer.hierarchy import PacerConfig
 from repro.phynet.shaper import _TIME_EPS, VMShaper
 
 from seed_shaper import VMShaper as SeedShaper
+
+EXAMPLES = int(os.environ.get("SHAPER_EXAMPLES", "300"))
 
 #: Head sizes: full segments (twice as likely) and short last segments.
 SIZES = (units.MTU, units.MTU, 700.0, 64.0)
@@ -109,7 +113,7 @@ EQUAL_HOSE_SCRIPT = (
     + [("gap", 12.5e-6), ("rate", 3, units.mbps(400)), ("gap", 1.1e-3)])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=EXAMPLES, deadline=None)
 # Destination 1's head is indexed one ulp *below* destination 0's
 # (0.000127699999 vs 0.00012769999900000002), the reverse of their rank
 # order; both become eligible at the shared tenant time, and the
