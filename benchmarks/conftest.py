@@ -4,10 +4,11 @@ Every file here regenerates one table or figure of the paper (or one
 extension claim) and asserts its *shape*; they are ordinary, slow pytest
 tests (``pytest benchmarks``) with no timing harness -- wall-clock
 numbers are ``perf/``'s job.  Figs. 12-14 and Table 4 are four views of
-one six-cell packet campaign, which they do not re-simulate: the
-``fig12_campaign`` fixture reads the committed
-``campaigns/fig12/merged.json`` (CI's ``mechanism-smoke`` job regenerates
-it ``cmp``-identical from the registered ``fig12`` sweep).
+the ``fig12`` workload of the section 6.2 packet campaign, which they do
+not re-simulate: the ``fig12_campaign`` fixture reads those cells from
+the committed ``campaigns/mechanism-compare/merged.json`` (CI's
+``mechanism-smoke`` job regenerates it ``cmp``-identical from the
+registered ``mechanism-compare`` sweep).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import List
 
 import pytest
 
-FIG12 = Path(__file__).resolve().parents[1] / "campaigns" / "fig12"
+SECTION62 = (Path(__file__).resolve().parents[1] / "campaigns"
+             / "mechanism-compare")
 
 
 def print_table(title: str, header: List[str],
@@ -36,7 +38,9 @@ def print_table(title: str, header: List[str],
 
 @pytest.fixture(scope="session")
 def fig12_campaign():
-    """The committed ``fig12`` cells' results by mechanism name, in the
-    paper's scheme order (``none`` is the TCP baseline)."""
-    cells = json.loads((FIG12 / "merged.json").read_text())["cells"]
-    return {cell["params"]["mechanism"]: cell["result"] for cell in cells}
+    """The committed ``fig12``-workload cells' results by mechanism name:
+    the paper's six schemes in its order (``none`` is the TCP baseline),
+    then SWP and EyeQ."""
+    cells = json.loads((SECTION62 / "merged.json").read_text())["cells"]
+    return {cell["params"]["mechanism"]: cell["result"] for cell in cells
+            if cell["params"]["workload"] == "fig12"}

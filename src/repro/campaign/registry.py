@@ -11,10 +11,11 @@ importing the spec's declared modules.  Its signature, with what
 (:mod:`repro.campaign.params`); :func:`check_cell` holds a cell to it.
 
 Named sweeps work the same way for whole specs: the benchmark grids
-(``fig12``, ``fig15``, ``fig16``, ``table1``, ``failure-recovery``)
-register factory functions, and both ``python -m repro campaign --name`` and
-the benchmarks fetch the *same* spec object, so there is exactly one
-definition of each grid and its seeds.
+(``mechanism-compare``, ``fig15``, ``fig16``, ``table1``,
+``failure-recovery``) register factory functions, and both
+``python -m repro campaign --name`` and the benchmarks fetch the *same*
+spec object, so there is exactly one definition of each grid and its
+seeds.
 """
 
 from __future__ import annotations

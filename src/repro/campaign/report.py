@@ -9,7 +9,8 @@ comments::
     <!-- end:fig15 -->
 
 ``python -m repro report`` re-renders each block from the committed
-``campaigns/<name>/merged.json`` and splices it back, so the document's
+``campaigns/<name>/merged.json`` of the campaign its marker names in
+:data:`_RENDERERS` and splices it back, so the document's
 numbers provably come from the checked-in campaign data rather than
 hand transcription; ``--check`` verifies the document is up to date
 without writing (CI runs this as the docs-drift gate).
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.campaign.merge import pool_values, sum_counters
 
@@ -48,9 +49,8 @@ def _cell_map(cells: List[Mapping], *axes: str) -> Dict[tuple, Mapping]:
     return indexed
 
 
-def _render_table1(campaigns: Path) -> str:
-    cells = _cell_map(_load_cells(campaigns, "table1"),
-                      "burst_mult", "bw_mult")
+def _render_table1(raw: List[Mapping]) -> str:
+    cells = _cell_map(raw, "burst_mult", "bw_mult")
     bursts = sorted({k[0] for k in cells})
     bws = sorted({k[1] for k in cells})
     lines = ["| burst\\bw | " + " | ".join(f"{bw:g}B" for bw in bws)
@@ -65,8 +65,8 @@ def _render_table1(campaigns: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_fig15(campaigns: Path) -> str:
-    cells = _cell_map(_load_cells(campaigns, "fig15"), "load", "policy")
+def _render_fig15(raw: List[Mapping]) -> str:
+    cells = _cell_map(raw, "load", "policy")
     policies = ("locality", "oktopus", "silo")
     lines = ["| policy | moderate | high |", "|---|---|---|"]
     for policy in policies:
@@ -77,9 +77,8 @@ def _render_fig15(campaigns: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_fig16(campaigns: Path) -> str:
-    cells = _cell_map(_load_cells(campaigns, "fig16"),
-                      "boost", "permutation_x", "policy")
+def _render_fig16(raw: List[Mapping]) -> str:
+    cells = _cell_map(raw, "boost", "permutation_x", "policy")
     boosts = sorted({k[0] for k in cells})
     densities = sorted({k[1] for k in cells})
     policies = ("locality", "oktopus", "silo")
@@ -107,9 +106,8 @@ def _render_fig16(campaigns: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_fig16_32k(campaigns: Path) -> str:
-    cells = _cell_map(_load_cells(campaigns, "fig16-32k"),
-                      "servers", "policy")
+def _render_fig16_32k(raw: List[Mapping]) -> str:
+    cells = _cell_map(raw, "servers", "policy")
     sizes = sorted({k[0] for k in cells})
     lines = ["Fig. 16a operating point (4.0x load, Permutation-3) scaled"
              " to the paper's 32K servers:", "",
@@ -130,8 +128,7 @@ def _render_fig16_32k(campaigns: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_failure_recovery(campaigns: Path) -> str:
-    raw = _load_cells(campaigns, "failure-recovery")
+def _render_failure_recovery(raw: List[Mapping]) -> str:
     mtbfs: List[float] = []
     for cell in raw:
         mtbf = cell["params"]["mtbf_ms"]
@@ -162,8 +159,7 @@ def _render_failure_recovery(campaigns: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_whatif_error(campaigns: Path) -> str:
-    raw = _load_cells(campaigns, "whatif-error")
+def _render_whatif_error(raw: List[Mapping]) -> str:
     seeds = sorted({cell["seed"] for cell in raw})
     keys = []
     for cell in raw:
@@ -200,30 +196,24 @@ def _render_whatif_error(campaigns: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_mechanism_compare(campaigns: Path) -> str:
-    cells = _cell_map(_load_cells(campaigns, "mechanism-compare"),
-                      "workload", "mechanism")
-    workloads = []
-    for key in cells:
-        if key[0] not in workloads:
-            workloads.append(key[0])
-    mechanisms = ("silo", "swp", "eyeq")
+def _render_mechanism_compare(raw: List[Mapping]) -> str:
+    cells = _cell_map(raw, "workload", "mechanism")
     lines = ["| workload | mechanism | p50 | p99 | p99.9 | max |"
              " late | guarantee |",
              "|----------|-----------|----:|----:|------:|----:|"
              "-----:|-----------|"]
-    for workload in workloads:
-        for mechanism in mechanisms:
-            result = cells[(workload, mechanism)]["result"]
-            pct = result["latency_us"]
-            late = result["late"]
-            verdict = "**met**" if result["guarantee_met"] else "violated"
-            lines.append(
-                f"| {workload} | {mechanism} "
-                f"| {pct['p50']:.0f} us | {pct['p99']:.0f} us "
-                f"| {pct['p999']:.0f} us "
-                f"| {result['max_latency_us']:.0f} us "
-                f"| {late}/{result['messages']} | {verdict} |")
+    for (workload, mechanism), cell in cells.items():
+        result = cell["result"]
+        pct = result["latency_us"]
+        late = result["late"]
+        verdict = "**met**" if result["guarantee_met"] else "violated"
+        lines.append(
+            f"| {workload} | {mechanism} "
+            f"| {pct['p50']:.0f} us | {pct['p99']:.0f} us "
+            f"| {pct['p999']:.0f} us "
+            f"| {result['max_latency_us']:.0f} us "
+            f"| {late}/{result['messages']} | {verdict} |")
+    workloads = list(dict.fromkeys(workload for workload, _ in cells))
     any_cell = next(iter(cells.values()))["result"]
     swp = [cells[(w, "swp")]["result"] for w in workloads]
     spec_sent = sum(c["counters"]["spec_packets_sent"] for c in swp)
@@ -238,8 +228,8 @@ def _render_mechanism_compare(campaigns: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_fig12(campaigns: Path) -> str:
-    cells = _load_cells(campaigns, "fig12")
+def _render_fig12(raw: List[Mapping]) -> str:
+    cells = [c for c in raw if c["params"]["workload"] == "fig12"]
     results = {c["params"]["mechanism"]: c["result"] for c in cells}
     any_cell = cells[0]["result"]
     lines = ["Fig. 12 / Table 3 — class-A message latency, all tenants"
@@ -289,9 +279,8 @@ def _render_fig12(campaigns: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_hybrid_smoke(campaigns: Path) -> str:
-    cells = _cell_map(_load_cells(campaigns, "hybrid-smoke"),
-                      "fg_app", "policy")
+def _render_hybrid_smoke(raw: List[Mapping]) -> str:
+    cells = _cell_map(raw, "fg_app", "policy")
     apps = ("memcached", "burst")
     policies = ("silo", "locality")
     lines = ["| foreground | background policy | bg admitted |"
@@ -320,31 +309,32 @@ def _render_hybrid_smoke(campaigns: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Renderers keyed by marker id, which is also the name of the campaign
-#: directory whose merged.json the block is generated from.
-_RENDERERS: Dict[str, Callable[[Path], str]] = {
-    "table1": _render_table1,
-    "fig15": _render_fig15,
-    "fig16": _render_fig16,
-    "fig16-32k": _render_fig16_32k,
-    "failure-recovery": _render_failure_recovery,
-    "whatif-error": _render_whatif_error,
-    "mechanism-compare": _render_mechanism_compare,
-    "fig12": _render_fig12,
-    "hybrid-smoke": _render_hybrid_smoke,
+#: Renderers keyed by marker id, each with the campaign directory whose
+#: merged.json its block is generated from.  The Fig. 12-14 / Table 4
+#: block reads the ``fig12`` workload of the section 6.2 campaign.
+_RENDERERS: Dict[str, Tuple[str, Callable[[List[Mapping]], str]]] = {
+    "table1": ("table1", _render_table1),
+    "fig15": ("fig15", _render_fig15),
+    "fig16": ("fig16", _render_fig16),
+    "fig16-32k": ("fig16-32k", _render_fig16_32k),
+    "failure-recovery": ("failure-recovery", _render_failure_recovery),
+    "whatif-error": ("whatif-error", _render_whatif_error),
+    "mechanism-compare": ("mechanism-compare", _render_mechanism_compare),
+    "fig12": ("mechanism-compare", _render_fig12),
+    "hybrid-smoke": ("hybrid-smoke", _render_hybrid_smoke),
 }
 
 
 def render_tables(campaigns: Path) -> Dict[str, str]:
     """All marker blocks renderable from ``campaigns`` (id -> markdown).
 
-    Campaign directories without a committed ``merged.json`` are
-    skipped, so a partially populated campaigns tree regenerates what
-    it can (:func:`update_document` refuses that under ``check``).
+    Blocks whose campaign directory has no committed ``merged.json``
+    are skipped, so a partially populated campaigns tree regenerates
+    what it can (:func:`update_document` refuses that under ``check``).
     """
-    return {marker_id: render(campaigns)
-            for marker_id, render in _RENDERERS.items()
-            if (campaigns / marker_id / "merged.json").is_file()}
+    return {marker_id: render(_load_cells(campaigns, name))
+            for marker_id, (name, render) in _RENDERERS.items()
+            if (campaigns / name / "merged.json").is_file()}
 
 
 def splice(document: str, tables: Mapping[str, str]) -> str:
@@ -391,8 +381,10 @@ def update_document(doc_path: Path, campaigns: Path,
                            and marker_id not in tables)
         if unchecked:
             raise ValueError(
-                f"no {campaigns}/<id>/merged.json for marker block(s) "
-                f"{', '.join(unchecked)}")
+                "no merged.json for marker block(s) " + ", ".join(
+                    f"{marker_id} ({campaigns}/"
+                    f"{_RENDERERS[marker_id][0]}/merged.json)"
+                    for marker_id in unchecked))
     updated = splice(document, tables)
     changed = updated != document
     if changed and not check:

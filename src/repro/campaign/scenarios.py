@@ -36,8 +36,7 @@ __all__ = [
     "failure_recovery_cell", "churn_cell",
     "trace_cell", "faults_cell", "service_soak_cell",
     "whatif_error_cell", "hybrid_cell",
-    "mechanism_compare_cell", "fig12_cell",
-    "MECHANISM_WORKLOADS", "COMPARE_MECHANISMS",
+    "mechanism_compare_cell", "MECHANISM_WORKLOADS",
     "write_csv", "write_recovery_csv", "write_latency_csv",
 ]
 
@@ -645,10 +644,6 @@ MECHANISM_WORKLOADS = {
               "chunk": units.MB},
 }
 
-#: Mechanisms the three-way campaign sweeps (``none`` is benchmarked
-#: separately as the overhead baseline).
-COMPARE_MECHANISMS = ("silo", "swp", "eyeq")
-
 #: Downsampled tail-CDF resolution committed per campaign cell.
 _CDF_POINTS = 33
 
@@ -682,8 +677,17 @@ def _run_section62(mechanism: str, workload: str, duration: float,
     through the bandwidth-only one, everything else gets the striped
     placement an unmanaged cloud would.  Class-A tenants run all-to-one
     epoch bursts, class-B all-to-all bulk (unless the workload has none).
-    Returns the result dict plus the live ``(run, class-A tenants,
-    class-B tenants)`` for callers that summarize further.
+
+    The result also carries what the per-tenant figures read.
+    ``class_a`` lists the class-A tenants in placement order with their
+    RTO-message share (Fig. 13) and Table 4's 99th percentile, which
+    ranks an unfinished message as slower than any finished one: when
+    the 99th percentile *is* an unfinished message, ``p99_us`` and
+    ``p99_over_estimate`` are null (count it as exceeding every
+    multiple).  ``class_b`` pools the bulk tenants' message latencies
+    over the hose estimate of the workload's chunk (Fig. 14); a
+    workload without bulk reports no messages.  Returns the result dict
+    and the live :class:`~repro.mechanisms.run.PacketRun`.
     """
     from repro.analysis.stats import percentile
     from repro.mechanisms import PacketRun, PacketTenant, get_mechanism
@@ -713,6 +717,7 @@ def _run_section62(mechanism: str, workload: str, duration: float,
     run = PacketRun(mech, topo, tenants)
     run.run(until=duration)
 
+    metrics = run.metrics
     a_records = [r for t in class_a for r in run.records(t)]
     b_ids = {t.request.tenant_id for t in class_b}
     late = run.count_late(class_a)
@@ -721,14 +726,32 @@ def _run_section62(mechanism: str, workload: str, duration: float,
                     for label, q in (("p50", 50.0), ("p90", 90.0),
                                      ("p99", 99.0), ("p999", 99.9))}
                    if latencies else {})
-    b_bytes = sum(r.size for r in run.metrics.records
-                  if r.tenant_id in b_ids and r.completed)
+    b_records = [r for r in metrics.records
+                 if r.tenant_id in b_ids and r.completed]
     stats = run.net.port_stats()
+    estimate = CLASS_A_GUARANTEE.message_latency_bound(CLASS_A_MESSAGE)
+    bound_us = estimate * 1e6
+    per_tenant = []
+    for tenant in class_a:
+        tenant_id = tenant.request.tenant_id
+        records = run.records(tenant)
+        # inf: the p99 never finished; NaN: the tenant sent nothing.
+        ratio = metrics.outlier_class(tenant_id, estimate)
+        finished = math.isfinite(ratio)
+        per_tenant.append({
+            "messages": len(records),
+            "incomplete": sum(1 for r in records if not r.completed),
+            "rto_fraction": (metrics.rto_message_fraction(tenant_id)
+                             if records else None),
+            "p99_over_estimate": ratio if finished else None,
+            "p99_us": ratio * bound_us if finished else None})
+    b_estimate = shape["chunk"] / (CLASS_B_GUARANTEE.bandwidth
+                                   / (VMS_PER_TENANT_B - 1))
+    ratios = [r.latency / b_estimate for r in b_records]
     result = {
         "mechanism": mechanism, "workload": workload, "seed": seed,
         "duration": duration,
-        "bound_us": CLASS_A_GUARANTEE.message_latency_bound(
-            CLASS_A_MESSAGE) * 1e6,
+        "bound_us": bound_us,
         "messages": len(a_records),
         "incomplete": len(a_records) - len(latencies),
         "late": late,
@@ -737,13 +760,23 @@ def _run_section62(mechanism: str, workload: str, duration: float,
         "latency_us": percentiles,
         "max_latency_us": max(latencies) * 1e6 if latencies else None,
         "cdf_us": _latency_cdf_us(latencies) if latencies else [],
-        "class_b_goodput_mbps": b_bytes / duration / units.MB,
+        "class_b_goodput_mbps": (sum(r.size for r in b_records)
+                                 / duration / units.MB),
         "port": {"drops": stats["drops"],
                  "class_drops": stats["class_drops"],
                  "class_pushouts": stats["class_pushouts"]},
         "counters": mech.counters(run.net),
+        "class_a": per_tenant,
+        "class_b": {
+            "estimate_us": b_estimate * 1e6,
+            "messages": len(ratios),
+            "latency_over_estimate": (
+                {label: percentile(ratios, q)
+                 for label, q in (("p50", 50.0), ("p95", 95.0),
+                                  ("p99", 99.0), ("max", 100.0))}
+                if ratios else {})},
     }
-    return result, run, class_a, class_b
+    return result, run
 
 
 @scenario("mechanism_compare", mechanism=Param(choices=_mechanism_names),
@@ -752,79 +785,22 @@ def _run_section62(mechanism: str, workload: str, duration: float,
 def mechanism_compare_cell(mechanism: str, workload: str,
                            duration: float = CAMPAIGN_DURATION,
                            seed: int = 1234) -> Dict:
-    """One (mechanism, workload) cell of the three-way tail campaign:
+    """One (mechanism, workload) cell of the section 6.2 campaign:
     :func:`_run_section62`'s result, as is."""
     return _run_section62(mechanism, workload, duration, seed)[0]
 
 
-@scenario("fig12", mechanism=Param(choices=_mechanism_names),
-          duration=Param(bounds=_POSITIVE))
-def fig12_cell(mechanism: str, duration: float = CAMPAIGN_DURATION,
-               seed: int = 1234) -> Dict:
-    """One scheme's cell of the Fig. 12-14 / Table 4 campaign.
-
-    The ``fig12`` workload's :func:`mechanism_compare_cell` result plus
-    what the per-tenant figures read.  ``class_a`` lists the class-A
-    tenants in placement order with their RTO-message share (Fig. 13)
-    and Table 4's 99th percentile, which ranks an unfinished message as
-    slower than any finished one: when the 99th percentile *is* an
-    unfinished message, ``p99_us`` and ``p99_over_estimate`` are null
-    (count it as exceeding every multiple).  ``class_b`` pools the bulk
-    tenants' message latencies over the hose estimate (Fig. 14).
-    """
-    from repro.analysis.stats import percentile
-    result, run, class_a, class_b = _run_section62(
-        mechanism, "fig12", duration, seed)
-    metrics = run.metrics
-    estimate = CLASS_A_GUARANTEE.message_latency_bound(CLASS_A_MESSAGE)
-    result["class_a"] = []
-    for tenant in class_a:
-        tenant_id = tenant.request.tenant_id
-        records = run.records(tenant)
-        # inf: the p99 never finished; NaN: the tenant sent nothing.
-        ratio = metrics.outlier_class(tenant_id, estimate)
-        finished = math.isfinite(ratio)
-        result["class_a"].append({
-            "messages": len(records),
-            "incomplete": sum(1 for r in records if not r.completed),
-            "rto_fraction": (metrics.rto_message_fraction(tenant_id)
-                             if records else None),
-            "p99_over_estimate": ratio if finished else None,
-            "p99_us": ratio * result["bound_us"] if finished else None})
-    b_estimate = (MECHANISM_WORKLOADS["fig12"]["chunk"]
-                  / (CLASS_B_GUARANTEE.bandwidth / (VMS_PER_TENANT_B - 1)))
-    b_ids = {t.request.tenant_id for t in class_b}
-    ratios = [r.latency / b_estimate for r in metrics.records
-              if r.tenant_id in b_ids and r.completed]
-    result["class_b"] = {
-        "estimate_us": b_estimate * 1e6,
-        "messages": len(ratios),
-        "latency_over_estimate": (
-            {label: percentile(ratios, q)
-             for label, q in (("p50", 50.0), ("p95", 95.0),
-                              ("p99", 99.0), ("max", 100.0))}
-            if ratios else {})}
-    return result
-
-
-@sweep("fig12")
-def fig12_sweep() -> SweepSpec:
-    """The paper's six section 6.2 schemes (``none`` is the TCP
-    baseline), in the order Fig. 12 and Table 4 report them."""
-    return SweepSpec(
-        name="fig12", scenario="fig12",
-        grid={"mechanism": ["silo", "none", "dctcp", "hull", "okto",
-                            "okto+"]},
-        seeds=(1234,), fixed={"duration": CAMPAIGN_DURATION})
-
-
 @sweep("mechanism-compare")
 def mechanism_compare_sweep() -> SweepSpec:
-    """The full three-way campaign: 4 workloads x 3 mechanisms."""
+    """The section 6.2 campaign, Figs. 12-14 and Tables 3/4 included:
+    every workload x every registered mechanism, the paper's six
+    schemes first (``none`` is the TCP baseline) in the order Fig. 12
+    and Table 4 report them, then SWP and EyeQ."""
     return SweepSpec(
         name="mechanism-compare", scenario="mechanism_compare",
         grid={"workload": list(MECHANISM_WORKLOADS),
-              "mechanism": list(COMPARE_MECHANISMS)},
+              "mechanism": ["silo", "none", "dctcp", "hull", "okto",
+                            "okto+", "swp", "eyeq"]},
         seeds=(1234,), fixed={"duration": CAMPAIGN_DURATION})
 
 
@@ -833,7 +809,7 @@ def mechanism_compare_micro_sweep() -> SweepSpec:
     """CI smoke slice: the mixed workload only, at a quarter duration."""
     return SweepSpec(
         name="mechanism-compare-micro", scenario="mechanism_compare",
-        grid={"mechanism": list(COMPARE_MECHANISMS)},
+        grid={"mechanism": ["silo", "swp", "eyeq"]},
         seeds=(1234,), fixed={"workload": "fig12", "duration": 0.02})
 
 

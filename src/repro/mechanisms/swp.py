@@ -9,7 +9,7 @@ token-bucket hierarchy on the guaranteed class.  Whichever copy arrives
 first wins; the receiver's sequence-number dedup makes the race
 invisible to the application.
 
-The scheme's weakness -- and why the three-way campaign exists -- is
+The scheme's weakness -- and why it runs in the section 6.2 campaign -- is
 that the speculative copy rides the *best-effort* class behind strict
 priority: precisely when the network is busy enough for pacing delay to
 hurt, the copy sits behind (or is pushed out by) every guaranteed-class

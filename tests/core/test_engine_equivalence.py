@@ -152,7 +152,10 @@ class TestGoldenCampaignPins:
     The digests were captured by running both micro sweeps on the
     pre-port seed loops; re-running them on the shared core with the
     eager seed port must reproduce the same merged.json and
-    manifest.json byte for byte.  The shipped lazy port breaks
+    manifest.json byte for byte.  (The mechanism-compare-micro
+    merged.json pins were re-taken when every cell gained its
+    per-tenant block, after the new bytes without that block hashed to
+    the old pins.)  The shipped lazy port breaks
     same-instant ties its own way (``phynet/port.py``), so it is pinned
     to digests of its own.
     """

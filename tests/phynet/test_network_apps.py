@@ -230,8 +230,7 @@ class TestPublicScheduleSurface:
         from repro.campaign.scenarios import _run_section62
         import repro.phynet.network as network
         monkeypatch.setattr(network, "EventEngine", sim_class)
-        _result, run, _a, _b = _run_section62(mechanism, "fig12", 0.002,
-                                              1234)
+        _result, run = _run_section62(mechanism, "fig12", 0.002, 1234)
         assert type(run.net.sim) is sim_class
         # Tenant ids count up across runs; keep their placement order.
         tenant = {t.request.tenant_id: i for i, t in enumerate(run.tenants)}

@@ -191,7 +191,7 @@ class TestSeriesOrder:
     @pytest.mark.parametrize("mechanism", ["none", "silo"])
     def test_depth_and_backlog_series_never_go_back(self, monkeypatch,
                                                     mechanism):
-        from repro.campaign.scenarios import fig12_cell
+        from repro.campaign.scenarios import mechanism_compare_cell
         from repro.mechanisms.run import PacketRun
 
         last = {}
@@ -215,7 +215,8 @@ class TestSeriesOrder:
 
         monkeypatch.setattr(TimeSeries, "record", in_order)
         monkeypatch.setattr(PacketRun, "run", monitored)
-        fig12_cell(mechanism=mechanism, duration=0.002)
+        mechanism_compare_cell(mechanism=mechanism, workload="fig12",
+                               duration=0.002)
         depth = [s for s in last if not s.name.startswith("shaper")]
         backlog = [s for s in last if s.name.startswith("shaper")]
         assert sum(s.count for s in depth) > 10_000

@@ -210,7 +210,7 @@ class TestRegistry:
     def test_builtin_sweeps_are_listed(self):
         names = list_sweeps()
         for expected in ("fig15", "fig15-micro", "fig16", "table1",
-                         "failure-recovery", "fig12"):
+                         "failure-recovery", "mechanism-compare"):
             assert expected in names
 
     def test_get_sweep_unknown_name(self):

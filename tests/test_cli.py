@@ -376,6 +376,22 @@ class TestReportCommand:
         assert "fig16" in captured.err
         assert "fig15" not in captured.err and "notes" not in captured.err
 
+    def test_fig12_block_needs_the_section62_campaign(self, capsys,
+                                                     tmp_path):
+        """The Fig. 12-14 block renders from the ``fig12`` rows of
+        ``mechanism-compare``: a ``fig12`` directory does not satisfy
+        the check, and the error names the campaign file it needs."""
+        doc = tmp_path / "EXPERIMENTS.md"
+        doc.write_text("<!-- begin:fig12 -->\nold\n<!-- end:fig12 -->\n")
+        campaigns = tmp_path / "campaigns"
+        (campaigns / "fig12").mkdir(parents=True)
+        (campaigns / "fig12" / "merged.json").write_text('{"cells": []}')
+        assert main(["report", "--check", "--doc", str(doc),
+                     "--campaigns", str(campaigns)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "fig12 (" in err and "mechanism-compare/merged.json" in err
+
     def test_missing_doc_exits_2_with_one_line(self, capsys, tmp_path):
         code = main(["report", "--check", "--doc", str(tmp_path / "nope.md"),
                      "--campaigns", str(tmp_path)])
